@@ -313,42 +313,49 @@ func BenchmarkGPSSimulation(b *testing.B) {
 }
 
 // BenchmarkEventQueue times the discrete-event core at steady queue depth:
-// each iteration schedules one event past the horizon and executes the
-// earliest one. The AtCall path plus the typed 4-ary heap make this
-// allocation-free.
+// each iteration schedules one event a full horizon out and executes the
+// earliest one. Q=16 stays in the queue's heap phase, Q=4096 runs on the
+// timing wheel (promotion happens during the untimed fill). Events sit one
+// 1µs tick apart by default; the gap=1ms variants space them a thousand
+// ticks apart, the spacing of a 200-byte packet on a 1.6 Mb/s link, where
+// a wheel that walks empty slots pays for every one of them. All four must
+// stay at 0 allocs/op (benchdiff-gated).
 func BenchmarkEventQueue(b *testing.B) {
-	for _, depth := range []int{16, 4096} {
-		b.Run(fmt.Sprintf("Q=%d", depth), func(b *testing.B) {
-			var q eventq.Queue
-			tick := func(any) {}
-			horizon := float64(depth) * 1e-6
-			for i := 0; i < depth; i++ {
-				q.AtCall(float64(i)*1e-6, tick, nil)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.AtCall(q.Now()+horizon, tick, nil)
-				q.Step()
-			}
-		})
+	tick := func(any) {}
+	for _, gap := range []struct {
+		prefix string
+		s      float64
+	}{{"", 1e-6}, {"gap=1ms/", 1e-3}} {
+		for _, depth := range []int{16, 4096} {
+			b.Run(fmt.Sprintf("%sQ=%d", gap.prefix, depth), func(b *testing.B) {
+				var q eventq.Queue
+				horizon := float64(depth) * gap.s
+				for i := 0; i < depth; i++ {
+					q.AtCall(float64(i)*gap.s, tick, nil)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q.AtCall(q.Now()+horizon, tick, nil)
+					q.Step()
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkEventWheel pits the hierarchical timing wheel (eventq.Queue)
-// against the retired 4-ary heap it replaced (eventq.Heap, kept as the
-// differential baseline) at steady pending-set sizes up to one million
-// events. Each iteration schedules one event a full horizon out and fires
-// the earliest, so the wheel's O(1) bucket insert competes with the heap's
-// O(log n) sift; both paths must stay at 0 allocs/op (benchdiff-gated).
-// The cancel variant measures handle-based O(1) cancellation under the
-// same pending load — the heap offers no cancellation at all (tombstone
-// scans were the alternative this replaced).
+// BenchmarkEventWheel times the queue's wheel phase at steady pending-set
+// sizes up to one million events. Each iteration schedules one event a
+// full horizon out and fires the earliest: an O(1) bucket insert where a
+// heap would pay an O(log n) sift. The cancel variant measures handle-based
+// O(1) cancellation under the same pending load (tombstone scans were the
+// alternative this replaced). Both must stay at 0 allocs/op
+// (benchdiff-gated).
 func BenchmarkEventWheel(b *testing.B) {
 	tick := func(any) {}
 	for _, depth := range []int{1000, 100000, 1000000} {
 		horizon := float64(depth) * 1e-6
-		fill := func(q interface{ AtCall(float64, func(any), any) }) {
+		fill := func(q *eventq.Queue) {
 			for i := 0; i < depth; i++ {
 				q.AtCall(float64(i)*1e-6, tick, nil)
 			}
@@ -361,16 +368,6 @@ func BenchmarkEventWheel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q.AtCall(q.Now()+horizon, tick, nil)
 				q.Step()
-			}
-		})
-		b.Run(fmt.Sprintf("heap/P=%d", depth), func(b *testing.B) {
-			var h eventq.Heap
-			fill(&h)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.AtCall(h.Now()+horizon, tick, nil)
-				h.Step()
 			}
 		})
 		b.Run(fmt.Sprintf("cancel/P=%d", depth), func(b *testing.B) {

@@ -3,35 +3,47 @@
 // clock. Events scheduled for the same instant fire in the order they were
 // scheduled, which keeps simulations deterministic.
 //
-// The queue is a hierarchical timing wheel (Varghese & Lauck) with two
-// auxiliary tiers:
+// Queue is one type with two phases, chosen by what the queue observes
+// about itself:
 //
-//   - wheel: 4 levels of 256 power-of-two buckets each (8 bits per level,
+//   - heap phase. A new Queue is a typed 4-ary min-heap ordered by
+//     (time, seq), called ready. Every push goes there and every pop takes
+//     its minimum: O(log pending), no per-queue arrays, nothing to advance.
+//     The paper's experiments — under 20 pending events per queue — never
+//     leave this phase.
+//   - wheel phase. When the pending count first passes promoteAt the queue
+//     allocates a hierarchical timing wheel (Varghese & Lauck) behind one
+//     pointer, sets its cursor to the heap minimum's tick and re-places
+//     every node. Promotion is one-way. From then on ready holds only the
+//     events whose tick the cursor has reached, and the rest live in:
+//     wheel — 4 levels of 256 power-of-two buckets each (8 bits per level,
 //     2^32 ticks of total span at the default 1µs resolution ≈ 71 minutes
 //     of simulated time). Scheduling hashes the event's absolute tick into
-//     the lowest level whose span covers its distance from the wheel
-//     cursor: an O(1) push onto an intrusive doubly-linked bucket list.
-//     Cancellation is an O(1) unlink. Per-level occupancy bitmaps (256
-//     bits) make "next non-empty bucket" a handful of word scans, so
-//     advancing the cursor costs O(1) amortized per event cascaded.
-//   - overflow: a typed 4-ary min-heap for events more than 2^32 ticks
-//     out. It drains into the wheel as the cursor approaches.
-//   - ready: a typed 4-ary min-heap, ordered by (time, seq), holding the
-//     events whose tick the cursor has reached. Pop takes the ready
-//     minimum.
+//     the lowest level whose span covers its distance from the cursor: an
+//     O(1) push onto an intrusive doubly-linked bucket list. Cancellation
+//     is an O(1) unlink. Per-level occupancy bitmaps (256 bits) make
+//     "next non-empty bucket" a handful of word scans, and of the buckets
+//     the cursor crosses only the one it lands in can be occupied, so
+//     advancing costs O(1) amortized per event cascaded however far apart
+//     in time the events sit;
+//     overflow — a 4-ary min-heap for events more than 2^32 ticks out,
+//     draining into the wheel as the cursor approaches.
 //
 // Determinism argument. Every event carries a strictly increasing seq, and
 // the float64→tick mapping t ↦ ⌊t/tick⌋ is monotone, so for any two
 // pending events a, b: a.tick < b.tick ⇒ a.time ≤ b.time (sub-tick time
-// differences always land in the same or a later tick). The queue
-// maintains the invariant that the ready heap holds exactly the pending
-// events with tick ≤ cursor, while the wheel and overflow tiers hold only
-// events with tick > cursor; the cursor only advances to the minimum
-// pending tick. Therefore the (time, seq) minimum of the ready heap is the
-// global (time, seq) minimum, and the pop order is bit-for-bit identical
-// to the retired 4-ary heap (kept as Heap in this package as the
-// differential baseline; see also FuzzEventQueue and the conformance
-// replay digests that pin this).
+// differences always land in the same or a later tick). In the heap phase
+// ready holds every pending event, so its (time, seq) minimum is trivially
+// global. In the wheel phase the queue maintains the invariant that ready
+// holds exactly the pending events with tick ≤ cursor while the wheel and
+// overflow tiers hold only events with tick > cursor, and the cursor only
+// advances to the minimum pending tick. Promotion establishes that
+// invariant (the cursor is the minimum pending tick, and re-placing sends
+// exactly the nodes at that tick back to ready), so the ready minimum is
+// the global (time, seq) minimum in both phases and the pop order is that
+// of a single (time, seq) heap bit for bit (pinned by FuzzEventQueue's
+// sorted-slice model on fresh, promoted and promoting queues, the
+// container/heap oracle, and the conformance replay digests).
 package eventq
 
 import (
@@ -48,6 +60,15 @@ const (
 	wheelSpanBits = wheelBits * wheelLevels // ticks covered by all levels
 	wheelWords    = wheelSlots / 64
 )
+
+// promoteAt is the pending count past which a queue leaves the heap phase
+// for the wheel phase. Measured (sweep table in DESIGN.md §15): the heap's
+// cost grows with log(pending) whatever the spacing of events, the wheel's
+// is flat in pending and grows with the spacing; they cross near 128–256
+// pending for events 1–10 ticks apart and only past a few thousand for
+// events 1 ms apart. Anything in 64..1024 serves both the packet-level
+// studies (≤ 20 pending) and the fabric-scale ones (≥ 2000).
+const promoteAt = 256
 
 // DefaultTick is the wheel resolution in simulated seconds. One tick is
 // 1µs: fine enough that packet-scale events (ns–µs service times) rarely
@@ -79,7 +100,7 @@ type node struct {
 	seq  uint64
 	fn   func(any)
 	arg  any
-	tick uint64
+	tick uint64 // ⌊time/resolution⌋; set at promotion and by wheel-phase pushes
 	// prev/next link the node into its wheel bucket, or (next only) into
 	// the free list.
 	prev, next *node
@@ -108,24 +129,32 @@ type Queue struct {
 	// all tiers; Cancel decrements it (Len must never count tombstones).
 	pending int
 
-	// tickInv is ticks per second (1/resolution); set lazily on first use
-	// so the zero value works, overridable once via SetResolution.
+	// tickInv is ticks per second (1/resolution); 0 means DefaultTick until
+	// promotion fixes it, overridable once via SetResolution.
 	tickInv float64
+
+	// ready is a (time, seq) 4-ary min-heap: every pending event in the
+	// heap phase, the due events (tick ≤ cursor) in the wheel phase.
+	ready []*node
+	w     *wheel // nil in the heap phase
+
+	free *node // recycled nodes
+}
+
+// wheel is the state a queue gains at promotion.
+type wheel struct {
 	// curTick is the wheel cursor. Invariant: ready holds ticks ≤ curTick,
-	// wheel/overflow hold ticks > curTick. The cursor may run ahead of the
+	// buckets/over hold ticks > curTick. The cursor may run ahead of the
 	// float clock now (PeekTime advances it eagerly); pushes landing at or
 	// behind the cursor go straight to ready, which preserves order because
 	// the cursor never passes the minimum pending tick.
 	curTick uint64
 
-	ready []*node // (time, seq) 4-ary min-heap: due events
-	over  []*node // (time, seq) 4-ary min-heap: events ≥ 2^32 ticks out
+	over []*node // (time, seq) 4-ary min-heap: events ≥ 2^32 ticks out
 
 	buckets [wheelLevels][wheelSlots]*node
 	occ     [wheelLevels][wheelWords]uint64 // per-level bucket occupancy bitmaps
-	wheelN  int                             // events resident in wheel buckets
-
-	free *node // recycled nodes
+	n       int                             // events resident in buckets
 }
 
 // Now returns the current simulated time in seconds.
@@ -196,8 +225,8 @@ func (q *Queue) ScheduleAfter(d float64, fn func(any), arg any) Handle {
 // Cancel removes a scheduled event. It reports whether the event was still
 // pending: a Handle whose event already fired, was already cancelled, or is
 // the zero Handle returns false. Cancellation is O(1) for wheel-resident
-// events (an intrusive unlink) and O(log n) within the small ready and
-// overflow heaps.
+// events (an intrusive unlink) and O(log n) within the ready and overflow
+// heaps.
 func (q *Queue) Cancel(h Handle) bool {
 	n := h.n
 	if n == nil || n.seq != h.seq || n.level == levelFree {
@@ -207,7 +236,7 @@ func (q *Queue) Cancel(h Handle) bool {
 	case levelReady:
 		heapRemove(&q.ready, int(n.idx))
 	case levelOverflow:
-		heapRemove(&q.over, int(n.idx))
+		heapRemove(&q.w.over, int(n.idx))
 	default:
 		q.unlinkWheel(n)
 	}
@@ -226,19 +255,44 @@ func (q *Queue) push(t float64, fn func(any), arg any) Handle {
 	if math.IsInf(t, 1) {
 		panic("eventq: scheduling at +Inf; an event at 'never' would wedge Run — treat server.Never as a stall instead of scheduling it")
 	}
-	if q.tickInv == 0 {
-		q.tickInv = 1 / DefaultTick
-	}
 	q.seq++
 	n := q.alloc()
 	n.time = t
 	n.seq = q.seq
 	n.fn = fn
 	n.arg = arg
-	n.tick = q.tickOf(t)
 	q.pending++
-	q.place(n)
+	if q.w != nil {
+		n.tick = q.tickOf(t)
+		q.place(n)
+	} else {
+		heapPush(&q.ready, n, levelReady)
+		if q.pending > promoteAt {
+			q.promote()
+		}
+	}
 	return Handle{n: n, seq: n.seq}
+}
+
+// promote moves the queue from the heap phase to the wheel phase: allocate
+// the wheel, put the cursor on the minimum pending tick, and re-place every
+// node. Nodes at the cursor's tick return to ready (compacted in place —
+// place appends at or before the index being read), so afterwards ready
+// holds exactly the ticks ≤ cursor, which is the wheel-phase invariant.
+func (q *Queue) promote() {
+	if q.tickInv == 0 {
+		q.tickInv = 1 / DefaultTick
+	}
+	q.w = &wheel{curTick: q.tickOf(q.ready[0].time)}
+	old := q.ready
+	q.ready = old[:0]
+	for _, n := range old {
+		n.tick = q.tickOf(n.time)
+		q.place(n)
+	}
+	for i := len(q.ready); i < len(old); i++ {
+		old[i] = nil
+	}
 }
 
 func (q *Queue) tickOf(t float64) uint64 {
@@ -252,45 +306,47 @@ func (q *Queue) tickOf(t float64) uint64 {
 // place routes a node to the tier matching its tick: ready if due, the
 // wheel level whose span covers its distance from the cursor, or overflow.
 func (q *Queue) place(n *node) {
-	if n.tick <= q.curTick {
+	w := q.w
+	if n.tick <= w.curTick {
 		heapPush(&q.ready, n, levelReady)
 		return
 	}
-	delta := n.tick - q.curTick
+	delta := n.tick - w.curTick
 	if delta>>wheelSpanBits != 0 {
-		heapPush(&q.over, n, levelOverflow)
+		heapPush(&w.over, n, levelOverflow)
 		return
 	}
 	level := (bits.Len64(delta) - 1) / wheelBits
 	slot := int((n.tick >> (uint(level) * wheelBits)) & wheelMask)
 	n.level = int8(level)
 	n.slot = int32(slot)
-	head := q.buckets[level][slot]
+	head := w.buckets[level][slot]
 	n.prev = nil
 	n.next = head
 	if head != nil {
 		head.prev = n
 	}
-	q.buckets[level][slot] = n
-	q.occ[level][slot>>6] |= 1 << (uint(slot) & 63)
-	q.wheelN++
+	w.buckets[level][slot] = n
+	w.occ[level][slot>>6] |= 1 << (uint(slot) & 63)
+	w.n++
 }
 
 func (q *Queue) unlinkWheel(n *node) {
+	w := q.w
 	level, slot := int(n.level), int(n.slot)
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
-		q.buckets[level][slot] = n.next
+		w.buckets[level][slot] = n.next
 	}
 	if n.next != nil {
 		n.next.prev = n.prev
 	}
-	if q.buckets[level][slot] == nil {
-		q.occ[level][slot>>6] &^= 1 << (uint(slot) & 63)
+	if w.buckets[level][slot] == nil {
+		w.occ[level][slot>>6] &^= 1 << (uint(slot) & 63)
 	}
 	n.prev, n.next = nil, nil
-	q.wheelN--
+	w.n--
 }
 
 // nodeChunk is how many nodes one free-list refill allocates. Nodes are
@@ -324,41 +380,49 @@ func (q *Queue) release(n *node) {
 	q.free = n
 }
 
-// ensureReady advances the wheel cursor until at least one event is due
-// (in the ready heap) or the queue is empty. The cursor only ever moves to
-// the minimum pending tick, which is what keeps ready's minimum global.
+// ensureReady makes the earliest pending event the ready minimum. In the
+// heap phase it already is. In the wheel phase the cursor advances until at
+// least one event is due or the queue is empty; it only ever moves to the
+// minimum pending tick, which is what keeps ready's minimum global.
 func (q *Queue) ensureReady() {
-	for len(q.ready) == 0 && (q.wheelN > 0 || len(q.over) > 0) {
+	if len(q.ready) == 0 && q.w != nil {
+		q.refill()
+	}
+}
+
+func (q *Queue) refill() {
+	w := q.w
+	for len(q.ready) == 0 && (w.n > 0 || len(w.over) > 0) {
 		// Drain overflow events that now fit the wheel span. (The overflow
 		// heap is ordered by (time, seq); time→tick monotonicity makes its
 		// top also the minimum tick.)
-		for len(q.over) > 0 && (q.over[0].tick-q.curTick)>>wheelSpanBits == 0 {
-			q.place(heapRemove(&q.over, 0))
+		for len(w.over) > 0 && (w.over[0].tick-w.curTick)>>wheelSpanBits == 0 {
+			q.place(heapRemove(&w.over, 0))
 		}
-		if len(q.ready) > 0 || (q.wheelN == 0 && len(q.over) == 0) {
+		if len(q.ready) > 0 || (w.n == 0 && len(w.over) == 0) {
 			return
 		}
-		q.advance(q.nextBound())
+		q.advance(w.nextBound())
 	}
 }
 
 // nextBound returns a conservative lower bound > curTick on the minimum
 // pending tick: the earliest start of a non-empty bucket across levels, or
 // the overflow minimum. Advancing to it either makes some event due or
-// cascades it to a lower level, so ensureReady terminates in a few rounds.
-func (q *Queue) nextBound() uint64 {
+// cascades it to a lower level, so refill terminates in a few rounds.
+func (w *wheel) nextBound() uint64 {
 	bound := uint64(math.MaxUint64)
 	for l := 0; l < wheelLevels; l++ {
 		shift := uint(l) * wheelBits
-		cur := int((q.curTick >> shift) & wheelMask)
-		if d, ok := nextSlotDist(&q.occ[l], cur); ok {
-			if b := ((q.curTick >> shift) + uint64(d)) << shift; b < bound {
+		cur := int((w.curTick >> shift) & wheelMask)
+		if d, ok := nextSlotDist(&w.occ[l], cur); ok {
+			if b := ((w.curTick >> shift) + uint64(d)) << shift; b < bound {
 				bound = b
 			}
 		}
 	}
-	if len(q.over) > 0 && q.over[0].tick < bound {
-		bound = q.over[0].tick
+	if len(w.over) > 0 && w.over[0].tick < bound {
+		bound = w.over[0].tick
 	}
 	return bound
 }
@@ -385,35 +449,29 @@ func nextSlotDist(occ *[wheelWords]uint64, cur int) (int, bool) {
 }
 
 // advance moves the cursor to newTick (> curTick, ≤ the minimum pending
-// tick), collecting every bucket the cursor crosses and re-placing its
-// nodes: due nodes go to ready, the rest cascade to lower levels.
+// tick) and re-places the nodes of the buckets it enters: due nodes go to
+// ready, the rest cascade to lower levels. Of the slots the cursor crosses
+// at a level, (oldS, newS], only the last can be occupied, so that is the
+// only one looked at and sparse time (events many ticks apart) advances as
+// cheaply as dense time. Why: a node at level l was placed less than 256
+// slots ahead of a cursor no later than this one and is still ahead of it,
+// so s = tick>>shift lies in [oldS, oldS+256]; newTick ≤ tick gives
+// s ≥ newS; and its slot index is s&255. A crossed slot before newS would
+// need s < newS (or, when the cursor laps the level, s > oldS+256).
 func (q *Queue) advance(newTick uint64) {
+	w := q.w
 	var moved *node
 	for l := 0; l < wheelLevels; l++ {
 		shift := uint(l) * wheelBits
-		oldS := q.curTick >> shift
 		newS := newTick >> shift
-		if oldS == newS {
+		if w.curTick>>shift == newS {
 			break // higher levels cannot differ either
 		}
-		if newS-oldS >= wheelSlots {
-			// The cursor laps this level: every bucket cascades.
-			for w := 0; w < wheelWords; w++ {
-				for q.occ[l][w] != 0 {
-					slot := w<<6 + bits.TrailingZeros64(q.occ[l][w])
-					moved = q.spliceBucket(l, slot, moved)
-				}
-			}
-		} else {
-			for s := oldS + 1; s <= newS; s++ {
-				slot := int(s & wheelMask)
-				if q.occ[l][slot>>6]&(1<<(uint(slot)&63)) != 0 {
-					moved = q.spliceBucket(l, slot, moved)
-				}
-			}
+		if slot := int(newS & wheelMask); w.buckets[l][slot] != nil {
+			moved = w.spliceBucket(l, slot, moved)
 		}
 	}
-	q.curTick = newTick
+	w.curTick = newTick
 	for moved != nil {
 		n := moved
 		moved = n.next
@@ -423,17 +481,17 @@ func (q *Queue) advance(newTick uint64) {
 }
 
 // spliceBucket detaches bucket (l, slot) and prepends its nodes to chain.
-func (q *Queue) spliceBucket(l, slot int, chain *node) *node {
-	head := q.buckets[l][slot]
-	q.buckets[l][slot] = nil
-	q.occ[l][slot>>6] &^= 1 << (uint(slot) & 63)
+func (w *wheel) spliceBucket(l, slot int, chain *node) *node {
+	head := w.buckets[l][slot]
+	w.buckets[l][slot] = nil
+	w.occ[l][slot>>6] &^= 1 << (uint(slot) & 63)
 	for head != nil {
 		n := head
 		head = head.next
 		n.prev = nil
 		n.next = chain
 		chain = n
-		q.wheelN--
+		w.n--
 	}
 	return chain
 }

@@ -149,8 +149,9 @@ func TestAtCall(t *testing.T) {
 // slice has grown, an AtCall/Step cycle must not allocate. The old
 // container/heap implementation boxed the event struct on both Push and
 // Pop; the closure-taking At additionally allocated at most call sites.
-func TestScheduleStepZeroAlloc(t *testing.T) {
-	var q Queue
+func TestScheduleStepZeroAlloc(t *testing.T) { bothPhases(t, testScheduleStepZeroAlloc) }
+
+func testScheduleStepZeroAlloc(t *testing.T, q *Queue) {
 	var fired int
 	count := func(any) { fired++ }
 	// Warm up so the backing slice reaches capacity before measuring.

@@ -7,7 +7,7 @@ import (
 
 // fuzzModel is the naive differential model: a sorted slice ordered by
 // (time, seq) with O(n) insertion — obviously correct, hopelessly slow,
-// and sharing no code with the wheel.
+// and sharing no code with the queue.
 type fuzzModel struct {
 	evs []fuzzModelEvent
 	now float64
@@ -56,22 +56,58 @@ func (m *fuzzModel) step() (int, bool) {
 	return e.id, true
 }
 
-// FuzzEventQueue drives the timing wheel and the naive sorted-slice model
-// with the same op sequence decoded from the fuzz input — schedule at
-// mixed scales (hitting every wheel level and the overflow tier), cancel
-// by handle, single steps, and RunUntil windows — and requires identical
-// fire order, clock, and pending counts throughout.
+// fuzzCrossingSeed is an input that starts on a fresh queue, schedules 300
+// events at every scale (passing promoteAt on the way), then cancels,
+// steps and runs windows through handles taken in the heap phase.
+func fuzzCrossingSeed() []byte {
+	in := []byte{0x00}
+	for i := 0; i < 300; i++ {
+		in = append(in, byte(i%4)<<4|byte(i%3), byte(i*37))
+	}
+	for i := 0; i < 60; i++ {
+		in = append(in, 0x80|byte(i*7)&0x3f, 0xc0, 0x80|byte(i*11)&0x3f, 0xc1|byte(i%8)<<1)
+	}
+	return in
+}
+
+// FuzzEventQueue drives the queue and the naive sorted-slice model with
+// the same op sequence decoded from the fuzz input — schedule at mixed
+// scales (hitting every wheel level and the overflow tier), cancel by
+// handle, single steps, and RunUntil windows — and requires identical
+// fire order, clock, and pending counts throughout, with the tier
+// invariants checked after every op. The first input byte picks the phase
+// the queue starts in: even = fresh (a heap, promoting if the input pushes
+// it past promoteAt), odd = already promoted.
 func FuzzEventQueue(f *testing.F) {
-	f.Add([]byte{0x00, 0x10, 0x01, 0x02, 0x02, 0x00, 0x22, 0x03})
-	f.Add([]byte{0x40, 0xff, 0xff, 0x80, 0x01, 0xc1, 0x05, 0x02, 0x02})
-	f.Add([]byte("\x00\x01\x00\x01\x01\x00\x02\x03\x00\xfe\x03\x02"))
+	// Each op sequence once on a fresh queue, once on a promoted one.
+	for _, phase := range []byte{0, 1} {
+		for _, ops := range []string{
+			"\x00\x10\x01\x02\x02\x00\x22\x03",
+			"\x40\xff\xff\x80\x01\xc1\x05\x02\x02",
+			"\x00\x01\x00\x01\x01\x00\x02\x03\x00\xfe\x03\x02",
+		} {
+			f.Add(append([]byte{phase}, ops...))
+		}
+	}
+	f.Add(fuzzCrossingSeed())
+	// Promoted, cursor stepped to tick 51 399 (slot 199 of level 0, 200 of
+	// level 1), then events 100 and 25 000 ticks out: the slots each
+	// advance crosses wrap 255→0 at that level and span occupancy words 3
+	// and 0.
+	f.Add([]byte("\x01\x10\x33\xc0\x01\x90\xc0\x00\x64\x10\x19\xc0\xc0\xc0"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Cap the op count: the sorted-slice model is O(n) per op by
 		// design, and a megabyte input must not wedge the fuzz-smoke CI.
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		var q Queue
+		q := new(Queue)
+		if len(data) > 0 {
+			if data[0]&1 == 1 {
+				q = promotedQueue(t)
+			}
+			data = data[1:]
+		}
 		var m fuzzModel
 		var fired, want []int
 		rec := func(arg any) { fired = append(fired, arg.(int)) }
@@ -92,16 +128,17 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("%s: Len = %d, model has %d pending", what, q.Len(), len(m.evs))
 			}
 			if len(fired) != len(want) {
-				t.Fatalf("%s: wheel fired %d events, model fired %d", what, len(fired), len(want))
+				t.Fatalf("%s: queue fired %d events, model fired %d", what, len(fired), len(want))
 			}
 			// Compare only events fired since the last check, keeping the
 			// whole run linear in the fire count.
 			for ; checked < len(fired); checked++ {
 				if fired[checked] != want[checked] {
-					t.Fatalf("%s: fire order diverges at %d: wheel %d, model %d",
+					t.Fatalf("%s: fire order diverges at %d: queue %d, model %d",
 						what, checked, fired[checked], want[checked])
 				}
 			}
+			checkTiers(t, q)
 		}
 
 		for i := 0; i < len(data); i++ {

@@ -41,24 +41,44 @@ type Monitor struct {
 	recStart  int   // index of the oldest record once wrapped
 	truncated int64 // records displaced by the cap
 
-	// outstanding counts queued + in-service packets per flow; a flow is
-	// backlogged exactly while outstanding > 0.
-	outstanding map[int]int
-	openedAt    map[int]float64
-	intervals   map[int][]Interval
+	// flows holds one record per flow the link has seen, so each hook pays
+	// one lookup per packet.
+	flows map[int]*flowMon
 
 	arrival map[*Frame]float64
 
-	qdelay  map[int]*stats.Sample // time from link arrival to end of transmission
-	e2e     map[int]*stats.Sample // time from frame creation to end of transmission
-	served  map[int]float64       // cumulative bytes served per flow
-	curve   map[int]*stats.TimeSeries
 	horizon float64
 
 	busyTime   float64 // cumulative transmission time
 	totalBytes float64
 	firstStart float64
 	sawService bool
+}
+
+// flowMon is what the monitor keeps about one flow.
+type flowMon struct {
+	// outstanding counts queued + in-service packets; the flow is
+	// backlogged exactly while outstanding > 0, since openedAt.
+	outstanding int
+	openedAt    float64
+	intervals   []Interval // closed backlog intervals
+
+	qdelay stats.Sample     // time from link arrival to end of transmission
+	e2e    stats.Sample     // time from frame creation to end of transmission
+	served float64          // cumulative bytes served
+	curve  stats.TimeSeries // (end of transmission, served)
+}
+
+// flow returns the record of a flow the link is handling, creating it on
+// first sight. Read accessors must not come through here: asking about a
+// flow the link never saw must not make the monitor remember it.
+func (m *Monitor) flow(id int) *flowMon {
+	fm := m.flows[id]
+	if fm == nil {
+		fm = &flowMon{}
+		m.flows[id] = fm
+	}
+	return fm
 }
 
 // Attach installs a monitor on l with the DefaultRecordCap bound on
@@ -79,16 +99,10 @@ func MonitorAll(l *Link) *Monitor { return AttachN(l, 0) }
 // (0 = unbounded).
 func AttachN(l *Link, recordCap int) *Monitor {
 	m := &Monitor{
-		link:        l,
-		recordCap:   recordCap,
-		outstanding: make(map[int]int),
-		openedAt:    make(map[int]float64),
-		intervals:   make(map[int][]Interval),
-		arrival:     make(map[*Frame]float64),
-		qdelay:      make(map[int]*stats.Sample),
-		e2e:         make(map[int]*stats.Sample),
-		served:      make(map[int]float64),
-		curve:       make(map[int]*stats.TimeSeries),
+		link:      l,
+		recordCap: recordCap,
+		flows:     make(map[int]*flowMon),
+		arrival:   make(map[*Frame]float64),
 	}
 	prevEnq, prevDep, prevDrop := l.OnEnqueue, l.OnDepart, l.OnDrop
 	l.OnEnqueue = func(f *Frame, now float64) {
@@ -121,18 +135,24 @@ func (m *Monitor) onDrop(f *Frame) {
 		return
 	}
 	delete(m.arrival, f)
-	m.outstanding[f.Flow]--
-	if m.outstanding[f.Flow] == 0 {
-		m.intervals[f.Flow] = append(m.intervals[f.Flow],
-			Interval{Start: m.openedAt[f.Flow], End: m.link.q.Now()})
+	m.flow(f.Flow).closeOne(m.link.q.Now())
+}
+
+// closeOne takes one packet off the flow's backlog, at time now, closing
+// the backlog interval when it was the last.
+func (fm *flowMon) closeOne(now float64) {
+	fm.outstanding--
+	if fm.outstanding == 0 {
+		fm.intervals = append(fm.intervals, Interval{Start: fm.openedAt, End: now})
 	}
 }
 
 func (m *Monitor) onEnqueue(f *Frame, now float64) {
-	if m.outstanding[f.Flow] == 0 {
-		m.openedAt[f.Flow] = now
+	fm := m.flow(f.Flow)
+	if fm.outstanding == 0 {
+		fm.openedAt = now
 	}
-	m.outstanding[f.Flow]++
+	fm.outstanding++
 	m.arrival[f] = now
 }
 
@@ -150,23 +170,15 @@ func (m *Monitor) onDepart(f *Frame, start, end float64) {
 	} else {
 		m.Records = append(m.Records, rec)
 	}
-	m.outstanding[f.Flow]--
-	if m.outstanding[f.Flow] == 0 {
-		m.intervals[f.Flow] = append(m.intervals[f.Flow],
-			Interval{Start: m.openedAt[f.Flow], End: end})
-	}
+	fm := m.flow(f.Flow)
+	fm.closeOne(end)
 	if arr, ok := m.arrival[f]; ok {
-		m.sample(m.qdelay, f.Flow).Add(end - arr)
+		fm.qdelay.Add(end - arr)
 		delete(m.arrival, f)
 	}
-	m.sample(m.e2e, f.Flow).Add(end - f.Created)
-	m.served[f.Flow] += f.Bytes
-	c, ok := m.curve[f.Flow]
-	if !ok {
-		c = &stats.TimeSeries{}
-		m.curve[f.Flow] = c
-	}
-	c.Add(end, m.served[f.Flow])
+	fm.e2e.Add(end - f.Created)
+	fm.served += f.Bytes
+	fm.curve.Add(end, fm.served)
 	if end > m.horizon {
 		m.horizon = end
 	}
@@ -176,15 +188,6 @@ func (m *Monitor) onDepart(f *Frame, start, end float64) {
 		m.sawService = true
 		m.firstStart = start
 	}
-}
-
-func (m *Monitor) sample(mm map[int]*stats.Sample, flow int) *stats.Sample {
-	s, ok := mm[flow]
-	if !ok {
-		s = &stats.Sample{}
-		mm[flow] = s
-	}
-	return s
 }
 
 // ServiceRecords returns the retained service records in chronological
@@ -207,35 +210,43 @@ func (m *Monitor) TruncatedRecords() int64 { return m.truncated }
 // RecordCap returns the monitor's record bound (0 = unbounded).
 func (m *Monitor) RecordCap() int { return m.recordCap }
 
+// seen returns the record of flow for reading. For a flow the link has not
+// seen it is a fresh empty record that the monitor does not keep, so asking
+// never grows the monitor; a *stats.Sample or *stats.TimeSeries obtained
+// that way is detached — it stays empty even if the flow shows up later —
+// so take results after the run, or ask again.
+func (m *Monitor) seen(flow int) *flowMon {
+	if fm := m.flows[flow]; fm != nil {
+		return fm
+	}
+	return &flowMon{}
+}
+
 // BackloggedIntervals returns the closed backlog intervals of flow. A still
 // open interval is closed at the current horizon (last observed departure).
 func (m *Monitor) BackloggedIntervals(flow int) []Interval {
-	iv := append([]Interval(nil), m.intervals[flow]...)
-	if m.outstanding[flow] > 0 {
-		iv = append(iv, Interval{Start: m.openedAt[flow], End: m.horizon})
+	fm := m.seen(flow)
+	iv := append([]Interval(nil), fm.intervals...)
+	if fm.outstanding > 0 {
+		iv = append(iv, Interval{Start: fm.openedAt, End: m.horizon})
 	}
 	return iv
 }
 
 // QueueDelay returns the queueing+transmission delay samples of flow at
-// this link.
-func (m *Monitor) QueueDelay(flow int) *stats.Sample { return m.sample(m.qdelay, flow) }
+// this link (detached for a flow the link has not seen: see seen).
+func (m *Monitor) QueueDelay(flow int) *stats.Sample { return &m.seen(flow).qdelay }
 
-// EndToEndDelay returns creation-to-transmission delay samples of flow.
-func (m *Monitor) EndToEndDelay(flow int) *stats.Sample { return m.sample(m.e2e, flow) }
+// EndToEndDelay returns creation-to-transmission delay samples of flow
+// (detached for a flow the link has not seen).
+func (m *Monitor) EndToEndDelay(flow int) *stats.Sample { return &m.seen(flow).e2e }
 
 // ServedBytes returns the cumulative bytes of flow served so far.
-func (m *Monitor) ServedBytes(flow int) float64 { return m.served[flow] }
+func (m *Monitor) ServedBytes(flow int) float64 { return m.seen(flow).served }
 
-// ServiceCurve returns the cumulative service curve (time → bytes) of flow.
-func (m *Monitor) ServiceCurve(flow int) *stats.TimeSeries {
-	c, ok := m.curve[flow]
-	if !ok {
-		c = &stats.TimeSeries{}
-		m.curve[flow] = c
-	}
-	return c
-}
+// ServiceCurve returns the cumulative service curve (time → bytes) of flow
+// (detached for a flow the link has not seen).
+func (m *Monitor) ServiceCurve(flow int) *stats.TimeSeries { return &m.seen(flow).curve }
 
 // Utilization returns the fraction of time the link spent transmitting
 // between the first service start and the last completion (0 if nothing
