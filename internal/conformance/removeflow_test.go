@@ -97,22 +97,10 @@ func TestRemoveFlowBacklogged(t *testing.T) {
 // not string matching), removal succeeds once drained, and unknown flows
 // fail with sched.ErrUnknownFlow.
 func TestRemoveBackloggedUniform(t *testing.T) {
-	opts := func(name string) []sched.Option {
-		switch name {
-		case "wfq", "fqs", "pifo-wfq":
-			return []sched.Option{sched.WithAssumedCapacity(1000)}
-		case "priority":
-			return []sched.Option{sched.WithLevels(sched.NewSCFQ())}
-		}
-		return nil
-	}
 	for _, name := range sched.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			s, err := sched.New(name, opts(name)...)
-			if err != nil {
-				t.Fatalf("registry construction: %v", err)
-			}
+			s := newRegistered(t, name)
 			if err := s.AddFlow(1, 100); err != nil {
 				t.Fatal(err)
 			}
@@ -135,6 +123,118 @@ func TestRemoveBackloggedUniform(t *testing.T) {
 			}
 			if err := s.Enqueue(1e9+100, &sched.Packet{Flow: 1, Seq: 2, Length: 50}); !errors.Is(err, sched.ErrUnknownFlow) {
 				t.Fatalf("enqueue on removed flow: got %v, want wrapped ErrUnknownFlow", err)
+			}
+		})
+	}
+}
+
+// fluidBacked lists the registered names whose flows can be idle in the
+// packet queue and still busy in a fluid GPS reference.
+var fluidBacked = map[string]bool{"wfq": true, "fqs": true, "pifo-wfq": true}
+
+// newRegistered builds name through the registry with the options the
+// names that need some need.
+func newRegistered(t *testing.T, name string) sched.Interface {
+	t.Helper()
+	var opts []sched.Option
+	switch {
+	case fluidBacked[name]:
+		opts = []sched.Option{sched.WithAssumedCapacity(1000)}
+	case name == "priority":
+		opts = []sched.Option{sched.WithLevels(sched.NewSCFQ())}
+	}
+	s, err := sched.New(name, opts...)
+	if err != nil {
+		t.Fatalf("registry construction: %v", err)
+	}
+	return s
+}
+
+// TestRemoveFlowErrorPrecedence pins, for every registered name, WHICH
+// error RemoveFlow gives when more than one could apply — the busy check
+// reads the flow record's FIFO, not a separate counter table: a flow the
+// scheduler never heard of is unknown even while the scheduler is busy and
+// before any busy check runs; a registered flow that never sent is
+// removable; a flow whose only packet is in service is removable unless a
+// fluid reference still holds it (WFQ, FQS, pifo-wfq: busy); and the
+// failed attempts leave the backlog as it was.
+func TestRemoveFlowErrorPrecedence(t *testing.T) {
+	for _, name := range sched.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			s := newRegistered(t, name)
+			for f := 1; f <= 3; f++ {
+				if err := s.AddFlow(f, 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for seq := int64(1); seq <= 2; seq++ {
+				if err := s.Enqueue(0, &sched.Packet{Flow: 1, Seq: seq, Length: 50}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Enqueue(0, &sched.Packet{Flow: 2, Seq: 1, Length: 50}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RemoveFlow(9); !errors.Is(err, sched.ErrUnknownFlow) {
+				t.Fatalf("never-registered flow on a busy scheduler: got %v, want ErrUnknownFlow", err)
+			}
+			if err := s.RemoveFlow(1); !errors.Is(err, sched.ErrFlowBusy) {
+				t.Fatalf("backlogged flow: got %v, want ErrFlowBusy", err)
+			}
+			if s.Len() != 3 || s.QueuedBytes(1) != 100 {
+				t.Fatalf("failed removals changed the backlog: Len %d, flow 1 holds %v bytes", s.Len(), s.QueuedBytes(1))
+			}
+			if err := s.RemoveFlow(3); err != nil {
+				t.Fatalf("registered flow that never sent: %v", err)
+			}
+			if err := s.RemoveFlow(3); !errors.Is(err, sched.ErrUnknownFlow) {
+				t.Fatalf("second removal: got %v, want ErrUnknownFlow", err)
+			}
+			// Serve until flow 2's one packet has left the queue; the clock
+			// barely moves, so a fluid reference has not finished it.
+			for i := 1; s.QueuedBytes(2) > 0; i++ {
+				if _, ok := s.Dequeue(float64(i) * 1e-6); !ok {
+					t.Fatal("scheduler empty with flow 2 still queued")
+				}
+			}
+			err := s.RemoveFlow(2)
+			if fluidBacked[name] {
+				if !errors.Is(err, sched.ErrFlowBusy) {
+					t.Fatalf("packet-idle, fluid-busy flow: got %v, want ErrFlowBusy", err)
+				}
+			} else if err != nil {
+				t.Fatalf("flow whose packet is in service: %v", err)
+			}
+		})
+	}
+}
+
+// TestQueuedBytesReadsDoNotInsert: asking any registered discipline for the
+// queued bytes of 1 000 flows it never heard of answers zero and allocates
+// nothing — a get-or-create read would allocate a flow record per id.
+func TestQueuedBytesReadsDoNotInsert(t *testing.T) {
+	for _, name := range sched.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			s := newRegistered(t, name)
+			if err := s.AddFlow(1, 100); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Enqueue(0, &sched.Packet{Flow: 1, Seq: 1, Length: 50}); err != nil {
+				t.Fatal(err)
+			}
+			sum := 0.0
+			allocs := testing.AllocsPerRun(1, func() {
+				for id := 1000; id < 2000; id++ {
+					sum += s.QueuedBytes(id)
+				}
+			})
+			if sum != 0 || allocs != 0 {
+				t.Fatalf("1000 unknown flows: %v bytes, %v allocations, want 0 and 0", sum, allocs)
+			}
+			if got := s.QueuedBytes(1); got != 50 {
+				t.Fatalf("QueuedBytes(1) = %v, want 50", got)
 			}
 		})
 	}

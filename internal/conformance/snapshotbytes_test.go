@@ -1,0 +1,114 @@
+package conformance
+
+import (
+	"encoding/json"
+	"os"
+	"testing"
+
+	"repro/internal/sched"
+)
+
+// snapshotBytesGoldenPath holds the MarshalState bytes of a scripted SFQ,
+// SCFQ and pifo-sfq state, recorded on the commit BEFORE per-flow state
+// moved into one record per flow (ISSUE 16). The snapshot format is part
+// of the failover contract: a layout change inside the scheduler must not
+// move a byte of it. Regenerate with UPDATE_SNAPSHOT_BYTES=1 only when the
+// format itself is meant to change.
+const snapshotBytesGoldenPath = "testdata/snapshot_bytes.json"
+
+// scriptedState drives a scheduler into a state that exercises every
+// per-flow table the snapshot serializes: fractional lengths (accumulator
+// residue in the byte counters), a per-packet rate, a flow that was never
+// enqueued (no lastFinish entry), one that drained (a chain but no queue),
+// one removed and re-added (fresh chain), one re-weighted while
+// backlogged, and one draining.
+func scriptedState(t *testing.T, name string) []byte {
+	t.Helper()
+	s := sched.MustNew(name)
+	for f := 1; f <= 7; f++ {
+		if err := s.AddFlow(f, float64(100*f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := 0.0
+	enq := func(flow int, length, rate float64) {
+		t.Helper()
+		now += 0.001
+		if err := s.Enqueue(now, &sched.Packet{Flow: flow, Length: length, Rate: rate}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deq := func() {
+		t.Helper()
+		now += 0.0005
+		if _, ok := s.Dequeue(now); !ok {
+			t.Fatal("scripted dequeue found the scheduler empty")
+		}
+	}
+	for i := 0; i < 6; i++ {
+		enq(1, 0.1+float64(i)*0.2, 0)
+		enq(2, 64.3, 0)
+		enq(3, 1500, 250)
+	}
+	enq(4, 10, 0) // flow 4 drains below: chain, no queue
+	enq(6, 33.3, 0)
+	enq(6, 0.7, 0)
+	for i := 0; i < 9; i++ {
+		deq()
+	}
+	// Flow 7: tagged, drained, removed, re-added — a fresh chain.
+	enq(7, 5, 0)
+	for s.QueuedBytes(7) > 0 {
+		deq()
+	}
+	if err := s.RemoveFlow(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddFlow(7, 70); err != nil {
+		t.Fatal(err)
+	}
+	rc := s.(sched.Reconfigurable)
+	if err := rc.SetWeight(2, 950); err != nil {
+		t.Fatal(err)
+	}
+	enq(2, 12.5, 0)
+	if err := rc.DrainFlow(6); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.(sched.Snapshotter).MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestSnapshotBytesMatchParent(t *testing.T) {
+	names := []string{"sfq", "scfq", "pifo-sfq"}
+	got := make(map[string]string, len(names))
+	for _, name := range names {
+		got[name] = string(scriptedState(t, name))
+	}
+	if os.Getenv("UPDATE_SNAPSHOT_BYTES") != "" {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapshotBytesGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(snapshotBytesGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s: snapshot bytes moved\n got %s\nwant %s", name, got[name], want[name])
+		}
+	}
+}

@@ -19,15 +19,7 @@ import (
 // Queued packets keep the tags they were stamped with — exactly the
 // fluctuating-rate situation Theorem 1 covers, so fairness holds across
 // the change without recomputing anything.
-func (s *SFQ) SetWeight(flow int, weight float64) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
-}
+func (s *SFQ) SetWeight(flow int, weight float64) error { return s.flows.SetWeight(flow, weight) }
 
 // SetCapacity reports that SFQ is self-clocked: no capacity assumption
 // exists to change (the property Section 2 is built on).
@@ -36,29 +28,7 @@ func (s *SFQ) SetCapacity(float64) error { return sched.ErrNoCapacityKnob }
 // DrainFlow removes flow gracefully: new arrivals are refused, queued
 // packets are served normally, and the flow is unregistered once its
 // backlog empties (see sched.Reconfigurable).
-func (s *SFQ) DrainFlow(flow int) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
-	}
-	if s.flows.QueuedCount(flow) == 0 {
-		return s.RemoveFlow(flow)
-	}
-	s.draining.Mark(flow)
-	return nil
-}
-
-// finalizeDrains unregisters draining flows whose backlog has emptied.
-func (s *SFQ) finalizeDrains() {
-	for _, f := range s.draining.Flows() {
-		if s.flows.QueuedCount(f) == 0 {
-			s.draining.Clear(f)
-			s.RemoveFlow(f)
-		}
-	}
-}
+func (s *SFQ) DrainFlow(flow int) error { return s.flows.DrainFlow(flow) }
 
 // ListFlows returns the registered flows sorted by id.
 func (s *SFQ) ListFlows() []sched.FlowInfo { return s.flows.ListFlows() }
@@ -86,9 +56,9 @@ func (s *SFQ) MarshalState() ([]byte, error) {
 		V: s.v, MaxFinish: s.maxFinish, Busy: s.busy, Last: s.last,
 		Tie: s.tie, Served: s.served,
 		Flows:      s.flows.CaptureAccounting(),
-		LastFinish: sched.CaptureFlowTags(s.lastFinish),
-		Queue:      s.fq.CaptureState(),
-		Draining:   s.draining.Flows(),
+		LastFinish: s.flows.CaptureTags(sched.ChainFinish),
+		Queue:      s.flows.CaptureState(),
+		Draining:   s.flows.Draining(),
 	})
 }
 
@@ -96,7 +66,7 @@ func (s *SFQ) MarshalState() ([]byte, error) {
 // tie-breaking rule (the rule shapes the queued sub keys, so states are
 // not interchangeable across rules).
 func (s *SFQ) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.fq.Len() != 0 {
+	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", sched.ErrBadState)
 	}
 	var st sfqState
@@ -106,26 +76,16 @@ func (s *SFQ) RestoreState(data []byte) error {
 	if st.Tie != s.tie {
 		return fmt.Errorf("%w: state tie rule %v does not match scheduler's %v", sched.ErrBadState, st.Tie, s.tie)
 	}
-	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
+	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
 		return err
 	}
-	if err := sched.RestoreFlowTags(s.lastFinish, st.LastFinish, s.flows.Weights, "lastFinish"); err != nil {
+	if err := s.flows.RestoreTags(sched.ChainFinish, st.LastFinish); err != nil {
 		return err
 	}
-	if err := s.fq.RestoreState(st.Queue); err != nil {
-		return err
-	}
-	if err := s.flows.CheckQueue(&s.fq); err != nil {
-		return err
-	}
-	if err := sched.CheckDraining(st.Draining, s.flows.Weights); err != nil {
-		return err
-	}
-	s.draining.SetFlows(st.Draining)
 	s.v, s.maxFinish, s.busy, s.last = st.V, st.MaxFinish, st.Busy, st.Last
 	s.served = st.Served
 	return nil
 }
 
 // VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *SFQ) VisitQueued(fn func(*Packet)) { s.fq.VisitQueued(fn) }
+func (s *SFQ) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }

@@ -19,7 +19,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/sched"
@@ -44,24 +43,22 @@ const (
 // SFQ is a Start-time Fair Queuing scheduler. It implements
 // sched.Interface. The zero value is not usable; call New.
 //
-// Packets live in per-flow FIFOs (sched.FlowQ) under a heap of backlogged
-// flows (sched.FlowHeap), so Enqueue/Dequeue cost O(log B) in backlogged
+// Each flow has one record (sched.Flow: weight, FIFO, finish-tag chain)
+// that Enqueue reaches with one lookup and Dequeue gets back from the heap
+// of backlogged flows (sched.FlowHeap), so both cost O(log B) in backlogged
 // flows — the complexity Section 2 claims — while serving exactly the
 // order a packet-level heap would: start tags are nondecreasing within a
 // flow (eq 4: S(p_f^{j+1}) ≥ F(p_f^j) > S(p_f^j)), so the earliest start
 // tag is always at some flow's head.
 type SFQ struct {
-	flows sched.FlowTable
-	fq    sched.FlowSet
+	flows sched.FlowSet // LastFinish in the record is F(p_f^{j-1}), by arrival order
 
-	v          float64         // system virtual time
-	maxFinish  float64         // max finish tag assigned to a serviced packet
-	busy       bool            // a packet is in service
-	lastFinish map[int]float64 // F(p_f^{j-1}) per flow, by arrival order
-	last       float64         // last time observed (monotonicity check)
-	tie        TieBreak
-	served     int64 // packets handed out, for observability
-	draining   sched.DrainSet
+	v         float64 // system virtual time
+	maxFinish float64 // max finish tag assigned to a serviced packet
+	busy      bool    // a packet is in service
+	last      float64 // last time observed (monotonicity check)
+	tie       TieBreak
+	served    int64 // packets handed out, for observability
 }
 
 // New returns an empty SFQ scheduler with FIFO tie-breaking.
@@ -69,31 +66,15 @@ func New() *SFQ { return NewTie(TieFIFO) }
 
 // NewTie returns an empty SFQ scheduler with the given tie-breaking rule.
 func NewTie(tie TieBreak) *SFQ {
-	return &SFQ{
-		flows:      sched.NewFlowTable(),
-		lastFinish: make(map[int]float64),
-		tie:        tie,
-	}
+	return &SFQ{tie: tie}
 }
 
 // AddFlow registers flow with the given weight (bytes/second).
-func (s *SFQ) AddFlow(flow int, weight float64) error {
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
-}
+func (s *SFQ) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
 // RemoveFlow unregisters an idle flow. Its tag history is discarded, so a
 // re-added flow starts a fresh chain (F(p_f^0) = 0).
-func (s *SFQ) RemoveFlow(flow int) error {
-	if err := s.flows.Remove(flow); err != nil {
-		return err
-	}
-	delete(s.lastFinish, flow)
-	s.fq.Drop(flow)
-	return nil
-}
+func (s *SFQ) RemoveFlow(flow int) error { return s.flows.Remove(flow) }
 
 // V returns the current system virtual time.
 func (s *SFQ) V() float64 { return s.v }
@@ -104,26 +85,22 @@ func (s *SFQ) Enqueue(now float64, p *Packet) error {
 		return sched.ErrTimeWentBack
 	}
 	s.last = now
-	w, err := s.flows.CheckPacket(p)
+	f, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	if !s.draining.Empty() && s.draining.Draining(p.Flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, p.Flow)
-	}
-	r := sched.EffRate(p, w)
-	start := math.Max(s.v, s.lastFinish[p.Flow])
+	r := sched.EffRate(p, f.Weight)
+	start := math.Max(s.v, f.LastFinish)
 	finish := start + p.Length/r
 	p.VirtualStart = start
 	p.VirtualFinish = finish
-	s.lastFinish[p.Flow] = finish
+	f.LastFinish, f.Tagged = finish, true
 
 	sub := 0.0
 	if s.tie == TieLowWeightFirst {
 		sub = r
 	}
-	s.fq.Push(p.Flow, start, sub, p)
-	s.flows.OnEnqueue(p)
+	s.flows.PushFlow(f, start, sub, p)
 	return nil
 }
 
@@ -135,32 +112,27 @@ func (s *SFQ) Dequeue(now float64) (*Packet, bool) {
 	if now > s.last {
 		s.last = now
 	}
-	if s.fq.Len() == 0 {
+	if s.flows.Len() == 0 {
 		if s.busy {
 			s.busy = false
 			s.v = s.maxFinish
 		}
-		if !s.draining.Empty() {
-			s.finalizeDrains()
-		}
+		s.flows.FinalizeDrains()
 		return nil, false
 	}
-	p := s.fq.PopMin()
+	p := s.flows.PopMin()
 	s.busy = true
 	s.v = p.VirtualStart
 	if p.VirtualFinish > s.maxFinish {
 		s.maxFinish = p.VirtualFinish
 	}
-	s.flows.OnDequeue(p)
 	s.served++
-	if !s.draining.Empty() {
-		s.finalizeDrains()
-	}
+	s.flows.FinalizeDrains()
 	return p, true
 }
 
 // Len returns the number of queued packets.
-func (s *SFQ) Len() int { return s.fq.Len() }
+func (s *SFQ) Len() int { return s.flows.Len() }
 
 // QueuedBytes returns the bytes queued for flow.
 func (s *SFQ) QueuedBytes(flow int) float64 { return s.flows.QueuedBytes(flow) }

@@ -138,7 +138,8 @@ type Queue struct {
 	ready []*node
 	w     *wheel // nil in the heap phase
 
-	free *node // recycled nodes
+	free  *node // recycled nodes
+	chunk uint8 // size of the last free-list refill (see alloc)
 }
 
 // wheel is the state a queue gains at promotion.
@@ -349,16 +350,29 @@ func (q *Queue) unlinkWheel(n *node) {
 	w.n--
 }
 
-// nodeChunk is how many nodes one free-list refill allocates. Nodes are
-// never returned to the runtime, so chunking trades a little footprint
-// for allocation counts that amortize like the old heap's slice doubling
-// did — a fresh queue scheduling N events costs N/64 allocations, not N.
-const nodeChunk = 64
+// Free-list refills allocate nodes in chunks: 8 the first time, doubling
+// up to 64. Nodes are never returned to the runtime, so chunking trades a
+// little footprint for allocation counts that amortize like the old heap's
+// slice doubling did — a queue scheduling N events costs about N/64
+// allocations, not N — while a queue that only ever holds a handful of
+// events (most simulations' links) takes well under 1 KB for them.
+const (
+	firstNodeChunk = 8
+	maxNodeChunk   = 64
+)
 
 func (q *Queue) alloc() *node {
 	if q.free == nil {
-		chunk := make([]node, nodeChunk)
-		for i := range chunk[:nodeChunk-1] {
+		n := firstNodeChunk
+		if q.chunk > 0 {
+			n = 2 * int(q.chunk)
+			if n > maxNodeChunk {
+				n = maxNodeChunk
+			}
+		}
+		q.chunk = uint8(n)
+		chunk := make([]node, n)
+		for i := range chunk[:n-1] {
 			chunk[i].next = &chunk[i+1]
 		}
 		q.free = &chunk[0]

@@ -63,8 +63,7 @@ type Observer struct {
 	traceCap   int
 	rateWindow float64
 
-	flows   map[int]*flowStats
-	arrival map[*sim.Frame]float64 // bounded by frames in flight at the link
+	flows map[int]*flowStats
 
 	delivered int64
 	dropped   int64
@@ -93,7 +92,6 @@ func Observe(l *sim.Link, opts ...Option) *Observer {
 		traceCap:   DefaultTraceCap,
 		rateWindow: DefaultRateWindow,
 		flows:      make(map[int]*flowStats),
-		arrival:    make(map[*sim.Frame]float64),
 		drops:      make(map[sim.DropCause]int64),
 	}
 	for _, opt := range opts {
@@ -155,7 +153,6 @@ func (o *Observer) onEnqueue(f *sim.Frame, now float64) {
 	fs := o.flow(f.Flow)
 	fs.arrivedPkts++
 	fs.arrivedBytes += f.Bytes
-	o.arrival[f] = now
 	if qb := o.link.FlowQueuedBytes(f.Flow); qb > fs.hwmBytes {
 		fs.hwmBytes = qb
 	}
@@ -177,10 +174,7 @@ func (o *Observer) onDepart(f *sim.Frame, start, end float64) {
 	fs.servedPkts++
 	fs.servedBytes += f.Bytes
 	fs.rate.observe(end, f.Bytes)
-	if arr, ok := o.arrival[f]; ok {
-		fs.delay.Observe(end - arr)
-		delete(o.arrival, f)
-	}
+	fs.delay.Observe(end - f.Arrived)
 	if o.trace != nil {
 		o.trace.Push(Event{Time: end, Kind: EvDepart, Flow: f.Flow, Seq: f.Seq, Bytes: f.Bytes})
 	}
@@ -193,7 +187,6 @@ func (o *Observer) onDrop(f *sim.Frame, cause sim.DropCause) {
 	o.drops[cause]++
 	fs := o.flow(f.Flow)
 	fs.drops[cause]++
-	delete(o.arrival, f) // the frame will never depart
 	if o.trace != nil {
 		o.trace.Push(Event{Time: now, Kind: EvDrop, Flow: f.Flow, Seq: f.Seq, Bytes: f.Bytes, Cause: cause})
 	}

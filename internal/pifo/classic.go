@@ -137,7 +137,7 @@ func WFQ(byStart bool) Discipline {
 			p.VirtualStart = start
 			p.VirtualFinish = finish
 			f.LastFinish = finish
-			st.GPS.Arrive(f.ID, finish)
+			st.GPS.Arrive(f.ID(), finish)
 			if byStart {
 				return start, 0
 			}

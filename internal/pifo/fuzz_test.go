@@ -14,7 +14,9 @@ import (
 // being checked — in lockstep with a naive model: per-flow item slices, a
 // linear scan for the global minimum, and an explicit replication of the
 // clamp rule. Flow-rank rewrites (SetFlowRank, the SRPT hook) are in the
-// op mix too. Every divergence fails the run.
+// op mix too — the one path that changes a backlogged flow's head key
+// without a push or a pop, so the heap's copy of it must be refreshed:
+// CheckSlots runs after every operation. Every divergence fails the run.
 //
 // Byte grammar: data[0] seeds the rank generator; then op = data[2i+1],
 // arg = data[2i+2]:
@@ -29,6 +31,8 @@ func FuzzPIFORank(f *testing.F) {
 	f.Add([]byte("\x2a\x00\x00\x01\x00\x02\x01\x06\x01\x04\x00\x04\x00\x04\x00"))
 	f.Add([]byte("\x99\x07\x02\x00\x41\x00\x41\x07\x01\x00\x00\x04\x00\x00\x00"))
 	f.Add([]byte("\x5c\x06\x00\x00\x00\x06\x00\x04\x00\x06\x02\x00\x01\x04\x00"))
+	// Rewrite-then-pop on three backlogged flows, one of them two deep.
+	f.Add([]byte("\x11\x00\x00\x00\x01\x00\x02\x00\x00\x06\x00\x04\x00\x06\x01\x04\x00\x06\x02\x04\x00\x04\x00\x04\x00"))
 
 	type item struct {
 		key    float64
@@ -76,6 +80,9 @@ func FuzzPIFORank(f *testing.F) {
 		}
 
 		check := func() {
+			if err := q.CheckSlots(); err != nil {
+				t.Fatal(err)
+			}
 			total, backlogged := 0, 0
 			for flow, mq := range model {
 				if len(mq) > 0 {

@@ -3,7 +3,6 @@ package pifo
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/sched"
 )
@@ -36,8 +35,8 @@ func (q *Queue) CaptureState() QueueState {
 	st := QueueState{Queue: q.fs.CaptureState(), Clamped: q.clamped}
 	st.Last = make([]FlowRankState, 0, len(st.Queue.Flows))
 	for _, f := range st.Queue.Flows {
-		r := q.last[f.Flow]
-		st.Last = append(st.Last, FlowRankState{Flow: f.Flow, Key: r.key, Sub: r.sub})
+		r := q.fs.Get(f.Flow)
+		st.Last = append(st.Last, FlowRankState{Flow: f.Flow, Key: r.LastKey, Sub: r.LastSub})
 	}
 	return st
 }
@@ -57,9 +56,6 @@ func (q *Queue) RestoreState(st QueueState) error {
 	if len(st.Last) != len(st.Queue.Flows) {
 		return fmt.Errorf("%w: %d clamp chains for %d backlogged flows", sched.ErrBadState, len(st.Last), len(st.Queue.Flows))
 	}
-	if len(st.Last) > 0 && q.last == nil {
-		q.last = make(map[int]rank)
-	}
 	for i, lr := range st.Last {
 		f := st.Queue.Flows[i]
 		if lr.Flow != f.Flow {
@@ -68,7 +64,8 @@ func (q *Queue) RestoreState(st QueueState) error {
 		if tail := f.Items[len(f.Items)-1]; len(f.Items) > 1 && (lr.Key != tail.Key || lr.Sub != tail.Sub) {
 			return fmt.Errorf("%w: flow %d clamp chain (%v, %v) != tail rank (%v, %v)", sched.ErrBadState, lr.Flow, lr.Key, lr.Sub, tail.Key, tail.Sub)
 		}
-		q.last[lr.Flow] = rank{key: lr.Key, sub: lr.Sub}
+		r := q.fs.Get(lr.Flow)
+		r.LastKey, r.LastSub = lr.Key, lr.Sub
 	}
 	q.clamped = st.Clamped
 	return nil
@@ -79,24 +76,19 @@ func (q *Queue) VisitQueued(fn func(*sched.Packet)) { q.fs.VisitQueued(fn) }
 
 // ---------------------------------------------------------------- Sched --
 
-// SetWeight changes flow's weight for packets arriving after the call,
-// re-deriving the discipline's per-flow defaults (OnAddFlow — LSTF's
-// default slack tracks 1/weight) exactly as a re-registering AddFlow
-// would, and adjusting the fluid GPS share sum when one is attached.
+// SetWeight changes flow's weight for packets arriving after the call
+// (sched.FlowSet.SetWeight, which also adjusts the fluid GPS share sum when
+// one is attached) and re-derives the discipline's per-flow defaults
+// (OnAddFlow — LSTF's default slack tracks 1/weight) exactly as a
+// re-registering AddFlow would.
 func (s *Sched) SetWeight(flow int, weight float64) error {
-	if _, ok := s.flows[flow]; !ok {
-		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
+	if err := s.q.fs.SetWeight(flow, weight); err != nil {
+		return err
 	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
+	if s.d.OnAddFlow != nil {
+		s.d.OnAddFlow(&s.st, s.q.fs.Registered(flow))
 	}
-	if weight <= 0 {
-		return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadWeight, flow, weight)
-	}
-	if s.st.GPS != nil {
-		s.st.GPS.Reweigh(flow, weight)
-	}
-	return s.AddFlow(flow, weight)
+	return nil
 }
 
 // SetCapacity changes the fluid GPS capacity for GPS-backed disciplines
@@ -111,39 +103,10 @@ func (s *Sched) SetCapacity(c float64) error {
 // DrainFlow removes flow gracefully: the removal completes when the flow
 // is idle in the PIFO and, for GPS-backed disciplines, in the fluid
 // system too (see sched.Reconfigurable).
-func (s *Sched) DrainFlow(flow int) error {
-	if _, ok := s.flows[flow]; !ok {
-		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
-	}
-	if s.q.FlowLen(flow) == 0 && (s.st.GPS == nil || !s.st.GPS.Busy(flow)) {
-		return s.RemoveFlow(flow)
-	}
-	s.draining.Mark(flow)
-	return nil
-}
-
-// finalizeDrains unregisters draining flows that have gone idle.
-func (s *Sched) finalizeDrains() {
-	for _, f := range s.draining.Flows() {
-		if s.q.FlowLen(f) == 0 && (s.st.GPS == nil || !s.st.GPS.Busy(f)) {
-			s.draining.Clear(f)
-			s.RemoveFlow(f)
-		}
-	}
-}
+func (s *Sched) DrainFlow(flow int) error { return s.q.fs.DrainFlow(flow) }
 
 // ListFlows returns the registered flows sorted by id.
-func (s *Sched) ListFlows() []sched.FlowInfo {
-	out := make([]sched.FlowInfo, 0, len(s.flows))
-	for id, f := range s.flows {
-		out = append(out, sched.FlowInfo{Flow: id, Weight: f.Weight})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
-	return out
-}
+func (s *Sched) ListFlows() []sched.FlowInfo { return s.q.fs.ListFlows() }
 
 // pifoFlowState is one flow's registration plus its discipline tag chains.
 type pifoFlowState struct {
@@ -177,16 +140,15 @@ func (s *Sched) MarshalState() ([]byte, error) {
 	st := pifoState{
 		Last: s.last, V: s.st.V, MaxFinish: s.st.maxFinish, Busy: s.st.busy,
 		Queue:    s.q.CaptureState(),
-		Draining: s.draining.Flows(),
+		Draining: s.q.fs.Draining(),
 	}
-	st.Flows = make([]pifoFlowState, 0, len(s.flows))
-	for id, f := range s.flows {
+	st.Flows = make([]pifoFlowState, 0, len(s.q.fs.Weights))
+	s.q.fs.Each(func(f *Flow) {
 		st.Flows = append(st.Flows, pifoFlowState{
-			ID: id, Weight: f.Weight,
+			ID: f.ID(), Weight: f.Weight,
 			LastFinish: f.LastFinish, EAT: f.EAT, Deadline: f.Deadline, Cum: f.Cum,
 		})
-	}
-	sort.Slice(st.Flows, func(i, j int) bool { return st.Flows[i].ID < st.Flows[j].ID })
+	})
 	if s.st.GPS != nil {
 		gps := s.st.GPS.CaptureState()
 		st.GPS = &gps
@@ -198,7 +160,7 @@ func (s *Sched) MarshalState() ([]byte, error) {
 // same discipline. Tag chains are restored verbatim — OnAddFlow is NOT
 // re-fired, the serialized defaults already reflect it.
 func (s *Sched) RestoreState(data []byte) error {
-	if len(s.flows) != 0 || s.q.Len() != 0 {
+	if len(s.q.fs.Weights) != 0 || s.q.Len() != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", sched.ErrBadState)
 	}
 	var st pifoState
@@ -215,11 +177,11 @@ func (s *Sched) RestoreState(data []byte) error {
 		if f.Weight <= 0 {
 			return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadState, f.ID, f.Weight)
 		}
-		s.flows[f.ID] = &Flow{
-			ID: f.ID, Weight: f.Weight,
-			LastFinish: f.LastFinish, EAT: f.EAT, Deadline: f.Deadline, Cum: f.Cum,
-		}
-		s.weights[f.ID] = f.Weight
+	}
+	for _, f := range st.Flows {
+		_ = s.q.fs.Add(f.ID, f.Weight) // cannot fail: weight validated above, nothing draining yet
+		r := s.q.fs.Registered(f.ID)
+		r.LastFinish, r.EAT, r.Deadline, r.Cum = f.LastFinish, f.EAT, f.Deadline, f.Cum
 	}
 	if st.GPS != nil {
 		if err := s.st.GPS.RestoreState(*st.GPS); err != nil {
@@ -230,14 +192,13 @@ func (s *Sched) RestoreState(data []byte) error {
 		return err
 	}
 	for _, f := range st.Queue.Queue.Flows {
-		if _, ok := s.flows[f.Flow]; !ok {
+		if _, ok := s.q.fs.Weights[f.Flow]; !ok {
 			return fmt.Errorf("%w: queued packets for unregistered flow %d", sched.ErrBadState, f.Flow)
 		}
 	}
-	if err := sched.CheckDraining(st.Draining, s.weights); err != nil {
+	if err := s.q.fs.RestoreDraining(st.Draining); err != nil {
 		return err
 	}
-	s.draining.SetFlows(st.Draining)
 	s.last, s.st.V, s.st.maxFinish, s.st.busy = st.Last, st.V, st.MaxFinish, st.Busy
 	return nil
 }

@@ -46,33 +46,35 @@ func (r rank) below(s rank) bool {
 // Queue is the PIFO primitive: Push admits a packet anywhere in the order,
 // Pop always releases the minimum (key, sub, push-serial). It is a thin
 // veneer over sched.FlowSet that adds the per-flow monotonizing clamp
-// described in the package comment. The zero value is ready to use.
+// described in the package comment; the clamp's chain — the last pushed
+// (post-clamp) rank — lives in the flow's record (Flow.LastKey/LastSub),
+// so a push costs the one lookup that found the record. The zero value is
+// ready to use.
 type Queue struct {
 	fs      sched.FlowSet
-	last    map[int]rank // last pushed (post-clamp) rank per flow
 	clamped uint64
 }
 
-// Push admits p for flow under (key, sub). While the flow is backlogged a
-// rank below the flow's previous one is clamped up to it (per-flow
-// monotonicity); a drained flow starts a fresh chain. Push returns the
-// rank actually used and whether it was clamped. O(log B) when the flow
-// was idle, O(1) otherwise.
+// Push is PushFlow on flow's record, created on first sight.
 func (q *Queue) Push(flow int, key, sub float64, p *sched.Packet) (float64, float64, bool) {
+	return q.PushFlow(q.fs.Record(flow), key, sub, p)
+}
+
+// PushFlow admits p for f under (key, sub). While the flow is backlogged a
+// rank below the flow's previous one is clamped up to it (per-flow
+// monotonicity); a drained flow starts a fresh chain. It returns the rank
+// actually used and whether it was clamped. O(log B) when the flow was
+// idle, O(1) otherwise.
+func (q *Queue) PushFlow(f *Flow, key, sub float64, p *sched.Packet) (float64, float64, bool) {
 	r := rank{key: key, sub: sub}
 	clamped := false
-	if q.fs.FlowLen(flow) > 0 {
-		if prev := q.last[flow]; r.below(prev) {
-			r = prev
-			clamped = true
-			q.clamped++
-		}
+	if prev := (rank{key: f.LastKey, sub: f.LastSub}); f.Len() > 0 && r.below(prev) {
+		r = prev
+		clamped = true
+		q.clamped++
 	}
-	if q.last == nil {
-		q.last = make(map[int]rank)
-	}
-	q.last[flow] = r
-	q.fs.Push(flow, r.key, r.sub, p)
+	f.LastKey, f.LastSub = r.key, r.sub
+	q.fs.PushFlow(f, r.key, r.sub, p)
 	return r.key, r.sub, clamped
 }
 
@@ -104,10 +106,10 @@ func (q *Queue) FlowBytes(flow int) float64 { return q.fs.FlowBytes(flow) }
 func (q *Queue) Backlogged() int { return q.fs.Backlogged() }
 
 // Drop discards flow's packets and clamp chain entirely.
-func (q *Queue) Drop(flow int) {
-	q.fs.Drop(flow)
-	delete(q.last, flow)
-}
+func (q *Queue) Drop(flow int) { q.fs.Drop(flow) }
+
+// CheckSlots verifies the flow heap's slot-key invariant (fuzz harness).
+func (q *Queue) CheckSlots() error { return q.fs.CheckSlots() }
 
 // Clamped returns how many pushes the monotonizing clamp has adjusted —
 // zero for every discipline in this repository (tests assert it; see the

@@ -23,18 +23,12 @@ type State struct {
 	busy      bool
 }
 
-// Flow is the per-flow context handed to rank functions. The fields are a
-// union of what the repository's disciplines chain per flow; each rank
-// function uses the ones its recurrence needs and ignores the rest.
-type Flow struct {
-	ID     int
-	Weight float64 // registered weight (bytes/s)
-
-	LastFinish float64 // F(p_f^{j-1}): SFQ/SCFQ/WFQ finish-tag chain
-	EAT        float64 // expected arrival chain: Virtual Clock, Delay EDD
-	Deadline   float64 // d_f for EDD; the default slack for LSTF
-	Cum        float64 // cumulative enqueued bytes (SRPT's monotone tag)
-}
+// Flow is the per-flow context handed to rank functions: the scheduler's
+// one record for the flow (registration, FIFO, tag chains, clamp chain).
+// The chain fields are a union of what the repository's disciplines chain
+// per flow; each rank function uses the ones its recurrence needs and
+// ignores the rest.
+type Flow = sched.Flow
 
 // Discipline is a scheduling discipline expressed against the PIFO: a Rank
 // function plus optional hooks. Only Rank is mandatory; everything else
@@ -84,13 +78,10 @@ type Discipline struct {
 // sched.Interface with the same O(log B) Enqueue/Dequeue and zero
 // steady-state allocations as the hand-written schedulers it re-expresses.
 type Sched struct {
-	d        Discipline
-	q        Queue
-	st       State
-	flows    map[int]*Flow
-	weights  map[int]float64 // shared with the GPS reference when present
-	last     float64
-	draining sched.DrainSet
+	d    Discipline
+	q    Queue // its flow table is the registry; Weights is shared with the GPS reference
+	st   State
+	last float64
 }
 
 // New builds a scheduler for d. cfg supplies the discipline-independent
@@ -100,16 +91,14 @@ func New(d Discipline, cfg sched.Config) (*Sched, error) {
 	if d.Rank == nil {
 		return nil, fmt.Errorf("%w: pifo discipline %q has no Rank function", sched.ErrBadConfig, d.Name)
 	}
-	s := &Sched{
-		d:       d,
-		flows:   make(map[int]*Flow),
-		weights: make(map[int]float64),
-	}
+	s := &Sched{d: d}
+	s.q.fs.FlowTable = sched.NewFlowTable()
 	if d.NeedsGPS {
 		if cfg.AssumedCapacity <= 0 {
 			return nil, fmt.Errorf("%w: %s requires WithAssumedCapacity > 0", sched.ErrBadConfig, d.Name)
 		}
-		s.st.GPS = sched.NewGPSRef(cfg.AssumedCapacity, s.weights)
+		s.st.GPS = sched.NewGPSRef(cfg.AssumedCapacity, s.q.fs.Weights)
+		s.q.fs.AttachFluid(s.st.GPS)
 	}
 	return s, nil
 }
@@ -146,45 +135,18 @@ func (s *Sched) PacketPoolSafe() bool { return true }
 // AddFlow registers flow (or re-weights it, keeping its tag chains — the
 // same semantics as FlowTable.Add).
 func (s *Sched) AddFlow(flow int, weight float64) error {
-	if weight <= 0 {
-		return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadWeight, flow, weight)
+	if err := s.q.fs.Add(flow, weight); err != nil {
+		return err
 	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
-	}
-	f := s.flows[flow]
-	if f == nil {
-		f = &Flow{ID: flow}
-		s.flows[flow] = f
-	}
-	f.Weight = weight
-	s.weights[flow] = weight
 	if s.d.OnAddFlow != nil {
-		s.d.OnAddFlow(&s.st, f)
+		s.d.OnAddFlow(&s.st, s.q.fs.Registered(flow))
 	}
 	return nil
 }
 
 // RemoveFlow unregisters an idle flow — idle in the packet queue and, for
 // GPS-backed disciplines, in the fluid system too (mirroring WFQ).
-func (s *Sched) RemoveFlow(flow int) error {
-	if s.st.GPS != nil && s.st.GPS.Busy(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowBusy, flow)
-	}
-	if _, ok := s.flows[flow]; !ok {
-		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	if s.q.FlowLen(flow) > 0 {
-		return fmt.Errorf("%w: %d", sched.ErrFlowBusy, flow)
-	}
-	delete(s.flows, flow)
-	delete(s.weights, flow)
-	if s.st.GPS != nil {
-		s.st.GPS.Forget(flow)
-	}
-	s.q.Drop(flow)
-	return nil
-}
+func (s *Sched) RemoveFlow(flow int) error { return s.q.fs.Remove(flow) }
 
 // Enqueue ranks p and pushes it into the PIFO.
 func (s *Sched) Enqueue(now float64, p *sched.Packet) error {
@@ -192,15 +154,9 @@ func (s *Sched) Enqueue(now float64, p *sched.Packet) error {
 		return sched.ErrTimeWentBack
 	}
 	s.last = now
-	f := s.flows[p.Flow]
-	if f == nil {
-		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, p.Flow)
-	}
-	if p.Length <= 0 {
-		return fmt.Errorf("%w: flow %d length %v", sched.ErrBadPacket, p.Flow, p.Length)
-	}
-	if !s.draining.Empty() && s.draining.Draining(p.Flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, p.Flow)
+	f, err := s.q.fs.Lookup(p)
+	if err != nil {
+		return err
 	}
 	r := sched.EffRate(p, f.Weight)
 	if s.d.Advance != nil {
@@ -208,7 +164,7 @@ func (s *Sched) Enqueue(now float64, p *sched.Packet) error {
 	}
 	s.st.Now = now
 	key, sub := s.d.Rank(&s.st, f, r, p)
-	key, _, _ = s.q.Push(p.Flow, key, sub, p)
+	key, _, _ = s.q.PushFlow(f, key, sub, p)
 	if s.d.StampRank {
 		p.Deadline = key
 	}
@@ -232,21 +188,17 @@ func (s *Sched) Dequeue(now float64) (*sched.Packet, bool) {
 		if s.d.OnIdle != nil {
 			s.d.OnIdle(&s.st)
 		}
-		if !s.draining.Empty() {
-			s.finalizeDrains()
-		}
+		s.q.fs.FinalizeDrains()
 		return nil, false
 	}
-	p := s.q.Pop()
+	p, f := s.q.fs.PopFlow()
 	if s.d.OnServe != nil {
 		s.d.OnServe(&s.st, p)
 	}
 	if s.d.AfterDequeue != nil {
-		s.d.AfterDequeue(&s.st, &s.q, s.flows[p.Flow], p)
+		s.d.AfterDequeue(&s.st, &s.q, f, p)
 	}
-	if !s.draining.Empty() {
-		s.finalizeDrains()
-	}
+	s.q.fs.FinalizeDrains()
 	return p, true
 }
 

@@ -62,10 +62,10 @@ func SRPT() Discipline {
 }
 
 // srptRefresh rewrites f's competing rank to its current remaining
-// backlog. After a dequeue that drained the flow it is a no-op
-// (SetFlowRank ignores idle flows).
+// backlog. After a dequeue that drained the flow it is a no-op (Rekey
+// ignores idle flows).
 func srptRefresh(st *State, q *Queue, f *Flow, p *sched.Packet) {
-	q.SetFlowRank(f.ID, q.FlowBytes(f.ID), float64(f.ID))
+	q.fs.Rekey(f, f.QueuedBytes(), float64(f.ID()))
 }
 
 // FIFOPlus is FIFO+ (Clark–Shenker–Zhang, via Mittal et al.): per-hop FIFO

@@ -2,7 +2,22 @@
 
 package sched
 
-// tagAssertEnabled (debug build): FlowQ.Push panics if a flow's keys ever
-// decrease — the invariant the flow-indexed heap relies on for
-// correctness and for bit-identical pop order versus a packet-level heap.
-const tagAssertEnabled = true
+import "fmt"
+
+// pushAssert (debug build) remembers a FlowQ's most recently pushed item
+// and panics if the flow's keys ever decrease — the invariant the
+// flow-indexed heap relies on for correctness and for bit-identical pop
+// order versus a packet-level heap.
+type pushAssert struct{ last flowItem }
+
+func (a *pushAssert) check(fq *FlowQ, it flowItem) {
+	if fq.n > 0 && it.less(a.last) {
+		panic(fmt.Sprintf(
+			"sched: per-flow tag monotonicity violated: flow %d pushed (%v,%v,%d) after (%v,%v,%d)",
+			fq.flow, it.key, it.sub, it.serial, a.last.key, a.last.sub, a.last.serial))
+	}
+	a.last = it
+}
+
+// reset forgets the last push: the next one starts a fresh chain.
+func (a *pushAssert) reset() { a.last = flowItem{} }

@@ -119,8 +119,8 @@ func TestFlowTableQueuedCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &sched.Packet{Flow: 1, Length: 5}
-	ft.OnEnqueue(p)
-	ft.OnEnqueue(p)
+	ft.Registered(1).Account(p)
+	ft.Registered(1).Account(p)
 	if ft.QueuedCount(1) != 2 {
 		t.Errorf("QueuedCount = %d", ft.QueuedCount(1))
 	}

@@ -40,7 +40,6 @@ func NewDRR(quantumPerUnitWeight float64) *DRR {
 		panic("sched: DRR quantum must be positive")
 	}
 	return &DRR{
-		flows:   NewFlowTable(),
 		quantum: quantumPerUnitWeight,
 		state:   make(map[int]*drrFlow),
 	}
@@ -72,7 +71,8 @@ func (s *DRR) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	if _, err := s.flows.CheckPacket(p); err != nil {
+	rec, err := s.flows.Lookup(p)
+	if err != nil {
 		return err
 	}
 	f := s.state[p.Flow]
@@ -83,7 +83,7 @@ func (s *DRR) Enqueue(now float64, p *Packet) error {
 		f.deficit = 0
 		s.active = append(s.active, p.Flow)
 	}
-	s.flows.OnEnqueue(p)
+	rec.Account(p)
 	s.total++
 	return nil
 }

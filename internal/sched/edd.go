@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // EDD implements Delay EDD as defined in Section 3 (eq 66): packet p_f^j is
 // assigned deadline D = EAT(p_f^j, r_f) + d_f and packets are transmitted in
@@ -14,23 +11,17 @@ import (
 // hierarchical scheduler of Section 3 delegates classes that need that
 // separation to it.
 type EDD struct {
-	flows    FlowTable
-	deadline map[int]float64 // d_f per flow, seconds
-	eatNext  map[int]float64 // EAT(prev) + l_prev/r_prev
-	fq       FlowSet
-	last     float64
-	draining DrainSet
+	// One record per flow: Deadline is d_f (seconds), EAT is EAT(prev) +
+	// l_prev/r_prev.
+	flows FlowSet
+	last  float64
 }
 
 // NewEDD returns an empty Delay EDD scheduler.
 //
 // Deprecated: prefer New("edd").
 func NewEDD() *EDD {
-	return &EDD{
-		flows:    NewFlowTable(),
-		deadline: make(map[int]float64),
-		eatNext:  make(map[int]float64),
-	}
+	return &EDD{}
 }
 
 // AddFlow registers flow with rate `weight` and a zero delay bound; use
@@ -53,26 +44,15 @@ func (s *EDD) AddFlowDeadline(flow int, rate, d float64) error {
 	if d < 0 {
 		return ErrBadWeight
 	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
 	if err := s.flows.Add(flow, rate); err != nil {
 		return err
 	}
-	s.deadline[flow] = d
+	s.flows.Registered(flow).Deadline = d
 	return nil
 }
 
 // RemoveFlow unregisters an idle flow.
-func (s *EDD) RemoveFlow(flow int) error {
-	if err := s.flows.Remove(flow); err != nil {
-		return err
-	}
-	delete(s.deadline, flow)
-	delete(s.eatNext, flow)
-	s.fq.Drop(flow)
-	return nil
-}
+func (s *EDD) RemoveFlow(flow int) error { return s.flows.Remove(flow) }
 
 // Enqueue assigns p its deadline per eq (66) and queues it.
 func (s *EDD) Enqueue(now float64, p *Packet) error {
@@ -80,22 +60,18 @@ func (s *EDD) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	w, err := s.flows.CheckPacket(p)
+	f, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	if !s.draining.Empty() && s.draining.Draining(p.Flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, p.Flow)
-	}
-	r := EffRate(p, w)
+	r := EffRate(p, f.Weight)
 	eat := now
-	if prev, ok := s.eatNext[p.Flow]; ok {
-		eat = math.Max(now, prev)
+	if f.Tagged {
+		eat = math.Max(now, f.EAT)
 	}
-	s.eatNext[p.Flow] = eat + p.Length/r
-	p.Deadline = eat + s.deadline[p.Flow]
-	s.fq.Push(p.Flow, p.Deadline, 0, p)
-	s.flows.OnEnqueue(p)
+	f.EAT, f.Tagged = eat+p.Length/r, true
+	p.Deadline = eat + f.Deadline
+	s.flows.PushFlow(f, p.Deadline, 0, p)
 	return nil
 }
 
@@ -104,22 +80,17 @@ func (s *EDD) Dequeue(now float64) (*Packet, bool) {
 	if now > s.last {
 		s.last = now
 	}
-	if s.fq.Len() == 0 {
-		if !s.draining.Empty() {
-			s.finalizeDrains()
-		}
+	if s.flows.Len() == 0 {
+		s.flows.FinalizeDrains()
 		return nil, false
 	}
-	p := s.fq.PopMin()
-	s.flows.OnDequeue(p)
-	if !s.draining.Empty() {
-		s.finalizeDrains()
-	}
+	p := s.flows.PopMin()
+	s.flows.FinalizeDrains()
 	return p, true
 }
 
 // Len returns the number of queued packets.
-func (s *EDD) Len() int { return s.fq.Len() }
+func (s *EDD) Len() int { return s.flows.Len() }
 
 // QueuedBytes returns the bytes queued for flow.
 func (s *EDD) QueuedBytes(flow int) float64 { return s.flows.QueuedBytes(flow) }

@@ -231,7 +231,7 @@ func (h *faRegHeap) pop() faRegEvent {
 //
 // Deprecated: prefer New("fairairport").
 func NewFairAirport() *FairAirport {
-	return &FairAirport{flows: NewFlowTable(), state: make(map[int]*faFlow)}
+	return &FairAirport{state: make(map[int]*faFlow)}
 }
 
 // AddFlow registers flow with reserved rate `weight` (bytes/second).
@@ -261,11 +261,11 @@ func (s *FairAirport) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	w, err := s.flows.CheckPacket(p)
+	rec, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	r := EffRate(p, w)
+	r := EffRate(p, rec.Weight)
 	f := s.state[p.Flow]
 	f.q = append(f.q, faEntry{p: p})
 	e := &f.q[len(f.q)-1]
@@ -291,7 +291,7 @@ func (s *FairAirport) Enqueue(now float64, p *Packet) error {
 		s.reg.push(e.eat, p.Flow, f.regIdx, f.gen)
 	}
 
-	s.flows.OnEnqueue(p)
+	rec.Account(p)
 	s.total++
 	return nil
 }

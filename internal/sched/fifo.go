@@ -13,7 +13,7 @@ type FIFO struct {
 // NewFIFO returns an empty FIFO scheduler.
 //
 // Deprecated: prefer New("fifo").
-func NewFIFO() *FIFO { return &FIFO{flows: NewFlowTable()} }
+func NewFIFO() *FIFO { return &FIFO{} }
 
 // AddFlow registers a flow. The weight is validated but unused.
 func (s *FIFO) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
@@ -27,10 +27,11 @@ func (s *FIFO) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	if _, err := s.flows.CheckPacket(p); err != nil {
+	f, err := s.flows.Lookup(p)
+	if err != nil {
 		return err
 	}
-	s.flows.OnEnqueue(p)
+	f.Account(p)
 	s.q = append(s.q, p)
 	return nil
 }

@@ -7,7 +7,9 @@ import "testing"
 // and flow drops, in lockstep with a naive model: per-flow item slices
 // and a linear scan for the global (key, sub, serial) minimum. Every
 // divergence — pop identity, peek, length, per-flow bytes, backlogged
-// count — fails the run. The byte grammar is op = data[2i], arg =
+// count — fails the run, and so does a heap slot whose copied key differs
+// from its flow's head item (CheckSlots, after every operation). The byte
+// grammar is op = data[2i], arg =
 // data[2i+1]:
 //
 //	op%4 == 0,1  push on flow arg%5+1 with the flow's key advanced by
@@ -19,6 +21,9 @@ func FuzzFlowQHeap(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x10\x01\x25\x02\x00\x00\xf3\x03\x00\x02\x00\x02\x00"))
 	f.Add([]byte("\x00\x00\x01\x00\x00\x01\x01\x01\x02\x00\x02\x00\x02\x00\x02\x00"))
 	f.Add([]byte("\x03\x02\x00\x41\x00\x41\x03\x01\x00\x00\x02\x00\x03\x00\x00\x00"))
+	// Five backlogged flows, then Drop of the flow at heap index 1 and of
+	// another interior one, pops between.
+	f.Add([]byte("\x00\x00\x00\x10\x00\x20\x00\x30\x00\x40\x03\x01\x02\x00\x03\x02\x02\x00\x02\x00\x02\x00"))
 
 	type item struct {
 		key    float64
@@ -34,6 +39,9 @@ func FuzzFlowQHeap(f *testing.F) {
 		var seq int64
 
 		check := func() {
+			if err := fs.CheckSlots(); err != nil {
+				t.Fatal(err)
+			}
 			total, backlogged := 0, 0
 			for flow, q := range model {
 				if len(q) > 0 {

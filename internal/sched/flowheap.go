@@ -1,131 +1,180 @@
 package sched
 
+import "fmt"
+
 // FlowHeap is a hand-rolled indexed min-heap over backlogged flows,
 // ordered by each flow's head item under the strict total order
 // (key, sub, serial). It follows the PR 3 typed-heap idiom — hole-moving
-// sift-up/sift-down, no container/heap boxing — and additionally tracks
-// each FlowQ's position (FlowQ.heapIdx) so Fix and Remove are O(log B)
-// without a search. Every member must be nonempty; callers push a flow
-// when it becomes backlogged and pop/remove it when it drains.
+// sift-up/sift-down, no container/heap boxing — and tracks each flow's
+// position (Flow.heapIdx) so Fix and Remove are O(log B) without a search.
+// Every member must be nonempty; callers push a flow when it becomes
+// backlogged and pop/remove it when it drains.
+//
+// Each slot holds a COPY of its flow's head key beside the flow pointer,
+// so a comparison reads two adjacent slots instead of chasing flow → chunk
+// → item twice. The copy is the heap's second invariant, next to per-flow
+// monotonicity: slot key ≡ head item of the slot's flow. Push, Fix and
+// FixMin refill the slot from the head item; every path that changes a
+// backlogged flow's head must call one of them (CheckSlots verifies).
 type FlowHeap struct {
-	fs []*FlowQ
+	ss []heapSlot
+}
+
+// heapSlot is one backlogged flow with its head item's key triple.
+type heapSlot struct {
+	key    float64
+	sub    float64
+	serial uint64
+	f      *Flow
+}
+
+func slotOf(f *Flow) heapSlot {
+	it := &f.head.items[f.hi]
+	return heapSlot{key: it.key, sub: it.sub, serial: it.serial, f: f}
+}
+
+// less orders by key, then secondary key, then push order.
+func (a *heapSlot) less(b *heapSlot) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.sub != b.sub {
+		return a.sub < b.sub
+	}
+	return a.serial < b.serial
 }
 
 // Len returns the number of backlogged flows in the heap.
-func (h *FlowHeap) Len() int { return len(h.fs) }
+func (h *FlowHeap) Len() int { return len(h.ss) }
 
 // Min returns the flow whose head item is smallest, or nil when empty.
-func (h *FlowHeap) Min() *FlowQ {
-	if len(h.fs) == 0 {
+func (h *FlowHeap) Min() *Flow {
+	if len(h.ss) == 0 {
 		return nil
 	}
-	return h.fs[0]
+	return h.ss[0].f
 }
 
-// Push inserts a newly backlogged flow. fq must be nonempty.
-func (h *FlowHeap) Push(fq *FlowQ) {
-	h.fs = append(h.fs, fq)
-	h.siftUp(len(h.fs)-1, fq)
+// Push inserts a newly backlogged flow. f must be nonempty.
+func (h *FlowHeap) Push(f *Flow) {
+	h.ss = append(h.ss, heapSlot{})
+	h.siftUp(len(h.ss)-1, slotOf(f))
 }
 
 // PopMin removes and returns the minimum flow, or nil when empty. The
 // removed flow's heapIdx is reset to -1.
-func (h *FlowHeap) PopMin() *FlowQ {
-	n := len(h.fs)
-	if n == 0 {
+func (h *FlowHeap) PopMin() *Flow {
+	if len(h.ss) == 0 {
 		return nil
 	}
-	min := h.fs[0]
-	min.heapIdx = -1
-	last := h.fs[n-1]
-	h.fs[n-1] = nil
-	h.fs = h.fs[:n-1]
-	if n > 1 {
-		h.siftDown(0, last)
-	}
+	min := h.ss[0].f
+	h.removeAt(0)
 	return min
 }
 
-// Fix restores heap order after fq's head item changed in place (e.g. the
-// previous head was popped but the flow is still backlogged).
-func (h *FlowHeap) Fix(fq *FlowQ) {
-	i := fq.heapIdx
-	if i > 0 && fq.headItem().less(h.fs[(i-1)/2].headItem()) {
-		h.siftUp(i, fq)
+// Fix restores heap order after f's head item changed in place (its head
+// was popped or its key rewritten while the flow stays backlogged).
+func (h *FlowHeap) Fix(f *Flow) {
+	i, s := f.heapIdx, slotOf(f)
+	if i > 0 && s.less(&h.ss[(i-1)/2]) {
+		h.siftUp(i, s)
 		return
 	}
-	h.siftDown(i, fq)
+	h.siftDown(i, s)
 }
 
 // FixMin restores heap order after the minimum flow's head changed. Under
 // the per-flow monotonicity invariant the new head can only be larger, so
 // a single sift-down suffices (and is still safe without the invariant:
 // a root that shrank remains the minimum).
-func (h *FlowHeap) FixMin() {
-	h.siftDown(0, h.fs[0])
+func (h *FlowHeap) FixMin() { h.siftDown(0, slotOf(h.ss[0].f)) }
+
+// Remove deletes f from the heap regardless of position (RemoveFlow on a
+// backlogged flow, chaos churn). No-op if f is not in the heap.
+func (h *FlowHeap) Remove(f *Flow) {
+	if f.heapIdx >= 0 {
+		h.removeAt(f.heapIdx)
+	}
 }
 
-// Remove deletes fq from the heap regardless of position (RemoveFlow on a
-// backlogged flow, chaos churn). No-op if fq is not in the heap.
-func (h *FlowHeap) Remove(fq *FlowQ) {
-	i := fq.heapIdx
-	if i < 0 {
+// removeAt deletes slot i, refilling the hole with the last slot.
+func (h *FlowHeap) removeAt(i int) {
+	h.ss[i].f.heapIdx = -1
+	n := len(h.ss) - 1
+	last := h.ss[n]
+	h.ss[n] = heapSlot{}
+	h.ss = h.ss[:n]
+	if i == n {
 		return
 	}
-	fq.heapIdx = -1
-	n := len(h.fs)
-	last := h.fs[n-1]
-	h.fs[n-1] = nil
-	h.fs = h.fs[:n-1]
-	if i == n-1 {
-		return
-	}
-	if i > 0 && last.headItem().less(h.fs[(i-1)/2].headItem()) {
+	if i > 0 && last.less(&h.ss[(i-1)/2]) {
 		h.siftUp(i, last)
 		return
 	}
 	h.siftDown(i, last)
 }
 
-// siftUp moves fq toward the root from hole position i, shifting larger
+// siftUp moves s toward the root from hole position i, shifting larger
 // parents down into the hole.
-func (h *FlowHeap) siftUp(i int, fq *FlowQ) {
-	fs := h.fs
-	it := fq.headItem()
+func (h *FlowHeap) siftUp(i int, s heapSlot) {
+	ss := h.ss
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !it.less(fs[parent].headItem()) {
+		if !s.less(&ss[parent]) {
 			break
 		}
-		fs[i] = fs[parent]
-		fs[i].heapIdx = i
+		ss[i] = ss[parent]
+		ss[i].f.heapIdx = i
 		i = parent
 	}
-	fs[i] = fq
-	fq.heapIdx = i
+	ss[i] = s
+	s.f.heapIdx = i
 }
 
-// siftDown moves fq toward the leaves from hole position i, shifting the
+// siftDown moves s toward the leaves from hole position i, shifting the
 // smaller child up into the hole.
-func (h *FlowHeap) siftDown(i int, fq *FlowQ) {
-	fs := h.fs
-	n := len(fs)
-	it := fq.headItem()
+func (h *FlowHeap) siftDown(i int, s heapSlot) {
+	ss := h.ss
+	n := len(ss)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && fs[r].headItem().less(fs[child].headItem()) {
+		if r := child + 1; r < n && ss[r].less(&ss[child]) {
 			child = r
 		}
-		if !fs[child].headItem().less(it) {
+		if !ss[child].less(&s) {
 			break
 		}
-		fs[i] = fs[child]
-		fs[i].heapIdx = i
+		ss[i] = ss[child]
+		ss[i].f.heapIdx = i
 		i = child
 	}
-	fs[i] = fq
-	fq.heapIdx = i
+	ss[i] = s
+	s.f.heapIdx = i
+}
+
+// CheckSlots verifies the slot-key invariant and the index: every slot's
+// (key, sub, serial) equals its flow's head item, heapIdx round-trips, no
+// idle flow sits in the heap, and parents do not sort after children. The
+// fuzz harnesses call it after every operation.
+func (h *FlowHeap) CheckSlots() error {
+	for i := range h.ss {
+		s := &h.ss[i]
+		if s.f.heapIdx != i {
+			return fmt.Errorf("slot %d: flow %d has heapIdx %d", i, s.f.flow, s.f.heapIdx)
+		}
+		if s.f.n == 0 {
+			return fmt.Errorf("slot %d: idle flow %d in the heap", i, s.f.flow)
+		}
+		if want := slotOf(s.f); *s != want {
+			return fmt.Errorf("slot %d: flow %d key (%v,%v,%d) != head item (%v,%v,%d)",
+				i, s.f.flow, s.key, s.sub, s.serial, want.key, want.sub, want.serial)
+		}
+		if i > 0 && s.less(&h.ss[(i-1)/2]) {
+			return fmt.Errorf("slot %d: sorts before its parent", i)
+		}
+	}
+	return nil
 }

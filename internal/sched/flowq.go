@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // This file implements the flow-indexed scheduling core shared by the
 // fair-queuing family: per-flow packet FIFOs (FlowQ) backed by pooled
 // fixed-size chunks, and an indexed min-heap over the *backlogged flows*
@@ -97,21 +95,20 @@ type FlowQ struct {
 	hi   int        // index of the front item within head
 	ti   int        // one past the back item within tail
 
+	// mono is the per-flow monotonicity assertion's memory of the last
+	// push: empty in the release build (assert_off.go), and kept off the
+	// struct's end, where a zero-size field would cost a padding word.
+	mono pushAssert
+
 	n     int
 	bytes float64
-
-	heapIdx int // position in the owning FlowHeap; -1 when not backlogged
-
-	// lastPush is maintained only under the schedassert build tag: the
-	// most recently pushed item, used to assert per-flow monotonicity.
-	lastPush flowItem
 }
 
 // NewFlowQ returns an empty FIFO for the given flow id.
-func NewFlowQ(flow int) *FlowQ { return &FlowQ{flow: flow, heapIdx: -1} }
+func NewFlowQ(flow int) *FlowQ { return &FlowQ{flow: flow} }
 
-// Flow returns the flow id this FIFO belongs to.
-func (fq *FlowQ) Flow() int { return fq.flow }
+// ID returns the flow id this FIFO belongs to.
+func (fq *FlowQ) ID() int { return fq.flow }
 
 // Len returns the number of queued packets.
 func (fq *FlowQ) Len() int { return fq.n }
@@ -140,15 +137,7 @@ func (fq *FlowQ) Head() (*Packet, float64) {
 // schedassert build tag.
 func (fq *FlowQ) Push(pool *ChunkPool, key, sub float64, serial uint64, p *Packet) {
 	it := flowItem{key: key, sub: sub, serial: serial, p: p}
-	if tagAssertEnabled {
-		if fq.n > 0 && it.less(fq.lastPush) {
-			panic(fmt.Sprintf(
-				"sched: per-flow tag monotonicity violated: flow %d pushed (%v,%v,%d) after (%v,%v,%d)",
-				fq.flow, it.key, it.sub, it.serial,
-				fq.lastPush.key, fq.lastPush.sub, fq.lastPush.serial))
-		}
-		fq.lastPush = it
-	}
+	fq.mono.check(fq, it)
 	if fq.tail == nil {
 		c := pool.get()
 		fq.head, fq.tail = c, c
@@ -225,5 +214,5 @@ func (fq *FlowQ) Release(pool *ChunkPool) {
 	fq.hi, fq.ti = 0, 0
 	fq.n = 0
 	fq.bytes = 0
-	fq.lastPush = flowItem{}
+	fq.mono.reset()
 }

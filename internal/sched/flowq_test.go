@@ -11,8 +11,8 @@ import (
 func TestFlowQChunkLifecycle(t *testing.T) {
 	var pool ChunkPool
 	fq := NewFlowQ(7)
-	if fq.Flow() != 7 {
-		t.Fatalf("Flow() = %d", fq.Flow())
+	if fq.ID() != 7 {
+		t.Fatalf("ID() = %d", fq.ID())
 	}
 
 	const n = 3*flowChunkSize + 5 // spans 4 chunks
@@ -241,5 +241,109 @@ func TestFlowSetSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state FlowSet churn allocated %v times per run", allocs)
+	}
+}
+
+// TestFlowSetZeroValueByID pins the surface bench/ladder.go's flowSetLoop
+// compiles and runs against, so a break shows here and not in the benchmark
+// driver: a zero-value FlowSet, Push(flow, key, sub, p) on flows nobody
+// registered, PopMin() handing back the packet whose Flow says where the
+// next arrival goes. Pop order must follow the per-flow finish-tag chains.
+func TestFlowSetZeroValueByID(t *testing.T) {
+	const flows, standing, ops, length = 16, 4, 4096, 500.0
+	var fs FlowSet
+	var pool PacketPool
+	tags := make([]float64, flows)
+	push := func(f int) {
+		p := pool.Get()
+		p.Flow, p.Length = f, length
+		fs.Push(f, tags[f], 0, p)
+		tags[f] += length / float64(1+f%8)
+	}
+	for i := 0; i < standing; i++ {
+		for f := 0; f < flows; f++ {
+			push(f)
+		}
+	}
+	next, last := 0, 0.0
+	for i := 0; i < ops; i++ {
+		push(next)
+		_, key := fs.Peek()
+		out := fs.PopMin()
+		if out == nil || key < last {
+			t.Fatalf("op %d: popped %v under key %v after key %v", i, out, key, last)
+		}
+		next, last = out.Flow, key
+		pool.Put(out)
+	}
+	if fs.Len() != flows*standing || fs.Backlogged() == 0 {
+		t.Fatalf("after %d paired ops: Len %d (want %d), Backlogged %d", ops, fs.Len(), flows*standing, fs.Backlogged())
+	}
+	if err := fs.CheckSlots(); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < flows; f++ {
+		if fs.Get(f).Weight != 0 || len(fs.Weights) != 0 {
+			t.Fatalf("pushing by id registered flow %d", f)
+		}
+	}
+}
+
+// TestFlowSetReadsDoNotInsert: FlowLen and FlowBytes (and the QueuedBytes
+// every discipline answers with) for 1 000 flows the set never saw return
+// zero and leave the flow table the size it was.
+func TestFlowSetReadsDoNotInsert(t *testing.T) {
+	var fs FlowSet
+	fs.Push(1, 0, 0, &Packet{Flow: 1, Length: 10})
+	if err := fs.Add(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	for id := 1000; id < 2000; id++ {
+		if n, b, q := fs.FlowLen(id), fs.FlowBytes(id), fs.QueuedBytes(id); n != 0 || b != 0 || q != 0 {
+			t.Fatalf("unseen flow %d: len %d, bytes %v, queued %v", id, n, b, q)
+		}
+		fs.SetFlowKey(id, 1, 1)
+	}
+	if len(fs.flows) != 1 || len(fs.Weights) != 1 {
+		t.Fatalf("reading 1000 unknown flows left %d records and %d weights, want 1 and 1", len(fs.flows), len(fs.Weights))
+	}
+	if fs.FlowLen(1) != 1 || fs.FlowBytes(1) != 10 {
+		t.Fatalf("flow 1: len %d, bytes %v", fs.FlowLen(1), fs.FlowBytes(1))
+	}
+}
+
+// TestFlowRecordMadeOnFirstPacket: registering a flow writes its Weights
+// entry and nothing else; the record appears with the flow's first packet.
+// The control plane treats the two kinds of registered flow alike.
+func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
+	s := NewSCFQ()
+	for f := 1; f <= 100; f++ {
+		if err := s.AddFlow(f, float64(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.flows.flows) != 0 || len(s.flows.Weights) != 100 {
+		t.Fatalf("after 100 AddFlow: %d records, %d weights; want 0 and 100", len(s.flows.flows), len(s.flows.Weights))
+	}
+	if err := s.Enqueue(0, &Packet{Flow: 3, Length: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.flows.flows) != 1 || s.flows.Get(3).Weight != 3 {
+		t.Fatalf("after one packet: %d records, flow 3 = %+v", len(s.flows.flows), s.flows.Get(3))
+	}
+	if err := s.SetWeight(3, 30); err != nil || s.flows.Get(3).Weight != 30 {
+		t.Fatalf("SetWeight on a flow with a record: %v, weight %v", err, s.flows.Get(3).Weight)
+	}
+	if got := s.flows.CaptureAccounting(); len(got) != 100 || got[2] != (FlowAccounting{Flow: 3, Weight: 30, Bytes: 9, Count: 1}) || got[4] != (FlowAccounting{Flow: 5, Weight: 5}) {
+		t.Fatalf("accounting rows: %d, row 3 %+v, row 5 %+v", len(got), got[2], got[4])
+	}
+	if err := s.RemoveFlow(5); err != nil { // silent: no record to release
+		t.Fatal(err)
+	}
+	if err := s.DrainFlow(6); err != nil || len(s.flows.Weights) != 98 { // silent: removed at once
+		t.Fatalf("DrainFlow(6) = %v with %d weights left", err, len(s.flows.Weights))
+	}
+	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || len(s.flows.flows) != 1 {
+		t.Fatalf("enqueue on a removed flow: %v, %d records", err, len(s.flows.flows))
 	}
 }

@@ -1,129 +1,231 @@
 package sched
 
+import "fmt"
+
 // FlowSet bundles the flow-indexed core into the drop-in shape the
-// tag-based disciplines use: a per-flow FlowQ table, a FlowHeap over the
-// backlogged flows, one ChunkPool, and the scheduler-wide push serial
-// that completes the (key, sub, serial) strict total order. The zero
-// value is ready to use (same convention as TagHeap and FlowTable).
+// tag-based disciplines use: the flow table (one record per flow, holding
+// the flow's FIFO), a FlowHeap over the backlogged flows, one ChunkPool,
+// and the scheduler-wide push serial that completes the (key, sub, serial)
+// strict total order. A discipline looks its flow up once per Enqueue
+// (FlowTable.Lookup) and pushes through the record (PushFlow); Dequeue
+// needs no lookup, the heap hands the record back. The by-id entry points
+// (Push, SetFlowKey, Drop) serve callers with no registry of their own and
+// make records for flows they have not seen. The zero value is ready to
+// use.
 //
-// The serial counter increments exactly once per Push — the same sequence
+// The serial counter increments exactly once per push — the same sequence
 // the packet-level TagHeap assigned — which is what makes the flow-indexed
 // pop order bit-identical to the packet-heap order it replaced: ties on
 // (key, sub) across flows resolve by global push order either way.
 type FlowSet struct {
-	qs     map[int]*FlowQ
+	FlowTable
 	heap   FlowHeap
 	pool   ChunkPool
 	serial uint64
 	total  int
+
+	// fluid is the GPS reference system of a WFQ-style discipline (nil
+	// otherwise). A flow can be idle here and still hold fluid backlog, so
+	// removal and draining wait for both, and a live re-weight moves the
+	// fluid share sum first.
+	fluid *gps
 }
 
-// Push appends p to its flow's FIFO under the key pair (key, sub),
-// stamping the next scheduler-wide serial, and activates the flow in the
-// heap if this is its first queued packet. O(log B) on activation, O(1)
-// otherwise.
+// AttachFluid makes the flow management below answer for ref as well.
+func (fs *FlowSet) AttachFluid(ref *GPSRef) { fs.fluid = ref.g }
+
+// Push is PushFlow on flow's record, created on first sight.
 func (fs *FlowSet) Push(flow int, key, sub float64, p *Packet) {
-	q := fs.qs[flow]
-	if q == nil {
-		if fs.qs == nil {
-			fs.qs = make(map[int]*FlowQ)
-		}
-		q = NewFlowQ(flow)
-		fs.qs[flow] = q
-	}
+	fs.PushFlow(fs.Record(flow), key, sub, p)
+}
+
+// PushFlow appends p to f's FIFO under the key pair (key, sub), stamping
+// the next scheduler-wide serial, and activates the flow in the heap if
+// this is its first queued packet. O(log B) on activation, O(1) otherwise.
+func (fs *FlowSet) PushFlow(f *Flow, key, sub float64, p *Packet) {
 	fs.serial++
-	wasIdle := q.n == 0
-	q.Push(&fs.pool, key, sub, fs.serial, p)
-	if wasIdle {
-		fs.heap.Push(q)
+	f.FlowQ.Push(&fs.pool, key, sub, fs.serial, p)
+	if f.n == 1 {
+		fs.heap.Push(f)
 	}
 	fs.total++
 }
 
 // PopMin removes and returns the packet with the smallest (key, sub,
-// serial) across all flows, or nil when empty. The flow stays in its map
-// slot when it drains (keeping one cached chunk) so reactivation is
-// allocation-free.
+// serial) across all flows, or nil when empty.
 func (fs *FlowSet) PopMin() *Packet {
-	q := fs.heap.Min()
-	if q == nil {
-		return nil
+	p, _ := fs.PopFlow()
+	return p
+}
+
+// PopFlow is PopMin that also returns the record the packet came from. A
+// drained flow keeps its record (and one cached chunk) so reactivation is
+// allocation-free.
+func (fs *FlowSet) PopFlow() (*Packet, *Flow) {
+	f := fs.heap.Min()
+	if f == nil {
+		return nil, nil
 	}
-	p := q.Pop(&fs.pool)
-	if q.n == 0 {
+	p := f.Pop(&fs.pool)
+	if f.n == 0 {
 		fs.heap.PopMin()
 	} else {
 		fs.heap.FixMin()
 	}
 	fs.total--
-	return p
+	return p, f
 }
 
-// SetFlowKey rewrites the (key, sub) under which flow competes in the
-// cross-flow heap — the head item's key — and restores heap order, in
-// O(log B). No-op when the flow is idle. Flow-level dynamic-priority
-// disciplines (SRPT in internal/pifo) call it after every operation that
-// changes the flow's priority; tag-based disciplines never need it.
+// SetFlowKey is Rekey by flow id; no-op for a flow the set has not seen.
 func (fs *FlowSet) SetFlowKey(flow int, key, sub float64) {
-	q := fs.qs[flow]
-	if q == nil || q.n == 0 {
+	if f := fs.Get(flow); f != nil {
+		fs.Rekey(f, key, sub)
+	}
+}
+
+// Rekey rewrites the (key, sub) under which f competes in the cross-flow
+// heap — the head item's key — and restores heap order, in O(log B). No-op
+// when the flow is idle. Flow-level dynamic-priority disciplines (SRPT in
+// internal/pifo) call it after every operation that changes the flow's
+// priority; tag-based disciplines never need it.
+func (fs *FlowSet) Rekey(f *Flow, key, sub float64) {
+	if f.n == 0 {
 		return
 	}
-	q.SetHeadKey(key, sub)
-	if q.heapIdx >= 0 {
-		fs.heap.Fix(q)
-	}
+	f.SetHeadKey(key, sub)
+	fs.heap.Fix(f)
 }
 
 // Peek returns the packet that PopMin would return, and its key, without
 // removing it. Returns (nil, 0) when empty.
 func (fs *FlowSet) Peek() (*Packet, float64) {
-	q := fs.heap.Min()
-	if q == nil {
+	f := fs.heap.Min()
+	if f == nil {
 		return nil, 0
 	}
-	return q.Head()
+	return f.Head()
 }
 
 // Len returns the total number of queued packets across all flows.
 func (fs *FlowSet) Len() int { return fs.total }
 
 // FlowLen returns the number of packets queued for one flow, in O(1).
-func (fs *FlowSet) FlowLen(flow int) int {
-	if q := fs.qs[flow]; q != nil {
-		return q.n
-	}
-	return 0
-}
+func (fs *FlowSet) FlowLen(flow int) int { return fs.QueuedCount(flow) }
 
 // FlowBytes returns the bytes queued for one flow, in O(1) and exactly
 // zero when the flow is idle.
-func (fs *FlowSet) FlowBytes(flow int) float64 {
-	if q := fs.qs[flow]; q != nil {
-		return q.bytes
-	}
-	return 0
-}
+func (fs *FlowSet) FlowBytes(flow int) float64 { return fs.QueuedBytes(flow) }
 
 // Backlogged returns the number of flows currently holding packets — the
 // B in the O(log B) heap costs.
 func (fs *FlowSet) Backlogged() int { return fs.heap.Len() }
 
-// Drop releases a flow's FIFO entirely: chunks (including the cached one)
-// go back to the pool and the flow leaves the heap and the table.
-// RemoveFlow calls this after its own busy check, but Drop is safe on a
-// backlogged flow too (chaos churn paths).
-func (fs *FlowSet) Drop(flow int) {
-	q := fs.qs[flow]
-	if q == nil {
-		return
+// idle reports whether flow holds no packets and no fluid backlog.
+func (fs *FlowSet) idle(flow int) bool {
+	return fs.QueuedCount(flow) == 0 && (fs.fluid == nil || fs.fluid.count[flow] == 0)
+}
+
+// Remove unregisters an idle flow (FlowTable.Remove; fluid backlog counts
+// as busy) and returns its cached chunk to the pool, so a departed flow
+// holds no memory. Its tag chain goes with the record: a re-added flow
+// starts a fresh one.
+func (fs *FlowSet) Remove(flow int) error {
+	if fs.fluid != nil && fs.fluid.count[flow] > 0 {
+		return fmt.Errorf("%w: %d", ErrFlowBusy, flow)
 	}
-	fs.total -= q.n
-	fs.heap.Remove(q)
-	q.Release(&fs.pool)
-	delete(fs.qs, flow)
+	f, err := fs.remove(flow)
+	if err != nil {
+		return err
+	}
+	if f != nil {
+		f.Release(&fs.pool)
+	}
+	if fs.fluid != nil {
+		delete(fs.fluid.count, flow)
+	}
+	return nil
+}
+
+// mutable reports why flow may not be reconfigured: unknown, or draining.
+func (fs *FlowSet) mutable(flow int) error {
+	if _, ok := fs.Weights[flow]; !ok {
+		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
+	}
+	if fs.draining.Draining(flow) {
+		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
+	}
+	return nil
+}
+
+// SetWeight implements Reconfigurable.SetWeight for the disciplines built
+// on a FlowSet: flow must be registered and not draining. Queued packets
+// keep the tags they were stamped with — exactly the fluctuating-rate
+// situation Theorem 1 covers. The fluid share sum, if any, is adjusted
+// first so B(t)'s rate changes exactly at the mutation point.
+func (fs *FlowSet) SetWeight(flow int, weight float64) error {
+	if err := fs.mutable(flow); err != nil {
+		return err
+	}
+	if weight <= 0 {
+		return fmt.Errorf("%w: flow %d weight %v", ErrBadWeight, flow, weight)
+	}
+	if fs.fluid != nil {
+		fs.fluid.reweigh(flow, weight)
+	}
+	return fs.Add(flow, weight)
+}
+
+// DrainFlow implements Reconfigurable.DrainFlow: an idle flow is removed
+// at once, a busy one refuses arrivals from now on and is removed by the
+// FinalizeDrains that finds it idle.
+func (fs *FlowSet) DrainFlow(flow int) error {
+	if err := fs.mutable(flow); err != nil {
+		return err
+	}
+	if fs.idle(flow) {
+		return fs.Remove(flow)
+	}
+	fs.draining.Mark(flow)
+	return nil
+}
+
+// FinalizeDrains unregisters draining flows that have gone idle. Dequeue
+// calls it; with nothing draining it is one length check.
+func (fs *FlowSet) FinalizeDrains() {
+	if !fs.draining.Empty() {
+		fs.finalizeDrains()
+	}
+}
+
+func (fs *FlowSet) finalizeDrains() {
+	for _, f := range fs.draining.Flows() {
+		if fs.idle(f) {
+			fs.draining.Clear(f)
+			_ = fs.Remove(f) // cannot fail: registered, idle, no longer draining
+		}
+	}
+}
+
+// Draining returns the flows marked by DrainFlow, sorted (snapshots).
+func (fs *FlowSet) Draining() []int { return fs.draining.Flows() }
+
+// Drop forgets a flow whatever its state: queued packets are discarded,
+// chunks (including the cached one) go back to the pool, and the flow
+// leaves the heap and the table (chaos churn paths; Remove is the checked
+// way out for a registered flow).
+func (fs *FlowSet) Drop(flow int) {
+	if f := fs.Get(flow); f != nil {
+		fs.total -= f.n
+		fs.heap.Remove(f)
+		f.Release(&fs.pool)
+		delete(fs.flows, flow)
+	}
+	delete(fs.Weights, flow)
 }
 
 // PooledChunks reports the chunk pool's free-list length (tests,
 // observability).
 func (fs *FlowSet) PooledChunks() int { return fs.pool.Len() }
+
+// CheckSlots verifies the heap's slot-key invariant (FlowHeap.CheckSlots).
+func (fs *FlowSet) CheckSlots() error { return fs.heap.CheckSlots() }

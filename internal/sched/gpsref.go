@@ -27,10 +27,3 @@ func (r *GPSRef) Arrive(flow int, finish float64) { r.g.arrive(flow, finish) }
 
 // V returns the fluid virtual time as of the last Advance.
 func (r *GPSRef) V() float64 { return r.g.v }
-
-// Busy reports whether flow is backlogged in the fluid system (which lags
-// the packet system: a packet-idle flow may still hold fluid backlog).
-func (r *GPSRef) Busy(flow int) bool { return r.g.count[flow] > 0 }
-
-// Forget drops flow's (empty) fluid bookkeeping; mirrors WFQ.RemoveFlow.
-func (r *GPSRef) Forget(flow int) { delete(r.g.count, flow) }

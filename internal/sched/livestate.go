@@ -20,116 +20,84 @@ type FlowTagState struct {
 	Tag  float64 `json:"tag"`
 }
 
-// CaptureFlowTags serializes a per-flow float map sorted by flow id.
-func CaptureFlowTags(m map[int]float64) []FlowTagState {
-	out := make([]FlowTagState, 0, len(m))
-	for f, t := range m {
-		out = append(out, FlowTagState{Flow: f, Tag: t})
+// Chain names one per-flow tag chain of the flow record, for snapshots.
+type Chain int
+
+// The chains the hand-written disciplines serialize. ChainFinish and
+// ChainEAT exist once a packet has been tagged (Flow.Tagged) — a
+// never-enqueued flow has no entry — ChainDeadline for every registered
+// flow.
+const (
+	ChainFinish   Chain = iota // Flow.LastFinish, as "lastFinish"
+	ChainEAT                   // Flow.EAT, as "eatNext"
+	ChainDeadline              // Flow.Deadline, as "deadline"
+)
+
+var chainNames = [...]string{"lastFinish", "eatNext", "deadline"}
+
+// field returns the chain's field in f.
+func (c Chain) field(f *Flow) *float64 {
+	switch c {
+	case ChainFinish:
+		return &f.LastFinish
+	case ChainEAT:
+		return &f.EAT
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
+	return &f.Deadline
+}
+
+// CaptureTags serializes one tag chain sorted by flow id.
+func (t *FlowTable) CaptureTags(c Chain) []FlowTagState {
+	out := make([]FlowTagState, 0, len(t.Weights))
+	t.Each(func(f *Flow) {
+		if f.Tagged || c == ChainDeadline {
+			out = append(out, FlowTagState{Flow: f.flow, Tag: *c.field(f)})
+		}
+	})
 	return out
 }
 
-// RestoreFlowTags loads tags into m, requiring ascending flow ids and
-// every flow to be registered in the given weights map.
-func RestoreFlowTags(m map[int]float64, tags []FlowTagState, weights map[int]float64, what string) error {
-	for i, t := range tags {
-		if i > 0 && t.Flow <= tags[i-1].Flow {
-			return fmt.Errorf("%w: %s flow ids not ascending at %d", ErrBadState, what, t.Flow)
+// RestoreTags loads one tag chain, requiring ascending flow ids and every
+// flow to be registered.
+func (t *FlowTable) RestoreTags(c Chain, tags []FlowTagState) error {
+	for i, tag := range tags {
+		if i > 0 && tag.Flow <= tags[i-1].Flow {
+			return fmt.Errorf("%w: %s flow ids not ascending at %d", ErrBadState, chainNames[c], tag.Flow)
 		}
-		if _, ok := weights[t.Flow]; !ok {
-			return fmt.Errorf("%w: %s references unregistered flow %d", ErrBadState, what, t.Flow)
+		f := t.Registered(tag.Flow)
+		if f == nil {
+			return fmt.Errorf("%w: %s references unregistered flow %d", ErrBadState, chainNames[c], tag.Flow)
 		}
-		m[t.Flow] = t.Tag
+		*c.field(f) = tag.Tag
+		f.Tagged = f.Tagged || c != ChainDeadline
 	}
 	return nil
 }
 
-// checkQueueAccounting verifies the FlowTable counters agree with the
-// queued backlog — count exactly, bytes within accumulator tolerance.
-func checkQueueAccounting(t *FlowTable, fs *FlowSet) error {
-	sum := 0
-	for f, n := range t.count {
-		if fs.FlowLen(f) != n {
-			return fmt.Errorf("%w: flow %d accounting count %d != %d queued", ErrBadState, f, n, fs.FlowLen(f))
-		}
-		if !closeTo(t.bytes[f], fs.FlowBytes(f)) {
-			return fmt.Errorf("%w: flow %d accounting bytes %v != %v queued", ErrBadState, f, t.bytes[f], fs.FlowBytes(f))
-		}
-		sum += n
-	}
-	if sum != fs.Len() {
-		return fmt.Errorf("%w: accounting total %d != %d queued", ErrBadState, sum, fs.Len())
-	}
-	return nil
-}
-
-// checkDraining verifies every draining flow is registered.
-func checkDraining(draining []int, weights map[int]float64) error {
+// RestoreDraining loads a snapshot's draining list, which must be
+// ascending and name registered flows only.
+func (t *FlowTable) RestoreDraining(draining []int) error {
 	for i, f := range draining {
 		if i > 0 && f <= draining[i-1] {
 			return fmt.Errorf("%w: draining flows not ascending at %d", ErrBadState, f)
 		}
-		if _, ok := weights[f]; !ok {
+		if _, ok := t.Weights[f]; !ok {
 			return fmt.Errorf("%w: draining flow %d not registered", ErrBadState, f)
 		}
 	}
+	t.draining.SetFlows(draining)
 	return nil
-}
-
-// CheckQueue verifies the registry's counters agree with the backlog in
-// fs — exported for the restore validators in core and pifo.
-func (t *FlowTable) CheckQueue(fs *FlowSet) error { return checkQueueAccounting(t, fs) }
-
-// CheckDraining verifies a restored draining list is ascending and every
-// flow on it is registered — exported for core and pifo.
-func CheckDraining(draining []int, weights map[int]float64) error {
-	return checkDraining(draining, weights)
 }
 
 // ---------------------------------------------------------------- SCFQ --
 
-// SetWeight changes flow's weight for packets arriving after the call.
-func (s *SCFQ) SetWeight(flow int, weight float64) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
-}
+// SetWeight, DrainFlow and ListFlows are the FlowSet's (flowset.go).
+func (s *SCFQ) SetWeight(flow int, weight float64) error { return s.flows.SetWeight(flow, weight) }
+func (s *SCFQ) DrainFlow(flow int) error                 { return s.flows.DrainFlow(flow) }
+func (s *SCFQ) ListFlows() []FlowInfo                    { return s.flows.ListFlows() }
 
 // SetCapacity reports that SCFQ is self-clocked: no capacity assumption.
 func (s *SCFQ) SetCapacity(float64) error { return ErrNoCapacityKnob }
-
-// DrainFlow removes flow gracefully (see Reconfigurable).
-func (s *SCFQ) DrainFlow(flow int) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	if s.flows.QueuedCount(flow) == 0 {
-		return s.RemoveFlow(flow)
-	}
-	s.draining.Mark(flow)
-	return nil
-}
-
-// finalizeDrains unregisters draining flows whose backlog has emptied.
-func (s *SCFQ) finalizeDrains() {
-	for _, f := range s.draining.Flows() {
-		if s.flows.QueuedCount(f) == 0 {
-			s.draining.Clear(f)
-			s.RemoveFlow(f)
-		}
-	}
-}
-
-// ListFlows returns the registered flows sorted by id.
-func (s *SCFQ) ListFlows() []FlowInfo { return s.flows.ListFlows() }
 
 type scfqState struct {
 	V          float64          `json:"v"`
@@ -150,62 +118,43 @@ func (s *SCFQ) MarshalState() ([]byte, error) {
 	return json.Marshal(scfqState{
 		V: s.v, MaxFinish: s.maxFinish, Busy: s.busy, Last: s.last,
 		Flows:      s.flows.CaptureAccounting(),
-		LastFinish: CaptureFlowTags(s.lastFinish),
-		Queue:      s.fq.CaptureState(),
-		Draining:   s.draining.Flows(),
+		LastFinish: s.flows.CaptureTags(ChainFinish),
+		Queue:      s.flows.CaptureState(),
+		Draining:   s.flows.Draining(),
 	})
 }
 
 // RestoreState loads state into a freshly constructed SCFQ.
 func (s *SCFQ) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.fq.Len() != 0 {
+	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st scfqState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
+	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
 		return err
 	}
-	if err := RestoreFlowTags(s.lastFinish, st.LastFinish, s.flows.Weights, "lastFinish"); err != nil {
+	if err := s.flows.RestoreTags(ChainFinish, st.LastFinish); err != nil {
 		return err
 	}
-	if err := s.fq.RestoreState(st.Queue); err != nil {
-		return err
-	}
-	if err := checkQueueAccounting(&s.flows, &s.fq); err != nil {
-		return err
-	}
-	if err := checkDraining(st.Draining, s.flows.Weights); err != nil {
-		return err
-	}
-	s.draining.SetFlows(st.Draining)
 	s.v, s.maxFinish, s.busy, s.last = st.V, st.MaxFinish, st.Busy, st.Last
 	return nil
 }
 
 // VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *SCFQ) VisitQueued(fn func(*Packet)) { s.fq.VisitQueued(fn) }
+func (s *SCFQ) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
 
 // ----------------------------------------------------------- WFQ / FQS --
 
-// SetWeight changes flow's weight for packets arriving after the call.
-// The fluid share sum is adjusted first so B(t)'s rate changes exactly at
-// the mutation point (the fluid system keeps its advance point).
-func (s *WFQ) SetWeight(flow int, weight float64) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	if weight <= 0 {
-		return fmt.Errorf("%w: flow %d weight %v", ErrBadWeight, flow, weight)
-	}
-	s.g.reweigh(flow, weight)
-	return s.flows.Add(flow, weight)
-}
+// SetWeight, DrainFlow and ListFlows are the FlowSet's (flowset.go), which
+// answers for the attached fluid system too: a re-weight moves the fluid
+// share sum at the mutation point, and a drain completes when the flow is
+// idle in both the packet and the fluid system.
+func (s *WFQ) SetWeight(flow int, weight float64) error { return s.flows.SetWeight(flow, weight) }
+func (s *WFQ) DrainFlow(flow int) error                 { return s.flows.DrainFlow(flow) }
+func (s *WFQ) ListFlows() []FlowInfo                    { return s.flows.ListFlows() }
 
 // SetCapacity changes the assumed capacity C of the fluid GPS reference,
 // effective from the last advance point — the knob Example 2 shows can
@@ -217,35 +166,6 @@ func (s *WFQ) SetCapacity(c float64) error {
 	s.g.c = c
 	return nil
 }
-
-// DrainFlow removes flow gracefully; the removal completes when the flow
-// is idle in both the packet and the fluid system.
-func (s *WFQ) DrainFlow(flow int) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	if s.flows.QueuedCount(flow) == 0 && s.g.count[flow] == 0 {
-		return s.RemoveFlow(flow)
-	}
-	s.draining.Mark(flow)
-	return nil
-}
-
-// finalizeDrains unregisters draining flows idle in both systems.
-func (s *WFQ) finalizeDrains() {
-	for _, f := range s.draining.Flows() {
-		if s.flows.QueuedCount(f) == 0 && s.g.count[f] == 0 {
-			s.draining.Clear(f)
-			s.RemoveFlow(f)
-		}
-	}
-}
-
-// ListFlows returns the registered flows sorted by id.
-func (s *WFQ) ListFlows() []FlowInfo { return s.flows.ListFlows() }
 
 type wfqState struct {
 	ByStart    bool             `json:"byStart,omitempty"`
@@ -272,16 +192,16 @@ func (s *WFQ) MarshalState() ([]byte, error) {
 	return json.Marshal(wfqState{
 		ByStart: s.byStart, Last: s.last,
 		Flows:      s.flows.CaptureAccounting(),
-		LastFinish: CaptureFlowTags(s.lastFinish),
+		LastFinish: s.flows.CaptureTags(ChainFinish),
 		GPS:        s.g.captureState(),
-		Queue:      s.fq.CaptureState(),
-		Draining:   s.draining.Flows(),
+		Queue:      s.flows.CaptureState(),
+		Draining:   s.flows.Draining(),
 	})
 }
 
 // RestoreState loads state into a freshly constructed WFQ/FQS.
 func (s *WFQ) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.fq.Len() != 0 || s.g.h.Len() != 0 {
+	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 || s.g.h.Len() != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st wfqState
@@ -291,77 +211,35 @@ func (s *WFQ) RestoreState(data []byte) error {
 	if st.ByStart != s.byStart {
 		return fmt.Errorf("%w: state tag order (byStart=%v) does not match scheduler", ErrBadState, st.ByStart)
 	}
-	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
+	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
 		return err
 	}
-	if err := RestoreFlowTags(s.lastFinish, st.LastFinish, s.flows.Weights, "lastFinish"); err != nil {
+	if err := s.flows.RestoreTags(ChainFinish, st.LastFinish); err != nil {
 		return err
 	}
 	if err := s.g.restoreState(st.GPS); err != nil {
 		return err
 	}
-	if err := s.fq.RestoreState(st.Queue); err != nil {
-		return err
-	}
-	if err := checkQueueAccounting(&s.flows, &s.fq); err != nil {
-		return err
-	}
-	if err := checkDraining(st.Draining, s.flows.Weights); err != nil {
-		return err
-	}
-	s.draining.SetFlows(st.Draining)
 	s.last = st.Last
 	return nil
 }
 
 // VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *WFQ) VisitQueued(fn func(*Packet)) { s.fq.VisitQueued(fn) }
+func (s *WFQ) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
 
 // --------------------------------------------------------- VirtualClock --
 
-// SetWeight changes flow's reserved rate for packets arriving after the
-// call. The EAT chain is preserved: Virtual Clock's punitive memory of
+// SetWeight, DrainFlow and ListFlows are the FlowSet's (flowset.go). A
+// re-weight preserves the EAT chain: Virtual Clock's punitive memory of
 // past idle-bandwidth use (Section 1.1) survives the reconfiguration.
 func (s *VirtualClock) SetWeight(flow int, weight float64) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
+	return s.flows.SetWeight(flow, weight)
 }
+func (s *VirtualClock) DrainFlow(flow int) error { return s.flows.DrainFlow(flow) }
+func (s *VirtualClock) ListFlows() []FlowInfo    { return s.flows.ListFlows() }
 
 // SetCapacity reports that Virtual Clock has no capacity assumption.
 func (s *VirtualClock) SetCapacity(float64) error { return ErrNoCapacityKnob }
-
-// DrainFlow removes flow gracefully (see Reconfigurable).
-func (s *VirtualClock) DrainFlow(flow int) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	if s.flows.QueuedCount(flow) == 0 {
-		return s.RemoveFlow(flow)
-	}
-	s.draining.Mark(flow)
-	return nil
-}
-
-// finalizeDrains unregisters draining flows whose backlog has emptied.
-func (s *VirtualClock) finalizeDrains() {
-	for _, f := range s.draining.Flows() {
-		if s.flows.QueuedCount(f) == 0 {
-			s.draining.Clear(f)
-			s.RemoveFlow(f)
-		}
-	}
-}
-
-// ListFlows returns the registered flows sorted by id.
-func (s *VirtualClock) ListFlows() []FlowInfo { return s.flows.ListFlows() }
 
 type vclockState struct {
 	Last     float64          `json:"last"`
@@ -379,87 +257,44 @@ func (s *VirtualClock) MarshalState() ([]byte, error) {
 	return json.Marshal(vclockState{
 		Last:     s.last,
 		Flows:    s.flows.CaptureAccounting(),
-		EatNext:  CaptureFlowTags(s.eatNext),
-		Queue:    s.fq.CaptureState(),
-		Draining: s.draining.Flows(),
+		EatNext:  s.flows.CaptureTags(ChainEAT),
+		Queue:    s.flows.CaptureState(),
+		Draining: s.flows.Draining(),
 	})
 }
 
 // RestoreState loads state into a freshly constructed Virtual Clock.
 func (s *VirtualClock) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.fq.Len() != 0 {
+	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st vclockState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
+	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
 		return err
 	}
-	if err := RestoreFlowTags(s.eatNext, st.EatNext, s.flows.Weights, "eatNext"); err != nil {
+	if err := s.flows.RestoreTags(ChainEAT, st.EatNext); err != nil {
 		return err
 	}
-	if err := s.fq.RestoreState(st.Queue); err != nil {
-		return err
-	}
-	if err := checkQueueAccounting(&s.flows, &s.fq); err != nil {
-		return err
-	}
-	if err := checkDraining(st.Draining, s.flows.Weights); err != nil {
-		return err
-	}
-	s.draining.SetFlows(st.Draining)
 	s.last = st.Last
 	return nil
 }
 
 // VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *VirtualClock) VisitQueued(fn func(*Packet)) { s.fq.VisitQueued(fn) }
+func (s *VirtualClock) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
 
 // ------------------------------------------------------------------ EDD --
 
-// SetWeight changes flow's reserved rate, keeping its delay bound d_f.
-func (s *EDD) SetWeight(flow int, weight float64) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
-}
+// SetWeight (which keeps the delay bound d_f), DrainFlow and ListFlows are
+// the FlowSet's (flowset.go).
+func (s *EDD) SetWeight(flow int, weight float64) error { return s.flows.SetWeight(flow, weight) }
+func (s *EDD) DrainFlow(flow int) error                 { return s.flows.DrainFlow(flow) }
+func (s *EDD) ListFlows() []FlowInfo                    { return s.flows.ListFlows() }
 
 // SetCapacity reports that Delay EDD has no capacity assumption.
 func (s *EDD) SetCapacity(float64) error { return ErrNoCapacityKnob }
-
-// DrainFlow removes flow gracefully (see Reconfigurable).
-func (s *EDD) DrainFlow(flow int) error {
-	if _, ok := s.flows.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	if s.flows.QueuedCount(flow) == 0 {
-		return s.RemoveFlow(flow)
-	}
-	s.draining.Mark(flow)
-	return nil
-}
-
-// finalizeDrains unregisters draining flows whose backlog has emptied.
-func (s *EDD) finalizeDrains() {
-	for _, f := range s.draining.Flows() {
-		if s.flows.QueuedCount(f) == 0 {
-			s.draining.Clear(f)
-			s.RemoveFlow(f)
-		}
-	}
-}
-
-// ListFlows returns the registered flows sorted by id.
-func (s *EDD) ListFlows() []FlowInfo { return s.flows.ListFlows() }
 
 type eddState struct {
 	Last     float64          `json:"last"`
@@ -478,26 +313,26 @@ func (s *EDD) MarshalState() ([]byte, error) {
 	return json.Marshal(eddState{
 		Last:     s.last,
 		Flows:    s.flows.CaptureAccounting(),
-		Deadline: CaptureFlowTags(s.deadline),
-		EatNext:  CaptureFlowTags(s.eatNext),
-		Queue:    s.fq.CaptureState(),
-		Draining: s.draining.Flows(),
+		Deadline: s.flows.CaptureTags(ChainDeadline),
+		EatNext:  s.flows.CaptureTags(ChainEAT),
+		Queue:    s.flows.CaptureState(),
+		Draining: s.flows.Draining(),
 	})
 }
 
 // RestoreState loads state into a freshly constructed Delay EDD.
 func (s *EDD) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.fq.Len() != 0 {
+	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st eddState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
+	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
 		return err
 	}
-	if err := RestoreFlowTags(s.deadline, st.Deadline, s.flows.Weights, "deadline"); err != nil {
+	if err := s.flows.RestoreTags(ChainDeadline, st.Deadline); err != nil {
 		return err
 	}
 	for _, d := range st.Deadline {
@@ -505,25 +340,15 @@ func (s *EDD) RestoreState(data []byte) error {
 			return fmt.Errorf("%w: flow %d negative delay bound", ErrBadState, d.Flow)
 		}
 	}
-	if err := RestoreFlowTags(s.eatNext, st.EatNext, s.flows.Weights, "eatNext"); err != nil {
+	if err := s.flows.RestoreTags(ChainEAT, st.EatNext); err != nil {
 		return err
 	}
-	if err := s.fq.RestoreState(st.Queue); err != nil {
-		return err
-	}
-	if err := checkQueueAccounting(&s.flows, &s.fq); err != nil {
-		return err
-	}
-	if err := checkDraining(st.Draining, s.flows.Weights); err != nil {
-		return err
-	}
-	s.draining.SetFlows(st.Draining)
 	s.last = st.Last
 	return nil
 }
 
 // VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *EDD) VisitQueued(fn func(*Packet)) { s.fq.VisitQueued(fn) }
+func (s *EDD) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
 
 // ----------------------------------------------------------------- FIFO --
 
@@ -570,32 +395,16 @@ func (s *FIFO) RestoreState(data []byte) error {
 		counts[ps.Flow]++
 		bytes[ps.Flow] += ps.Length
 	}
-	for f, n := range s.flows.count {
-		if counts[f] != n || !closeTo(bytes[f], s.flows.bytes[f]) {
-			return fmt.Errorf("%w: flow %d accounting disagrees with queue", ErrBadState, f)
+	for _, a := range st.Flows {
+		if counts[a.Flow] != a.Count || !closeTo(bytes[a.Flow], a.Bytes) {
+			return fmt.Errorf("%w: flow %d accounting disagrees with queue", ErrBadState, a.Flow)
 		}
-	}
-	sum := 0
-	for _, n := range counts {
-		sum += n
-	}
-	if sum != len(st.Queue) || sum != s.queuedCountTotal() {
-		return fmt.Errorf("%w: queue total disagrees with accounting", ErrBadState)
 	}
 	for _, ps := range st.Queue {
 		s.q = append(s.q, ps.Packet())
 	}
 	s.last = st.Last
 	return nil
-}
-
-// queuedCountTotal sums the registry's per-flow packet counts.
-func (s *FIFO) queuedCountTotal() int {
-	n := 0
-	for _, c := range s.flows.count {
-		n += c
-	}
-	return n
 }
 
 // VisitQueued visits queued packets in service (arrival) order — FIFO's
@@ -688,28 +497,19 @@ func (s *DRR) RestoreState(data []byte) error {
 			f.q = append(f.q, ps.Packet())
 			bytes += ps.Length
 		}
-		if s.flows.count[fs.Flow] != len(fs.Pkts) || !closeTo(s.flows.bytes[fs.Flow], bytes) {
+		if s.flows.QueuedCount(fs.Flow) != len(fs.Pkts) || !closeTo(s.flows.QueuedBytes(fs.Flow), bytes) {
 			return fmt.Errorf("%w: flow %d accounting disagrees with queue", ErrBadState, fs.Flow)
 		}
 		f.deficit, f.fresh, f.inList = fs.Deficit, fs.Fresh, true
 		s.active = append(s.active, fs.Flow)
 		total += len(fs.Pkts)
 	}
-	if n := s.accountingTotal(); n != total {
+	if n := s.flows.queuedTotal(); n != total {
 		return fmt.Errorf("%w: accounting total %d != %d queued", ErrBadState, n, total)
 	}
 	s.total = total
 	s.last = st.Last
 	return nil
-}
-
-// accountingTotal sums the registry's per-flow packet counts.
-func (s *DRR) accountingTotal() int {
-	n := 0
-	for _, c := range s.flows.count {
-		n += c
-	}
-	return n
 }
 
 // VisitQueued visits queued packets in round-robin list order (DRR's
@@ -1030,7 +830,7 @@ func (s *FairAirport) RestoreState(data []byte) error {
 			live++
 			bytes += e.Pkt.Length
 		}
-		if s.flows.count[fs.Flow] != live || !closeTo(s.flows.bytes[fs.Flow], bytes) {
+		if s.flows.QueuedCount(fs.Flow) != live || !closeTo(s.flows.QueuedBytes(fs.Flow), bytes) {
 			return fmt.Errorf("%w: fa flow %d accounting disagrees with entries", ErrBadState, fs.Flow)
 		}
 		if fs.InASQ {

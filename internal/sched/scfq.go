@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SCFQ is Self-Clocked Fair Queuing [4, 8]: packets are stamped with start
 // and finish tags like WFQ, but the system virtual time is approximated by
@@ -12,40 +9,25 @@ import (
 // (making it as cheap as SFQ) at the cost of the larger delay bound of
 // eq (56) — the l_f/r_f term that SFQ's start-tag ordering eliminates.
 type SCFQ struct {
-	flows      FlowTable
-	fq         FlowSet
-	v          float64
-	maxFinish  float64
-	busy       bool
-	lastFinish map[int]float64
-	last       float64
-	draining   DrainSet
+	flows     FlowSet // one record per flow: weight, FIFO, finish-tag chain
+	v         float64
+	maxFinish float64
+	busy      bool
+	last      float64
 }
 
 // NewSCFQ returns an empty SCFQ scheduler.
 //
 // Deprecated: prefer New("scfq").
 func NewSCFQ() *SCFQ {
-	return &SCFQ{flows: NewFlowTable(), lastFinish: make(map[int]float64)}
+	return &SCFQ{}
 }
 
 // AddFlow registers flow with the given weight (bytes/second).
-func (s *SCFQ) AddFlow(flow int, weight float64) error {
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
-}
+func (s *SCFQ) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
 // RemoveFlow unregisters an idle flow.
-func (s *SCFQ) RemoveFlow(flow int) error {
-	if err := s.flows.Remove(flow); err != nil {
-		return err
-	}
-	delete(s.lastFinish, flow)
-	s.fq.Drop(flow)
-	return nil
-}
+func (s *SCFQ) RemoveFlow(flow int) error { return s.flows.Remove(flow) }
 
 // V returns the current system virtual time (finish tag of the packet in
 // service).
@@ -57,21 +39,17 @@ func (s *SCFQ) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	w, err := s.flows.CheckPacket(p)
+	f, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	if !s.draining.Empty() && s.draining.Draining(p.Flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, p.Flow)
-	}
-	r := EffRate(p, w)
-	start := math.Max(s.v, s.lastFinish[p.Flow])
+	r := EffRate(p, f.Weight)
+	start := math.Max(s.v, f.LastFinish)
 	finish := start + p.Length/r
 	p.VirtualStart = start
 	p.VirtualFinish = finish
-	s.lastFinish[p.Flow] = finish
-	s.fq.Push(p.Flow, finish, 0, p)
-	s.flows.OnEnqueue(p)
+	f.LastFinish, f.Tagged = finish, true
+	s.flows.PushFlow(f, finish, 0, p)
 	return nil
 }
 
@@ -81,31 +59,26 @@ func (s *SCFQ) Dequeue(now float64) (*Packet, bool) {
 	if now > s.last {
 		s.last = now
 	}
-	if s.fq.Len() == 0 {
+	if s.flows.Len() == 0 {
 		if s.busy {
 			s.busy = false
 			s.v = s.maxFinish
 		}
-		if !s.draining.Empty() {
-			s.finalizeDrains()
-		}
+		s.flows.FinalizeDrains()
 		return nil, false
 	}
-	p := s.fq.PopMin()
+	p := s.flows.PopMin()
 	s.busy = true
 	s.v = p.VirtualFinish
 	if p.VirtualFinish > s.maxFinish {
 		s.maxFinish = p.VirtualFinish
 	}
-	s.flows.OnDequeue(p)
-	if !s.draining.Empty() {
-		s.finalizeDrains()
-	}
+	s.flows.FinalizeDrains()
 	return p, true
 }
 
 // Len returns the number of queued packets.
-func (s *SCFQ) Len() int { return s.fq.Len() }
+func (s *SCFQ) Len() int { return s.flows.Len() }
 
 // QueuedBytes returns the bytes queued for flow.
 func (s *SCFQ) QueuedBytes(flow int) float64 { return s.flows.QueuedBytes(flow) }

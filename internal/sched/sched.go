@@ -108,82 +108,184 @@ var (
 	ErrClosed = errors.New("sched: closed")
 )
 
-// FlowTable is the flow registry shared by the schedulers in this
-// repository (including internal/core). It tracks registered weights and
-// per-flow queued bytes/packet counts.
-type FlowTable struct {
-	Weights map[int]float64
-	bytes   map[int]float64
-	count   map[int]int
+// Flow is the one record a scheduler keeps per flow, reached by one map
+// lookup per packet: the registration (Weight), the FIFO — whose Len and
+// QueuedBytes ARE the flow's queued accounting, there is no second copy —
+// and the per-flow tag chain of whichever discipline owns the table. The
+// FIFO's fields and heapIdx fill the first cache line (what a dequeue
+// touches); registration and chain sit in the second.
+type Flow struct {
+	FlowQ
+	heapIdx int // position in the owning FlowHeap; -1 when not backlogged
+
+	// Weight is the registered weight (bytes/second); 0 while the flow is
+	// not registered (a FlowSet makes records for flows pushed by id).
+	Weight float64
+
+	// The tag chain. Each discipline uses the fields its recurrence needs.
+	LastFinish float64 // F(p_f^{j-1}): SFQ, SCFQ, WFQ/FQS
+	EAT        float64 // expected arrival of the next packet: Virtual Clock, Delay EDD
+	Deadline   float64 // d_f for Delay EDD; the default slack for LSTF
+	Cum        float64 // cumulative enqueued bytes (SRPT's monotone tag)
+	// Tagged records that a packet has been tagged since registration, so
+	// LastFinish / EAT hold a chain: snapshots list exactly those flows.
+	Tagged bool
+
+	// LastKey, LastSub are the rank of the most recent push — the chain
+	// pifo.Queue's monotonizing clamp compares against.
+	LastKey, LastSub float64
 }
 
-// NewFlowTable returns an empty registry.
-func NewFlowTable() FlowTable {
-	return FlowTable{
-		Weights: make(map[int]float64),
-		bytes:   make(map[int]float64),
-		count:   make(map[int]int),
-	}
+// Account and Unaccount count a packet queued outside the record's FIFO:
+// FIFO, DRR and Fair Airport keep their own packet queues and use the
+// record's counters alone.
+func (f *Flow) Account(p *Packet) {
+	f.n++
+	f.bytes += p.Length
 }
 
-// Add registers (or re-weights) a flow.
-func (t *FlowTable) Add(flow int, weight float64) error {
-	if weight <= 0 {
-		return fmt.Errorf("%w: flow %d weight %v", ErrBadWeight, flow, weight)
-	}
-	t.Weights[flow] = weight
-	return nil
-}
-
-// Remove unregisters an idle flow.
-func (t *FlowTable) Remove(flow int) error {
-	if _, ok := t.Weights[flow]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	if t.count[flow] > 0 {
-		return fmt.Errorf("%w: %d", ErrFlowBusy, flow)
-	}
-	delete(t.Weights, flow)
-	delete(t.bytes, flow)
-	delete(t.count, flow)
-	return nil
-}
-
-// CheckPacket validates p against the registry and returns the flow weight.
-func (t *FlowTable) CheckPacket(p *Packet) (weight float64, err error) {
-	w, ok := t.Weights[p.Flow]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, p.Flow)
-	}
-	if p.Length <= 0 {
-		return 0, fmt.Errorf("%w: flow %d length %v", ErrBadPacket, p.Flow, p.Length)
-	}
-	return w, nil
-}
-
-// OnEnqueue records p as queued.
-func (t *FlowTable) OnEnqueue(p *Packet) {
-	t.bytes[p.Flow] += p.Length
-	t.count[p.Flow]++
-}
-
-// OnDequeue records p as no longer queued.
-func (t *FlowTable) OnDequeue(p *Packet) {
-	t.bytes[p.Flow] -= p.Length
-	t.count[p.Flow]--
-	if t.count[p.Flow] == 0 {
+// Unaccount reverses Account.
+func (f *Flow) Unaccount(p *Packet) {
+	f.n--
+	f.bytes -= p.Length
+	if f.n == 0 {
 		// An empty queue holds exactly zero bytes; without the reset,
 		// float accumulation error leaves a residue that makes
 		// emptiness checks unreliable.
-		t.bytes[p.Flow] = 0
+		f.bytes = 0
 	}
 }
 
-// QueuedBytes returns the bytes queued for flow.
-func (t *FlowTable) QueuedBytes(flow int) float64 { return t.bytes[flow] }
+// FlowTable is the flow registry shared by the schedulers in this
+// repository (including internal/core and internal/pifo): one record per
+// flow. Weights says which flows are registered, and is the control-plane
+// view of their weights (the fluid GPS reference shares it, ListFlows and
+// the live-state code read it); the per-packet paths of the disciplines
+// built on a FlowSet go through Lookup and use the record. (DRR and Fair
+// Airport, which keep a per-flow state of their own beside the table,
+// still read Weights once per quantum or promotion.) A record is made when
+// its flow first needs one — its first packet, as a rule — so a flow that
+// is registered and silent costs its Weights entry and nothing else. The
+// zero value is ready to use.
+type FlowTable struct {
+	Weights  map[int]float64
+	flows    map[int]*Flow
+	draining DrainSet // flows DrainFlow marked: no arrivals, no re-weighting
+}
+
+// NewFlowTable returns an empty registry whose Weights map exists already
+// (for sharing with a GPS reference before the first Add).
+func NewFlowTable() FlowTable {
+	return FlowTable{Weights: make(map[int]float64), flows: make(map[int]*Flow)}
+}
+
+// Record returns flow's record, creating an unregistered one on first
+// sight. Read accessors must not come through here.
+func (t *FlowTable) Record(flow int) *Flow {
+	f := t.flows[flow]
+	if f == nil {
+		if t.flows == nil {
+			t.flows = make(map[int]*Flow)
+		}
+		f = &Flow{FlowQ: FlowQ{flow: flow}, heapIdx: -1}
+		t.flows[flow] = f
+	}
+	return f
+}
+
+// Get returns flow's record, or nil when the table has none (yet).
+func (t *FlowTable) Get(flow int) *Flow { return t.flows[flow] }
+
+// Registered returns the record of a registered flow, making it if the
+// flow has not needed one so far; nil for an unregistered flow.
+func (t *FlowTable) Registered(flow int) *Flow {
+	w, ok := t.Weights[flow]
+	if !ok {
+		return nil
+	}
+	f := t.Record(flow)
+	f.Weight = w
+	return f
+}
+
+// Add registers (or re-weights) a flow, keeping its tag chain. A draining
+// flow is refused: it finishes its backlog and disappears.
+func (t *FlowTable) Add(flow int, weight float64) error {
+	if t.draining.Draining(flow) {
+		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
+	}
+	if weight <= 0 {
+		return fmt.Errorf("%w: flow %d weight %v", ErrBadWeight, flow, weight)
+	}
+	if t.Weights == nil {
+		t.Weights = make(map[int]float64)
+	}
+	t.Weights[flow] = weight
+	if f := t.flows[flow]; f != nil {
+		f.Weight = weight
+	}
+	return nil
+}
+
+// Remove unregisters an idle flow and forgets its record.
+func (t *FlowTable) Remove(flow int) error {
+	_, err := t.remove(flow)
+	return err
+}
+
+// remove is Remove that also returns the record, if the flow had one.
+func (t *FlowTable) remove(flow int) (*Flow, error) {
+	if _, ok := t.Weights[flow]; !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
+	}
+	f := t.flows[flow]
+	if f != nil && f.n > 0 {
+		return nil, fmt.Errorf("%w: %d", ErrFlowBusy, flow)
+	}
+	delete(t.Weights, flow)
+	delete(t.flows, flow)
+	return f, nil
+}
+
+// Lookup validates p against the registry — registered flow, positive
+// length, not draining — and returns its flow's record: the one flow-keyed
+// lookup of an Enqueue.
+func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
+	f := t.flows[p.Flow]
+	if f == nil || f.Weight == 0 {
+		// The flow's first packet since it registered, or no such flow.
+		if f = t.Registered(p.Flow); f == nil {
+			return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, p.Flow)
+		}
+	}
+	if p.Length <= 0 {
+		return nil, fmt.Errorf("%w: flow %d length %v", ErrBadPacket, p.Flow, p.Length)
+	}
+	if !t.draining.Empty() && t.draining.Draining(p.Flow) {
+		return nil, fmt.Errorf("%w: %d", ErrFlowDraining, p.Flow)
+	}
+	return f, nil
+}
+
+// OnDequeue records p — of a registered flow, queued outside the record's
+// FIFO — as no longer queued (see Flow.Account).
+func (t *FlowTable) OnDequeue(p *Packet) { t.flows[p.Flow].Unaccount(p) }
+
+// QueuedBytes returns the bytes queued for flow, exactly zero when idle.
+func (t *FlowTable) QueuedBytes(flow int) float64 {
+	if f := t.flows[flow]; f != nil {
+		return f.bytes
+	}
+	return 0
+}
 
 // QueuedCount returns the packets queued for flow.
-func (t *FlowTable) QueuedCount(flow int) int { return t.count[flow] }
+func (t *FlowTable) QueuedCount(flow int) int {
+	if f := t.flows[flow]; f != nil {
+		return f.n
+	}
+	return 0
+}
 
 // EffRate returns the rate to use for p: its per-packet rate if set,
 // otherwise the flow weight. This implements the generalized per-packet

@@ -212,12 +212,12 @@ func validateFlowQState(st FlowQState, wantFlowMatch bool) error {
 func (fq *FlowQ) restoreState(pool *ChunkPool, st FlowQState) {
 	for i, it := range st.Items {
 		fq.Push(pool, it.Key, it.Sub, it.Serial, it.Pkt.Packet())
-		if tagAssertEnabled && i == 0 {
+		if i == 0 {
 			// The head's competing rank may have been rewritten in place
 			// (SetHeadKey — SRPT's queued-bytes rank), so the monotone
 			// chain the push assert guards starts at the second item,
 			// matching validateFlowQState.
-			fq.lastPush = flowItem{}
+			fq.mono.reset()
 		}
 	}
 	fq.bytes = st.Bytes
@@ -247,21 +247,26 @@ func (fq *FlowQ) VisitQueued(fn func(*Packet)) {
 // closeTo) — exported for the restore validators in core and pifo.
 func CloseTo(a, b float64) bool { return closeTo(a, b) }
 
+// backlogged returns the flows holding packets — the heap's members —
+// sorted by id.
+func (fs *FlowSet) backlogged() []*Flow {
+	out := make([]*Flow, len(fs.heap.ss))
+	for i := range fs.heap.ss {
+		out[i] = fs.heap.ss[i].f
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].flow < out[j].flow })
+	return out
+}
+
 // CaptureState serializes the backlog: flows sorted ascending, FIFO
 // within each flow. Drained flows (cached chunk, no packets) hold no
 // schedule state and are skipped.
 func (fs *FlowSet) CaptureState() FlowSetState {
 	st := FlowSetState{Serial: fs.serial}
-	ids := make([]int, 0, len(fs.qs))
-	for id, q := range fs.qs {
-		if q.n > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	st.Flows = make([]FlowQState, 0, len(ids))
-	for _, id := range ids {
-		st.Flows = append(st.Flows, fs.qs[id].CaptureState())
+	busy := fs.backlogged()
+	st.Flows = make([]FlowQState, len(busy))
+	for i, f := range busy {
+		st.Flows[i] = f.CaptureState()
 	}
 	return st
 }
@@ -276,14 +281,14 @@ func (fs *FlowSet) RestoreState(st FlowSetState) error {
 		return fmt.Errorf("%w: restore into non-empty FlowSet (%d queued)", ErrBadState, fs.total)
 	}
 	var maxSerial uint64
-	for i, f := range st.Flows {
-		if i > 0 && f.Flow <= st.Flows[i-1].Flow {
-			return fmt.Errorf("%w: flow ids not ascending at %d", ErrBadState, f.Flow)
+	for i, q := range st.Flows {
+		if i > 0 && q.Flow <= st.Flows[i-1].Flow {
+			return fmt.Errorf("%w: flow ids not ascending at %d", ErrBadState, q.Flow)
 		}
-		if err := validateFlowQState(f, true); err != nil {
+		if err := validateFlowQState(q, true); err != nil {
 			return err
 		}
-		for _, it := range f.Items {
+		for _, it := range q.Items {
 			if it.Serial > maxSerial {
 				maxSerial = it.Serial
 			}
@@ -292,49 +297,100 @@ func (fs *FlowSet) RestoreState(st FlowSetState) error {
 	if st.Serial < maxSerial {
 		return fmt.Errorf("%w: push serial %d below max item serial %d", ErrBadState, st.Serial, maxSerial)
 	}
-	if fs.qs == nil && len(st.Flows) > 0 {
-		fs.qs = make(map[int]*FlowQ)
-	}
-	for _, f := range st.Flows {
-		q := NewFlowQ(f.Flow)
-		q.restoreState(&fs.pool, f)
-		fs.qs[f.Flow] = q
-		fs.heap.Push(q)
-		fs.total += q.n
+	for _, q := range st.Flows {
+		f := fs.Record(q.Flow)
+		f.n, f.bytes = 0, 0 // drop RestoreAccounting's counters: the FIFO recounts, RestoreFlows compares
+		f.restoreState(&fs.pool, q)
+		fs.heap.Push(f)
+		fs.total += f.n
 	}
 	fs.serial = st.Serial
 	return nil
 }
 
+// RestoreFlows loads the flow-level part of a discipline's snapshot into
+// an empty set — registry rows, backlog, draining list — and holds the
+// rows against the backlog they summarize: count exactly, bytes within
+// accumulator tolerance, no packets queued for a flow without a row.
+func (fs *FlowSet) RestoreFlows(accts []FlowAccounting, queue FlowSetState, draining []int) error {
+	if err := fs.RestoreAccounting(accts); err != nil {
+		return err
+	}
+	if err := fs.RestoreState(queue); err != nil {
+		return err
+	}
+	sum := 0
+	for _, a := range accts {
+		n, bytes := 0, 0.0
+		if f := fs.flows[a.Flow]; f != nil && f.heapIdx >= 0 {
+			n, bytes = f.n, f.bytes
+		}
+		if n != a.Count {
+			return fmt.Errorf("%w: flow %d accounting count %d != %d queued", ErrBadState, a.Flow, a.Count, n)
+		}
+		if !closeTo(a.Bytes, bytes) {
+			return fmt.Errorf("%w: flow %d accounting bytes %v != %v queued", ErrBadState, a.Flow, a.Bytes, bytes)
+		}
+		sum += n
+	}
+	if sum != fs.total {
+		return fmt.Errorf("%w: accounting total %d != %d queued", ErrBadState, sum, fs.total)
+	}
+	return fs.RestoreDraining(draining)
+}
+
 // VisitQueued calls fn for every queued packet: flows ascending, FIFO
 // within each flow — the canonical payload-sidecar order.
 func (fs *FlowSet) VisitQueued(fn func(*Packet)) {
-	ids := make([]int, 0, len(fs.qs))
-	for id, q := range fs.qs {
-		if q.n > 0 {
-			ids = append(ids, id)
-		}
+	for _, f := range fs.backlogged() {
+		f.FlowQ.VisitQueued(fn)
+	}
+}
+
+// Each calls fn for every registered flow's record, ascending by id. A
+// flow that has no record yet is shown as a detached empty one (weight
+// only), so enumerating never grows the table.
+func (t *FlowTable) Each(fn func(*Flow)) {
+	ids := make([]int, 0, len(t.Weights))
+	for id := range t.Weights {
+		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		fs.qs[id].eachItem(func(it flowItem) { fn(it.p) })
+		f := t.flows[id]
+		if f == nil {
+			f = &Flow{FlowQ: FlowQ{flow: id}, Weight: t.Weights[id]}
+		}
+		fn(f)
 	}
+}
+
+// queuedTotal sums the per-flow packet counts.
+func (t *FlowTable) queuedTotal() int {
+	n := 0
+	for _, f := range t.flows {
+		n += f.n
+	}
+	return n
 }
 
 // CaptureAccounting serializes the flow registry sorted by flow id.
 func (t *FlowTable) CaptureAccounting() []FlowAccounting {
 	out := make([]FlowAccounting, 0, len(t.Weights))
-	for f, w := range t.Weights {
-		out = append(out, FlowAccounting{Flow: f, Weight: w, Bytes: t.bytes[f], Count: t.count[f]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
+	t.Each(func(f *Flow) {
+		out = append(out, FlowAccounting{Flow: f.flow, Weight: f.Weight, Bytes: f.bytes, Count: f.n})
+	})
 	return out
 }
 
 // RestoreAccounting replaces the registry's contents. It *registers* the
 // flows — a freshly constructed scheduler needs no AddFlow calls before
-// restore. The maps are cleared in place, never reallocated: WFQ and the
-// PIFO adapter share the Weights map with their fluid GPS reference.
+// restore — and sets their queued counters, which are the whole
+// accounting of a discipline that queues outside the record's FIFO
+// (FlowSet.RestoreState recounts from the FIFOs it loads, and RestoreFlows
+// holds the rows against them). The Weights map is cleared in place, never
+// reallocated: WFQ and the PIFO adapter share it with their fluid GPS
+// reference.
 func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 	for i, a := range accts {
 		if i > 0 && a.Flow <= accts[i-1].Flow {
@@ -353,16 +409,13 @@ func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 	for k := range t.Weights {
 		delete(t.Weights, k)
 	}
-	for k := range t.bytes {
-		delete(t.bytes, k)
-	}
-	for k := range t.count {
-		delete(t.count, k)
-	}
+	t.flows = nil
 	for _, a := range accts {
-		t.Weights[a.Flow] = a.Weight
-		t.bytes[a.Flow] = a.Bytes
-		t.count[a.Flow] = a.Count
+		_ = t.Add(a.Flow, a.Weight) // cannot fail: weight validated above, nothing draining yet
+		if a.Count > 0 {
+			f := t.Registered(a.Flow)
+			f.n, f.bytes = a.Count, a.Bytes
+		}
 	}
 	return nil
 }
@@ -501,10 +554,6 @@ func (g *gps) reweigh(flow int, w float64) {
 		}
 	}
 }
-
-// Reweigh applies a live weight change to the fluid system (see
-// gps.reweigh); call before writing the new weight into the shared map.
-func (r *GPSRef) Reweigh(flow int, w float64) { r.g.reweigh(flow, w) }
 
 // SetCapacity changes the fluid system's assumed capacity (bytes/s),
 // effective from the last advance point.

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // VirtualClock implements Zhang's Virtual Clock discipline [22]: each
 // packet is stamped EAT(p_f^j, r_f) + l_f^j / r_f, where the expected
@@ -14,39 +11,24 @@ import (
 // disqualifies it for VBR video. It is also the GSQ scheduler inside Fair
 // Airport (Appendix B).
 type VirtualClock struct {
-	flows FlowTable
-	fq    FlowSet
-	// eatNext[f] = EAT(p_f^{j-1}) + l^{j-1}/r^{j-1}: the earliest expected
-	// arrival of the flow's next packet.
-	eatNext  map[int]float64
-	last     float64
-	draining DrainSet
+	// One record per flow; its EAT is EAT(p_f^{j-1}) + l^{j-1}/r^{j-1}, the
+	// earliest expected arrival of the flow's next packet.
+	flows FlowSet
+	last  float64
 }
 
 // NewVirtualClock returns an empty Virtual Clock scheduler.
 //
 // Deprecated: prefer New("vclock").
 func NewVirtualClock() *VirtualClock {
-	return &VirtualClock{flows: NewFlowTable(), eatNext: make(map[int]float64)}
+	return &VirtualClock{}
 }
 
 // AddFlow registers flow with the given reserved rate (bytes/second).
-func (s *VirtualClock) AddFlow(flow int, weight float64) error {
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
-}
+func (s *VirtualClock) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
 // RemoveFlow unregisters an idle flow.
-func (s *VirtualClock) RemoveFlow(flow int) error {
-	if err := s.flows.Remove(flow); err != nil {
-		return err
-	}
-	delete(s.eatNext, flow)
-	s.fq.Drop(flow)
-	return nil
-}
+func (s *VirtualClock) RemoveFlow(flow int) error { return s.flows.Remove(flow) }
 
 // Enqueue stamps p with EAT + l/r and queues it.
 func (s *VirtualClock) Enqueue(now float64, p *Packet) error {
@@ -54,24 +36,20 @@ func (s *VirtualClock) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	w, err := s.flows.CheckPacket(p)
+	f, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	if !s.draining.Empty() && s.draining.Draining(p.Flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, p.Flow)
-	}
-	r := EffRate(p, w)
+	r := EffRate(p, f.Weight)
 	eat := now
-	if prev, ok := s.eatNext[p.Flow]; ok {
-		eat = math.Max(now, prev)
+	if f.Tagged {
+		eat = math.Max(now, f.EAT)
 	}
 	stamp := eat + p.Length/r
 	p.VirtualStart = eat
 	p.VirtualFinish = stamp
-	s.eatNext[p.Flow] = stamp
-	s.fq.Push(p.Flow, stamp, 0, p)
-	s.flows.OnEnqueue(p)
+	f.EAT, f.Tagged = stamp, true
+	s.flows.PushFlow(f, stamp, 0, p)
 	return nil
 }
 
@@ -80,22 +58,17 @@ func (s *VirtualClock) Dequeue(now float64) (*Packet, bool) {
 	if now > s.last {
 		s.last = now
 	}
-	if s.fq.Len() == 0 {
-		if !s.draining.Empty() {
-			s.finalizeDrains()
-		}
+	if s.flows.Len() == 0 {
+		s.flows.FinalizeDrains()
 		return nil, false
 	}
-	p := s.fq.PopMin()
-	s.flows.OnDequeue(p)
-	if !s.draining.Empty() {
-		s.finalizeDrains()
-	}
+	p := s.flows.PopMin()
+	s.flows.FinalizeDrains()
 	return p, true
 }
 
 // Len returns the number of queued packets.
-func (s *VirtualClock) Len() int { return s.fq.Len() }
+func (s *VirtualClock) Len() int { return s.flows.Len() }
 
 // QueuedBytes returns the bytes queued for flow.
 func (s *VirtualClock) QueuedBytes(flow int) float64 { return s.flows.QueuedBytes(flow) }

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // gps simulates the fluid bit-by-bit weighted round robin reference system
 // that defines WFQ's virtual time v(t) (eq 3): dv/dt = C / Σ_{j∈B(t)} r_j,
@@ -147,13 +144,10 @@ func (g *gps) arrive(flow int, finish float64) {
 // at; the paper's Example 2 shows what happens when it diverges from the
 // real service rate.
 type WFQ struct {
-	flows      FlowTable
-	g          *gps
-	fq         FlowSet
-	lastFinish map[int]float64
-	last       float64
-	byStart    bool // FQS when true
-	draining   DrainSet
+	flows   FlowSet // one record per flow: weight, FIFO, finish-tag chain
+	g       *gps
+	last    float64
+	byStart bool // FQS when true
 }
 
 // NewWFQ returns a WFQ scheduler emulating GPS at assumedCap bytes/s.
@@ -166,7 +160,8 @@ func NewWFQ(assumedCap float64) *WFQ {
 		panic("sched: WFQ assumed capacity must be positive")
 	}
 	t := NewFlowTable()
-	return &WFQ{flows: t, g: newGPS(assumedCap, t.Weights), lastFinish: make(map[int]float64)}
+	g := newGPS(assumedCap, t.Weights)
+	return &WFQ{flows: FlowSet{FlowTable: t, fluid: g}, g: g}
 }
 
 // NewFQS returns a Fair Queuing based on Start-time scheduler [11]: WFQ's
@@ -180,27 +175,11 @@ func NewFQS(assumedCap float64) *WFQ {
 }
 
 // AddFlow registers flow with the given weight (bytes/second).
-func (s *WFQ) AddFlow(flow int, weight float64) error {
-	if s.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
-	}
-	return s.flows.Add(flow, weight)
-}
+func (s *WFQ) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
 // RemoveFlow unregisters an idle flow (idle in both the packet system and
 // the fluid reference system).
-func (s *WFQ) RemoveFlow(flow int) error {
-	if s.g.count[flow] > 0 {
-		return fmt.Errorf("%w: %d", ErrFlowBusy, flow)
-	}
-	if err := s.flows.Remove(flow); err != nil {
-		return err
-	}
-	delete(s.lastFinish, flow)
-	delete(s.g.count, flow)
-	s.fq.Drop(flow)
-	return nil
-}
+func (s *WFQ) RemoveFlow(flow int) error { return s.flows.Remove(flow) }
 
 // V returns the current fluid virtual time v(now-of-last-operation).
 func (s *WFQ) V() float64 { return s.g.v }
@@ -211,27 +190,23 @@ func (s *WFQ) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	w, err := s.flows.CheckPacket(p)
+	f, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	if !s.draining.Empty() && s.draining.Draining(p.Flow) {
-		return fmt.Errorf("%w: %d", ErrFlowDraining, p.Flow)
-	}
 	s.g.advance(now)
-	r := EffRate(p, w)
-	start := math.Max(s.g.v, s.lastFinish[p.Flow])
+	r := EffRate(p, f.Weight)
+	start := math.Max(s.g.v, f.LastFinish)
 	finish := start + p.Length/r
 	p.VirtualStart = start
 	p.VirtualFinish = finish
-	s.lastFinish[p.Flow] = finish
+	f.LastFinish, f.Tagged = finish, true
 	s.g.arrive(p.Flow, finish)
 	if s.byStart {
-		s.fq.Push(p.Flow, start, 0, p)
+		s.flows.PushFlow(f, start, 0, p)
 	} else {
-		s.fq.Push(p.Flow, finish, 0, p)
+		s.flows.PushFlow(f, finish, 0, p)
 	}
-	s.flows.OnEnqueue(p)
 	return nil
 }
 
@@ -241,22 +216,17 @@ func (s *WFQ) Dequeue(now float64) (*Packet, bool) {
 		s.last = now
 	}
 	s.g.advance(now)
-	if s.fq.Len() == 0 {
-		if !s.draining.Empty() {
-			s.finalizeDrains()
-		}
+	if s.flows.Len() == 0 {
+		s.flows.FinalizeDrains()
 		return nil, false
 	}
-	p := s.fq.PopMin()
-	s.flows.OnDequeue(p)
-	if !s.draining.Empty() {
-		s.finalizeDrains()
-	}
+	p := s.flows.PopMin()
+	s.flows.FinalizeDrains()
 	return p, true
 }
 
 // Len returns the number of queued packets.
-func (s *WFQ) Len() int { return s.fq.Len() }
+func (s *WFQ) Len() int { return s.flows.Len() }
 
 // QueuedBytes returns the bytes queued for flow.
 func (s *WFQ) QueuedBytes(flow int) float64 { return s.flows.QueuedBytes(flow) }

@@ -32,7 +32,6 @@ func NewWFQOracle(rateAt func(t float64) float64, step float64) *WFQOracle {
 		panic("sched: WFQOracle needs a rate function and a positive step")
 	}
 	return &WFQOracle{
-		flows:      NewFlowTable(),
 		rateAt:     rateAt,
 		step:       step,
 		count:      make(map[int]int),
@@ -105,10 +104,11 @@ func (s *WFQOracle) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	w, err := s.flows.CheckPacket(p)
+	rec, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
+	w := rec.Weight
 	s.advance(now)
 	r := EffRate(p, w)
 	start := math.Max(s.v, s.lastFinish[p.Flow])
@@ -123,7 +123,7 @@ func (s *WFQOracle) Enqueue(now float64, p *Packet) error {
 	s.seq++
 	s.gh.push(gpsEntry{finish: finish, seq: s.seq, flow: p.Flow})
 	s.heap.PushTag(finish, p)
-	s.flows.OnEnqueue(p)
+	rec.Account(p)
 	return nil
 }
 

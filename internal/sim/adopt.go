@@ -23,12 +23,11 @@ func (l *Link) AdoptBacklog() int {
 	snap.VisitQueued(func(p *sched.Packet) {
 		f := &Frame{Flow: p.Flow, Bytes: p.Length, Rate: p.Rate, Created: now}
 		p.Payload = f
-		if p.Seq > l.seq[f.Flow] {
-			l.seq[f.Flow] = p.Seq
+		lf := l.flow(f.Flow)
+		if p.Seq > lf.seq {
+			lf.seq = p.Seq
 		}
-		l.flowQBytes[f.Flow] += f.Bytes
-		l.flowQCount[f.Flow]++
-		l.queuedTotal++
+		l.account(f, lf, now)
 		if l.probe != nil {
 			l.probe.OnEnqueue(now, p)
 		}

@@ -42,10 +42,9 @@ type Monitor struct {
 	truncated int64 // records displaced by the cap
 
 	// flows holds one record per flow the link has seen, so each hook pays
-	// one lookup per packet.
+	// one lookup per packet. (When a frame arrived rides on the frame:
+	// Frame.Arrived.)
 	flows map[int]*flowMon
-
-	arrival map[*Frame]float64
 
 	horizon float64
 
@@ -102,7 +101,6 @@ func AttachN(l *Link, recordCap int) *Monitor {
 		link:      l,
 		recordCap: recordCap,
 		flows:     make(map[int]*flowMon),
-		arrival:   make(map[*Frame]float64),
 	}
 	prevEnq, prevDep, prevDrop := l.OnEnqueue, l.OnDepart, l.OnDrop
 	l.OnEnqueue = func(f *Frame, now float64) {
@@ -118,7 +116,7 @@ func AttachN(l *Link, recordCap int) *Monitor {
 		}
 	}
 	l.OnDrop = func(f *Frame, cause DropCause) {
-		m.onDrop(f)
+		m.onDrop(f, cause)
 		if prevDrop != nil {
 			prevDrop(f, cause)
 		}
@@ -128,14 +126,12 @@ func AttachN(l *Link, recordCap int) *Monitor {
 
 // onDrop keeps the backlog bookkeeping consistent when a frame that was
 // already enqueued is dropped later (link failure, permanent stall).
-// Buffer-full and enqueue-rejected drops never entered the queue — those
-// frames are absent from the arrival map and are ignored here.
-func (m *Monitor) onDrop(f *Frame) {
-	if _, ok := m.arrival[f]; !ok {
-		return
+// Buffer-full and enqueue-rejected drops never entered the queue and are
+// ignored here.
+func (m *Monitor) onDrop(f *Frame, cause DropCause) {
+	if cause.wasQueued() {
+		m.flow(f.Flow).closeOne(m.link.q.Now())
 	}
-	delete(m.arrival, f)
-	m.flow(f.Flow).closeOne(m.link.q.Now())
 }
 
 // closeOne takes one packet off the flow's backlog, at time now, closing
@@ -153,7 +149,6 @@ func (m *Monitor) onEnqueue(f *Frame, now float64) {
 		fm.openedAt = now
 	}
 	fm.outstanding++
-	m.arrival[f] = now
 }
 
 func (m *Monitor) onDepart(f *Frame, start, end float64) {
@@ -172,10 +167,7 @@ func (m *Monitor) onDepart(f *Frame, start, end float64) {
 	}
 	fm := m.flow(f.Flow)
 	fm.closeOne(end)
-	if arr, ok := m.arrival[f]; ok {
-		fm.qdelay.Add(end - arr)
-		delete(m.arrival, f)
-	}
+	fm.qdelay.Add(end - f.Arrived)
 	fm.e2e.Add(end - f.Created)
 	fm.served += f.Bytes
 	fm.curve.Add(end, fm.served)

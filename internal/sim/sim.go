@@ -41,6 +41,11 @@ const (
 	DropStalled DropCause = "stalled"
 )
 
+// wasQueued reports whether a frame a Link dropped under this cause had
+// been accepted into the queue first (and so was counted by OnEnqueue):
+// true for a frame lost in transmission, false for one refused on arrival.
+func (c DropCause) wasQueued() bool { return c == DropLinkDown || c == DropStalled }
+
 // Kind distinguishes frame types on the wire.
 type Kind int
 
@@ -59,6 +64,13 @@ type Frame struct {
 	Created float64 // time the frame left its source
 	Rate    float64 // optional per-packet rate r_f^j (eq 36); 0 = flow weight
 	Meta    any     // transport metadata (e.g. TCP header fields)
+
+	// Arrived is the time the frame's current link accepted it: Deliver
+	// sets it once the scheduler has taken the packet, so it is valid from
+	// the link's OnEnqueue hook until the next link's Deliver overwrites
+	// it. Monitors read queueing delay off it instead of remembering every
+	// frame in flight.
+	Arrived float64
 }
 
 // Consumer receives frames. Links, sinks, and transport endpoints all
@@ -119,17 +131,17 @@ type Link struct {
 	// pending is the handle of the scheduled completion event while busy;
 	// Fail cancels it in O(1), so a failed transmission leaves no tombstone
 	// event in the queue (pendingEv is recycled immediately).
-	pending     eventq.Handle
-	pendingEv   *linkEvent
-	inflight    *Frame
-	drops       int64
-	dropsCause  map[DropCause]int64
-	dropsFlow   map[int]int64
-	delivered   int64
-	seq         map[int]int64
-	flowQBytes  map[int]float64 // queued bytes per flow (excluding in service)
-	flowQCount  map[int]int     // queued frames per flow
-	queuedTotal int             // queued frames across flows
+	pending    eventq.Handle
+	pendingEv  *linkEvent
+	inflight   *Frame
+	drops      int64
+	dropsCause map[DropCause]int64
+	delivered  int64
+	// flows holds one record per flow the link has handled, looked up once
+	// per arrival and once per departure.
+	flows       map[int]*linkFlow
+	queuedTotal int     // queued frames across flows
+	queuedBytes float64 // queued bytes across flows; exactly 0 when queuedTotal is
 
 	// Packet recycling: enabled iff the scheduler declares itself
 	// PoolSafe, sampled lazily on the first arrival (composite schedulers
@@ -151,6 +163,25 @@ type Link struct {
 	// evFree recycles the per-transmission event nodes so the completion
 	// and propagation events allocate nothing in steady state.
 	evFree []*linkEvent
+}
+
+// linkFlow is what a link keeps about one flow.
+type linkFlow struct {
+	seq    int64   // sequence number of the last accepted frame
+	qBytes float64 // queued bytes (excluding in service); exactly 0 when qCount is
+	qCount int     // queued frames
+	drops  int64   // drops charged to the flow, all causes
+}
+
+// flow returns the record of a flow the link is handling, creating it on
+// first sight. Read accessors must not come through here.
+func (l *Link) flow(id int) *linkFlow {
+	lf := l.flows[id]
+	if lf == nil {
+		lf = &linkFlow{}
+		l.flows[id] = lf
+	}
+	return lf
 }
 
 // linkEvent carries one transmission through its completion and (optional)
@@ -190,11 +221,8 @@ func NewLink(q *eventq.Queue, name string, sch sched.Interface, proc server.Proc
 	}
 	return &Link{
 		Name: name, q: q, clock: q, sched: sch, proc: proc, out: out,
-		seq:        make(map[int]int64),
 		dropsCause: make(map[DropCause]int64),
-		dropsFlow:  make(map[int]int64),
-		flowQBytes: make(map[int]float64),
-		flowQCount: make(map[int]int),
+		flows:      make(map[int]*linkFlow),
 	}
 }
 
@@ -251,24 +279,28 @@ func (l *Link) DropsByCause() map[DropCause]int64 {
 func (l *Link) DropsFor(cause DropCause) int64 { return l.dropsCause[cause] }
 
 // DropsByFlow returns the drops charged to one flow (all causes).
-func (l *Link) DropsByFlow(flow int) int64 { return l.dropsFlow[flow] }
+func (l *Link) DropsByFlow(flow int) int64 {
+	if lf := l.flows[flow]; lf != nil {
+		return lf.drops
+	}
+	return 0
+}
 
 // Delivered returns the number of frames fully transmitted.
 func (l *Link) Delivered() int64 { return l.delivered }
 
-// QueuedBytes returns the bytes currently queued (excluding in service).
-// It sums exact per-flow counters, so it is exactly zero whenever every
-// flow's queue is empty (no float residue).
-func (l *Link) QueuedBytes() float64 {
-	sum := 0.0
-	for _, b := range l.flowQBytes {
-		sum += b
-	}
-	return sum
-}
+// QueuedBytes returns the bytes currently queued (excluding in service),
+// in O(1): a running total kept beside the per-flow counters and pinned to
+// exactly zero whenever nothing is queued (no float residue).
+func (l *Link) QueuedBytes() float64 { return l.queuedBytes }
 
 // FlowQueuedBytes returns the bytes of flow queued at this link.
-func (l *Link) FlowQueuedBytes(flow int) float64 { return l.flowQBytes[flow] }
+func (l *Link) FlowQueuedBytes(flow int) float64 {
+	if lf := l.flows[flow]; lf != nil {
+		return lf.qBytes
+	}
+	return 0
+}
 
 // QueuedFrames returns the number of frames queued (excluding in service).
 func (l *Link) QueuedFrames() int { return l.queuedTotal }
@@ -286,14 +318,23 @@ func (l *Link) PoolActive() bool { return l.poolChecked && l.poolOK }
 // packets, not by the number of packets ever sent.
 func (l *Link) PooledPackets() int { return l.pool.Len() }
 
-// drop accounts one dropped frame under cause.
-func (l *Link) drop(f *Frame, cause DropCause) {
+// drop accounts one dropped frame of the flow lf under cause.
+func (l *Link) drop(f *Frame, lf *linkFlow, cause DropCause) {
 	l.drops++
 	l.dropsCause[cause]++
-	l.dropsFlow[f.Flow]++
+	lf.drops++
 	if l.OnDrop != nil {
 		l.OnDrop(f, cause)
 	}
+}
+
+// account counts f, which the scheduler took at time now, as queued.
+func (l *Link) account(f *Frame, lf *linkFlow, now float64) {
+	f.Arrived = now
+	lf.qBytes += f.Bytes
+	lf.qCount++
+	l.queuedBytes += f.Bytes
+	l.queuedTotal++
 }
 
 // Deliver enqueues f for transmission, dropping it (with a counted cause)
@@ -301,13 +342,14 @@ func (l *Link) drop(f *Frame, cause DropCause) {
 // failure queue normally and wait for recovery.
 func (l *Link) Deliver(f *Frame) {
 	now := l.clock.Now()
-	if l.BufferBytes > 0 && l.QueuedBytes()+f.Bytes > l.BufferBytes {
-		l.drop(f, DropBufferFull)
+	lf := l.flow(f.Flow)
+	if l.BufferBytes > 0 && l.queuedBytes+f.Bytes > l.BufferBytes {
+		l.drop(f, lf, DropBufferFull)
 		return
 	}
 	if limit, ok := l.FlowBufferBytes[f.Flow]; ok {
 		if l.sched.QueuedBytes(f.Flow)+f.Bytes > limit {
-			l.drop(f, DropFlowBuffer)
+			l.drop(f, lf, DropFlowBuffer)
 			return
 		}
 	}
@@ -322,7 +364,7 @@ func (l *Link) Deliver(f *Frame) {
 		p = &sched.Packet{}
 	}
 	p.Flow = f.Flow
-	p.Seq = l.seq[f.Flow] + 1
+	p.Seq = lf.seq + 1
 	p.Length = f.Bytes
 	p.Arrival = now
 	p.Rate = f.Rate
@@ -331,13 +373,11 @@ func (l *Link) Deliver(f *Frame) {
 		if l.poolOK {
 			l.pool.Put(p) // PoolSafe: a failed Enqueue retains nothing
 		}
-		l.drop(f, DropEnqueueRejected)
+		l.drop(f, lf, DropEnqueueRejected)
 		return
 	}
-	l.seq[f.Flow]++
-	l.flowQBytes[f.Flow] += f.Bytes
-	l.flowQCount[f.Flow]++
-	l.queuedTotal++
+	lf.seq++
+	l.account(f, lf, now)
 	if l.probe != nil {
 		l.probe.OnEnqueue(now, p)
 		l.probeVT(now)
@@ -367,7 +407,7 @@ func (l *Link) Fail() {
 		l.pendingEv = nil
 		f := l.inflight
 		l.inflight = nil
-		l.drop(f, DropLinkDown)
+		l.drop(f, l.flow(f.Flow), DropLinkDown)
 	}
 }
 
@@ -389,13 +429,10 @@ func (l *Link) Recover() {
 // queue counters, drop counters) for a removed flow, bounding map growth
 // under flow churn. The flow must have no frames queued at this link.
 func (l *Link) ForgetFlow(flow int) {
-	if l.flowQCount[flow] > 0 {
+	if lf := l.flows[flow]; lf != nil && lf.qCount > 0 {
 		return // still backlogged: keep the counters consistent
 	}
-	delete(l.seq, flow)
-	delete(l.flowQBytes, flow)
-	delete(l.flowQCount, flow)
-	delete(l.dropsFlow, flow)
+	delete(l.flows, flow)
 }
 
 // startNext begins transmitting the scheduler's next packet, if any.
@@ -425,16 +462,21 @@ func (l *Link) startNext() {
 			// be recycled before the frame even finishes transmission.
 			l.pool.Put(p)
 		}
-		l.flowQBytes[flow] -= length
-		l.flowQCount[flow]--
+		lf := l.flows[flow] // exists: Deliver made it when it queued the frame
+		lf.qBytes -= length
+		lf.qCount--
+		l.queuedBytes -= length
 		l.queuedTotal--
-		if l.flowQCount[flow] == 0 {
-			l.flowQBytes[flow] = 0 // exact zero: empty queues hold no bytes
+		if lf.qCount == 0 {
+			lf.qBytes = 0 // exact zero: empty queues hold no bytes
+		}
+		if l.queuedTotal == 0 {
+			l.queuedBytes = 0
 		}
 		end := l.proc.Finish(now, length)
 		if math.IsInf(end, 1) || math.IsNaN(end) {
 			l.busy = false
-			l.drop(f, DropStalled)
+			l.drop(f, lf, DropStalled)
 			continue
 		}
 		l.busy = true
@@ -484,26 +526,46 @@ type Sink struct {
 	// OnReceive, if set, observes every received frame.
 	OnReceive func(f *Frame, now float64)
 
-	count map[int]int64
-	bytes map[int]float64
+	flows map[int]*sinkFlow
+}
+
+// sinkFlow is what a sink has received of one flow.
+type sinkFlow struct {
+	count int64
+	bytes float64
 }
 
 // NewSink returns a sink attached to q.
 func NewSink(q *eventq.Queue) *Sink {
-	return &Sink{q: q, count: make(map[int]int64), bytes: make(map[int]float64)}
+	return &Sink{q: q, flows: make(map[int]*sinkFlow)}
 }
 
 // Deliver records the frame.
 func (s *Sink) Deliver(f *Frame) {
-	s.count[f.Flow]++
-	s.bytes[f.Flow] += f.Bytes
+	sf := s.flows[f.Flow]
+	if sf == nil {
+		sf = &sinkFlow{}
+		s.flows[f.Flow] = sf
+	}
+	sf.count++
+	sf.bytes += f.Bytes
 	if s.OnReceive != nil {
 		s.OnReceive(f, s.q.Now())
 	}
 }
 
 // Count returns frames received for flow.
-func (s *Sink) Count(flow int) int64 { return s.count[flow] }
+func (s *Sink) Count(flow int) int64 {
+	if sf := s.flows[flow]; sf != nil {
+		return sf.count
+	}
+	return 0
+}
 
 // Bytes returns bytes received for flow.
-func (s *Sink) Bytes(flow int) float64 { return s.bytes[flow] }
+func (s *Sink) Bytes(flow int) float64 {
+	if sf := s.flows[flow]; sf != nil {
+		return sf.bytes
+	}
+	return 0
+}

@@ -43,14 +43,22 @@ var ErrNoLookahead = errors.New("topo: parallel execution needs PropDelay > 0 on
 // auto-sinks (Sharded.Sink) instead.
 var ErrCustomSink = errors.New("topo: sharded topologies use auto-sinks; FlowSpec.Sink must be nil")
 
-// pmsg is one frame in transit between domains (routed at the window
-// barrier) or to a local sink (scheduled on the domain's own queue at the
-// post-propagation arrival time).
-type pmsg struct {
+// outMsg is one frame in transit between domains: parked by value in the
+// sending domain's outbox and routed at the window barrier, where the
+// frame itself becomes the argument of the destination's deliver event —
+// a hop allocates nothing.
+type outMsg struct {
 	f    *sim.Frame
 	at   float64
-	dest *domain   // cross-domain next hop (nil for sink deliveries)
-	sink *sim.Sink // local egress (nil for cross-domain hops)
+	dest *domain
+}
+
+// hop is what a domain knows about one flow: where its frames go next.
+type hop struct {
+	next *domain // cross-domain next hop (nil when the flow terminates here)
+	// toSink hands a frame to the flow's egress sink, as an event callback
+	// for the post-propagation arrival (nil for cross-domain hops).
+	toSink func(arg any)
 }
 
 // domain is one link compiled into its own event-queue shard.
@@ -61,10 +69,14 @@ type domain struct {
 	mon  *sim.Monitor
 	spec LinkSpec
 
-	next        map[int]*domain   // flow → next-hop domain
-	sinkFlow    map[int]*sim.Sink // flow → egress sink (terminates here)
-	outbox      []*pmsg           // cross-domain frames produced this window
+	hops        map[int]hop // flow → its next hop or egress sink
+	feeds       bool        // some flow continues to another domain
+	outbox      []outMsg    // cross-domain frames produced this window
 	noRouteFlow map[int]int64
+
+	// deliver is the event callback of a cross-domain arrival: it hands
+	// its *sim.Frame argument to this domain's link.
+	deliver func(arg any)
 }
 
 // Sharded is a compiled topology whose links run on independent event
@@ -102,28 +114,26 @@ func BuildSharded(links []LinkSpec, flows []FlowSpec) (*Sharded, error) {
 			name:        ls.Name,
 			q:           &eventq.Queue{},
 			spec:        ls,
-			next:        make(map[int]*domain),
-			sinkFlow:    make(map[int]*sim.Sink),
+			hops:        make(map[int]hop),
 			noRouteFlow: make(map[int]int64),
 		}
+		d.deliver = func(arg any) { d.link.Deliver(arg.(*sim.Frame)) }
 		out := sim.ConsumerFunc(func(f *sim.Frame) {
 			// The link transmits with PropDelay 0 (below); propagation is
 			// applied here so cross-domain arrivals land at endTx + prop ≥
 			// window start + lookahead, which is what makes the window safe.
 			at := d.q.Now() + d.spec.PropDelay
-			if nx, ok := d.next[f.Flow]; ok {
-				d.outbox = append(d.outbox, &pmsg{f: f, at: at, dest: nx})
-				return
+			h, routed := d.hops[f.Flow]
+			switch {
+			case !routed:
+				d.noRouteFlow[f.Flow]++
+			case h.next != nil:
+				d.outbox = append(d.outbox, outMsg{f: f, at: at, dest: h.next})
+			case at > d.q.Now():
+				d.q.AtCall(at, h.toSink, f)
+			default:
+				h.toSink(f)
 			}
-			if sk, ok := d.sinkFlow[f.Flow]; ok {
-				if at > d.q.Now() {
-					d.q.AtCall(at, shardDeliver, &pmsg{f: f, sink: sk})
-				} else {
-					sk.Deliver(f)
-				}
-				return
-			}
-			d.noRouteFlow[f.Flow]++
 		})
 		link := sim.NewLink(d.q, ls.Name, ls.Sched, ls.Proc, out)
 		link.PropDelay = 0 // propagation handled at the domain boundary
@@ -145,7 +155,7 @@ func BuildSharded(links []LinkSpec, flows []FlowSpec) (*Sharded, error) {
 	// another link. Purely-egress links don't constrain the horizon.
 	s.lookahead = math.Inf(1)
 	for _, d := range s.domains {
-		if len(d.next) == 0 {
+		if !d.feeds {
 			continue
 		}
 		if !(d.spec.PropDelay > 0) {
@@ -188,26 +198,16 @@ func (s *Sharded) addFlow(fs FlowSpec) error {
 		d := s.byName[name]
 		if i == len(fs.Route)-1 {
 			sk := sim.NewSink(d.q)
-			d.sinkFlow[fs.Flow] = sk
+			d.hops[fs.Flow] = hop{toSink: func(arg any) { sk.Deliver(arg.(*sim.Frame)) }}
 			s.sinks[fs.Flow] = sk
 		} else {
-			d.next[fs.Flow] = s.byName[fs.Route[i+1]]
+			d.hops[fs.Flow] = hop{next: s.byName[fs.Route[i+1]]}
+			d.feeds = true
 		}
 	}
 	s.entry[fs.Flow] = s.byName[fs.Route[0]]
 	s.flows[fs.Flow] = fs
 	return nil
-}
-
-// shardDeliver fires a routed pmsg: a cross-domain arrival at the next
-// hop's link, or a post-propagation handoff to a local sink.
-func shardDeliver(arg any) {
-	m := arg.(*pmsg)
-	if m.sink != nil {
-		m.sink.Deliver(m.f)
-		return
-	}
-	m.dest.link.Deliver(m.f)
 }
 
 // Entry returns the consumer a source should feed for the given flow (the
@@ -310,8 +310,8 @@ func (s *Sharded) Run(workers int) {
 		// worker interleaving.
 		for _, d := range s.domains {
 			for i, m := range d.outbox {
-				m.dest.q.AtCall(m.at, shardDeliver, m)
-				d.outbox[i] = nil
+				m.dest.q.AtCall(m.at, m.dest.deliver, m.f)
+				d.outbox[i] = outMsg{}
 			}
 			d.outbox = d.outbox[:0]
 		}
