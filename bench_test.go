@@ -188,7 +188,6 @@ func BenchmarkSchedulerOps(b *testing.B) {
 		mk   func() sched.Interface
 	}{
 		{"SFQ", func() sched.Interface { return core.New() }},
-		{"FlowSFQ", func() sched.Interface { return core.NewFlowSFQ() }},
 		{"SCFQ", func() sched.Interface { return sched.NewSCFQ() }},
 		{"WFQ", func() sched.Interface { return sched.NewWFQ(1e6) }},
 		{"FQS", func() sched.Interface { return sched.NewFQS(1e6) }},
@@ -221,9 +220,8 @@ func BenchmarkScaleFlows(b *testing.B) {
 		{"SFQ", func() sched.Interface { return core.New() }},
 		{"WFQ", func() sched.Interface { return sched.NewWFQ(1e6) }},
 		{"SCFQ", func() sched.Interface { return sched.NewSCFQ() }},
-		// The PIFO layer must keep the flow core's O(log B) and 0 allocs/op:
-		// a classic rank function (SFQ) and a UPS discipline (LSTF).
-		{"PIFO-SFQ", func() sched.Interface { return sched.MustNew("pifo-sfq") }},
+		// A UPS discipline written outside internal/sched must keep the
+		// flow core's O(log B) and 0 allocs/op like the built-in ranks.
 		{"LSTF", func() sched.Interface { return sched.MustNew("lstf") }},
 	}
 	for _, a := range algos {

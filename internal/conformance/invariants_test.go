@@ -192,9 +192,9 @@ func suts() []sut {
 			name: "priority-scfq", make: mk("priority-scfq"),
 			kinds: allKinds,
 		},
-		// The PIFO re-expressions (internal/pifo) of the tag-based family.
-		// Each carries the same checker set as its hand-written counterpart;
-		// TestPIFOEquivalence additionally pins the schedules bit-identical.
+		// The pifo-* aliases of the tag-based family (internal/pifo). Each
+		// carries the same checker set as its plain name; TestPIFOEquivalence
+		// additionally holds the alias to the plain name's schedule.
 		{
 			name: "pifo-sfq", make: mk("pifo-sfq"),
 			kinds: allKinds, thm1: sfqThm1, thm2: true, thm4: true,

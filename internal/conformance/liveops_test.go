@@ -364,8 +364,8 @@ func TestHotSwapMidWorkload(t *testing.T) {
 			if sw.Ops() < 100 {
 				t.Fatalf("swap never fired (%d ops)", sw.Ops())
 			}
-			if _, ok := sw.Inner.(*core.SFQ); ok && tc.to != "sfq" {
-				t.Fatalf("inner scheduler still %T after swap", sw.Inner)
+			if got, want := sw.Inner.(sched.Snapshotter).StateKind(), sched.MustNew(tc.to).(sched.Snapshotter).StateKind(); got != want {
+				t.Fatalf("inner scheduler is a %s after the swap to %s", got, tc.to)
 			}
 			if err := CheckConservation(tr, sw, w); err != nil {
 				t.Fatal(err)

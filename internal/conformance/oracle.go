@@ -30,7 +30,7 @@ import (
 // Queuing: tags follow eqs (4)–(5) with the generalized per-packet rates
 // of eq (36), packets are kept in one arrival-ordered slice, and Dequeue
 // linearly scans for the minimum start tag (FIFO among ties). It mirrors
-// the semantics of core.SFQ with TieFIFO — including the busy-period rule
+// the semantics of core.New() (SFQ with TieFIFO) — including the busy-period rule
 // that v jumps to the maximum finish tag when Dequeue observes an empty
 // queue — but shares none of its machinery.
 type RefSFQ struct {

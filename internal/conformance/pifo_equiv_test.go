@@ -6,18 +6,18 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the differential half of the PIFO layer's certification:
-// every classic discipline re-expressed as a pifo rank function
-// (internal/pifo/classic.go) must produce the *bit-identical* schedule of
-// its hand-written counterpart — same service order, same timestamps, same
-// eq (4)–(5) tags — across the same three regimes the flow-core pin uses
-// (healthy, wide, chaos). The hand-written schedulers thereby stay in the
-// tree as differential oracles for the programmable layer, and the golden
-// digests in testdata/flowcore_digests.json cover both constructions.
+// The pifo-* registry names date from when every tag-based discipline
+// existed twice — hand-written, and as a rank function — and this file was
+// the differential test between the two. The hand-written copies are gone
+// (the rank functions in internal/sched are the implementation), the names
+// stay as aliases until the benchmark ladder drops them, and what is left
+// to check here is that each alias resolves to its plain name's discipline
+// and configuration: same digest, seed by seed, across the three regimes
+// of the flow-core pin (healthy, wide, chaos). It goes when the aliases do.
 
-// pifoEquivPairs lists (hand-written sut, PIFO sut) by sut-table name,
-// plus one off-table pair for the low-weight-first tie rule, which the
-// registry reaches through WithTieBreak rather than a separate name.
+// pifoEquivPairs lists (plain sut, alias sut) by sut-table name, plus one
+// off-table pair for the low-weight-first tie rule, which the alias
+// reaches through WithTieBreak rather than a separate name.
 func pifoEquivPairs() [][2]sut {
 	byName := make(map[string]sut)
 	for _, s := range suts() {
@@ -44,8 +44,7 @@ func pifoEquivPairs() [][2]sut {
 // TestPIFOEquivalence sweeps every pair through the healthy, wide, and
 // chaos digest functions and requires equality seed by seed. Digest
 // equality is the full transcript — dequeue order, tags to 17 significant
-// digits, sink totals (and for chaos, the fault plan's delivery audit) —
-// so this is the RunMatrix-style replacement for eyeballing schedules.
+// digits, sink totals (and for chaos, the fault plan's delivery audit).
 func TestPIFOEquivalence(t *testing.T) {
 	regimes := []struct {
 		name   string

@@ -44,7 +44,7 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 	return map[string]func(w Workload) sched.Interface{
 		"sfq":           func(Workload) sched.Interface { return core.New() },
 		"sfq-lowweight": func(Workload) sched.Interface { return core.NewTie(core.TieLowWeightFirst) },
-		"flowsfq":       func(Workload) sched.Interface { return core.NewFlowSFQ() },
+		"flowsfq":       func(Workload) sched.Interface { return core.New() },
 		"hsfq":          func(Workload) sched.Interface { return core.NewHSFQ() },
 		"scfq":          func(Workload) sched.Interface { return sched.NewSCFQ() },
 		"wfq":           func(w Workload) sched.Interface { return sched.NewWFQ(w.C) },
@@ -55,16 +55,15 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 		"edd":           func(Workload) sched.Interface { return sched.NewEDD() },
 		"fairairport":   func(Workload) sched.Interface { return sched.NewFairAirport() },
 		"priority-scfq": func(Workload) sched.Interface { return sched.NewPriority(sched.NewSCFQ()) },
-		"pifo-sfq":      func(Workload) sched.Interface { return pifo.MustNew(pifo.SFQ(sched.TieFIFO), sched.Config{}) },
-		"pifo-scfq":     func(Workload) sched.Interface { return pifo.MustNew(pifo.SCFQ(), sched.Config{}) },
-		"pifo-vclock":   func(Workload) sched.Interface { return pifo.MustNew(pifo.VClock(), sched.Config{}) },
-		"pifo-edd":      func(Workload) sched.Interface { return pifo.MustNew(pifo.EDD(), sched.Config{}) },
-		"pifo-wfq": func(w Workload) sched.Interface {
-			return pifo.MustNew(pifo.WFQ(false), sched.Config{AssumedCapacity: w.C})
-		},
-		"lstf":  func(Workload) sched.Interface { return pifo.MustNew(pifo.LSTF(), sched.Config{}) },
-		"srpt":  func(Workload) sched.Interface { return pifo.MustNew(pifo.SRPT(), sched.Config{}) },
-		"fifo+": func(Workload) sched.Interface { return pifo.MustNew(pifo.FIFOPlus(), sched.Config{}) },
+		// The aliases are held to the plain names' constructors.
+		"pifo-sfq":    func(Workload) sched.Interface { return core.New() },
+		"pifo-scfq":   func(Workload) sched.Interface { return sched.NewSCFQ() },
+		"pifo-vclock": func(Workload) sched.Interface { return sched.NewVirtualClock() },
+		"pifo-edd":    func(Workload) sched.Interface { return sched.NewEDD() },
+		"pifo-wfq":    func(w Workload) sched.Interface { return sched.NewWFQ(w.C) },
+		"lstf":        func(Workload) sched.Interface { return sched.MustNewRanked(pifo.LSTF(), sched.Config{}) },
+		"srpt":        func(Workload) sched.Interface { return sched.MustNewRanked(pifo.SRPT(), sched.Config{}) },
+		"fifo+":       func(Workload) sched.Interface { return sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{}) },
 		"hier:sfq(drr,edd)": func(Workload) sched.Interface {
 			return hier.MustNew("sfq(drr,edd)", sched.Config{})
 		},

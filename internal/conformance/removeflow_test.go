@@ -17,7 +17,7 @@ import (
 func TestRemoveFlowBacklogged(t *testing.T) {
 	factories := map[string]func() sched.Interface{
 		"sfq":           func() sched.Interface { return core.New() },
-		"flowsfq":       func() sched.Interface { return core.NewFlowSFQ() },
+		"flowsfq":       func() sched.Interface { return sched.MustNew("flowsfq") },
 		"hsfq":          func() sched.Interface { return core.NewHSFQ() },
 		"refsfq":        func() sched.Interface { return NewRefSFQ() },
 		"scfq":          func() sched.Interface { return sched.NewSCFQ() },
@@ -247,7 +247,7 @@ func TestQueuedBytesReadsDoNotInsert(t *testing.T) {
 func TestRemoveFlowPreservesTagChain(t *testing.T) {
 	for name, mk := range map[string]func() sched.Interface{
 		"sfq":     func() sched.Interface { return core.New() },
-		"flowsfq": func() sched.Interface { return core.NewFlowSFQ() },
+		"flowsfq": func() sched.Interface { return sched.MustNew("flowsfq") },
 		"refsfq":  func() sched.Interface { return NewRefSFQ() },
 	} {
 		mk := mk
@@ -307,7 +307,7 @@ func TestRemoveFlowPreservesTagChain(t *testing.T) {
 func TestRemoveFlowReAddNewWeight(t *testing.T) {
 	for name, mk := range map[string]func() sched.Interface{
 		"sfq":     func() sched.Interface { return core.New() },
-		"flowsfq": func() sched.Interface { return core.NewFlowSFQ() },
+		"flowsfq": func() sched.Interface { return sched.MustNew("flowsfq") },
 		"scfq":    func() sched.Interface { return sched.NewSCFQ() },
 		"vclock":  func() sched.Interface { return sched.NewVirtualClock() },
 	} {

@@ -1,19 +1,30 @@
 package conformance
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/liveops"
 	"repro/internal/sched"
 )
 
-// snapshotBytesGoldenPath holds the MarshalState bytes of a scripted SFQ,
-// SCFQ and pifo-sfq state, recorded on the commit BEFORE per-flow state
-// moved into one record per flow (ISSUE 16). The snapshot format is part
-// of the failover contract: a layout change inside the scheduler must not
-// move a byte of it. Regenerate with UPDATE_SNAPSHOT_BYTES=1 only when the
-// format itself is meant to change.
+// snapshotBytesGoldenPath holds the MarshalState bytes of a scripted state.
+// The snapshot format is part of the failover contract: a layout change
+// inside the scheduler must not move a byte of it. Regenerate with
+// UPDATE_SNAPSHOT_BYTES=1 only when the format itself is meant to change.
+//
+// "pifo-sfq" is as recorded on the commit BEFORE per-flow state moved into
+// one record per flow (ISSUE 16) and has not moved since. When the
+// hand-written SFQ and SCFQ were deleted (ISSUE 23) the plain names took
+// the rank family's format — the only one left: "sfq" must marshal what
+// "pifo-sfq" does, byte for byte, and "scfq" was re-recorded once. What
+// the hand-written schedulers wrote for the same script is kept under
+// "parent:<their kind>", as the fixtures of TestParentSnapshotsRefused.
 const snapshotBytesGoldenPath = "testdata/snapshot_bytes.json"
 
 // scriptedState drives a scheduler into a state that exercises every
@@ -82,22 +93,8 @@ func scriptedState(t *testing.T, name string) []byte {
 	return data
 }
 
-func TestSnapshotBytesMatchParent(t *testing.T) {
-	names := []string{"sfq", "scfq", "pifo-sfq"}
-	got := make(map[string]string, len(names))
-	for _, name := range names {
-		got[name] = string(scriptedState(t, name))
-	}
-	if os.Getenv("UPDATE_SNAPSHOT_BYTES") != "" {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(snapshotBytesGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+func readSnapshotBytesGolden(t *testing.T) map[string]string {
+	t.Helper()
 	data, err := os.ReadFile(snapshotBytesGoldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +103,68 @@ func TestSnapshotBytesMatchParent(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+func TestSnapshotBytesMatchParent(t *testing.T) {
+	want := readSnapshotBytesGolden(t)
+	names := []string{"scfq", "pifo-sfq"}
+	got := make(map[string]string, len(names))
+	for _, name := range names {
+		got[name] = string(scriptedState(t, name))
+	}
+	if os.Getenv("UPDATE_SNAPSHOT_BYTES") != "" {
+		for _, name := range names {
+			want[name] = got[name]
+		}
+		data, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapshotBytesGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	for _, name := range names {
 		if got[name] != want[name] {
 			t.Errorf("%s: snapshot bytes moved\n got %s\nwant %s", name, got[name], want[name])
+		}
+	}
+	if sfq := string(scriptedState(t, "sfq")); sfq != want["pifo-sfq"] {
+		t.Errorf("sfq does not marshal what pifo-sfq does\n got %s\nwant %s", sfq, want["pifo-sfq"])
+	}
+}
+
+// TestParentSnapshotsRefused: an envelope written before the rank family
+// took over the plain names — kind "core/sfq" or "sched/scfq", a format
+// this tree no longer reads — is refused at the kind check with
+// ErrBadState, before a byte of it reaches the scheduler.
+func TestParentSnapshotsRefused(t *testing.T) {
+	golden := readSnapshotBytesGolden(t)
+	for key, name := range map[string]string{"parent:core/sfq": "sfq", "parent:sched/scfq": "scfq"} {
+		state, ok := golden[key]
+		if !ok {
+			t.Fatalf("fixture %q missing from %s", key, snapshotBytesGoldenPath)
+		}
+		sum := sha256.Sum256([]byte(state))
+		env, err := json.Marshal(liveops.Envelope{
+			Version: liveops.Version, Kind: strings.TrimPrefix(key, "parent:"),
+			SHA256: hex.EncodeToString(sum[:]), State: json.RawMessage(state),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := liveops.Peek(env); err != nil {
+			t.Fatalf("%s: fixture envelope is not well-formed: %v", key, err)
+		}
+		s := sched.MustNew(name)
+		err = liveops.Restore(env, s.(sched.Snapshotter))
+		if !errors.Is(err, sched.ErrBadState) || !strings.Contains(err.Error(), "kind") {
+			t.Errorf("%s into %s: %v, want ErrBadState from the kind check", key, name, err)
+		}
+		if n := len(s.(sched.FlowLister).ListFlows()); n != 0 || s.Len() != 0 {
+			t.Errorf("%s into %s: refused restore left %d flows, %d packets", key, name, n, s.Len())
 		}
 	}
 }

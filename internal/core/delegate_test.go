@@ -11,26 +11,30 @@ import (
 	"repro/internal/server"
 )
 
-// TestDelegateEDDOrdering: inside a delegate class packets follow the
-// inner scheduler's (Delay EDD) order, not SFQ tags.
-func TestDelegateEDDOrdering(t *testing.T) {
-	h := core.NewHSFQ()
-	edd := sched.NewEDD()
-	if err := edd.AddFlowDeadline(1, 100, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := edd.AddFlowDeadline(2, 100, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	cls, err := h.NewDelegateClass(nil, "rt", 1, edd)
+// eddSink attaches a Delay EDD sink class under h's root and registers
+// flows on its discipline with their delay bounds — the parameter the
+// tree's weight-only AddFlowTo cannot carry — before routing them in.
+func eddSink(t *testing.T, h *core.HSFQ, name string, weight float64, flows map[int][2]float64) {
+	t.Helper()
+	cls, err := h.NewSinkClass(nil, name, weight, "edd", sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []int{1, 2} {
+	for f, rd := range flows {
+		if err := cls.Disc().(sched.EDD).AddFlowDeadline(f, rd[0], rd[1]); err != nil {
+			t.Fatal(err)
+		}
 		if err := h.AddDelegateFlow(cls, f); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestDelegateEDDOrdering: inside a class handed to another discipline
+// packets follow that discipline's (Delay EDD) order, not SFQ tags.
+func TestDelegateEDDOrdering(t *testing.T) {
+	h := core.NewHSFQ()
+	eddSink(t, h, "rt", 1, map[int][2]float64{1: {100, 0.5}, 2: {100, 0.05}})
 	// Flow 1 arrives first, but flow 2 has the tighter deadline.
 	p1 := &sched.Packet{Flow: 1, Length: 100}
 	p2 := &sched.Packet{Flow: 2, Length: 100}
@@ -42,7 +46,7 @@ func TestDelegateEDDOrdering(t *testing.T) {
 	}
 	got, ok := h.Dequeue(0)
 	if !ok || got != p2 {
-		t.Error("EDD delegate should serve the tighter deadline first")
+		t.Error("EDD class should serve the tighter deadline first")
 	}
 	got, ok = h.Dequeue(0)
 	if !ok || got != p1 {
@@ -56,21 +60,11 @@ func TestDelegateEDDOrdering(t *testing.T) {
 	}
 }
 
-// TestDelegateClassGetsWeightedShare: the delegate competes with sibling
+// TestDelegateClassGetsWeightedShare: the class competes with sibling
 // classes under SFQ with its weight, regardless of its internal order.
 func TestDelegateClassGetsWeightedShare(t *testing.T) {
 	h := core.NewHSFQ()
-	edd := sched.NewEDD()
-	if err := edd.AddFlowDeadline(1, 250, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	cls, err := h.NewDelegateClass(nil, "rt", 250, edd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddDelegateFlow(cls, 1); err != nil {
-		t.Fatal(err)
-	}
+	eddSink(t, h, "rt", 250, map[int][2]float64{1: {250, 0.1}})
 	if err := h.AddFlowTo(nil, 2, 750); err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +79,12 @@ func TestDelegateClassGetsWeightedShare(t *testing.T) {
 	w1 := res.Mon.ServiceCurve(1).Delta(iv.Start, iv.End)
 	w2 := res.Mon.ServiceCurve(2).Delta(iv.Start, iv.End)
 	if r := w2 / w1; r < 2.5 || r > 3.5 {
-		t.Errorf("delegate share ratio = %v, want ≈ 3", r)
+		t.Errorf("class share ratio = %v, want ≈ 3", r)
 	}
 }
 
 // TestDelegateTheorem7Separation is the §3 separation result end to end:
-// two flows inside a Delay EDD delegate get *different* delay bounds
+// two flows inside a Delay EDD class get *different* delay bounds
 // (deadline-driven) while drawing from the class's FC-guaranteed
 // bandwidth (eq 65), independent of their throughputs.
 func TestDelegateTheorem7Separation(t *testing.T) {
@@ -99,30 +93,15 @@ func TestDelegateTheorem7Separation(t *testing.T) {
 		clsRate = 6000.0
 	)
 	h := core.NewHSFQ()
-	edd := sched.NewEDD()
 	// Same rate, very different deadlines: delay decoupled from
 	// throughput.
-	if err := edd.AddFlowDeadline(1, 3000, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	if err := edd.AddFlowDeadline(2, 3000, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	cls, err := h.NewDelegateClass(nil, "sep", clsRate, edd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []int{1, 2} {
-		if err := h.AddDelegateFlow(cls, f); err != nil {
-			t.Fatal(err)
-		}
-	}
+	eddSink(t, h, "sep", clsRate, map[int][2]float64{1: {3000, 0.05}, 2: {3000, 0.4}})
 	if err := h.AddFlowTo(nil, 3, c-clsRate); err != nil {
 		t.Fatal(err)
 	}
 
 	var arr []schedtest.Arrival
-	// Delegate flows at their reserved rates; flow 3 saturates its share.
+	// The class's flows at their reserved rates; flow 3 saturates its share.
 	for i := 0; i < 120; i++ {
 		arr = append(arr, schedtest.Arrival{At: float64(i) / 30.0, Flow: 1, Bytes: 100})
 		arr = append(arr, schedtest.Arrival{At: float64(i) / 30.0, Flow: 2, Bytes: 100})
@@ -151,43 +130,45 @@ func TestDelegateTheorem7Separation(t *testing.T) {
 	}
 }
 
-// TestDelegateValidation covers the error paths.
+// TestDelegateValidation covers the error paths of handing a class to
+// another discipline.
 func TestDelegateValidation(t *testing.T) {
 	h := core.NewHSFQ()
-	if _, err := h.NewDelegateClass(nil, "x", 1, nil); err == nil {
-		t.Error("nil inner accepted")
+	if _, err := h.NewSinkClass(nil, "x", 1, "no-such-discipline", sched.Config{}); err == nil {
+		t.Error("unknown discipline accepted")
 	}
-	if _, err := h.NewDelegateClass(nil, "x", 0, sched.NewFIFO()); err == nil {
+	if _, err := h.NewSinkClass(nil, "x", 0, "fifo", sched.Config{}); err == nil {
 		t.Error("zero weight accepted")
 	}
-	cls, err := h.NewDelegateClass(nil, "x", 1, sched.NewFIFO())
+	cls, err := h.NewSinkClass(nil, "x", 1, "fifo", sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.NewDelegateClass(cls, "y", 1, sched.NewFIFO()); err == nil {
-		t.Error("delegate under delegate accepted")
+	if _, err := h.NewSinkClass(cls, "y", 1, "fifo", sched.Config{}); err == nil {
+		t.Error("class under a sink accepted")
 	}
 	if err := h.AddDelegateFlow(nil, 1); err == nil {
 		t.Error("nil class accepted")
 	}
-	_ = cls
-	fifo := sched.NewFIFO()
-	if err := fifo.AddFlow(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	cls2, err := h.NewDelegateClass(nil, "z", 1, fifo)
+	inner, err := h.NewClass(nil, "inner", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddDelegateFlow(cls2, 5); err != nil {
+	if err := h.AddDelegateFlow(inner, 1); err == nil {
+		t.Error("routing into a class with no discipline of its own accepted")
+	}
+	if err := cls.Disc().AddFlow(5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddDelegateFlow(cls2, 5); err == nil {
-		t.Error("duplicate delegate flow accepted")
+	if err := h.AddDelegateFlow(cls, 5); err != nil {
+		t.Fatal(err)
 	}
-	// Removal of a delegate flow goes through the inner scheduler.
+	if err := h.AddDelegateFlow(cls, 5); err == nil {
+		t.Error("duplicate flow accepted")
+	}
+	// Removal of a sink's flow goes through its discipline.
 	if err := h.RemoveFlow(5); err != nil {
-		t.Errorf("delegate removal: %v", err)
+		t.Errorf("removal: %v", err)
 	}
 	if err := h.RemoveFlow(5); err == nil {
 		t.Error("double removal accepted")

@@ -55,14 +55,15 @@ func ExampleHSFQ() {
 	// first 4 services: real-time 3, best-effort 1
 }
 
-// A delegate class runs its own discipline (here Delay EDD, for the §3
-// delay/throughput separation) inside the SFQ hierarchy.
-func ExampleHSFQ_NewDelegateClass() {
+// A sink class runs its own discipline (here Delay EDD, for the §3
+// delay/throughput separation) inside the SFQ hierarchy. Flows that need
+// more than a weight are registered on the discipline, then routed in.
+func ExampleHSFQ_NewSinkClass() {
 	h := core.NewHSFQ()
-	edd := sched.NewEDD()
+	cls, _ := h.NewSinkClass(nil, "realtime", 1, "edd", sched.Config{})
+	edd := cls.Disc().(sched.EDD)
 	_ = edd.AddFlowDeadline(1, 100, 0.5)  // loose deadline
 	_ = edd.AddFlowDeadline(2, 100, 0.01) // tight deadline
-	cls, _ := h.NewDelegateClass(nil, "realtime", 1, edd)
 	_ = h.AddDelegateFlow(cls, 1)
 	_ = h.AddDelegateFlow(cls, 2)
 

@@ -1,108 +1,18 @@
 package core_test
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/fairness"
-	"repro/internal/qos"
 	"repro/internal/sched"
-	"repro/internal/schedtest"
-	"repro/internal/server"
 )
-
-// TestFlowSFQLockstepEquivalence drives the per-packet-heap SFQ and the
-// per-flow-heap FlowSFQ through identical random operation sequences
-// (continuous random packet lengths make start-tag ties measure-zero) and
-// requires identical packet-by-packet schedules and virtual-time
-// trajectories.
-func TestFlowSFQLockstepEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		a := core.New()
-		b := core.NewFlowSFQ()
-		nf := 2 + rng.Intn(4)
-		for f := 1; f <= nf; f++ {
-			w := 10 + rng.Float64()*990
-			if err := a.AddFlow(f, w); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.AddFlow(f, w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		now := 0.0
-		var seq int64
-		for i := 0; i < 400; i++ {
-			now += rng.Float64() * 0.01
-			if rng.Intn(5) < 3 {
-				f := 1 + rng.Intn(nf)
-				l := 1 + rng.Float64()*500
-				seq++
-				pa := &sched.Packet{Flow: f, Seq: seq, Length: l}
-				pb := &sched.Packet{Flow: f, Seq: seq, Length: l}
-				if err := a.Enqueue(now, pa); err != nil {
-					t.Fatal(err)
-				}
-				if err := b.Enqueue(now, pb); err != nil {
-					t.Fatal(err)
-				}
-				if pa.VirtualStart != pb.VirtualStart || pa.VirtualFinish != pb.VirtualFinish {
-					t.Fatalf("seed %d: tag divergence at op %d: (%v,%v) vs (%v,%v)",
-						seed, i, pa.VirtualStart, pa.VirtualFinish, pb.VirtualStart, pb.VirtualFinish)
-				}
-			} else {
-				pa, oka := a.Dequeue(now)
-				pb, okb := b.Dequeue(now)
-				if oka != okb {
-					t.Fatalf("seed %d: dequeue divergence at op %d", seed, i)
-				}
-				if oka && (pa.Flow != pb.Flow || pa.Seq != pb.Seq) {
-					t.Fatalf("seed %d: schedule divergence at op %d: flow %d seq %d vs flow %d seq %d",
-						seed, i, pa.Flow, pa.Seq, pb.Flow, pb.Seq)
-				}
-				if a.V() != b.V() {
-					t.Fatalf("seed %d: virtual time divergence: %v vs %v", seed, a.V(), b.V())
-				}
-			}
-		}
-	}
-}
-
-// TestFlowSFQTheorem1 re-runs the fairness property against FlowSFQ.
-func TestFlowSFQTheorem1(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := core.NewFlowSFQ()
-		w1 := 10 + rng.Float64()*990
-		w2 := 10 + rng.Float64()*990
-		if err := s.AddFlow(1, w1); err != nil {
-			return false
-		}
-		if err := s.AddFlow(2, w2); err != nil {
-			return false
-		}
-		flows := []schedtest.FlowSpec{
-			{Flow: 1, Weight: w1, MaxBytes: 400},
-			{Flow: 2, Weight: w2, MaxBytes: 400},
-		}
-		res := schedtest.Drive(s, server.NewPeriodicOnOff(1000, 0.05),
-			schedtest.RandomBacklogged(rng, flows, 120))
-		h := fairness.MonitorUnfairness(res.Mon, 1, 2, w1, w2)
-		return h <= qos.SFQFairnessBound(400, w1, 400, w2)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestFlowSFQTieRoundRobin: with exact tag ties (identical flows in
 // lockstep), the flow heap round-robins rather than serving one flow's
-// whole queue.
+// whole queue — ties on (start tag, sub) fall to global arrival order. It
+// runs through the "flowsfq" registry name, a plain alias of "sfq" since
+// every SFQ here is flow-indexed.
 func TestFlowSFQTieRoundRobin(t *testing.T) {
-	s := core.NewFlowSFQ()
+	s := sched.MustNew("flowsfq")
 	if err := s.AddFlow(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -130,44 +40,5 @@ func TestFlowSFQTieRoundRobin(t *testing.T) {
 	}
 	if switches < 8 {
 		t.Errorf("only %d flow switches over 12 packets; ties should alternate", switches)
-	}
-}
-
-// TestFlowSFQBookkeeping mirrors the basic SFQ error/bookkeeping paths.
-func TestFlowSFQBookkeeping(t *testing.T) {
-	s := core.NewFlowSFQ()
-	if err := s.AddFlow(1, 0); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if err := s.Enqueue(0, &sched.Packet{Flow: 9, Length: 1}); err == nil {
-		t.Error("unknown flow accepted")
-	}
-	if err := s.AddFlow(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Enqueue(0, &sched.Packet{Flow: 1, Length: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 1 || s.QueuedBytes(1) != 100 {
-		t.Errorf("Len=%d Queued=%v", s.Len(), s.QueuedBytes(1))
-	}
-	if err := s.RemoveFlow(1); err == nil {
-		t.Error("busy removal accepted")
-	}
-	if _, ok := s.Dequeue(0); !ok {
-		t.Fatal("dequeue failed")
-	}
-	if _, ok := s.Dequeue(1); ok {
-		t.Fatal("phantom packet")
-	}
-	// Busy period ended: v jumps to max finish.
-	if s.V() != 1 {
-		t.Errorf("v = %v, want 1", s.V())
-	}
-	if err := s.RemoveFlow(1); err != nil {
-		t.Errorf("RemoveFlow: %v", err)
-	}
-	if err := s.Enqueue(0.5, &sched.Packet{Flow: 1, Length: 1}); err == nil {
-		t.Error("time went backwards accepted (last=1 from Dequeue)")
 	}
 }

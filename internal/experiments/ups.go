@@ -52,7 +52,7 @@ func UPSReplay(seed int64) *Result {
 				panic(err)
 			}
 
-			lstf := pifo.MustNew(pifo.LSTF(), sched.Config{})
+			lstf := sched.MustNewRanked(pifo.LSTF(), sched.Config{})
 			upsAddFlows(lstf, weights, c)
 			viaLSTF, err := replay.Drive(lstf, arr, c, replay.Slacks(recorded))
 			if err != nil {

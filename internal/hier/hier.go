@@ -1,9 +1,9 @@
 // Package hier is the generic hierarchical-composition layer: a tree of
-// scheduler nodes in which any registered discipline — hand-written or a
-// PIFO rank function — can serve as an interior node (scheduling its
-// children as pseudo-flows, one pseudo-flow per child, weight = the
-// child's configured share) or as a leaf (scheduling real flows), with
-// the inter-node contract expressed entirely through sched.Interface.
+// scheduler nodes in which any registered discipline — a rank function or
+// not — can serve as an interior node (scheduling its children as
+// pseudo-flows, one pseudo-flow per child, weight = the child's configured
+// share) or as a leaf (scheduling real flows), with the inter-node
+// contract expressed entirely through sched.Interface.
 //
 // The layer generalizes the Section 3 hierarchical SFQ of the paper:
 // core.HSFQ is now the SFQ-of-SFQs instance of this tree (its node kind
@@ -35,9 +35,6 @@
 //   - kindLeafFlow: one real flow's packet FIFO (the classic HSFQ leaf).
 //   - kindLeafDisc: a leaf discipline scheduling real flows directly —
 //     the sink nodes real traffic is routed into in composed trees.
-//   - kindDelegate: the legacy delegate class (an externally constructed
-//     scheduler whose flows are registered out-of-band). Kept for API
-//     compatibility; delegates cannot be snapshotted.
 package hier
 
 import (
@@ -50,7 +47,7 @@ import (
 // Packet aliases the shared packet type.
 type Packet = sched.Packet
 
-// nodeKind discriminates the five node roles. See the package comment.
+// nodeKind discriminates the four node roles. See the package comment.
 type nodeKind uint8
 
 const (
@@ -58,7 +55,6 @@ const (
 	kindDisc
 	kindLeafFlow
 	kindLeafDisc
-	kindDelegate
 )
 
 // Tree is a hierarchical scheduler: a link-sharing tree whose interior
@@ -131,10 +127,9 @@ type Node struct {
 	// monotonicity check meaningful).
 	fifo sched.FlowQ
 
-	// State as a discipline-backed node (kindDisc, kindLeafDisc,
-	// kindDelegate): the discipline instance, its registry name (empty
-	// for delegates), a factory that rebuilds a fresh instance for
-	// snapshot restore (nil for delegates), and whether pseudo-packets
+	// State as a discipline-backed node (kindDisc, kindLeafDisc): the
+	// discipline instance, its registry name, a factory that rebuilds a
+	// fresh instance for snapshot restore, and whether pseudo-packets
 	// popped from it may be recycled (kindDisc only).
 	disc     sched.Interface
 	discName string
@@ -150,7 +145,7 @@ func (c *Node) Weight() float64 { return c.weight }
 
 // Disc returns the node's discipline instance (nil for kindSFQ interiors
 // and flow leaves). Exposed so callers can reach discipline-specific
-// registration APIs (e.g. EDD's AddFlowDeadline on a delegate).
+// registration APIs (e.g. EDD's AddFlowDeadline on a sink).
 func (c *Node) Disc() sched.Interface { return c.disc }
 
 // NewHSFQ returns a tree whose root is a native SFQ interior representing
@@ -359,37 +354,13 @@ func (h *Tree) AddFlow(flow int, weight float64) error {
 	return h.AddFlowTo(nil, flow, weight)
 }
 
-// NewDelegateClass attaches a class whose *internal* packet order is
-// decided by inner (any scheduler — Delay EDD for delay/throughput
-// separation, FIFO for plain aggregation) while the SFQ hierarchy decides
-// when the class is served. Flows must be registered on inner before use
-// and then attached with AddDelegateFlow so the tree can route them.
-// Prefer NewSinkClass for new code: sink classes construct through the
-// registry and support snapshots.
-func (h *Tree) NewDelegateClass(parent *Node, name string, weight float64, inner sched.Interface) (*Node, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("core: delegate class %q needs a scheduler", name)
-	}
-	parent, err := h.checkNewChild(parent, name, weight)
-	if err != nil {
-		return nil, err
-	}
-	c := &Node{
-		name: name, weight: weight, parent: parent, idx: len(parent.children),
-		kind: kindDelegate, heapIdx: -1, disc: inner,
-	}
-	if err := h.attach(parent, c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// AddDelegateFlow routes flow into a delegate (or sink) class. The flow
-// must already be registered on the class's discipline (with whatever
-// parameters that scheduler needs, e.g. AddFlowDeadline for EDD).
+// AddDelegateFlow routes flow into a sink class whose discipline already
+// knows it: the flow was registered on c.Disc() directly, with whatever
+// parameters that scheduler needs (e.g. AddFlowDeadline for EDD) and that
+// AddFlowTo's weight-only registration cannot carry.
 func (h *Tree) AddDelegateFlow(c *Node, flow int) error {
-	if c == nil || (c.kind != kindDelegate && c.kind != kindLeafDisc) {
-		return fmt.Errorf("core: not a delegate class")
+	if c == nil || c.kind != kindLeafDisc {
+		return fmt.Errorf("core: not a sink class")
 	}
 	if _, dup := h.leaves[flow]; dup {
 		return fmt.Errorf("core: flow %d already attached", flow)
@@ -404,8 +375,7 @@ func (h *Tree) RemoveFlow(flow int) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
 	}
-	switch c.kind {
-	case kindDelegate, kindLeafDisc:
+	if c.kind == kindLeafDisc {
 		// Discipline-backed class: detach the routing; the class stays.
 		if err := c.disc.RemoveFlow(flow); err != nil {
 			return err
@@ -452,7 +422,7 @@ func (h *Tree) Enqueue(now float64, p *Packet) error {
 		return fmt.Errorf("%w: flow %d length %v", sched.ErrBadPacket, p.Flow, p.Length)
 	}
 	switch leaf.kind {
-	case kindDelegate, kindLeafDisc:
+	case kindLeafDisc:
 		if err := leaf.disc.Enqueue(now, p); err != nil {
 			return err
 		}
@@ -524,7 +494,7 @@ func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 	h.bytes[p.Flow] -= p.Length
 	if leaf := h.leaves[p.Flow]; leaf != nil {
 		switch leaf.kind {
-		case kindLeafDisc, kindDelegate:
+		case kindLeafDisc:
 			// The discipline keeps exact per-flow accounting (a sink's
 			// subtree emptying says nothing about one flow inside it).
 			h.bytes[p.Flow] = leaf.disc.QueuedBytes(p.Flow)
@@ -542,7 +512,7 @@ func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 }
 
 // hasContent reports whether the node's subtree holds any packet. For a
-// sink or delegate the discipline's own length answers; a discipline
+// sink the discipline's own length answers; a discipline
 // interior's pseudo backlog equals its subtree's packet count by
 // construction.
 func (c *Node) hasContent() bool {
@@ -561,10 +531,10 @@ func (h *Tree) serve(n *Node, now float64) *Packet {
 	switch n.kind {
 	case kindLeafFlow:
 		return n.fifo.Pop(&h.chunks)
-	case kindDelegate, kindLeafDisc:
+	case kindLeafDisc:
 		p, ok := n.disc.Dequeue(now)
 		if !ok {
-			panic("core: active delegate class has no packet")
+			panic("core: active sink class has no packet")
 		}
 		return p
 	case kindDisc:
@@ -610,9 +580,7 @@ func (h *Tree) serve(n *Node, now float64) *Packet {
 // link's busy period). Native SFQ interiors jump their virtual time to
 // the max finish tag served (step 2); discipline-backed nodes get an
 // empty Dequeue so self-clocked disciplines perform their own
-// busy-period-end bookkeeping. Flow leaves and delegates need nothing —
-// the latter is the legacy contract: a delegate's inner scheduler is
-// driven only when the tree serves it.
+// busy-period-end bookkeeping. Flow leaves need nothing.
 func (h *Tree) idleNode(c *Node, now float64) {
 	switch c.kind {
 	case kindSFQ:
@@ -649,7 +617,7 @@ func (h *Tree) Len() int { return h.total }
 func (h *Tree) QueuedBytes(flow int) float64 { return h.bytes[flow] }
 
 // PacketPoolSafe reports whether the tree retains no dequeued packets:
-// true unless some delegate or sink class wraps a scheduler that is
+// true unless some sink class wraps a scheduler that is
 // itself unsafe. Composite safety reflects the classes registered so far,
 // so sample it after the tree is fully built. (Discipline interiors hold
 // only pseudo-packets, which never leave the tree, so they cannot affect
@@ -657,11 +625,6 @@ func (h *Tree) QueuedBytes(flow int) float64 { return h.bytes[flow] }
 func (h *Tree) PacketPoolSafe() bool {
 	for _, c := range h.sinks {
 		if !sched.PoolSafeScheduler(c.disc) {
-			return false
-		}
-	}
-	for _, leaf := range h.leaves {
-		if leaf.kind == kindDelegate && !sched.PoolSafeScheduler(leaf.disc) {
 			return false
 		}
 	}

@@ -341,34 +341,30 @@ func TestReconfigPaths(t *testing.T) {
 	}
 }
 
-func TestDelegateRefusesSnapshots(t *testing.T) {
-	h := hier.NewHSFQ()
-	if _, err := h.NewDelegateClass(nil, "legacy", 1, sched.NewSCFQ()); err != nil {
-		t.Fatal(err)
-	}
-	_, err := h.MarshalState()
-	if err == nil || !strings.Contains(err.Error(), "does not support snapshots") {
-		t.Errorf("MarshalState with a delegate = %v", err)
-	}
-}
-
 func TestTreePoolSafety(t *testing.T) {
 	// Pool safety is the AND over sinks: DRR and EDD both recycle, so the
-	// composed tree does; a delegate with no PacketPoolSafe poisons it.
+	// composed tree does; a sink whose discipline has no PacketPoolSafe
+	// poisons it.
 	if !sched.PoolSafeScheduler(hier.MustNew("sfq(drr,edd)", sched.Config{})) {
 		t.Error("sfq(drr,edd) should be pool-safe")
 	}
 	h := hier.NewHSFQ()
-	d, err := h.NewDelegateClass(nil, "d", 1, unsafeSched{sched.NewFIFO()})
+	d, err := h.NewSinkClass(nil, "d", 1, "test-unsafe-fifo", sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddDelegateFlow(d, 1); err != nil {
+	if err := h.AddFlowTo(d, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sched.PoolSafeScheduler(h) {
-		t.Error("tree with a pool-unsafe delegate claims pool safety")
+		t.Error("tree with a pool-unsafe sink claims pool safety")
 	}
+}
+
+func init() {
+	sched.Register("test-unsafe-fifo", func(sched.Config) (sched.Interface, error) {
+		return unsafeSched{sched.NewFIFO()}, nil
+	})
 }
 
 // unsafeSched hides FIFO's PacketPoolSafe method behind the plain

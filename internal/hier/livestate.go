@@ -24,8 +24,7 @@ import (
 // at dequeue time with the weight then in force — the eq 5 refinement —
 // so the change applies from the next packet the leaf schedules, no
 // retagging). Flows routed into sink classes are forwarded to the sink's
-// discipline. Delegate flows are forwarded to the inner scheduler when it
-// is reconfigurable.
+// discipline.
 func (h *Tree) SetWeight(flow int, weight float64) error {
 	if weight <= 0 {
 		return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadWeight, flow, weight)
@@ -37,14 +36,7 @@ func (h *Tree) SetWeight(flow int, weight float64) error {
 	if h.draining.Draining(flow) {
 		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
 	}
-	switch c.kind {
-	case kindDelegate:
-		rc, ok := c.disc.(sched.Reconfigurable)
-		if !ok {
-			return fmt.Errorf("core: delegate class %q scheduler cannot be reconfigured", c.name)
-		}
-		return rc.SetWeight(flow, weight)
-	case kindLeafDisc:
+	if c.kind == kindLeafDisc {
 		if rc, ok := c.disc.(sched.Reconfigurable); ok {
 			return rc.SetWeight(flow, weight)
 		}
@@ -57,7 +49,7 @@ func (h *Tree) SetWeight(flow int, weight float64) error {
 	return nil
 }
 
-// SetClassWeight changes an interior (or delegate/sink) class's share
+// SetClassWeight changes an interior (or sink) class's share
 // weight, effective from the next packet scheduled out of that class's
 // subtree — the live link-sharing edit Section 3's tree is meant to
 // support. Under a discipline interior the class is a pseudo-flow, so the
@@ -94,16 +86,11 @@ func (h *Tree) SetCapacity(float64) error { return sched.ErrNoCapacityKnob }
 
 // DrainFlow removes a leaf flow gracefully (see sched.Reconfigurable):
 // plain flow leaves and sink-routed flows alike refuse new arrivals,
-// serve their backlog normally, and unregister once empty. Delegate flows
-// are refused: their backlog lives inside the inner scheduler, which
-// should be drained directly.
+// serve their backlog normally, and unregister once empty.
 func (h *Tree) DrainFlow(flow int) error {
 	c, ok := h.leaves[flow]
 	if !ok {
 		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	if c.kind == kindDelegate {
-		return fmt.Errorf("core: delegate flow %d cannot be drained; drain the inner scheduler", flow)
 	}
 	if h.draining.Draining(flow) {
 		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
@@ -140,8 +127,8 @@ func (h *Tree) finalizeDrains() {
 }
 
 // ListFlows returns the attached flows sorted by id. The reported weight
-// is the leaf class's share weight (for delegate- and sink-routed flows,
-// the class's — the discipline owns the per-flow parameters).
+// is the leaf class's share weight (for sink-routed flows, the class's —
+// the discipline owns the per-flow parameters).
 func (h *Tree) ListFlows() []sched.FlowInfo {
 	out := make([]sched.FlowInfo, 0, len(h.leaves))
 	for f, c := range h.leaves {
@@ -206,8 +193,6 @@ func (h *Tree) StateKind() string { return h.kind }
 // MarshalState serializes the whole link-sharing tree: per-class tags and
 // virtual times, leaf FIFOs in arrival order, embedded discipline
 // envelopes for discipline-backed nodes, and the byte accounting.
-// Delegate classes are refused — their backlog belongs to the inner
-// scheduler, which has its own snapshot kind.
 func (h *Tree) MarshalState() ([]byte, error) {
 	root, err := h.captureNode(h.root)
 	if err != nil {
@@ -232,9 +217,6 @@ func (h *Tree) MarshalState() ([]byte, error) {
 
 // captureNode serializes c's subtree, children in creation order.
 func (h *Tree) captureNode(c *Node) (*nodeState, error) {
-	if c.kind == kindDelegate {
-		return nil, fmt.Errorf("core: delegate class %q does not support snapshots", c.name)
-	}
 	st := &nodeState{
 		Name: c.name, Weight: c.weight, Leaf: c.kind == kindLeafFlow, Flow: c.flow,
 		Active: c.active, CurStart: c.curStart, LastFinish: c.lastFinish,
@@ -493,8 +475,6 @@ func (rs *treeRestore) match(st *nodeState, c *Node, parent *Node) (bool, error)
 	c.v, c.maxFinish, c.serialSrc = st.V, st.MaxFinish, st.SerialSrc
 
 	switch c.kind {
-	case kindDelegate:
-		return false, fmt.Errorf("core: delegate class %q does not support snapshots", c.name)
 	case kindDisc, kindLeafDisc:
 		if st.Disc != c.discName {
 			return false, fmt.Errorf("%w: state class %q discipline %q does not match tree's %q", sched.ErrBadState, st.Name, st.Disc, c.discName)
@@ -600,7 +580,7 @@ func subtreeCount(c *Node) int {
 	switch c.kind {
 	case kindLeafFlow:
 		return c.queued()
-	case kindLeafDisc, kindDelegate:
+	case kindLeafDisc:
 		return c.disc.Len()
 	}
 	n := 0
@@ -612,8 +592,7 @@ func subtreeCount(c *Node) int {
 
 // VisitQueued visits queued packets: flows ascending, FIFO within a flow.
 // Flows routed into sink classes are visited through the sink discipline's
-// own canonical order, filtered per flow; delegate flows are skipped (the
-// inner scheduler is externally owned).
+// own canonical order, filtered per flow.
 func (h *Tree) VisitQueued(fn func(*Packet)) {
 	ids := make([]int, 0, len(h.leaves))
 	for f, c := range h.leaves {

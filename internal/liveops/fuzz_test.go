@@ -38,7 +38,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 			f.Add(data)
 		}
 	}
-	f.Add([]byte(`{"version":1,"kind":"sched/scfq","sha256":"","state":{}}`))
+	f.Add([]byte(`{"version":1,"kind":"rank/scfq","sha256":"","state":{}}`))
 	f.Add([]byte(`not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

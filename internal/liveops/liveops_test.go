@@ -134,6 +134,45 @@ func TestRestoreRejects(t *testing.T) {
 		if err := liveops.Restore(data, busy); !errors.Is(err, sched.ErrBadState) {
 			t.Fatalf("want ErrBadState, got %v", err)
 		}
+		registered := sched.NewSCFQ() // flows but no packets is not empty either
+		if err := registered.AddFlow(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := liveops.Restore(data, registered); !errors.Is(err, sched.ErrBadState) {
+			t.Fatalf("want ErrBadState, got %v", err)
+		}
+	})
+	// SFQ's tie rule shapes the queued sub keys, so a state is not
+	// interchangeable across rules: the rule is part of the kind, which a
+	// registry name, its aliases and the option spelling share.
+	t.Run("tie rule", func(t *testing.T) {
+		low := sched.WithTieBreak(sched.TieLowWeightFirst)
+		for _, tc := range []struct {
+			from, to string
+			toOpts   []sched.Option
+			ok       bool
+		}{
+			{from: "sfq", to: "sfq-lowweight"},
+			{from: "sfq-lowweight", to: "sfq"},
+			{from: "sfq-lowweight", to: "pifo-sfq"},
+			{from: "sfq-lowweight", to: "sfq", toOpts: []sched.Option{low}, ok: true},
+			{from: "sfq", to: "pifo-sfq", ok: true},
+			{from: "flowsfq", to: "sfq", ok: true},
+		} {
+			src := mkNamed(t, tc.from)
+			drive(t, src, 100)
+			data, err := liveops.Snapshot(src.(sched.Snapshotter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = liveops.Restore(data, mkNamed(t, tc.to, tc.toOpts...).(sched.Snapshotter))
+			if tc.ok && err != nil {
+				t.Errorf("%s -> %s %d opts: %v", tc.from, tc.to, len(tc.toOpts), err)
+			}
+			if !tc.ok && !errors.Is(err, sched.ErrBadState) {
+				t.Errorf("%s -> %s: want ErrBadState, got %v", tc.from, tc.to, err)
+			}
+		}
 	})
 }
 

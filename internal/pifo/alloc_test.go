@@ -9,17 +9,16 @@ import (
 
 // TestPIFOZeroAlloc pins the hot path: once a scheduler has seen its flows
 // backlogged once (maps populated, chunks pooled, heap grown), a steady
-// enqueue/dequeue cycle allocates nothing — the same guarantee the
-// hand-written schedulers carry, now required of every discipline built on
-// the PIFO layer, UPS ones included.
+// enqueue/dequeue cycle allocates nothing — required of every discipline
+// run by sched.Ranked, the UPS ones written in this package included.
 func TestPIFOZeroAlloc(t *testing.T) {
-	mks := map[string]func() *pifo.Sched{
-		"pifo-sfq":  func() *pifo.Sched { return pifo.MustNew(pifo.SFQ(sched.TieFIFO), sched.Config{}) },
-		"pifo-scfq": func() *pifo.Sched { return pifo.MustNew(pifo.SCFQ(), sched.Config{}) },
-		"pifo-wfq":  func() *pifo.Sched { return pifo.MustNew(pifo.WFQ(false), sched.Config{AssumedCapacity: 1e4}) },
-		"lstf":      func() *pifo.Sched { return pifo.MustNew(pifo.LSTF(), sched.Config{}) },
-		"srpt":      func() *pifo.Sched { return pifo.MustNew(pifo.SRPT(), sched.Config{}) },
-		"fifo+":     func() *pifo.Sched { return pifo.MustNew(pifo.FIFOPlus(), sched.Config{}) },
+	mks := map[string]func() *sched.Ranked{
+		"pifo-sfq":  func() *sched.Ranked { return sched.MustNewRanked(sched.RankSFQ(sched.TieFIFO), sched.Config{}) },
+		"pifo-scfq": func() *sched.Ranked { return sched.MustNewRanked(sched.RankSCFQ(), sched.Config{}) },
+		"pifo-wfq":  func() *sched.Ranked { return sched.NewWFQ(1e4) },
+		"lstf":      func() *sched.Ranked { return sched.MustNewRanked(pifo.LSTF(), sched.Config{}) },
+		"srpt":      func() *sched.Ranked { return sched.MustNewRanked(pifo.SRPT(), sched.Config{}) },
+		"fifo+":     func() *sched.Ranked { return sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{}) },
 	}
 	const nflows = 64
 	for name, mk := range mks {

@@ -4,11 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/pifo"
 	"repro/internal/sched"
 )
 
-// FuzzPIFORank drives a pifo.Queue through an arbitrary op stream whose
+// FuzzPIFORank drives a sched.PIFO — from outside its package, through the
+// API the UPS disciplines here are written against — through an arbitrary op stream whose
 // ranks come from a seeded generator — arbitrary, *including decreasing
 // within a backlogged flow*, so the monotonizing clamp is part of what is
 // being checked — in lockstep with a naive model: per-flow item slices, a
@@ -54,7 +54,7 @@ func FuzzPIFORank(f *testing.F) {
 			return key, sub
 		}
 
-		var q pifo.Queue
+		var q sched.PIFO
 		model := make(map[int][]item) // flow -> queued items in push order
 		last := make(map[int]chain)   // flow -> last pushed (post-clamp) rank
 		var serial uint64

@@ -2,6 +2,7 @@ package pifo_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,50 +53,156 @@ func drive(t *testing.T, s sched.Interface, seed int64, nflows, ops int) []*sche
 	return served
 }
 
-// TestClassicParity drives each PIFO re-expression and its hand-written
-// counterpart with identical call sequences and requires bit-identical
-// service order and tags. The conformance suite repeats this through the
-// full simulator; this is the fast in-package version.
+// ref is the test-only reference for the tag-based family: each
+// discipline's equations written straight down over one flat packet list
+// with a linear scan for the minimum (key, sub, arrival order) — no flow
+// table, no heap, no clamp, none of the code under test. WFQ/FQS read the
+// fluid virtual time off a private WFQ instance fed the same arrivals (the
+// fluid system has its own oracle tests in internal/sched); everything
+// else is independent.
+type ref struct {
+	name    string
+	weight  map[int]float64
+	dl      map[int]float64 // d_f (edd)
+	chain   map[int]float64 // F(p_f^{j-1}), or the expected arrival time
+	v, maxF float64
+	busy    bool
+	q       []refItem
+	fluid   *sched.Ranked
+}
+
+type refItem struct {
+	key, sub float64
+	p        *sched.Packet
+}
+
+func (r *ref) AddFlow(flow int, w float64) error {
+	r.weight[flow] = w
+	if r.fluid != nil {
+		return r.fluid.AddFlow(flow, w)
+	}
+	return nil
+}
+
+func (r *ref) Enqueue(now float64, p *sched.Packet) error {
+	rate := r.weight[p.Flow]
+	if p.Rate > 0 {
+		rate = p.Rate // eq 36
+	}
+	var key, sub float64
+	switch r.name {
+	case "vclock": // eq 37
+		eat := math.Max(now, r.chain[p.Flow])
+		p.VirtualStart, p.VirtualFinish = eat, eat+p.Length/rate
+		r.chain[p.Flow] = p.VirtualFinish
+		key = p.VirtualFinish
+	case "edd": // eq 66
+		eat := math.Max(now, r.chain[p.Flow])
+		r.chain[p.Flow] = eat + p.Length/rate
+		p.Deadline = eat + r.dl[p.Flow]
+		key = p.Deadline
+	default: // eqs 4-5 (sfq, scfq) and 1-2 (wfq, fqs)
+		v := r.v
+		if r.fluid != nil {
+			cp := *p
+			if err := r.fluid.Enqueue(now, &cp); err != nil {
+				return err
+			}
+			v = r.fluid.V()
+		}
+		p.VirtualStart = math.Max(v, r.chain[p.Flow])
+		p.VirtualFinish = p.VirtualStart + p.Length/rate
+		r.chain[p.Flow] = p.VirtualFinish
+		key = p.VirtualFinish // scfq, wfq
+		if r.name == "sfq" || r.name == "sfq-lowweight" || r.name == "fqs" {
+			key = p.VirtualStart
+		}
+		if r.name == "sfq-lowweight" {
+			sub = rate
+		}
+	}
+	r.q = append(r.q, refItem{key, sub, p})
+	return nil
+}
+
+func (r *ref) Dequeue(now float64) (*sched.Packet, bool) {
+	if r.fluid != nil {
+		r.fluid.Dequeue(now)
+	}
+	if len(r.q) == 0 {
+		if r.busy { // step 2: the busy period ends
+			r.busy, r.v = false, r.maxF
+		}
+		return nil, false
+	}
+	min := 0
+	for i, it := range r.q {
+		if m := r.q[min]; it.key < m.key || (it.key == m.key && it.sub < m.sub) {
+			min = i
+		}
+	}
+	p := r.q[min].p
+	r.q = append(r.q[:min], r.q[min+1:]...)
+	r.busy, r.v = true, p.VirtualStart
+	if r.name == "scfq" {
+		r.v = p.VirtualFinish
+	}
+	r.maxF = math.Max(r.maxF, p.VirtualFinish)
+	return p, true
+}
+
+func (r *ref) RemoveFlow(int) error    { panic("not driven") }
+func (r *ref) Len() int                { return len(r.q) }
+func (r *ref) QueuedBytes(int) float64 { panic("not driven") }
+
+// TestClassicParity drives each rank function of the tag-based family and
+// the flat reference above with identical call sequences and requires
+// bit-identical service order and tags (start, finish, and Delay EDD's
+// deadline stamp under non-zero d_f, which no recorded digest covers).
 func TestClassicParity(t *testing.T) {
 	const capacity = 1e4
-	pairs := []struct {
-		name string
-		hand func() sched.Interface
-		pifo func() sched.Interface
-	}{
-		{"sfq", func() sched.Interface { return core.New() },
-			func() sched.Interface { return pifo.MustNew(pifo.SFQ(sched.TieFIFO), sched.Config{}) }},
-		{"sfq-lowweight", func() sched.Interface { return core.NewTie(core.TieLowWeightFirst) },
-			func() sched.Interface { return pifo.MustNew(pifo.SFQ(sched.TieLowWeightFirst), sched.Config{}) }},
-		{"scfq", func() sched.Interface { return sched.NewSCFQ() },
-			func() sched.Interface { return pifo.MustNew(pifo.SCFQ(), sched.Config{}) }},
-		{"vclock", func() sched.Interface { return sched.NewVirtualClock() },
-			func() sched.Interface { return pifo.MustNew(pifo.VClock(), sched.Config{}) }},
-		{"edd", func() sched.Interface { return sched.NewEDD() },
-			func() sched.Interface { return pifo.MustNew(pifo.EDD(), sched.Config{}) }},
-		{"wfq", func() sched.Interface { return sched.NewWFQ(capacity) },
-			func() sched.Interface { return pifo.MustNew(pifo.WFQ(false), sched.Config{AssumedCapacity: capacity}) }},
-		{"fqs", func() sched.Interface { return sched.NewFQS(capacity) },
-			func() sched.Interface { return pifo.MustNew(pifo.WFQ(true), sched.Config{AssumedCapacity: capacity}) }},
+	suts := map[string]func() sched.Interface{
+		"sfq":           func() sched.Interface { return core.New() },
+		"sfq-lowweight": func() sched.Interface { return core.NewTie(core.TieLowWeightFirst) },
+		"scfq":          func() sched.Interface { return sched.NewSCFQ() },
+		"vclock":        func() sched.Interface { return sched.NewVirtualClock() },
+		"wfq":           func() sched.Interface { return sched.NewWFQ(capacity) },
+		"fqs":           func() sched.Interface { return sched.NewFQS(capacity) },
+		"edd": func() sched.Interface {
+			s := sched.NewEDD()
+			for f := 0; f < 6; f++ {
+				if err := s.AddFlowDeadline(f, 1, 0.004*float64(f%3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s
+		},
 	}
-	for _, pair := range pairs {
-		pair := pair
-		t.Run(pair.name, func(t *testing.T) {
+	for name, mk := range suts {
+		name, mk := name, mk
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 40; seed++ {
-				want := drive(t, pair.hand(), seed, 2+int(seed%5), 400)
-				got := drive(t, pair.pifo(), seed, 2+int(seed%5), 400)
+				r := &ref{name: name, weight: map[int]float64{}, dl: map[int]float64{}, chain: map[int]float64{}}
+				if name == "wfq" || name == "fqs" {
+					r.fluid = sched.NewWFQ(capacity)
+				}
+				for f := 0; f < 6; f++ {
+					r.dl[f] = 0.004 * float64(f%3)
+				}
+				want := drive(t, r, seed, 2+int(seed%5), 400)
+				got := drive(t, mk(), seed, 2+int(seed%5), 400)
 				if len(got) != len(want) {
-					t.Fatalf("seed %d: served %d packets, hand-written served %d", seed, len(got), len(want))
+					t.Fatalf("seed %d: served %d packets, reference served %d", seed, len(got), len(want))
 				}
 				for i := range want {
 					w, g := want[i], got[i]
 					if g.Flow != w.Flow || g.Seq != w.Seq {
-						t.Fatalf("seed %d dequeue %d: flow %d seq %d, hand-written flow %d seq %d",
+						t.Fatalf("seed %d dequeue %d: flow %d seq %d, reference flow %d seq %d",
 							seed, i, g.Flow, g.Seq, w.Flow, w.Seq)
 					}
 					if g.VirtualStart != w.VirtualStart || g.VirtualFinish != w.VirtualFinish || g.Deadline != w.Deadline {
-						t.Fatalf("seed %d dequeue %d: tags (%v,%v,%v) != hand-written (%v,%v,%v)",
+						t.Fatalf("seed %d dequeue %d: tags (%v,%v,%v) != reference (%v,%v,%v)",
 							seed, i, g.VirtualStart, g.VirtualFinish, g.Deadline,
 							w.VirtualStart, w.VirtualFinish, w.Deadline)
 					}
@@ -105,18 +212,18 @@ func TestClassicParity(t *testing.T) {
 	}
 }
 
-// TestClampNeverFiresForClassics asserts the package-comment claim: the
+// TestClampNeverFiresForClassics asserts the claim in sched/rank.go: the
 // tag-based family's per-flow ranks are monotone, so the monotonizing
 // clamp stays untouched across randomized drives.
 func TestClampNeverFiresForClassics(t *testing.T) {
-	mks := map[string]func() *pifo.Sched{
-		"pifo-sfq":    func() *pifo.Sched { return pifo.MustNew(pifo.SFQ(sched.TieFIFO), sched.Config{}) },
-		"pifo-scfq":   func() *pifo.Sched { return pifo.MustNew(pifo.SCFQ(), sched.Config{}) },
-		"pifo-vclock": func() *pifo.Sched { return pifo.MustNew(pifo.VClock(), sched.Config{}) },
-		"pifo-edd":    func() *pifo.Sched { return pifo.MustNew(pifo.EDD(), sched.Config{}) },
-		"pifo-wfq":    func() *pifo.Sched { return pifo.MustNew(pifo.WFQ(false), sched.Config{AssumedCapacity: 1e4}) },
-		"lstf":        func() *pifo.Sched { return pifo.MustNew(pifo.LSTF(), sched.Config{}) },
-		"fifo+":       func() *pifo.Sched { return pifo.MustNew(pifo.FIFOPlus(), sched.Config{}) },
+	mks := map[string]func() *sched.Ranked{
+		"sfq":    func() *sched.Ranked { return core.New() },
+		"scfq":   sched.NewSCFQ,
+		"vclock": sched.NewVirtualClock,
+		"edd":    func() *sched.Ranked { return sched.NewEDD().Ranked },
+		"wfq":    func() *sched.Ranked { return sched.NewWFQ(1e4) },
+		"lstf":   func() *sched.Ranked { return sched.MustNewRanked(pifo.LSTF(), sched.Config{}) },
+		"fifo+":  func() *sched.Ranked { return sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{}) },
 	}
 	for name, mk := range mks {
 		for seed := int64(0); seed < 10; seed++ {
@@ -133,7 +240,7 @@ func TestClampNeverFiresForClassics(t *testing.T) {
 // checks the PIFO turns it into per-flow FIFO order with the clamp
 // counter advancing — defined behaviour for adversarial rank functions.
 func TestClampMonotonizes(t *testing.T) {
-	var q pifo.Queue
+	var q sched.PIFO
 	ps := make([]*sched.Packet, 5)
 	for i := range ps {
 		ps[i] = &sched.Packet{Flow: 1, Seq: int64(i), Length: 1}
@@ -158,7 +265,7 @@ func TestClampMonotonizes(t *testing.T) {
 // scenario: least remaining flow backlog first, flow id breaking ties,
 // backlog tracked dynamically as packets arrive and leave.
 func TestSRPTOrder(t *testing.T) {
-	s := pifo.MustNew(pifo.SRPT(), sched.Config{})
+	s := sched.MustNewRanked(pifo.SRPT(), sched.Config{})
 	for f := 1; f <= 3; f++ {
 		if err := s.AddFlow(f, 1000); err != nil {
 			t.Fatal(err)
@@ -209,7 +316,7 @@ func TestSRPTOrder(t *testing.T) {
 // TestLSTFSlack pins LSTF's two slack sources: the per-packet input wins
 // when set, the per-flow default 1/weight otherwise.
 func TestLSTFSlack(t *testing.T) {
-	s := pifo.MustNew(pifo.LSTF(), sched.Config{})
+	s := sched.MustNewRanked(pifo.LSTF(), sched.Config{})
 	if err := s.AddFlow(1, 10); err != nil { // default slack 0.1
 		t.Fatal(err)
 	}
@@ -248,7 +355,7 @@ func TestLSTFSlack(t *testing.T) {
 // upstream lateness, so a late packet overtakes locally younger ones but
 // plain traffic stays strictly FIFO.
 func TestFIFOPlusOrder(t *testing.T) {
-	s := pifo.MustNew(pifo.FIFOPlus(), sched.Config{})
+	s := sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{})
 	for f := 1; f <= 2; f++ {
 		if err := s.AddFlow(f, 1000); err != nil {
 			t.Fatal(err)
@@ -276,7 +383,7 @@ func TestFIFOPlusOrder(t *testing.T) {
 
 // TestSchedErrors walks the sched.Interface error contract.
 func TestSchedErrors(t *testing.T) {
-	s := pifo.MustNew(pifo.SFQ(sched.TieFIFO), sched.Config{})
+	s := core.New()
 	if err := s.AddFlow(1, 0); !errors.Is(err, sched.ErrBadWeight) {
 		t.Errorf("AddFlow weight 0 = %v, want ErrBadWeight", err)
 	}
@@ -307,10 +414,10 @@ func TestSchedErrors(t *testing.T) {
 	if err := s.RemoveFlow(1); err != nil {
 		t.Errorf("RemoveFlow idle = %v", err)
 	}
-	if _, err := pifo.New(pifo.WFQ(false), sched.Config{}); !errors.Is(err, sched.ErrBadConfig) {
+	if _, err := sched.NewRanked(sched.RankWFQ(false), sched.Config{}); !errors.Is(err, sched.ErrBadConfig) {
 		t.Errorf("WFQ without capacity = %v, want ErrBadConfig", err)
 	}
-	if _, err := pifo.New(pifo.Discipline{Name: "norank"}, sched.Config{}); !errors.Is(err, sched.ErrBadConfig) {
+	if _, err := sched.NewRanked(sched.Discipline{Name: "norank"}, sched.Config{}); !errors.Is(err, sched.ErrBadConfig) {
 		t.Errorf("nil Rank = %v, want ErrBadConfig", err)
 	}
 }

@@ -1,35 +1,29 @@
 package pifo
 
-import "repro/internal/sched"
+import (
+	_ "repro/internal/core" // registers "sfq", which "pifo-sfq" aliases
+	"repro/internal/sched"
+)
 
-// init registers the PIFO re-expressions of the tag-based family (pinned
-// bit-identical to their hand-written counterparts by the conformance
-// differential sweeps) and the UPS disciplines. Importing this package —
-// as cmd/sfqsim, cmd/experiments, and the conformance suite do — makes
-// all of them constructible by name.
+// init registers the UPS disciplines, and keeps the pifo-* names — from
+// when the tag-based family existed twice, hand-written and as rank
+// functions — as plain aliases of the one implementation (the benchmark
+// ladder, a registered hier composition and the conformance tables resolve
+// them). Importing this package — as cmd/sfqsim, cmd/experiments, and the
+// conformance suite do — makes all of them constructible by name.
 func init() {
-	sched.Register("pifo-sfq", func(cfg sched.Config) (sched.Interface, error) {
-		return New(SFQ(cfg.Tie), cfg)
-	})
-	sched.Register("pifo-scfq", func(cfg sched.Config) (sched.Interface, error) {
-		return New(SCFQ(), cfg)
-	})
-	sched.Register("pifo-vclock", func(cfg sched.Config) (sched.Interface, error) {
-		return New(VClock(), cfg)
-	})
-	sched.Register("pifo-edd", func(cfg sched.Config) (sched.Interface, error) {
-		return New(EDD(), cfg)
-	})
-	sched.Register("pifo-wfq", func(cfg sched.Config) (sched.Interface, error) {
-		return New(WFQ(false), cfg) // requires WithAssumedCapacity, like wfq
-	})
+	for _, name := range []string{"sfq", "scfq", "vclock", "edd", "wfq"} {
+		sched.Register("pifo-"+name, func(cfg sched.Config) (sched.Interface, error) {
+			return sched.NewDiscipline(name, cfg)
+		})
+	}
 	sched.Register("lstf", func(cfg sched.Config) (sched.Interface, error) {
-		return New(LSTF(), cfg)
+		return sched.NewRanked(LSTF(), cfg)
 	})
 	sched.Register("srpt", func(cfg sched.Config) (sched.Interface, error) {
-		return New(SRPT(), cfg)
+		return sched.NewRanked(SRPT(), cfg)
 	})
 	sched.Register("fifo+", func(cfg sched.Config) (sched.Interface, error) {
-		return New(FIFOPlus(), cfg)
+		return sched.NewRanked(FIFOPlus(), cfg)
 	}, "fifoplus")
 }

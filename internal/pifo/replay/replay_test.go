@@ -75,7 +75,7 @@ func TestLSTFReplaysEverything(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d record: %v", seed, err)
 				}
-				lstf := pifo.MustNew(pifo.LSTF(), sched.Config{})
+				lstf := sched.MustNewRanked(pifo.LSTF(), sched.Config{})
 				addFlows(t, lstf, weights)
 				replayed, err := replay.Drive(lstf, arr, capacity, replay.Slacks(recorded))
 				if err != nil {

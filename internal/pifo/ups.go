@@ -1,11 +1,14 @@
+// Package pifo holds what is written against the rank-function scheduler
+// (sched.PIFO, sched.Discipline, sched.Ranked — internal/sched/rank.go)
+// from outside it: the UPS disciplines of Mittal et al. (*Universal Packet
+// Scheduling*, PAPERS.md) in this file, the replay harness that asks the
+// UPS question directly (pifo/replay), and their registry names. Each
+// discipline is a few lines of rank function — the point of the PIFO model
+// — and each exposes the knob UPS replay turns: a per-packet input
+// (Packet.Slack) that upstream state, or a recorded schedule, can set.
 package pifo
 
 import "repro/internal/sched"
-
-// The UPS disciplines of Mittal et al. (*Universal Packet Scheduling*,
-// PAPERS.md). Each is a few lines of rank function — the point of the PIFO
-// layer — and each exposes the knob UPS replay turns: a per-packet input
-// (Packet.Slack) that upstream state, or a recorded schedule, can set.
 
 // LSTF is Least Slack Time First: a packet arrives carrying a slack — the
 // time it can still afford to wait — and is ranked by now + slack, so the
@@ -20,13 +23,13 @@ import "repro/internal/sched"
 // it reproduces that schedule (Theorem 1 there); pifo/replay measures
 // exactly this, and the lstf conformance rows keep the discipline honest
 // as an ordinary scheduler too.
-func LSTF() Discipline {
-	return Discipline{
+func LSTF() sched.Discipline {
+	return sched.Discipline{
 		Name: "lstf",
-		OnAddFlow: func(st *State, f *Flow) {
+		OnAddFlow: func(st *sched.RankState, f *sched.Flow) {
 			f.Deadline = 1.0 / f.Weight
 		},
-		Rank: func(st *State, f *Flow, r float64, p *sched.Packet) (float64, float64) {
+		Rank: func(st *sched.RankState, f *sched.Flow, r float64, p *sched.Packet) (float64, float64) {
 			slack := p.Slack
 			if slack <= 0 {
 				slack = f.Deadline
@@ -42,16 +45,16 @@ func LSTF() Discipline {
 // first, ties broken toward the lower flow id. The rank is *dynamic* —
 // every enqueue and dequeue changes some flow's backlog — so packets are
 // pushed under a constant key and the flow's competing rank is rewritten
-// through Queue.SetFlowRank afterwards; per-flow FIFO order is untouched.
+// through PIFO.Rekey afterwards; per-flow FIFO order is untouched.
 //
 // Rank stamps p.Deadline with the flow's cumulative enqueued bytes: a
 // strictly increasing per-flow sequence that makes the discipline's
 // conformance tag-monotonicity row meaningful even though the service key
 // itself is dynamic.
-func SRPT() Discipline {
-	return Discipline{
+func SRPT() sched.Discipline {
+	return sched.Discipline{
 		Name: "srpt",
-		Rank: func(st *State, f *Flow, r float64, p *sched.Packet) (float64, float64) {
+		Rank: func(st *sched.RankState, f *sched.Flow, r float64, p *sched.Packet) (float64, float64) {
 			f.Cum += p.Length
 			p.Deadline = f.Cum
 			return 0, 0
@@ -64,8 +67,8 @@ func SRPT() Discipline {
 // srptRefresh rewrites f's competing rank to its current remaining
 // backlog. After a dequeue that drained the flow it is a no-op (Rekey
 // ignores idle flows).
-func srptRefresh(st *State, q *Queue, f *Flow, p *sched.Packet) {
-	q.fs.Rekey(f, f.QueuedBytes(), float64(f.ID()))
+func srptRefresh(st *sched.RankState, q *sched.PIFO, f *sched.Flow, p *sched.Packet) {
+	q.Rekey(f, f.QueuedBytes(), float64(f.ID()))
 }
 
 // FIFOPlus is FIFO+ (Clark–Shenker–Zhang, via Mittal et al.): per-hop FIFO
@@ -76,10 +79,10 @@ func srptRefresh(st *State, q *Queue, f *Flow, p *sched.Packet) {
 // jitter of an aggregate low. At a single hop with no upstream history the
 // discipline degenerates to plain FIFO, which is exactly the per-hop
 // "FIFO within aggregate" invariant conformance checks for it.
-func FIFOPlus() Discipline {
-	return Discipline{
+func FIFOPlus() sched.Discipline {
+	return sched.Discipline{
 		Name: "fifo+",
-		Rank: func(st *State, f *Flow, r float64, p *sched.Packet) (float64, float64) {
+		Rank: func(st *sched.RankState, f *sched.Flow, r float64, p *sched.Packet) (float64, float64) {
 			return st.Now + p.Slack, 0
 		},
 		StampRank: true, // p.Deadline = adjusted arrival time

@@ -322,28 +322,28 @@ func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(s.flows.flows) != 0 || len(s.flows.Weights) != 100 {
-		t.Fatalf("after 100 AddFlow: %d records, %d weights; want 0 and 100", len(s.flows.flows), len(s.flows.Weights))
+	if len(s.q.fs.flows) != 0 || len(s.q.fs.Weights) != 100 {
+		t.Fatalf("after 100 AddFlow: %d records, %d weights; want 0 and 100", len(s.q.fs.flows), len(s.q.fs.Weights))
 	}
 	if err := s.Enqueue(0, &Packet{Flow: 3, Length: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.flows.flows) != 1 || s.flows.Get(3).Weight != 3 {
-		t.Fatalf("after one packet: %d records, flow 3 = %+v", len(s.flows.flows), s.flows.Get(3))
+	if len(s.q.fs.flows) != 1 || s.q.fs.Get(3).Weight != 3 {
+		t.Fatalf("after one packet: %d records, flow 3 = %+v", len(s.q.fs.flows), s.q.fs.Get(3))
 	}
-	if err := s.SetWeight(3, 30); err != nil || s.flows.Get(3).Weight != 30 {
-		t.Fatalf("SetWeight on a flow with a record: %v, weight %v", err, s.flows.Get(3).Weight)
+	if err := s.SetWeight(3, 30); err != nil || s.q.fs.Get(3).Weight != 30 {
+		t.Fatalf("SetWeight on a flow with a record: %v, weight %v", err, s.q.fs.Get(3).Weight)
 	}
-	if got := s.flows.CaptureAccounting(); len(got) != 100 || got[2] != (FlowAccounting{Flow: 3, Weight: 30, Bytes: 9, Count: 1}) || got[4] != (FlowAccounting{Flow: 5, Weight: 5}) {
+	if got := s.q.fs.CaptureAccounting(); len(got) != 100 || got[2] != (FlowAccounting{Flow: 3, Weight: 30, Bytes: 9, Count: 1}) || got[4] != (FlowAccounting{Flow: 5, Weight: 5}) {
 		t.Fatalf("accounting rows: %d, row 3 %+v, row 5 %+v", len(got), got[2], got[4])
 	}
 	if err := s.RemoveFlow(5); err != nil { // silent: no record to release
 		t.Fatal(err)
 	}
-	if err := s.DrainFlow(6); err != nil || len(s.flows.Weights) != 98 { // silent: removed at once
-		t.Fatalf("DrainFlow(6) = %v with %d weights left", err, len(s.flows.Weights))
+	if err := s.DrainFlow(6); err != nil || len(s.q.fs.Weights) != 98 { // silent: removed at once
+		t.Fatalf("DrainFlow(6) = %v with %d weights left", err, len(s.q.fs.Weights))
 	}
-	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || len(s.flows.flows) != 1 {
-		t.Fatalf("enqueue on a removed flow: %v, %d records", err, len(s.flows.flows))
+	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || len(s.q.fs.flows) != 1 {
+		t.Fatalf("enqueue on a removed flow: %v, %d records", err, len(s.q.fs.flows))
 	}
 }

@@ -31,9 +31,6 @@ type FlowSet struct {
 	fluid *gps
 }
 
-// AttachFluid makes the flow management below answer for ref as well.
-func (fs *FlowSet) AttachFluid(ref *GPSRef) { fs.fluid = ref.g }
-
 // Push is PushFlow on flow's record, created on first sight.
 func (fs *FlowSet) Push(flow int, key, sub float64, p *Packet) {
 	fs.PushFlow(fs.Record(flow), key, sub, p)
@@ -86,8 +83,8 @@ func (fs *FlowSet) SetFlowKey(flow int, key, sub float64) {
 // Rekey rewrites the (key, sub) under which f competes in the cross-flow
 // heap — the head item's key — and restores heap order, in O(log B). No-op
 // when the flow is idle. Flow-level dynamic-priority disciplines (SRPT in
-// internal/pifo) call it after every operation that changes the flow's
-// priority; tag-based disciplines never need it.
+// internal/pifo, through PIFO.Rekey) call it after every operation that
+// changes the flow's priority; tag-based disciplines never need it.
 func (fs *FlowSet) Rekey(f *Flow, key, sub float64) {
 	if f.n == 0 {
 		return

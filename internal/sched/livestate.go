@@ -8,70 +8,16 @@ import (
 )
 
 // This file implements Reconfigurable (live mutation) and Snapshotter
-// (deterministic serialization) for this package's disciplines. The SFQ
-// family lives in internal/core and the rank-function layer in
-// internal/pifo; both build on the state types in snapshot.go exactly as
-// the code below does.
+// (deterministic serialization) for the disciplines that are not rank
+// functions — FIFO, DRR, Priority, Fair Airport. The rank family's one
+// implementation is ranklive.go; both build on the state types in
+// snapshot.go.
 
-// FlowTagState is one entry of a per-flow float map (last finish tags,
-// expected arrival times, deadlines) in canonical sorted form.
+// FlowTagState is one entry of a per-flow float table in canonical sorted
+// form (internal/hier's byte accounting).
 type FlowTagState struct {
 	Flow int     `json:"flow"`
 	Tag  float64 `json:"tag"`
-}
-
-// Chain names one per-flow tag chain of the flow record, for snapshots.
-type Chain int
-
-// The chains the hand-written disciplines serialize. ChainFinish and
-// ChainEAT exist once a packet has been tagged (Flow.Tagged) — a
-// never-enqueued flow has no entry — ChainDeadline for every registered
-// flow.
-const (
-	ChainFinish   Chain = iota // Flow.LastFinish, as "lastFinish"
-	ChainEAT                   // Flow.EAT, as "eatNext"
-	ChainDeadline              // Flow.Deadline, as "deadline"
-)
-
-var chainNames = [...]string{"lastFinish", "eatNext", "deadline"}
-
-// field returns the chain's field in f.
-func (c Chain) field(f *Flow) *float64 {
-	switch c {
-	case ChainFinish:
-		return &f.LastFinish
-	case ChainEAT:
-		return &f.EAT
-	}
-	return &f.Deadline
-}
-
-// CaptureTags serializes one tag chain sorted by flow id.
-func (t *FlowTable) CaptureTags(c Chain) []FlowTagState {
-	out := make([]FlowTagState, 0, len(t.Weights))
-	t.Each(func(f *Flow) {
-		if f.Tagged || c == ChainDeadline {
-			out = append(out, FlowTagState{Flow: f.flow, Tag: *c.field(f)})
-		}
-	})
-	return out
-}
-
-// RestoreTags loads one tag chain, requiring ascending flow ids and every
-// flow to be registered.
-func (t *FlowTable) RestoreTags(c Chain, tags []FlowTagState) error {
-	for i, tag := range tags {
-		if i > 0 && tag.Flow <= tags[i-1].Flow {
-			return fmt.Errorf("%w: %s flow ids not ascending at %d", ErrBadState, chainNames[c], tag.Flow)
-		}
-		f := t.Registered(tag.Flow)
-		if f == nil {
-			return fmt.Errorf("%w: %s references unregistered flow %d", ErrBadState, chainNames[c], tag.Flow)
-		}
-		*c.field(f) = tag.Tag
-		f.Tagged = f.Tagged || c != ChainDeadline
-	}
-	return nil
 }
 
 // RestoreDraining loads a snapshot's draining list, which must be
@@ -88,267 +34,6 @@ func (t *FlowTable) RestoreDraining(draining []int) error {
 	t.draining.SetFlows(draining)
 	return nil
 }
-
-// ---------------------------------------------------------------- SCFQ --
-
-// SetWeight, DrainFlow and ListFlows are the FlowSet's (flowset.go).
-func (s *SCFQ) SetWeight(flow int, weight float64) error { return s.flows.SetWeight(flow, weight) }
-func (s *SCFQ) DrainFlow(flow int) error                 { return s.flows.DrainFlow(flow) }
-func (s *SCFQ) ListFlows() []FlowInfo                    { return s.flows.ListFlows() }
-
-// SetCapacity reports that SCFQ is self-clocked: no capacity assumption.
-func (s *SCFQ) SetCapacity(float64) error { return ErrNoCapacityKnob }
-
-type scfqState struct {
-	V          float64          `json:"v"`
-	MaxFinish  float64          `json:"maxFinish"`
-	Busy       bool             `json:"busy"`
-	Last       float64          `json:"last"`
-	Flows      []FlowAccounting `json:"flows"`
-	LastFinish []FlowTagState   `json:"lastFinish"`
-	Queue      FlowSetState     `json:"queue"`
-	Draining   []int            `json:"draining,omitempty"`
-}
-
-// StateKind identifies SCFQ snapshot state.
-func (s *SCFQ) StateKind() string { return "sched/scfq" }
-
-// MarshalState serializes the full SCFQ scheduling state.
-func (s *SCFQ) MarshalState() ([]byte, error) {
-	return json.Marshal(scfqState{
-		V: s.v, MaxFinish: s.maxFinish, Busy: s.busy, Last: s.last,
-		Flows:      s.flows.CaptureAccounting(),
-		LastFinish: s.flows.CaptureTags(ChainFinish),
-		Queue:      s.flows.CaptureState(),
-		Draining:   s.flows.Draining(),
-	})
-}
-
-// RestoreState loads state into a freshly constructed SCFQ.
-func (s *SCFQ) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 {
-		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
-	}
-	var st scfqState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
-	}
-	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
-		return err
-	}
-	if err := s.flows.RestoreTags(ChainFinish, st.LastFinish); err != nil {
-		return err
-	}
-	s.v, s.maxFinish, s.busy, s.last = st.V, st.MaxFinish, st.Busy, st.Last
-	return nil
-}
-
-// VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *SCFQ) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
-
-// ----------------------------------------------------------- WFQ / FQS --
-
-// SetWeight, DrainFlow and ListFlows are the FlowSet's (flowset.go), which
-// answers for the attached fluid system too: a re-weight moves the fluid
-// share sum at the mutation point, and a drain completes when the flow is
-// idle in both the packet and the fluid system.
-func (s *WFQ) SetWeight(flow int, weight float64) error { return s.flows.SetWeight(flow, weight) }
-func (s *WFQ) DrainFlow(flow int) error                 { return s.flows.DrainFlow(flow) }
-func (s *WFQ) ListFlows() []FlowInfo                    { return s.flows.ListFlows() }
-
-// SetCapacity changes the assumed capacity C of the fluid GPS reference,
-// effective from the last advance point — the knob Example 2 shows can
-// break WFQ's fairness when it diverges from the real rate.
-func (s *WFQ) SetCapacity(c float64) error {
-	if c <= 0 {
-		return fmt.Errorf("%w: capacity %v", ErrBadConfig, c)
-	}
-	s.g.c = c
-	return nil
-}
-
-type wfqState struct {
-	ByStart    bool             `json:"byStart,omitempty"`
-	Last       float64          `json:"last"`
-	Flows      []FlowAccounting `json:"flows"`
-	LastFinish []FlowTagState   `json:"lastFinish"`
-	GPS        GPSState         `json:"gps"`
-	Queue      FlowSetState     `json:"queue"`
-	Draining   []int            `json:"draining,omitempty"`
-}
-
-// StateKind identifies WFQ or FQS snapshot state (they share machinery
-// but order by different tags, so their states are not interchangeable).
-func (s *WFQ) StateKind() string {
-	if s.byStart {
-		return "sched/fqs"
-	}
-	return "sched/wfq"
-}
-
-// MarshalState serializes the full WFQ/FQS scheduling state, including
-// the fluid GPS reference system.
-func (s *WFQ) MarshalState() ([]byte, error) {
-	return json.Marshal(wfqState{
-		ByStart: s.byStart, Last: s.last,
-		Flows:      s.flows.CaptureAccounting(),
-		LastFinish: s.flows.CaptureTags(ChainFinish),
-		GPS:        s.g.captureState(),
-		Queue:      s.flows.CaptureState(),
-		Draining:   s.flows.Draining(),
-	})
-}
-
-// RestoreState loads state into a freshly constructed WFQ/FQS.
-func (s *WFQ) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 || s.g.h.Len() != 0 {
-		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
-	}
-	var st wfqState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
-	}
-	if st.ByStart != s.byStart {
-		return fmt.Errorf("%w: state tag order (byStart=%v) does not match scheduler", ErrBadState, st.ByStart)
-	}
-	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
-		return err
-	}
-	if err := s.flows.RestoreTags(ChainFinish, st.LastFinish); err != nil {
-		return err
-	}
-	if err := s.g.restoreState(st.GPS); err != nil {
-		return err
-	}
-	s.last = st.Last
-	return nil
-}
-
-// VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *WFQ) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
-
-// --------------------------------------------------------- VirtualClock --
-
-// SetWeight, DrainFlow and ListFlows are the FlowSet's (flowset.go). A
-// re-weight preserves the EAT chain: Virtual Clock's punitive memory of
-// past idle-bandwidth use (Section 1.1) survives the reconfiguration.
-func (s *VirtualClock) SetWeight(flow int, weight float64) error {
-	return s.flows.SetWeight(flow, weight)
-}
-func (s *VirtualClock) DrainFlow(flow int) error { return s.flows.DrainFlow(flow) }
-func (s *VirtualClock) ListFlows() []FlowInfo    { return s.flows.ListFlows() }
-
-// SetCapacity reports that Virtual Clock has no capacity assumption.
-func (s *VirtualClock) SetCapacity(float64) error { return ErrNoCapacityKnob }
-
-type vclockState struct {
-	Last     float64          `json:"last"`
-	Flows    []FlowAccounting `json:"flows"`
-	EatNext  []FlowTagState   `json:"eatNext"`
-	Queue    FlowSetState     `json:"queue"`
-	Draining []int            `json:"draining,omitempty"`
-}
-
-// StateKind identifies Virtual Clock snapshot state.
-func (s *VirtualClock) StateKind() string { return "sched/vclock" }
-
-// MarshalState serializes the full Virtual Clock scheduling state.
-func (s *VirtualClock) MarshalState() ([]byte, error) {
-	return json.Marshal(vclockState{
-		Last:     s.last,
-		Flows:    s.flows.CaptureAccounting(),
-		EatNext:  s.flows.CaptureTags(ChainEAT),
-		Queue:    s.flows.CaptureState(),
-		Draining: s.flows.Draining(),
-	})
-}
-
-// RestoreState loads state into a freshly constructed Virtual Clock.
-func (s *VirtualClock) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 {
-		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
-	}
-	var st vclockState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
-	}
-	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
-		return err
-	}
-	if err := s.flows.RestoreTags(ChainEAT, st.EatNext); err != nil {
-		return err
-	}
-	s.last = st.Last
-	return nil
-}
-
-// VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *VirtualClock) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
-
-// ------------------------------------------------------------------ EDD --
-
-// SetWeight (which keeps the delay bound d_f), DrainFlow and ListFlows are
-// the FlowSet's (flowset.go).
-func (s *EDD) SetWeight(flow int, weight float64) error { return s.flows.SetWeight(flow, weight) }
-func (s *EDD) DrainFlow(flow int) error                 { return s.flows.DrainFlow(flow) }
-func (s *EDD) ListFlows() []FlowInfo                    { return s.flows.ListFlows() }
-
-// SetCapacity reports that Delay EDD has no capacity assumption.
-func (s *EDD) SetCapacity(float64) error { return ErrNoCapacityKnob }
-
-type eddState struct {
-	Last     float64          `json:"last"`
-	Flows    []FlowAccounting `json:"flows"`
-	Deadline []FlowTagState   `json:"deadline"`
-	EatNext  []FlowTagState   `json:"eatNext"`
-	Queue    FlowSetState     `json:"queue"`
-	Draining []int            `json:"draining,omitempty"`
-}
-
-// StateKind identifies Delay EDD snapshot state.
-func (s *EDD) StateKind() string { return "sched/edd" }
-
-// MarshalState serializes the full Delay EDD scheduling state.
-func (s *EDD) MarshalState() ([]byte, error) {
-	return json.Marshal(eddState{
-		Last:     s.last,
-		Flows:    s.flows.CaptureAccounting(),
-		Deadline: s.flows.CaptureTags(ChainDeadline),
-		EatNext:  s.flows.CaptureTags(ChainEAT),
-		Queue:    s.flows.CaptureState(),
-		Draining: s.flows.Draining(),
-	})
-}
-
-// RestoreState loads state into a freshly constructed Delay EDD.
-func (s *EDD) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.flows.Len() != 0 {
-		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
-	}
-	var st eddState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
-	}
-	if err := s.flows.RestoreFlows(st.Flows, st.Queue, st.Draining); err != nil {
-		return err
-	}
-	if err := s.flows.RestoreTags(ChainDeadline, st.Deadline); err != nil {
-		return err
-	}
-	for _, d := range st.Deadline {
-		if d.Tag < 0 {
-			return fmt.Errorf("%w: flow %d negative delay bound", ErrBadState, d.Flow)
-		}
-	}
-	if err := s.flows.RestoreTags(ChainEAT, st.EatNext); err != nil {
-		return err
-	}
-	s.last = st.Last
-	return nil
-}
-
-// VisitQueued visits queued packets: flows ascending, FIFO within a flow.
-func (s *EDD) VisitQueued(fn func(*Packet)) { s.flows.VisitQueued(fn) }
 
 // ----------------------------------------------------------------- FIFO --
 

@@ -61,24 +61,11 @@ func PoolSafeScheduler(s Interface) bool {
 // Pool-safety declarations for this package's schedulers. Each returns
 // true because the scheduler nils out (or pops) its reference to a packet
 // when Dequeue hands it out and mutates nothing on a failed Enqueue.
-// (FairAirport's declaration lives in fairairport.go next to the served-
-// entry bookkeeping that makes it true.)
-
-// PacketPoolSafe reports that SCFQ retains no dequeued packets.
-func (s *SCFQ) PacketPoolSafe() bool { return true }
-
-// PacketPoolSafe reports that WFQ/FQS retain no dequeued packets (the
-// fluid system tracks gpsEntry values, not packets).
-func (s *WFQ) PacketPoolSafe() bool { return true }
+// (Ranked's is in rank.go; FairAirport's lives in fairairport.go next to
+// the served-entry bookkeeping that makes it true.)
 
 // PacketPoolSafe reports that WFQOracle retains no dequeued packets.
 func (s *WFQOracle) PacketPoolSafe() bool { return true }
-
-// PacketPoolSafe reports that Virtual Clock retains no dequeued packets.
-func (s *VirtualClock) PacketPoolSafe() bool { return true }
-
-// PacketPoolSafe reports that Delay EDD retains no dequeued packets.
-func (s *EDD) PacketPoolSafe() bool { return true }
 
 // PacketPoolSafe reports that DRR retains no dequeued packets.
 func (s *DRR) PacketPoolSafe() bool { return true }

@@ -32,7 +32,7 @@ type Probe interface {
 }
 
 // VirtualTimer is implemented by schedulers that maintain a system virtual
-// time v(t) (the fair-queuing family: SFQ, FlowSFQ, HSFQ, SCFQ, WFQ).
+// time v(t) (the fair-queuing family: SFQ, HSFQ, SCFQ, WFQ).
 // Drivers use it to feed Probe.OnVirtualTime.
 type VirtualTimer interface {
 	V() float64

@@ -281,21 +281,14 @@ func Names() []string {
 }
 
 // init registers this package's disciplines. The paper's own SFQ family is
-// registered by internal/core.
+// registered by internal/core; every tag-based name here builds the one
+// Ranked scheduler with its rank function (rankfuncs.go).
 func init() {
-	Register("scfq", func(Config) (Interface, error) { return NewSCFQ(), nil })
-	Register("wfq", func(cfg Config) (Interface, error) {
-		if cfg.AssumedCapacity <= 0 {
-			return nil, fmt.Errorf("%w: wfq requires WithAssumedCapacity > 0", ErrBadConfig)
-		}
-		return NewWFQ(cfg.AssumedCapacity), nil
-	})
-	Register("fqs", func(cfg Config) (Interface, error) {
-		if cfg.AssumedCapacity <= 0 {
-			return nil, fmt.Errorf("%w: fqs requires WithAssumedCapacity > 0", ErrBadConfig)
-		}
-		return NewFQS(cfg.AssumedCapacity), nil
-	})
+	Register("scfq", func(cfg Config) (Interface, error) { return NewRanked(RankSCFQ(), cfg) })
+	Register("wfq", func(cfg Config) (Interface, error) { return NewRanked(RankWFQ(false), cfg) }) // needs WithAssumedCapacity
+	Register("fqs", func(cfg Config) (Interface, error) { return NewRanked(RankWFQ(true), cfg) })
+	Register("vclock", func(cfg Config) (Interface, error) { return NewRanked(RankVClock(), cfg) }, "vc")
+	Register("edd", func(Config) (Interface, error) { return NewEDD(), nil })
 	Register("drr", func(cfg Config) (Interface, error) {
 		q := cfg.Quantum
 		if q == 0 {
@@ -306,8 +299,6 @@ func init() {
 		}
 		return NewDRR(q), nil
 	})
-	Register("vclock", func(Config) (Interface, error) { return NewVirtualClock(), nil }, "vc")
-	Register("edd", func(Config) (Interface, error) { return NewEDD(), nil })
 	Register("fifo", func(Config) (Interface, error) { return NewFIFO(), nil })
 	Register("fairairport", func(Config) (Interface, error) { return NewFairAirport(), nil }, "fa")
 	Register("priority", func(cfg Config) (Interface, error) {

@@ -1,9 +1,11 @@
 // Package sched defines the packet-scheduler contract shared by every
-// scheduling algorithm in this repository and implements the baseline
-// algorithms the SFQ paper compares against: WFQ (PGPS), FQS, SCFQ, DRR,
-// Virtual Clock, Delay EDD, FIFO, strict priority, and the Fair Airport
-// scheduler of Appendix B. The paper's own contribution — SFQ and
-// hierarchical SFQ — lives in internal/core.
+// scheduling algorithm in this repository and implements them: the
+// tag-based family — SFQ itself, and the baselines the paper compares it
+// against, WFQ (PGPS), FQS, SCFQ, Virtual Clock, Delay EDD — as rank
+// functions over one scheduler (Ranked: rank.go, rankfuncs.go), and DRR,
+// FIFO, strict priority and the Fair Airport scheduler of Appendix B on
+// their own. internal/core names and registers the paper's contribution
+// (SFQ, hierarchical SFQ); internal/hier is the scheduler tree.
 //
 // Time convention: the component that owns the output link drives the
 // scheduler. It calls Enqueue(now, p) when a packet arrives and
@@ -127,12 +129,9 @@ type Flow struct {
 	EAT        float64 // expected arrival of the next packet: Virtual Clock, Delay EDD
 	Deadline   float64 // d_f for Delay EDD; the default slack for LSTF
 	Cum        float64 // cumulative enqueued bytes (SRPT's monotone tag)
-	// Tagged records that a packet has been tagged since registration, so
-	// LastFinish / EAT hold a chain: snapshots list exactly those flows.
-	Tagged bool
 
 	// LastKey, LastSub are the rank of the most recent push — the chain
-	// pifo.Queue's monotonizing clamp compares against.
+	// PIFO's monotonizing clamp compares against.
 	LastKey, LastSub float64
 }
 

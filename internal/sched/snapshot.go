@@ -11,8 +11,8 @@ import (
 // scheduling core — FlowQ / FlowSet contents, FlowTable accounting, and
 // the fluid GPS reference — as the foundation for scheduler
 // snapshot/restore (internal/liveops). Discipline-specific state (virtual
-// time, per-flow finish tags, ...) is layered on top in livestate.go and
-// the core/pifo packages.
+// time, per-flow finish tags, ...) is layered on top in ranklive.go (the
+// rank-function family) and livestate.go (the rest).
 //
 // Determinism contract: captured state is *canonical* — no Go maps are
 // serialized (flows appear as slices sorted by id, heaps as slices sorted
@@ -244,7 +244,7 @@ func (fq *FlowQ) VisitQueued(fn func(*Packet)) {
 }
 
 // CloseTo reports a ≈ b under the restore-validation tolerance (see
-// closeTo) — exported for the restore validators in core and pifo.
+// closeTo) — exported for internal/hier's restore validator.
 func CloseTo(a, b float64) bool { return closeTo(a, b) }
 
 // backlogged returns the flows holding packets — the heap's members —
@@ -299,44 +299,12 @@ func (fs *FlowSet) RestoreState(st FlowSetState) error {
 	}
 	for _, q := range st.Flows {
 		f := fs.Record(q.Flow)
-		f.n, f.bytes = 0, 0 // drop RestoreAccounting's counters: the FIFO recounts, RestoreFlows compares
 		f.restoreState(&fs.pool, q)
 		fs.heap.Push(f)
 		fs.total += f.n
 	}
 	fs.serial = st.Serial
 	return nil
-}
-
-// RestoreFlows loads the flow-level part of a discipline's snapshot into
-// an empty set — registry rows, backlog, draining list — and holds the
-// rows against the backlog they summarize: count exactly, bytes within
-// accumulator tolerance, no packets queued for a flow without a row.
-func (fs *FlowSet) RestoreFlows(accts []FlowAccounting, queue FlowSetState, draining []int) error {
-	if err := fs.RestoreAccounting(accts); err != nil {
-		return err
-	}
-	if err := fs.RestoreState(queue); err != nil {
-		return err
-	}
-	sum := 0
-	for _, a := range accts {
-		n, bytes := 0, 0.0
-		if f := fs.flows[a.Flow]; f != nil && f.heapIdx >= 0 {
-			n, bytes = f.n, f.bytes
-		}
-		if n != a.Count {
-			return fmt.Errorf("%w: flow %d accounting count %d != %d queued", ErrBadState, a.Flow, a.Count, n)
-		}
-		if !closeTo(a.Bytes, bytes) {
-			return fmt.Errorf("%w: flow %d accounting bytes %v != %v queued", ErrBadState, a.Flow, a.Bytes, bytes)
-		}
-		sum += n
-	}
-	if sum != fs.total {
-		return fmt.Errorf("%w: accounting total %d != %d queued", ErrBadState, sum, fs.total)
-	}
-	return fs.RestoreDraining(draining)
 }
 
 // VisitQueued calls fn for every queued packet: flows ascending, FIFO
@@ -386,11 +354,9 @@ func (t *FlowTable) CaptureAccounting() []FlowAccounting {
 // RestoreAccounting replaces the registry's contents. It *registers* the
 // flows — a freshly constructed scheduler needs no AddFlow calls before
 // restore — and sets their queued counters, which are the whole
-// accounting of a discipline that queues outside the record's FIFO
-// (FlowSet.RestoreState recounts from the FIFOs it loads, and RestoreFlows
-// holds the rows against them). The Weights map is cleared in place, never
-// reallocated: WFQ and the PIFO adapter share it with their fluid GPS
-// reference.
+// accounting of the disciplines that use it: FIFO, DRR and Fair Airport
+// queue outside the record's FIFO. The Weights map is cleared in place,
+// never reallocated.
 func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 	for i, a := range accts {
 		if i > 0 && a.Flow <= accts[i-1].Flow {
@@ -554,20 +520,3 @@ func (g *gps) reweigh(flow int, w float64) {
 		}
 	}
 }
-
-// SetCapacity changes the fluid system's assumed capacity (bytes/s),
-// effective from the last advance point.
-func (r *GPSRef) SetCapacity(c float64) error {
-	if c <= 0 {
-		return fmt.Errorf("%w: capacity %v", ErrBadConfig, c)
-	}
-	r.g.c = c
-	return nil
-}
-
-// CaptureState serializes the fluid reference system.
-func (r *GPSRef) CaptureState() GPSState { return r.g.captureState() }
-
-// RestoreState loads fluid state into a fresh reference system; the
-// shared weights map must already hold every busy flow.
-func (r *GPSRef) RestoreState(st GPSState) error { return r.g.restoreState(st) }

@@ -123,6 +123,104 @@ func TestEDDDeadlinesAndOrder(t *testing.T) {
 	}
 }
 
+// TestEDDDeadlineSurvivesLiveOps puts a non-zero d_f through every path
+// that touches the flow record: SetWeight and a plain re-registering
+// AddFlow keep it, snapshot → restore carries it, a draining flow keeps
+// stamping its queued backlog's deadlines, and once the drain completes the
+// flow is gone — a re-add starts a fresh chain with whatever bound it is
+// given (none, through plain AddFlow).
+func TestEDDDeadlineSurvivesLiveOps(t *testing.T) {
+	s := sched.NewEDD()
+	if err := s.AddFlowDeadline(1, 100, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddFlowDeadline(2, 100, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddFlowDeadline(3, 100, -1); err == nil {
+		t.Error("negative delay bound accepted")
+	}
+	enq := func(on sched.Interface, now float64, flow int) *sched.Packet {
+		t.Helper()
+		p := &sched.Packet{Flow: flow, Length: 50}
+		if err := on.Enqueue(now, p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if p := enq(s, 0, 1); p.Deadline != 0.25 {
+		t.Fatalf("deadline %v, want 0.25", p.Deadline)
+	}
+	// EAT of flow 1's next packet is 0 + 50/100 = 0.5.
+	if err := s.SetWeight(1, 200); err != nil {
+		t.Fatal(err)
+	}
+	if p := enq(s, 0.1, 1); p.Deadline != 0.5+0.25 {
+		t.Errorf("after SetWeight: deadline %v, want EAT 0.5 + d 0.25", p.Deadline)
+	}
+	// ... and then 0.5 + 50/200 = 0.75.
+	if err := s.AddFlow(1, 400); err != nil {
+		t.Fatal(err)
+	}
+	if p := enq(s, 0.2, 1); p.Deadline != 0.75+0.25 {
+		t.Errorf("after re-registering AddFlow: deadline %v, want EAT 0.75 + d 0.25", p.Deadline)
+	}
+
+	data, err := s.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := sched.NewEDD()
+	if err := replica.RestoreState(data); err != nil {
+		t.Fatal(err)
+	}
+	// EAT 0.75 + 50/400 = 0.875 on both sides; flow 2 has sent nothing.
+	for _, on := range []sched.Interface{s, replica} {
+		if p := enq(on, 0.3, 1); p.Deadline != 0.875+0.25 {
+			t.Errorf("after snapshot/restore: flow 1 deadline %v, want 1.125", p.Deadline)
+		}
+		if p := enq(on, 0.3, 2); p.Deadline != 0.3+0.5 {
+			t.Errorf("after snapshot/restore: flow 2 deadline %v, want 0.8", p.Deadline)
+		}
+	}
+	again, err := replica.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orig, _ := s.MarshalState(); string(orig) != string(again) {
+		t.Errorf("replica diverged from the original:\n %s\n %s", orig, again)
+	}
+
+	if err := s.DrainFlow(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{0.25, 0.75, 0.8, 1.0, 1.125} { // EDF across both flows
+		p, ok := s.Dequeue(0.4)
+		if !ok || p.Deadline != want {
+			t.Fatalf("dequeue %d while draining: %+v, want deadline %v", i, p, want)
+		}
+	}
+	if err := s.SetWeight(1, 100); err == nil {
+		t.Error("flow 1 still registered after its drain completed")
+	}
+	if err := s.AddFlowDeadline(1, 100, 0.125); err != nil {
+		t.Fatal(err)
+	}
+	if p := enq(s, 2, 1); p.Deadline != 2+0.125 {
+		t.Errorf("re-added with a bound: deadline %v, want fresh chain 2 + 0.125", p.Deadline)
+	}
+	s.Dequeue(2)
+	if err := s.RemoveFlow(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddFlow(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if p := enq(s, 3, 1); p.Deadline != 3 {
+		t.Errorf("re-added through plain AddFlow: deadline %v, want d_f = 0", p.Deadline)
+	}
+}
+
 // TestEDDSchedulabilityTest exercises condition (67).
 func TestEDDSchedulabilityTest(t *testing.T) {
 	// Two flows each needing half the link with deadlines ≥ l/C are fine.

@@ -476,7 +476,7 @@ func TestLinkFailRecoverByteExactAccounting(t *testing.T) {
 func TestDropsUnderOverloadAllSchedulers(t *testing.T) {
 	mks := map[string]func() sched.Interface{
 		"SFQ":     func() sched.Interface { return core.New() },
-		"FlowSFQ": func() sched.Interface { return core.NewFlowSFQ() },
+		"FlowSFQ": func() sched.Interface { return sched.MustNew("flowsfq") },
 		"SCFQ":    func() sched.Interface { return sched.NewSCFQ() },
 		"WFQ":     func() sched.Interface { return sched.NewWFQ(1000) },
 		"DRR":     func() sched.Interface { return sched.NewDRR(500) },
