@@ -29,7 +29,7 @@ func main() {
 	// Data path: a single-shard SFQ runtime on a frozen manual clock, so
 	// the dispatch order below is exactly the tag order of eqs (4)-(5) and
 	// the run is deterministic. (A server would use rt.WallClock() and
-	// more shards; see cmd/rtload.)
+	// more shards, as bench/w_rtsat.go and bench/w_rtopen.go do.)
 	clock := &sched.ManualClock{}
 	runtime, err := rt.New("sfq", sched.WithClock(clock))
 	if err != nil {

@@ -53,7 +53,7 @@ func NewRefSFQ() *RefSFQ {
 
 // AddFlow registers flow with the given weight (bytes/second).
 func (s *RefSFQ) AddFlow(flow int, weight float64) error {
-	if weight <= 0 {
+	if !(weight > 0 && weight <= math.MaxFloat64) { // finite and positive, as the SUT
 		return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadWeight, flow, weight)
 	}
 	s.weights[flow] = weight
@@ -88,7 +88,7 @@ func (s *RefSFQ) Enqueue(now float64, p *sched.Packet) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, p.Flow)
 	}
-	if p.Length <= 0 {
+	if !(p.Length > 0 && p.Length <= math.MaxFloat64) {
 		return fmt.Errorf("%w: flow %d length %v", sched.ErrBadPacket, p.Flow, p.Length)
 	}
 	r := w

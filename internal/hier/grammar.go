@@ -160,7 +160,6 @@ func NewTree(spec string, cfg sched.Config) (*Tree, error) {
 	cfg.Tree = ""
 	t := &Tree{
 		leaves: make(map[int]*Node),
-		bytes:  make(map[int]float64),
 		kind:   "hier:" + sp.String(),
 		pure:   true,
 		spec:   sp,

@@ -64,7 +64,6 @@ const (
 type Tree struct {
 	root    *Node
 	leaves  map[int]*Node // flow id -> leaf node (flow leaf or disc sink)
-	bytes   map[int]float64
 	total   int
 	last    float64
 	busy    bool // a packet is in service at the link
@@ -154,7 +153,6 @@ func NewHSFQ() *Tree {
 	return &Tree{
 		root:   &Node{name: "root", weight: 1, heapIdx: -1},
 		leaves: make(map[int]*Node),
-		bytes:  make(map[int]float64),
 		kind:   "core/hsfq",
 		pure:   true,
 	}
@@ -192,12 +190,16 @@ func (h *Tree) NewClass(parent *Node, name string, weight float64) (*Node, error
 	return c, nil
 }
 
+// positive is sched's test for a weight or a packet length: finite and
+// > 0 (NaN and +Inf pass `x <= 0`).
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
 // checkNewChild validates a class creation under parent (nil = root):
 // positive weight, and a parent that can hold scheduler children (a
 // native SFQ interior, or a discipline interior that schedules its
 // children as pseudo-flows).
 func (h *Tree) checkNewChild(parent *Node, name string, weight float64) (*Node, error) {
-	if weight <= 0 {
+	if !positive(weight) {
 		return nil, fmt.Errorf("%w: class %q weight %v", sched.ErrBadWeight, name, weight)
 	}
 	if parent == nil {
@@ -297,7 +299,7 @@ func discFactory(discName string, cfg sched.Config) (sched.Interface, func() (sc
 // class under a native SFQ interior, or as a real flow of a sink class's
 // discipline.
 func (h *Tree) AddFlowTo(parent *Node, flow int, weight float64) error {
-	if weight <= 0 {
+	if !positive(weight) {
 		return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadWeight, flow, weight)
 	}
 	if _, dup := h.leaves[flow]; dup {
@@ -381,7 +383,6 @@ func (h *Tree) RemoveFlow(flow int) error {
 			return err
 		}
 		delete(h.leaves, flow)
-		delete(h.bytes, flow)
 		return nil
 	}
 	if c.active || c.queued() > 0 {
@@ -396,7 +397,6 @@ func (h *Tree) RemoveFlow(flow int) error {
 		}
 	}
 	delete(h.leaves, flow)
-	delete(h.bytes, flow)
 	return nil
 }
 
@@ -418,7 +418,7 @@ func (h *Tree) Enqueue(now float64, p *Packet) error {
 	if !h.draining.Empty() && h.draining.Draining(p.Flow) {
 		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, p.Flow)
 	}
-	if p.Length <= 0 {
+	if !positive(p.Length) {
 		return fmt.Errorf("%w: flow %d length %v", sched.ErrBadPacket, p.Flow, p.Length)
 	}
 	switch leaf.kind {
@@ -430,7 +430,6 @@ func (h *Tree) Enqueue(now float64, p *Packet) error {
 		h.seq++
 		leaf.fifo.Push(&h.chunks, 0, 0, h.seq, p)
 	}
-	h.bytes[p.Flow] += p.Length
 	h.total++
 
 	// Walk to the root. At SFQ edges, activate inactive children — once a
@@ -491,19 +490,6 @@ func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 	}
 	h.busy = true
 	p := h.serve(h.root, now)
-	h.bytes[p.Flow] -= p.Length
-	if leaf := h.leaves[p.Flow]; leaf != nil {
-		switch leaf.kind {
-		case kindLeafDisc:
-			// The discipline keeps exact per-flow accounting (a sink's
-			// subtree emptying says nothing about one flow inside it).
-			h.bytes[p.Flow] = leaf.disc.QueuedBytes(p.Flow)
-		default:
-			if !leaf.hasContent() {
-				h.bytes[p.Flow] = 0 // exact zero for emptiness checks
-			}
-		}
-	}
 	h.total--
 	if !h.draining.Empty() {
 		h.finalizeDrains()
@@ -613,8 +599,18 @@ func (h *Tree) putPseudo(n *Node, p *Packet) {
 // Len returns the number of queued packets across the whole tree.
 func (h *Tree) Len() int { return h.total }
 
-// QueuedBytes returns the bytes queued for flow.
-func (h *Tree) QueuedBytes(flow int) float64 { return h.bytes[flow] }
+// QueuedBytes returns the bytes queued for flow: its leaf's own count —
+// the FIFO's, exactly zero when drained, or the sink discipline's.
+func (h *Tree) QueuedBytes(flow int) float64 {
+	switch leaf := h.leaves[flow]; {
+	case leaf == nil:
+		return 0
+	case leaf.kind == kindLeafDisc:
+		return leaf.disc.QueuedBytes(flow)
+	default:
+		return leaf.fifo.QueuedBytes()
+	}
+}
 
 // PacketPoolSafe reports whether the tree retains no dequeued packets:
 // true unless some sink class wraps a scheduler that is

@@ -1,6 +1,7 @@
 package hier_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -217,16 +218,33 @@ func TestSnapshotRoundTripStructured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h2 := hier.MustNew(spec, sched.Config{})
-			if err := h2.RestoreState(blob); err != nil {
-				t.Fatal(err)
+			// What a tree wrote while it kept a per-flow byte table of its own
+			// beside the leaves': the same state plus "bytes". It must keep
+			// restoring — the field is ignored, the leaves carry the count.
+			var queued [6]float64
+			var table []string
+			for f := range queued {
+				queued[f] = h.QueuedBytes(f)
+				table = append(table, fmt.Sprintf(`{"flow":%d,"tag":%v}`, f, queued[f]))
 			}
-			if h2.Len() != h.Len() {
-				t.Fatalf("restored Len = %d, want %d", h2.Len(), h.Len())
-			}
-			a, b := drain(h, now), drain(h2, now)
-			if fmt.Sprint(a) != fmt.Sprint(b) {
-				t.Errorf("drain order diverged:\n  orig     %v\n  restored %v", a, b)
+			old := bytes.Replace(blob, []byte(`,"root":`), []byte(`,"bytes":[`+strings.Join(table, ",")+`],"root":`), 1)
+			want := drain(h, now)
+			for name, blob := range map[string][]byte{"current": blob, "with bytes table": old} {
+				h2 := hier.MustNew(spec, sched.Config{})
+				if err := h2.RestoreState(blob); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if h2.Len() != len(want) {
+					t.Fatalf("%s: restored Len = %d, want %d", name, h2.Len(), len(want))
+				}
+				for f, b := range queued {
+					if got := h2.QueuedBytes(f); got != b || b == 0 {
+						t.Errorf("%s: restored QueuedBytes(%d) = %v, want %v (and not 0)", name, f, got, b)
+					}
+				}
+				if got := drain(h2, now); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: drain order diverged:\n  orig     %v\n  restored %v", name, want, got)
+				}
 			}
 		})
 	}

@@ -26,7 +26,7 @@ import (
 // retagging). Flows routed into sink classes are forwarded to the sink's
 // discipline.
 func (h *Tree) SetWeight(flow int, weight float64) error {
-	if weight <= 0 {
+	if !positive(weight) {
 		return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadWeight, flow, weight)
 	}
 	c, ok := h.leaves[flow]
@@ -58,7 +58,7 @@ func (h *Tree) SetClassWeight(c *Node, weight float64) error {
 	if c == nil || c == h.root {
 		return fmt.Errorf("%w: root class weight is fixed", sched.ErrBadConfig)
 	}
-	if weight <= 0 {
+	if !positive(weight) {
 		return fmt.Errorf("%w: class %q weight %v", sched.ErrBadWeight, c.name, weight)
 	}
 	n := c
@@ -175,13 +175,12 @@ type nodeState struct {
 }
 
 type treeState struct {
-	Last     float64              `json:"last"`
-	Busy     bool                 `json:"busy"`
-	Total    int                  `json:"total"`
-	Seq      uint64               `json:"seq"`
-	Bytes    []sched.FlowTagState `json:"bytes,omitempty"`
-	Root     nodeState            `json:"root"`
-	Draining []int                `json:"draining,omitempty"`
+	Last     float64   `json:"last"`
+	Busy     bool      `json:"busy"`
+	Total    int       `json:"total"`
+	Seq      uint64    `json:"seq"`
+	Root     nodeState `json:"root"`
+	Draining []int     `json:"draining,omitempty"`
 }
 
 // StateKind identifies the tree's snapshot state: "core/hsfq" for HSFQ
@@ -192,27 +191,17 @@ func (h *Tree) StateKind() string { return h.kind }
 
 // MarshalState serializes the whole link-sharing tree: per-class tags and
 // virtual times, leaf FIFOs in arrival order, embedded discipline
-// envelopes for discipline-backed nodes, and the byte accounting.
+// envelopes for discipline-backed nodes. Byte accounting lives in the
+// leaves (each FIFO and each sink discipline serializes its own).
 func (h *Tree) MarshalState() ([]byte, error) {
 	root, err := h.captureNode(h.root)
 	if err != nil {
 		return nil, err
 	}
-	st := treeState{
+	return json.Marshal(treeState{
 		Last: h.last, Busy: h.busy, Total: h.total, Seq: h.seq,
 		Root: *root, Draining: h.draining.Flows(),
-	}
-	ids := make([]int, 0, len(h.bytes))
-	for f, b := range h.bytes {
-		if b != 0 {
-			ids = append(ids, f)
-		}
-	}
-	sort.Ints(ids)
-	for _, f := range ids {
-		st.Bytes = append(st.Bytes, sched.FlowTagState{Flow: f, Tag: h.bytes[f]})
-	}
-	return json.Marshal(st)
+	})
 }
 
 // captureNode serializes c's subtree, children in creation order.
@@ -305,32 +294,6 @@ func (h *Tree) RestoreState(data []byte) error {
 	}
 	if st.Seq < rs.maxSerial {
 		return fmt.Errorf("%w: hsfq push serial %d below max item serial %d", sched.ErrBadState, st.Seq, rs.maxSerial)
-	}
-	for i, b := range st.Bytes {
-		if i > 0 && b.Flow <= st.Bytes[i-1].Flow {
-			return fmt.Errorf("%w: hsfq bytes flow ids not ascending at %d", sched.ErrBadState, b.Flow)
-		}
-		leaf, ok := h.leaves[b.Flow]
-		if !ok {
-			return fmt.Errorf("%w: hsfq bytes for unattached flow %d", sched.ErrBadState, b.Flow)
-		}
-		queued := leaf.fifo.QueuedBytes()
-		if leaf.kind == kindLeafDisc {
-			queued = leaf.disc.QueuedBytes(b.Flow)
-		}
-		if !sched.CloseTo(b.Tag, queued) {
-			return fmt.Errorf("%w: hsfq flow %d bytes disagree with leaf FIFO", sched.ErrBadState, b.Flow)
-		}
-		h.bytes[b.Flow] = b.Tag
-	}
-	for f, leaf := range h.leaves {
-		backlogged := leaf.queued() > 0
-		if leaf.kind == kindLeafDisc {
-			backlogged = leaf.disc.QueuedBytes(f) > 0
-		}
-		if backlogged && h.bytes[f] == 0 {
-			return fmt.Errorf("%w: hsfq backlogged flow %d with no byte accounting", sched.ErrBadState, f)
-		}
 	}
 	for i, f := range st.Draining {
 		if i > 0 && f <= st.Draining[i-1] {

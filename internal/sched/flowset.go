@@ -163,7 +163,7 @@ func (fs *FlowSet) SetWeight(flow int, weight float64) error {
 	if err := fs.mutable(flow); err != nil {
 		return err
 	}
-	if weight <= 0 {
+	if !positive(weight) {
 		return fmt.Errorf("%w: flow %d weight %v", ErrBadWeight, flow, weight)
 	}
 	if fs.fluid != nil {

@@ -13,13 +13,6 @@ import (
 // implementation is ranklive.go; both build on the state types in
 // snapshot.go.
 
-// FlowTagState is one entry of a per-flow float table in canonical sorted
-// form (internal/hier's byte accounting).
-type FlowTagState struct {
-	Flow int     `json:"flow"`
-	Tag  float64 `json:"tag"`
-}
-
 // RestoreDraining loads a snapshot's draining list, which must be
 // ascending and name registered flows only.
 func (t *FlowTable) RestoreDraining(draining []int) error {

@@ -19,6 +19,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Packet carries the scheduling metadata for one packet. Length is in
@@ -26,7 +27,7 @@ import (
 type Packet struct {
 	Flow    int     // flow identifier, as registered with AddFlow
 	Seq     int64   // per-flow sequence number (informational)
-	Length  float64 // bytes; must be > 0
+	Length  float64 // bytes; must be > 0 and finite
 	Arrival float64 // time the packet arrived at this scheduler
 	Rate    float64 // optional per-packet rate r_f^j (eq 36); 0 ⇒ flow weight
 
@@ -54,8 +55,8 @@ type Packet struct {
 // Interface is the contract every scheduler implements.
 type Interface interface {
 	// AddFlow registers a flow with the given weight (bytes per second
-	// for the rate-oriented algorithms). Weights must be positive.
-	// Registering an existing flow updates its weight.
+	// for the rate-oriented algorithms). Weights must be positive and
+	// finite. Registering an existing flow updates its weight.
 	AddFlow(flow int, weight float64) error
 
 	// RemoveFlow unregisters an idle flow. Removing a flow that still
@@ -207,13 +208,18 @@ func (t *FlowTable) Registered(flow int) *Flow {
 	return f
 }
 
+// positive reports whether x can be a weight or a packet length: finite
+// and > 0. NaN and +Inf pass a bare `x <= 0` test, and one such tag in a
+// heap breaks the order for every flow.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
 // Add registers (or re-weights) a flow, keeping its tag chain. A draining
 // flow is refused: it finishes its backlog and disappears.
 func (t *FlowTable) Add(flow int, weight float64) error {
 	if t.draining.Draining(flow) {
 		return fmt.Errorf("%w: %d", ErrFlowDraining, flow)
 	}
-	if weight <= 0 {
+	if !positive(weight) {
 		return fmt.Errorf("%w: flow %d weight %v", ErrBadWeight, flow, weight)
 	}
 	if t.Weights == nil {
@@ -246,9 +252,9 @@ func (t *FlowTable) remove(flow int) (*Flow, error) {
 	return f, nil
 }
 
-// Lookup validates p against the registry — registered flow, positive
-// length, not draining — and returns its flow's record: the one flow-keyed
-// lookup of an Enqueue.
+// Lookup validates p against the registry — registered flow, finite
+// positive length, not draining — and returns its flow's record: the one
+// flow-keyed lookup of an Enqueue.
 func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
 	f := t.flows[p.Flow]
 	if f == nil || f.Weight == 0 {
@@ -257,7 +263,7 @@ func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
 			return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, p.Flow)
 		}
 	}
-	if p.Length <= 0 {
+	if !positive(p.Length) {
 		return nil, fmt.Errorf("%w: flow %d length %v", ErrBadPacket, p.Flow, p.Length)
 	}
 	if !t.draining.Empty() && t.draining.Draining(p.Flow) {

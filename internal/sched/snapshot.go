@@ -243,10 +243,6 @@ func (fq *FlowQ) VisitQueued(fn func(*Packet)) {
 	fq.eachItem(func(it flowItem) { fn(it.p) })
 }
 
-// CloseTo reports a ≈ b under the restore-validation tolerance (see
-// closeTo) — exported for internal/hier's restore validator.
-func CloseTo(a, b float64) bool { return closeTo(a, b) }
-
 // backlogged returns the flows holding packets — the heap's members —
 // sorted by id.
 func (fs *FlowSet) backlogged() []*Flow {
