@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/rt"
@@ -93,5 +94,50 @@ func TestHostileNumbers(t *testing.T) {
 				}
 			})
 		}
+	}
+	// The same numbers as configuration: a DRR quantum or a fluid capacity
+	// that is not finite and positive is refused with ErrBadConfig at
+	// construction (a NaN quantum would make DRR's Dequeue spin forever), by
+	// SetCapacity, and by the deprecated constructors' panic. A refused
+	// instance is never driven.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		configs := map[string]sched.Option{
+			"wfq/capacity":      sched.WithAssumedCapacity(x),
+			"fqs/capacity":      sched.WithAssumedCapacity(x),
+			"pifo-wfq/capacity": sched.WithAssumedCapacity(x),
+		}
+		if x != 0 { // a zero quantum means DefaultQuantum
+			configs["drr/quantum"] = sched.WithQuantum(x)
+			configs["hier:sfq(drr,edd)/quantum"] = sched.WithQuantum(x)
+		}
+		for row, opt := range configs {
+			t.Run(fmt.Sprintf("config/%s=%v", row, x), func(t *testing.T) {
+				name := row[:strings.LastIndex(row, "/")]
+				if s, err := sched.New(name, opt); !errors.Is(err, sched.ErrBadConfig) {
+					t.Fatalf("New(%q) = %T, %v; want ErrBadConfig", name, s, err)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("config/SetCapacity=%v", x), func(t *testing.T) {
+			s := newRegistered(t, "wfq")
+			if err := s.(sched.Reconfigurable).SetCapacity(x); !errors.Is(err, sched.ErrBadConfig) {
+				t.Errorf("SetCapacity(%v) = %v, want ErrBadConfig", x, err)
+			}
+		})
+		t.Run(fmt.Sprintf("config/deprecated=%v", x), func(t *testing.T) {
+			for name, mk := range map[string]func(){
+				"NewDRR": func() { sched.NewDRR(x) },
+				"NewWFQ": func() { sched.NewWFQ(x) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s(%v) did not panic", name, x)
+						}
+					}()
+					mk()
+				}()
+			}
+		})
 	}
 }

@@ -128,6 +128,34 @@ func TestRemoveBackloggedUniform(t *testing.T) {
 	}
 }
 
+// TestAddFlowUpsert pins the Interface's "registering an existing flow
+// updates its weight" for every registered discipline, plus a priority sink
+// inside a tree, where hier.Tree.SetWeight falls back to that upsert: the
+// second AddFlow succeeds, and the flow then queues and is served.
+func TestAddFlowUpsert(t *testing.T) {
+	for _, name := range append(sched.Names(), "hier:sfq(priority-scfq,drr)") {
+		t.Run(name, func(t *testing.T) {
+			s := newRegistered(t, name)
+			for _, w := range []float64{100, 300} {
+				if err := s.AddFlow(0, w); err != nil {
+					t.Fatalf("AddFlow(0, %v): %v", w, err)
+				}
+			}
+			if rc, ok := s.(sched.Reconfigurable); ok {
+				if err := rc.SetWeight(0, 200); err != nil {
+					t.Fatalf("SetWeight: %v", err)
+				}
+			}
+			if err := s.Enqueue(0, &sched.Packet{Flow: 0, Length: 50}); err != nil {
+				t.Fatal(err)
+			}
+			if p, ok := s.Dequeue(1); !ok || p.Flow != 0 {
+				t.Fatalf("Dequeue = %+v, %v", p, ok)
+			}
+		})
+	}
+}
+
 // fluidBacked lists the registered names whose flows can be idle in the
 // packet queue and still busy in a fluid GPS reference.
 var fluidBacked = map[string]bool{"wfq": true, "fqs": true, "pifo-wfq": true}

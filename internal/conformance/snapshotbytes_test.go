@@ -25,17 +25,26 @@ import (
 // "pifo-sfq" does, byte for byte, and "scfq" was re-recorded once. What
 // the hand-written schedulers wrote for the same script is kept under
 // "parent:<their kind>", as the fixtures of TestParentSnapshotsRefused.
+//
+// "drr" (quantum 1, the script without re-weighting and draining, which
+// DRR does not offer) and "parent:sched/fifo" (the same script) are as
+// recorded on the commit before DRR's packets moved into the flow records
+// and FIFO became a rank function (ISSUE 25): DRR's format must not have
+// moved; FIFO's is the rank family's now.
 const snapshotBytesGoldenPath = "testdata/snapshot_bytes.json"
 
-// scriptedState drives a scheduler into a state that exercises every
-// per-flow table the snapshot serializes: fractional lengths (accumulator
-// residue in the byte counters), a per-packet rate, a flow that was never
-// enqueued (no lastFinish entry), one that drained (a chain but no queue),
-// one removed and re-added (fresh chain), one re-weighted while
-// backlogged, and one draining.
-func scriptedState(t *testing.T, name string) []byte {
+// drrQuantumScript is the DRR quantum of the "drr" pin: small enough that
+// deficits carry over and flows wait a round.
+const drrQuantumScript = 1
+
+// scriptedState drives s into a state that exercises every per-flow table
+// the snapshot serializes: fractional lengths (accumulator residue in the
+// byte counters), a per-packet rate, a flow that was never enqueued (no
+// lastFinish entry), one that drained (a chain but no queue), one removed
+// and re-added (fresh chain) and, when reconf is set, one re-weighted while
+// backlogged and one draining.
+func scriptedState(t *testing.T, s sched.Interface, reconf bool) []byte {
 	t.Helper()
-	s := sched.MustNew(name)
 	for f := 1; f <= 7; f++ {
 		if err := s.AddFlow(f, float64(100*f)); err != nil {
 			t.Fatal(err)
@@ -78,13 +87,17 @@ func scriptedState(t *testing.T, name string) []byte {
 	if err := s.AddFlow(7, 70); err != nil {
 		t.Fatal(err)
 	}
-	rc := s.(sched.Reconfigurable)
-	if err := rc.SetWeight(2, 950); err != nil {
-		t.Fatal(err)
-	}
-	enq(2, 12.5, 0)
-	if err := rc.DrainFlow(6); err != nil {
-		t.Fatal(err)
+	if !reconf {
+		enq(2, 12.5, 0)
+	} else {
+		rc := s.(sched.Reconfigurable)
+		if err := rc.SetWeight(2, 950); err != nil {
+			t.Fatal(err)
+		}
+		enq(2, 12.5, 0)
+		if err := rc.DrainFlow(6); err != nil {
+			t.Fatal(err)
+		}
 	}
 	data, err := s.(sched.Snapshotter).MarshalState()
 	if err != nil {
@@ -108,11 +121,12 @@ func readSnapshotBytesGolden(t *testing.T) map[string]string {
 
 func TestSnapshotBytesMatchParent(t *testing.T) {
 	want := readSnapshotBytesGolden(t)
-	names := []string{"scfq", "pifo-sfq"}
+	names := []string{"scfq", "pifo-sfq", "drr"}
 	got := make(map[string]string, len(names))
-	for _, name := range names {
-		got[name] = string(scriptedState(t, name))
+	for _, name := range names[:2] {
+		got[name] = string(scriptedState(t, sched.MustNew(name), true))
 	}
+	got["drr"] = string(scriptedState(t, sched.MustNew("drr", sched.WithQuantum(drrQuantumScript)), false))
 	if os.Getenv("UPDATE_SNAPSHOT_BYTES") != "" {
 		for _, name := range names {
 			want[name] = got[name]
@@ -131,18 +145,18 @@ func TestSnapshotBytesMatchParent(t *testing.T) {
 			t.Errorf("%s: snapshot bytes moved\n got %s\nwant %s", name, got[name], want[name])
 		}
 	}
-	if sfq := string(scriptedState(t, "sfq")); sfq != want["pifo-sfq"] {
+	if sfq := string(scriptedState(t, sched.MustNew("sfq"), true)); sfq != want["pifo-sfq"] {
 		t.Errorf("sfq does not marshal what pifo-sfq does\n got %s\nwant %s", sfq, want["pifo-sfq"])
 	}
 }
 
 // TestParentSnapshotsRefused: an envelope written before the rank family
-// took over the plain names — kind "core/sfq" or "sched/scfq", a format
-// this tree no longer reads — is refused at the kind check with
-// ErrBadState, before a byte of it reaches the scheduler.
+// took over the plain names — kind "core/sfq", "sched/scfq" or
+// "sched/fifo", a format this tree no longer reads — is refused at the kind
+// check with ErrBadState, before a byte of it reaches the scheduler.
 func TestParentSnapshotsRefused(t *testing.T) {
 	golden := readSnapshotBytesGolden(t)
-	for key, name := range map[string]string{"parent:core/sfq": "sfq", "parent:sched/scfq": "scfq"} {
+	for key, name := range map[string]string{"parent:core/sfq": "sfq", "parent:sched/scfq": "scfq", "parent:sched/fifo": "fifo"} {
 		state, ok := golden[key]
 		if !ok {
 			t.Fatalf("fixture %q missing from %s", key, snapshotBytesGoldenPath)

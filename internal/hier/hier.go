@@ -341,15 +341,18 @@ func (h *Tree) AddFlowTo(parent *Node, flow int, weight float64) error {
 }
 
 // AddFlow attaches flow (sched.Interface). On grammar-built trees with
-// sink classes, flows are routed across the sinks by flow id (a re-add of
-// a routed flow updates its weight in place, keeping the runtime's
-// re-registration semantics); otherwise the flow becomes a leaf directly
-// under the root.
+// sink classes, flows are routed across the sinks by flow id; otherwise the
+// flow becomes a leaf directly under the root. A re-add updates the
+// weight in place — through the owning sink's discipline, or as SetWeight
+// on a flow leaf — keeping the runtime's re-registration semantics.
 func (h *Tree) AddFlow(flow int, weight float64) error {
-	if len(h.sinks) > 0 {
-		if c, ok := h.leaves[flow]; ok && c.kind == kindLeafDisc {
+	if c, ok := h.leaves[flow]; ok {
+		if c.kind == kindLeafDisc {
 			return c.disc.AddFlow(flow, weight)
 		}
+		return h.SetWeight(flow, weight)
+	}
+	if len(h.sinks) > 0 {
 		n := len(h.sinks)
 		return h.AddFlowTo(h.sinks[((flow%n)+n)%n], flow, weight)
 	}

@@ -40,9 +40,9 @@ func (h *Tree) SetWeight(flow int, weight float64) error {
 		if rc, ok := c.disc.(sched.Reconfigurable); ok {
 			return rc.SetWeight(flow, weight)
 		}
-		// Disciplines without the live-mutation surface (FIFO, DRR)
-		// re-register: FlowSet registration is an upsert, and neither
-		// keeps per-flow tag state that a weight change would invalidate.
+		// Disciplines without the live-mutation surface (DRR, Priority,
+		// Fair Airport) re-register: AddFlow is an upsert (Interface), and
+		// the new weight applies from the flow's next quantum or packet.
 		return c.disc.AddFlow(flow, weight)
 	}
 	c.weight = weight

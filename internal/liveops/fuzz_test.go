@@ -6,44 +6,59 @@ import (
 	"repro/internal/sched"
 )
 
+// fuzzTargets are the schedulers FuzzSnapshotRestore restores into: the rank
+// family's format (scfq) and DRR's, whose restore refills the flow records'
+// FIFOs from the snapshot. The first input byte picks one.
+var fuzzTargets = []func() sched.Interface{
+	func() sched.Interface { return sched.NewSCFQ() },
+	func() sched.Interface { return sched.NewDRR(1) },
+}
+
 // FuzzSnapshotRestore throws arbitrary bytes at Restore. Valid envelopes
 // (the seeds, plus whatever mutations keep the digest intact) must load
 // into a scheduler that stays fully drivable and re-snapshotable; invalid
 // bytes must be rejected cleanly — never a panic, never a scheduler that
 // accepts a half-loaded schedule.
 func FuzzSnapshotRestore(f *testing.F) {
-	seed := sched.NewSCFQ()
-	if err := seed.AddFlow(1, 100); err != nil {
-		f.Fatal(err)
-	}
-	if err := seed.AddFlow(2, 300); err != nil {
-		f.Fatal(err)
-	}
-	now := 0.0
-	for i := 0; i < 40; i++ {
-		now += 0.002
-		if i%5 == 4 {
-			seed.Dequeue(now)
-			continue
-		}
-		p := &sched.Packet{Flow: i%2 + 1, Seq: int64(i), Length: float64(100 + i*13), Arrival: now}
-		if err := seed.Enqueue(now, p); err != nil {
+	for target, mk := range fuzzTargets {
+		seed := mk()
+		if err := seed.AddFlow(1, 100); err != nil {
 			f.Fatal(err)
 		}
-		if i == 10 || i == 25 || i == 38 {
-			data, err := Snapshot(seed)
-			if err != nil {
+		if err := seed.AddFlow(2, 300); err != nil {
+			f.Fatal(err)
+		}
+		now := 0.0
+		for i := 0; i < 40; i++ {
+			now += 0.002
+			if i%5 == 4 {
+				seed.Dequeue(now)
+				continue
+			}
+			p := &sched.Packet{Flow: i%2 + 1, Seq: int64(i), Length: float64(100 + i*13), Arrival: now}
+			if err := seed.Enqueue(now, p); err != nil {
 				f.Fatal(err)
 			}
-			f.Add(data)
+			if i == 10 || i == 25 || i == 38 {
+				data, err := Snapshot(seed.(sched.Snapshotter))
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(append([]byte{byte(target)}, data...))
+			}
 		}
+		kind := seed.(sched.Snapshotter).StateKind()
+		f.Add(append([]byte{byte(target)}, `{"version":1,"kind":"`+kind+`","sha256":"","state":{}}`...))
+		f.Add(append([]byte{byte(target)}, `not json`...))
 	}
-	f.Add([]byte(`{"version":1,"kind":"rank/scfq","sha256":"","state":{}}`))
-	f.Add([]byte(`not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := sched.NewSCFQ()
-		if Restore(data, s) != nil {
+		if len(data) == 0 {
+			return
+		}
+		mk := fuzzTargets[int(data[0])%len(fuzzTargets)]
+		s := mk()
+		if Restore(data[1:], s.(sched.Snapshotter)) != nil {
 			return
 		}
 		// A restore that succeeded must leave a coherent scheduler: drive
@@ -64,11 +79,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 				break
 			}
 		}
-		again, err := Snapshot(s)
+		again, err := Snapshot(s.(sched.Snapshotter))
 		if err != nil {
 			t.Fatalf("re-Snapshot after restore+drive: %v", err)
 		}
-		if err := Restore(again, sched.NewSCFQ()); err != nil {
+		if err := Restore(again, mk().(sched.Snapshotter)); err != nil {
 			t.Fatalf("second-generation restore: %v", err)
 		}
 	})

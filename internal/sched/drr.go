@@ -9,22 +9,60 @@ package sched
 // Table 1's critique: DRR's fairness measure H(f,m) = 1 + l_f/r_f + l_m/r_m
 // (for min weight 1) can be made arbitrarily worse than SFQ/SCFQ by weight
 // scaling, and its delay bound depends on the weights of all other flows.
+//
+// A flow's packets queue in its record's FIFO (Flow.FlowQ, over DRR's own
+// ChunkPool). The round-robin list is a ring of the backlogged flows: a flow
+// is in it exactly when it holds packets, and an unlisted flow's deficit is
+// always zero, so the ring slot is the only per-flow state beside the record.
 type DRR struct {
 	flows   FlowTable
+	pool    ChunkPool
 	quantum float64 // bytes of credit per unit weight per round
 
-	state  map[int]*drrFlow
-	active []int // round-robin list of backlogged flows (ids)
+	active drrRing // the round-robin list, in service order
 	total  int
 	last   float64
 }
 
-type drrFlow struct {
-	q       []*Packet
-	head    int
+// drrSlot is one backlogged flow's place in the round.
+type drrSlot struct {
+	f       *Flow
 	deficit float64
 	fresh   bool // true when the flow should receive a quantum at its next turn
-	inList  bool
+}
+
+// drrRing is the round-robin list: a FIFO of slots in a power-of-two ring,
+// so rotating a flow to the back of the round moves one slot and allocates
+// nothing once the ring has grown to the number of backlogged flows.
+type drrRing struct {
+	slots []drrSlot
+	head  int
+	n     int
+}
+
+func (r *drrRing) push(s drrSlot) {
+	if r.n == len(r.slots) {
+		slots := make([]drrSlot, max(8, 2*len(r.slots)))
+		r.each(func(i int, old *drrSlot) { slots[i] = *old })
+		r.slots, r.head = slots, 0
+	}
+	r.slots[(r.head+r.n)&(len(r.slots)-1)] = s
+	r.n++
+}
+
+func (r *drrRing) front() *drrSlot { return &r.slots[r.head] }
+
+func (r *drrRing) pop() {
+	r.slots[r.head] = drrSlot{}
+	r.head = (r.head + 1) & (len(r.slots) - 1)
+	r.n--
+}
+
+// each visits the slots in service order.
+func (r *drrRing) each(fn func(i int, s *drrSlot)) {
+	for i := 0; i < r.n; i++ {
+		fn(i, &r.slots[(r.head+i)&(len(r.slots)-1)])
+	}
 }
 
 // NewDRR returns a DRR scheduler. quantumPerUnitWeight is the number of
@@ -33,35 +71,27 @@ type drrFlow struct {
 // flow's quantum is at least its maximum packet size.
 //
 // Deprecated: prefer New("drr", WithQuantum(q)); this wrapper remains so
-// existing call sites keep compiling (and it panics on a non-positive
-// quantum, where the registry factory returns ErrBadConfig).
+// existing call sites keep compiling (and it panics on a quantum that is
+// not finite and positive, where the registry factory returns ErrBadConfig).
 func NewDRR(quantumPerUnitWeight float64) *DRR {
-	if quantumPerUnitWeight <= 0 {
-		panic("sched: DRR quantum must be positive")
+	if !positive(quantumPerUnitWeight) {
+		panic("sched: DRR quantum must be finite and positive")
 	}
-	return &DRR{
-		quantum: quantumPerUnitWeight,
-		state:   make(map[int]*drrFlow),
-	}
+	return &DRR{quantum: quantumPerUnitWeight}
 }
 
 // AddFlow registers flow with the given weight.
-func (s *DRR) AddFlow(flow int, weight float64) error {
-	if err := s.flows.Add(flow, weight); err != nil {
-		return err
-	}
-	if _, ok := s.state[flow]; !ok {
-		s.state[flow] = &drrFlow{}
-	}
-	return nil
-}
+func (s *DRR) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
-// RemoveFlow unregisters an idle flow.
+// RemoveFlow unregisters an idle flow and returns its cached chunk.
 func (s *DRR) RemoveFlow(flow int) error {
-	if err := s.flows.Remove(flow); err != nil {
+	f, err := s.flows.remove(flow)
+	if err != nil {
 		return err
 	}
-	delete(s.state, flow)
+	if f != nil {
+		f.Release(&s.pool)
+	}
 	return nil
 }
 
@@ -71,19 +101,14 @@ func (s *DRR) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	rec, err := s.flows.Lookup(p)
+	f, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	f := s.state[p.Flow]
-	f.q = append(f.q, p)
-	if !f.inList {
-		f.inList = true
-		f.fresh = true
-		f.deficit = 0
-		s.active = append(s.active, p.Flow)
+	if f.n == 0 {
+		s.active.push(drrSlot{f: f, fresh: true})
 	}
-	rec.Account(p)
+	f.Push(&s.pool, 0, 0, 0, p)
 	s.total++
 	return nil
 }
@@ -97,32 +122,26 @@ func (s *DRR) Dequeue(now float64) (*Packet, bool) {
 		return nil, false
 	}
 	for {
-		id := s.active[0]
-		f := s.state[id]
-		if f.fresh {
-			f.deficit += s.flows.Weights[id] * s.quantum
-			f.fresh = false
+		a := s.active.front()
+		if a.fresh {
+			a.deficit += a.f.Weight * s.quantum
+			a.fresh = false
 		}
-		head := f.q[f.head]
-		if head.Length <= f.deficit {
-			f.q[f.head] = nil
-			f.head++
-			f.deficit -= head.Length
-			if f.head == len(f.q) {
-				f.q = f.q[:0]
-				f.head = 0
-				f.deficit = 0
-				f.inList = false
-				s.active = s.active[1:]
+		if head := a.f.headItem().p; head.Length <= a.deficit {
+			a.deficit -= head.Length
+			a.f.Pop(&s.pool)
+			if a.f.n == 0 {
+				s.active.pop()
 			}
-			s.flows.OnDequeue(head)
 			s.total--
 			return head, true
 		}
 		// Not enough credit: rotate to the back of the round; the flow
 		// receives a fresh quantum when it returns to the front.
-		f.fresh = true
-		s.active = append(s.active[1:], id)
+		a.fresh = true
+		rotated := *a
+		s.active.pop()
+		s.active.push(rotated)
 	}
 }
 

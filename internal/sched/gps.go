@@ -1,5 +1,7 @@
 package sched
 
+import "math"
+
 // gps simulates the fluid bit-by-bit weighted round robin reference system
 // that defines WFQ's virtual time v(t) (eq 3): dv/dt = C / Σ_{j∈B(t)} r_j,
 // where B(t) is the set of flows backlogged *in the fluid system* and C is
@@ -11,7 +13,7 @@ package sched
 // what makes WFQ unfair on variable-rate links (Example 2): the fluid
 // system runs at the assumed C while the real link may not.
 type gps struct {
-	c     float64 // assumed capacity, bytes/s
+	c     float64 // assumed capacity, bytes/s; 0 when integrate follows C(t)
 	v     float64
 	lastT float64
 	sumW  float64
@@ -107,18 +109,58 @@ func (g *gps) advance(now float64) {
 		if g.lastT+dt <= now {
 			g.lastT += dt
 			g.v = fmin
-			e := g.h.pop()
-			g.count[e.flow]--
-			if g.count[e.flow] == 0 {
-				g.sumW -= g.weights[e.flow]
-				if g.sumW < 1e-12 {
-					g.sumW = 0
-				}
-			}
+			g.depart()
 		} else {
 			g.v += (now - g.lastT) * g.c / g.sumW
 			g.lastT = now
 			return
+		}
+	}
+}
+
+// integrate is advance for a fluid system whose capacity is the function
+// rateAt(t) rather than the constant c (the WFQ oracle, c = 0): it
+// integrates dv = C(t)/ΣW dt in fixed steps of at most step seconds,
+// stopping exactly at each fluid departure so B(t) stays exact.
+func (g *gps) integrate(now float64, rateAt func(float64) float64, step float64) {
+	for g.lastT < now {
+		if g.h.Len() == 0 {
+			g.lastT = now
+			return
+		}
+		h := math.Min(step, now-g.lastT)
+		dv := h * rateAt(g.lastT) / g.sumW
+		if fmin := g.h[0].finish; g.v+dv >= fmin {
+			// Advance exactly to the departure; consume the matching share
+			// of real time (guarding against a zero rate).
+			rate := rateAt(g.lastT)
+			if rate > 0 {
+				dt := (fmin - g.v) * g.sumW / rate
+				if dt > h {
+					dt = h
+				}
+				g.lastT += dt
+			} else {
+				g.lastT += h
+			}
+			g.v = fmin
+			g.depart()
+			continue
+		}
+		g.v += dv
+		g.lastT += h
+	}
+}
+
+// depart removes the earliest fluid departure; its flow leaves B(t) with
+// its last fluid packet.
+func (g *gps) depart() {
+	e := g.h.pop()
+	g.count[e.flow]--
+	if g.count[e.flow] == 0 {
+		g.sumW -= g.weights[e.flow]
+		if g.sumW < 1e-12 {
+			g.sumW = 0
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // This file implements Reconfigurable (live mutation) and Snapshotter
 // (deterministic serialization) for the disciplines that are not rank
-// functions — FIFO, DRR, Priority, Fair Airport. The rank family's one
+// functions — DRR, Priority, Fair Airport. The rank family's one
 // implementation is ranklive.go; both build on the state types in
 // snapshot.go.
 
@@ -26,71 +26,6 @@ func (t *FlowTable) RestoreDraining(draining []int) error {
 	}
 	t.draining.SetFlows(draining)
 	return nil
-}
-
-// ----------------------------------------------------------------- FIFO --
-
-type fifoState struct {
-	Last  float64          `json:"last"`
-	Flows []FlowAccounting `json:"flows"`
-	Queue []PacketState    `json:"queue"`
-}
-
-// StateKind identifies FIFO snapshot state.
-func (s *FIFO) StateKind() string { return "sched/fifo" }
-
-// MarshalState serializes the full FIFO scheduling state.
-func (s *FIFO) MarshalState() ([]byte, error) {
-	st := fifoState{Last: s.last, Flows: s.flows.CaptureAccounting()}
-	st.Queue = make([]PacketState, 0, s.Len())
-	for _, p := range s.q[s.head:] {
-		st.Queue = append(st.Queue, CapturePacket(p))
-	}
-	return json.Marshal(st)
-}
-
-// RestoreState loads state into a freshly constructed FIFO.
-func (s *FIFO) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.Len() != 0 {
-		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
-	}
-	var st fifoState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
-	}
-	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
-		return err
-	}
-	counts := make(map[int]int)
-	bytes := make(map[int]float64)
-	for i, ps := range st.Queue {
-		if ps.Length <= 0 {
-			return fmt.Errorf("%w: queue item %d length %v", ErrBadState, i, ps.Length)
-		}
-		if _, ok := s.flows.Weights[ps.Flow]; !ok {
-			return fmt.Errorf("%w: queued packet for unregistered flow %d", ErrBadState, ps.Flow)
-		}
-		counts[ps.Flow]++
-		bytes[ps.Flow] += ps.Length
-	}
-	for _, a := range st.Flows {
-		if counts[a.Flow] != a.Count || !closeTo(bytes[a.Flow], a.Bytes) {
-			return fmt.Errorf("%w: flow %d accounting disagrees with queue", ErrBadState, a.Flow)
-		}
-	}
-	for _, ps := range st.Queue {
-		s.q = append(s.q, ps.Packet())
-	}
-	s.last = st.Last
-	return nil
-}
-
-// VisitQueued visits queued packets in service (arrival) order — FIFO's
-// canonical order is its single queue, not per-flow grouping.
-func (s *FIFO) VisitQueued(fn func(*Packet)) {
-	for _, p := range s.q[s.head:] {
-		fn(p)
-	}
 }
 
 // ------------------------------------------------------------------ DRR --
@@ -118,16 +53,13 @@ func (s *DRR) StateKind() string { return "sched/drr" }
 // list order IS the schedule, so Active keeps service order.
 func (s *DRR) MarshalState() ([]byte, error) {
 	st := drrState{Last: s.last, Quantum: s.quantum, Flows: s.flows.CaptureAccounting()}
-	st.Active = make([]drrFlowState, 0, len(s.active))
-	for _, id := range s.active {
-		f := s.state[id]
-		fs := drrFlowState{Flow: id, Deficit: f.deficit, Fresh: f.fresh}
-		fs.Pkts = make([]PacketState, 0, len(f.q)-f.head)
-		for _, p := range f.q[f.head:] {
-			fs.Pkts = append(fs.Pkts, CapturePacket(p))
-		}
-		st.Active = append(st.Active, fs)
-	}
+	st.Active = make([]drrFlowState, s.active.n)
+	s.active.each(func(i int, a *drrSlot) {
+		fs := drrFlowState{Flow: a.f.flow, Deficit: a.deficit, Fresh: a.fresh}
+		fs.Pkts = make([]PacketState, 0, a.f.n)
+		a.f.VisitQueued(func(p *Packet) { fs.Pkts = append(fs.Pkts, CapturePacket(p)) })
+		st.Active[i] = fs
+	})
 	return json.Marshal(st)
 }
 
@@ -147,14 +79,11 @@ func (s *DRR) RestoreState(data []byte) error {
 	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
 		return err
 	}
-	for f := range s.flows.Weights {
-		s.state[f] = &drrFlow{}
-	}
 	seen := make(map[int]bool, len(st.Active))
 	total := 0
 	for _, fs := range st.Active {
-		f, ok := s.state[fs.Flow]
-		if !ok {
+		f := s.flows.Registered(fs.Flow)
+		if f == nil {
 			return fmt.Errorf("%w: active flow %d not registered", ErrBadState, fs.Flow)
 		}
 		if seen[fs.Flow] {
@@ -172,14 +101,20 @@ func (s *DRR) RestoreState(data []byte) error {
 			if ps.Length <= 0 || ps.Flow != fs.Flow {
 				return fmt.Errorf("%w: flow %d packet %d invalid", ErrBadState, fs.Flow, i)
 			}
-			f.q = append(f.q, ps.Packet())
 			bytes += ps.Length
 		}
-		if s.flows.QueuedCount(fs.Flow) != len(fs.Pkts) || !closeTo(s.flows.QueuedBytes(fs.Flow), bytes) {
+		if f.n != len(fs.Pkts) || !closeTo(f.bytes, bytes) {
 			return fmt.Errorf("%w: flow %d accounting disagrees with queue", ErrBadState, fs.Flow)
 		}
-		f.deficit, f.fresh, f.inList = fs.Deficit, fs.Fresh, true
-		s.active = append(s.active, fs.Flow)
+		// RestoreAccounting set the record's counters; refill its FIFO from
+		// the packets and keep the recorded byte accumulator exactly.
+		acct := f.bytes
+		f.n, f.bytes = 0, 0
+		for _, ps := range fs.Pkts {
+			f.Push(&s.pool, 0, 0, 0, ps.Packet())
+		}
+		f.bytes = acct
+		s.active.push(drrSlot{f: f, deficit: fs.Deficit, fresh: fs.Fresh})
 		total += len(fs.Pkts)
 	}
 	if n := s.flows.queuedTotal(); n != total {
@@ -193,12 +128,7 @@ func (s *DRR) RestoreState(data []byte) error {
 // VisitQueued visits queued packets in round-robin list order (DRR's
 // canonical order), FIFO within a flow.
 func (s *DRR) VisitQueued(fn func(*Packet)) {
-	for _, id := range s.active {
-		f := s.state[id]
-		for _, p := range f.q[f.head:] {
-			fn(p)
-		}
-	}
+	s.active.each(func(_ int, a *drrSlot) { a.f.VisitQueued(fn) })
 }
 
 // ListFlows returns the registered flows sorted by id.

@@ -64,14 +64,8 @@ func PoolSafeScheduler(s Interface) bool {
 // (Ranked's is in rank.go; FairAirport's lives in fairairport.go next to
 // the served-entry bookkeeping that makes it true.)
 
-// PacketPoolSafe reports that WFQOracle retains no dequeued packets.
-func (s *WFQOracle) PacketPoolSafe() bool { return true }
-
 // PacketPoolSafe reports that DRR retains no dequeued packets.
 func (s *DRR) PacketPoolSafe() bool { return true }
-
-// PacketPoolSafe reports that FIFO retains no dequeued packets.
-func (s *FIFO) PacketPoolSafe() bool { return true }
 
 // PacketPoolSafe reports whether every priority level is pool-safe.
 func (s *Priority) PacketPoolSafe() bool {

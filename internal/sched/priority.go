@@ -24,13 +24,15 @@ func NewPriority(levels ...Interface) *Priority {
 	return &Priority{levels: levels, class: make(map[int]int)}
 }
 
-// AddFlowAt registers flow with the given weight at the given level.
+// AddFlowAt registers flow with the given weight at the given level, or
+// re-weights it there if it is registered at that level already. A flow
+// keeps its level: moving it to another one is refused.
 func (s *Priority) AddFlowAt(level, flow int, weight float64) error {
 	if level < 0 || level >= len(s.levels) {
 		return fmt.Errorf("sched: priority level %d out of range", level)
 	}
-	if _, dup := s.class[flow]; dup {
-		return fmt.Errorf("sched: flow %d already assigned a priority level", flow)
+	if lvl, dup := s.class[flow]; dup && lvl != level {
+		return fmt.Errorf("sched: flow %d already assigned priority level %d", flow, lvl)
 	}
 	if err := s.levels[level].AddFlow(flow, weight); err != nil {
 		return err
@@ -39,9 +41,14 @@ func (s *Priority) AddFlowAt(level, flow int, weight float64) error {
 	return nil
 }
 
-// AddFlow registers flow at the lowest priority level.
+// AddFlow registers flow at the lowest priority level, or re-weights it at
+// the level it already has (the Interface's upsert contract).
 func (s *Priority) AddFlow(flow int, weight float64) error {
-	return s.AddFlowAt(len(s.levels)-1, flow, weight)
+	level, ok := s.class[flow]
+	if !ok {
+		level = len(s.levels) - 1
+	}
+	return s.AddFlowAt(level, flow, weight)
 }
 
 // RemoveFlow unregisters an idle flow.

@@ -5,9 +5,9 @@ import "fmt"
 // This file is the one implementation of the tag-based family: a PIFO
 // (push-in-first-out) queue over the flow-indexed core (FlowQ / FlowHeap /
 // FlowSet, DESIGN.md §12) and a scheduler, Ranked, that drives a rank
-// function over it. SFQ, SCFQ, Virtual Clock, Delay EDD, WFQ and FQS are
-// rank functions in rankfuncs.go; LSTF, SRPT and FIFO+ are written against
-// the same API from outside, in internal/pifo.
+// function over it. SFQ, SCFQ, Virtual Clock, Delay EDD, WFQ, FQS, FIFO and
+// the WFQ oracle are rank functions in rankfuncs.go; LSTF, SRPT and FIFO+
+// are written against the same API from outside, in internal/pifo.
 //
 // The model follows *Programmable Packet Scheduling at Line Rate* (Sivaraman
 // et al., PAPERS.md): a PIFO admits packets in arbitrary rank order and
@@ -156,7 +156,8 @@ type Discipline struct {
 	OnAddFlow func(st *RankState, f *Flow)
 
 	// NeedsGPS requests a fluid GPS reference at Config.AssumedCapacity;
-	// construction fails without a positive capacity.
+	// construction fails without a finite positive capacity, and
+	// SetCapacity changes it.
 	NeedsGPS bool
 
 	// StampRank copies the final — possibly clamped — primary key into
@@ -188,13 +189,19 @@ func NewRanked(d Discipline, cfg Config) (*Ranked, error) {
 	s := &Ranked{d: d}
 	s.q.fs.FlowTable = NewFlowTable()
 	if d.NeedsGPS {
-		if cfg.AssumedCapacity <= 0 {
-			return nil, fmt.Errorf("%w: %s requires WithAssumedCapacity > 0", ErrBadConfig, d.Name)
+		if !positive(cfg.AssumedCapacity) {
+			return nil, fmt.Errorf("%w: %s requires a finite WithAssumedCapacity > 0, got %v", ErrBadConfig, d.Name, cfg.AssumedCapacity)
 		}
-		s.st.gps = newGPS(cfg.AssumedCapacity, s.q.fs.Weights)
-		s.q.fs.fluid = s.st.gps
+		s.attachFluid(cfg.AssumedCapacity)
 	}
 	return s, nil
+}
+
+// attachFluid gives s a fluid GPS reference at capacity c (0 for the WFQ
+// oracle, whose Advance hook integrates C(t) instead).
+func (s *Ranked) attachFluid(c float64) {
+	s.st.gps = newGPS(c, s.q.fs.Weights)
+	s.q.fs.fluid = s.st.gps
 }
 
 // MustNewRanked is NewRanked for statically valid configurations; it

@@ -149,8 +149,23 @@ func RankWFQ(byStart bool) Discipline {
 	}
 }
 
+// RankFIFO is first-in first-out across all flows — the degenerate PIFO: a
+// constant rank, so the push serial alone orders packets, and that is
+// arrival order. It stamps nothing. It is the baseline of the paper's
+// comparisons, the priority level Fig. 1 gives the video source, and the
+// leaf queue of the link-sharing trees; weights are registered and unused.
+func RankFIFO() Discipline {
+	return Discipline{
+		Name: "fifo",
+		Rank: func(*RankState, *Flow, float64, *Packet) (float64, float64) { return 0, 0 },
+	}
+}
+
 // The constructors below predate the registry; they remain because tests,
 // experiments and examples call them, and return the one scheduler type.
+
+// NewFIFO returns an empty FIFO scheduler. Prefer New("fifo").
+func NewFIFO() *Ranked { return MustNewRanked(RankFIFO(), Config{}) }
 
 // NewSCFQ returns an empty SCFQ scheduler. Prefer New("scfq").
 func NewSCFQ() *Ranked { return MustNewRanked(RankSCFQ(), Config{}) }
@@ -170,6 +185,28 @@ func NewWFQ(assumedCap float64) *Ranked {
 // virtual time, start-tag transmission order. Prefer New("fqs", ...).
 func NewFQS(assumedCap float64) *Ranked {
 	return MustNewRanked(RankWFQ(true), Config{AssumedCapacity: assumedCap})
+}
+
+// NewWFQOracle returns the §1.2 thought experiment made concrete: WFQ whose
+// fluid reference integrates the *actual* capacity C(t) = rateAt(t) in
+// fixed steps of step seconds (eq 3 with C replaced by C(t)). Given a
+// perfect rate oracle it restores fairness on variable-rate servers — at
+// the cost the paper warns about: the fluid clock must numerically
+// integrate C(t), and a real scheduler has no such oracle for a
+// flow-controlled or CPU-limited link. It exists for the ablation that
+// shows SFQ gets the same fairness with none of this machinery. It assumes
+// no capacity, so SetCapacity returns ErrNoCapacityKnob.
+func NewWFQOracle(rateAt func(t float64) float64, step float64) *Ranked {
+	if rateAt == nil || !positive(step) {
+		panic("sched: WFQOracle needs a rate function and a positive step")
+	}
+	d := RankWFQ(false)
+	d.Name = "wfq-oracle"
+	d.NeedsGPS = false
+	d.Advance = func(st *RankState, now float64) { st.gps.integrate(now, rateAt, step) }
+	s := MustNewRanked(d, Config{})
+	s.attachFluid(0)
+	return s
 }
 
 // EDD is the Delay EDD scheduler with its one discipline-specific

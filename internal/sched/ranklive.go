@@ -7,7 +7,8 @@ import (
 
 // This file implements Reconfigurable (live mutation) and Snapshotter
 // (deterministic serialization) for Ranked, covering every rank-function
-// discipline at once. See snapshot.go for the determinism contract.
+// discipline at once, FIFO and the WFQ oracle included. See snapshot.go for
+// the determinism contract.
 
 // FlowRankState is one backlogged flow's clamp-chain entry (the rank its
 // most recent push actually used).
@@ -96,12 +97,13 @@ func (s *Ranked) SetWeight(flow int, weight float64) error {
 // effective from the last advance point — the knob Example 2 shows can
 // break WFQ's fairness when it diverges from the real rate. The
 // self-clocked and per-flow-clock rank functions have no capacity
-// assumption to change (the property Section 2 is built on).
+// assumption to change (the property Section 2 is built on), and neither
+// has the WFQ oracle, whose fluid clock follows C(t) itself.
 func (s *Ranked) SetCapacity(c float64) error {
-	if s.st.gps == nil {
+	if !s.d.NeedsGPS {
 		return ErrNoCapacityKnob
 	}
-	if c <= 0 {
+	if !positive(c) {
 		return fmt.Errorf("%w: capacity %v", ErrBadConfig, c)
 	}
 	s.st.gps.c = c

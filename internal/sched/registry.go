@@ -294,12 +294,12 @@ func init() {
 		if q == 0 {
 			q = DefaultQuantum
 		}
-		if q <= 0 {
-			return nil, fmt.Errorf("%w: drr quantum %v must be positive", ErrBadConfig, q)
+		if !positive(q) {
+			return nil, fmt.Errorf("%w: drr quantum %v must be finite and positive", ErrBadConfig, q)
 		}
 		return NewDRR(q), nil
 	})
-	Register("fifo", func(Config) (Interface, error) { return NewFIFO(), nil })
+	Register("fifo", func(cfg Config) (Interface, error) { return NewRanked(RankFIFO(), cfg) })
 	Register("fairairport", func(Config) (Interface, error) { return NewFairAirport(), nil }, "fa")
 	Register("priority", func(cfg Config) (Interface, error) {
 		if len(cfg.Levels) == 0 {

@@ -1,10 +1,10 @@
 // Package sched defines the packet-scheduler contract shared by every
 // scheduling algorithm in this repository and implements them: the
 // tag-based family — SFQ itself, and the baselines the paper compares it
-// against, WFQ (PGPS), FQS, SCFQ, Virtual Clock, Delay EDD — as rank
+// against, WFQ (PGPS), FQS, SCFQ, Virtual Clock, Delay EDD, FIFO — as rank
 // functions over one scheduler (Ranked: rank.go, rankfuncs.go), and DRR,
-// FIFO, strict priority and the Fair Airport scheduler of Appendix B on
-// their own. internal/core names and registers the paper's contribution
+// strict priority and the Fair Airport scheduler of Appendix B on their
+// own. internal/core names and registers the paper's contribution
 // (SFQ, hierarchical SFQ); internal/hier is the scheduler tree.
 //
 // Time convention: the component that owns the output link drives the
@@ -137,8 +137,8 @@ type Flow struct {
 }
 
 // Account and Unaccount count a packet queued outside the record's FIFO:
-// FIFO, DRR and Fair Airport keep their own packet queues and use the
-// record's counters alone.
+// Fair Airport keeps its own packet queues and uses the record's counters
+// alone.
 func (f *Flow) Account(p *Packet) {
 	f.n++
 	f.bytes += p.Length
@@ -161,9 +161,9 @@ func (f *Flow) Unaccount(p *Packet) {
 // flow. Weights says which flows are registered, and is the control-plane
 // view of their weights (the fluid GPS reference shares it, ListFlows and
 // the live-state code read it); the per-packet paths of the disciplines
-// built on a FlowSet go through Lookup and use the record. (DRR and Fair
-// Airport, which keep a per-flow state of their own beside the table,
-// still read Weights once per quantum or promotion.) A record is made when
+// built on a FlowSet and of DRR go through Lookup and use the record. (Fair
+// Airport, which keeps a per-flow state of its own beside the table, still
+// reads Weights once per promotion.) A record is made when
 // its flow first needs one — its first packet, as a rule — so a flow that
 // is registered and silent costs its Weights entry and nothing else. The
 // zero value is ready to use.

@@ -349,10 +349,10 @@ func (t *FlowTable) CaptureAccounting() []FlowAccounting {
 
 // RestoreAccounting replaces the registry's contents. It *registers* the
 // flows — a freshly constructed scheduler needs no AddFlow calls before
-// restore — and sets their queued counters, which are the whole
-// accounting of the disciplines that use it: FIFO, DRR and Fair Airport
-// queue outside the record's FIFO. The Weights map is cleared in place,
-// never reallocated.
+// restore — and sets their queued counters: the whole accounting of Fair
+// Airport, which queues outside the record's FIFO, and what DRR checks its
+// refilled FIFOs against. The Weights map is cleared in place, never
+// reallocated.
 func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 	for i, a := range accts {
 		if i > 0 && a.Flow <= accts[i-1].Flow {
@@ -444,7 +444,9 @@ func (g *gps) restoreState(st GPSState) error {
 	if len(g.h) != 0 || g.seq != 0 {
 		return fmt.Errorf("%w: restore into non-empty GPS", ErrBadState)
 	}
-	if st.C <= 0 {
+	// An assumed capacity is finite and positive; the WFQ oracle's is 0 on
+	// both sides (it follows C(t)), and neither loads into the other.
+	if g.c == 0 && st.C != 0 || g.c != 0 && !positive(st.C) {
 		return fmt.Errorf("%w: GPS capacity %v", ErrBadState, st.C)
 	}
 	perFlow := make(map[int]int, len(st.Busy))

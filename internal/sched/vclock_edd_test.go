@@ -341,7 +341,10 @@ func TestPriorityStrictOrder(t *testing.T) {
 	if err := s.AddFlowAt(5, 3, 1); err == nil {
 		t.Error("out-of-range level accepted")
 	}
-	if err := s.AddFlowAt(0, 1, 1); err == nil {
-		t.Error("duplicate flow accepted")
+	if err := s.AddFlowAt(1, 1, 1); err == nil {
+		t.Error("flow moved to another level")
+	}
+	if err := s.AddFlowAt(0, 1, 2); err != nil {
+		t.Errorf("re-weighting a flow at its own level: %v", err)
 	}
 }

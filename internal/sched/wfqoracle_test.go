@@ -1,6 +1,8 @@
 package sched_test
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fairness"
@@ -87,10 +89,46 @@ func TestWFQOracleBookkeeping(t *testing.T) {
 	if err := s.RemoveFlow(1); err != nil {
 		t.Errorf("RemoveFlow: %v", err)
 	}
+	// The oracle assumes no capacity: there is none to set.
+	if err := s.SetCapacity(100); !errors.Is(err, sched.ErrNoCapacityKnob) {
+		t.Errorf("SetCapacity = %v, want ErrNoCapacityKnob", err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("nil rate function accepted")
 		}
 	}()
 	sched.NewWFQOracle(nil, 1)
+}
+
+// TestWFQOracleSnapshot: the oracle snapshots as a rank discipline of its
+// own — fluid state included — restores into a fresh oracle as a fixed
+// point, and is refused by WFQ, whose fluid system runs at a capacity.
+func TestWFQOracleSnapshot(t *testing.T) {
+	rate := func(float64) float64 { return 100 }
+	s := sched.NewWFQOracle(rate, 1e-3)
+	addFlows(t, s, map[int]float64{1: 100, 2: 300})
+	for i, f := range []int{1, 2, 1, 2, 2} {
+		if err := s.Enqueue(float64(i)*0.1, &sched.Packet{Flow: f, Length: 50}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Dequeue(0.5)
+	if kind := s.StateKind(); kind != "rank/wfq-oracle" {
+		t.Errorf("StateKind = %q", kind)
+	}
+	data, err := s.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sched.NewWFQOracle(rate, 1e-3)
+	if err := r.RestoreState(data); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := r.MarshalState(); !bytes.Equal(again, data) {
+		t.Errorf("restore is not a fixed point:\n%s\n%s", again, data)
+	}
+	if err := sched.NewWFQ(100).RestoreState(data); !errors.Is(err, sched.ErrBadState) {
+		t.Errorf("oracle state into WFQ = %v, want ErrBadState", err)
+	}
 }
