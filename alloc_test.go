@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/core" // registers sfq, hsfq and, through internal/hier, the hier: names
+	"repro/internal/eventq"
 	_ "repro/internal/pifo"
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/server"
+	"repro/internal/sim"
 )
 
 // The zero-allocation contract of the packet path, one row per cycle. A row
@@ -21,6 +23,11 @@ import (
 // and pifo-wfq, which this cycle overloads so that it grows without bound
 // (0.0004-0.0006). One allocation per packet or per batch fails. Scheduler rows
 // come from sched.Names(): a discipline is covered the moment it registers.
+// A sim.Link under MonitorAll has a row too: the monitor's hooks only append
+// to a chunked log, so a departure costs no allocation beyond a new chunk
+// every thousand rows. Capped Attach is left out: once its window is full it
+// folds the oldest chunk into the per-flow views, whose samples and curves
+// grow with every packet — that is its cost, paid in batches.
 // Not repeated here: the event queue, pinned in both phases by
 // internal/eventq's TestScheduleStepZeroAlloc and TestCancelZeroAlloc; the
 // experiments, whose drift is e2e.allocs_per_op of the paper-suite workload.
@@ -133,6 +140,35 @@ func TestZeroAllocExact(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestZeroAllocMonitoredLink: one frame queued per flow on an sfq link with a
+// MonitorAll monitor, and every departed frame sent straight back in, so one
+// op is one event: a completion, the monitor's log rows (a departure and the
+// backlog it closes), the redelivery and the next transmission.
+func TestZeroAllocMonitoredLink(t *testing.T) {
+	for _, nflows := range []int{16, 4096} {
+		t.Run(fmt.Sprintf("flows=%d", nflows), func(t *testing.T) {
+			q := &eventq.Queue{}
+			var link *sim.Link
+			back := sim.ConsumerFunc(func(f *sim.Frame) { link.Deliver(f) })
+			link = sim.NewLink(q, "l", core.New(), server.NewConstantRate(1e9), back)
+			for f := 0; f < nflows; f++ {
+				if err := link.Scheduler().AddFlow(f, float64(f%7+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sim.MonitorAll(link)
+			for f := 0; f < nflows; f++ {
+				link.Deliver(&sim.Frame{Flow: f, Bytes: 500})
+			}
+			zeroAllocs(t, func() {
+				if !q.Step() {
+					t.Fatal("link ran dry")
+				}
+			})
+		})
 	}
 }
 

@@ -129,15 +129,16 @@ func CheckChaosConservation(res *ChaosResult, w Workload) error {
 		// Enq == Deq still holds for every accepted packet…
 		return fmt.Errorf("chaos conservation: %d enqueues vs %d dequeues", len(res.Trace.Enq), len(res.Trace.Deq))
 	}
-	if served := int64(len(res.Mon.Records)); served+afterAccept != int64(len(res.Trace.Deq)) {
+	recs := res.Mon.ServiceRecords()
+	if served := int64(len(recs)); served+afterAccept != int64(len(res.Trace.Deq)) {
 		return fmt.Errorf("chaos conservation: %d dequeued != %d transmitted + %d dropped in flight",
 			len(res.Trace.Deq), served, afterAccept)
 	}
 	if err := CheckPerFlowFIFO(res.Trace); err != nil {
 		return err
 	}
-	for i := 0; i+1 < len(res.Mon.Records); i++ {
-		a, b := res.Mon.Records[i], res.Mon.Records[i+1]
+	for i := 0; i+1 < len(recs); i++ {
+		a, b := recs[i], recs[i+1]
 		if b.Start < a.End-tol(a.End) {
 			return fmt.Errorf("chaos sequentiality: transmission %d starts at %v before %d ends at %v",
 				i+1, b.Start, i, a.End)

@@ -16,14 +16,15 @@ import (
 func tol(scale float64) float64 { return 1e-9 + 1e-9*math.Abs(scale) }
 
 // CheckAlignment asserts the correspondence the replay checkers rely on:
-// the link transmits packets sequentially, so Monitor.Records[i] must be
-// the packet of Trace.Deq[i] (same flow, same length).
+// the link transmits packets sequentially, so Monitor.ServiceRecords()[i]
+// must be the packet of Trace.Deq[i] (same flow, same length).
 func CheckAlignment(tr *Trace, mon *sim.Monitor) error {
-	if len(tr.Deq) != len(mon.Records) {
-		return fmt.Errorf("alignment: %d dequeues but %d service records", len(tr.Deq), len(mon.Records))
+	recs := mon.ServiceRecords()
+	if len(tr.Deq) != len(recs) {
+		return fmt.Errorf("alignment: %d dequeues but %d service records", len(tr.Deq), len(recs))
 	}
 	for i, st := range tr.Deq {
-		r := mon.Records[i]
+		r := recs[i]
 		if r.Flow != st.P.Flow || r.Bytes != st.P.Length {
 			return fmt.Errorf("alignment: record %d is flow %d/%v bytes, dequeue was flow %d/%v",
 				i, r.Flow, r.Bytes, st.P.Flow, st.P.Length)
@@ -150,7 +151,7 @@ func CheckAggregateFIFO(tr *Trace) error {
 // queued: whenever a transmission ended with backlog remaining, the next
 // transmission started immediately, and transmissions never overlapped.
 func CheckWorkConserving(tr *Trace, mon *sim.Monitor) error {
-	recs := mon.Records
+	recs := mon.ServiceRecords()
 	for i := 0; i+1 < len(recs); i++ {
 		end, next := recs[i].End, recs[i+1].Start
 		if next < end-tol(end) {
@@ -216,13 +217,14 @@ func CheckTheorem2(mon *sim.Monitor, w Workload) error {
 	for _, f := range w.Flows {
 		sumLmax += w.Lmax(f.Flow)
 	}
+	all := mon.ServiceRecords()
 	for _, f := range w.Flows {
 		rf, lfmax := f.Weight, w.Lmax(f.Flow)
 		slack := rf*sumLmax/w.C + lfmax
 		for _, iv := range mon.BackloggedIntervals(f.Flow) {
 			// Per-flow records inside the interval, in service order.
 			var recs []sim.ServiceRecord
-			for _, r := range mon.Records {
+			for _, r := range all {
 				if r.Flow == f.Flow && r.Start >= iv.Start-tol(iv.Start) && r.End <= iv.End+tol(iv.End) {
 					recs = append(recs, r)
 				}
@@ -296,8 +298,9 @@ func CheckTheorem4Delay(tr *Trace, mon *sim.Monitor, w Workload) error {
 	if err := CheckAlignment(tr, mon); err != nil {
 		return err
 	}
+	recs := mon.ServiceRecords()
 	for i, st := range tr.Deq {
-		end := mon.Records[i].End
+		end := recs[i].End
 		bound := eats[st.P] + sumOtherLmax(w, st.P.Flow)/w.C + st.P.Length/w.C
 		if end > bound+tol(bound) {
 			return fmt.Errorf("Theorem 4: flow %d packet %d departs at %v after bound %v",
@@ -319,8 +322,9 @@ func CheckSCFQDelay(tr *Trace, mon *sim.Monitor, w Workload) error {
 	if err := CheckAlignment(tr, mon); err != nil {
 		return err
 	}
+	recs := mon.ServiceRecords()
 	for i, st := range tr.Deq {
-		end := mon.Records[i].End
+		end := recs[i].End
 		bound := qos.SCFQDelayBound(w.C, eats[st.P], st.P.Length,
 			sched.EffRate(st.P, weights[st.P.Flow]), sumOtherLmax(w, st.P.Flow))
 		if end > bound+tol(bound) {
@@ -345,9 +349,10 @@ func CheckDelayBound(tr *Trace, mon *sim.Monitor, w Workload, name string,
 		weights[f.Flow] = f.Weight
 	}
 	eats := eatChain(tr, w)
+	recs := mon.ServiceRecords()
 	for i, st := range tr.Deq {
 		b := bound(eats[st.P], st.P, weights[st.P.Flow])
-		if end := mon.Records[i].End; end > b+tol(b) {
+		if end := recs[i].End; end > b+tol(b) {
 			return fmt.Errorf("%s: flow %d packet %d departs at %v after bound %v",
 				name, st.P.Flow, st.P.Seq, end, b)
 		}
@@ -376,6 +381,7 @@ func CheckPGPS(tr *Trace, mon *sim.Monitor, w Workload) error {
 	if err := CheckAlignment(tr, mon); err != nil {
 		return err
 	}
+	recs := mon.ServiceRecords()
 	idx := make(map[int]int)
 	for i, st := range tr.Deq {
 		k := idx[st.P.Flow]
@@ -385,7 +391,7 @@ func CheckPGPS(tr *Trace, mon *sim.Monitor, w Workload) error {
 			return fmt.Errorf("PGPS: no fluid departure for flow %d packet #%d", st.P.Flow, k)
 		}
 		bound := gf + lmax/w.C
-		if end := mon.Records[i].End; end > bound+tol(bound) {
+		if end := recs[i].End; end > bound+tol(bound) {
 			return fmt.Errorf("PGPS: flow %d packet #%d finishes at %v after GPS+lmax/C bound %v",
 				st.P.Flow, k, end, bound)
 		}

@@ -345,6 +345,7 @@ func compareWithRef(w Workload, tr *Trace, mon *sim.Monitor, exact bool) error {
 	if len(rtr.Deq) != len(tr.Deq) {
 		return fmt.Errorf("differential: served %d packets, reference served %d", len(tr.Deq), len(rtr.Deq))
 	}
+	recs, refRecs := mon.ServiceRecords(), rres.Mon.ServiceRecords()
 	for i := range tr.Deq {
 		a, b := tr.Deq[i].P, rtr.Deq[i].P
 		if a.Flow != b.Flow || a.Seq != b.Seq || a.Length != b.Length {
@@ -359,7 +360,7 @@ func compareWithRef(w Workload, tr *Trace, mon *sim.Monitor, exact bool) error {
 				return fmt.Errorf("differential: dequeue %d finish tag %v, reference %v", i, a.VirtualFinish, b.VirtualFinish)
 			}
 		}
-		if ra, rb := mon.Records[i], rres.Mon.Records[i]; math.Abs(ra.End-rb.End) > tol(rb.End) {
+		if ra, rb := recs[i], refRecs[i]; math.Abs(ra.End-rb.End) > tol(rb.End) {
 			return fmt.Errorf("differential: dequeue %d completes at %v, reference at %v", i, ra.End, rb.End)
 		}
 	}

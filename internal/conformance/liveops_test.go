@@ -45,12 +45,13 @@ func traceEqual(want, got *Trace) error {
 // monitorEqual requires identical transmission records — the link-level
 // view of bit-identity (start/end instants included).
 func monitorEqual(want, got *sim.Monitor) error {
-	if len(want.Records) != len(got.Records) {
-		return fmt.Errorf("%d transmissions, baseline %d", len(got.Records), len(want.Records))
+	w, g := want.ServiceRecords(), got.ServiceRecords()
+	if len(w) != len(g) {
+		return fmt.Errorf("%d transmissions, baseline %d", len(g), len(w))
 	}
-	for i := range want.Records {
-		if got.Records[i] != want.Records[i] {
-			return fmt.Errorf("transmission %d = %+v, baseline %+v", i, got.Records[i], want.Records[i])
+	for i := range w {
+		if g[i] != w[i] {
+			return fmt.Errorf("transmission %d = %+v, baseline %+v", i, g[i], w[i])
 		}
 	}
 	return nil
@@ -292,9 +293,10 @@ func TestSetWeightMidWorkload(t *testing.T) {
 				enqAt[st.P] = st.Now
 			}
 			tClean := tMut
+			recs := res.Mon.ServiceRecords()
 			for i, st := range tr.Deq {
-				if enqAt[st.P] <= tMut && res.Mon.Records[i].End > tClean {
-					tClean = res.Mon.Records[i].End
+				if enqAt[st.P] <= tMut && recs[i].End > tClean {
+					tClean = recs[i].End
 				}
 			}
 			clip := func(iv []sim.Interval) []sim.Interval {

@@ -23,11 +23,12 @@ import (
 // the stamped packets stay valid after the run.)
 func replayDigest(tr *Trace, mon *sim.Monitor) string {
 	var b strings.Builder
+	recs := mon.ServiceRecords()
 	for i, st := range tr.Deq {
 		p := st.P
 		fmt.Fprintf(&b, "%d %d %.9g @%.9g tags %.17g %.17g", p.Flow, p.Seq, p.Length, st.Now, p.VirtualStart, p.VirtualFinish)
-		if i < len(mon.Records) {
-			r := mon.Records[i]
+		if i < len(recs) {
+			r := recs[i]
 			fmt.Fprintf(&b, " tx %.17g..%.17g", r.Start, r.End)
 		}
 		b.WriteByte('\n')
@@ -292,8 +293,8 @@ func TestProbeTransparency(t *testing.T) {
 					return fmt.Errorf("probed replay diverged\nbare:\n%s\nprobed:\n%s", db, dp)
 				}
 				snap := o.Snapshot()
-				if snap.Delivered != int64(len(resObs.Mon.Records)) {
-					return fmt.Errorf("observer delivered %d, monitor saw %d", snap.Delivered, len(resObs.Mon.Records))
+				if n := len(resObs.Mon.ServiceRecords()); snap.Delivered != int64(n) {
+					return fmt.Errorf("observer delivered %d, monitor saw %d", snap.Delivered, n)
 				}
 				if snap.ProbeDequeues != int64(len(trObs.Deq)) {
 					return fmt.Errorf("probe dequeues %d, trace has %d", snap.ProbeDequeues, len(trObs.Deq))

@@ -25,8 +25,8 @@ type Stamp struct {
 // calls that, for the self-clocked disciplines, reset the system virtual
 // time (SFQ step 2 sets v to the maximum finish tag there). The replay
 // checkers in invariants.go consume it alongside the sim.Monitor service
-// records (Trace.Deq[i] is the packet of Monitor.Records[i]: a link
-// transmits packets sequentially in dequeue order); the runtime replay
+// records (Trace.Deq[i] is the packet of Monitor.ServiceRecords()[i]: a
+// link transmits packets sequentially in dequeue order); the runtime replay
 // (runtime_test.go) additionally needs Idle to reproduce the simulator's
 // exact call sequence, busy-period boundaries included.
 type Trace struct {

@@ -112,11 +112,12 @@ func TestDelegateTheorem7Separation(t *testing.T) {
 	// The class's virtual server per eq (65): rate 6000, burst folded in.
 	classFC := qos.SFQThroughputFC(server.FCParams{C: c}, clsRate, 100, 230)
 	// Theorem 7 at the class level: deadline + lmax/C' + δ'/C'.
+	recs := res.Mon.ServiceRecords()
 	for f, d := range map[int]float64{1: 0.05, 2: 0.4} {
 		chain := qos.EAT{}
 		bound := 0.0
 		idx := 0
-		for _, rec := range res.Mon.Records {
+		for _, rec := range recs {
 			if rec.Flow != f {
 				continue
 			}

@@ -357,7 +357,7 @@ func TestTheorem4DelayBound(t *testing.T) {
 		}
 		idx := map[int]int{}
 		fc := server.FCParams{C: c, Delta: 0}
-		for _, rec := range res.Mon.Records {
+		for _, rec := range res.Mon.ServiceRecords() {
 			k := idx[rec.Flow]
 			idx[rec.Flow]++
 			eat := eats[rec.Flow][k]
@@ -394,7 +394,8 @@ func TestWorkConservation(t *testing.T) {
 		total += 100
 	}
 	res := schedtest.Drive(s, server.NewConstantRate(1000), arr)
-	last := res.Mon.Records[len(res.Mon.Records)-1]
+	recs := res.Mon.ServiceRecords()
+	last := recs[len(recs)-1]
 	if math.Abs(last.End-total/1000) > 1e-9 {
 		t.Errorf("busy period ends at %v, want %v", last.End, total/1000)
 	}

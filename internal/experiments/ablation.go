@@ -111,8 +111,9 @@ func AblationWFQClock(seed int64) *Result {
 		}
 		proc := server.NewPiecewise([]float64{0, 1}, []float64{1, c})
 		res := schedtest.Drive(s, proc, mkArr())
-		wf := fairness.NormalizedThroughput(res.Mon.Records, 1, 1, 1, 2)
-		wm := fairness.NormalizedThroughput(res.Mon.Records, 2, 1, 1, 2)
+		recs := res.Mon.ServiceRecords()
+		wf := fairness.NormalizedThroughput(recs, 1, 1, 1, 2)
+		wm := fairness.NormalizedThroughput(recs, 2, 1, 1, 2)
 		r.addf("%-14s W_f(1,2)=%4.1f  W_m(1,2)=%4.1f  (fair: %.1f each)", tc.name, wf, wm, c/2)
 		r.set("Wm_"+tc.name, wm)
 	}

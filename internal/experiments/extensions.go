@@ -91,6 +91,7 @@ func Residual(seed int64) *Result {
 	resFC := server.FCParams{C: c - rho, Delta: sigma}
 	violations := 0
 	worstSlack := stats.Welford{}
+	recs := mon.ServiceRecords()
 	for _, f := range flows {
 		var chain qos.EAT
 		eats := make([]float64, len(arrivals[f]))
@@ -98,7 +99,7 @@ func Residual(seed int64) *Result {
 			eats[i] = chain.Next(rec.at, rec.bytes, weights[f])
 		}
 		i := 0
-		for _, sr := range mon.Records {
+		for _, sr := range recs {
 			if sr.Flow != f {
 				continue
 			}
@@ -297,7 +298,7 @@ func GenRate(seed int64) *Result {
 	violations := 0
 	worst := 0.0
 	i := 0
-	for _, sr := range mon.Records {
+	for _, sr := range mon.ServiceRecords() {
 		if sr.Flow != 1 {
 			continue
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/eventq"
@@ -81,15 +82,8 @@ func liveOpsFailover(r *Result, seed int64) {
 		panic(sw.Err)
 	}
 
-	identical := len(base.Mon.Records) == len(got.Mon.Records)
-	if identical {
-		for i := range base.Mon.Records {
-			if base.Mon.Records[i] != got.Mon.Records[i] {
-				identical = false
-				break
-			}
-		}
-	}
+	baseRecs, gotRecs := base.Mon.ServiceRecords(), got.Mon.ServiceRecords()
+	identical := slices.Equal(baseRecs, gotRecs)
 	h := fairness.MonitorUnfairness(got.Mon, 1, 2, 1, 3)
 	bound := qos.SFQFairnessBound(1, 1, 1, 3)
 	verdict := "DIVERGED"
@@ -97,14 +91,14 @@ func liveOpsFailover(r *Result, seed int64) {
 		verdict = "identical"
 	}
 	r.addf("failover: %d kill-and-restores at ops %v under %d chaos episodes; schedule %s (%d departures)",
-		len(restoreAt), restoreAt, len(eps), verdict, len(got.Mon.Records))
+		len(restoreAt), restoreAt, len(eps), verdict, len(gotRecs))
 	r.addf("failover: post-restore H(f,m) = %.3f  bound %.3f", h, bound)
 	boolVal := 0.0
 	if identical {
 		boolVal = 1
 	}
 	r.set("failover_identical", boolVal)
-	r.set("failover_departures", float64(len(got.Mon.Records)))
+	r.set("failover_departures", float64(len(gotRecs)))
 	r.set("failover_H", h)
 	r.set("failover_bound", bound)
 }
@@ -175,7 +169,7 @@ func liveOpsSLOControl(r *Result) {
 
 		// Score flow 1's goodput in half-second buckets.
 		served := make([]float64, int(horizon/bucket))
-		for _, rec := range mon.Records {
+		for _, rec := range mon.ServiceRecords() {
 			b := int(rec.End / bucket)
 			if rec.Flow == 1 && b >= 0 && b < len(served) {
 				served[b] += rec.Bytes

@@ -168,8 +168,9 @@ func Example2() *Result {
 			panic(err)
 		}
 		res := schedtest.Drive(s, mkProc(), mkArr())
-		wf := fairness.NormalizedThroughput(res.Mon.Records, 1, 1, 1, 2)
-		wm := fairness.NormalizedThroughput(res.Mon.Records, 2, 1, 1, 2)
+		recs := res.Mon.ServiceRecords()
+		wf := fairness.NormalizedThroughput(recs, 1, 1, 1, 2)
+		wm := fairness.NormalizedThroughput(recs, 2, 1, 1, 2)
 		r.addf("%-4s W_f(1,2) = %4.1f pkts   W_m(1,2) = %4.1f pkts   (fair split: %.1f each)",
 			algo, wf, wm, c/2)
 		r.set("Wf_"+algo, wf)

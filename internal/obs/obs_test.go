@@ -249,8 +249,8 @@ func TestObserveComposesWithMonitor(t *testing.T) {
 			o = obs.Observe(link)
 		}
 		q.Run()
-		if len(mon.Records) != 40 {
-			t.Errorf("obsFirst=%v: monitor records = %d", obsFirst, len(mon.Records))
+		if n := len(mon.ServiceRecords()); n != 40 {
+			t.Errorf("obsFirst=%v: monitor records = %d", obsFirst, n)
 		}
 		if s := o.Snapshot(); s.Delivered != 40 {
 			t.Errorf("obsFirst=%v: observer delivered = %d", obsFirst, s.Delivered)

@@ -23,7 +23,8 @@ func TestFAWorkConserving(t *testing.T) {
 		arr = append(arr, schedtest.Arrival{At: 0, Flow: 1, Bytes: 100})
 	}
 	res := schedtest.Drive(s, server.NewConstantRate(1000), arr)
-	last := res.Mon.Records[len(res.Mon.Records)-1]
+	recs := res.Mon.ServiceRecords()
+	last := recs[len(recs)-1]
 	if last.End > 2.0+1e-9 { // 2000 bytes at 1000 B/s
 		t.Errorf("busy period ends at %v; FA must be work conserving (want 2.0)", last.End)
 	}
@@ -48,7 +49,7 @@ func TestFADelayGuarantee(t *testing.T) {
 		eats[2] = append(eats[2], chains[2].Next(float64(i)*0.12, 100, 750))
 	}
 	idx := map[int]int{}
-	for _, rec := range res.Mon.Records {
+	for _, rec := range res.Mon.ServiceRecords() {
 		k := idx[rec.Flow]
 		idx[rec.Flow]++
 		bound := qos.FADelayBound(c, eats[rec.Flow][k], rec.Bytes, weights[rec.Flow], 100)
@@ -107,8 +108,9 @@ func TestFAvsVirtualClockNoPunishment(t *testing.T) {
 	s := sched.NewFairAirport()
 	addFlows(t, s, map[int]float64{1: 50, 2: 50})
 	res := schedtest.Drive(s, server.NewConstantRate(c), mkArr())
-	w1 := fairness.NormalizedThroughput(res.Mon.Records, 1, 1, 10, 14)
-	w2 := fairness.NormalizedThroughput(res.Mon.Records, 2, 1, 10, 14)
+	recs := res.Mon.ServiceRecords()
+	w1 := fairness.NormalizedThroughput(recs, 1, 1, 10, 14)
+	w2 := fairness.NormalizedThroughput(recs, 2, 1, 10, 14)
 	if w1 == 0 || w2/w1 > 2.0 {
 		t.Errorf("FA should not punish the idle-bandwidth user: W1=%v W2=%v", w1, w2)
 	}

@@ -91,8 +91,8 @@ func TestEDDOverloadMissesDeadlines(t *testing.T) {
 	}
 	res := schedtest.Drive(s, server.NewConstantRate(1000), arr)
 	// All packets served, both flows progress at the same pace.
-	if len(res.Mon.Records) != 200 {
-		t.Fatalf("served %d", len(res.Mon.Records))
+	if n := len(res.Mon.ServiceRecords()); n != 200 {
+		t.Fatalf("served %d", n)
 	}
 	w1 := res.Mon.ServedBytes(1)
 	w2 := res.Mon.ServedBytes(2)
@@ -122,8 +122,8 @@ func TestFAWithVariablePacketRates(t *testing.T) {
 		arr = append(arr, schedtest.Arrival{At: float64(i) * 0.05, Flow: 1, Bytes: 50, Rate: rate})
 	}
 	res := schedtest.Drive(s, server.NewConstantRate(1000), arr)
-	if len(res.Mon.Records) != 40 {
-		t.Fatalf("served %d", len(res.Mon.Records))
+	if n := len(res.Mon.ServiceRecords()); n != 40 {
+		t.Fatalf("served %d", n)
 	}
 }
 

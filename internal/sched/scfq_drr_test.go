@@ -81,7 +81,7 @@ func TestSCFQDelayBoundEq56(t *testing.T) {
 		eats[2] = append(eats[2], chains[2].Next(float64(i)*0.111, 100, 900))
 	}
 	idx := map[int]int{}
-	for _, rec := range res.Mon.Records {
+	for _, rec := range res.Mon.ServiceRecords() {
 		k := idx[rec.Flow]
 		idx[rec.Flow]++
 		bound := qos.SCFQDelayBound(c, eats[rec.Flow][k], rec.Bytes, weights[rec.Flow], 100)

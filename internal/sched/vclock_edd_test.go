@@ -60,8 +60,9 @@ func TestVirtualClockPunishesIdleBandwidthUse(t *testing.T) {
 		arr = append(arr, schedtest.Arrival{At: 10 + float64(i)*0.1, Flow: 2, Bytes: 10})
 	}
 	res := schedtest.Drive(s, server.NewConstantRate(c), arr)
-	w1 := fairness.NormalizedThroughput(res.Mon.Records, 1, 1, 10, 14)
-	w2 := fairness.NormalizedThroughput(res.Mon.Records, 2, 1, 10, 14)
+	recs := res.Mon.ServiceRecords()
+	w1 := fairness.NormalizedThroughput(recs, 1, 1, 10, 14)
+	w2 := fairness.NormalizedThroughput(recs, 2, 1, 10, 14)
 	if w2 < 3*w1 {
 		t.Errorf("VC should starve the prior idle-bandwidth user: W1=%v W2=%v", w1, w2)
 	}
@@ -87,7 +88,7 @@ func TestVirtualClockDelayGuarantee(t *testing.T) {
 		eats[2] = append(eats[2], chains[2].Next(float64(i)*0.13, 110, 700))
 	}
 	idx := map[int]int{}
-	for _, rec := range res.Mon.Records {
+	for _, rec := range res.Mon.ServiceRecords() {
 		k := idx[rec.Flow]
 		idx[rec.Flow]++
 		bound := eats[rec.Flow][k] + rec.Bytes/weights[rec.Flow] + 110/c
@@ -273,7 +274,7 @@ func TestEDDTheorem7Bound(t *testing.T) {
 		deadlines[2] = append(deadlines[2], chains[2].Next(float64(i)*0.2, 100, 500)+0.3)
 	}
 	idx := map[int]int{}
-	for _, rec := range res.Mon.Records {
+	for _, rec := range res.Mon.ServiceRecords() {
 		k := idx[rec.Flow]
 		idx[rec.Flow]++
 		bound := qos.EDDDelayBound(fc, deadlines[rec.Flow][k], 100)

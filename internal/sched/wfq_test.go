@@ -80,8 +80,9 @@ func TestExample1WFQUnfairness(t *testing.T) {
 	}{
 		{1, 0, 1}, {2, 1, 2}, {2, 2, 2.5}, {2, 2.5, 3}, {1, 3, 4},
 	}
+	recs := res.Mon.ServiceRecords()
 	for i, want := range order {
-		got := res.Mon.Records[i]
+		got := recs[i]
 		if got.Flow != want.flow || math.Abs(got.Start-want.start) > 1e-9 || math.Abs(got.End-want.end) > 1e-9 {
 			t.Fatalf("record %d = %+v, want %+v", i, got, want)
 		}
@@ -116,8 +117,9 @@ func TestExample2WFQVariableRate(t *testing.T) {
 	wfq := sched.NewWFQ(c)
 	addFlows(t, wfq, map[int]float64{1: 1, 2: 1})
 	resW := schedtest.Drive(wfq, proc(), arrivals())
-	wf := fairness.NormalizedThroughput(resW.Mon.Records, 1, 1, 1, 2)
-	wm := fairness.NormalizedThroughput(resW.Mon.Records, 2, 1, 1, 2)
+	recsW := resW.Mon.ServiceRecords()
+	wf := fairness.NormalizedThroughput(recsW, 1, 1, 1, 2)
+	wm := fairness.NormalizedThroughput(recsW, 2, 1, 1, 2)
 	if wf < c-1-1e-9 {
 		t.Errorf("WFQ: W_f(1,2) = %v, want >= C-1 = %v (starvation of flow 2)", wf, c-1)
 	}
@@ -128,8 +130,9 @@ func TestExample2WFQVariableRate(t *testing.T) {
 	sfq := core.New()
 	addFlows(t, sfq, map[int]float64{1: 1, 2: 1})
 	resS := schedtest.Drive(sfq, proc(), arrivals())
-	sf := fairness.NormalizedThroughput(resS.Mon.Records, 1, 1, 1, 2)
-	sm := fairness.NormalizedThroughput(resS.Mon.Records, 2, 1, 1, 2)
+	recsS := resS.Mon.ServiceRecords()
+	sf := fairness.NormalizedThroughput(recsS, 1, 1, 1, 2)
+	sm := fairness.NormalizedThroughput(recsS, 2, 1, 1, 2)
 	if math.Abs(sf-sm) > 1+1e-9 { // within one packet of even
 		t.Errorf("SFQ: W_f=%v W_m=%v in [1,2], want within one packet", sf, sm)
 	}
@@ -204,7 +207,7 @@ func TestWFQDelayGuarantee(t *testing.T) {
 		}
 	}
 	idx := map[int]int{}
-	for _, rec := range res.Mon.Records {
+	for _, rec := range res.Mon.ServiceRecords() {
 		k := idx[rec.Flow]
 		idx[rec.Flow]++
 		bound := eats[rec.Flow][k] + rec.Bytes/weights[rec.Flow] + 100/c

@@ -35,8 +35,9 @@ func TestWFQOracleFixesExample2(t *testing.T) {
 	s := sched.NewWFQOracle(rateAt, 1e-3)
 	addFlows(t, s, map[int]float64{1: 1, 2: 1})
 	res := schedtest.Drive(s, server.NewPiecewise([]float64{0, 1}, []float64{1, c}), mkArr())
-	wf := fairness.NormalizedThroughput(res.Mon.Records, 1, 1, 1, 2)
-	wm := fairness.NormalizedThroughput(res.Mon.Records, 2, 1, 1, 2)
+	recs := res.Mon.ServiceRecords()
+	wf := fairness.NormalizedThroughput(recs, 1, 1, 1, 2)
+	wm := fairness.NormalizedThroughput(recs, 2, 1, 1, 2)
 	// Fair split within about a packet of C/2 each.
 	if wf < c/2-1.5 || wm < c/2-1.5 {
 		t.Errorf("oracle WFQ split %v/%v, want ≈ %v each", wf, wm, c/2)
@@ -57,7 +58,7 @@ func TestWFQOracleMatchesWFQOnConstantRate(t *testing.T) {
 		addFlows(t, s, map[int]float64{1: 400, 2: 600})
 		res := schedtest.Drive(s, server.NewConstantRate(c), arr)
 		var order []int
-		for _, r := range res.Mon.Records {
+		for _, r := range res.Mon.ServiceRecords() {
 			order = append(order, r.Flow)
 		}
 		return order

@@ -6,7 +6,7 @@ import "repro/internal/sched"
 // mid-backlog (a liveops snapshot from another process): every queued
 // packet gets a synthesized in-flight Frame as payload and is pushed
 // through the link's normal arrival accounting — per-flow sequence
-// counters, byte/frame counters, enqueue hooks — as if it had just been
+// counters, byte/frame counters, backlog, enqueue hooks — as if it had just been
 // delivered, and transmission starts if the link is idle. Call it once,
 // after wiring the link (and any monitors/observers) and before the first
 // real arrival; it returns the number of packets adopted.

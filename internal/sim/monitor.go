@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/stats"
 )
 
@@ -17,74 +19,78 @@ type ServiceRecord struct {
 // Interval is a closed time interval.
 type Interval struct{ Start, End float64 }
 
-// DefaultRecordCap bounds the per-packet service records a Monitor from
-// Attach keeps: the newest DefaultRecordCap transmissions, ring-style. At
-// 32 bytes per record this caps monitor growth at ~2 MiB per link no
-// matter how long the run is. Replay-exact consumers (the conformance
-// checkers, the golden experiments) use MonitorAll instead.
+// DefaultRecordCap bounds the departure log of a Monitor from Attach: the
+// log keeps the newest DefaultRecordCap service records (48 bytes a row, so
+// about 3 MiB, plus at most two chunks) and folds older rows into the
+// per-flow views before it reuses their chunk. The per-flow views are not
+// bounded: the delay samples and service curves gain one point per packet
+// and the backlog intervals one per busy period, however long the run.
+// Replay-exact consumers (the conformance checkers, the golden experiments)
+// use MonitorAll instead.
 const DefaultRecordCap = 1 << 16
 
 // Monitor observes one link: per-flow cumulative service curves, exact
 // backlogged intervals (needed by the fairness measure), and queueing /
 // end-to-end delay samples.
+//
+// Its hooks only append. A departure writes one row to a departure log; a
+// departure or queued drop that empties its flow's backlog — which the link
+// keeps, so a monitor attached mid-run sees backlogs opened before it —
+// also logs the closed interval. The per-flow views are built on read:
+// every read folds the rows logged since the last one, so it sees every
+// departure so far.
 type Monitor struct {
-	link *Link
+	link      *Link
+	recordCap int // 0 = unbounded
 
-	// Records holds the completed transmissions. While fewer than the
-	// record cap have completed (always, for a MonitorAll monitor) it is
-	// chronological and may be indexed directly; once a capped monitor
-	// wraps, use ServiceRecords for the ordered window and
-	// TruncatedRecords for how many were displaced.
-	Records []ServiceRecord
+	// deps holds the departures not yet folded and, for a capped monitor,
+	// the newest recordCap rows whether folded or not; folded counts its
+	// leading rows already folded. closes holds the backlog intervals not
+	// yet folded.
+	deps   chunkLog[depRow]
+	closes chunkLog[closeRow]
+	folded int
+	logged int64 // departures ever logged
 
-	recordCap int   // 0 = unbounded
-	recStart  int   // index of the oldest record once wrapped
-	truncated int64 // records displaced by the cap
+	// Built by fold: every service record (unbounded monitors only) and one
+	// view per flow that departed or closed a backlog.
+	records []ServiceRecord
+	flows   map[int]*flowView
 
-	// flows holds one record per flow the link has seen, so each hook pays
-	// one lookup per packet. (When a frame arrived rides on the frame:
-	// Frame.Arrived.)
-	flows map[int]*flowMon
-
-	horizon float64
-
+	horizon    float64
 	busyTime   float64 // cumulative transmission time
 	totalBytes float64
 	firstStart float64
 	sawService bool
 }
 
-// flowMon is what the monitor keeps about one flow.
-type flowMon struct {
-	// outstanding counts queued + in-service packets; the flow is
-	// backlogged exactly while outstanding > 0, since openedAt.
-	outstanding int
-	openedAt    float64
-	intervals   []Interval // closed backlog intervals
-
-	qdelay stats.Sample     // time from link arrival to end of transmission
-	e2e    stats.Sample     // time from frame creation to end of transmission
-	served float64          // cumulative bytes served
-	curve  stats.TimeSeries // (end of transmission, served)
+// depRow is one departure as logged: pointer-free, so the log's chunks are
+// never scanned by the garbage collector.
+type depRow struct {
+	ServiceRecord
+	arrived, created float64 // the frame's Arrived and Created
 }
 
-// flow returns the record of a flow the link is handling, creating it on
-// first sight. Read accessors must not come through here: asking about a
-// flow the link never saw must not make the monitor remember it.
-func (m *Monitor) flow(id int) *flowMon {
-	fm := m.flows[id]
-	if fm == nil {
-		fm = &flowMon{}
-		m.flows[id] = fm
-	}
-	return fm
+// closeRow is one closed backlog interval of a flow.
+type closeRow struct {
+	flow int
+	iv   Interval
 }
 
-// Attach installs a monitor on l with the DefaultRecordCap bound on
-// per-packet records. It takes over the link's OnEnqueue and OnDepart
-// hooks (chaining with any hooks already installed). Aggregate statistics
-// (service curves, delay samples, backlog intervals) are unaffected by the
-// cap — only the per-transmission record window is bounded.
+// flowView is what the monitor has folded about one flow.
+type flowView struct {
+	intervals []Interval       // closed backlog intervals
+	qdelay    stats.Sample     // time from link arrival to end of transmission
+	e2e       stats.Sample     // time from frame creation to end of transmission
+	served    float64          // cumulative bytes served
+	curve     stats.TimeSeries // (end of transmission, served)
+}
+
+// Attach installs a monitor on l whose departure log keeps the newest
+// DefaultRecordCap service records. It chains onto the link's OnDepart and
+// OnDrop hooks. Aggregate statistics (service curves, delay samples,
+// backlog intervals) are unaffected by the cap — only the window that
+// ServiceRecords returns is bounded.
 func Attach(l *Link) *Monitor { return AttachN(l, DefaultRecordCap) }
 
 // MonitorAll installs a monitor that keeps every service record — the
@@ -94,21 +100,17 @@ func Attach(l *Link) *Monitor { return AttachN(l, DefaultRecordCap) }
 // exists to avoid on long runs.
 func MonitorAll(l *Link) *Monitor { return AttachN(l, 0) }
 
-// AttachN installs a monitor keeping at most recordCap service records
-// (0 = unbounded).
+// AttachN installs a monitor keeping the newest recordCap service records
+// (0 = unbounded). Its hooks run before the ones already installed; a hook
+// installed later must not deliver into the link before calling on, or the
+// monitor reads a backlog the delivery already reopened.
 func AttachN(l *Link, recordCap int) *Monitor {
 	m := &Monitor{
 		link:      l,
 		recordCap: recordCap,
-		flows:     make(map[int]*flowMon),
+		flows:     make(map[int]*flowView),
 	}
-	prevEnq, prevDep, prevDrop := l.OnEnqueue, l.OnDepart, l.OnDrop
-	l.OnEnqueue = func(f *Frame, now float64) {
-		m.onEnqueue(f, now)
-		if prevEnq != nil {
-			prevEnq(f, now)
-		}
-	}
+	prevDep, prevDrop := l.OnDepart, l.OnDrop
 	l.OnDepart = func(f *Frame, start, end float64) {
 		m.onDepart(f, start, end)
 		if prevDep != nil {
@@ -124,53 +126,24 @@ func AttachN(l *Link, recordCap int) *Monitor {
 	return m
 }
 
-// onDrop keeps the backlog bookkeeping consistent when a frame that was
-// already enqueued is dropped later (link failure, permanent stall).
-// Buffer-full and enqueue-rejected drops never entered the queue and are
-// ignored here.
+// onDrop logs the backlog interval a queued frame's loss (link failure,
+// permanent stall) closes. Buffer-full and enqueue-rejected drops never
+// entered the queue and are ignored here.
 func (m *Monitor) onDrop(f *Frame, cause DropCause) {
-	if cause.wasQueued() {
-		m.flow(f.Flow).closeOne(m.link.q.Now())
+	if lf := f.at; cause.wasQueued() && lf.outstanding == 0 {
+		m.closes.push(closeRow{f.Flow, Interval{Start: lf.openedAt, End: m.link.Now()}})
 	}
-}
-
-// closeOne takes one packet off the flow's backlog, at time now, closing
-// the backlog interval when it was the last.
-func (fm *flowMon) closeOne(now float64) {
-	fm.outstanding--
-	if fm.outstanding == 0 {
-		fm.intervals = append(fm.intervals, Interval{Start: fm.openedAt, End: now})
-	}
-}
-
-func (m *Monitor) onEnqueue(f *Frame, now float64) {
-	fm := m.flow(f.Flow)
-	if fm.outstanding == 0 {
-		fm.openedAt = now
-	}
-	fm.outstanding++
 }
 
 func (m *Monitor) onDepart(f *Frame, start, end float64) {
-	rec := ServiceRecord{Flow: f.Flow, Start: start, End: end, Bytes: f.Bytes}
-	if m.recordCap > 0 && len(m.Records) == m.recordCap {
-		// Ring semantics: overwrite the oldest record in place, keeping
-		// memory fixed on arbitrarily long runs.
-		m.Records[m.recStart] = rec
-		m.recStart++
-		if m.recStart == m.recordCap {
-			m.recStart = 0
-		}
-		m.truncated++
-	} else {
-		m.Records = append(m.Records, rec)
+	if m.recordCap > 0 && m.deps.full() {
+		m.recycle()
 	}
-	fm := m.flow(f.Flow)
-	fm.closeOne(end)
-	fm.qdelay.Add(end - f.Arrived)
-	fm.e2e.Add(end - f.Created)
-	fm.served += f.Bytes
-	fm.curve.Add(end, fm.served)
+	m.deps.push(depRow{ServiceRecord{Flow: f.Flow, Start: start, End: end, Bytes: f.Bytes}, f.Arrived, f.Created})
+	m.logged++
+	if lf := f.at; lf.outstanding == 0 {
+		m.closes.push(closeRow{f.Flow, Interval{Start: lf.openedAt, End: end}})
+	}
 	if end > m.horizon {
 		m.horizon = end
 	}
@@ -182,62 +155,153 @@ func (m *Monitor) onDepart(f *Frame, start, end float64) {
 	}
 }
 
-// ServiceRecords returns the retained service records in chronological
-// order. For an unwrapped (or unbounded) monitor it returns Records
-// itself, allocation-free; once a capped monitor wraps it returns a fresh
-// ordered copy of the window.
-func (m *Monitor) ServiceRecords() []ServiceRecord {
-	if m.recStart == 0 {
-		return m.Records
+// recycle drops the leading chunks of a capped monitor's log that hold only
+// rows older than the newest recordCap, folding them first.
+func (m *Monitor) recycle() {
+	for len(m.deps.chunks) > 1 && m.deps.n-len(m.deps.chunks[0]) >= m.recordCap {
+		n := len(m.deps.chunks[0])
+		m.foldDeps(n)
+		m.foldCloses()
+		m.deps.dropFirst()
+		m.folded -= n
 	}
-	out := make([]ServiceRecord, 0, len(m.Records))
-	out = append(out, m.Records[m.recStart:]...)
-	return append(out, m.Records[:m.recStart]...)
+}
+
+// fold brings the per-flow views (and an unbounded monitor's records) up to
+// every logged row. An unbounded monitor then needs none of its rows again.
+func (m *Monitor) fold() {
+	if m.recordCap == 0 {
+		m.records = slices.Grow(m.records, m.deps.n)
+		m.foldDeps(m.deps.n)
+		m.deps.reset()
+		m.folded = 0
+	} else {
+		m.foldDeps(m.deps.n)
+	}
+	m.foldCloses()
+}
+
+// foldDeps folds the departure rows from m.folded up to row upto.
+func (m *Monitor) foldDeps(upto int) {
+	first := 0 // index of the chunk's first row
+	for _, c := range m.deps.chunks {
+		if m.folded >= upto {
+			return
+		}
+		if m.folded < first+len(c) {
+			for _, r := range c[m.folded-first : min(len(c), upto-first)] {
+				fv := m.view(r.Flow)
+				fv.qdelay.Add(r.End - r.arrived)
+				fv.e2e.Add(r.End - r.created)
+				fv.served += r.Bytes
+				fv.curve.Add(r.End, fv.served)
+				if m.recordCap == 0 {
+					m.records = append(m.records, r.ServiceRecord)
+				}
+			}
+			m.folded = min(first+len(c), upto)
+		}
+		first += len(c)
+	}
+}
+
+// foldCloses folds every logged backlog interval and empties that log.
+func (m *Monitor) foldCloses() {
+	for _, c := range m.closes.chunks {
+		for _, r := range c {
+			fv := m.view(r.flow)
+			fv.intervals = append(fv.intervals, r.iv)
+		}
+	}
+	m.closes.reset()
+}
+
+// view returns the view of a flow the monitor has folded rows of, creating
+// it on first sight. Read accessors go through seen instead.
+func (m *Monitor) view(flow int) *flowView {
+	fv := m.flows[flow]
+	if fv == nil {
+		fv = &flowView{}
+		m.flows[flow] = fv
+	}
+	return fv
+}
+
+// seen folds the log and returns the view of flow for reading. For a flow
+// the monitor has no rows of it is a fresh empty view that the monitor does
+// not keep, so asking never grows the monitor; a *stats.Sample or
+// *stats.TimeSeries obtained that way is detached — it stays empty even if
+// the flow shows up later. One obtained for a known flow reflects the
+// departures up to the monitor's latest read: take results after the run,
+// or ask again.
+func (m *Monitor) seen(flow int) *flowView {
+	m.fold()
+	if fv := m.flows[flow]; fv != nil {
+		return fv
+	}
+	return &flowView{}
+}
+
+// ServiceRecords returns the retained service records in chronological
+// order. An unbounded monitor returns its record slice itself, extended on
+// each call by the departures since the last; a capped one returns a fresh
+// copy of the newest RecordCap records.
+func (m *Monitor) ServiceRecords() []ServiceRecord {
+	m.fold()
+	if m.recordCap == 0 {
+		return m.records
+	}
+	n := min(m.deps.n, m.recordCap)
+	out := make([]ServiceRecord, 0, n)
+	skip := m.deps.n - n
+	for _, c := range m.deps.chunks {
+		if skip >= len(c) {
+			skip -= len(c)
+			continue
+		}
+		for _, r := range c[skip:] {
+			out = append(out, r.ServiceRecord)
+		}
+		skip = 0
+	}
+	return out
 }
 
 // TruncatedRecords returns how many service records the cap displaced (0
 // for MonitorAll monitors).
-func (m *Monitor) TruncatedRecords() int64 { return m.truncated }
+func (m *Monitor) TruncatedRecords() int64 {
+	if m.recordCap == 0 || m.logged <= int64(m.recordCap) {
+		return 0
+	}
+	return m.logged - int64(m.recordCap)
+}
 
 // RecordCap returns the monitor's record bound (0 = unbounded).
 func (m *Monitor) RecordCap() int { return m.recordCap }
 
-// seen returns the record of flow for reading. For a flow the link has not
-// seen it is a fresh empty record that the monitor does not keep, so asking
-// never grows the monitor; a *stats.Sample or *stats.TimeSeries obtained
-// that way is detached — it stays empty even if the flow shows up later —
-// so take results after the run, or ask again.
-func (m *Monitor) seen(flow int) *flowMon {
-	if fm := m.flows[flow]; fm != nil {
-		return fm
-	}
-	return &flowMon{}
-}
-
 // BackloggedIntervals returns the closed backlog intervals of flow. A still
 // open interval is closed at the current horizon (last observed departure).
 func (m *Monitor) BackloggedIntervals(flow int) []Interval {
-	fm := m.seen(flow)
-	iv := append([]Interval(nil), fm.intervals...)
-	if fm.outstanding > 0 {
-		iv = append(iv, Interval{Start: fm.openedAt, End: m.horizon})
+	iv := append([]Interval(nil), m.seen(flow).intervals...)
+	if lf := m.link.flows[flow]; lf != nil && lf.outstanding > 0 {
+		iv = append(iv, Interval{Start: lf.openedAt, End: m.horizon})
 	}
 	return iv
 }
 
 // QueueDelay returns the queueing+transmission delay samples of flow at
-// this link (detached for a flow the link has not seen: see seen).
+// this link (detached for a flow the link has not served: see seen).
 func (m *Monitor) QueueDelay(flow int) *stats.Sample { return &m.seen(flow).qdelay }
 
 // EndToEndDelay returns creation-to-transmission delay samples of flow
-// (detached for a flow the link has not seen).
+// (detached for a flow the link has not served).
 func (m *Monitor) EndToEndDelay(flow int) *stats.Sample { return &m.seen(flow).e2e }
 
 // ServedBytes returns the cumulative bytes of flow served so far.
 func (m *Monitor) ServedBytes(flow int) float64 { return m.seen(flow).served }
 
 // ServiceCurve returns the cumulative service curve (time → bytes) of flow
-// (detached for a flow the link has not seen).
+// (detached for a flow the link has not served).
 func (m *Monitor) ServiceCurve(flow int) *stats.TimeSeries { return &m.seen(flow).curve }
 
 // Utilization returns the fraction of time the link spent transmitting
@@ -260,4 +324,65 @@ func (m *Monitor) MeanServiceRate() float64 {
 		return 0
 	}
 	return m.totalBytes / (m.horizon - m.firstStart)
+}
+
+// Chunk sizes of a chunkLog: the first chunk is small, so a log that sees
+// few rows stays small; each later one doubles, up to maxChunk.
+const (
+	firstChunk = 8
+	maxChunk   = 1024
+)
+
+// chunkLog is an append-only log kept in chunks that never move: appending
+// copies nothing already logged, and dropping the oldest chunk keeps a
+// full-size one for reuse.
+type chunkLog[T any] struct {
+	chunks [][]T // oldest first; only the last has room
+	n      int   // rows held
+	spare  []T   // an emptied maxChunk chunk
+}
+
+// full reports whether the next push starts a chunk.
+func (c *chunkLog[T]) full() bool {
+	k := len(c.chunks) - 1
+	return k < 0 || len(c.chunks[k]) == cap(c.chunks[k])
+}
+
+func (c *chunkLog[T]) push(v T) {
+	if c.full() {
+		switch k := len(c.chunks) - 1; {
+		case c.spare != nil:
+			c.chunks = append(c.chunks, c.spare)
+			c.spare = nil
+		case k < 0:
+			c.chunks = append(c.chunks, make([]T, 0, firstChunk))
+		default:
+			c.chunks = append(c.chunks, make([]T, 0, min(2*cap(c.chunks[k]), maxChunk)))
+		}
+	}
+	k := len(c.chunks) - 1
+	c.chunks[k] = append(c.chunks[k], v)
+	c.n++
+}
+
+// dropFirst drops the oldest chunk.
+func (c *chunkLog[T]) dropFirst() {
+	first := c.chunks[0]
+	c.n -= len(first)
+	if cap(first) == maxChunk {
+		c.spare = first[:0]
+	}
+	c.chunks[0] = nil
+	c.chunks = c.chunks[1:]
+}
+
+// reset empties the log, keeping its newest (and largest) chunk.
+func (c *chunkLog[T]) reset() {
+	if c.n == 0 {
+		return
+	}
+	last := c.chunks[len(c.chunks)-1][:0]
+	clear(c.chunks)
+	c.chunks = append(c.chunks[:0], last)
+	c.n = 0
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/eventq"
@@ -11,7 +12,8 @@ import (
 // TestMonitorReadsDoNotInsert: asking the monitor about flows the link never
 // saw returns empty values and leaves its per-flow state as it was. (The
 // accessors used to get-or-create, so a sweep over candidate flow ids grew
-// the monitor by one entry per id per map.)
+// the monitor by one entry per id per map.) The views are built on read, so
+// the first read is what makes flow 1's.
 func TestMonitorReadsDoNotInsert(t *testing.T) {
 	q := &eventq.Queue{}
 	sch := sched.NewFIFO()
@@ -22,8 +24,11 @@ func TestMonitorReadsDoNotInsert(t *testing.T) {
 	mon := Attach(link)
 	q.At(0, func() { link.Deliver(&Frame{Flow: 1, Bytes: 100}) })
 	q.Run()
-	if len(mon.flows) != 1 {
-		t.Fatalf("monitor holds %d flows after serving one", len(mon.flows))
+	if len(mon.flows) != 0 {
+		t.Fatalf("monitor built %d flow views before any read", len(mon.flows))
+	}
+	if b := mon.ServedBytes(1); b != 100 || len(mon.flows) != 1 {
+		t.Fatalf("after one read: flow 1 served %v, monitor holds %d flows; want 100 and 1", b, len(mon.flows))
 	}
 	for id := 1000; id < 2000; id++ {
 		if n := mon.QueueDelay(id).N() + mon.EndToEndDelay(id).N() + mon.ServiceCurve(id).N(); n != 0 {
@@ -57,8 +62,8 @@ func (stallOn) MeanRate() float64 { return 100 }
 // A frame lost in transmission (link-down) or to a dead server (stalled)
 // was queued, so it closes a unit of backlog and adds no delay sample; a
 // frame refused on arrival (shared buffer, flow buffer, scheduler) was
-// never counted and must leave the monitor untouched. The monitor tells
-// them apart by the cause alone: it keeps no per-frame table.
+// never counted and must leave the monitor untouched. The link tells them
+// apart by the cause alone: it keeps no per-frame table.
 func TestMonitorDropCauses(t *testing.T) {
 	q := &eventq.Queue{}
 	sch := sched.NewFIFO()
@@ -93,8 +98,8 @@ func TestMonitorDropCauses(t *testing.T) {
 			t.Fatalf("%s: %d drops, want 1", c, link.DropsFor(c))
 		}
 	}
-	if len(mon.flows) != 3 {
-		t.Fatalf("monitor holds %d flows, want 3 (flow 9 was only ever refused)", len(mon.flows))
+	if mon.BackloggedIntervals(9) != nil || len(mon.flows) != 3 {
+		t.Fatalf("monitor holds %d flow views after a read, want 3 (flow 9 was only ever refused)", len(mon.flows))
 	}
 	for flow, end := range map[int]float64{1: 2, 2: 3, 3: 4} {
 		iv := mon.BackloggedIntervals(flow)
@@ -104,6 +109,61 @@ func TestMonitorDropCauses(t *testing.T) {
 		if d := mon.QueueDelay(flow); d.N() != 1 || d.Max() != end {
 			t.Errorf("flow %d: %d delay samples, max %v; want 1 sample of %v", flow, d.N(), d.Max(), end)
 		}
+	}
+}
+
+// TestMonitorAttachedMidBacklog: a monitor attached while frames are queued
+// and in service reports the backlog the link opened before it, and every
+// later one. (A monitor that counted backlog itself went negative on the
+// frames it never saw queued and never closed an interval again, so the
+// fairness measure of such a run was vacuously 0.)
+func TestMonitorAttachedMidBacklog(t *testing.T) {
+	q := &eventq.Queue{}
+	sch := sched.NewFIFO()
+	if err := sch.AddFlow(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	link := NewLink(q, "l", sch, server.NewConstantRate(100), NewSink(q))
+	var mon *Monitor
+	q.At(0, func() {
+		for i := 0; i < 3; i++ {
+			link.Deliver(&Frame{Flow: 1, Bytes: 100})
+		}
+	})
+	q.At(0.5, func() { mon = MonitorAll(link) })
+	q.At(5, func() { link.Deliver(&Frame{Flow: 1, Bytes: 100}) })
+	q.Run()
+	want := []Interval{{Start: 0, End: 3}, {Start: 5, End: 6}}
+	if got := mon.BackloggedIntervals(1); !slices.Equal(got, want) {
+		t.Fatalf("backlogged over %v, want %v", got, want)
+	}
+}
+
+// TestForgetFlowKeepsInService: a flow whose only frame is in transmission
+// has nothing queued but is still backlogged, so ForgetFlow must keep its
+// record — the frame carries it to completion — and the backlog closes as
+// usual.
+func TestForgetFlowKeepsInService(t *testing.T) {
+	q := &eventq.Queue{}
+	sch := sched.NewFIFO()
+	if err := sch.AddFlow(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	link := NewLink(q, "l", sch, server.NewConstantRate(100), NewSink(q))
+	mon := MonitorAll(link)
+	q.At(0, func() { link.Deliver(&Frame{Flow: 1, Bytes: 100}) })
+	q.At(0.5, func() {
+		link.ForgetFlow(1)
+		if len(link.flows) != 1 {
+			t.Error("ForgetFlow dropped the record of a flow in service")
+		}
+	})
+	q.Run()
+	if got := mon.BackloggedIntervals(1); !slices.Equal(got, []Interval{{Start: 0, End: 1}}) {
+		t.Fatalf("backlogged over %v, want [{0 1}]", got)
+	}
+	if link.ForgetFlow(1); len(link.flows) != 0 {
+		t.Fatal("ForgetFlow kept the record of an idle flow")
 	}
 }
 

@@ -42,8 +42,9 @@ const (
 )
 
 // wasQueued reports whether a frame a Link dropped under this cause had
-// been accepted into the queue first (and so was counted by OnEnqueue):
-// true for a frame lost in transmission, false for one refused on arrival.
+// been accepted into the queue first (and so was counted in its flow's
+// backlog): true for a frame lost in transmission, false for one refused on
+// arrival.
 func (c DropCause) wasQueued() bool { return c == DropLinkDown || c == DropStalled }
 
 // Kind distinguishes frame types on the wire.
@@ -71,6 +72,12 @@ type Frame struct {
 	// it. Monitors read queueing delay off it instead of remembering every
 	// frame in flight.
 	Arrived float64
+
+	// at is the current link's record of the frame's flow, set beside
+	// Arrived and valid as long as it is: the link reaches its flow record
+	// through it when the frame leaves the queue, and a monitor reads the
+	// flow's backlog through it in the OnDepart and OnDrop hooks.
+	at *linkFlow
 }
 
 // Consumer receives frames. Links, sinks, and transport endpoints all
@@ -138,7 +145,7 @@ type Link struct {
 	dropsCause map[DropCause]int64
 	delivered  int64
 	// flows holds one record per flow the link has handled, looked up once
-	// per arrival and once per departure.
+	// per arrival; a queued frame carries its record (Frame.at) from there.
 	flows       map[int]*linkFlow
 	queuedTotal int     // queued frames across flows
 	queuedBytes float64 // queued bytes across flows; exactly 0 when queuedTotal is
@@ -171,6 +178,13 @@ type linkFlow struct {
 	qBytes float64 // queued bytes (excluding in service); exactly 0 when qCount is
 	qCount int     // queued frames
 	drops  int64   // drops charged to the flow, all causes
+
+	// outstanding counts the flow's queued frames plus the one in service:
+	// the flow is backlogged exactly while outstanding > 0, since openedAt.
+	// A completion or a queued frame's drop that brings it to 0 closes the
+	// backlog interval [openedAt, now].
+	outstanding int
+	openedAt    float64
 }
 
 // flow returns the record of a flow the link is handling, creating it on
@@ -328,9 +342,14 @@ func (l *Link) drop(f *Frame, lf *linkFlow, cause DropCause) {
 	}
 }
 
-// account counts f, which the scheduler took at time now, as queued.
+// account counts f, which the scheduler took at time now, as queued,
+// opening its flow's backlog if it was the only frame.
 func (l *Link) account(f *Frame, lf *linkFlow, now float64) {
-	f.Arrived = now
+	f.Arrived, f.at = now, lf
+	if lf.outstanding == 0 {
+		lf.openedAt = now
+	}
+	lf.outstanding++
 	lf.qBytes += f.Bytes
 	lf.qCount++
 	l.queuedBytes += f.Bytes
@@ -407,7 +426,8 @@ func (l *Link) Fail() {
 		l.pendingEv = nil
 		f := l.inflight
 		l.inflight = nil
-		l.drop(f, l.flow(f.Flow), DropLinkDown)
+		f.at.outstanding--
+		l.drop(f, f.at, DropLinkDown)
 	}
 }
 
@@ -426,11 +446,12 @@ func (l *Link) Recover() {
 }
 
 // ForgetFlow discards the link's per-flow bookkeeping (sequence counter,
-// queue counters, drop counters) for a removed flow, bounding map growth
-// under flow churn. The flow must have no frames queued at this link.
+// queue counters, drop counters, backlog) for a removed flow, bounding map
+// growth under flow churn. It does nothing while a frame of the flow is
+// queued or in service at this link.
 func (l *Link) ForgetFlow(flow int) {
-	if lf := l.flows[flow]; lf != nil && lf.qCount > 0 {
-		return // still backlogged: keep the counters consistent
+	if lf := l.flows[flow]; lf != nil && lf.outstanding > 0 {
+		return // still backlogged: the frames carry the record
 	}
 	delete(l.flows, flow)
 }
@@ -449,7 +470,7 @@ func (l *Link) startNext() {
 			return
 		}
 		f := p.Payload.(*Frame)
-		flow, length := p.Flow, p.Length
+		length := p.Length
 		if l.probe != nil {
 			// Before pooling: the probe sees the packet's final tags, then
 			// must drop its reference (the pool zeroes p on Put).
@@ -458,11 +479,11 @@ func (l *Link) startNext() {
 		}
 		if l.poolOK {
 			// PoolSafe: the scheduler dropped its reference on Dequeue and
-			// the link only needed Flow/Length/Payload, so the packet can
-			// be recycled before the frame even finishes transmission.
+			// the link only needed Length/Payload, so the packet can be
+			// recycled before the frame even finishes transmission.
 			l.pool.Put(p)
 		}
-		lf := l.flows[flow] // exists: Deliver made it when it queued the frame
+		lf := f.at
 		lf.qBytes -= length
 		lf.qCount--
 		l.queuedBytes -= length
@@ -476,6 +497,7 @@ func (l *Link) startNext() {
 		end := l.proc.Finish(now, length)
 		if math.IsInf(end, 1) || math.IsNaN(end) {
 			l.busy = false
+			lf.outstanding--
 			l.drop(f, lf, DropStalled)
 			continue
 		}
@@ -497,6 +519,7 @@ func linkComplete(arg any) {
 	l := ev.l
 	l.inflight = nil
 	l.delivered++
+	ev.f.at.outstanding--
 	if l.OnDepart != nil {
 		l.OnDepart(ev.f, ev.start, ev.end)
 	}
