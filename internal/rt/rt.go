@@ -11,8 +11,9 @@
 //     internal/sim);
 //   - per-core shards, each owning one discipline instance behind a
 //     mutex, with flows hashed across shards and migratable between them;
-//   - batched Enqueue/Dequeue that amortize one lock acquisition and one
-//     clock read over a whole batch;
+//   - batched Enqueue/Dequeue that take one lock and one clock read per
+//     shard per batch: packets a batch puts on one shard share one arrival
+//     stamp, packets a batch takes off one shard share one dequeue time;
 //   - bounded queues with counted shedding (backpressure as ErrShedding,
 //     never silent loss), per-flow byte conservation accounting, and the
 //     same Probe observability contract the simulator links honor.
@@ -68,10 +69,13 @@ func (a *FlowAccount) add(b *FlowAccount) {
 
 // flowEntry is the runtime's registration record for one flow. The shard
 // assignment is atomic so the lock-free fast path can read it, re-check it
-// under the shard lock, and retry if a migration won the race.
+// under the shard lock, and retry if a migration won the race. migrated
+// (guarded by Runtime.mu) records that the flow has ever left its first
+// shard, so it may have ledgers on other shards.
 type flowEntry struct {
-	shard  atomic.Int32
-	weight float64
+	shard    atomic.Int32
+	weight   float64
+	migrated bool
 }
 
 // shard owns one discipline instance. All scheduler calls happen under mu;
@@ -238,7 +242,8 @@ func (r *Runtime) AddFlow(flow int, weight float64) error {
 }
 
 // RemoveFlow unregisters an idle flow (ErrFlowBusy while packets are
-// queued, exactly the Interface contract).
+// queued, exactly the Interface contract) and drops its FlowAccount ledger
+// on every shard that holds none of its bytes.
 func (r *Runtime) RemoveFlow(flow int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -249,11 +254,29 @@ func (r *Runtime) RemoveFlow(flow int) error {
 	sh := r.shards[e.shard.Load()]
 	sh.mu.Lock()
 	err := sh.sch.RemoveFlow(flow)
+	if err == nil {
+		delete(sh.acct, flow)
+	}
 	sh.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	delete(r.flows, flow)
+	if e.migrated {
+		// Drop the ledgers the flow left on the shards it migrated from,
+		// except on one still draining it: its dequeues must still be
+		// counted.
+		for _, o := range r.shards {
+			if o == sh {
+				continue
+			}
+			o.mu.Lock()
+			if o.sch.QueuedBytes(flow) == 0 {
+				delete(o.acct, flow)
+			}
+			o.mu.Unlock()
+		}
+	}
 	return nil
 }
 
@@ -316,6 +339,7 @@ func (r *Runtime) MigrateFlow(flow, dst int) error {
 		shDst.acct[flow] = &FlowAccount{}
 	}
 	e.shard.Store(int32(dst))
+	e.migrated = true
 	return nil
 }
 
@@ -352,8 +376,9 @@ func (r *Runtime) lockShardOf(e *flowEntry) (*shard, int) {
 	}
 }
 
-// enqueueLocked runs the shard-local enqueue under sh.mu.
-func (r *Runtime) enqueueLocked(sh *shard, s int, p *sched.Packet) error {
+// enqueueLocked runs the shard-local enqueue under sh.mu at time now, a
+// reading of sh.now taken under the same lock hold.
+func (r *Runtime) enqueueLocked(sh *shard, s int, now float64, p *sched.Packet) error {
 	if limit := atomic.LoadInt64(&r.limit); limit > 0 && int64(sh.sch.Len()) >= limit {
 		if a := sh.acct[p.Flow]; a != nil {
 			a.Shed++
@@ -361,7 +386,6 @@ func (r *Runtime) enqueueLocked(sh *shard, s int, p *sched.Packet) error {
 		}
 		return fmt.Errorf("%w: shard %d over %d queued packets", sched.ErrShedding, s, limit)
 	}
-	now := sh.now(r.clock)
 	p.Arrival = now
 	if err := sh.sch.Enqueue(now, p); err != nil {
 		return err
@@ -389,7 +413,7 @@ func (r *Runtime) Enqueue(p *sched.Packet) error {
 		return err
 	}
 	sh, s := r.lockShardOf(e)
-	err = r.enqueueLocked(sh, s, p)
+	err = r.enqueueLocked(sh, s, sh.now(r.clock), p)
 	sh.mu.Unlock()
 	return err
 }
@@ -399,11 +423,12 @@ func (r *Runtime) Enqueue(p *sched.Packet) error {
 // benchmark batch size so the zero-alloc steady state holds.
 const batchResolveStack = 64
 
-// EnqueueBatch queues every packet it can, holding each shard's lock for
-// runs of consecutive same-shard packets (callers batching per flow or per
-// shard pay one lock per batch). It returns the number of packets
-// accepted and the first error encountered; later packets are still
-// attempted, so a single shed mid-batch does not discard the rest.
+// EnqueueBatch queues every packet it can, taking one lock per shard per
+// batch; packets on one shard share one arrival stamp. Each shard's
+// packets are queued in batch order, so a flow's packets keep their batch
+// order. It returns the number of packets accepted and the error of the
+// lowest-indexed packet that failed; later packets are still attempted, so
+// a single shed mid-batch does not discard the rest.
 func (r *Runtime) EnqueueBatch(ps []*sched.Packet) (int, error) {
 	// Resolve every packet's flow entry up front, under one read-lock
 	// acquisition for the whole batch. Resolving inside the shard-locked
@@ -430,40 +455,47 @@ func (r *Runtime) EnqueueBatch(ps []*sched.Packet) (int, error) {
 
 	n := 0
 	var firstErr error
-	var sh *shard
-	cur := -1
-	for i, p := range ps {
-		e := entries[i]
+	errAt := len(ps)
+	for i, e := range entries {
 		if e == nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %d", sched.ErrUnknownFlow, p.Flow)
-			}
-			continue
+			errAt, firstErr = i, fmt.Errorf("%w: %d", sched.ErrUnknownFlow, ps[i].Flow)
+			break
 		}
-		if s := int(e.shard.Load()); s != cur || sh == nil {
-			if sh != nil {
-				sh.mu.Unlock()
-				sh = nil
-			}
-			sh, cur = r.lockShardOf(e)
-		}
-		if err := r.enqueueLocked(sh, cur, p); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		n++
 	}
-	if sh != nil {
+
+	// Serve the batch shard by shard: lock the shard of the first pending
+	// packet, read its clock once, queue every pending packet assigned to
+	// it and mark each done by clearing its entry. Under the shard lock an
+	// assignment that reads s cannot change, and one that reads another
+	// shard cannot become s, so each pass sees a stable set.
+	for first := range ps {
+		e := entries[first]
+		if e == nil {
+			continue
+		}
+		sh, s := r.lockShardOf(e)
+		now := sh.now(r.clock)
+		for i := first; i < len(ps); i++ {
+			if e := entries[i]; e == nil || int(e.shard.Load()) != s {
+				continue
+			}
+			entries[i] = nil
+			if err := r.enqueueLocked(sh, s, now, ps[i]); err != nil {
+				if i < errAt {
+					errAt, firstErr = i, err
+				}
+				continue
+			}
+			n++
+		}
 		sh.mu.Unlock()
 	}
 	return n, firstErr
 }
 
-// dequeueLocked runs the shard-local dequeue under sh.mu.
-func (sh *shard) dequeueLocked(r *Runtime) (*sched.Packet, bool) {
-	now := sh.now(r.clock)
+// dequeueLocked runs the shard-local dequeue under sh.mu at time now, a
+// reading of sh.now taken under the same lock hold.
+func (sh *shard) dequeueLocked(now float64) (*sched.Packet, bool) {
 	p, ok := sh.sch.Dequeue(now)
 	if !ok {
 		return nil, false
@@ -488,22 +520,24 @@ func (sh *shard) dequeueLocked(r *Runtime) (*sched.Packet, bool) {
 func (r *Runtime) DequeueShard(s int) (*sched.Packet, bool) {
 	sh := r.shards[s]
 	sh.mu.Lock()
-	p, ok := sh.dequeueLocked(r)
+	p, ok := sh.dequeueLocked(sh.now(r.clock))
 	sh.mu.Unlock()
 	return p, ok
 }
 
 // DequeueBatch pops up to len(buf) packets from shard s under one lock
-// acquisition and one clock read, returning how many it wrote into buf.
+// acquisition and one clock read (every packet of the batch leaves at the
+// same time), returning how many it wrote into buf.
 // This is the per-core worker's fast path: with a PoolSafe discipline the
 // returned packets may be reused for the worker's next EnqueueBatch,
 // making the steady state allocation-free.
 func (r *Runtime) DequeueBatch(s int, buf []*sched.Packet) int {
 	sh := r.shards[s]
 	sh.mu.Lock()
+	now := sh.now(r.clock)
 	n := 0
 	for n < len(buf) {
-		p, ok := sh.dequeueLocked(r)
+		p, ok := sh.dequeueLocked(now)
 		if !ok {
 			break
 		}

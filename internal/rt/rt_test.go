@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -390,6 +391,21 @@ func TestRuntimeMonotoneClock(t *testing.T) {
 	}
 }
 
+// flowsOn returns the first n flow ids that hash to each of r's shards.
+func flowsOn(r *rt.Runtime, n int) [][]int {
+	out := make([][]int, r.Shards())
+	for f, full := 0, 0; full < r.Shards(); f++ {
+		s := r.ShardOf(f)
+		if len(out[s]) < n {
+			out[s] = append(out[s], f)
+			if len(out[s]) == n {
+				full++
+			}
+		}
+	}
+	return out
+}
+
 func TestEnqueueBatchPartialFailure(t *testing.T) {
 	clock := &sched.ManualClock{}
 	r := mustRuntime(t, "sfq", sched.WithShards(2), sched.WithClock(clock))
@@ -418,6 +434,192 @@ func TestEnqueueBatchPartialFailure(t *testing.T) {
 	}
 	if n, err := r.EnqueueBatch(big); err != nil || n != len(big) {
 		t.Fatalf("large batch: n=%d err=%v", n, err)
+	}
+
+	// The batch is served shard by shard, but the error returned is still
+	// that of the lowest-indexed failing packet. Shard a is served first
+	// (its packet leads each batch) and its first packet fills it; shard b
+	// is full already, and "?" is an unregistered flow.
+	for _, tc := range []struct {
+		batch   string
+		want    error
+		shedOnB bool
+	}{
+		{"a?b", sched.ErrUnknownFlow, false}, // unknown flow before a shed on b
+		{"ab?a", sched.ErrShedding, true},    // shed on b before a shed on a
+	} {
+		r := mustRuntime(t, "sfq", sched.WithShards(2), sched.WithClock(clock))
+		on := flowsOn(r, 1)
+		flow := map[rune]int{'a': on[0][0], 'b': on[1][0], '?': 99}
+		for _, f := range on {
+			if err := r.AddFlow(f[0], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.SetQueueLimit(2)
+		prefill := []*sched.Packet{{Flow: flow['a'], Length: 1}, {Flow: flow['b'], Length: 1}, {Flow: flow['b'], Length: 1}}
+		if n, err := r.EnqueueBatch(prefill); n != 3 || err != nil {
+			t.Fatalf("prefill: n=%d err=%v", n, err)
+		}
+		var batch []*sched.Packet
+		for i, c := range tc.batch {
+			batch = append(batch, &sched.Packet{Flow: flow[c], Seq: int64(i), Length: 1})
+		}
+		n, err := r.EnqueueBatch(batch)
+		if n != 1 || !errors.Is(err, tc.want) {
+			t.Fatalf("%s: n=%d err=%v, want n=1 and %v", tc.batch, n, err, tc.want)
+		}
+		if b := fmt.Sprintf("shard %d ", r.ShardOf(flow['b'])); tc.shedOnB && !strings.Contains(err.Error(), b) {
+			t.Fatalf("%s: err %q, want the shed on %q", tc.batch, err, b)
+		}
+	}
+}
+
+// countingClock returns the number of times Now has been called, so every
+// reading is distinct and the count is the number of clock reads.
+type countingClock struct{ reads int }
+
+func (c *countingClock) Now() float64 { c.reads++; return float64(c.reads) }
+
+// TestBatchClockContract pins the batched path's documented cost: one
+// clock read per shard an EnqueueBatch touches and one per DequeueBatch
+// call, so every packet a batch puts on one shard carries one Arrival,
+// while each flow's packets still leave in batch order.
+func TestBatchClockContract(t *testing.T) {
+	clock := &countingClock{}
+	r := mustRuntime(t, "sfq", sched.WithShards(2), sched.WithClock(clock))
+	on := flowsOn(r, 4)
+	var flows []int
+	for i := 0; i < 4; i++ {
+		flows = append(flows, on[0][i], on[1][i])
+	}
+	for _, f := range flows {
+		if err := r.AddFlow(f, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var batch []*sched.Packet
+	for seq := 0; seq < 4; seq++ {
+		for _, f := range flows {
+			batch = append(batch, &sched.Packet{Flow: f, Seq: int64(seq), Length: float64(1 + f%3)})
+		}
+	}
+	clock.reads = 0
+	if n, err := r.EnqueueBatch(batch); n != len(batch) || err != nil {
+		t.Fatalf("EnqueueBatch: n=%d err=%v", n, err)
+	}
+	if clock.reads != 2 {
+		t.Fatalf("EnqueueBatch over 2 shards read the clock %d times, want 2", clock.reads)
+	}
+	arrival := map[int]float64{}
+	for _, p := range batch {
+		s := r.ShardOf(p.Flow)
+		if a, ok := arrival[s]; ok && a != p.Arrival {
+			t.Fatalf("shard %d: arrivals %v and %v in one batch", s, a, p.Arrival)
+		}
+		arrival[s] = p.Arrival
+	}
+	buf := make([]*sched.Packet, len(batch))
+	next := map[int]int64{}
+	for s := 0; s < 2; s++ {
+		for _, size := range []int{3, len(buf), len(buf)} { // the last call finds the shard idle
+			clock.reads = 0
+			n := r.DequeueBatch(s, buf[:size])
+			if clock.reads != 1 {
+				t.Fatalf("DequeueBatch(%d) of %d packets read the clock %d times, want 1", s, n, clock.reads)
+			}
+			for _, p := range buf[:n] {
+				if p.Seq != next[p.Flow] {
+					t.Fatalf("flow %d: Seq %d out, want %d", p.Flow, p.Seq, next[p.Flow])
+				}
+				next[p.Flow]++
+			}
+		}
+	}
+	for _, f := range flows {
+		if next[f] != 4 {
+			t.Fatalf("flow %d: %d packets out, want 4", f, next[f])
+		}
+	}
+}
+
+// scriptedClock replays its readings in a loop.
+type scriptedClock struct {
+	script []float64
+	i      int
+}
+
+func (c *scriptedClock) Now() float64 {
+	t := c.script[c.i%len(c.script)]
+	c.i++
+	return t
+}
+
+// shardTimes checks, per shard, that the times the runtime hands its
+// discipline (arrival stamps and dequeue times alike) never decrease.
+type shardTimes struct {
+	r    *rt.Runtime
+	t    *testing.T
+	last map[int]float64
+}
+
+func (st *shardTimes) see(now float64, p *sched.Packet) {
+	s, _ := st.r.FlowShard(p.Flow)
+	if last, ok := st.last[s]; ok && now < last {
+		st.t.Fatalf("shard %d: time %v after %v", s, now, last)
+	}
+	st.last[s] = now
+}
+
+func (st *shardTimes) OnEnqueue(now float64, p *sched.Packet) {
+	if p.Arrival != now {
+		st.t.Fatalf("flow %d: Arrival %v, enqueued at %v", p.Flow, p.Arrival, now)
+	}
+	st.see(now, p)
+}
+func (st *shardTimes) OnDequeue(now float64, p *sched.Packet) { st.see(now, p) }
+func (st *shardTimes) OnVirtualTime(float64, float64)         {}
+
+// TestBatchHostileClock drives the batched path with a clock that steps
+// backwards between batches: every shard's times must stay monotone and no
+// discipline may see ErrTimeWentBack, on EnqueueBatch or DequeueBatch.
+func TestBatchHostileClock(t *testing.T) {
+	clock := &scriptedClock{script: []float64{5, 2, 9, 1, 9, 14, 3, 0, 20, 19}}
+	r := mustRuntime(t, "sfq", sched.WithShards(2), sched.WithClock(clock))
+	st := &shardTimes{r: r, t: t, last: map[int]float64{}}
+	r.SetProbe(st)
+	on := flowsOn(r, 2)
+	flows := []int{on[0][0], on[1][0], on[0][1], on[1][1]}
+	for _, f := range flows {
+		if err := r.AddFlow(f, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]*sched.Packet, 3)
+	sent, got := 0, 0
+	for round := 0; round < 40; round++ {
+		batch := make([]*sched.Packet, 1+round%5)
+		for i := range batch {
+			batch[i] = &sched.Packet{Flow: flows[(round+i)%len(flows)], Seq: int64(round), Length: 1}
+		}
+		n, err := r.EnqueueBatch(batch)
+		if err != nil || n != len(batch) {
+			t.Fatalf("round %d: EnqueueBatch n=%d err=%v", round, n, err)
+		}
+		sent += n
+		got += r.DequeueBatch(round%2, buf)
+	}
+	for s := 0; s < 2; s++ {
+		for {
+			n := r.DequeueBatch(s, buf)
+			if n == 0 {
+				break
+			}
+			got += n
+		}
+	}
+	if got != sent {
+		t.Fatalf("sent %d, dequeued %d", sent, got)
 	}
 }
 
