@@ -17,11 +17,9 @@ import (
 
 // The zero-allocation contract of the packet path, one row per cycle. A row
 // must read 0 allocs/op: the mean over allocRuns ops rounded down, as `go
-// test -benchmem` prints it. What is still amortised passes: Fair Airport's
-// per-flow entry slices (0.0016 allocs/op at 16 flows, 0.32 at 4 096, over a
-// 5 000-op batch after one batch of warm-up), and the fluid heap of wfq, fqs
-// and pifo-wfq, which this cycle overloads so that it grows without bound
-// (0.0004-0.0006). One allocation per packet or per batch fails. Scheduler rows
+// test -benchmem` prints it. What is still amortised passes: the fluid heap
+// of wfq, fqs and pifo-wfq, which this cycle overloads so that it grows
+// without bound (0.0004-0.0006). One allocation per packet or per batch fails. Scheduler rows
 // come from sched.Names(): a discipline is covered the moment it registers.
 // A sim.Link under MonitorAll has a row too: the monitor's hooks only append
 // to a chunked log, so a departure costs no allocation beyond a new chunk
@@ -120,12 +118,13 @@ func newSched(t *testing.T, name string) sched.Interface {
 }
 
 // TestZeroAllocExact holds the disciplines that keep their packets in the
-// flow records' pooled FIFOs (FIFO, DRR, a priority over FIFO levels, a tree
-// of DRR and EDD sinks) to exactly zero: not one allocation in a whole batch
-// after one batch of warm-up, where a rounded mean would let slice growth by.
+// flow records' pooled FIFOs (FIFO, DRR, Fair Airport, a priority over FIFO
+// levels, a tree of DRR and EDD sinks) to exactly zero: not one allocation in
+// a whole batch after one batch of warm-up, where a rounded mean would let
+// slice growth by.
 func TestZeroAllocExact(t *testing.T) {
 	const batch = 5000
-	for _, name := range []string{"fifo", "drr", "priority", "hier:sfq(drr,edd)"} {
+	for _, name := range []string{"fifo", "drr", "fairairport", "priority", "hier:sfq(drr,edd)"} {
 		for _, nflows := range []int{16, 4096} {
 			t.Run(fmt.Sprintf("%s/%d", name, nflows), func(t *testing.T) {
 				s := newSched(t, name)

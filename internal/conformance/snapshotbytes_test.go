@@ -31,6 +31,11 @@ import (
 // recorded on the commit before DRR's packets moved into the flow records
 // and FIFO became a rank function (ISSUE 25): DRR's format must not have
 // moved; FIFO's is the rank family's now.
+//
+// "parent:sched/fairairport" is the same script on the commit before Fair
+// Airport's packets moved into the flow records: its entry-slice format
+// moved once, on purpose, to kind "sched/fairairport.v2", pinned under
+// "fairairport".
 const snapshotBytesGoldenPath = "testdata/snapshot_bytes.json"
 
 // drrQuantumScript is the DRR quantum of the "drr" pin: small enough that
@@ -121,12 +126,13 @@ func readSnapshotBytesGolden(t *testing.T) map[string]string {
 
 func TestSnapshotBytesMatchParent(t *testing.T) {
 	want := readSnapshotBytesGolden(t)
-	names := []string{"scfq", "pifo-sfq", "drr"}
+	names := []string{"scfq", "pifo-sfq", "drr", "fairairport"}
 	got := make(map[string]string, len(names))
 	for _, name := range names[:2] {
 		got[name] = string(scriptedState(t, sched.MustNew(name), true))
 	}
 	got["drr"] = string(scriptedState(t, sched.MustNew("drr", sched.WithQuantum(drrQuantumScript)), false))
+	got["fairairport"] = string(scriptedState(t, sched.MustNew("fairairport"), false))
 	if os.Getenv("UPDATE_SNAPSHOT_BYTES") != "" {
 		for _, name := range names {
 			want[name] = got[name]
@@ -152,11 +158,16 @@ func TestSnapshotBytesMatchParent(t *testing.T) {
 
 // TestParentSnapshotsRefused: an envelope written before the rank family
 // took over the plain names — kind "core/sfq", "sched/scfq" or
-// "sched/fifo", a format this tree no longer reads — is refused at the kind
-// check with ErrBadState, before a byte of it reaches the scheduler.
+// "sched/fifo" — or before Fair Airport moved onto the flow records — kind
+// "sched/fairairport" — is in a format this tree no longer reads, and is
+// refused at the kind check with ErrBadState, before a byte of it reaches
+// the scheduler.
 func TestParentSnapshotsRefused(t *testing.T) {
 	golden := readSnapshotBytesGolden(t)
-	for key, name := range map[string]string{"parent:core/sfq": "sfq", "parent:sched/scfq": "scfq", "parent:sched/fifo": "fifo"} {
+	for key, name := range map[string]string{
+		"parent:core/sfq": "sfq", "parent:sched/scfq": "scfq", "parent:sched/fifo": "fifo",
+		"parent:sched/fairairport": "fairairport",
+	} {
 		state, ok := golden[key]
 		if !ok {
 			t.Fatalf("fixture %q missing from %s", key, snapshotBytesGoldenPath)

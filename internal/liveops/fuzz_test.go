@@ -7,11 +7,12 @@ import (
 )
 
 // fuzzTargets are the schedulers FuzzSnapshotRestore restores into: the rank
-// family's format (scfq) and DRR's, whose restore refills the flow records'
-// FIFOs from the snapshot. The first input byte picks one.
+// family's format (scfq), and DRR's and Fair Airport's, whose restores refill
+// the flow records' FIFOs from the snapshot. The first input byte picks one.
 var fuzzTargets = []func() sched.Interface{
 	func() sched.Interface { return sched.NewSCFQ() },
 	func() sched.Interface { return sched.NewDRR(1) },
+	func() sched.Interface { return sched.NewFairAirport() },
 }
 
 // FuzzSnapshotRestore throws arbitrary bytes at Restore. Valid envelopes

@@ -118,14 +118,17 @@ func TestFlowTableQueuedCount(t *testing.T) {
 	if err := ft.Add(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	p := &sched.Packet{Flow: 1, Length: 5}
-	ft.Registered(1).Account(p)
-	ft.Registered(1).Account(p)
-	if ft.QueuedCount(1) != 2 {
-		t.Errorf("QueuedCount = %d", ft.QueuedCount(1))
+	// The counters are the record's FIFO: what it holds is what is queued.
+	var pool sched.ChunkPool
+	f := ft.Registered(1)
+	a, b := 0.1, 0.2 // the sum carries a residue the drain must not keep
+	f.Push(&pool, 0, 0, 1, &sched.Packet{Flow: 1, Length: a})
+	f.Push(&pool, 0, 0, 2, &sched.Packet{Flow: 1, Length: b})
+	if ft.QueuedCount(1) != 2 || ft.QueuedBytes(1) != a+b {
+		t.Errorf("QueuedCount = %d, QueuedBytes = %v", ft.QueuedCount(1), ft.QueuedBytes(1))
 	}
-	ft.OnDequeue(p)
-	ft.OnDequeue(p)
+	f.Pop(&pool)
+	f.Pop(&pool)
 	if ft.QueuedCount(1) != 0 || ft.QueuedBytes(1) != 0 {
 		t.Error("counters should return to zero")
 	}

@@ -84,16 +84,7 @@ func NewDRR(quantumPerUnitWeight float64) *DRR {
 func (s *DRR) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
 // RemoveFlow unregisters an idle flow and returns its cached chunk.
-func (s *DRR) RemoveFlow(flow int) error {
-	f, err := s.flows.remove(flow)
-	if err != nil {
-		return err
-	}
-	if f != nil {
-		f.Release(&s.pool)
-	}
-	return nil
-}
+func (s *DRR) RemoveFlow(flow int) error { return s.flows.removeTo(flow, &s.pool) }
 
 // Enqueue appends p to its flow queue, activating the flow if needed.
 func (s *DRR) Enqueue(now float64, p *Packet) error {

@@ -19,23 +19,23 @@ import "math"
 // packet is set to the start tag of the packet being removed*, so GSQ
 // service does not charge the flow in ASQ currency.
 //
-// Data layout: each flow keeps its packets in one value slice (faEntry
-// records, no per-packet allocation). The ASQ is flow-indexed — an indexed
-// min-heap over the flows with unserved packets, keyed by the head entry's
-// (start tag, push serial), replacing the old packet-level heap with lazy
-// deletion of served entries. ASQ start tags are nondecreasing within a
-// flow (rule 5 reuses the removed packet's tag; ASQ service advances it),
-// so the flow head always carries the flow's minimum and the schedule is
-// identical. The GSQ stays a packet-level TagHeap: it can legitimately
-// hold several promoted packets of one flow.
+// Data layout: a flow's packets queue in its record's FIFO, and both routes
+// serve its head — the regulator releases in order, Virtual Clock stamps
+// grow along a flow, and the ASQ is consulted only when the GSQ is empty. So
+// the GSQ (a packet-level TagHeap) holds each FIFO's front Flow.promoted
+// packets and the regulator holds the one behind them. The ASQ is the flow
+// heap over backlogged flows, the head keyed by its ASQ start tag and
+// head-assignment sequence; the head's ASQ tags are its VirtualStart and
+// VirtualFinish. Flow.EAT is the regulator's chain (its zero value stands
+// in for −∞, times being nonnegative), Flow.LastFinish an idle flow's ASQ
+// baseline.
 type FairAirport struct {
 	flows FlowTable
-	state map[int]*faFlow
+	pool  ChunkPool
 
-	gsq TagHeap   // promoted packets, keyed by Virtual Clock stamp
-	asq faASQHeap // flows with unserved packets, keyed by head (asqStart, serial)
-
-	reg faRegHeap // regulator heads, keyed by release time EAT^RC
+	gsq TagHeap     // promoted packets, keyed by Virtual Clock stamp
+	asq FlowHeap    // backlogged flows, keyed by head (asqStart, asqSeq)
+	reg faRegulator // pending releases, keyed by EAT^RC
 
 	asqSeq       uint64 // ASQ head-assignment sequence (FIFO tie-break)
 	asqV         float64
@@ -46,214 +46,98 @@ type FairAirport struct {
 	last  float64
 }
 
-// faEntry is a packet inside a Fair Airport server.
-type faEntry struct {
-	p        *Packet
-	eat      float64 // EAT^RC: regulator release time (set when it becomes the regulator head)
-	inGSQ    bool
-	served   bool
-	asqStart float64
-	asqF     float64
+// faRelease is a flow's pending regulator release: the packet behind its
+// promoted ones becomes eligible for the GSQ at eat (EAT^RC). served marks a
+// release whose packet the ASQ sent first: it still runs out — the flow's
+// next packet is not armed before eat — but promotes nothing.
+type faRelease struct {
+	eat    float64
+	seq    uint64
+	f      *Flow
+	served bool
 }
 
-type faFlow struct {
-	q       []faEntry
-	headIdx int     // first unserved entry
-	regIdx  int     // entry whose release event is (or was) in the regulator heap; len(q) if none
-	gen     int     // bumped when q is compacted, invalidating old release events
-	gsqBase float64 // EAT^RC chain: earliest release of the next packet to enter GSQ
-	asqBase float64 // baseline for the next arrival's ASQ start tag
-
-	// ASQ heap state: the head entry's start tag, the sequence number of
-	// the head assignment (same order the old packet heap pushed in), and
-	// the flow's heap position (-1 when it has no unserved packets).
-	asqKey    float64
-	asqSerial uint64
-	asqIdx    int
-}
-
-// faASQHeap is a hand-rolled indexed min-heap over the flows with unserved
-// packets, ordered by (asqKey, asqSerial) — the head packet's SFQ start
-// tag with FIFO tie-breaking in head-assignment order. Same hole-moving
-// sift idiom as FlowHeap, with position tracking for fix/remove.
-type faASQHeap struct{ fs []*faFlow }
-
-func faLess(a, b *faFlow) bool {
-	if a.asqKey != b.asqKey {
-		return a.asqKey < b.asqKey
-	}
-	return a.asqSerial < b.asqSerial
-}
-
-func (h *faASQHeap) Len() int { return len(h.fs) }
-
-func (h *faASQHeap) min() *faFlow { return h.fs[0] }
-
-func (h *faASQHeap) push(f *faFlow) {
-	h.fs = append(h.fs, f)
-	h.siftUp(len(h.fs)-1, f)
-}
-
-func (h *faASQHeap) fix(f *faFlow) {
-	i := f.asqIdx
-	if i > 0 && faLess(f, h.fs[(i-1)/2]) {
-		h.siftUp(i, f)
-		return
-	}
-	h.siftDown(i, f)
-}
-
-func (h *faASQHeap) remove(f *faFlow) {
-	i := f.asqIdx
-	f.asqIdx = -1
-	n := len(h.fs)
-	last := h.fs[n-1]
-	h.fs[n-1] = nil
-	h.fs = h.fs[:n-1]
-	if i == n-1 {
-		return
-	}
-	if i > 0 && faLess(last, h.fs[(i-1)/2]) {
-		h.siftUp(i, last)
-		return
-	}
-	h.siftDown(i, last)
-}
-
-func (h *faASQHeap) siftUp(i int, f *faFlow) {
-	fs := h.fs
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !faLess(f, fs[parent]) {
-			break
-		}
-		fs[i] = fs[parent]
-		fs[i].asqIdx = i
-		i = parent
-	}
-	fs[i] = f
-	f.asqIdx = i
-}
-
-func (h *faASQHeap) siftDown(i int, f *faFlow) {
-	fs := h.fs
-	n := len(fs)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && faLess(fs[r], fs[child]) {
-			child = r
-		}
-		if !faLess(fs[child], f) {
-			break
-		}
-		fs[i] = fs[child]
-		fs[i].asqIdx = i
-		i = child
-	}
-	fs[i] = f
-	f.asqIdx = i
-}
-
-type faRegEvent struct {
-	eat  float64
-	seq  uint64
-	flow int
-	idx  int
-	gen  int
-}
-
-// faRegHeap is a typed min-heap of regulator release events ordered by
-// (eat, seq); hand-rolled like TagHeap to keep the regulator boxing-free.
-type faRegHeap struct {
-	es  []faRegEvent
-	seq uint64
-}
-
-func (a faRegEvent) less(b faRegEvent) bool {
+func (a *faRelease) less(b *faRelease) bool {
 	if a.eat != b.eat {
 		return a.eat < b.eat
 	}
 	return a.seq < b.seq
 }
 
-func (h *faRegHeap) Len() int { return len(h.es) }
-
-func (h *faRegHeap) push(eat float64, flow, idx, gen int) {
-	h.seq++
-	e := faRegEvent{eat: eat, seq: h.seq, flow: flow, idx: idx, gen: gen}
-	h.es = append(h.es, e)
-	es := h.es
-	i := len(es) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(es[parent]) {
-			break
-		}
-		es[i] = es[parent]
-		i = parent
-	}
-	es[i] = e
+// faRegulator is an indexed min-heap of releases ordered by (eat, seq), at
+// most one per flow; Flow.regPos is the flow's position, -1 when none.
+type faRegulator struct {
+	rs  []faRelease
+	seq uint64
 }
 
-func (h *faRegHeap) pop() faRegEvent {
-	es := h.es
-	top := es[0]
-	n := len(es) - 1
-	e := es[n]
-	h.es = es[:n]
-	es = es[:n]
-	i := 0
+func (h *faRegulator) push(f *Flow, eat float64) {
+	h.seq++
+	h.rs = append(h.rs, faRelease{})
+	h.up(len(h.rs)-1, faRelease{eat: eat, seq: h.seq, f: f})
+}
+
+// remove deletes the release at position i and returns it.
+func (h *faRegulator) remove(i int) faRelease {
+	r, n := h.rs[i], len(h.rs)-1
+	r.f.regPos = -1
+	last := h.rs[n]
+	h.rs[n] = faRelease{}
+	h.rs = h.rs[:n]
+	if i < n {
+		h.down(i, last)
+		h.up(int(last.f.regPos), last) // a no-op unless down left it at i
+	}
+	return r
+}
+
+func (h *faRegulator) up(i int, r faRelease) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !r.less(&h.rs[parent]) {
+			break
+		}
+		h.set(i, h.rs[parent])
+		i = parent
+	}
+	h.set(i, r)
+}
+
+func (h *faRegulator) down(i int, r faRelease) {
+	n := len(h.rs)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		min := l
-		if r := l + 1; r < n && es[r].less(es[l]) {
-			min = r
+		if c+1 < n && h.rs[c+1].less(&h.rs[c]) {
+			c++
 		}
-		if !es[min].less(e) {
+		if !h.rs[c].less(&r) {
 			break
 		}
-		es[i] = es[min]
-		i = min
+		h.set(i, h.rs[c])
+		i = c
 	}
-	if n > 0 {
-		es[i] = e
-	}
-	return top
+	h.set(i, r)
+}
+
+func (h *faRegulator) set(i int, r faRelease) {
+	h.rs[i] = r
+	r.f.regPos = int32(i)
 }
 
 // NewFairAirport returns an empty Fair Airport scheduler.
 //
 // Deprecated: prefer New("fairairport").
-func NewFairAirport() *FairAirport {
-	return &FairAirport{state: make(map[int]*faFlow)}
-}
+func NewFairAirport() *FairAirport { return &FairAirport{} }
 
 // AddFlow registers flow with reserved rate `weight` (bytes/second).
-func (s *FairAirport) AddFlow(flow int, weight float64) error {
-	if err := s.flows.Add(flow, weight); err != nil {
-		return err
-	}
-	if _, ok := s.state[flow]; !ok {
-		s.state[flow] = &faFlow{gsqBase: math.Inf(-1), asqIdx: -1}
-	}
-	return nil
-}
+func (s *FairAirport) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
-// RemoveFlow unregisters an idle flow. Its entry slice is released; any
-// regulator events still in flight are invalidated by the flow lookup.
-func (s *FairAirport) RemoveFlow(flow int) error {
-	if err := s.flows.Remove(flow); err != nil {
-		return err
-	}
-	delete(s.state, flow)
-	return nil
-}
+// RemoveFlow unregisters an idle flow and returns its cached chunk. An idle
+// flow has no pending release: nothing is left pointing at its record.
+func (s *FairAirport) RemoveFlow(flow int) error { return s.flows.removeTo(flow, &s.pool) }
 
 // Enqueue adds p to the flow's regulator and to the ASQ (rules 1–2).
 func (s *FairAirport) Enqueue(now float64, p *Packet) error {
@@ -261,69 +145,53 @@ func (s *FairAirport) Enqueue(now float64, p *Packet) error {
 		return ErrTimeWentBack
 	}
 	s.last = now
-	rec, err := s.flows.Lookup(p)
+	f, err := s.flows.Lookup(p)
 	if err != nil {
 		return err
 	}
-	r := EffRate(p, rec.Weight)
-	f := s.state[p.Flow]
-	f.q = append(f.q, faEntry{p: p})
-	e := &f.q[len(f.q)-1]
-
-	// ASQ head bookkeeping: if this packet is the flow's only unserved
-	// packet it becomes the ASQ head now (eq 4 with the ASQ virtual time)
-	// and the flow joins the ASQ heap.
-	if f.headIdx == len(f.q)-1 {
-		e.asqStart = math.Max(s.asqV, f.asqBase)
-		e.asqF = e.asqStart + p.Length/r
-		p.VirtualStart = e.asqStart
-		p.VirtualFinish = e.asqF
-		s.asqSeq++
-		f.asqKey = e.asqStart
-		f.asqSerial = s.asqSeq
-		s.asq.push(f)
+	f.Push(&s.pool, 0, 0, 0, p)
+	if f.n == 1 { // the flow's only packet is its ASQ head (eq 4, ASQ virtual time)
+		s.setHead(f, math.Max(s.asqV, f.LastFinish))
+		s.asq.Push(f)
 	}
-
-	// Regulator bookkeeping: if the regulator has no pending release for
-	// this flow, this packet becomes the regulator head (eq 120).
-	if f.regIdx == len(f.q)-1 {
-		e.eat = math.Max(p.Arrival, f.gsqBase)
-		s.reg.push(e.eat, p.Flow, f.regIdx, f.gen)
+	if f.regPos < 0 {
+		// Every earlier packet is promoted: the regulator holds this one.
+		s.arm(f, p)
 	}
-
-	rec.Account(p)
 	s.total++
 	return nil
 }
 
-// promote moves every regulator head whose release time has passed into
-// the GSQ, chaining successive release events (rule 2 / eq 120).
+// setHead gives f's head packet its ASQ tags, starting at start, and keys
+// the flow's heap slot by them. The caller restores the heap order.
+func (s *FairAirport) setHead(f *Flow, start float64) {
+	p := f.headItem().p
+	p.VirtualStart = start
+	p.VirtualFinish = start + p.Length/EffRate(p, f.Weight)
+	s.asqSeq++
+	f.SetHeadKey(start, float64(s.asqSeq))
+}
+
+// arm schedules the release of p, the packet behind f's promoted ones
+// (eq 120).
+func (s *FairAirport) arm(f *Flow, p *Packet) { s.reg.push(f, math.Max(p.Arrival, f.EAT)) }
+
+// promote moves every held packet whose release time has passed into the
+// GSQ, chaining successive releases (rule 2 / eq 120).
 func (s *FairAirport) promote(now float64) {
-	for s.reg.Len() > 0 && s.reg.es[0].eat <= now {
-		ev := s.reg.pop()
-		f := s.state[ev.flow]
-		if f == nil || ev.gen != f.gen || ev.idx >= len(f.q) || ev.idx != f.regIdx {
-			continue // stale after compaction, service, or flow removal
-		}
-		e := &f.q[ev.idx]
-		if !e.served && !e.inGSQ {
+	for len(s.reg.rs) > 0 && s.reg.rs[0].eat <= now {
+		r := s.reg.remove(0)
+		f := r.f
+		if !r.served {
 			// Release into the GSQ with the Virtual Clock stamp
 			// EAT^GSQ + l/r, where EAT^GSQ = EAT^RC (rule 3, eq 139).
-			e.inGSQ = true
-			r := EffRate(e.p, s.flows.Weights[ev.flow])
-			stamp := e.eat + e.p.Length/r
-			f.gsqBase = stamp
-			s.gsq.PushTag(stamp, e.p)
+			p := f.at(int(f.promoted))
+			f.EAT = r.eat + p.Length/EffRate(p, f.Weight)
+			s.gsq.PushTag(f.EAT, p)
+			f.promoted++
 		}
-		// Advance the regulator to the next unserved, unpromoted packet.
-		f.regIdx = ev.idx + 1
-		for f.regIdx < len(f.q) && (f.q[f.regIdx].served || f.q[f.regIdx].inGSQ) {
-			f.regIdx++
-		}
-		if f.regIdx < len(f.q) {
-			next := &f.q[f.regIdx]
-			next.eat = math.Max(next.p.Arrival, f.gsqBase)
-			s.reg.push(next.eat, ev.flow, f.regIdx, f.gen)
+		if int(f.promoted) < f.n {
+			s.arm(f, f.at(int(f.promoted)))
 		}
 	}
 }
@@ -346,72 +214,45 @@ func (s *FairAirport) Dequeue(now float64) (*Packet, bool) {
 
 	if s.gsq.Len() > 0 {
 		p := s.gsq.PopMin()
-		s.finishService(p, true)
+		f := s.flows.Get(p.Flow)
+		f.promoted--
+		// Rule 5: the next ASQ packet inherits the removed packet's start
+		// tag — GSQ service is free in ASQ currency.
+		s.serve(f, p.VirtualStart)
 		return p, true
 	}
 
-	// ASQ service: the minimum flow's head is the minimum unserved start
-	// tag. (With the GSQ empty no unserved entry is promoted, so the head
-	// is always directly servable — no staleness to skip.)
-	f := s.asq.min()
-	e := &f.q[f.headIdx]
-	p := e.p
-	s.asqV = e.asqStart
-	s.finishService(p, false)
+	// ASQ service: with the GSQ empty no flow has a promoted packet, so
+	// the minimum flow's head is the packet its regulator holds.
+	f := s.asq.Min()
+	p := f.headItem().p
+	s.asqV = p.VirtualStart
+	s.reg.rs[f.regPos].served = true
+	s.serve(f, p.VirtualFinish)
 	return p, true
 }
 
-// finishService marks the flow head served via the given route and sets up
-// the flow's next head (rule 5 for GSQ service).
-func (s *FairAirport) finishService(p *Packet, viaGSQ bool) {
-	f := s.state[p.Flow]
-	e := &f.q[f.headIdx]
-	e.served = true
-	e.p = nil // the scheduler keeps no reference to a served packet
-	if e.asqF > s.asqMaxFinish {
-		s.asqMaxFinish = e.asqF
+// serve pops f's head and starts the flow's next ASQ packet at start.
+func (s *FairAirport) serve(f *Flow, start float64) {
+	p := f.Pop(&s.pool)
+	if p.VirtualFinish > s.asqMaxFinish {
+		s.asqMaxFinish = p.VirtualFinish
 	}
-
-	// Advance the head and assign the next packet's ASQ tags.
-	f.headIdx++
-	var nextStart float64
-	if viaGSQ {
-		// Rule 5: the next ASQ packet inherits the removed packet's
-		// start tag — GSQ service is free in ASQ currency.
-		nextStart = e.asqStart
+	if f.n > 0 {
+		s.setHead(f, start)
+		s.asq.Fix(f)
 	} else {
-		nextStart = e.asqF // max(asqV, e.asqF) == e.asqF since asqV == e.asqStart
+		s.asq.Remove(f)
+		f.LastFinish = start
+		if f.regPos >= 0 {
+			s.reg.remove(int(f.regPos)) // its packet is gone: the next arrival arms at once
+		}
 	}
-	if f.headIdx < len(f.q) {
-		next := &f.q[f.headIdx]
-		r := EffRate(next.p, s.flows.Weights[p.Flow])
-		next.asqStart = nextStart
-		next.asqF = nextStart + next.p.Length/r
-		next.p.VirtualStart = next.asqStart
-		next.p.VirtualFinish = next.asqF
-		s.asqSeq++
-		f.asqKey = next.asqStart
-		f.asqSerial = s.asqSeq
-		s.asq.fix(f)
-	} else {
-		// Queue drained: compact and remember the tag baseline.
-		s.asq.remove(f)
-		f.q = f.q[:0]
-		f.headIdx = 0
-		f.regIdx = 0
-		f.gen++
-		f.asqBase = nextStart
-	}
-
-	s.flows.OnDequeue(p)
 	s.total--
 }
 
-// PacketPoolSafe reports that Fair Airport retains no dequeued packets:
-// served entries nil out their packet pointer, the GSQ heap zeroes popped
-// slots, and the flow-indexed ASQ holds flows, not packets. (Before the
-// flow-indexed ASQ, lazy deletion kept stale *Packet pointers alive and
-// FA was excluded from pooling.)
+// PacketPoolSafe reports that Fair Airport retains no dequeued packets: the
+// FIFO pop zeroes its slot and the GSQ heap zeroes popped slots.
 func (s *FairAirport) PacketPoolSafe() bool { return true }
 
 // Len returns the number of queued packets.

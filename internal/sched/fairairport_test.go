@@ -181,3 +181,48 @@ func TestFAGSQPriority(t *testing.T) {
 		t.Error("remaining packet should follow")
 	}
 }
+
+// TestFAReaddedFlowNotReleasedEarly: a flow removed and registered again
+// starts a fresh regulator. When the ASQ sent a packet its regulator was
+// holding, the release still pending must not carry over and release the
+// new flow's second packet (D, eligible at 11) at its old time (10).
+func TestFAReaddedFlowNotReleasedEarly(t *testing.T) {
+	s := sched.NewFairAirport()
+	addFlows(t, s, map[int]float64{1: 1, 2: 0.1})
+	enq := func(now float64, flow int, seq int64) {
+		t.Helper()
+		if err := s.Enqueue(now, &sched.Packet{Flow: flow, Seq: seq, Length: 10, Arrival: now}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deq := func(now float64, flow int, seq int64) {
+		t.Helper()
+		p, ok := s.Dequeue(now)
+		if flow == 0 {
+			if ok {
+				t.Fatalf("Dequeue(%v) = %d:%d, want nothing", now, p.Flow, p.Seq)
+			}
+			return
+		}
+		if !ok || p.Flow != flow || p.Seq != seq {
+			t.Fatalf("Dequeue(%v) = %v, want %d:%d", now, p, flow, seq)
+		}
+	}
+	enq(0, 1, 1) // A: released at 0 into the GSQ, stamp 10
+	enq(0, 1, 2) // B: held until 10
+	deq(0, 1, 1)
+	deq(0.01, 1, 2) // the ASQ sends B; its release at 10 is still pending
+	deq(0.02, 0, 0)
+	if err := s.RemoveFlow(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddFlow(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	enq(0.5, 2, 1) // X: released at 0.5, stamp 100.5
+	enq(1, 1, 3)   // C: released at 1, stamp 11
+	enq(1, 1, 4)   // D: held until 11
+	enq(1, 1, 5)
+	deq(1, 1, 3)
+	deq(10.5, 2, 1)
+}

@@ -121,6 +121,16 @@ func (fq *FlowQ) QueuedBytes() float64 { return fq.bytes }
 // headItem returns the front item. Callers must ensure Len() > 0.
 func (fq *FlowQ) headItem() flowItem { return fq.head.items[fq.hi] }
 
+// at returns the packet k places behind the front, walking k/64 chunks.
+// Callers must ensure k < Len().
+func (fq *FlowQ) at(k int) *Packet {
+	c, i := fq.head, fq.hi+k
+	for ; i >= flowChunkSize; i -= flowChunkSize {
+		c = c.next
+	}
+	return c.items[i].p
+}
+
 // Head returns the front packet and its primary key without removing it.
 // It returns (nil, 0) when empty.
 func (fq *FlowQ) Head() (*Packet, float64) {

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestFlowQChunkLifecycle pushes through several chunk boundaries and
@@ -345,5 +346,14 @@ func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 	}
 	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || len(s.q.fs.flows) != 1 {
 		t.Fatalf("enqueue on a removed flow: %v, %d records", err, len(s.q.fs.flows))
+	}
+}
+
+// TestFlowRecordSize: a flow record fills two cache lines and no more in the
+// release build. The schedassert build adds the push assert's memory of the
+// last push, which is taken out here so both builds check the same layout.
+func TestFlowRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Flow{}) - unsafe.Sizeof(pushAssert{}); n > 128 {
+		t.Errorf("sched.Flow is %d bytes in the release build, want <= 128", n)
 	}
 }

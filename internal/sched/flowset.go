@@ -130,12 +130,8 @@ func (fs *FlowSet) Remove(flow int) error {
 	if fs.fluid != nil && fs.fluid.count[flow] > 0 {
 		return fmt.Errorf("%w: %d", ErrFlowBusy, flow)
 	}
-	f, err := fs.remove(flow)
-	if err != nil {
+	if err := fs.removeTo(flow, &fs.pool); err != nil {
 		return err
-	}
-	if f != nil {
-		f.Release(&fs.pool)
 	}
 	if fs.fluid != nil {
 		delete(fs.fluid.count, flow)

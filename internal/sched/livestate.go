@@ -3,7 +3,6 @@ package sched
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -250,331 +249,167 @@ func (s *Priority) VisitQueued(fn func(*Packet)) {
 
 // ---------------------------------------------------------- FairAirport --
 
-type faEntryState struct {
-	Served   bool         `json:"served,omitempty"`
-	InGSQ    bool         `json:"inGSQ,omitempty"`
-	Eat      float64      `json:"eat,omitempty"`
-	AsqStart float64      `json:"asqStart,omitempty"`
-	AsqF     float64      `json:"asqF,omitempty"`
-	Pkt      *PacketState `json:"pkt,omitempty"`
-}
-
+// faFlowState is one registered flow: its two tag chains, its FIFO (the
+// head's VirtualStart/VirtualFinish are its ASQ tags, AsqSeq its
+// tie-break), the GSQ entries of its front len(GSQ) packets, and its
+// pending release when ReleaseSeq > 0.
 type faFlowState struct {
-	Flow    int `json:"flow"`
-	HeadIdx int `json:"headIdx"`
-	RegIdx  int `json:"regIdx"`
-	Gen     int `json:"gen"`
-	// GsqBaseLo marks gsqBase == -Inf (the initial "no GSQ history"
-	// state), which JSON cannot encode as a number.
-	GsqBaseLo bool           `json:"gsqBaseLo,omitempty"`
-	GsqBase   float64        `json:"gsqBase,omitempty"`
-	AsqBase   float64        `json:"asqBase,omitempty"`
-	AsqKey    float64        `json:"asqKey,omitempty"`
-	AsqSerial uint64         `json:"asqSerial,omitempty"`
-	InASQ     bool           `json:"inASQ,omitempty"`
-	Entries   []faEntryState `json:"entries,omitempty"`
+	ID         int            `json:"id"`
+	Weight     float64        `json:"weight"`
+	EAT        float64        `json:"eat,omitempty"`
+	LastFinish float64        `json:"lastFinish,omitempty"`
+	Bytes      float64        `json:"bytes,omitempty"`
+	AsqSeq     uint64         `json:"asqSeq,omitempty"`
+	Pkts       []PacketState  `json:"pkts,omitempty"`
+	GSQ        []faStampState `json:"gsq,omitempty"`
+	ReleaseAt  float64        `json:"releaseAt,omitempty"`
+	ReleaseSeq uint64         `json:"releaseSeq,omitempty"`
+	Served     bool           `json:"served,omitempty"`
 }
 
-type faGSQItemState struct {
+// faStampState is a promoted packet's GSQ entry.
+type faStampState struct {
 	Key    float64 `json:"key"`
 	Serial uint64  `json:"serial"`
-	Flow   int     `json:"flow"`
-	Idx    int     `json:"idx"`
 }
 
-type faRegEventState struct {
-	Eat  float64 `json:"eat"`
-	Seq  uint64  `json:"seq"`
-	Flow int     `json:"flow"`
-	Idx  int     `json:"idx"`
-	Gen  int     `json:"gen"`
+func (a faStampState) before(b faStampState) bool {
+	return a.Key < b.Key || a.Key == b.Key && a.Serial < b.Serial
 }
 
 type faState struct {
-	Last         float64           `json:"last"`
-	AsqSeq       uint64            `json:"asqSeq"`
-	AsqV         float64           `json:"asqV"`
-	AsqMaxFinish float64           `json:"asqMaxFinish"`
-	Busy         bool              `json:"busy"`
-	Total        int               `json:"total"`
-	GSQSerial    uint64            `json:"gsqSerial"`
-	RegSeq       uint64            `json:"regSeq"`
-	Flows        []FlowAccounting  `json:"flows"`
-	State        []faFlowState     `json:"state"`
-	GSQ          []faGSQItemState  `json:"gsq"`
-	Reg          []faRegEventState `json:"reg"`
+	Last         float64       `json:"last"`
+	AsqSeq       uint64        `json:"asqSeq"`
+	AsqV         float64       `json:"asqV"`
+	AsqMaxFinish float64       `json:"asqMaxFinish"`
+	Busy         bool          `json:"busy"`
+	GSQSerial    uint64        `json:"gsqSerial"`
+	RegSeq       uint64        `json:"regSeq"`
+	Flows        []faFlowState `json:"flows"`
 }
 
-// StateKind identifies Fair Airport snapshot state.
-func (s *FairAirport) StateKind() string { return "sched/fairairport" }
+// StateKind identifies Fair Airport snapshot state. The format moved once,
+// when the packets moved into the flow records; "sched/fairairport" is the
+// entry-slice format before it, refused at the kind check.
+func (s *FairAirport) StateKind() string { return "sched/fairairport.v2" }
 
-// MarshalState serializes the full Fair Airport state: per-flow entry
-// slices (served entries as normalized tombstones, so index-based
-// regulator events keep their meaning), the GSQ as (flow, index)
-// references into those slices, and the regulator event heap sorted by
-// its (eat, seq) strict total order.
+// MarshalState serializes the full Fair Airport state flow by flow: a
+// flow's promoted packets are its FIFO's front and it has at most one
+// pending release, so neither the GSQ nor the regulator is written as such.
 func (s *FairAirport) MarshalState() ([]byte, error) {
 	st := faState{
 		Last: s.last, AsqSeq: s.asqSeq, AsqV: s.asqV, AsqMaxFinish: s.asqMaxFinish,
-		Busy: s.busy, Total: s.total, GSQSerial: s.gsq.serial, RegSeq: s.reg.seq,
-		Flows: s.flows.CaptureAccounting(),
+		Busy: s.busy, GSQSerial: s.gsq.serial, RegSeq: s.reg.seq,
 	}
-	ids := make([]int, 0, len(s.state))
-	for f := range s.state {
-		ids = append(ids, f)
+	stamps := make(map[*Packet]faStampState, len(s.gsq.items))
+	for _, it := range s.gsq.items {
+		stamps[it.p] = faStampState{Key: it.key, Serial: it.serial}
 	}
-	sort.Ints(ids)
-	// gsqRef locates each live packet so GSQ items can be serialized as
-	// references rather than duplicating packets.
-	type ref struct{ flow, idx int }
-	gsqRef := make(map[*Packet]ref)
-	st.State = make([]faFlowState, 0, len(ids))
-	for _, id := range ids {
-		f := s.state[id]
-		fs := faFlowState{
-			Flow: id, HeadIdx: f.headIdx, RegIdx: f.regIdx, Gen: f.gen,
-			AsqBase: f.asqBase, AsqKey: f.asqKey, AsqSerial: f.asqSerial,
-			InASQ: f.asqIdx >= 0,
-		}
-		if math.IsInf(f.gsqBase, -1) {
-			fs.GsqBaseLo = true
-		} else {
-			fs.GsqBase = f.gsqBase
-		}
-		if len(f.q) > 0 {
-			fs.Entries = make([]faEntryState, len(f.q))
-			for i := range f.q {
-				e := &f.q[i]
-				if e.served {
-					fs.Entries[i] = faEntryState{Served: true}
-					continue
+	s.flows.Each(func(f *Flow) {
+		fs := faFlowState{ID: f.flow, Weight: f.Weight, EAT: f.EAT, LastFinish: f.LastFinish, Bytes: f.bytes}
+		if f.n > 0 {
+			fs.AsqSeq = uint64(f.headItem().sub)
+			f.VisitQueued(func(p *Packet) {
+				fs.Pkts = append(fs.Pkts, CapturePacket(p))
+				if g, ok := stamps[p]; ok {
+					fs.GSQ = append(fs.GSQ, g)
 				}
-				ps := CapturePacket(e.p)
-				fs.Entries[i] = faEntryState{
-					InGSQ: e.inGSQ, Eat: e.eat,
-					AsqStart: e.asqStart, AsqF: e.asqF, Pkt: &ps,
-				}
-				gsqRef[e.p] = ref{flow: id, idx: i}
+			})
+			if f.regPos >= 0 {
+				r := s.reg.rs[f.regPos]
+				fs.ReleaseAt, fs.ReleaseSeq, fs.Served = r.eat, r.seq, r.served
 			}
 		}
-		st.State = append(st.State, fs)
-	}
-	st.GSQ = make([]faGSQItemState, 0, len(s.gsq.items))
-	for _, it := range s.gsq.items {
-		r, ok := gsqRef[it.p]
-		if !ok {
-			return nil, fmt.Errorf("sched: fairairport GSQ holds a packet with no live entry")
-		}
-		st.GSQ = append(st.GSQ, faGSQItemState{Key: it.key, Serial: it.serial, Flow: r.flow, Idx: r.idx})
-	}
-	sort.Slice(st.GSQ, func(i, j int) bool {
-		a, b := st.GSQ[i], st.GSQ[j]
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Serial < b.Serial
-	})
-	st.Reg = make([]faRegEventState, 0, len(s.reg.es))
-	for _, e := range s.reg.es {
-		st.Reg = append(st.Reg, faRegEventState{Eat: e.eat, Seq: e.seq, Flow: e.flow, Idx: e.idx, Gen: e.gen})
-	}
-	sort.Slice(st.Reg, func(i, j int) bool {
-		a, b := st.Reg[i], st.Reg[j]
-		if a.Eat != b.Eat {
-			return a.Eat < b.Eat
-		}
-		return a.Seq < b.Seq
+		st.Flows = append(st.Flows, fs)
 	})
 	return json.Marshal(st)
 }
 
+// validate checks one flow's state against the invariants the scheduler
+// relies on: packets of the flow with positive lengths and the byte
+// accumulator agreeing with them, GSQ entries increasing along the FIFO (so
+// the GSQ pops a flow's head), and a release pending exactly when a packet
+// is not yet promoted — a served one only when none is.
+func (fs *faFlowState) validate(st *faState) error {
+	bad := func(what string) error { return fmt.Errorf("%w: fa flow %d: %s", ErrBadState, fs.ID, what) }
+	if !positive(fs.Weight) {
+		return bad("weight")
+	}
+	sum := 0.0
+	for _, ps := range fs.Pkts {
+		if !positive(ps.Length) || ps.Flow != fs.ID {
+			return bad("invalid packet")
+		}
+		sum += ps.Length
+	}
+	if !closeTo(fs.Bytes, sum) || len(fs.Pkts) == 0 && fs.Bytes != 0 {
+		return bad("bytes disagree with packets")
+	}
+	if (len(fs.Pkts) > 0) != (fs.AsqSeq > 0) || fs.AsqSeq > st.AsqSeq || len(fs.GSQ) > len(fs.Pkts) {
+		return bad("ASQ sequence or GSQ length")
+	}
+	for i, g := range fs.GSQ {
+		if g.Serial > st.GSQSerial || i > 0 && !fs.GSQ[i-1].before(g) {
+			return bad("GSQ entries out of order")
+		}
+	}
+	if held := fs.ReleaseSeq > 0; held == (len(fs.GSQ) == len(fs.Pkts)) ||
+		fs.ReleaseSeq > st.RegSeq || fs.Served && (!held || len(fs.GSQ) > 0) {
+		return bad("regulator release")
+	}
+	return nil
+}
+
 // RestoreState loads state into a freshly constructed Fair Airport.
 func (s *FairAirport) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.total != 0 || len(s.state) != 0 {
+	if len(s.flows.Weights) != 0 || s.total != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st faState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	if err := s.flows.RestoreAccounting(st.Flows); err != nil {
-		return err
+	for i := range st.Flows {
+		if i > 0 && st.Flows[i].ID <= st.Flows[i-1].ID {
+			return fmt.Errorf("%w: fa flow ids not ascending at %d", ErrBadState, st.Flows[i].ID)
+		}
+		if err := st.Flows[i].validate(&st); err != nil {
+			return err
+		}
 	}
-	total := 0
-	inGSQ := 0
-	var maxAsqSerial uint64
-	for i, fs := range st.State {
-		if i > 0 && fs.Flow <= st.State[i-1].Flow {
-			return fmt.Errorf("%w: fa flow ids not ascending at %d", ErrBadState, fs.Flow)
-		}
-		if _, ok := s.flows.Weights[fs.Flow]; !ok {
-			return fmt.Errorf("%w: fa state for unregistered flow %d", ErrBadState, fs.Flow)
-		}
-		n := len(fs.Entries)
-		if fs.HeadIdx < 0 || fs.HeadIdx > n || fs.RegIdx < 0 || fs.RegIdx > n {
-			return fmt.Errorf("%w: fa flow %d indices out of range", ErrBadState, fs.Flow)
-		}
-		if fs.InASQ != (fs.HeadIdx < n) {
-			return fmt.Errorf("%w: fa flow %d ASQ membership disagrees with backlog", ErrBadState, fs.Flow)
-		}
-		live := 0
-		bytes := 0.0
-		for j, e := range fs.Entries {
-			if j < fs.HeadIdx {
-				if !e.Served || e.Pkt != nil {
-					return fmt.Errorf("%w: fa flow %d entry %d below head not a served tombstone", ErrBadState, fs.Flow, j)
-				}
-				continue
-			}
-			if e.Served || e.Pkt == nil {
-				return fmt.Errorf("%w: fa flow %d entry %d above head served or packetless", ErrBadState, fs.Flow, j)
-			}
-			if e.Pkt.Length <= 0 || e.Pkt.Flow != fs.Flow {
-				return fmt.Errorf("%w: fa flow %d entry %d packet invalid", ErrBadState, fs.Flow, j)
-			}
-			if e.InGSQ {
-				inGSQ++
-			}
-			live++
-			bytes += e.Pkt.Length
-		}
-		if s.flows.QueuedCount(fs.Flow) != live || !closeTo(s.flows.QueuedBytes(fs.Flow), bytes) {
-			return fmt.Errorf("%w: fa flow %d accounting disagrees with entries", ErrBadState, fs.Flow)
-		}
-		if fs.InASQ {
-			head := fs.Entries[fs.HeadIdx]
-			if head.AsqStart != fs.AsqKey {
-				return fmt.Errorf("%w: fa flow %d ASQ key %v != head start %v", ErrBadState, fs.Flow, fs.AsqKey, head.AsqStart)
-			}
-			if fs.AsqSerial > maxAsqSerial {
-				maxAsqSerial = fs.AsqSerial
+	// All validated: materialize. Both heaps pop in a strict total order,
+	// so the order they are refilled in does not matter.
+	for _, fs := range st.Flows {
+		_ = s.flows.Add(fs.ID, fs.Weight) // cannot fail: weight validated, nothing draining
+		f := s.flows.Registered(fs.ID)
+		f.EAT, f.LastFinish = fs.EAT, fs.LastFinish
+		for i, ps := range fs.Pkts {
+			p := ps.Packet()
+			f.Push(&s.pool, 0, 0, 0, p)
+			if i < len(fs.GSQ) {
+				s.gsq.push(tagItem{key: fs.GSQ[i].Key, serial: fs.GSQ[i].Serial, p: p})
 			}
 		}
-		total += live
-	}
-	if total != st.Total {
-		return fmt.Errorf("%w: fa total %d != %d live entries", ErrBadState, st.Total, total)
-	}
-	if len(st.State) != len(s.flows.Weights) {
-		return fmt.Errorf("%w: fa has %d flow states for %d registered flows", ErrBadState, len(st.State), len(s.flows.Weights))
-	}
-	if st.AsqSeq < maxAsqSerial {
-		return fmt.Errorf("%w: fa ASQ seq %d below max serial %d", ErrBadState, st.AsqSeq, maxAsqSerial)
-	}
-	if len(st.GSQ) != inGSQ {
-		return fmt.Errorf("%w: fa GSQ has %d items for %d promoted entries", ErrBadState, len(st.GSQ), inGSQ)
-	}
-
-	// All validated: materialize.
-	flowStates := make(map[int]*faFlow, len(st.State))
-	for _, fs := range st.State {
-		f := &faFlow{
-			headIdx: fs.HeadIdx, regIdx: fs.RegIdx, gen: fs.Gen,
-			asqBase: fs.AsqBase, asqKey: fs.AsqKey, asqSerial: fs.AsqSerial,
-			asqIdx:  -1,
-			gsqBase: fs.GsqBase,
+		f.promoted = int32(len(fs.GSQ))
+		if f.n > 0 {
+			f.bytes = fs.Bytes
+			f.SetHeadKey(fs.Pkts[0].VirtualStart, float64(fs.AsqSeq))
+			s.asq.Push(f)
 		}
-		if fs.GsqBaseLo {
-			f.gsqBase = math.Inf(-1)
+		if fs.ReleaseSeq > 0 {
+			s.reg.rs = append(s.reg.rs, faRelease{})
+			s.reg.up(len(s.reg.rs)-1, faRelease{eat: fs.ReleaseAt, seq: fs.ReleaseSeq, f: f, served: fs.Served})
 		}
-		if len(fs.Entries) > 0 {
-			f.q = make([]faEntry, len(fs.Entries))
-			for j, e := range fs.Entries {
-				if e.Served {
-					f.q[j] = faEntry{served: true}
-					continue
-				}
-				f.q[j] = faEntry{
-					p: e.Pkt.Packet(), eat: e.Eat, inGSQ: e.InGSQ,
-					asqStart: e.AsqStart, asqF: e.AsqF,
-				}
-			}
-		}
-		flowStates[fs.Flow] = f
-		s.state[fs.Flow] = f
+		s.total += f.n
 	}
-	// ASQ heap: push backlogged flows in (key, serial) order; the sorted
-	// push sequence yields a valid heap and pop order is total anyway.
-	asqFlows := make([]faFlowState, 0, len(st.State))
-	for _, fs := range st.State {
-		if fs.InASQ {
-			asqFlows = append(asqFlows, fs)
-		}
-	}
-	sort.Slice(asqFlows, func(i, j int) bool {
-		a, b := asqFlows[i], asqFlows[j]
-		if a.AsqKey != b.AsqKey {
-			return a.AsqKey < b.AsqKey
-		}
-		return a.AsqSerial < b.AsqSerial
-	})
-	for _, fs := range asqFlows {
-		s.asq.push(flowStates[fs.Flow])
-	}
-	// GSQ: items sorted by (key, serial) form a valid heap directly.
-	var maxGSQSerial uint64
-	s.gsq.items = make([]tagItem, len(st.GSQ))
-	for i, it := range st.GSQ {
-		if i > 0 {
-			prev := st.GSQ[i-1]
-			if it.Key < prev.Key || (it.Key == prev.Key && it.Serial <= prev.Serial) {
-				return fmt.Errorf("%w: fa GSQ not sorted at item %d", ErrBadState, i)
-			}
-		}
-		f := flowStates[it.Flow]
-		if f == nil || it.Idx < 0 || it.Idx >= len(f.q) || f.q[it.Idx].served || !f.q[it.Idx].inGSQ {
-			return fmt.Errorf("%w: fa GSQ item %d references no promoted entry", ErrBadState, i)
-		}
-		s.gsq.items[i] = tagItem{key: it.Key, serial: it.Serial, p: f.q[it.Idx].p}
-		if it.Serial > maxGSQSerial {
-			maxGSQSerial = it.Serial
-		}
-	}
-	if st.GSQSerial < maxGSQSerial {
-		return fmt.Errorf("%w: fa GSQ serial %d below max item serial %d", ErrBadState, st.GSQSerial, maxGSQSerial)
-	}
-	s.gsq.serial = st.GSQSerial
-	// Regulator: sorted events form a valid heap. Stale events (bumped
-	// generation, out-of-range index) are legal — promote() drops them —
-	// so only the heap order and the sequence counter are validated.
-	var maxRegSeq uint64
-	s.reg.es = make([]faRegEvent, len(st.Reg))
-	for i, e := range st.Reg {
-		if i > 0 {
-			prev := st.Reg[i-1]
-			if e.Eat < prev.Eat || (e.Eat == prev.Eat && e.Seq <= prev.Seq) {
-				return fmt.Errorf("%w: fa regulator not sorted at event %d", ErrBadState, i)
-			}
-		}
-		s.reg.es[i] = faRegEvent{eat: e.Eat, seq: e.Seq, flow: e.Flow, idx: e.Idx, gen: e.Gen}
-		if e.Seq > maxRegSeq {
-			maxRegSeq = e.Seq
-		}
-	}
-	if st.RegSeq < maxRegSeq {
-		return fmt.Errorf("%w: fa regulator seq %d below max event seq %d", ErrBadState, st.RegSeq, maxRegSeq)
-	}
-	s.reg.seq = st.RegSeq
-	s.last, s.asqSeq, s.asqV, s.asqMaxFinish = st.Last, st.AsqSeq, st.AsqV, st.AsqMaxFinish
-	s.busy, s.total = st.Busy, st.Total
+	s.gsq.serial, s.reg.seq = st.GSQSerial, st.RegSeq
+	s.last, s.asqSeq, s.asqV, s.asqMaxFinish, s.busy = st.Last, st.AsqSeq, st.AsqV, st.AsqMaxFinish, st.Busy
 	return nil
 }
 
-// VisitQueued visits live (unserved) packets: flows ascending, entry
-// order within a flow. Promoted GSQ packets alias these entries, so each
-// packet is visited exactly once.
+// VisitQueued visits queued packets: flows ascending, FIFO within a flow.
 func (s *FairAirport) VisitQueued(fn func(*Packet)) {
-	ids := make([]int, 0, len(s.state))
-	for f := range s.state {
-		ids = append(ids, f)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f := s.state[id]
-		for i := f.headIdx; i < len(f.q); i++ {
-			fn(f.q[i].p)
-		}
-	}
+	s.flows.Each(func(f *Flow) { f.VisitQueued(fn) })
 }
 
 // ListFlows returns the registered flows sorted by id.

@@ -61,8 +61,7 @@ func PoolSafeScheduler(s Interface) bool {
 // Pool-safety declarations for this package's schedulers. Each returns
 // true because the scheduler nils out (or pops) its reference to a packet
 // when Dequeue hands it out and mutates nothing on a failed Enqueue.
-// (Ranked's is in rank.go; FairAirport's lives in fairairport.go next to
-// the served-entry bookkeeping that makes it true.)
+// (Ranked's is in rank.go, FairAirport's in fairairport.go.)
 
 // PacketPoolSafe reports that DRR retains no dequeued packets.
 func (s *DRR) PacketPoolSafe() bool { return true }

@@ -134,39 +134,21 @@ type Flow struct {
 	// LastKey, LastSub are the rank of the most recent push — the chain
 	// PIFO's monotonizing clamp compares against.
 	LastKey, LastSub float64
-}
 
-// Account and Unaccount count a packet queued outside the record's FIFO:
-// Fair Airport keeps its own packet queues and uses the record's counters
-// alone.
-func (f *Flow) Account(p *Packet) {
-	f.n++
-	f.bytes += p.Length
-}
-
-// Unaccount reverses Account.
-func (f *Flow) Unaccount(p *Packet) {
-	f.n--
-	f.bytes -= p.Length
-	if f.n == 0 {
-		// An empty queue holds exactly zero bytes; without the reset,
-		// float accumulation error leaves a residue that makes
-		// emptiness checks unreliable.
-		f.bytes = 0
-	}
+	// Fair Airport's regulator: how many of the FIFO's front packets it has
+	// released into the GSQ, and the position of the flow's pending release
+	// in its heap (-1 when none).
+	promoted, regPos int32
 }
 
 // FlowTable is the flow registry shared by the schedulers in this
 // repository (including internal/core and internal/pifo): one record per
 // flow. Weights says which flows are registered, and is the control-plane
 // view of their weights (the fluid GPS reference shares it, ListFlows and
-// the live-state code read it); the per-packet paths of the disciplines
-// built on a FlowSet and of DRR go through Lookup and use the record. (Fair
-// Airport, which keeps a per-flow state of its own beside the table, still
-// reads Weights once per promotion.) A record is made when
-// its flow first needs one — its first packet, as a rule — so a flow that
-// is registered and silent costs its Weights entry and nothing else. The
-// zero value is ready to use.
+// the live-state code read it); the per-packet paths go through Lookup and
+// use the record. A record is made when its flow first needs one — its
+// first packet, as a rule — so a flow that is registered and silent costs
+// its Weights entry and nothing else. The zero value is ready to use.
 type FlowTable struct {
 	Weights  map[int]float64
 	flows    map[int]*Flow
@@ -187,7 +169,7 @@ func (t *FlowTable) Record(flow int) *Flow {
 		if t.flows == nil {
 			t.flows = make(map[int]*Flow)
 		}
-		f = &Flow{FlowQ: FlowQ{flow: flow}, heapIdx: -1}
+		f = &Flow{FlowQ: FlowQ{flow: flow}, heapIdx: -1, regPos: -1}
 		t.flows[flow] = f
 	}
 	return f
@@ -252,6 +234,16 @@ func (t *FlowTable) remove(flow int) (*Flow, error) {
 	return f, nil
 }
 
+// removeTo is remove for a discipline that queues in the records' FIFOs:
+// the departed flow's chunks go back to pool.
+func (t *FlowTable) removeTo(flow int, pool *ChunkPool) error {
+	f, err := t.remove(flow)
+	if f != nil {
+		f.Release(pool)
+	}
+	return err
+}
+
 // Lookup validates p against the registry — registered flow, finite
 // positive length, not draining — and returns its flow's record: the one
 // flow-keyed lookup of an Enqueue.
@@ -271,10 +263,6 @@ func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
 	}
 	return f, nil
 }
-
-// OnDequeue records p — of a registered flow, queued outside the record's
-// FIFO — as no longer queued (see Flow.Account).
-func (t *FlowTable) OnDequeue(p *Packet) { t.flows[p.Flow].Unaccount(p) }
 
 // QueuedBytes returns the bytes queued for flow, exactly zero when idle.
 func (t *FlowTable) QueuedBytes(flow int) float64 {

@@ -349,10 +349,8 @@ func (t *FlowTable) CaptureAccounting() []FlowAccounting {
 
 // RestoreAccounting replaces the registry's contents. It *registers* the
 // flows — a freshly constructed scheduler needs no AddFlow calls before
-// restore — and sets their queued counters: the whole accounting of Fair
-// Airport, which queues outside the record's FIFO, and what DRR checks its
-// refilled FIFOs against. The Weights map is cleared in place, never
-// reallocated.
+// restore — and sets their queued counters, which DRR checks its refilled
+// FIFOs against. The Weights map is cleared in place, never reallocated.
 func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 	for i, a := range accts {
 		if i > 0 && a.Flow <= accts[i-1].Flow {

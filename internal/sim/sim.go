@@ -153,8 +153,8 @@ type Link struct {
 	// Packet recycling: enabled iff the scheduler declares itself
 	// PoolSafe, sampled lazily on the first arrival (composite schedulers
 	// answer for the children wired in by then). Wrappers that retain
-	// packets (the conformance recorder, FairAirport) never implement
-	// PoolSafe, so they transparently fall back to per-packet allocation.
+	// packets (the conformance recorder) never implement PoolSafe, so they
+	// transparently fall back to per-packet allocation.
 	pool        sched.PacketPool
 	poolOK      bool
 	poolChecked bool
