@@ -2,11 +2,13 @@ package sched
 
 import "fmt"
 
-// FlowHeap is a hand-rolled indexed min-heap over backlogged flows,
+// FlowHeap is a hand-rolled indexed 4-ary min-heap over backlogged flows,
 // ordered by each flow's head item under the strict total order
-// (key, sub, serial). It follows the PR 3 typed-heap idiom — hole-moving
-// sift-up/sift-down, no container/heap boxing — and tracks each flow's
-// position (Flow.heapIdx) so Fix and Remove are O(log B) without a search.
+// (key, sub, serial): slot i's children are 4i+1 … 4i+4. Its sifts move a
+// hole rather than swapping, with no container/heap boxing, and it
+// tracks each flow's position (Flow.heapIdx) so Fix and Remove are
+// O(log B) without a search. siftDown is bottom-up (see there). The order
+// is strict, so the minimum is unique and no schedule depends on shape.
 // Every member must be nonempty; callers push a flow when it becomes
 // backlogged and pop/remove it when it drains.
 //
@@ -58,7 +60,7 @@ func (h *FlowHeap) Min() *Flow {
 // Push inserts a newly backlogged flow. f must be nonempty.
 func (h *FlowHeap) Push(f *Flow) {
 	h.ss = append(h.ss, heapSlot{})
-	h.siftUp(len(h.ss)-1, slotOf(f))
+	h.siftUp(len(h.ss)-1, 0, slotOf(f))
 }
 
 // PopMin removes and returns the minimum flow, or nil when empty. The
@@ -76,8 +78,8 @@ func (h *FlowHeap) PopMin() *Flow {
 // was popped or its key rewritten while the flow stays backlogged).
 func (h *FlowHeap) Fix(f *Flow) {
 	i, s := f.heapIdx, slotOf(f)
-	if i > 0 && s.less(&h.ss[(i-1)/2]) {
-		h.siftUp(i, s)
+	if i > 0 && s.less(&h.ss[(i-1)/4]) {
+		h.siftUp(i, 0, s)
 		return
 	}
 	h.siftDown(i, s)
@@ -107,19 +109,19 @@ func (h *FlowHeap) removeAt(i int) {
 	if i == n {
 		return
 	}
-	if i > 0 && last.less(&h.ss[(i-1)/2]) {
-		h.siftUp(i, last)
+	if i > 0 && last.less(&h.ss[(i-1)/4]) {
+		h.siftUp(i, 0, last)
 		return
 	}
 	h.siftDown(i, last)
 }
 
-// siftUp moves s toward the root from hole position i, shifting larger
-// parents down into the hole.
-func (h *FlowHeap) siftUp(i int, s heapSlot) {
+// siftUp moves s from hole position i toward the root, but not above
+// position top, shifting larger parents down into the hole.
+func (h *FlowHeap) siftUp(i, top int, s heapSlot) {
 	ss := h.ss
-	for i > 0 {
-		parent := (i - 1) / 2
+	for i > top {
+		parent := (i - 1) / 4
 		if !s.less(&ss[parent]) {
 			break
 		}
@@ -131,28 +133,57 @@ func (h *FlowHeap) siftUp(i int, s heapSlot) {
 	s.f.heapIdx = i
 }
 
-// siftDown moves s toward the leaves from hole position i, shifting the
-// smaller child up into the hole.
+// siftDown places s in the subtree under hole i (s must not sort before
+// i's parent). Bottom-up: the hole walks to a leaf along the smallest
+// child, then s climbs back, never above i; a slot leaving the root
+// belongs near the leaves. A full group's minimum is the smaller of the
+// two sibling-pair winners, with outcomes turned into indices: distinct
+// keys are coin flips the predictor would miss. A key tie between the
+// winners branches, as ties come in runs (flows stamped with one v).
 func (h *FlowHeap) siftDown(i int, s heapSlot) {
 	ss := h.ss
 	n := len(ss)
+	top := i
 	for {
-		child := 2*i + 1
-		if child >= n {
+		c := 4*i + 1
+		if c+3 < n {
+			a := c + before(&ss[c+1], &ss[c])
+			b := c + 2 + before(&ss[c+3], &ss[c+2])
+			switch {
+			case ss[b].key != ss[a].key:
+				c = a ^ (a^b)&-before(&ss[b], &ss[a]) // b if it sorts first, else a
+			case ss[b].less(&ss[a]):
+				c = b
+			default:
+				c = a
+			}
+		} else if c < n {
+			for j := c + 1; j < n; j++ {
+				if ss[j].less(&ss[c]) {
+					c = j
+				}
+			}
+		} else {
 			break
 		}
-		if r := child + 1; r < n && ss[r].less(&ss[child]) {
-			child = r
-		}
-		if !ss[child].less(&s) {
-			break
-		}
-		ss[i] = ss[child]
+		ss[i] = ss[c]
 		ss[i].f.heapIdx = i
-		i = child
+		i = c
 	}
-	ss[i] = s
-	s.f.heapIdx = i
+	h.siftUp(i, top, s)
+}
+
+// before is y.less(x) as 0 or 1, without a branch on the key compare.
+func before(y, x *heapSlot) int {
+	lt := y.key < x.key
+	if y.key == x.key {
+		lt = y.less(x)
+	}
+	r := 0
+	if lt {
+		r = 1
+	}
+	return r
 }
 
 // CheckSlots verifies the slot-key invariant and the index: every slot's
@@ -172,7 +203,7 @@ func (h *FlowHeap) CheckSlots() error {
 			return fmt.Errorf("slot %d: flow %d key (%v,%v,%d) != head item (%v,%v,%d)",
 				i, s.f.flow, s.key, s.sub, s.serial, want.key, want.sub, want.serial)
 		}
-		if i > 0 && s.less(&h.ss[(i-1)/2]) {
+		if i > 0 && s.less(&h.ss[(i-1)/4]) {
 			return fmt.Errorf("slot %d: sorts before its parent", i)
 		}
 	}

@@ -2,8 +2,10 @@ package sched
 
 // This file implements the flow-indexed scheduling core shared by the
 // fair-queuing family: per-flow packet FIFOs (FlowQ) backed by pooled
-// fixed-size chunks, and an indexed min-heap over the *backlogged flows*
-// (FlowHeap, flowheap.go) keyed by each flow's head item.
+// fixed-size chunks, and an indexed 4-ary min-heap over the *backlogged
+// flows* (FlowHeap, flowheap.go) keyed by each flow's head item. The
+// records holding both are found through FlowTable's open-addressing
+// index (flowindex.go).
 //
 // The structure exploits the property the paper's tag equations guarantee
 // (eqs 4–5 and their SCFQ/Virtual Clock/EDD analogues): within one flow,

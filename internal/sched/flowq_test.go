@@ -305,8 +305,8 @@ func TestFlowSetReadsDoNotInsert(t *testing.T) {
 		}
 		fs.SetFlowKey(id, 1, 1)
 	}
-	if len(fs.flows) != 1 || len(fs.Weights) != 1 {
-		t.Fatalf("reading 1000 unknown flows left %d records and %d weights, want 1 and 1", len(fs.flows), len(fs.Weights))
+	if fs.flows.n != 1 || len(fs.Weights) != 1 {
+		t.Fatalf("reading 1000 unknown flows left %d records and %d weights, want 1 and 1", fs.flows.n, len(fs.Weights))
 	}
 	if fs.FlowLen(1) != 1 || fs.FlowBytes(1) != 10 {
 		t.Fatalf("flow 1: len %d, bytes %v", fs.FlowLen(1), fs.FlowBytes(1))
@@ -323,14 +323,14 @@ func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(s.q.fs.flows) != 0 || len(s.q.fs.Weights) != 100 {
-		t.Fatalf("after 100 AddFlow: %d records, %d weights; want 0 and 100", len(s.q.fs.flows), len(s.q.fs.Weights))
+	if s.q.fs.flows.n != 0 || len(s.q.fs.Weights) != 100 {
+		t.Fatalf("after 100 AddFlow: %d records, %d weights; want 0 and 100", s.q.fs.flows.n, len(s.q.fs.Weights))
 	}
 	if err := s.Enqueue(0, &Packet{Flow: 3, Length: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.q.fs.flows) != 1 || s.q.fs.Get(3).Weight != 3 {
-		t.Fatalf("after one packet: %d records, flow 3 = %+v", len(s.q.fs.flows), s.q.fs.Get(3))
+	if s.q.fs.flows.n != 1 || s.q.fs.Get(3).Weight != 3 {
+		t.Fatalf("after one packet: %d records, flow 3 = %+v", s.q.fs.flows.n, s.q.fs.Get(3))
 	}
 	if err := s.SetWeight(3, 30); err != nil || s.q.fs.Get(3).Weight != 30 {
 		t.Fatalf("SetWeight on a flow with a record: %v, weight %v", err, s.q.fs.Get(3).Weight)
@@ -344,8 +344,8 @@ func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 	if err := s.DrainFlow(6); err != nil || len(s.q.fs.Weights) != 98 { // silent: removed at once
 		t.Fatalf("DrainFlow(6) = %v with %d weights left", err, len(s.q.fs.Weights))
 	}
-	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || len(s.q.fs.flows) != 1 {
-		t.Fatalf("enqueue on a removed flow: %v, %d records", err, len(s.q.fs.flows))
+	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || s.q.fs.flows.n != 1 {
+		t.Fatalf("enqueue on a removed flow: %v, %d records", err, s.q.fs.flows.n)
 	}
 }
 

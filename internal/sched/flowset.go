@@ -211,7 +211,7 @@ func (fs *FlowSet) Drop(flow int) {
 		fs.total -= f.n
 		fs.heap.Remove(f)
 		f.Release(&fs.pool)
-		delete(fs.flows, flow)
+		fs.flows.del(flow)
 	}
 	delete(fs.Weights, flow)
 }

@@ -1,14 +1,13 @@
 package sched
 
-import "math"
-
 // The repository's tag-based disciplines, each as the rank function the
 // paper's equations write down. Every one is pinned bit for bit — dequeue
 // order and the tags stamped on every packet — by the flowcore digests
 // (recorded from the packet-heap implementations these replaced), which
 // constrains more than the math: the float operations must run in this
 // order on these values, the PIFO must consume exactly one push serial per
-// packet, and tags must be stamped (or left zero) exactly as written.
+// packet, and tags must be stamped (or left zero) exactly as written. The
+// builtin max returns what math.Max does (±0, NaN, ±Inf included), inline.
 
 // RankSFQ is Start-time Fair Queuing (eqs 4–5): rank is the start tag
 // S = max{v, F_prev}, the finish tag is S + l/r (eq 36: r is the packet's
@@ -24,7 +23,7 @@ func RankSFQ(tie TieBreak) Discipline {
 	return Discipline{
 		Name: name,
 		Rank: func(st *RankState, f *Flow, r float64, p *Packet) (float64, float64) {
-			start := math.Max(st.V, f.LastFinish)
+			start := max(st.V, f.LastFinish)
 			finish := start + p.Length/r
 			p.VirtualStart = start
 			p.VirtualFinish = finish
@@ -54,7 +53,7 @@ func RankSCFQ() Discipline {
 	return Discipline{
 		Name: "scfq",
 		Rank: func(st *RankState, f *Flow, r float64, p *Packet) (float64, float64) {
-			start := math.Max(st.V, f.LastFinish)
+			start := max(st.V, f.LastFinish)
 			finish := start + p.Length/r
 			p.VirtualStart = start
 			p.VirtualFinish = finish
@@ -93,7 +92,7 @@ func RankVClock() Discipline {
 		Rank: func(st *RankState, f *Flow, r float64, p *Packet) (float64, float64) {
 			// Times are nonnegative in this repository, so max(now, EAT)
 			// with EAT's zero value gives a flow's first packet eat = now.
-			eat := math.Max(st.Now, f.EAT)
+			eat := max(st.Now, f.EAT)
 			stamp := eat + p.Length/r
 			p.VirtualStart = eat
 			p.VirtualFinish = stamp
@@ -111,7 +110,7 @@ func RankEDD() Discipline {
 	return Discipline{
 		Name: "edd",
 		Rank: func(st *RankState, f *Flow, r float64, p *Packet) (float64, float64) {
-			eat := math.Max(st.Now, f.EAT)
+			eat := max(st.Now, f.EAT)
 			f.EAT = eat + p.Length/r
 			p.Deadline = eat + f.Deadline
 			return p.Deadline, 0
@@ -135,7 +134,7 @@ func RankWFQ(byStart bool) Discipline {
 		NeedsGPS: true,
 		Advance:  func(st *RankState, now float64) { st.gps.advance(now) },
 		Rank: func(st *RankState, f *Flow, r float64, p *Packet) (float64, float64) {
-			start := math.Max(st.gps.v, f.LastFinish)
+			start := max(st.gps.v, f.LastFinish)
 			finish := start + p.Length/r
 			p.VirtualStart = start
 			p.VirtualFinish = finish

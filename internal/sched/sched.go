@@ -111,7 +111,7 @@ var (
 	ErrClosed = errors.New("sched: closed")
 )
 
-// Flow is the one record a scheduler keeps per flow, reached by one map
+// Flow is the one record a scheduler keeps per flow, reached by one index
 // lookup per packet: the registration (Weight), the FIFO — whose Len and
 // QueuedBytes ARE the flow's queued accounting, there is no second copy —
 // and the per-flow tag chain of whichever discipline owns the table. The
@@ -143,7 +143,8 @@ type Flow struct {
 
 // FlowTable is the flow registry shared by the schedulers in this
 // repository (including internal/core and internal/pifo): one record per
-// flow. Weights says which flows are registered, and is the control-plane
+// flow, found through an open-addressing index (flowindex.go).
+// Weights says which flows are registered, and is the control-plane
 // view of their weights (the fluid GPS reference shares it, ListFlows and
 // the live-state code read it); the per-packet paths go through Lookup and
 // use the record. A record is made when its flow first needs one — its
@@ -151,32 +152,29 @@ type Flow struct {
 // its Weights entry and nothing else. The zero value is ready to use.
 type FlowTable struct {
 	Weights  map[int]float64
-	flows    map[int]*Flow
+	flows    flowIndex
 	draining DrainSet // flows DrainFlow marked: no arrivals, no re-weighting
 }
 
 // NewFlowTable returns an empty registry whose Weights map exists already
 // (for sharing with a GPS reference before the first Add).
 func NewFlowTable() FlowTable {
-	return FlowTable{Weights: make(map[int]float64), flows: make(map[int]*Flow)}
+	return FlowTable{Weights: make(map[int]float64)}
 }
 
 // Record returns flow's record, creating an unregistered one on first
 // sight. Read accessors must not come through here.
 func (t *FlowTable) Record(flow int) *Flow {
-	f := t.flows[flow]
+	f := t.flows.get(flow)
 	if f == nil {
-		if t.flows == nil {
-			t.flows = make(map[int]*Flow)
-		}
 		f = &Flow{FlowQ: FlowQ{flow: flow}, heapIdx: -1, regPos: -1}
-		t.flows[flow] = f
+		t.flows.put(f)
 	}
 	return f
 }
 
 // Get returns flow's record, or nil when the table has none (yet).
-func (t *FlowTable) Get(flow int) *Flow { return t.flows[flow] }
+func (t *FlowTable) Get(flow int) *Flow { return t.flows.get(flow) }
 
 // Registered returns the record of a registered flow, making it if the
 // flow has not needed one so far; nil for an unregistered flow.
@@ -208,7 +206,7 @@ func (t *FlowTable) Add(flow int, weight float64) error {
 		t.Weights = make(map[int]float64)
 	}
 	t.Weights[flow] = weight
-	if f := t.flows[flow]; f != nil {
+	if f := t.flows.get(flow); f != nil {
 		f.Weight = weight
 	}
 	return nil
@@ -225,12 +223,12 @@ func (t *FlowTable) remove(flow int) (*Flow, error) {
 	if _, ok := t.Weights[flow]; !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
 	}
-	f := t.flows[flow]
+	f := t.flows.get(flow)
 	if f != nil && f.n > 0 {
 		return nil, fmt.Errorf("%w: %d", ErrFlowBusy, flow)
 	}
 	delete(t.Weights, flow)
-	delete(t.flows, flow)
+	t.flows.del(flow)
 	return f, nil
 }
 
@@ -248,7 +246,7 @@ func (t *FlowTable) removeTo(flow int, pool *ChunkPool) error {
 // positive length, not draining — and returns its flow's record: the one
 // flow-keyed lookup of an Enqueue.
 func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
-	f := t.flows[p.Flow]
+	f := t.flows.get(p.Flow)
 	if f == nil || f.Weight == 0 {
 		// The flow's first packet since it registered, or no such flow.
 		if f = t.Registered(p.Flow); f == nil {
@@ -266,7 +264,7 @@ func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
 
 // QueuedBytes returns the bytes queued for flow, exactly zero when idle.
 func (t *FlowTable) QueuedBytes(flow int) float64 {
-	if f := t.flows[flow]; f != nil {
+	if f := t.flows.get(flow); f != nil {
 		return f.bytes
 	}
 	return 0
@@ -274,7 +272,7 @@ func (t *FlowTable) QueuedBytes(flow int) float64 {
 
 // QueuedCount returns the packets queued for flow.
 func (t *FlowTable) QueuedCount(flow int) int {
-	if f := t.flows[flow]; f != nil {
+	if f := t.flows.get(flow); f != nil {
 		return f.n
 	}
 	return 0

@@ -321,7 +321,7 @@ func (t *FlowTable) Each(fn func(*Flow)) {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		f := t.flows[id]
+		f := t.flows.get(id)
 		if f == nil {
 			f = &Flow{FlowQ: FlowQ{flow: id}, Weight: t.Weights[id]}
 		}
@@ -332,9 +332,7 @@ func (t *FlowTable) Each(fn func(*Flow)) {
 // queuedTotal sums the per-flow packet counts.
 func (t *FlowTable) queuedTotal() int {
 	n := 0
-	for _, f := range t.flows {
-		n += f.n
-	}
+	t.flows.each(func(f *Flow) { n += f.n })
 	return n
 }
 
@@ -369,7 +367,7 @@ func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 	for k := range t.Weights {
 		delete(t.Weights, k)
 	}
-	t.flows = nil
+	t.flows.reset()
 	for _, a := range accts {
 		_ = t.Add(a.Flow, a.Weight) // cannot fail: weight validated above, nothing draining yet
 		if a.Count > 0 {
