@@ -391,7 +391,7 @@ func (h *Tree) RemoveFlow(flow int) error {
 	if c.active || c.queued() > 0 {
 		return fmt.Errorf("%w: %d", sched.ErrFlowBusy, flow)
 	}
-	c.fifo.Release(&h.chunks) // return the cached chunk to the pool
+	// An idle leaf's FIFO holds no chunk: nothing goes back to the pool.
 	p := c.parent
 	for i, ch := range p.children {
 		if ch == c {

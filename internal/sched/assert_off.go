@@ -10,3 +10,7 @@ type pushAssert struct{}
 
 func (pushAssert) check(*FlowQ, flowItem) {}
 func (pushAssert) reset()                 {}
+
+// assertZeroChunk is ChunkPool.put's zeroed-chunk check, off in the release
+// build (assert_on.go).
+func assertZeroChunk(*flowChunk) {}

@@ -21,3 +21,13 @@ func (a *pushAssert) check(fq *FlowQ, it flowItem) {
 
 // reset forgets the last push: the next one starts a fresh chain.
 func (a *pushAssert) reset() { a.last = flowItem{} }
+
+// assertZeroChunk (debug build) panics unless every item of a chunk entering
+// the pool is zero: ChunkPool.get hands chunks out without clearing them.
+func assertZeroChunk(c *flowChunk) {
+	for i, it := range c.items {
+		if it != (flowItem{}) {
+			panic(fmt.Sprintf("sched: pooled chunk slot %d not zeroed: %+v", i, it))
+		}
+	}
+}

@@ -83,8 +83,8 @@ func NewDRR(quantumPerUnitWeight float64) *DRR {
 // AddFlow registers flow with the given weight.
 func (s *DRR) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
-// RemoveFlow unregisters an idle flow and returns its cached chunk.
-func (s *DRR) RemoveFlow(flow int) error { return s.flows.removeTo(flow, &s.pool) }
+// RemoveFlow unregisters an idle flow.
+func (s *DRR) RemoveFlow(flow int) error { return s.flows.Remove(flow) }
 
 // Enqueue appends p to its flow queue, activating the flow if needed.
 func (s *DRR) Enqueue(now float64, p *Packet) error {

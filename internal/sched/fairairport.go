@@ -135,9 +135,9 @@ func NewFairAirport() *FairAirport { return &FairAirport{} }
 // AddFlow registers flow with reserved rate `weight` (bytes/second).
 func (s *FairAirport) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 
-// RemoveFlow unregisters an idle flow and returns its cached chunk. An idle
-// flow has no pending release: nothing is left pointing at its record.
-func (s *FairAirport) RemoveFlow(flow int) error { return s.flows.removeTo(flow, &s.pool) }
+// RemoveFlow unregisters an idle flow. An idle flow has no pending release
+// and holds no chunk: nothing is left pointing at its record.
+func (s *FairAirport) RemoveFlow(flow int) error { return s.flows.Remove(flow) }
 
 // Enqueue adds p to the flow's regulator and to the ASQ (rules 1–2).
 func (s *FairAirport) Enqueue(now float64, p *Packet) error {

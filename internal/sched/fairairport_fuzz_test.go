@@ -114,11 +114,7 @@ func (r *faDiffRig) check() {
 // long (idle) gaps, removal and re-registration of a flow, a re-weight, and
 // snapshot → restore.
 func runFADiff(t testing.TB, ops []byte) {
-	r := &faDiffRig{t: t, s: NewFairAirport(), ref: newRefFairAirport()}
-	for f := 1; f <= faDiffFlows; f++ {
-		w := faDiffWeights[f-1]
-		r.both("AddFlow", r.s.AddFlow(f, w), r.ref.AddFlow(f, w))
-	}
+	r := newFADiffRig(t)
 	for i := 0; i+1 < len(ops); i += 2 {
 		r.op = i / 2
 		code, arg := ops[i], int(ops[i+1])
@@ -157,9 +153,63 @@ func runFADiff(t testing.TB, ops []byte) {
 		}
 		r.check()
 	}
+	r.drain()
+}
+
+// newFADiffRig registers flows 1..faDiffFlows with faDiffWeights on both
+// schedulers.
+func newFADiffRig(t testing.TB) *faDiffRig {
+	r := &faDiffRig{t: t, s: NewFairAirport(), ref: newRefFairAirport()}
+	for f := 1; f <= faDiffFlows; f++ {
+		w := faDiffWeights[f-1]
+		r.both("AddFlow", r.s.AddFlow(f, w), r.ref.AddFlow(f, w))
+	}
+	return r
+}
+
+// drain dequeues, long after every release is due, until both are empty.
+func (r *faDiffRig) drain() {
 	r.op = -1
 	for r.now += 1e4; r.dequeue(); {
 		r.check()
+	}
+}
+
+// TestFairAirportDeepBacklog keeps every flow more than five chunks deep
+// while the regulator promotes faster than the link serves, so the promoted
+// prefix of each FIFO grows across several chunk boundaries and every
+// release walks them (FlowQ.at). Dequeues must equal the reference's.
+func TestFairAirportDeepBacklog(t *testing.T) {
+	r := newFADiffRig(t)
+	// One regulator release per second or so on every flow (weights 1, 10,
+	// 100, 1000 bytes/s), while the link serves two packets a second.
+	lengths := []float64{1, 10, 100, 1500}
+	const depth = 6 * flowChunkSize
+	deepest, promoted := make([]int, faDiffFlows+1), make([]int, faDiffFlows+1)
+	for round := 0; round < 4; round++ {
+		for f := 1; f <= faDiffFlows; f++ {
+			for r.s.flows.QueuedCount(f) < depth {
+				r.enqueue(f, lengths[f-1], 0, r.now)
+			}
+		}
+		for i := 0; i < depth; i++ {
+			r.op++
+			r.dequeue()
+			r.now += 0.5
+			for f := 1; f <= faDiffFlows; f++ {
+				rec := r.s.flows.Get(f)
+				deepest[f] = max(deepest[f], rec.n)
+				promoted[f] = max(promoted[f], int(rec.promoted))
+			}
+			r.check()
+		}
+	}
+	r.drain()
+	for f := 1; f <= faDiffFlows; f++ {
+		if deepest[f] < 5*flowChunkSize || promoted[f] < 2*flowChunkSize {
+			t.Errorf("flow %d: %d packets deep at most, %d promoted; want >= %d and >= %d",
+				f, deepest[f], promoted[f], 5*flowChunkSize, 2*flowChunkSize)
+		}
 	}
 }
 

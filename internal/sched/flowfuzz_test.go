@@ -15,7 +15,9 @@ const fuzzFlows = 32
 // item slices and a linear scan for the global (key, sub, serial) minimum.
 // Every divergence — pop identity, peek, length, per-flow bytes, backlogged
 // count — fails the run, and so does a heap slot whose copied key differs
-// from its flow's head item (CheckSlots, after every operation). The byte
+// from its flow's head item (CheckSlots, after every operation). Chunks are
+// accounted after every operation too: an idle flow holds none, and the
+// pooled ones plus those the FIFOs hold are every chunk ever made. The byte
 // grammar is op = data[2i], arg = data[2i+1], flow = arg%32+1:
 //
 //	op%5 == 0,1  push on flow with the flow's key advanced by (arg>>4)/4 —
@@ -71,11 +73,16 @@ func FuzzFlowQHeap(f *testing.F) {
 			if err := fs.CheckSlots(); err != nil {
 				t.Fatal(err)
 			}
-			total, backlogged := 0, 0
+			total, backlogged, held := 0, 0, 0
 			for flow, q := range model {
 				if len(q) > 0 {
 					backlogged++
 				}
+				c := fs.Get(flow).heldChunks()
+				if len(q) == 0 && c != 0 {
+					t.Fatalf("idle flow %d holds %d chunks", flow, c)
+				}
+				held += c
 				total += len(q)
 				bytes := 0.0
 				for _, it := range q {
@@ -93,6 +100,9 @@ func FuzzFlowQHeap(f *testing.F) {
 			}
 			if fs.Backlogged() != backlogged {
 				t.Fatalf("Backlogged = %d, model %d", fs.Backlogged(), backlogged)
+			}
+			if fs.PooledChunks()+held != fs.pool.made {
+				t.Fatalf("%d chunks pooled + %d held, %d made", fs.PooledChunks(), held, fs.pool.made)
 			}
 			min, _ := modelMin()
 			p, key := fs.Peek()

@@ -23,10 +23,11 @@ package sched
 // min-over-flow-heads equals min-over-all-packets whenever each flow's
 // FIFO is ordered — which is exactly the asserted invariant.
 
-// flowChunkSize is the number of items per pooled FIFO chunk. 64 items ×
-// 32 bytes keeps a chunk at 2 KiB: big enough that chunk churn is rare,
-// small enough that a drained flow returns its memory promptly.
-const flowChunkSize = 64
+// flowChunkSize is the number of items per pooled FIFO chunk: 16 items ×
+// 32 bytes is 512 bytes, the most a backlogged flow leaves unused at each
+// end of its FIFO. It is the smallest size that keeps the zero-allocation
+// tests exact: with 8, hierarchical interiors keep reaching new chunk peaks.
+const flowChunkSize = 16
 
 // flowItem is one queued packet with its scheduling key. The triple
 // (key, sub, serial) is the same strict total order TagHeap used: primary
@@ -55,40 +56,48 @@ type flowChunk struct {
 	next  *flowChunk
 }
 
-// ChunkPool is a LIFO free list of FlowQ chunks. One pool is owned by each
-// scheduler (matching the single-threaded event-domain model of
-// PacketPool): chunks released by a draining flow are reused by whichever
-// flow grows next, so steady-state FIFO growth allocates nothing.
+// ChunkPool is a LIFO free list of FlowQ chunks threaded through their
+// next links, so put never allocates and get hands out the chunk freed
+// last, which is still in cache. One pool is owned by each scheduler
+// (matching the single-threaded event-domain model of PacketPool): a FIFO
+// holds chunks only while it holds packets, and whichever flow grows next
+// reuses them, so steady-state FIFO growth allocates nothing. The pool is
+// never trimmed: it keeps what the peak concurrent backlog needed.
 type ChunkPool struct {
-	free []*flowChunk
+	free *flowChunk
+	n    int // chunks on the list
+	made int // chunks ever allocated, each pooled or held by a FIFO (tests)
 }
 
 // get returns a zeroed chunk, reusing a pooled one when available. Chunks
-// enter the pool fully zeroed (pop zeroes each served slot; Release zeroes
-// live slots), so no memclr is needed here.
+// enter the pool fully zeroed (Pop zeroes each served slot; Release zeroes
+// live slots; the schedassert build checks in put), so no memclr is needed
+// here.
 func (cp *ChunkPool) get() *flowChunk {
-	if n := len(cp.free); n > 0 {
-		c := cp.free[n-1]
-		cp.free[n-1] = nil
-		cp.free = cp.free[:n-1]
-		return c
+	c := cp.free
+	if c == nil {
+		cp.made++
+		return &flowChunk{}
 	}
-	return &flowChunk{}
+	cp.free, c.next = c.next, nil
+	cp.n--
+	return c
 }
 
 // put recycles a fully zeroed chunk.
 func (cp *ChunkPool) put(c *flowChunk) {
-	c.next = nil
-	cp.free = append(cp.free, c)
+	assertZeroChunk(c)
+	c.next, cp.free = cp.free, c
+	cp.n++
 }
 
 // Len returns the number of pooled chunks (for tests and observability).
-func (cp *ChunkPool) Len() int { return len(cp.free) }
+func (cp *ChunkPool) Len() int { return cp.n }
 
 // FlowQ is one flow's packet FIFO: a chunked ring with O(1) push, pop,
-// peek, and byte accounting. Chunks come from the scheduler's ChunkPool;
-// a drained flow keeps exactly one cached chunk (to make the idle↔
-// backlogged transition allocation-free) and Release returns everything.
+// peek, and byte accounting. Chunks come from the scheduler's ChunkPool
+// and go back to it as they empty: an empty FIFO holds no chunk, and one
+// holding n packets holds at most ⌈n/16⌉+1.
 type FlowQ struct {
 	flow int
 
@@ -123,8 +132,8 @@ func (fq *FlowQ) QueuedBytes() float64 { return fq.bytes }
 // headItem returns the front item. Callers must ensure Len() > 0.
 func (fq *FlowQ) headItem() flowItem { return fq.head.items[fq.hi] }
 
-// at returns the packet k places behind the front, walking k/64 chunks.
-// Callers must ensure k < Len().
+// at returns the packet k places behind the front, walking (hi+k)/16
+// chunks. Callers must ensure k < Len().
 func (fq *FlowQ) at(k int) *Packet {
 	c, i := fq.head, fq.hi+k
 	for ; i >= flowChunkSize; i -= flowChunkSize {
@@ -181,31 +190,29 @@ func (fq *FlowQ) SetHeadKey(key, sub float64) {
 }
 
 // Pop removes and returns the front packet. Callers must ensure Len() > 0.
-// Fully consumed chunks return to the pool; the final chunk is kept cached
-// for the flow's next busy period.
+// Fully consumed chunks return to the pool, and so does the last one when
+// the FIFO drains: an idle flow holds no chunk.
 func (fq *FlowQ) Pop(pool *ChunkPool) *Packet {
 	p := fq.head.items[fq.hi].p
 	fq.head.items[fq.hi] = flowItem{} // release the *Packet reference
 	fq.hi++
 	fq.n--
 	fq.bytes -= p.Length
-	if fq.n == 0 {
-		// Drained: head == tail by construction. Reset in place, keeping
-		// the (fully zeroed) chunk cached, and pin bytes to exactly zero.
-		fq.hi, fq.ti = 0, 0
-		fq.bytes = 0
-	} else if fq.hi == flowChunkSize {
+	if fq.n == 0 || fq.hi == flowChunkSize {
 		c := fq.head
-		fq.head = c.next
+		fq.head, fq.hi = c.next, 0 // nil once drained: head == tail
 		pool.put(c)
-		fq.hi = 0
+	}
+	if fq.n == 0 {
+		fq.tail, fq.ti = nil, 0
+		fq.bytes = 0 // pinned, so float residue cannot leak into emptiness
 	}
 	return p
 }
 
-// Release zeroes any live items and returns every chunk — including the
-// cached one — to the pool. RemoveFlow uses it so a departed flow holds no
-// memory; the FIFO is empty and reusable afterwards.
+// Release zeroes any live items and returns every chunk to the pool. Drop
+// uses it to discard a backlogged flow; the FIFO is empty and reusable
+// afterwards.
 func (fq *FlowQ) Release(pool *ChunkPool) {
 	for c := fq.head; c != nil; {
 		next := c.next

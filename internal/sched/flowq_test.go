@@ -7,8 +7,8 @@ import (
 )
 
 // TestFlowQChunkLifecycle pushes through several chunk boundaries and
-// checks FIFO order, byte accounting, chunk recycling, and the
-// cached-chunk-on-drain behavior.
+// checks FIFO order, byte accounting, chunk recycling, and that a drained
+// FIFO keeps no chunk.
 func TestFlowQChunkLifecycle(t *testing.T) {
 	var pool ChunkPool
 	fq := NewFlowQ(7)
@@ -53,12 +53,12 @@ func TestFlowQChunkLifecycle(t *testing.T) {
 	if p, _ := fq.Head(); p != nil {
 		t.Fatalf("Head of empty queue = %v", p)
 	}
-	// Three chunks were recycled during the drain; the fourth stays cached.
-	if pool.Len() != 3 {
-		t.Fatalf("pooled chunks after drain = %d, want 3", pool.Len())
+	// All four chunks were recycled during the drain, the last as it emptied.
+	if pool.Len() != 4 || fq.heldChunks() != 0 {
+		t.Fatalf("after drain: %d pooled, %d held; want 4 and 0", pool.Len(), fq.heldChunks())
 	}
 
-	// Release hands the cached chunk back too.
+	// Release of a drained FIFO has nothing to hand back.
 	fq.Release(&pool)
 	if pool.Len() != 4 {
 		t.Fatalf("pooled chunks after Release = %d, want 4", pool.Len())
@@ -91,7 +91,7 @@ func TestFlowQReleaseMidBacklog(t *testing.T) {
 	if pool.Len() != 3 {
 		t.Fatalf("pooled chunks = %d, want 3", pool.Len())
 	}
-	for _, c := range pool.free {
+	for c := pool.free; c != nil; c = c.next {
 		for i := range c.items {
 			if c.items[i] != (flowItem{}) {
 				t.Fatalf("pooled chunk slot %d not zeroed: %+v", i, c.items[i])
@@ -184,9 +184,9 @@ func TestFlowHeapRemove(t *testing.T) {
 	}
 }
 
-// TestFlowSetDropReleasesChunks pins the RemoveFlow contract: dropping a
-// flow returns all its chunks — including the idle flow's cached chunk —
-// to the pool for other flows to reuse.
+// TestFlowSetDropReleasesChunks pins the RemoveFlow contract: a drained
+// flow has already handed every chunk back, dropping it returns none, and
+// other flows reuse the pooled chunks.
 func TestFlowSetDropReleasesChunks(t *testing.T) {
 	var fs FlowSet
 	for i := 0; i < flowChunkSize+1; i++ {
@@ -195,9 +195,9 @@ func TestFlowSetDropReleasesChunks(t *testing.T) {
 	for fs.Len() > 0 {
 		fs.PopMin()
 	}
-	// One chunk recycled during the drain; one cached by the idle flow.
-	if fs.PooledChunks() != 1 {
-		t.Fatalf("pooled after drain = %d, want 1", fs.PooledChunks())
+	// Both chunks recycled during the drain, the second as the flow went idle.
+	if fs.PooledChunks() != 2 {
+		t.Fatalf("pooled after drain = %d, want 2", fs.PooledChunks())
 	}
 	fs.Drop(1)
 	if fs.PooledChunks() != 2 {
@@ -219,6 +219,41 @@ func TestFlowSetDropReleasesChunks(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state push/pop allocated %v times per run", allocs)
 	}
+}
+
+// TestIdleFlowsHoldNoChunk: a flow's FIFO memory follows its backlog. One
+// packet through each of 4 096 flows in turn leaves every flow idle and the
+// one chunk they took turns with in the pool, and a second pass allocates
+// nothing: the records exist and the chunk is reused.
+func TestIdleFlowsHoldNoChunk(t *testing.T) {
+	const flows = 4096
+	var fs FlowSet
+	p := &Packet{Length: 100}
+	pass := func() {
+		for f := 0; f < flows; f++ {
+			p.Flow = f
+			fs.Push(f, float64(f), 0, p)
+			if got := fs.PopMin(); got != p {
+				t.Fatalf("flow %d: popped %v", f, got)
+			}
+		}
+	}
+	pass()
+	if fs.PooledChunks() != 1 || fs.pool.made != 1 {
+		t.Fatalf("after one pass over %d flows: %d pooled, %d made; want 1 and 1", flows, fs.PooledChunks(), fs.pool.made)
+	}
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Fatalf("second pass allocated %v times", allocs)
+	}
+}
+
+// heldChunks counts the chunks fq holds.
+func (fq *FlowQ) heldChunks() int {
+	n := 0
+	for c := fq.head; c != nil; c = c.next {
+		n++
+	}
+	return n
 }
 
 // TestFlowSetSteadyStateZeroAlloc is the scale analogue of the PR 3 heap

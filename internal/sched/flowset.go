@@ -56,8 +56,8 @@ func (fs *FlowSet) PopMin() *Packet {
 }
 
 // PopFlow is PopMin that also returns the record the packet came from. A
-// drained flow keeps its record (and one cached chunk) so reactivation is
-// allocation-free.
+// drained flow keeps its record, and its FIFO's last chunk goes back to the
+// pool: reactivation takes one from there and allocates nothing.
 func (fs *FlowSet) PopFlow() (*Packet, *Flow) {
 	f := fs.heap.Min()
 	if f == nil {
@@ -123,14 +123,13 @@ func (fs *FlowSet) idle(flow int) bool {
 }
 
 // Remove unregisters an idle flow (FlowTable.Remove; fluid backlog counts
-// as busy) and returns its cached chunk to the pool, so a departed flow
-// holds no memory. Its tag chain goes with the record: a re-added flow
-// starts a fresh one.
+// as busy). Its FIFO holds no chunk, so a departed flow holds no memory.
+// Its tag chain goes with the record: a re-added flow starts a fresh one.
 func (fs *FlowSet) Remove(flow int) error {
 	if fs.fluid != nil && fs.fluid.count[flow] > 0 {
 		return fmt.Errorf("%w: %d", ErrFlowBusy, flow)
 	}
-	if err := fs.removeTo(flow, &fs.pool); err != nil {
+	if err := fs.FlowTable.Remove(flow); err != nil {
 		return err
 	}
 	if fs.fluid != nil {
@@ -203,9 +202,9 @@ func (fs *FlowSet) finalizeDrains() {
 func (fs *FlowSet) Draining() []int { return fs.draining.Flows() }
 
 // Drop forgets a flow whatever its state: queued packets are discarded,
-// chunks (including the cached one) go back to the pool, and the flow
-// leaves the heap and the table (chaos churn paths; Remove is the checked
-// way out for a registered flow).
+// their chunks go back to the pool, and the flow leaves the heap and the
+// table (chaos churn paths; Remove is the checked way out for a registered
+// flow).
 func (fs *FlowSet) Drop(flow int) {
 	if f := fs.Get(flow); f != nil {
 		fs.total -= f.n

@@ -148,8 +148,10 @@ type Flow struct {
 // view of their weights (the fluid GPS reference shares it, ListFlows and
 // the live-state code read it); the per-packet paths go through Lookup and
 // use the record. A record is made when its flow first needs one — its
-// first packet, as a rule — so a flow that is registered and silent costs
-// its Weights entry and nothing else. The zero value is ready to use.
+// first packet, as a rule. So a registered, silent flow costs its Weights
+// entry; a drained one its 128-byte record too; a backlogged one with n
+// packets queued the record plus ⌈n/16⌉ 16-item FIFO chunks (one more
+// while its head chunk is part-served). The zero value is ready to use.
 type FlowTable struct {
 	Weights  map[int]float64
 	flows    flowIndex
@@ -212,34 +214,18 @@ func (t *FlowTable) Add(flow int, weight float64) error {
 	return nil
 }
 
-// Remove unregisters an idle flow and forgets its record.
+// Remove unregisters an idle flow and forgets its record. An idle flow's
+// FIFO holds no chunk, so nothing goes back to a chunk pool.
 func (t *FlowTable) Remove(flow int) error {
-	_, err := t.remove(flow)
-	return err
-}
-
-// remove is Remove that also returns the record, if the flow had one.
-func (t *FlowTable) remove(flow int) (*Flow, error) {
 	if _, ok := t.Weights[flow]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
+		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
 	}
-	f := t.flows.get(flow)
-	if f != nil && f.n > 0 {
-		return nil, fmt.Errorf("%w: %d", ErrFlowBusy, flow)
+	if f := t.flows.get(flow); f != nil && f.n > 0 {
+		return fmt.Errorf("%w: %d", ErrFlowBusy, flow)
 	}
 	delete(t.Weights, flow)
 	t.flows.del(flow)
-	return f, nil
-}
-
-// removeTo is remove for a discipline that queues in the records' FIFOs:
-// the departed flow's chunks go back to pool.
-func (t *FlowTable) removeTo(flow int, pool *ChunkPool) error {
-	f, err := t.remove(flow)
-	if f != nil {
-		f.Release(pool)
-	}
-	return err
+	return nil
 }
 
 // Lookup validates p against the registry — registered flow, finite

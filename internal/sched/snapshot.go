@@ -255,7 +255,7 @@ func (fs *FlowSet) backlogged() []*Flow {
 }
 
 // CaptureState serializes the backlog: flows sorted ascending, FIFO
-// within each flow. Drained flows (cached chunk, no packets) hold no
+// within each flow. Drained flows (a record, no packets, no chunk) hold no
 // schedule state and are skipped.
 func (fs *FlowSet) CaptureState() FlowSetState {
 	st := FlowSetState{Serial: fs.serial}
