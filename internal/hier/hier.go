@@ -633,8 +633,8 @@ func (h *Tree) PacketPoolSafe() bool {
 // childHeap is a hand-rolled indexed min-heap of active children ordered
 // by (curStart, serial) — start tag with FIFO tie-breaking on the parent's
 // activation serial, which is unique per parent, so the minimum is a
-// strict total order and the heap layout cannot affect the schedule. It
-// follows the same hole-moving sift idiom as sched.FlowHeap.
+// strict total order and the heap layout cannot affect the schedule. Its
+// sifts move a hole rather than swapping.
 type childHeap struct{ cs []*Node }
 
 func (ch *childHeap) Len() int { return len(ch.cs) }

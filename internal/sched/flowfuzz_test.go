@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// fuzzFlows is the flow-id range of FuzzFlowQHeap: more than 21 flows, so a
-// 4-ary heap reaches a third level and its last child group can be partial.
+// fuzzFlows is the flow-id range of FuzzFlowQHeap: more than 16 flows, so
+// the flow heap's winner tree grows twice past its first 8 leaves, with
+// ordinals freed and reused on the way.
 const fuzzFlows = 32
 
 // FuzzFlowQHeap drives a FlowSet (FlowQ FIFOs + FlowHeap + ChunkPool)

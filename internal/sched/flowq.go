@@ -2,8 +2,8 @@ package sched
 
 // This file implements the flow-indexed scheduling core shared by the
 // fair-queuing family: per-flow packet FIFOs (FlowQ) backed by pooled
-// fixed-size chunks, and an indexed 4-ary min-heap over the *backlogged
-// flows* (FlowHeap, flowheap.go) keyed by each flow's head item. The
+// fixed-size chunks, and a winner tree over the *backlogged flows*
+// (FlowHeap, flowheap.go) keyed by each flow's head item. The
 // records holding both are found through FlowTable's open-addressing
 // index (flowindex.go).
 //
@@ -194,6 +194,12 @@ func (fq *FlowQ) SetHeadKey(key, sub float64) {
 // the FIFO drains: an idle flow holds no chunk.
 func (fq *FlowQ) Pop(pool *ChunkPool) *Packet {
 	p := fq.head.items[fq.hi].p
+	fq.drop(pool, p)
+	return p
+}
+
+// drop is Pop for a caller that already holds the front packet, p.
+func (fq *FlowQ) drop(pool *ChunkPool, p *Packet) {
 	fq.head.items[fq.hi] = flowItem{} // release the *Packet reference
 	fq.hi++
 	fq.n--
@@ -207,7 +213,6 @@ func (fq *FlowQ) Pop(pool *ChunkPool) *Packet {
 		fq.tail, fq.ti = nil, 0
 		fq.bytes = 0 // pinned, so float residue cannot leak into emptiness
 	}
-	return p
 }
 
 // Release zeroes any live items and returns every chunk to the pool. Drop

@@ -59,15 +59,15 @@ func (fs *FlowSet) PopMin() *Packet {
 // drained flow keeps its record, and its FIFO's last chunk goes back to the
 // pool: reactivation takes one from there and allocates nothing.
 func (fs *FlowSet) PopFlow() (*Packet, *Flow) {
-	f := fs.heap.Min()
+	f, p := fs.heap.minHead()
 	if f == nil {
 		return nil, nil
 	}
-	p := f.Pop(&fs.pool)
+	f.drop(&fs.pool, p)
 	if f.n == 0 {
-		fs.heap.PopMin()
+		fs.heap.Remove(f)
 	} else {
-		fs.heap.FixMin()
+		fs.heap.Fix(f)
 	}
 	fs.total--
 	return p, f

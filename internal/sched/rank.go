@@ -133,8 +133,9 @@ type Discipline struct {
 	// time is current.
 	Rank func(st *RankState, f *Flow, r float64, p *Packet) (key, sub float64)
 
-	// OnServe is the virtual-time update hook: it fires when p is popped
-	// for service (SFQ sets v to p's start tag, SCFQ to its finish tag).
+	// OnServe is the virtual-time update hook: it fires when p is chosen
+	// for service, just before the pop (SFQ sets v to p's start tag, SCFQ
+	// to its finish tag).
 	OnServe func(st *RankState, p *Packet)
 
 	// OnIdle fires on a Dequeue that finds the queue empty — the end of a
@@ -291,10 +292,14 @@ func (s *Ranked) Dequeue(now float64) (*Packet, bool) {
 		s.q.fs.FinalizeDrains()
 		return nil, false
 	}
-	p, f := s.q.fs.PopFlow()
 	if s.d.OnServe != nil {
+		// The hook sees only the packet, which is the flow heap's minimum
+		// already: run before the pop, its reads of the packet overlap the
+		// pop's reads of the flow record and chunk.
+		_, p := s.q.fs.heap.minHead()
 		s.d.OnServe(&s.st, p)
 	}
+	p, f := s.q.fs.PopFlow()
 	if s.d.AfterDequeue != nil {
 		s.d.AfterDequeue(&s.st, &s.q, f, p)
 	}

@@ -115,11 +115,11 @@ var (
 // lookup per packet: the registration (Weight), the FIFO — whose Len and
 // QueuedBytes ARE the flow's queued accounting, there is no second copy —
 // and the per-flow tag chain of whichever discipline owns the table. The
-// FIFO's fields and heapIdx fill the first cache line (what a dequeue
+// FIFO's fields and heapOrd fill the first cache line (what a dequeue
 // touches); registration and chain sit in the second.
 type Flow struct {
 	FlowQ
-	heapIdx int // position in the owning FlowHeap; -1 when not backlogged
+	heapOrd int32 // member ordinal in the owning FlowHeap; 0 when not backlogged
 
 	// Weight is the registered weight (bytes/second); 0 while the flow is
 	// not registered (a FlowSet makes records for flows pushed by id).
@@ -169,7 +169,7 @@ func NewFlowTable() FlowTable {
 func (t *FlowTable) Record(flow int) *Flow {
 	f := t.flows.get(flow)
 	if f == nil {
-		f = &Flow{FlowQ: FlowQ{flow: flow}, heapIdx: -1, regPos: -1}
+		f = &Flow{FlowQ: FlowQ{flow: flow}, regPos: -1}
 		t.flows.put(f)
 	}
 	return f

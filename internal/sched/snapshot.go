@@ -246,10 +246,8 @@ func (fq *FlowQ) VisitQueued(fn func(*Packet)) {
 // backlogged returns the flows holding packets — the heap's members —
 // sorted by id.
 func (fs *FlowSet) backlogged() []*Flow {
-	out := make([]*Flow, len(fs.heap.ss))
-	for i := range fs.heap.ss {
-		out[i] = fs.heap.ss[i].f
-	}
+	out := make([]*Flow, 0, fs.heap.Len())
+	fs.heap.each(func(f *Flow) { out = append(out, f) })
 	sort.Slice(out, func(i, j int) bool { return out[i].flow < out[j].flow })
 	return out
 }
