@@ -9,14 +9,14 @@ import (
 	"repro/internal/topo"
 )
 
-// FlowChurn repeatedly adds and removes one flow on a live topo.Network:
-// each cycle adds the flow, injects a burst, then retries RemoveFlow until
-// the flow drains (topo refuses removal while frames are queued). It
-// drives exactly the teardown paths a control plane would: scheduler
-// RemoveFlow on every hop, link bookkeeping release, and stranded-frame
-// drop accounting for frames still in flight at teardown time.
+// FlowChurn repeatedly adds and removes one flow on a live network built
+// with topo.Build: each cycle adds the flow, injects a burst, then retries
+// RemoveFlow until the flow drains (topo refuses removal while frames are
+// queued). It drives exactly the teardown paths a control plane would:
+// scheduler RemoveFlow on every hop, link bookkeeping release, and
+// stranded-frame drop accounting for frames still in flight at teardown.
 type FlowChurn struct {
-	Net  *topo.Network
+	Net  *topo.Sharded
 	Spec topo.FlowSpec
 
 	// Cycles is the number of add/remove rounds to run.
@@ -37,16 +37,19 @@ type FlowChurn struct {
 	Completed int
 	Retries   int
 	Err       error
+
+	q *eventq.Queue // the queue Start was given: the network's
 }
 
-// Start schedules the first cycle at time `at` on q. The churn then drives
-// itself from the event queue until Cycles cycles completed or an
-// unexpected error occurred.
+// Start schedules the first cycle at time `at` on q, the queue the
+// network was built on. The churn then drives itself from q until Cycles
+// cycles completed or an unexpected error occurred.
 func (c *FlowChurn) Start(q *eventq.Queue, at float64) {
 	if c.Net == nil || c.Cycles <= 0 || c.Burst <= 0 || c.BurstBytes <= 0 ||
 		c.Dwell <= 0 || c.Retry <= 0 || c.Gap <= 0 {
 		panic("faults: FlowChurn requires a network and positive cycle parameters")
 	}
+	c.q = q
 	q.At(at, c.addAndBurst)
 }
 
@@ -56,18 +59,18 @@ func (c *FlowChurn) addAndBurst() {
 		return
 	}
 	entry := c.Net.Entry(c.Spec.Flow)
-	now := c.Net.Q.Now()
+	now := c.q.Now()
 	for i := 0; i < c.Burst; i++ {
 		entry.Deliver(&sim.Frame{Flow: c.Spec.Flow, Bytes: c.BurstBytes, Created: now})
 	}
-	c.Net.Q.After(c.Dwell, c.tryRemove)
+	c.q.After(c.Dwell, c.tryRemove)
 }
 
 func (c *FlowChurn) tryRemove() {
 	err := c.Net.RemoveFlow(c.Spec.Flow)
 	if errors.Is(err, topo.ErrFlowBusy) {
 		c.Retries++
-		c.Net.Q.After(c.Retry, c.tryRemove)
+		c.q.After(c.Retry, c.tryRemove)
 		return
 	}
 	if err != nil {
@@ -76,6 +79,6 @@ func (c *FlowChurn) tryRemove() {
 	}
 	c.Completed++
 	if c.Completed < c.Cycles {
-		c.Net.Q.After(c.Gap, c.addAndBurst)
+		c.q.After(c.Gap, c.addAndBurst)
 	}
 }

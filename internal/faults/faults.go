@@ -12,8 +12,8 @@
 //     head on recovery.
 //   - Lossy is a consumer shim injecting random frame loss and corruption
 //     with per-cause, per-flow drop accounting.
-//   - FlowChurn repeatedly adds and removes a flow on a live topo.Network,
-//     exercising the RemoveFlow teardown paths under load.
+//   - FlowChurn repeatedly adds and removes a flow on a live network built
+//     by topo.Build, exercising the RemoveFlow teardown paths under load.
 //
 // Every injector is driven either by an explicit script or by an explicit
 // *rand.Rand, never by global randomness: the same seed always yields the

@@ -16,7 +16,7 @@ import (
 	"repro/internal/server"
 )
 
-// DropCause tags why a frame was dropped. Links, the topo demux, and the
+// DropCause tags why a frame was dropped. Links, the topo engine, and the
 // fault injectors all account their drops under causes of this type so a
 // run's losses can be audited end to end.
 type DropCause string

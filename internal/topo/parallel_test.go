@@ -1,11 +1,13 @@
 package topo_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/eventq"
+	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -52,9 +54,9 @@ func injectShard(s *topo.Sharded) {
 }
 
 // injectClassic schedules the identical workload on a classic build.
-func injectClassic(n *topo.Network) {
+func injectClassic(n *topo.Sharded) {
 	inject(func(flow int) (*eventq.Queue, sim.Consumer) {
-		return n.Q, n.Entry(flow)
+		return n.EntryQueue(flow), n.Entry(flow)
 	})
 }
 
@@ -129,9 +131,10 @@ func TestShardedParallelMatchesSerial(t *testing.T) {
 }
 
 // TestShardedMatchesClassicNetwork: the sharded executor reproduces the
-// shared-queue Network run exactly — same per-flow deliveries and bytes,
-// same per-link delivery and drop counters — on a scenario with no exact
-// cross-link arrival ties.
+// shared-queue (Build + q.Run) run exactly — the full Digest, so every
+// per-link service record, counter and per-flow sink total — on a scenario
+// with no exact cross-link arrival ties. Run on a one-domain build is one
+// window and gives the same digest.
 func TestShardedMatchesClassicNetwork(t *testing.T) {
 	q := &eventq.Queue{}
 	n, err := topo.Build(q, shardLinks(), shardFlows())
@@ -172,6 +175,22 @@ func TestShardedMatchesClassicNetwork(t *testing.T) {
 		if cl.QueuedFrames() != 0 || sl.QueuedFrames() != 0 {
 			t.Errorf("link %s: residual queue (classic %d, sharded %d)", ls.Name, cl.QueuedFrames(), sl.QueuedFrames())
 		}
+	}
+	if cd, sd := n.Digest(), s.Digest(); cd != sd {
+		t.Errorf("digest differs:\n--- classic ---\n%s--- sharded ---\n%s", cd, sd)
+	}
+
+	one, err := topo.Build(&eventq.Queue{}, shardLinks(), shardFlows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectClassic(one)
+	one.Run(3)
+	if one.Windows() != 1 {
+		t.Errorf("one-domain Run(3): %d windows, want 1", one.Windows())
+	}
+	if od := one.Digest(); od != n.Digest() {
+		t.Errorf("one-domain Run(3) digest differs from q.Run:\n%s", od)
 	}
 }
 
@@ -241,5 +260,82 @@ func TestShardedSingleLinkInfiniteLookahead(t *testing.T) {
 	}
 	if s.Sink(1).Count(1) != 10 {
 		t.Errorf("delivered %d, want 10", s.Sink(1).Count(1))
+	}
+}
+
+// TestShardedLiveFlowsBetweenRuns: on a multi-queue engine flows are added
+// and removed between Runs. The lookahead follows the current cross-queue
+// hops, the result stays independent of workers, and a refused AddFlow
+// registers nothing.
+func TestShardedLiveFlowsBetweenRuns(t *testing.T) {
+	links := func() []topo.LinkSpec {
+		return []topo.LinkSpec{
+			{Name: "in1", From: "s1", To: "m", Sched: core.New(), Proc: server.NewConstantRate(1e5), PropDelay: 0.004},
+			{Name: "in2", From: "s2", To: "m", Sched: core.New(), Proc: server.NewConstantRate(1e5), PropDelay: 0.001},
+			{Name: "in3", From: "s3", To: "m", Sched: core.New(), Proc: server.NewConstantRate(1e5)},
+			{Name: "out", From: "m", To: "d", Sched: core.New(), Proc: server.NewConstantRate(5e4), PropDelay: 0.002},
+		}
+	}
+	burst := func(s *topo.Sharded, flow int) {
+		q, c := s.EntryQueue(flow), s.Entry(flow)
+		t0 := q.Now()
+		for i := 0; i < 30; i++ {
+			f := &sim.Frame{Flow: flow, Bytes: 1000 + float64(i)}
+			q.At(t0+float64(i)*0.0031, func() { c.Deliver(f) })
+		}
+	}
+	run := func(workers int) string {
+		s, err := topo.BuildSharded(links(), []topo.FlowSpec{{Flow: 1, Weight: 1, Route: []string{"in1", "out"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if la := s.Lookahead(); la != 0.004 {
+			t.Errorf("lookahead = %v, want 0.004", la)
+		}
+		burst(s, 1)
+		s.Run(workers)
+		first := s.Sink(1).Count(1)
+		if err := s.RemoveFlow(1); err != nil {
+			t.Fatalf("RemoveFlow between Runs: %v", err)
+		}
+		if la := s.Lookahead(); !math.IsInf(la, 1) {
+			t.Errorf("lookahead after removal = %v, want +Inf", la)
+		}
+		for _, tc := range []struct {
+			fs   topo.FlowSpec
+			want error
+		}{
+			{topo.FlowSpec{Flow: 3, Weight: 1, Route: []string{"in3", "out"}}, topo.ErrNoLookahead},
+			{topo.FlowSpec{Flow: 3, Weight: 1, Route: []string{"in2", "out"},
+				Sink: sim.ConsumerFunc(func(*sim.Frame) {})}, topo.ErrCustomSink},
+		} {
+			fs := tc.fs
+			if err := s.AddFlow(fs); !errors.Is(err, tc.want) {
+				t.Errorf("AddFlow(%v) = %v, want %v", fs.Route, err, tc.want)
+			}
+			for _, name := range fs.Route {
+				if err := s.Link(name).Scheduler().RemoveFlow(3); !errors.Is(err, sched.ErrUnknownFlow) {
+					t.Errorf("refused flow left registered on %s (RemoveFlow = %v)", name, err)
+				}
+			}
+			if s.Sink(3) != nil || !math.IsInf(s.Lookahead(), 1) {
+				t.Errorf("refused AddFlow(%v) changed the network", fs.Route)
+			}
+		}
+		if err := s.AddFlow(topo.FlowSpec{Flow: 2, Weight: 1, Route: []string{"in2", "out"}}); err != nil {
+			t.Fatalf("AddFlow between Runs: %v", err)
+		}
+		if la := s.Lookahead(); la != 0.001 {
+			t.Errorf("lookahead after AddFlow = %v, want 0.001", la)
+		}
+		burst(s, 2)
+		s.Run(workers)
+		if first != 30 || s.Sink(2).Count(2) != 30 || s.Windows() < 2 {
+			t.Errorf("delivered %d then %d in %d windows; want 30, 30, ≥ 2", first, s.Sink(2).Count(2), s.Windows())
+		}
+		return s.Digest()
+	}
+	if serial, parallel := run(1), run(4); serial != parallel {
+		t.Errorf("Run(1) and Run(4) differ:\n--- 1 ---\n%s--- 4 ---\n%s", serial, parallel)
 	}
 }

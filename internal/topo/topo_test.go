@@ -2,7 +2,9 @@ package topo_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -231,29 +233,123 @@ func TestRemoveFlowValidation(t *testing.T) {
 }
 
 func TestRemovedFlowInFlightFrameCounted(t *testing.T) {
-	// A frame in propagation between hops when its flow is removed arrives
-	// at a demux with no next hop: counted as a no-route drop for that flow.
+	// A frame in propagation when its flow is removed — between hops, or
+	// from the last hop toward the sink — arrives where the flow has no
+	// route any more: counted as a no-route drop for that flow, not
+	// delivered to the sink the route had when the frame left.
+	for _, route := range [][]string{{"ab", "bc"}, {"ab"}} {
+		q := &eventq.Queue{}
+		ab := linkSpec("ab", "a", "b", 100)
+		ab.PropDelay = 0.5
+		var received int
+		sink := sim.ConsumerFunc(func(*sim.Frame) { received++ })
+		n, err := topo.Build(q,
+			[]topo.LinkSpec{ab, linkSpec("bc", "b", "c", 100)},
+			[]topo.FlowSpec{{Flow: 2, Weight: 1, Route: route, Sink: sink}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.At(0, func() { n.Entry(2).Deliver(&sim.Frame{Flow: 2, Bytes: 100}) })
+		// Transmission on ab ends at t=1.0; the frame is in propagation
+		// until t=1.5. Removing at t=1.2 succeeds (no queued bytes
+		// anywhere) and the frame strands.
+		q.At(1.2, func() {
+			if err := n.RemoveFlow(2); err != nil {
+				t.Fatalf("route %v: remove with frame in propagation: %v", route, err)
+			}
+		})
+		q.Run()
+		if got := n.NoRouteDrops(2); got != 1 || received != 0 {
+			t.Errorf("route %v: NoRouteDrops(2) = %d, received %d; want 1, 0", route, got, received)
+		}
+	}
+}
+
+// refuseAdd is a scheduler that refuses every flow registration.
+type refuseAdd struct{ sched.Interface }
+
+func (refuseAdd) AddFlow(int, float64) error { return errors.New("refused") }
+
+func TestAddFlowAllOrNothing(t *testing.T) {
+	// A route that fails validation, or whose registration fails on a later
+	// hop, leaves no flow registered on any hop.
 	q := &eventq.Queue{}
-	ab := linkSpec("ab", "a", "b", 100)
-	ab.PropDelay = 0.5
-	n, err := topo.Build(q,
-		[]topo.LinkSpec{ab, linkSpec("bc", "b", "c", 100)},
-		[]topo.FlowSpec{{Flow: 2, Weight: 1, Route: []string{"ab", "bc"}}})
+	bc := linkSpec("bc", "b", "c", 100)
+	bc.Sched = refuseAdd{core.New()}
+	n, err := topo.Build(q, []topo.LinkSpec{linkSpec("ab", "a", "b", 100), bc, linkSpec("cd", "c", "d", 100)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.At(0, func() { n.Entry(2).Deliver(&sim.Frame{Flow: 2, Bytes: 100}) })
-	// Transmission on ab ends at t=1.0; the frame is in propagation until
-	// t=1.5. Removing at t=1.2 succeeds (no queued bytes anywhere) and the
-	// frame strands at ab's demux.
-	q.At(1.2, func() {
-		if err := n.RemoveFlow(2); err != nil {
-			t.Fatalf("remove with frame in propagation: %v", err)
+	for _, tc := range []struct {
+		route []string
+		want  error
+	}{
+		{[]string{"ab", "nope"}, topo.ErrUnknownLink},
+		{[]string{"ab", "cd"}, topo.ErrBadRoute},
+		{[]string{"ab", "bc"}, nil}, // bc's scheduler refuses
+	} {
+		err := n.AddFlow(topo.FlowSpec{Flow: 9, Weight: 1, Route: tc.route})
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("route %v: AddFlow = %v, want %v", tc.route, err, tc.want)
 		}
-	})
+		if err := n.Link("ab").Scheduler().RemoveFlow(9); !errors.Is(err, sched.ErrUnknownFlow) {
+			t.Errorf("route %v: flow 9 left registered on ab (RemoveFlow = %v)", tc.route, err)
+		}
+		if err := n.RemoveFlow(9); !errors.Is(err, topo.ErrUnknownFlow) {
+			t.Errorf("route %v: flow 9 left registered on the network (RemoveFlow = %v)", tc.route, err)
+		}
+	}
+	if err := n.AddFlow(topo.FlowSpec{Flow: 9, Weight: 1, Route: []string{"ab"}}); err != nil {
+		t.Errorf("valid route after failures: %v", err)
+	}
+}
+
+func TestDigestCustomSink(t *testing.T) {
+	// The ebftail shape: a chain of hops with propagation delay, the
+	// observed flow on the whole chain into a caller-supplied sink, and
+	// one cross flow per hop into an auto-sink. Digest prints the custom
+	// flow without totals, and q.Run and Run agree on it.
+	build := func() (*eventq.Queue, *topo.Sharded, *int) {
+		q := &eventq.Queue{}
+		received := new(int)
+		var links []topo.LinkSpec
+		flows := []topo.FlowSpec{{Flow: 1, Weight: 1, Route: []string{"h1", "h2"},
+			Sink: sim.ConsumerFunc(func(*sim.Frame) { *received++ })}}
+		for h, nodes := range [][2]string{{"n0", "n1"}, {"n1", "n2"}} {
+			name := fmt.Sprintf("h%d", h+1)
+			ls := linkSpec(name, nodes[0], nodes[1], 1000)
+			ls.PropDelay = 0.001
+			links = append(links, ls)
+			flows = append(flows, topo.FlowSpec{Flow: 2 + h, Weight: 2, Route: []string{name}})
+		}
+		n, err := topo.Build(q, links, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 1; f <= 3; f++ {
+			c := n.Entry(f)
+			for i := 0; i < 20; i++ {
+				fr := &sim.Frame{Flow: f, Bytes: 100}
+				q.At(float64(i)*0.03, func() { c.Deliver(fr) })
+			}
+		}
+		return q, n, received
+	}
+	q, n, received := build()
 	q.Run()
-	if got := n.NoRouteDrops(2); got != 1 {
-		t.Errorf("NoRouteDrops(2) = %d, want 1", got)
+	d := n.Digest()
+	if *received != 20 {
+		t.Fatalf("custom sink received %d, want 20", *received)
+	}
+	for _, line := range []string{"f 1 sink custom noroute 0\n", "f 2 count 20 bytes 2000 noroute 0\n", "f 3 count 20 bytes 2000 noroute 0\n"} {
+		if !strings.Contains(d, line) {
+			t.Errorf("digest lacks %q:\n%s", line, d)
+		}
+	}
+	_, n2, _ := build()
+	n2.Run(2)
+	if got := n2.Digest(); got != d || n2.Windows() != 1 {
+		t.Errorf("Run(2) on a one-domain build: %d windows, digest\n%s\nwant 1 window, digest\n%s", n2.Windows(), got, d)
 	}
 }
 
