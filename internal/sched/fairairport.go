@@ -190,7 +190,7 @@ func (s *FairAirport) promote(now float64) {
 			s.gsq.PushTag(f.EAT, p)
 			f.promoted++
 		}
-		if int(f.promoted) < f.n {
+		if f.promoted < f.n {
 			s.arm(f, f.at(int(f.promoted)))
 		}
 	}

@@ -198,7 +198,7 @@ func TestFairAirportDeepBacklog(t *testing.T) {
 			r.now += 0.5
 			for f := 1; f <= faDiffFlows; f++ {
 				rec := r.s.flows.Get(f)
-				deepest[f] = max(deepest[f], rec.n)
+				deepest[f] = max(deepest[f], rec.Len())
 				promoted[f] = max(promoted[f], int(rec.promoted))
 			}
 			r.check()

@@ -17,9 +17,10 @@ const fuzzFlows = 32
 // Every divergence — pop identity, peek, length, per-flow bytes, backlogged
 // count — fails the run, and so does a heap slot whose copied key differs
 // from its flow's head item (CheckSlots, after every operation). Chunks are
-// accounted after every operation too: an idle flow holds none, and the
-// pooled ones plus those the FIFOs hold are every chunk ever made. The byte
-// grammar is op = data[2i], arg = data[2i+1], flow = arg%32+1:
+// accounted after every operation too: an idle flow holds none, one
+// holding n packets at most ⌈n/8⌉+1, and the pooled ones plus those the
+// FIFOs hold are every chunk ever made. The byte grammar is
+// op = data[2i], arg = data[2i+1], flow = arg%32+1:
 //
 //	op%5 == 0,1  push on flow with the flow's key advanced by (arg>>4)/4 —
 //	             keys are nondecreasing per flow, as the schedulers
@@ -82,6 +83,9 @@ func FuzzFlowQHeap(f *testing.F) {
 				c := fs.Get(flow).heldChunks()
 				if len(q) == 0 && c != 0 {
 					t.Fatalf("idle flow %d holds %d chunks", flow, c)
+				}
+				if bound := (len(q)+flowChunkSize-1)/flowChunkSize + 1; len(q) > 0 && c > bound {
+					t.Fatalf("flow %d holds %d chunks for %d packets, want <= %d", flow, c, len(q), bound)
 				}
 				held += c
 				total += len(q)

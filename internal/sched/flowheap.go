@@ -142,7 +142,7 @@ func (h *FlowHeap) match(a, b int32) int32 {
 // was popped or its key rewritten while the flow stays backlogged).
 func (h *FlowHeap) Fix(f *Flow) {
 	o := f.heapOrd
-	it := &f.head.items[f.hi]
+	it := f.item(0)
 	h.keys[o] = keyBits(it.key)
 	h.ms[o].p, h.ms[o].sub, h.ms[o].serial = it.p, keyBits(it.sub), it.serial
 	h.replay(o)

@@ -23,11 +23,19 @@ package sched
 // min-over-flow-heads equals min-over-all-packets whenever each flow's
 // FIFO is ordered — which is exactly the asserted invariant.
 
-// flowChunkSize is the number of items per pooled FIFO chunk: 16 items ×
-// 32 bytes is 512 bytes, the most a backlogged flow leaves unused at each
-// end of its FIFO. It is the smallest size that keeps the zero-allocation
-// tests exact: with 8, hierarchical interiors keep reaching new chunk peaks.
-const flowChunkSize = 16
+// flowChunkSize is the number of items per pooled FIFO chunk: 8 items ×
+// 32 bytes is 256 bytes. A FIFO that fits in one chunk uses it as a ring
+// (see FlowQ), so a flow at most 8 deep holds exactly one chunk however its
+// packets come and go. The ring is what makes 8 safe: a FIFO that only
+// fills chunks front to back slides across chunk boundaries (at 16 items a
+// flow 4 deep holds 1.24 chunks on average), and at 8 items hierarchical
+// interiors then keep reaching new chunk peaks, which breaks the
+// zero-allocation tests. It must be a power of two (ring indices are
+// masked) and at most 255 (they are uint8).
+const flowChunkSize = 8
+
+// chunkMask reduces a head-ring index modulo flowChunkSize.
+const chunkMask = flowChunkSize - 1
 
 // flowItem is one queued packet with its scheduling key. The triple
 // (key, sub, serial) is the same strict total order TagHeap used: primary
@@ -94,24 +102,37 @@ func (cp *ChunkPool) put(c *flowChunk) {
 // Len returns the number of pooled chunks (for tests and observability).
 func (cp *ChunkPool) Len() int { return cp.n }
 
-// FlowQ is one flow's packet FIFO: a chunked ring with O(1) push, pop,
+// FlowQ is one flow's packet FIFO: a chunked queue with O(1) push, pop,
 // peek, and byte accounting. Chunks come from the scheduler's ChunkPool
-// and go back to it as they empty: an empty FIFO holds no chunk, and one
-// holding n packets holds at most ⌈n/16⌉+1.
+// and go back to it as they empty: an empty FIFO holds no chunk, one
+// holding n ≤ 8 packets holds exactly one, and one holding more at most
+// ⌈n/8⌉+1.
+//
+// The head chunk is a ring of hn items from slot hi onward, wrapping
+// modulo flowChunkSize; while the FIFO fits in it (head == tail) a push
+// writes at (hi+hn) mod 8 and a pop advances hi. A 9th packet links a
+// second chunk, and chunks after the head fill linearly from slot 0 up to
+// ti. When the head chunk empties, its successor becomes the head ring,
+// and once that is the tail again the FIFO wraps in it.
+//
+// The count is an int32: a flow holds fewer than 2³¹ packets, 64 GiB of
+// queued items.
 type FlowQ struct {
 	flow int
 
 	head *flowChunk // chunk holding the front item
-	tail *flowChunk // chunk holding the back item
-	hi   int        // index of the front item within head
-	ti   int        // one past the back item within tail
+	tail *flowChunk // chunk holding the back item; head while one chunk holds all
 
 	// mono is the per-flow monotonicity assertion's memory of the last
 	// push: empty in the release build (assert_off.go), and kept off the
 	// struct's end, where a zero-size field would cost a padding word.
 	mono pushAssert
 
-	n     int
+	hi uint8 // slot of the front item within head
+	hn uint8 // items in head, from slot hi on, wrapping
+	ti uint8 // one past the back item within tail; 0 while head == tail
+
+	n     int32
 	bytes float64
 }
 
@@ -122,25 +143,33 @@ func NewFlowQ(flow int) *FlowQ { return &FlowQ{flow: flow} }
 func (fq *FlowQ) ID() int { return fq.flow }
 
 // Len returns the number of queued packets.
-func (fq *FlowQ) Len() int { return fq.n }
+func (fq *FlowQ) Len() int { return int(fq.n) }
 
 // QueuedBytes returns the total bytes queued, in O(1). It is exactly zero
 // when the FIFO is empty (the accumulator is reset on drain, so float
 // residue cannot leak into emptiness checks).
 func (fq *FlowQ) QueuedBytes() float64 { return fq.bytes }
 
+// item returns the item k places behind the front: in the head ring when
+// k < hn, otherwise walking (k-hn)/8 chunks past the head. Callers must
+// ensure k < Len().
+func (fq *FlowQ) item(k int) *flowItem {
+	if k < int(fq.hn) {
+		return &fq.head.items[(int(fq.hi)+k)&chunkMask]
+	}
+	c := fq.head.next
+	for k -= int(fq.hn); k >= flowChunkSize; k -= flowChunkSize {
+		c = c.next
+	}
+	return &c.items[k]
+}
+
 // headItem returns the front item. Callers must ensure Len() > 0.
 func (fq *FlowQ) headItem() flowItem { return fq.head.items[fq.hi] }
 
-// at returns the packet k places behind the front, walking (hi+k)/16
-// chunks. Callers must ensure k < Len().
-func (fq *FlowQ) at(k int) *Packet {
-	c, i := fq.head, fq.hi+k
-	for ; i >= flowChunkSize; i -= flowChunkSize {
-		c = c.next
-	}
-	return c.items[i].p
-}
+// at returns the packet k places behind the front. Callers must ensure
+// k < Len().
+func (fq *FlowQ) at(k int) *Packet { return fq.item(k).p }
 
 // Head returns the front packet and its primary key without removing it.
 // It returns (nil, 0) when empty.
@@ -159,18 +188,25 @@ func (fq *FlowQ) Head() (*Packet, float64) {
 func (fq *FlowQ) Push(pool *ChunkPool, key, sub float64, serial uint64, p *Packet) {
 	it := flowItem{key: key, sub: sub, serial: serial, p: p}
 	fq.mono.check(fq, it)
-	if fq.tail == nil {
-		c := pool.get()
-		fq.head, fq.tail = c, c
-		fq.hi, fq.ti = 0, 0
-	} else if fq.ti == flowChunkSize {
-		c := pool.get()
-		fq.tail.next = c
-		fq.tail = c
-		fq.ti = 0
+	if fq.head == fq.tail && fq.hn < flowChunkSize {
+		// The FIFO fits in its head chunk: write into the ring.
+		if fq.head == nil {
+			fq.head = pool.get()
+			fq.tail = fq.head
+		}
+		fq.head.items[(fq.hi+fq.hn)&chunkMask] = it
+		fq.hn++
+	} else {
+		if fq.ti == 0 || fq.ti == flowChunkSize {
+			// The head ring is full (ti is 0 while head == tail) or the
+			// tail chunk is: link a fresh tail.
+			c := pool.get()
+			fq.tail.next = c
+			fq.tail, fq.ti = c, 0
+		}
+		fq.tail.items[fq.ti] = it
+		fq.ti++
 	}
-	fq.tail.items[fq.ti] = it
-	fq.ti++
 	fq.n++
 	fq.bytes += p.Length
 }
@@ -185,8 +221,8 @@ func (fq *FlowQ) Push(pool *ChunkPool, key, sub float64, serial uint64, p *Packe
 // tag, so the per-flow monotonicity invariant — which constrains pushed
 // items, not head rewrites — still governs the FIFO behind it.
 func (fq *FlowQ) SetHeadKey(key, sub float64) {
-	fq.head.items[fq.hi].key = key
-	fq.head.items[fq.hi].sub = sub
+	it := fq.item(0)
+	it.key, it.sub = key, sub
 }
 
 // Pop removes and returns the front packet. Callers must ensure Len() > 0.
@@ -201,17 +237,44 @@ func (fq *FlowQ) Pop(pool *ChunkPool) *Packet {
 // drop is Pop for a caller that already holds the front packet, p.
 func (fq *FlowQ) drop(pool *ChunkPool, p *Packet) {
 	fq.head.items[fq.hi] = flowItem{} // release the *Packet reference
-	fq.hi++
+	fq.hi = (fq.hi + 1) & chunkMask
+	fq.hn--
 	fq.n--
 	fq.bytes -= p.Length
-	if fq.n == 0 || fq.hi == flowChunkSize {
-		c := fq.head
-		fq.head, fq.hi = c.next, 0 // nil once drained: head == tail
-		pool.put(c)
+	if fq.hn > 0 {
+		return
 	}
-	if fq.n == 0 {
-		fq.tail, fq.ti = nil, 0
+	c := fq.head
+	fq.head, fq.hi = c.next, 0
+	pool.put(c)
+	switch {
+	case fq.head == nil: // drained
+		fq.tail = nil
 		fq.bytes = 0 // pinned, so float residue cannot leak into emptiness
+	case fq.head == fq.tail: // back to one chunk: it becomes the ring
+		fq.hn, fq.ti = fq.ti, 0
+	default:
+		fq.hn = flowChunkSize
+	}
+}
+
+// eachItem calls fn on every queued item, front to back: the head ring
+// through item, then each later chunk from slot 0.
+func (fq *FlowQ) eachItem(fn func(*flowItem)) {
+	for k := 0; k < int(fq.hn); k++ {
+		fn(fq.item(k))
+	}
+	if fq.head == fq.tail {
+		return
+	}
+	for c := fq.head.next; c != nil; c = c.next {
+		end := flowChunkSize
+		if c == fq.tail {
+			end = int(fq.ti)
+		}
+		for i := 0; i < end; i++ {
+			fn(&c.items[i])
+		}
 	}
 }
 
@@ -219,23 +282,14 @@ func (fq *FlowQ) drop(pool *ChunkPool, p *Packet) {
 // uses it to discard a backlogged flow; the FIFO is empty and reusable
 // afterwards.
 func (fq *FlowQ) Release(pool *ChunkPool) {
+	fq.eachItem(func(it *flowItem) { *it = flowItem{} })
 	for c := fq.head; c != nil; {
 		next := c.next
-		lo, hi := 0, flowChunkSize
-		if c == fq.head {
-			lo = fq.hi
-		}
-		if c == fq.tail {
-			hi = fq.ti
-		}
-		for i := lo; i < hi; i++ {
-			c.items[i] = flowItem{}
-		}
 		pool.put(c)
 		c = next
 	}
 	fq.head, fq.tail = nil, nil
-	fq.hi, fq.ti = 0, 0
+	fq.hi, fq.hn, fq.ti = 0, 0, 0
 	fq.n = 0
 	fq.bytes = 0
 	fq.mono.reset()

@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -72,17 +76,25 @@ func TestFlowQChunkLifecycle(t *testing.T) {
 }
 
 // TestFlowQReleaseMidBacklog releases a queue that still holds packets
-// spanning multiple chunks (the chaos-churn path) and checks every chunk
-// returns to the pool zeroed.
+// spanning multiple chunks (the chaos-churn path), its head chunk a ring
+// that wraps, and checks every chunk returns to the pool zeroed.
 func TestFlowQReleaseMidBacklog(t *testing.T) {
 	var pool ChunkPool
 	fq := NewFlowQ(1)
-	for i := 0; i < 2*flowChunkSize+3; i++ {
-		fq.Push(&pool, float64(i), 0, uint64(i+1), &Packet{Flow: 1, Length: 10})
+	push := func(i int) { fq.Push(&pool, float64(i), 0, uint64(i+1), &Packet{Flow: 1, Length: 10}) }
+	// Pop a few so the front is at slot 5, then fill the ring past the
+	// wrap point and two chunks behind it.
+	for i := 0; i < 6; i++ {
+		push(i)
 	}
-	// Pop a few so the head chunk has a nonzero offset.
 	for i := 0; i < 5; i++ {
 		fq.Pop(&pool)
+	}
+	for i := 6; i < 6+2*flowChunkSize+2; i++ {
+		push(i)
+	}
+	if fq.hi != 5 || fq.hn != flowChunkSize || fq.heldChunks() != 3 {
+		t.Fatalf("setup: front at slot %d, %d in the head ring, %d chunks", fq.hi, fq.hn, fq.heldChunks())
 	}
 	fq.Release(&pool)
 	if fq.Len() != 0 || fq.QueuedBytes() != 0 {
@@ -384,11 +396,213 @@ func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 	}
 }
 
-// TestFlowRecordSize: a flow record fills two cache lines and no more in the
-// release build. The schedassert build adds the push assert's memory of the
-// last push, which is taken out here so both builds check the same layout.
+// TestFlowRecordSize: a flow record fits in 112 bytes, one Go size class
+// below two cache lines, with the weight and the SFQ finish tag in the
+// first line beside the FIFO in the release build. The schedassert build
+// adds the push assert's memory of the last push, which sits in the FIFO
+// and is taken out here so both builds check the same layout.
 func TestFlowRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(Flow{}) - unsafe.Sizeof(pushAssert{}); n > 128 {
-		t.Errorf("sched.Flow is %d bytes in the release build, want <= 128", n)
+	extra := unsafe.Sizeof(pushAssert{})
+	if n := unsafe.Sizeof(Flow{}) - extra; n > 112 {
+		t.Errorf("sched.Flow is %d bytes in the release build, want <= 112", n)
+	}
+	var f Flow
+	for _, fd := range []struct {
+		name string
+		off  uintptr
+	}{{"Weight", unsafe.Offsetof(f.Weight)}, {"LastFinish", unsafe.Offsetof(f.LastFinish)}} {
+		if off := fd.off - extra; off >= 64 {
+			t.Errorf("sched.Flow.%s is at offset %d in the release build, want < 64", fd.name, off)
+		}
+	}
+}
+
+// TestFlowQWrapsInOneChunk: a FIFO that fits in one chunk uses it as a
+// ring, so a shallow flow never slides onto a second chunk, items are
+// addressed right across the wrap point, and a deep FIFO drained back to
+// one chunk wraps in it again.
+func TestFlowQWrapsInOneChunk(t *testing.T) {
+	type model struct {
+		fq   FlowQ
+		pool ChunkPool
+		q    []*Packet
+		seq  int
+	}
+	push := func(m *model) {
+		m.seq++
+		p := &Packet{Flow: 1, Seq: int64(m.seq), Length: 1}
+		m.fq.Push(&m.pool, float64(m.seq), 0, uint64(m.seq), p)
+		m.q = append(m.q, p)
+	}
+	pop := func(t *testing.T, m *model) {
+		t.Helper()
+		if p := m.fq.Pop(&m.pool); p != m.q[0] {
+			t.Fatalf("popped seq %d, want %d", p.Seq, m.q[0].Seq)
+		}
+		m.q = m.q[1:]
+	}
+	checkAt := func(t *testing.T, m *model) {
+		t.Helper()
+		if m.fq.Len() != len(m.q) {
+			t.Fatalf("Len %d, model %d", m.fq.Len(), len(m.q))
+		}
+		for k, want := range m.q {
+			if got := m.fq.at(k); got != want {
+				t.Fatalf("at(%d) with hi %d = seq %d, want %d", k, m.fq.hi, got.Seq, want.Seq)
+			}
+		}
+	}
+
+	t.Run("steady depth", func(t *testing.T) {
+		for depth := 1; depth <= flowChunkSize; depth++ {
+			var m model
+			for i := 0; i < depth; i++ {
+				push(&m)
+			}
+			for pops := 1; pops <= 5*flowChunkSize; pops++ {
+				pop(t, &m)
+				push(&m)
+				if pops >= flowChunkSize && (m.fq.heldChunks() != 1 || m.pool.made != 1) {
+					t.Fatalf("depth %d after %d pops: %d chunks held, %d made; want 1 and 1",
+						depth, pops, m.fq.heldChunks(), m.pool.made)
+				}
+				checkAt(t, &m)
+			}
+		}
+	})
+
+	t.Run("at across the wrap", func(t *testing.T) {
+		for hi := 0; hi < flowChunkSize; hi++ {
+			var m model
+			for i := 0; i <= hi; i++ {
+				push(&m)
+			}
+			for i := 0; i < hi; i++ {
+				pop(t, &m)
+			}
+			if int(m.fq.hi) != hi {
+				t.Fatalf("front at slot %d, want %d", m.fq.hi, hi)
+			}
+			// Fill the ring, then spill 5 items into a second chunk.
+			for m.fq.Len() < flowChunkSize+5 {
+				push(&m)
+				checkAt(t, &m)
+			}
+			if m.fq.heldChunks() != 2 {
+				t.Fatalf("hi %d: %d chunks for %d items, want 2", hi, m.fq.heldChunks(), m.fq.Len())
+			}
+			for len(m.q) > 0 {
+				pop(t, &m)
+				checkAt(t, &m)
+			}
+			if m.fq.heldChunks() != 0 || m.pool.Len() != 2 {
+				t.Fatalf("hi %d drained: %d held, %d pooled", hi, m.fq.heldChunks(), m.pool.Len())
+			}
+		}
+	})
+
+	t.Run("deep then shallow", func(t *testing.T) {
+		var m model
+		for i := 0; i < 20; i++ {
+			push(&m)
+		}
+		if m.fq.heldChunks() != 3 {
+			t.Fatalf("20 items in %d chunks, want 3", m.fq.heldChunks())
+		}
+		// 20 items fill chunks of 8, 8 and 4: the head chunk empties after
+		// 8 pops and the second after 16, leaving the last as the ring.
+		for i := 1; i <= 16; i++ {
+			pop(t, &m)
+			if want := 3 - i/flowChunkSize; m.fq.heldChunks() != want {
+				t.Fatalf("after %d pops: %d chunks held, want %d", i, m.fq.heldChunks(), want)
+			}
+			checkAt(t, &m)
+		}
+		// Back to one chunk, the FIFO wraps in it at every depth up to 8.
+		for i := 0; i < 4*flowChunkSize; i++ {
+			if len(m.q) < flowChunkSize && i%3 != 0 {
+				push(&m)
+			} else {
+				pop(t, &m)
+			}
+			if len(m.q) > 0 && m.fq.heldChunks() != 1 {
+				t.Fatalf("step %d, %d items: %d chunks held, want 1", i, len(m.q), m.fq.heldChunks())
+			}
+			checkAt(t, &m)
+		}
+		if m.pool.made != 3 {
+			t.Fatalf("%d chunks made, want 3", m.pool.made)
+		}
+	})
+}
+
+// TestRestoreAccountingRejectsBadRows: a weight that is not a finite
+// positive number, or a count the FIFO's int32 cannot hold, is bad state.
+// Each is refused before anything changes, so the registry keeps its flows,
+// weights and backlog.
+func TestRestoreAccountingRejectsBadRows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row  FlowAccounting
+	}{
+		{"NaN weight", FlowAccounting{Flow: 3, Weight: math.NaN(), Bytes: 10, Count: 1}},
+		{"+Inf weight", FlowAccounting{Flow: 3, Weight: math.Inf(1), Bytes: 10, Count: 1}},
+		{"count 1<<31", FlowAccounting{Flow: 3, Weight: 1, Bytes: 10, Count: 1 << 31}},
+		{"count 1<<32+1", FlowAccounting{Flow: 3, Weight: 1, Bytes: 10, Count: 1<<32 + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fs FlowSet
+			if err := fs.Add(1, 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Add(2, 7); err != nil {
+				t.Fatal(err)
+			}
+			fs.Push(2, 0, 0, &Packet{Flow: 2, Length: 4})
+			before := fs.CaptureAccounting()
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("RestoreAccounting panicked: %v", r)
+					}
+				}()
+				err = fs.RestoreAccounting([]FlowAccounting{{Flow: 1, Weight: 2}, tc.row})
+			}()
+			if !errors.Is(err, ErrBadState) {
+				t.Fatalf("RestoreAccounting = %v, want ErrBadState", err)
+			}
+			if after := fs.CaptureAccounting(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("registry changed by a refused restore: %+v, was %+v", after, before)
+			}
+			if fs.FlowLen(2) != 1 || fs.Len() != 1 {
+				t.Fatalf("backlog changed: flow 2 holds %d, total %d", fs.FlowLen(2), fs.Len())
+			}
+		})
+	}
+
+	// Through DRR, whose refill check compares the restored count with the
+	// packets it re-queues: a count that truncated to 1 would pass it.
+	s := NewDRR(1500)
+	if err := s.AddFlow(4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Enqueue(0, &Packet{Flow: 4, Length: 100}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st drrState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Flows[0].Count = 1<<32 + 1
+	if data, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewDRR(1500).RestoreState(data); !errors.Is(err, ErrBadState) {
+		t.Fatalf("DRR restore with count 1<<32+1 = %v, want ErrBadState", err)
 	}
 }

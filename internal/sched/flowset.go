@@ -207,7 +207,7 @@ func (fs *FlowSet) Draining() []int { return fs.draining.Flows() }
 // flow).
 func (fs *FlowSet) Drop(flow int) {
 	if f := fs.Get(flow); f != nil {
-		fs.total -= f.n
+		fs.total -= int(f.n)
 		fs.heap.Remove(f)
 		f.Release(&fs.pool)
 		fs.flows.del(flow)

@@ -102,7 +102,7 @@ func (s *DRR) RestoreState(data []byte) error {
 			}
 			bytes += ps.Length
 		}
-		if f.n != len(fs.Pkts) || !closeTo(f.bytes, bytes) {
+		if int(f.n) != len(fs.Pkts) || !closeTo(f.bytes, bytes) {
 			return fmt.Errorf("%w: flow %d accounting disagrees with queue", ErrBadState, fs.Flow)
 		}
 		// RestoreAccounting set the record's counters; refill its FIFO from
@@ -400,7 +400,7 @@ func (s *FairAirport) RestoreState(data []byte) error {
 			s.reg.rs = append(s.reg.rs, faRelease{})
 			s.reg.up(len(s.reg.rs)-1, faRelease{eat: fs.ReleaseAt, seq: fs.ReleaseSeq, f: f, served: fs.Served})
 		}
-		s.total += f.n
+		s.total += int(f.n)
 	}
 	s.gsq.serial, s.reg.seq = st.GSQSerial, st.RegSeq
 	s.last, s.asqSeq, s.asqV, s.asqMaxFinish, s.busy = st.Last, st.AsqSeq, st.AsqV, st.AsqMaxFinish, st.Busy

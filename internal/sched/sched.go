@@ -114,9 +114,10 @@ var (
 // Flow is the one record a scheduler keeps per flow, reached by one index
 // lookup per packet: the registration (Weight), the FIFO — whose Len and
 // QueuedBytes ARE the flow's queued accounting, there is no second copy —
-// and the per-flow tag chain of whichever discipline owns the table. The
-// FIFO's fields and heapOrd fill the first cache line (what a dequeue
-// touches); registration and chain sit in the second.
+// and the per-flow tag chain of whichever discipline owns the table. It is
+// 112 bytes in the release build: the FIFO's fields, heapOrd, Weight and
+// LastFinish fill the first cache line (what an SFQ enqueue and dequeue
+// touch); the other chains sit in the second.
 type Flow struct {
 	FlowQ
 	heapOrd int32 // member ordinal in the owning FlowHeap; 0 when not backlogged
@@ -149,9 +150,10 @@ type Flow struct {
 // the live-state code read it); the per-packet paths go through Lookup and
 // use the record. A record is made when its flow first needs one — its
 // first packet, as a rule. So a registered, silent flow costs its Weights
-// entry; a drained one its 128-byte record too; a backlogged one with n
-// packets queued the record plus ⌈n/16⌉ 16-item FIFO chunks (one more
-// while its head chunk is part-served). The zero value is ready to use.
+// entry; a drained one its 112-byte record too; a backlogged one with n
+// packets queued the record plus one 8-item FIFO chunk while n ≤ 8 (the
+// chunk is then a ring), and at most ⌈n/8⌉+1 beyond. The zero value is
+// ready to use.
 type FlowTable struct {
 	Weights  map[int]float64
 	flows    flowIndex
@@ -259,7 +261,7 @@ func (t *FlowTable) QueuedBytes(flow int) float64 {
 // QueuedCount returns the packets queued for flow.
 func (t *FlowTable) QueuedCount(flow int) int {
 	if f := t.flows.get(flow); f != nil {
-		return f.n
+		return int(f.n)
 	}
 	return 0
 }

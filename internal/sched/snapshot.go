@@ -145,26 +145,10 @@ func closeTo(a, b float64) bool {
 	return d <= 1e-6+1e-9*m
 }
 
-// eachItem walks the FIFO front to back.
-func (fq *FlowQ) eachItem(fn func(flowItem)) {
-	for c := fq.head; c != nil; c = c.next {
-		lo, hi := 0, flowChunkSize
-		if c == fq.head {
-			lo = fq.hi
-		}
-		if c == fq.tail {
-			hi = fq.ti
-		}
-		for i := lo; i < hi; i++ {
-			fn(c.items[i])
-		}
-	}
-}
-
 // CaptureState serializes the FIFO in arrival order.
 func (fq *FlowQ) CaptureState() FlowQState {
 	st := FlowQState{Flow: fq.flow, Bytes: fq.bytes, Items: make([]QueuedItemState, 0, fq.n)}
-	fq.eachItem(func(it flowItem) {
+	fq.eachItem(func(it *flowItem) {
 		st.Items = append(st.Items, QueuedItemState{
 			Key: it.key, Sub: it.sub, Serial: it.serial, Pkt: CapturePacket(it.p),
 		})
@@ -240,7 +224,7 @@ func (fq *FlowQ) RestoreState(pool *ChunkPool, st FlowQState) error {
 
 // VisitQueued calls fn for every queued packet in FIFO order.
 func (fq *FlowQ) VisitQueued(fn func(*Packet)) {
-	fq.eachItem(func(it flowItem) { fn(it.p) })
+	fq.eachItem(func(it *flowItem) { fn(it.p) })
 }
 
 // backlogged returns the flows holding packets — the heap's members —
@@ -295,7 +279,7 @@ func (fs *FlowSet) RestoreState(st FlowSetState) error {
 		f := fs.Record(q.Flow)
 		f.restoreState(&fs.pool, q)
 		fs.heap.Push(f)
-		fs.total += f.n
+		fs.total += int(f.n)
 	}
 	fs.serial = st.Serial
 	return nil
@@ -330,7 +314,7 @@ func (t *FlowTable) Each(fn func(*Flow)) {
 // queuedTotal sums the per-flow packet counts.
 func (t *FlowTable) queuedTotal() int {
 	n := 0
-	t.flows.each(func(f *Flow) { n += f.n })
+	t.flows.each(func(f *Flow) { n += int(f.n) })
 	return n
 }
 
@@ -338,7 +322,7 @@ func (t *FlowTable) queuedTotal() int {
 func (t *FlowTable) CaptureAccounting() []FlowAccounting {
 	out := make([]FlowAccounting, 0, len(t.Weights))
 	t.Each(func(f *Flow) {
-		out = append(out, FlowAccounting{Flow: f.flow, Weight: f.Weight, Bytes: f.bytes, Count: f.n})
+		out = append(out, FlowAccounting{Flow: f.flow, Weight: f.Weight, Bytes: f.bytes, Count: int(f.n)})
 	})
 	return out
 }
@@ -352,11 +336,14 @@ func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 		if i > 0 && a.Flow <= accts[i-1].Flow {
 			return fmt.Errorf("%w: accounting flow ids not ascending at %d", ErrBadState, a.Flow)
 		}
-		if a.Weight <= 0 {
+		if !positive(a.Weight) {
 			return fmt.Errorf("%w: flow %d weight %v", ErrBadState, a.Flow, a.Weight)
 		}
 		if a.Count < 0 || a.Bytes < 0 {
 			return fmt.Errorf("%w: flow %d negative accounting", ErrBadState, a.Flow)
+		}
+		if a.Count > math.MaxInt32 { // a FIFO counts its packets in an int32
+			return fmt.Errorf("%w: flow %d count %d", ErrBadState, a.Flow, a.Count)
 		}
 		if a.Count == 0 && a.Bytes != 0 {
 			return fmt.Errorf("%w: flow %d idle with %v bytes", ErrBadState, a.Flow, a.Bytes)
@@ -370,7 +357,7 @@ func (t *FlowTable) RestoreAccounting(accts []FlowAccounting) error {
 		_ = t.Add(a.Flow, a.Weight) // cannot fail: weight validated above, nothing draining yet
 		if a.Count > 0 {
 			f := t.Registered(a.Flow)
-			f.n, f.bytes = a.Count, a.Bytes
+			f.n, f.bytes = int32(a.Count), a.Bytes
 		}
 	}
 	return nil
