@@ -96,3 +96,24 @@ func TestRunnerTableCoversOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestAllRunsAndRenders runs every registered experiment at a small scale:
+// each renders its id and at least one row, and reports at least one metric.
+func TestAllRunsAndRenders(t *testing.T) {
+	runners, order := runnerTable(0.02, 1)
+	if len(order) != 23 {
+		t.Fatalf("order lists %d experiments", len(order))
+	}
+	for _, id := range order {
+		r := runners[id]()
+		if r.ID != id {
+			t.Errorf("runner %q returned result %q", id, r.ID)
+		}
+		if s := r.String(); !strings.Contains(s, r.ID) || len(r.Lines) == 0 {
+			t.Errorf("%s renders poorly", r.ID)
+		}
+		if len(r.Got) == 0 {
+			t.Errorf("%s has no metrics", r.ID)
+		}
+	}
+}

@@ -10,13 +10,14 @@
 //	example3 delayshift residual e2ebound ebftail genrate bounds ablation-tie ablation-clock ablation-hier chaos ups-replay liveops composed-tree
 //
 // -scale shrinks or grows the simulated durations/budgets (1.0 = the
-// paper's parameters); -seed sets the RNG seed for the stochastic
-// workloads.
+// paper's parameters) and must be finite and > 0; -seed sets the RNG seed
+// for the stochastic workloads.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -30,6 +31,11 @@ func main() {
 	dump := flag.String("dump", "", "directory to write figure series CSVs (fig1b_*.csv, fig3b.csv)")
 	flag.Parse()
 
+	if err := checkScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "usage: experiments [-scale f] [-seed n] [-dump dir] [ids...]")
+		os.Exit(2)
+	}
 	if *dump != "" {
 		if err := dumpSeries(*dump, *scale, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "dump:", err)
@@ -52,6 +58,17 @@ func main() {
 		fmt.Print(run().String())
 		fmt.Println()
 	}
+}
+
+// checkScale refuses a -scale that no experiment can run at. The library
+// configs read 0 as "the default", so 0 would silently run at 1.0; a
+// negative scale schedules events in the past, NaN prints NaN columns and
+// +Inf never finishes.
+func checkScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("experiments: -scale %v: want a finite value > 0", scale)
+	}
+	return nil
 }
 
 // runnerTable builds the experiment registry for the given parameters and

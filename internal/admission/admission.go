@@ -58,9 +58,6 @@ func NewController(fc server.FCParams) *Controller {
 // Reserved returns the sum of admitted rates.
 func (c *Controller) Reserved() float64 { return c.used }
 
-// Available returns the unreserved capacity.
-func (c *Controller) Available() float64 { return c.fc.C - c.used }
-
 // sumLmax returns Σ l_n^max over admitted flows plus the candidate.
 func (c *Controller) sumLmax(extra float64) float64 {
 	s := extra
@@ -131,23 +128,4 @@ func (c *Controller) DelayBound(flow int) (float64, error) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
 	}
 	return qos.SFQDelayBound(c.fc, 0, r.LMax, c.sumLmax(0)-r.LMax), nil
-}
-
-// ThroughputFC returns the eq (65) FC characterization of an admitted
-// flow's guaranteed service — the hook for building hierarchical
-// controllers: construct a child Controller with this FC to admit
-// sub-flows of a class.
-func (c *Controller) ThroughputFC(flow int) (server.FCParams, error) {
-	r, ok := c.flows[flow]
-	if !ok {
-		return server.FCParams{}, fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
-	}
-	return qos.SFQThroughputFC(c.fc, r.Rate, r.LMax, c.sumLmax(0)), nil
-}
-
-// AdmitEDD wraps the Theorem 7 schedulability test (eq 67) for a Delay
-// EDD class: it returns nil iff the flow set (existing plus candidate) is
-// schedulable on this controller's server within the given horizon.
-func (c *Controller) AdmitEDD(existing []qos.EDDFlowSpec, candidate qos.EDDFlowSpec, horizon float64) error {
-	return qos.EDDSchedulable(append(append([]qos.EDDFlowSpec(nil), existing...), candidate), c.fc.C, horizon)
 }

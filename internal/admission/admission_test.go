@@ -25,8 +25,8 @@ func TestAdmitWithinCapacity(t *testing.T) {
 	if err := c.Admit(admission.Request{Flow: 2, Rate: 400, LMax: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Reserved() != 1000 || c.Available() != 0 {
-		t.Errorf("reserved=%v available=%v", c.Reserved(), c.Available())
+	if c.Reserved() != 1000 {
+		t.Errorf("reserved=%v", c.Reserved())
 	}
 	err := c.Admit(admission.Request{Flow: 3, Rate: 1, LMax: 100})
 	if !errors.Is(err, admission.ErrOverCommitted) {
@@ -109,22 +109,18 @@ func TestValidation(t *testing.T) {
 	if _, err := c.DelayBound(99); !errors.Is(err, admission.ErrUnknownFlow) {
 		t.Error("unknown DelayBound")
 	}
-	if _, err := c.ThroughputFC(99); !errors.Is(err, admission.ErrUnknownFlow) {
-		t.Error("unknown ThroughputFC")
-	}
 }
 
 func TestHierarchicalAdmission(t *testing.T) {
-	// Admit a class at the link, derive its FC, admit sub-flows against
-	// the class's virtual server — the eq (65) recursion as admission.
-	link := newC(t, 1000, 50)
+	// Admit a class at the link, derive its FC (eq 65 over the flows the
+	// link admitted), admit sub-flows against the class's virtual server —
+	// the eq (65) recursion as admission.
+	linkFC := server.FCParams{C: 1000, Delta: 50}
+	link := admission.NewController(linkFC)
 	if err := link.Admit(admission.Request{Flow: 1, Rate: 400, LMax: 100}); err != nil {
 		t.Fatal(err)
 	}
-	classFC, err := link.ThroughputFC(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	classFC := qos.SFQThroughputFC(linkFC, 400, 100, 100)
 	if classFC.C != 400 {
 		t.Fatalf("class rate = %v", classFC.C)
 	}
@@ -145,15 +141,17 @@ func TestHierarchicalAdmission(t *testing.T) {
 	}
 }
 
+// TestAdmitEDD admits a Delay EDD class on a 1000 B/s server by the
+// Theorem 7 schedulability test (eq 67) over the existing flows plus the
+// candidate.
 func TestAdmitEDD(t *testing.T) {
-	c := newC(t, 1000, 0)
-	existing := []qos.EDDFlowSpec{{Rate: 400, Length: 100, Deadline: 0.5}}
+	existing := qos.EDDFlowSpec{Rate: 400, Length: 100, Deadline: 0.5}
 	ok := qos.EDDFlowSpec{Rate: 300, Length: 100, Deadline: 0.5}
-	if err := c.AdmitEDD(existing, ok, 10); err != nil {
+	if err := qos.EDDSchedulable([]qos.EDDFlowSpec{existing, ok}, 1000, 10); err != nil {
 		t.Errorf("feasible EDD refused: %v", err)
 	}
 	bad := qos.EDDFlowSpec{Rate: 900, Length: 100, Deadline: 0.01}
-	if err := c.AdmitEDD(existing, bad, 10); err == nil {
+	if err := qos.EDDSchedulable([]qos.EDDFlowSpec{existing, bad}, 1000, 10); err == nil {
 		t.Error("infeasible EDD admitted")
 	}
 }

@@ -71,13 +71,13 @@ func ChaosRun(sch sched.Interface, w Workload, plan FaultPlan) (*ChaosResult, er
 	}
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
-	var stages []sim.Wrapper
+	var out sim.Consumer = sink
 	var lossy *faults.Lossy
 	if plan.PLoss > 0 || plan.PCorrupt > 0 {
-		lossy = faults.NewLossyStage(rand.New(rand.NewSource(plan.LossSeed)), plan.PLoss, plan.PCorrupt)
-		stages = append(stages, lossy)
+		lossy = faults.NewLossy(rand.New(rand.NewSource(plan.LossSeed)), sink, plan.PLoss, plan.PCorrupt)
+		out = lossy
 	}
-	link := sim.NewLink(q, "chaos", rec, proc, sim.Chain(sink, stages...))
+	link := sim.NewLink(q, "chaos", rec, proc, out)
 	mon := sim.MonitorAll(link)
 	faults.ScheduleOutages(q, link, plan.Outages)
 	for _, a := range w.Arrivals {

@@ -49,7 +49,9 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 		"hsfq":          func(Workload) sched.Interface { return core.NewHSFQ() },
 		"scfq":          func(Workload) sched.Interface { return sched.NewSCFQ() },
 		"wfq":           func(w Workload) sched.Interface { return sched.NewWFQ(w.C) },
-		"fqs":           func(w Workload) sched.Interface { return sched.NewFQS(w.C) },
+		"fqs": func(w Workload) sched.Interface {
+			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: w.C})
+		},
 		"vclock":        func(Workload) sched.Interface { return sched.NewVirtualClock() },
 		"drr":           func(w Workload) sched.Interface { return sched.NewDRR(drrQuantum(w)) },
 		"fifo":          func(Workload) sched.Interface { return sched.NewFIFO() },
@@ -66,15 +68,24 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 		"srpt":        func(Workload) sched.Interface { return sched.MustNewRanked(pifo.SRPT(), sched.Config{}) },
 		"fifo+":       func(Workload) sched.Interface { return sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{}) },
 		"hier:sfq(drr,edd)": func(Workload) sched.Interface {
-			return hier.MustNew("sfq(drr,edd)", sched.Config{})
+			return mustTree("sfq(drr,edd)")
 		},
 		"hier:sfq(edd,scfq,drr,fifo)": func(Workload) sched.Interface {
-			return hier.MustNew("sfq(edd,scfq,drr,fifo)", sched.Config{})
+			return mustTree("sfq(edd,scfq,drr,fifo)")
 		},
 		"hier:pifo-sfq(pifo-sfq,pifo-sfq)": func(Workload) sched.Interface {
-			return hier.MustNew("pifo-sfq(pifo-sfq,pifo-sfq)", sched.Config{})
+			return mustTree("pifo-sfq(pifo-sfq,pifo-sfq)")
 		},
 	}
+}
+
+// mustTree builds a tree from a spec the test knows to be valid.
+func mustTree(spec string) *hier.Tree {
+	t, err := hier.NewTree(spec, sched.Config{})
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // registryConstructors builds the same disciplines through sched.New.

@@ -16,13 +16,15 @@ import (
 // before any per-flow state is deleted — for every scheduler at once.
 func TestRemoveFlowBacklogged(t *testing.T) {
 	factories := map[string]func() sched.Interface{
-		"sfq":           func() sched.Interface { return core.New() },
-		"flowsfq":       func() sched.Interface { return sched.MustNew("flowsfq") },
-		"hsfq":          func() sched.Interface { return core.NewHSFQ() },
-		"refsfq":        func() sched.Interface { return NewRefSFQ() },
-		"scfq":          func() sched.Interface { return sched.NewSCFQ() },
-		"wfq":           func() sched.Interface { return sched.NewWFQ(1000) },
-		"fqs":           func() sched.Interface { return sched.NewFQS(1000) },
+		"sfq":     func() sched.Interface { return core.New() },
+		"flowsfq": func() sched.Interface { return sched.MustNew("flowsfq") },
+		"hsfq":    func() sched.Interface { return core.NewHSFQ() },
+		"refsfq":  func() sched.Interface { return NewRefSFQ() },
+		"scfq":    func() sched.Interface { return sched.NewSCFQ() },
+		"wfq":     func() sched.Interface { return sched.NewWFQ(1000) },
+		"fqs": func() sched.Interface {
+			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: 1000})
+		},
 		"vclock":        func() sched.Interface { return sched.NewVirtualClock() },
 		"edd":           func() sched.Interface { return sched.NewEDD() },
 		"drr":           func() sched.Interface { return sched.NewDRR(10) },

@@ -11,9 +11,9 @@ import (
 	"repro/internal/server"
 )
 
-// eddSink attaches a Delay EDD sink class under h's root and registers
-// flows on its discipline with their delay bounds — the parameter the
-// tree's weight-only AddFlowTo cannot carry — before routing them in.
+// eddSink attaches a Delay EDD sink class under h's root, routes flows into
+// it and then gives each its delay bound on the class's discipline — the
+// parameter the tree's weight-only AddFlowTo cannot carry.
 func eddSink(t *testing.T, h *core.HSFQ, name string, weight float64, flows map[int][2]float64) {
 	t.Helper()
 	cls, err := h.NewSinkClass(nil, name, weight, "edd", sched.Config{})
@@ -21,10 +21,10 @@ func eddSink(t *testing.T, h *core.HSFQ, name string, weight float64, flows map[
 		t.Fatal(err)
 	}
 	for f, rd := range flows {
-		if err := cls.Disc().(sched.EDD).AddFlowDeadline(f, rd[0], rd[1]); err != nil {
+		if err := h.AddFlowTo(cls, f, rd[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddDelegateFlow(cls, f); err != nil {
+		if err := cls.Disc().(sched.EDD).AddFlowDeadline(f, rd[0], rd[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,23 +148,13 @@ func TestDelegateValidation(t *testing.T) {
 	if _, err := h.NewSinkClass(cls, "y", 1, "fifo", sched.Config{}); err == nil {
 		t.Error("class under a sink accepted")
 	}
-	if err := h.AddDelegateFlow(nil, 1); err == nil {
-		t.Error("nil class accepted")
+	if err := h.AddFlowTo(cls, 5, 0); err == nil {
+		t.Error("zero flow weight accepted")
 	}
-	inner, err := h.NewClass(nil, "inner", 1)
-	if err != nil {
+	if err := h.AddFlowTo(cls, 5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddDelegateFlow(inner, 1); err == nil {
-		t.Error("routing into a class with no discipline of its own accepted")
-	}
-	if err := cls.Disc().AddFlow(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddDelegateFlow(cls, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddDelegateFlow(cls, 5); err == nil {
+	if err := h.AddFlowTo(cls, 5, 1); err == nil {
 		t.Error("duplicate flow accepted")
 	}
 	// Removal of a sink's flow goes through its discipline.

@@ -56,16 +56,16 @@ func ExampleHSFQ() {
 }
 
 // A sink class runs its own discipline (here Delay EDD, for the §3
-// delay/throughput separation) inside the SFQ hierarchy. Flows that need
-// more than a weight are registered on the discipline, then routed in.
+// delay/throughput separation) inside the SFQ hierarchy. Flows are routed
+// in with their rate, then given what more they need on the discipline.
 func ExampleHSFQ_NewSinkClass() {
 	h := core.NewHSFQ()
 	cls, _ := h.NewSinkClass(nil, "realtime", 1, "edd", sched.Config{})
+	_ = h.AddFlowTo(cls, 1, 100)
+	_ = h.AddFlowTo(cls, 2, 100)
 	edd := cls.Disc().(sched.EDD)
 	_ = edd.AddFlowDeadline(1, 100, 0.5)  // loose deadline
 	_ = edd.AddFlowDeadline(2, 100, 0.01) // tight deadline
-	_ = h.AddDelegateFlow(cls, 1)
-	_ = h.AddDelegateFlow(cls, 2)
 
 	_ = h.Enqueue(0, &sched.Packet{Flow: 1, Length: 100})
 	_ = h.Enqueue(0, &sched.Packet{Flow: 2, Length: 100})

@@ -129,8 +129,7 @@ type Queue struct {
 	// all tiers; Cancel decrements it (Len must never count tombstones).
 	pending int
 
-	// tickInv is ticks per second (1/resolution); 0 means DefaultTick until
-	// promotion fixes it, overridable once via SetResolution.
+	// tickInv is ticks per second: 1/DefaultTick, set at promotion.
 	tickInv float64
 
 	// ready is a (time, seq) 4-ary min-heap: every pending event in the
@@ -166,19 +165,6 @@ func (q *Queue) Len() int { return q.pending }
 
 // Steps returns the number of events executed so far.
 func (q *Queue) Steps() uint64 { return q.steps }
-
-// SetResolution sets the wheel tick size in seconds (default 1µs). It must
-// be called before the first event is scheduled; changing the tick under
-// live events would remap their buckets.
-func (q *Queue) SetResolution(tick float64) {
-	if !(tick > 0) || math.IsInf(tick, 1) {
-		panic(fmt.Sprintf("eventq: invalid resolution %v", tick))
-	}
-	if q.seq != 0 || q.pending != 0 {
-		panic("eventq: SetResolution after events were scheduled")
-	}
-	q.tickInv = 1 / tick
-}
 
 // runNullary adapts a plain closure to the internal func(any) calling
 // convention.
@@ -216,11 +202,6 @@ func (q *Queue) Schedule(t float64, fn func(any), arg any) Handle {
 		panic("eventq: Schedule requires a callback")
 	}
 	return q.push(t, fn, arg)
-}
-
-// ScheduleAfter is AfterCall returning a Handle for O(1) cancellation.
-func (q *Queue) ScheduleAfter(d float64, fn func(any), arg any) Handle {
-	return q.Schedule(q.now+d, fn, arg)
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
@@ -575,9 +556,6 @@ func (q *Queue) RunBefore(t float64) {
 		q.now = t
 	}
 }
-
-// RunFor executes events for d seconds of simulated time from now.
-func (q *Queue) RunFor(d float64) { q.RunUntil(q.now + d) }
 
 // --- (time, seq) 4-ary heaps over *node for the ready/overflow tiers ---
 

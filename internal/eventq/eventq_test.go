@@ -77,9 +77,9 @@ func TestRunUntil(t *testing.T) {
 	if q.Now() != 2 {
 		t.Errorf("Now = %v, want 2", q.Now())
 	}
-	q.RunFor(1)
+	q.RunUntil(3)
 	if !fired[3] || fired[4] {
-		t.Errorf("RunFor(1) fired %v", fired)
+		t.Errorf("RunUntil(3) fired %v", fired)
 	}
 }
 

@@ -466,37 +466,3 @@ func testPeekThenEarlierPush(t *testing.T, q *Queue) {
 		}
 	}
 }
-
-// TestSetResolution covers the coarse/fine resolution knob and its misuse
-// guards.
-func TestSetResolution(t *testing.T) {
-	var q Queue
-	q.SetResolution(1e-3)
-	var got []int
-	rec := func(arg any) { got = append(got, arg.(int)) }
-	// Sub-tick spacing at 1ms resolution: ordering must still be exact.
-	q.AtCall(1.0004, rec, 2)
-	q.AtCall(1.0001, rec, 1)
-	q.AtCall(2, rec, 3)
-	q.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("order = %v", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetResolution after use should panic")
-			}
-		}()
-		q.SetResolution(1e-6)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetResolution(0) should panic")
-			}
-		}()
-		var q2 Queue
-		q2.SetResolution(0)
-	}()
-}

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -41,44 +40,4 @@ func (r *Result) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Keys returns the metric keys in sorted order.
-func (r *Result) Keys() []string {
-	ks := make([]string, 0, len(r.Got))
-	for k := range r.Got {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// All runs every experiment at the given scale and seed, in the order the
-// paper presents them.
-func All(scale float64, seed int64) []*Result {
-	return []*Result{
-		Table1(seed),
-		Example1(),
-		Example2(),
-		Fig1b(Fig1Config{Scale: scale, Seed: seed}),
-		Fig2a(),
-		Fig2b(Fig2bConfig{Scale: scale, Seed: seed}),
-		Fig3b(Fig3Config{Scale: scale, Seed: seed}),
-		SCFQDelay(seed),
-		WFQDelta(),
-		Example3(),
-		DelayShift(DelayShiftConfig{Scale: scale, Seed: seed}),
-		Residual(seed),
-		EndToEndBound(E2EConfig{Scale: scale, Seed: seed}),
-		EBFTail(EBFTailConfig{Scale: scale, Seed: seed}),
-		GenRate(seed),
-		Bounds(BoundsConfig{}),
-		AblationTieBreak(seed),
-		AblationWFQClock(seed),
-		AblationHierarchyOverhead(seed),
-		FaultContrast(seed),
-		UPSReplay(seed),
-		LiveOps(seed),
-		ComposedTree(seed),
-	}
 }

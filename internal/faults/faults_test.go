@@ -184,10 +184,9 @@ func TestLossyAccountingAndReplay(t *testing.T) {
 	run := func(seed int64) (delivered, drops, loss, corrupt, f1, f2 int64) {
 		q := &eventq.Queue{}
 		sink := sim.NewSink(q)
-		l := faults.NewLossyStage(rand.New(rand.NewSource(seed)), 0.2, 0.1)
-		head := sim.Chain(sink, l)
+		l := faults.NewLossy(rand.New(rand.NewSource(seed)), sink, 0.2, 0.1)
 		for i := 0; i < 1000; i++ {
-			head.Deliver(&sim.Frame{Flow: 1 + i%2, Bytes: 100})
+			l.Deliver(&sim.Frame{Flow: 1 + i%2, Bytes: 100})
 		}
 		return l.Delivered(), l.Drops(),
 			l.DropsFor(faults.DropRandomLoss), l.DropsFor(faults.DropCorrupt),
@@ -213,7 +212,7 @@ func TestLossyAccountingAndReplay(t *testing.T) {
 func TestLossyZeroProbabilityPassesEverything(t *testing.T) {
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
-	l := sim.Chain(sim.Consumer(sink), faults.NewLossyStage(rand.New(rand.NewSource(1)), 0, 0)).(*faults.Lossy)
+	l := faults.NewLossy(rand.New(rand.NewSource(1)), sink, 0, 0)
 	for i := 0; i < 100; i++ {
 		l.Deliver(&sim.Frame{Flow: 1, Bytes: 10})
 	}
@@ -269,11 +268,10 @@ func TestFlowChurnOnNetwork(t *testing.T) {
 }
 
 func TestLossyStageUnwiredPanics(t *testing.T) {
-	l := faults.NewLossyStage(rand.New(rand.NewSource(1)), 0.5, 0)
 	defer func() {
 		if recover() == nil {
-			t.Error("Deliver on an unwired Lossy stage must panic, not drop silently")
+			t.Error("a Lossy stage with no downstream consumer must panic, not drop silently")
 		}
 	}()
-	l.Deliver(&sim.Frame{Flow: 1, Bytes: 10})
+	faults.NewLossy(rand.New(rand.NewSource(1)), nil, 0.5, 0)
 }

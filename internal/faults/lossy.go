@@ -32,21 +32,13 @@ type Lossy struct {
 	dropsFlow  map[int]int64
 }
 
-// NewLossy returns a lossy shim already wired in front of next.
+// NewLossy returns a lossy shim wired in front of next.
 func NewLossy(rng *rand.Rand, next sim.Consumer, pLoss, pCorrupt float64) *Lossy {
 	if next == nil {
 		panic("faults: NewLossy requires a downstream consumer")
 	}
-	l := NewLossyStage(rng, pLoss, pCorrupt)
-	l.next = next
-	return l
-}
-
-// NewLossyStage returns an unwired lossy shim: a sim.Wrapper for use with
-// sim.Chain, which calls SetNext.
-func NewLossyStage(rng *rand.Rand, pLoss, pCorrupt float64) *Lossy {
 	if rng == nil {
-		panic("faults: NewLossyStage requires an rng")
+		panic("faults: NewLossy requires an rng")
 	}
 	if pLoss < 0 || pCorrupt < 0 || pLoss+pCorrupt > 1 {
 		panic("faults: loss and corruption probabilities must be in [0,1] and sum to at most 1")
@@ -54,19 +46,14 @@ func NewLossyStage(rng *rand.Rand, pLoss, pCorrupt float64) *Lossy {
 	return &Lossy{
 		PLoss: pLoss, PCorrupt: pCorrupt,
 		rng:        rng,
+		next:       next,
 		dropsCause: make(map[sim.DropCause]int64),
 		dropsFlow:  make(map[int]int64),
 	}
 }
 
-// SetNext wires the downstream consumer (the sim.Wrapper contract).
-func (l *Lossy) SetNext(next sim.Consumer) { l.next = next }
-
 // Deliver passes f downstream, loses it, or corrupts it.
 func (l *Lossy) Deliver(f *sim.Frame) {
-	if l.next == nil {
-		panic("faults: Lossy.Deliver before SetNext (wire it via sim.Chain or NewLossy)")
-	}
 	u := l.rng.Float64() // exactly one draw per frame
 	switch {
 	case u < l.PLoss:
@@ -87,15 +74,6 @@ func (l *Lossy) drop(f *sim.Frame, cause sim.DropCause) {
 		l.OnDrop(f, cause)
 	}
 }
-
-// Delivered returns the frames passed through intact.
-func (l *Lossy) Delivered() int64 { return l.delivered }
-
-// Drops returns the total injected drops.
-func (l *Lossy) Drops() int64 { return l.drops }
-
-// DropsFor returns the injected drops recorded under one cause.
-func (l *Lossy) DropsFor(cause sim.DropCause) int64 { return l.dropsCause[cause] }
 
 // DropsByFlow returns the injected drops charged to one flow.
 func (l *Lossy) DropsByFlow(flow int) int64 { return l.dropsFlow[flow] }

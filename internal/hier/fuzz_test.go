@@ -264,7 +264,7 @@ func FuzzHierTree(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := hier.MustNew(spec, sched.Config{})
+		tree := mustTree(spec)
 		model := buildModel(t, sp)
 
 		const nf = 4

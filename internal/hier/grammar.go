@@ -162,7 +162,6 @@ func NewTree(spec string, cfg sched.Config) (*Tree, error) {
 		leaves: make(map[int]*Node),
 		kind:   "hier:" + sp.String(),
 		pure:   true,
-		spec:   sp,
 	}
 	switch {
 	case len(sp.Children) == 0:
@@ -228,20 +227,6 @@ func (t *Tree) buildChildren(par *Node, sp *Spec, cfg sched.Config) error {
 	}
 	return nil
 }
-
-// MustNew is NewTree for static specs known to be valid; it panics on
-// error.
-func MustNew(spec string, cfg sched.Config) *Tree {
-	t, err := NewTree(spec, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Spec returns the parsed grammar spec the tree was built from, or nil
-// for hand-built trees (NewHSFQ, linkshare).
-func (h *Tree) Spec() *Spec { return h.spec }
 
 func init() {
 	// The open-ended family: any "hier:<spec>" name, and the bare "hier"

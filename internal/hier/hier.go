@@ -87,10 +87,6 @@ type Tree struct {
 	// attaching leaves under the root.
 	sinks []*Node
 
-	// spec is the grammar specification this tree was built from, nil
-	// for hand-built trees.
-	spec *Spec
-
 	// freePseudo recycles pseudo-packets popped from pool-safe interior
 	// disciplines, keeping the steady-state hot path allocation-free.
 	freePseudo []*Packet
@@ -139,12 +135,10 @@ type Node struct {
 // Name returns the node's class name.
 func (c *Node) Name() string { return c.name }
 
-// Weight returns the node's share weight.
-func (c *Node) Weight() float64 { return c.weight }
-
 // Disc returns the node's discipline instance (nil for kindSFQ interiors
 // and flow leaves). Exposed so callers can reach discipline-specific
-// registration APIs (e.g. EDD's AddFlowDeadline on a sink).
+// registration APIs (e.g. EDD's AddFlowDeadline for a flow routed into a
+// sink with AddFlowTo).
 func (c *Node) Disc() sched.Interface { return c.disc }
 
 // NewHSFQ returns a tree whose root is a native SFQ interior representing
@@ -357,21 +351,6 @@ func (h *Tree) AddFlow(flow int, weight float64) error {
 		return h.AddFlowTo(h.sinks[((flow%n)+n)%n], flow, weight)
 	}
 	return h.AddFlowTo(nil, flow, weight)
-}
-
-// AddDelegateFlow routes flow into a sink class whose discipline already
-// knows it: the flow was registered on c.Disc() directly, with whatever
-// parameters that scheduler needs (e.g. AddFlowDeadline for EDD) and that
-// AddFlowTo's weight-only registration cannot carry.
-func (h *Tree) AddDelegateFlow(c *Node, flow int) error {
-	if c == nil || c.kind != kindLeafDisc {
-		return fmt.Errorf("core: not a sink class")
-	}
-	if _, dup := h.leaves[flow]; dup {
-		return fmt.Errorf("core: flow %d already attached", flow)
-	}
-	h.leaves[flow] = c
-	return nil
 }
 
 // RemoveFlow detaches an idle flow.

@@ -103,6 +103,15 @@ func TestRegistryFamily(t *testing.T) {
 
 // drain pulls every queued packet at fixed virtual ticks and returns the
 // (flow, length) service order.
+// mustTree builds a tree from a spec the test knows to be valid.
+func mustTree(spec string) *hier.Tree {
+	t, err := hier.NewTree(spec, sched.Config{})
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func drain(s sched.Interface, now float64) []string {
 	var out []string
 	for {
@@ -118,7 +127,7 @@ func drain(s sched.Interface, now float64) []string {
 func TestSingleSinkTree(t *testing.T) {
 	// "hier:drr" is degenerate — the whole link is one sink — but it gives
 	// any flat discipline the tree layer's snapshot/reconfigure surfaces.
-	h := hier.MustNew("drr", sched.Config{})
+	h := mustTree("drr")
 	for f := 0; f < 3; f++ {
 		if err := h.AddFlow(f, 1); err != nil {
 			t.Fatal(err)
@@ -136,7 +145,7 @@ func TestSingleSinkTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2 := hier.MustNew("drr", sched.Config{})
+	h2 := mustTree("drr")
 	if err := h2.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +156,7 @@ func TestSingleSinkTree(t *testing.T) {
 }
 
 func TestMixedTreeConservation(t *testing.T) {
-	h := hier.MustNew("sfq(edd,scfq,drr,fifo)", sched.Config{})
+	h := mustTree("sfq(edd,scfq,drr,fifo)")
 	const flows, per = 8, 5
 	want := 0
 	for f := 0; f < flows; f++ {
@@ -198,7 +207,7 @@ func TestSnapshotRoundTripStructured(t *testing.T) {
 		"sfq(sfq(fifo,drr),edd)",
 	} {
 		t.Run(spec, func(t *testing.T) {
-			h := hier.MustNew(spec, sched.Config{})
+			h := mustTree(spec)
 			for f := 0; f < 6; f++ {
 				if err := h.AddFlow(f, float64(f+1)); err != nil {
 					t.Fatal(err)
@@ -230,7 +239,7 @@ func TestSnapshotRoundTripStructured(t *testing.T) {
 			old := bytes.Replace(blob, []byte(`,"root":`), []byte(`,"bytes":[`+strings.Join(table, ",")+`],"root":`), 1)
 			want := drain(h, now)
 			for name, blob := range map[string][]byte{"current": blob, "with bytes table": old} {
-				h2 := hier.MustNew(spec, sched.Config{})
+				h2 := mustTree(spec)
 				if err := h2.RestoreState(blob); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -251,7 +260,7 @@ func TestSnapshotRoundTripStructured(t *testing.T) {
 }
 
 func TestSnapshotRefusesForeignShape(t *testing.T) {
-	h := hier.MustNew("sfq(drr,edd)", sched.Config{})
+	h := mustTree("sfq(drr,edd)")
 	if err := h.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +269,7 @@ func TestSnapshotRefusesForeignShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same node count, different sink discipline: restore must refuse.
-	h2 := hier.MustNew("sfq(drr,scfq)", sched.Config{})
+	h2 := mustTree("sfq(drr,scfq)")
 	if err := h2.RestoreState(blob); err == nil {
 		t.Error("restore into a different composition accepted")
 	}
@@ -317,7 +326,7 @@ func TestHandBuiltMixedTree(t *testing.T) {
 }
 
 func TestReconfigPaths(t *testing.T) {
-	h := hier.MustNew("sfq(drr,edd)", sched.Config{})
+	h := mustTree("sfq(drr,edd)")
 	if err := h.AddFlow(0, 1); err != nil { // routes to the DRR sink
 		t.Fatal(err)
 	}
@@ -363,7 +372,7 @@ func TestTreePoolSafety(t *testing.T) {
 	// Pool safety is the AND over sinks: DRR and EDD both recycle, so the
 	// composed tree does; a sink whose discipline has no PacketPoolSafe
 	// poisons it.
-	if !sched.PoolSafeScheduler(hier.MustNew("sfq(drr,edd)", sched.Config{})) {
+	if !sched.PoolSafeScheduler(mustTree("sfq(drr,edd)")) {
 		t.Error("sfq(drr,edd) should be pool-safe")
 	}
 	h := hier.NewHSFQ()

@@ -49,38 +49,6 @@ func (h *Tree) SetWeight(flow int, weight float64) error {
 	return nil
 }
 
-// SetClassWeight changes an interior (or sink) class's share
-// weight, effective from the next packet scheduled out of that class's
-// subtree — the live link-sharing edit Section 3's tree is meant to
-// support. Under a discipline interior the class is a pseudo-flow, so the
-// parent discipline is re-registered with the new weight too.
-func (h *Tree) SetClassWeight(c *Node, weight float64) error {
-	if c == nil || c == h.root {
-		return fmt.Errorf("%w: root class weight is fixed", sched.ErrBadConfig)
-	}
-	if !positive(weight) {
-		return fmt.Errorf("%w: class %q weight %v", sched.ErrBadWeight, c.name, weight)
-	}
-	n := c
-	for n.parent != nil {
-		n = n.parent
-	}
-	if n != h.root {
-		return fmt.Errorf("%w: class %q is not in this tree", sched.ErrBadConfig, c.name)
-	}
-	if par := c.parent; par.kind == kindDisc {
-		if rc, ok := par.disc.(sched.Reconfigurable); ok {
-			if err := rc.SetWeight(c.idx, weight); err != nil {
-				return err
-			}
-		} else if err := par.disc.AddFlow(c.idx, weight); err != nil {
-			return err
-		}
-	}
-	c.weight = weight
-	return nil
-}
-
 // SetCapacity reports that the tree is self-clocked at every level.
 func (h *Tree) SetCapacity(float64) error { return sched.ErrNoCapacityKnob }
 
@@ -429,8 +397,7 @@ func (rs *treeRestore) match(st *nodeState, c *Node, parent *Node) (bool, error)
 	if st.Leaf {
 		return false, fmt.Errorf("%w: state class %q is a flow leaf but tree class is structural", sched.ErrBadState, st.Name)
 	}
-	// Weights load from the state: SetClassWeight/SetWeight may have
-	// changed them since the tree was built.
+	// Weights load from the state, like every other field.
 	c.weight = st.Weight
 	c.active, c.curStart, c.lastFinish = st.Active, st.CurStart, st.LastFinish
 	c.serial = st.Serial

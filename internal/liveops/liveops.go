@@ -1,8 +1,7 @@
 // Package liveops implements live operations on running schedulers:
 // versioned, digest-pinned snapshot/restore envelopes (fail over a link
 // into a fresh process without dropping its schedule), payload sidecars,
-// mid-run scheduler replacement (Swapper), and discipline hot-swap that
-// retags a live backlog through a new discipline's rank function.
+// and mid-run scheduler replacement (Swapper).
 //
 // The paper's self-clocked design is what makes all of this well-posed:
 // SFQ's fairness (Theorem 1) holds for any service the scheduler
@@ -154,39 +153,4 @@ func Clone(src sched.Snapshotter, mk func() sched.Interface) (sched.Interface, e
 		return nil, err
 	}
 	return fresh, nil
-}
-
-// HotSwap moves a running scheduler's registered flows and live backlog
-// from src into dst, retagging every queued packet through dst's own
-// rank computation: packets leave src in its service order (per-flow FIFO
-// by construction) and re-enter dst as fresh arrivals at time now, so
-// per-flow order, packet counts, and bytes are conserved while the
-// cross-flow schedule becomes dst's. For a PIFO destination the per-flow
-// monotonizing clamp is exactly the path that absorbs rank order the new
-// discipline would not itself have produced. Returns the number of
-// packets moved.
-//
-// src is left empty but registered; discard it. On error dst may hold a
-// partial backlog — discard both.
-func HotSwap(now float64, src, dst sched.Interface) (int, error) {
-	fl, ok := src.(sched.FlowLister)
-	if !ok {
-		return 0, fmt.Errorf("%w: source %T cannot enumerate flows", sched.ErrBadState, src)
-	}
-	for _, info := range fl.ListFlows() {
-		if err := dst.AddFlow(info.Flow, info.Weight); err != nil {
-			return 0, err
-		}
-	}
-	moved := 0
-	for {
-		p, ok := src.Dequeue(now)
-		if !ok {
-			return moved, nil
-		}
-		if err := dst.Enqueue(now, p); err != nil {
-			return moved, err
-		}
-		moved++
-	}
 }

@@ -225,42 +225,6 @@ func TestSwapperSnapshotRestoreTransparent(t *testing.T) {
 	}
 }
 
-func TestHotSwapConserves(t *testing.T) {
-	src := mkNamed(t, "sfq")
-	drive(t, src, 200)
-	wantLen := src.Len()
-	wantBytes := map[int]float64{}
-	for f := 1; f <= 3; f++ {
-		wantBytes[f] = src.QueuedBytes(f)
-	}
-
-	dst := mkNamed(t, "lstf")
-	moved, err := liveops.HotSwap(1e5, src, dst)
-	if err != nil {
-		t.Fatalf("HotSwap: %v", err)
-	}
-	if moved != wantLen || dst.Len() != wantLen || src.Len() != 0 {
-		t.Fatalf("moved %d packets, dst holds %d, src holds %d; want %d/%d/0", moved, dst.Len(), src.Len(), wantLen, wantLen)
-	}
-	for f := 1; f <= 3; f++ {
-		if got := dst.QueuedBytes(f); got != wantBytes[f] {
-			t.Fatalf("flow %d: %v bytes after swap, want %v", f, got, wantBytes[f])
-		}
-	}
-	// Per-flow FIFO survives the retag.
-	lastSeq := map[int]int64{}
-	for {
-		p, ok := dst.Dequeue(1e5)
-		if !ok {
-			break
-		}
-		if p.Seq <= lastSeq[p.Flow] {
-			t.Fatalf("flow %d served seq %d after %d", p.Flow, p.Seq, lastSeq[p.Flow])
-		}
-		lastSeq[p.Flow] = p.Seq
-	}
-}
-
 func TestDrainFlow(t *testing.T) {
 	s := sched.NewSCFQ()
 	if err := s.AddFlow(1, 100); err != nil {

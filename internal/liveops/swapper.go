@@ -30,24 +30,11 @@ func SnapshotRestore(mk func() sched.Interface) func(float64, sched.Interface) (
 	}
 }
 
-// Swap is the discipline hot-swap Action body: move the inner scheduler's
-// flows and backlog into a fresh scheduler built by mk (see HotSwap) and
-// continue on it.
-func Swap(mk func() sched.Interface) func(float64, sched.Interface) (sched.Interface, error) {
-	return func(now float64, inner sched.Interface) (sched.Interface, error) {
-		dst := mk()
-		if _, err := HotSwap(now, inner, dst); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-}
-
 // Swapper wraps a scheduler and fires Actions at chosen points of the
 // operation stream, transparently to the driver: a link (or conformance
 // harness) scheduling through a Swapper cannot tell whether it is still
-// talking to the original scheduler or to a restored/hot-swapped
-// replacement — which is precisely the property the liveops tests pin.
+// talking to the original scheduler or to a restored (or otherwise
+// replaced) one — which is precisely the property the liveops tests pin.
 //
 // Operations are counted like the conformance recorder counts events:
 // every successful Enqueue and every Dequeue call (an empty Dequeue is a

@@ -68,43 +68,6 @@ func HistBucketBounds(i int) (lo, hi float64) {
 	return lo, hi
 }
 
-// Count returns the number of observed values.
-func (h *Histogram) Count() int64 { return h.n }
-
-// Mean returns the arithmetic mean of the observed values (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the
-// upper edge of the bucket holding the ⌈q·n⌉-th value. Resolution is one
-// octave — enough for "p99 delay grew 8×" dashboards, not for
-// microsecond-level comparisons (use the exact stats.Sample for those).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i]
-		if seen >= rank {
-			if i == HistBuckets-1 {
-				return h.max // open-ended in effect: report the exact max
-			}
-			_, hi := HistBucketBounds(i)
-			return hi
-		}
-	}
-	return h.max
-}
-
 // snapshot returns the histogram's immutable export form.
 func (h *Histogram) snapshot() HistSnapshot {
 	s := HistSnapshot{Count: h.n, Sum: h.sum}

@@ -5,16 +5,14 @@
 // nil-probe branch per operation, zero allocations); an attached Observer
 // only observes, so probed runs replay bit-identically to unprobed ones.
 //
-// The layer has three attachment points, matching the three kinds of
-// signal a scheduler run produces:
+// The layer has two attachment points, matching the two kinds of signal a
+// scheduler run produces:
 //
 //   - sched.Probe (installed via Link.SetProbe): the scheduler-side view —
 //     per-operation counters and the system virtual time v(t) for
 //     disciplines that implement sched.VirtualTimer.
 //   - Link hooks (OnEnqueue/OnDepart/OnDrop, chained like sim.Monitor):
 //     the link-side view — arrivals, departures, drops, queue depths.
-//   - sim.Chain wrappers: the consumer-side view, for counting what
-//     actually reached a sink through fault injectors.
 //
 // Unlike sim.Monitor — the replay-exact measurement instrument behind the
 // paper's figures, which keeps whatever its consumers need — obs is the
@@ -32,8 +30,8 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultRateWindow is the EWMA averaging window K (seconds) used for
-// per-flow throughput estimates unless WithRateWindow overrides it.
+// DefaultRateWindow is the EWMA averaging window K (seconds) of every
+// per-flow throughput estimate.
 const DefaultRateWindow = 0.1
 
 // Option configures an Observer at attach time.
@@ -45,23 +43,13 @@ func WithTraceCap(n int) Option {
 	return func(o *Observer) { o.traceCap = n }
 }
 
-// WithRateWindow sets the throughput EWMA averaging window K in seconds.
-func WithRateWindow(k float64) Option {
-	return func(o *Observer) {
-		if k > 0 {
-			o.rateWindow = k
-		}
-	}
-}
-
 // Observer instruments one link: it is the sched.Probe installed on the
 // link and the owner of the link-hook chain entries, the per-flow metric
 // accumulators, and the trace ring. Create one with Observe; read it with
 // Snapshot or Trace.
 type Observer struct {
-	link       *sim.Link
-	traceCap   int
-	rateWindow float64
+	link     *sim.Link
+	traceCap int
 
 	flows map[int]*flowStats
 
@@ -88,11 +76,10 @@ type Observer struct {
 // sim.Monitor in either order.
 func Observe(l *sim.Link, opts ...Option) *Observer {
 	o := &Observer{
-		link:       l,
-		traceCap:   DefaultTraceCap,
-		rateWindow: DefaultRateWindow,
-		flows:      make(map[int]*flowStats),
-		drops:      make(map[sim.DropCause]int64),
+		link:     l,
+		traceCap: DefaultTraceCap,
+		flows:    make(map[int]*flowStats),
+		drops:    make(map[sim.DropCause]int64),
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -129,7 +116,7 @@ func (o *Observer) flow(id int) *flowStats {
 	if !ok {
 		fs = &flowStats{
 			drops: make(map[sim.DropCause]int64),
-			rate:  rateEWMA{k: o.rateWindow},
+			rate:  rateEWMA{k: DefaultRateWindow},
 		}
 		o.flows[id] = fs
 	}

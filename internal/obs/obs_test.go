@@ -278,31 +278,3 @@ func TestPeriodicDumpTerminates(t *testing.T) {
 		t.Errorf("final time = %v, want 5", q.Now())
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	var h obs.Histogram
-	for _, v := range []float64{5e-7, 1.5e-6, 3e-6, 1e-3} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if got, want := h.Mean(), (5e-7+1.5e-6+3e-6+1e-3)/4; math.Abs(got-want) > 1e-15 {
-		t.Errorf("mean = %v, want %v", got, want)
-	}
-	if q := h.Quantile(1.0); q < 1e-3 {
-		t.Errorf("p100 = %v, want >= 1e-3", q)
-	}
-	if q := h.Quantile(0.25); q != obs.HistMinDelay {
-		t.Errorf("p25 = %v, want %v (first bucket upper bound)", q, obs.HistMinDelay)
-	}
-	// Bucket bounds tile [0, ∞) without gaps.
-	prevHi := 0.0
-	for i := 0; i < obs.HistBuckets; i++ {
-		lo, hi := obs.HistBucketBounds(i)
-		if lo != prevHi || hi <= lo {
-			t.Errorf("bucket %d = [%v, %v) after hi %v", i, lo, hi, prevHi)
-		}
-		prevHi = hi
-	}
-}

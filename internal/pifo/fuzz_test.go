@@ -1,22 +1,24 @@
 package pifo_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/sched"
 )
 
-// FuzzPIFORank drives a sched.PIFO — from outside its package, through the
-// API the UPS disciplines here are written against — through an arbitrary op stream whose
-// ranks come from a seeded generator — arbitrary, *including decreasing
-// within a backlogged flow*, so the monotonizing clamp is part of what is
-// being checked — in lockstep with a naive model: per-flow item slices, a
-// linear scan for the global minimum, and an explicit replication of the
-// clamp rule. Flow-rank rewrites (SetFlowRank, the SRPT hook) are in the
-// op mix too — the one path that changes a backlogged flow's head key
-// without a push or a pop, so the heap's copy of it must be refreshed:
-// CheckSlots runs after every operation. Every divergence fails the run.
+// FuzzPIFORank drives a sched.PIFO — from outside its package, through a
+// Ranked discipline the way the UPS disciplines here use it — through an
+// arbitrary op stream whose ranks come from a seeded generator — arbitrary,
+// *including decreasing within a backlogged flow*, so the monotonizing clamp
+// is part of what is being checked — in lockstep with a naive model:
+// per-flow item slices, a linear scan for the global minimum, and an
+// explicit replication of the clamp rule. Flow-rank rewrites (PIFO.Rekey,
+// the SRPT hook) are in the op mix too — the one path that changes a
+// backlogged flow's head key without a push or a pop, so the heap's copy of
+// it must be refreshed: CheckSlots runs after every operation. Every
+// divergence fails the run.
 //
 // Byte grammar: data[0] seeds the rank generator; then op = data[2i+1],
 // arg = data[2i+2]:
@@ -24,8 +26,9 @@ import (
 //	op%8 == 0..3  push on flow arg%5+1 under a generated (key, sub);
 //	              keys are quantized to quarters so ties are common
 //	op%8 == 4,5   pop the global minimum
-//	op%8 == 6     rewrite flow arg%5+1's competing rank (SetFlowRank)
-//	op%8 == 7     drop flow arg%5+1 entirely
+//	op%8 == 6     rewrite flow arg%5+1's competing rank (Rekey)
+//	op%8 == 7     unregister flow arg%5+1 (refused while it is backlogged),
+//	              or register it again if it is not registered
 func FuzzPIFORank(f *testing.F) {
 	f.Add([]byte("\x07\x00\x00\x00\x10\x01\x25\x04\x00\x00\xf3\x04\x00\x04\x00"))
 	f.Add([]byte("\x2a\x00\x00\x01\x00\x02\x01\x06\x01\x04\x00\x04\x00\x04\x00"))
@@ -54,7 +57,27 @@ func FuzzPIFORank(f *testing.F) {
 			return key, sub
 		}
 
-		var q sched.PIFO
+		// The discipline ranks each packet with the generator's next draw
+		// and hands the test its PIFO and the flows' records.
+		var nextKey, nextSub float64
+		var q *sched.PIFO
+		recs := make(map[int]*sched.Flow)
+		s := sched.MustNewRanked(sched.Discipline{
+			Name: "fuzz",
+			Rank: func(_ *sched.RankState, fl *sched.Flow, _ float64, p *sched.Packet) (float64, float64) {
+				recs[p.Flow] = fl
+				return nextKey, nextSub
+			},
+			AfterEnqueue: func(_ *sched.RankState, pq *sched.PIFO, _ *sched.Flow, _ *sched.Packet) { q = pq },
+		}, sched.Config{})
+		registered := make(map[int]bool)
+		for flow := 1; flow <= 5; flow++ {
+			if err := s.AddFlow(flow, 1); err != nil {
+				t.Fatal(err)
+			}
+			registered[flow] = true
+		}
+
 		model := make(map[int][]item) // flow -> queued items in push order
 		last := make(map[int]chain)   // flow -> last pushed (post-clamp) rank
 		var serial uint64
@@ -80,43 +103,31 @@ func FuzzPIFORank(f *testing.F) {
 		}
 
 		check := func() {
-			if err := q.CheckSlots(); err != nil {
-				t.Fatal(err)
-			}
-			total, backlogged := 0, 0
-			for flow, mq := range model {
-				if len(mq) > 0 {
-					backlogged++
+			if q != nil {
+				if err := q.CheckSlots(); err != nil {
+					t.Fatal(err)
 				}
+			}
+			total := 0
+			for flow := 1; flow <= 5; flow++ {
+				mq := model[flow]
 				total += len(mq)
 				bytes := 0.0
 				for _, it := range mq {
 					bytes += it.p.Length
 				}
-				if q.FlowLen(flow) != len(mq) {
-					t.Fatalf("flow %d len = %d, model %d", flow, q.FlowLen(flow), len(mq))
+				if rec := recs[flow]; rec != nil && rec.Len() != len(mq) {
+					t.Fatalf("flow %d len = %d, model %d", flow, rec.Len(), len(mq))
 				}
-				if q.FlowBytes(flow) != bytes {
-					t.Fatalf("flow %d bytes = %v, model %v", flow, q.FlowBytes(flow), bytes)
+				if s.QueuedBytes(flow) != bytes {
+					t.Fatalf("flow %d bytes = %v, model %v", flow, s.QueuedBytes(flow), bytes)
 				}
 			}
-			if q.Len() != total {
-				t.Fatalf("Len = %d, model %d", q.Len(), total)
+			if s.Len() != total {
+				t.Fatalf("Len = %d, model %d", s.Len(), total)
 			}
-			if q.Backlogged() != backlogged {
-				t.Fatalf("Backlogged = %d, model %d", q.Backlogged(), backlogged)
-			}
-			if q.Clamped() != clamps {
-				t.Fatalf("Clamped = %d, model %d", q.Clamped(), clamps)
-			}
-			min, _ := modelMin()
-			p, key := q.Min()
-			if min == nil {
-				if p != nil {
-					t.Fatalf("Min = %v on empty model", p)
-				}
-			} else if p != min.p || key != min.key {
-				t.Fatalf("Min = (%v,%v), model head (%v,%v)", p, key, min.p, min.key)
+			if s.Clamped() != clamps {
+				t.Fatalf("Clamped = %d, model %d", s.Clamped(), clamps)
 			}
 		}
 
@@ -126,59 +137,85 @@ func FuzzPIFORank(f *testing.F) {
 			switch op % 8 {
 			case 0, 1, 2, 3:
 				rawKey, rawSub := genRank()
+				seq++
+				p := &sched.Packet{Flow: flow, Seq: seq, Length: float64(arg) + 1}
+				nextKey, nextSub = rawKey, rawSub
+				err := s.Enqueue(0, p)
+				if !registered[flow] {
+					if !errors.Is(err, sched.ErrUnknownFlow) {
+						t.Fatalf("Enqueue on unregistered flow %d = %v, want ErrUnknownFlow", flow, err)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatalf("Enqueue: %v", err)
+				}
 				// Replicate the clamp: while the flow is backlogged a rank
 				// below its last pushed one is raised to it.
-				key, sub, wantClamp := rawKey, rawSub, false
+				key, sub := rawKey, rawSub
 				if len(model[flow]) > 0 {
 					if lc := last[flow]; key < lc.key || (key == lc.key && sub < lc.sub) {
 						key, sub = lc.key, lc.sub
-						wantClamp = true
 						clamps++
 					}
 				}
 				last[flow] = chain{key, sub}
 				serial++
-				seq++
-				p := &sched.Packet{Flow: flow, Seq: seq, Length: float64(arg) + 1}
-				gotKey, gotSub, gotClamp := q.Push(flow, rawKey, rawSub, p)
-				if gotKey != key || gotSub != sub || gotClamp != wantClamp {
-					t.Fatalf("Push(%v,%v) = (%v,%v,%v), model (%v,%v,%v)",
-						rawKey, rawSub, gotKey, gotSub, gotClamp, key, sub, wantClamp)
+				if rec := recs[flow]; rec.LastKey != key || rec.LastSub != sub {
+					t.Fatalf("push (%v,%v) ranked (%v,%v), model (%v,%v)",
+						rawKey, rawSub, rec.LastKey, rec.LastSub, key, sub)
 				}
 				model[flow] = append(model[flow], item{key: key, sub: sub, serial: serial, p: p})
 			case 4, 5:
 				min, minFlow := modelMin()
-				got := q.Pop()
+				got, ok := s.Dequeue(0)
 				if min == nil {
-					if got != nil {
-						t.Fatalf("Pop = %v on empty model", got)
+					if ok {
+						t.Fatalf("Dequeue = %v on empty model", got)
 					}
 				} else {
 					if got != min.p {
-						t.Fatalf("Pop = %v, model %v (flow %d)", got, min.p, minFlow)
+						t.Fatalf("Dequeue = %v, model %v (flow %d)", got, min.p, minFlow)
 					}
 					model[minFlow] = model[minFlow][1:]
 				}
 			case 6:
 				key, sub := genRank()
-				q.SetFlowRank(flow, key, sub)
+				if rec := recs[flow]; q != nil && rec != nil {
+					q.Rekey(rec, key, sub) // a no-op on an idle flow
+				}
 				if mq := model[flow]; len(mq) > 0 {
 					mq[0].key, mq[0].sub = key, sub
 				}
 			case 7:
-				q.Drop(flow)
-				delete(model, flow)
-				delete(last, flow) // a re-added flow starts a fresh chain
+				switch {
+				case !registered[flow]:
+					if err := s.AddFlow(flow, 1); err != nil {
+						t.Fatalf("re-add flow %d: %v", flow, err)
+					}
+					registered[flow] = true
+				case len(model[flow]) > 0:
+					if err := s.RemoveFlow(flow); !errors.Is(err, sched.ErrFlowBusy) {
+						t.Fatalf("RemoveFlow on backlogged flow %d = %v, want ErrFlowBusy", flow, err)
+					}
+				default:
+					if err := s.RemoveFlow(flow); err != nil {
+						t.Fatalf("RemoveFlow(%d): %v", flow, err)
+					}
+					registered[flow] = false
+					delete(recs, flow)
+					delete(last, flow) // a re-added flow starts a fresh chain
+				}
 			}
 			check()
 		}
-		for q.Len() > 0 {
-			if q.Pop() == nil {
-				t.Fatal("Pop = nil with Len > 0")
+		for s.Len() > 0 {
+			if _, ok := s.Dequeue(0); !ok {
+				t.Fatal("Dequeue empty with Len > 0")
 			}
 		}
-		if q.Pop() != nil {
-			t.Fatal("Pop after drain returned a packet")
+		if _, ok := s.Dequeue(0); ok {
+			t.Fatal("Dequeue after drain returned a packet")
 		}
 	})
 }

@@ -167,7 +167,9 @@ func TestClassicParity(t *testing.T) {
 		"scfq":          func() sched.Interface { return sched.NewSCFQ() },
 		"vclock":        func() sched.Interface { return sched.NewVirtualClock() },
 		"wfq":           func() sched.Interface { return sched.NewWFQ(capacity) },
-		"fqs":           func() sched.Interface { return sched.NewFQS(capacity) },
+		"fqs": func() sched.Interface {
+			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: capacity})
+		},
 		"edd": func() sched.Interface {
 			s := sched.NewEDD()
 			for f := 0; f < 6; f++ {
@@ -236,28 +238,41 @@ func TestClampNeverFiresForClassics(t *testing.T) {
 	}
 }
 
-// TestClampMonotonizes feeds a deliberately decreasing rank sequence and
-// checks the PIFO turns it into per-flow FIFO order with the clamp
-// counter advancing — defined behaviour for adversarial rank functions.
+// TestClampMonotonizes feeds a deliberately decreasing rank sequence
+// through a Ranked discipline and checks the PIFO turns it into per-flow
+// FIFO order with the clamp counter advancing — defined behaviour for
+// adversarial rank functions.
 func TestClampMonotonizes(t *testing.T) {
-	var q sched.PIFO
+	s := sched.MustNewRanked(sched.Discipline{
+		Name: "decreasing",
+		Rank: func(_ *sched.RankState, _ *sched.Flow, _ float64, p *sched.Packet) (float64, float64) {
+			return float64(10 - p.Seq), 0 // ranks 10, 9, 8, ...
+		},
+	}, sched.Config{})
+	if err := s.AddFlow(1, 1); err != nil {
+		t.Fatal(err)
+	}
 	ps := make([]*sched.Packet, 5)
 	for i := range ps {
 		ps[i] = &sched.Packet{Flow: 1, Seq: int64(i), Length: 1}
-		q.Push(1, float64(10-i), 0, ps[i]) // ranks 10, 9, 8, ...
+		if err := s.Enqueue(0, ps[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if q.Clamped() != 4 {
-		t.Fatalf("clamped = %d, want 4", q.Clamped())
+	if s.Clamped() != 4 {
+		t.Fatalf("clamped = %d, want 4", s.Clamped())
 	}
 	for i := range ps {
-		if p := q.Pop(); p != ps[i] {
+		if p, _ := s.Dequeue(0); p != ps[i] {
 			t.Fatalf("pop %d: got seq %d, want %d (per-flow FIFO must survive the clamp)", i, p.Seq, i)
 		}
 	}
 	// A drained flow starts a fresh chain: a lower rank is accepted again.
-	q.Push(1, 0, 0, &sched.Packet{Flow: 1, Length: 1})
-	if q.Clamped() != 4 {
-		t.Fatalf("fresh-chain push clamped: %d", q.Clamped())
+	if err := s.Enqueue(0, &sched.Packet{Flow: 1, Seq: 10, Length: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Clamped() != 4 {
+		t.Fatalf("fresh-chain push clamped: %d", s.Clamped())
 	}
 }
 

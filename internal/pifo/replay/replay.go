@@ -131,12 +131,6 @@ type Comparison struct {
 	MaxEndDiff   float64 // max |replay end − recorded end| by packet identity
 }
 
-// Exact reports a perfect replay: same service order and, packet by
-// packet, identical start and end times.
-func (c Comparison) Exact() bool {
-	return c.OrderMatches == c.Total && c.MaxStartDiff == 0 && c.MaxEndDiff == 0
-}
-
 // MatchFraction is the fraction of positions served in recorded order.
 func (c Comparison) MatchFraction() float64 {
 	if c.Total == 0 {

@@ -1,7 +1,7 @@
 // Package qos implements the analytical machinery of the paper: expected
 // arrival times (eq 37), the fairness lower bound of Golestani (§1.2), the
-// fairness bounds of Theorem 1, the throughput guarantees of Theorems 2–3,
-// the single-server delay guarantees of Theorems 4–5 (and the SCFQ/WFQ
+// fairness bounds of Theorem 1, the throughput guarantee of Theorem 2,
+// the single-server delay guarantee of Theorem 4 (and the SCFQ/WFQ
 // comparisons of eqs 56–60), the end-to-end composition of Theorem 6 /
 // Corollary 1, the FC-parameter recursion for hierarchical link sharing
 // (eq 65), the delay-shifting condition (eq 73), and the Delay EDD
@@ -89,16 +89,6 @@ func SFQThroughputFC(fc server.FCParams, rf, lfMax, sumLmax float64) server.FCPa
 	}
 }
 
-// SFQThroughputTail is Theorem 3: for an SFQ EBF server, the probability
-// that the service received over an interval of length dt falls below
-// the Theorem-2 bound minus r_f·γ/C is at most B·e^{−αγ}.
-func SFQThroughputTail(ebf server.EBFParams, rf, lfMax, sumLmax, dt, gamma float64) (bound, prob float64) {
-	fc := server.FCParams{C: ebf.C, Delta: ebf.Delta}
-	bound = SFQThroughputBound(fc, rf, lfMax, sumLmax, dt) - rf*gamma/ebf.C
-	prob = ebf.TailBound(gamma)
-	return bound, prob
-}
-
 // SFQDelayBound is Theorem 4: at an SFQ FC server whose capacity is never
 // exceeded (Σ R_n(v) <= C), packet p_f^j departs by
 //
@@ -107,15 +97,6 @@ func SFQThroughputTail(ebf server.EBFParams, rf, lfMax, sumLmax, dt, gamma float
 // sumOtherLmax is Σ_{n∈Q, n≠f} l_n^max.
 func SFQDelayBound(fc server.FCParams, eat, lj, sumOtherLmax float64) float64 {
 	return eat + sumOtherLmax/fc.C + lj/fc.C + fc.Delta/fc.C
-}
-
-// SFQDelayTail is Theorem 5: at an SFQ EBF server the departure time
-// exceeds the Theorem-4 bound plus γ/C with probability at most B·e^{−αγ}.
-func SFQDelayTail(ebf server.EBFParams, eat, lj, sumOtherLmax, gamma float64) (deadline, prob float64) {
-	fc := server.FCParams{C: ebf.C, Delta: ebf.Delta}
-	deadline = SFQDelayBound(fc, eat, lj, sumOtherLmax) + gamma/ebf.C
-	prob = ebf.TailBound(gamma)
-	return deadline, prob
 }
 
 // SCFQDelayBound is the tight SCFQ bound of eq (56) for a constant-rate

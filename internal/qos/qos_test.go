@@ -145,7 +145,7 @@ func TestThroughputBoundMatchesFC(t *testing.T) {
 	}
 }
 
-// TestDelayBounds checks Theorems 4/5 and the SCFQ/WFQ comparison shapes.
+// TestDelayBounds checks Theorem 4 and the SCFQ/WFQ comparison shapes.
 func TestDelayBounds(t *testing.T) {
 	fc := server.FCParams{C: 1000, Delta: 20}
 	d := SFQDelayBound(fc, 5, 100, 300)
@@ -160,16 +160,6 @@ func TestDelayBounds(t *testing.T) {
 		t.Errorf("WFQ bound %v should exceed SFQ bound %v for a low-rate flow", wfq, d)
 	}
 
-	ebf := server.EBFParams{C: 1000, B: 1, Alpha: 0.01, Delta: 20}
-	deadline, prob := SFQDelayTail(ebf, 5, 100, 300, 100)
-	approx(t, "Theorem 5 deadline", deadline, d+100/1000.0, 1e-12)
-	approx(t, "Theorem 5 tail", prob, math.Exp(-1), 1e-12)
-
-	bound, p2 := SFQThroughputTail(ebf, 400, 100, 300, 1, 100)
-	if bound >= SFQThroughputBound(server.FCParams{C: 1000, Delta: 20}, 400, 100, 300, 1) {
-		t.Error("EBF throughput bound should sit below the FC bound by r·γ/C")
-	}
-	approx(t, "Theorem 3 tail", p2, math.Exp(-1), 1e-12)
 }
 
 // TestEndToEndComposition checks Corollary 1 for deterministic and

@@ -123,13 +123,6 @@ func NewAdmitter(cfg AdmitterConfig) (*Admitter, error) {
 	}, nil
 }
 
-// Runtime returns the underlying fair-queue runtime (e.g. to attach an
-// obs probe or read FlowAccount ledgers). Observe-only access: the
-// admitter owns the queue's contents, and a packet enqueued on the
-// runtime directly — rather than through Submit — is drained and
-// discarded by dispatch, which only executes Ticket-carrying packets.
-func (a *Admitter) Runtime() *Runtime { return a.rt }
-
 // AdmitFlow admits a flow end to end: through the reservation controller
 // (if configured) and onto the runtime's fair queue with weight = reserved
 // rate. The controller's refusals (ErrOverCommitted, ErrDelayUnmet) pass
@@ -145,19 +138,6 @@ func (a *Admitter) AdmitFlow(req admission.Request) error {
 			_ = a.ctrl.Release(req.Flow)
 		}
 		return err
-	}
-	return nil
-}
-
-// ReleaseFlow releases a flow's reservation and unregisters it from the
-// runtime. The flow must be idle (ErrFlowBusy otherwise, per the
-// Interface contract).
-func (a *Admitter) ReleaseFlow(flow int) error {
-	if err := a.rt.RemoveFlow(flow); err != nil {
-		return err
-	}
-	if a.ctrl != nil {
-		return a.ctrl.Release(flow)
 	}
 	return nil
 }
@@ -194,20 +174,6 @@ func (a *Admitter) Submit(flow int, cost float64) (*Ticket, error) {
 	a.queued++
 	a.dispatchLocked()
 	a.mu.Unlock()
-	return t, nil
-}
-
-// Admit is Submit + Wait: it blocks until the request is dispatched in
-// fair order (returning a ticket whose Finish must be called) or ctx
-// expires (returning ctx's error).
-func (a *Admitter) Admit(ctx context.Context, flow int, cost float64) (*Ticket, error) {
-	t, err := a.Submit(flow, cost)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Wait(ctx); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
@@ -347,13 +313,6 @@ func (t *Ticket) Wait(ctx context.Context) error {
 
 // Flow returns the ticket's flow.
 func (t *Ticket) Flow() int { return t.flow }
-
-// Cost returns the ticket's cost.
-func (t *Ticket) Cost() float64 { return t.cost }
-
-// Seq returns the dispatch sequence number (1-based, total order across
-// the admitter), or 0 if not dispatched yet.
-func (t *Ticket) Seq() int64 { return t.seq.Load() }
 
 // Running reports whether the ticket currently holds a seat.
 func (t *Ticket) Running() bool { return t.state.Load() == tDispatched }

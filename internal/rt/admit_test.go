@@ -482,7 +482,10 @@ func TestAdmitterConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(f int) {
 				defer wg.Done()
-				tk, err := a.Admit(context.Background(), f, 1)
+				tk, err := a.Submit(f, 1)
+				if err == nil {
+					err = tk.Wait(context.Background())
+				}
 				if err != nil {
 					t.Errorf("admit flow %d: %v", f, err)
 					return

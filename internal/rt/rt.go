@@ -158,17 +158,6 @@ func NewFromConfig(name string, cfg sched.Config) (*Runtime, error) {
 // Name returns the discipline name the runtime was built from.
 func (r *Runtime) Name() string { return r.name }
 
-// Shards returns the number of shards.
-func (r *Runtime) Shards() int { return len(r.shards) }
-
-// Clock returns the runtime's time source.
-func (r *Runtime) Clock() sched.Clock { return r.clock }
-
-// PoolSafe reports whether the underlying discipline drops packet
-// references on Dequeue, i.e. whether callers may reuse dequeued packets
-// for later enqueues (the zero-allocation steady state).
-func (r *Runtime) PoolSafe() bool { return sched.PoolSafeScheduler(r.shards[0].sch) }
-
 // SetQueueLimit bounds each shard to n queued packets; an Enqueue beyond
 // the bound is refused with ErrShedding and counted in the flow's ledger.
 // 0 removes the bound.
@@ -191,18 +180,6 @@ func (r *Runtime) SetProbe(p sched.Probe) {
 // assignment can differ after MigrateFlow.
 func (r *Runtime) ShardOf(flow int) int {
 	return int(shardHash(flow) % uint64(len(r.shards)))
-}
-
-// FlowShard returns the shard flow is currently assigned to, or an
-// ErrUnknownFlow error.
-func (r *Runtime) FlowShard(flow int) (int, error) {
-	r.mu.RLock()
-	e := r.flows[flow]
-	r.mu.RUnlock()
-	if e == nil {
-		return 0, fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	return int(e.shard.Load()), nil
 }
 
 // AddFlow registers flow with the given weight on its hashed shard, or

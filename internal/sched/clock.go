@@ -18,12 +18,6 @@ type Clock interface {
 	Now() float64
 }
 
-// ClockFunc adapts a function to the Clock interface.
-type ClockFunc func() float64
-
-// Now calls fn().
-func (fn ClockFunc) Now() float64 { return fn() }
-
 // ManualClock is a Clock whose time is set explicitly — the replay and
 // conformance harnesses use it to drive a runtime-shaped component through
 // a recorded simulator timeline, and tests use it to freeze time. The zero

@@ -95,24 +95,6 @@ func TestRemoveFlowEverywhere(t *testing.T) {
 	}
 }
 
-func TestTagHeapPeek(t *testing.T) {
-	var h sched.TagHeap
-	if p, k := h.Peek(); p != nil || k != 0 {
-		t.Error("empty Peek should return nil")
-	}
-	a := &sched.Packet{Seq: 1}
-	b := &sched.Packet{Seq: 2}
-	h.PushTag(5, a)
-	h.PushTag(3, b)
-	p, k := h.Peek()
-	if p != b || k != 3 {
-		t.Errorf("Peek = (%v, %v)", p.Seq, k)
-	}
-	if h.Len() != 2 {
-		t.Error("Peek must not consume")
-	}
-}
-
 func TestFlowTableQueuedCount(t *testing.T) {
 	ft := sched.NewFlowTable()
 	if err := ft.Add(1, 10); err != nil {

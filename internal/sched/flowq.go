@@ -17,9 +17,9 @@ package sched
 // flow's heap operations. The per-flow monotonicity invariant is asserted
 // under the `schedassert` build tag (see assert_on.go).
 //
-// Pop order is bit-identical to the packet-level TagHeap this replaces:
+// Pop order is bit-identical to the packet-level tag heap this replaced:
 // every pushed item carries the same strict total order (key, sub, serial)
-// TagHeap used, the serial is the scheduler-wide push sequence number, and
+// that heap used, the serial is the scheduler-wide push sequence number, and
 // min-over-flow-heads equals min-over-all-packets whenever each flow's
 // FIFO is ordered — which is exactly the asserted invariant.
 
@@ -38,8 +38,9 @@ const flowChunkSize = 8
 const chunkMask = flowChunkSize - 1
 
 // flowItem is one queued packet with its scheduling key. The triple
-// (key, sub, serial) is the same strict total order TagHeap used: primary
-// tag, tie-breaking secondary key, scheduler-wide push sequence.
+// (key, sub, serial) is the same strict total order the packet-level tag
+// heap used: primary tag, tie-breaking secondary key, scheduler-wide push
+// sequence.
 type flowItem struct {
 	key    float64
 	sub    float64
@@ -136,9 +137,6 @@ type FlowQ struct {
 	bytes float64
 }
 
-// NewFlowQ returns an empty FIFO for the given flow id.
-func NewFlowQ(flow int) *FlowQ { return &FlowQ{flow: flow} }
-
 // ID returns the flow id this FIFO belongs to.
 func (fq *FlowQ) ID() int { return fq.flow }
 
@@ -170,16 +168,6 @@ func (fq *FlowQ) headItem() flowItem { return fq.head.items[fq.hi] }
 // at returns the packet k places behind the front. Callers must ensure
 // k < Len().
 func (fq *FlowQ) at(k int) *Packet { return fq.item(k).p }
-
-// Head returns the front packet and its primary key without removing it.
-// It returns (nil, 0) when empty.
-func (fq *FlowQ) Head() (*Packet, float64) {
-	if fq.n == 0 {
-		return nil, 0
-	}
-	it := fq.headItem()
-	return it.p, it.key
-}
 
 // Push appends p with the given scheduling key triple. Keys within a flow
 // must be nondecreasing under (key, sub, serial) — the tag-monotonicity
@@ -276,21 +264,4 @@ func (fq *FlowQ) eachItem(fn func(*flowItem)) {
 			fn(&c.items[i])
 		}
 	}
-}
-
-// Release zeroes any live items and returns every chunk to the pool. Drop
-// uses it to discard a backlogged flow; the FIFO is empty and reusable
-// afterwards.
-func (fq *FlowQ) Release(pool *ChunkPool) {
-	fq.eachItem(func(it *flowItem) { *it = flowItem{} })
-	for c := fq.head; c != nil; {
-		next := c.next
-		pool.put(c)
-		c = next
-	}
-	fq.head, fq.tail = nil, nil
-	fq.hi, fq.hn, fq.ti = 0, 0, 0
-	fq.n = 0
-	fq.bytes = 0
-	fq.mono.reset()
 }

@@ -73,13 +73,6 @@ func (fs *FlowSet) PopFlow() (*Packet, *Flow) {
 	return p, f
 }
 
-// SetFlowKey is Rekey by flow id; no-op for a flow the set has not seen.
-func (fs *FlowSet) SetFlowKey(flow int, key, sub float64) {
-	if f := fs.Get(flow); f != nil {
-		fs.Rekey(f, key, sub)
-	}
-}
-
 // Rekey rewrites the (key, sub) under which f competes in the cross-flow
 // heap — the head item's key — and restores heap order, in O(log B). No-op
 // when the flow is idle. Flow-level dynamic-priority disciplines (SRPT in
@@ -93,29 +86,12 @@ func (fs *FlowSet) Rekey(f *Flow, key, sub float64) {
 	fs.heap.Fix(f)
 }
 
-// Peek returns the packet that PopMin would return, and its key, without
-// removing it. Returns (nil, 0) when empty.
-func (fs *FlowSet) Peek() (*Packet, float64) {
-	f := fs.heap.Min()
-	if f == nil {
-		return nil, 0
-	}
-	return f.Head()
-}
-
 // Len returns the total number of queued packets across all flows.
 func (fs *FlowSet) Len() int { return fs.total }
-
-// FlowLen returns the number of packets queued for one flow, in O(1).
-func (fs *FlowSet) FlowLen(flow int) int { return fs.QueuedCount(flow) }
 
 // FlowBytes returns the bytes queued for one flow, in O(1) and exactly
 // zero when the flow is idle.
 func (fs *FlowSet) FlowBytes(flow int) float64 { return fs.QueuedBytes(flow) }
-
-// Backlogged returns the number of flows currently holding packets — the
-// B in the O(log B) heap costs.
-func (fs *FlowSet) Backlogged() int { return fs.heap.Len() }
 
 // idle reports whether flow holds no packets and no fluid backlog.
 func (fs *FlowSet) idle(flow int) bool {
@@ -200,24 +176,6 @@ func (fs *FlowSet) finalizeDrains() {
 
 // Draining returns the flows marked by DrainFlow, sorted (snapshots).
 func (fs *FlowSet) Draining() []int { return fs.draining.Flows() }
-
-// Drop forgets a flow whatever its state: queued packets are discarded,
-// their chunks go back to the pool, and the flow leaves the heap and the
-// table (chaos churn paths; Remove is the checked way out for a registered
-// flow).
-func (fs *FlowSet) Drop(flow int) {
-	if f := fs.Get(flow); f != nil {
-		fs.total -= int(f.n)
-		fs.heap.Remove(f)
-		f.Release(&fs.pool)
-		fs.flows.del(flow)
-	}
-	delete(fs.Weights, flow)
-}
-
-// PooledChunks reports the chunk pool's free-list length (tests,
-// observability).
-func (fs *FlowSet) PooledChunks() int { return fs.pool.Len() }
 
 // CheckSlots verifies the heap's slot-key invariant (FlowHeap.CheckSlots).
 func (fs *FlowSet) CheckSlots() error { return fs.heap.CheckSlots() }

@@ -1,15 +1,15 @@
 package sched
 
 // TagHeap is a min-heap of packets ordered by a float64 key (a virtual tag,
-// timestamp, or deadline) with FIFO tie-breaking among equal keys. The
-// fair-queuing family uses it with start or finish tags as keys.
+// timestamp, or deadline) with FIFO tie-breaking among equal keys. Fair
+// Airport's guaranteed service queue keys it by Virtual Clock stamps.
 //
 // The heap is hand-rolled over a flat []tagItem slice rather than built on
 // container/heap: the heap.Interface methods take and return `any`, which
-// boxes every 32-byte tagItem on push AND pop — two heap allocations per
+// boxes every 24-byte tagItem on push AND pop — two heap allocations per
 // packet on the hottest path in the repository. The typed sift-up/sift-down
 // below performs zero interface conversions and zero allocations beyond
-// amortized slice growth. Because (key, sub, serial) is a strict total
+// amortized slice growth. Because (key, serial) is a strict total
 // order (serial is unique), the pop sequence is independent of the internal
 // heap shape, so this rewrite is bit-for-bit schedule-compatible with the
 // container/heap version (the property tests in pq_test.go cross-check it
@@ -21,18 +21,14 @@ type TagHeap struct {
 
 type tagItem struct {
 	key    float64
-	sub    float64 // secondary key used by configurable tie-breaking rules
 	serial uint64
 	p      *Packet
 }
 
-// less orders by key, then secondary key, then insertion order.
+// less orders by key, then insertion order.
 func (a tagItem) less(b tagItem) bool {
 	if a.key != b.key {
 		return a.key < b.key
-	}
-	if a.sub != b.sub {
-		return a.sub < b.sub
 	}
 	return a.serial < b.serial
 }
@@ -44,13 +40,6 @@ func (q *TagHeap) Len() int { return len(q.items) }
 func (q *TagHeap) PushTag(key float64, p *Packet) {
 	q.serial++
 	q.push(tagItem{key: key, serial: q.serial, p: p})
-}
-
-// PushTagSub adds p with a primary and a secondary key; ties on both keys
-// fall back to FIFO order.
-func (q *TagHeap) PushTagSub(key, sub float64, p *Packet) {
-	q.serial++
-	q.push(tagItem{key: key, sub: sub, serial: q.serial, p: p})
 }
 
 func (q *TagHeap) push(it tagItem) {
@@ -106,13 +95,4 @@ func (q *TagHeap) siftDown(it tagItem) {
 		i = min
 	}
 	items[i] = it
-}
-
-// Peek returns the minimum-key packet and its key without removing it.
-// It returns (nil, 0) when empty.
-func (q *TagHeap) Peek() (*Packet, float64) {
-	if len(q.items) == 0 {
-		return nil, 0
-	}
-	return q.items[0].p, q.items[0].key
 }

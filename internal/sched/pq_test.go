@@ -8,10 +8,9 @@ import (
 	"repro/internal/sched"
 )
 
-// oracleItem mirrors TagHeap's ordering contract: (key, sub, serial).
+// oracleItem mirrors TagHeap's ordering contract: (key, serial).
 type oracleItem struct {
 	key    float64
-	sub    float64
 	serial uint64
 	p      *sched.Packet
 }
@@ -25,9 +24,6 @@ func (h oracleHeap) Less(i, j int) bool {
 	if h[i].key != h[j].key {
 		return h[i].key < h[j].key
 	}
-	if h[i].sub != h[j].sub {
-		return h[i].sub < h[j].sub
-	}
 	return h[i].serial < h[j].serial
 }
 func (h oracleHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
@@ -40,10 +36,10 @@ func (h *oracleHeap) Pop() any {
 	return it
 }
 
-// TestTagHeapMatchesOracle pushes duplicate-heavy random (key, sub) pairs
-// into the typed heap and the container/heap oracle, interleaving pops, and
-// requires the identical packet sequence — i.e. strict (key, sub, serial)
-// order with FIFO tie-breaking survived the rewrite.
+// TestTagHeapMatchesOracle pushes duplicate-heavy random keys into the
+// typed heap and the container/heap oracle, interleaving pops, and requires
+// the identical packet sequence — i.e. strict (key, serial) order with FIFO
+// tie-breaking survived the rewrite.
 func TestTagHeapMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -53,39 +49,36 @@ func TestTagHeapMatchesOracle(t *testing.T) {
 		pending := 0
 		for op := 0; op < 2000; op++ {
 			if pending == 0 || rng.Float64() < 0.6 {
-				// Draw from tiny alphabets so key and sub ties are common.
+				// Draw from a tiny alphabet so key ties are common.
 				key := float64(rng.Intn(5))
-				sub := float64(rng.Intn(3))
 				p := &sched.Packet{Flow: op, Length: 1}
 				serial++
-				h.PushTagSub(key, sub, p)
-				heap.Push(&o, oracleItem{key: key, sub: sub, serial: serial, p: p})
+				h.PushTag(key, p)
+				heap.Push(&o, oracleItem{key: key, serial: serial, p: p})
 				pending++
 			} else {
 				got := h.PopMin()
 				want := heap.Pop(&o).(oracleItem)
 				if got != want.p {
-					t.Fatalf("seed %d op %d: popped flow %d, oracle popped flow %d (key %v sub %v)",
-						seed, op, got.Flow, want.p.Flow, want.key, want.sub)
+					t.Fatalf("seed %d op %d: popped flow %d, oracle popped flow %d (key %v)",
+						seed, op, got.Flow, want.p.Flow, want.key)
 				}
 				pending--
 			}
 		}
 		// Drain: the tails must agree too, and pop order must be
-		// nondecreasing in (key, sub).
-		lastKey, lastSub := -1.0, -1.0
+		// nondecreasing in key.
+		lastKey := -1.0
 		for pending > 0 {
-			gotP, key := h.Peek()
 			got := h.PopMin()
 			want := heap.Pop(&o).(oracleItem)
-			if got != want.p || gotP != got || key != want.key {
+			if got != want.p {
 				t.Fatalf("seed %d drain: typed heap diverged from oracle", seed)
 			}
-			if key < lastKey || (key == lastKey && want.sub < lastSub) {
-				t.Fatalf("seed %d drain: keys went backwards: (%v,%v) after (%v,%v)",
-					seed, key, want.sub, lastKey, lastSub)
+			if want.key < lastKey {
+				t.Fatalf("seed %d drain: keys went backwards: %v after %v", seed, want.key, lastKey)
 			}
-			lastKey, lastSub = key, want.sub
+			lastKey = want.key
 			pending--
 		}
 		if h.Len() != 0 || o.Len() != 0 {

@@ -135,7 +135,9 @@ func TestQuickConservation(t *testing.T) {
 		"HSFQ": func() sched.Interface { return core.NewHSFQ() },
 		"SCFQ": func() sched.Interface { return sched.NewSCFQ() },
 		"WFQ":  func() sched.Interface { return sched.NewWFQ(1000) },
-		"FQS":  func() sched.Interface { return sched.NewFQS(1000) },
+		"FQS": func() sched.Interface {
+			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: 1000})
+		},
 		"DRR":  func() sched.Interface { return sched.NewDRR(500) },
 		"VC":   func() sched.Interface { return sched.NewVirtualClock() },
 		"EDD":  func() sched.Interface { return sched.NewEDD() },

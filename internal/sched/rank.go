@@ -40,11 +40,6 @@ type PIFO struct {
 	clamped uint64
 }
 
-// Push is PushFlow on flow's record, created on first sight.
-func (q *PIFO) Push(flow int, key, sub float64, p *Packet) (float64, float64, bool) {
-	return q.PushFlow(q.fs.Record(flow), key, sub, p)
-}
-
 // PushFlow admits p for f under (key, sub). While the flow is backlogged a
 // rank below the flow's previous one is clamped up to it (per-flow
 // monotonicity); a drained flow starts a fresh chain. It returns the rank
@@ -62,16 +57,6 @@ func (q *PIFO) PushFlow(f *Flow, key, sub float64, p *Packet) (float64, float64,
 	return key, sub, clamped
 }
 
-// Pop removes and returns the minimum-rank packet, or nil when empty.
-func (q *PIFO) Pop() *Packet { return q.fs.PopMin() }
-
-// Min returns the packet Pop would release and its key, without removing
-// it. Returns (nil, 0) when empty.
-func (q *PIFO) Min() (*Packet, float64) { return q.fs.Peek() }
-
-// SetFlowRank is Rekey by flow id; no-op for a flow the queue has not seen.
-func (q *PIFO) SetFlowRank(flow int, key, sub float64) { q.fs.SetFlowKey(flow, key, sub) }
-
 // Rekey rewrites the rank under which f currently competes (its head
 // packet's rank) and restores heap order — the flow-level dynamic priority
 // hook, used by SRPT whose remaining-backlog rank changes on every
@@ -82,18 +67,9 @@ func (q *PIFO) Rekey(f *Flow, key, sub float64) { q.fs.Rekey(f, key, sub) }
 // Len returns the number of queued packets.
 func (q *PIFO) Len() int { return q.fs.Len() }
 
-// FlowLen returns the number of packets queued for flow, in O(1).
-func (q *PIFO) FlowLen(flow int) int { return q.fs.FlowLen(flow) }
-
 // FlowBytes returns the bytes queued for flow, in O(1) and exactly zero
 // when the flow is idle.
 func (q *PIFO) FlowBytes(flow int) float64 { return q.fs.FlowBytes(flow) }
-
-// Backlogged returns the number of flows holding packets.
-func (q *PIFO) Backlogged() int { return q.fs.Backlogged() }
-
-// Drop discards flow's packets and clamp chain entirely.
-func (q *PIFO) Drop(flow int) { q.fs.Drop(flow) }
 
 // CheckSlots verifies the flow heap's slot-key invariant (fuzz harness).
 func (q *PIFO) CheckSlots() error { return q.fs.CheckSlots() }

@@ -180,12 +180,6 @@ func NewWFQ(assumedCap float64) *Ranked {
 	return MustNewRanked(RankWFQ(false), Config{AssumedCapacity: assumedCap})
 }
 
-// NewFQS returns a Fair Queuing based on Start-time scheduler: WFQ's
-// virtual time, start-tag transmission order. Prefer New("fqs", ...).
-func NewFQS(assumedCap float64) *Ranked {
-	return MustNewRanked(RankWFQ(true), Config{AssumedCapacity: assumedCap})
-}
-
 // NewWFQOracle returns the §1.2 thought experiment made concrete: WFQ whose
 // fluid reference integrates the *actual* capacity C(t) = rateAt(t) in
 // fixed steps of step seconds (eq 3 with C replaced by C(t)). Given a

@@ -65,9 +65,9 @@ type FlowInfo struct {
 	Weight float64
 }
 
-// FlowLister is the optional flow-enumeration interface. Hot-swap
-// (internal/liveops) uses it to re-register a scheduler's flows on the
-// replacement discipline before re-tagging the backlog.
+// FlowLister is the optional flow-enumeration interface: sfqsim reads a
+// restored scheduler's flows through it, and Priority's state check
+// enumerates each level's.
 type FlowLister interface {
 	// ListFlows returns every registered flow, sorted by id.
 	ListFlows() []FlowInfo

@@ -54,8 +54,4 @@ func TestManualClock(t *testing.T) {
 	if c.Now() != 1 {
 		t.Fatalf("Set must allow moving backwards, got %v", c.Now())
 	}
-	fn := sched.ClockFunc(func() float64 { return 42 })
-	if fn.Now() != 42 {
-		t.Fatalf("ClockFunc: %v", fn.Now())
-	}
 }

@@ -140,7 +140,7 @@ func TestExample2WFQVariableRate(t *testing.T) {
 
 // TestFQSOrdersByStartTag distinguishes FQS from WFQ.
 func TestFQSOrdersByStartTag(t *testing.T) {
-	fqs := sched.NewFQS(10)
+	fqs := sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: 10})
 	addFlows(t, fqs, map[int]float64{1: 1, 2: 5})
 
 	// Flow 1: S=0, F=10. Flow 2: S=0, F=2. WFQ would serve flow 2 first

@@ -159,15 +159,6 @@ func NewPeriodicOnOff(c, period float64) *PeriodicOnOff {
 	return &PeriodicOnOff{C: c, Period: period}
 }
 
-// rateAt returns the instantaneous rate at time t.
-func (s *PeriodicOnOff) rateAt(t float64) float64 {
-	phase := math.Mod(t, s.Period)
-	if phase < s.Period/2 {
-		return 2 * s.C
-	}
-	return 0
-}
-
 // Finish integrates the on-off rate from t. The loop advances over whole
 // periods by index, so floating-point boundary rounding cannot stall it.
 func (s *PeriodicOnOff) Finish(t, bytes float64) float64 {

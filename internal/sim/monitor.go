@@ -267,18 +267,6 @@ func (m *Monitor) ServiceRecords() []ServiceRecord {
 	return out
 }
 
-// TruncatedRecords returns how many service records the cap displaced (0
-// for MonitorAll monitors).
-func (m *Monitor) TruncatedRecords() int64 {
-	if m.recordCap == 0 || m.logged <= int64(m.recordCap) {
-		return 0
-	}
-	return m.logged - int64(m.recordCap)
-}
-
-// RecordCap returns the monitor's record bound (0 = unbounded).
-func (m *Monitor) RecordCap() int { return m.recordCap }
-
 // BackloggedIntervals returns the closed backlog intervals of flow. A still
 // open interval is closed at the current horizon (last observed departure).
 func (m *Monitor) BackloggedIntervals(flow int) []Interval {
@@ -292,10 +280,6 @@ func (m *Monitor) BackloggedIntervals(flow int) []Interval {
 // QueueDelay returns the queueing+transmission delay samples of flow at
 // this link (detached for a flow the link has not served: see seen).
 func (m *Monitor) QueueDelay(flow int) *stats.Sample { return &m.seen(flow).qdelay }
-
-// EndToEndDelay returns creation-to-transmission delay samples of flow
-// (detached for a flow the link has not served).
-func (m *Monitor) EndToEndDelay(flow int) *stats.Sample { return &m.seen(flow).e2e }
 
 // ServedBytes returns the cumulative bytes of flow served so far.
 func (m *Monitor) ServedBytes(flow int) float64 { return m.seen(flow).served }
@@ -312,18 +296,6 @@ func (m *Monitor) Utilization() float64 {
 		return 0
 	}
 	return m.busyTime / (m.horizon - m.firstStart)
-}
-
-// TotalBytes returns the bytes transmitted across all flows.
-func (m *Monitor) TotalBytes() float64 { return m.totalBytes }
-
-// MeanServiceRate returns total bytes over the observed span (the
-// effective capacity the link delivered while active).
-func (m *Monitor) MeanServiceRate() float64 {
-	if !m.sawService || m.horizon <= m.firstStart {
-		return 0
-	}
-	return m.totalBytes / (m.horizon - m.firstStart)
 }
 
 // Chunk sizes of a chunkLog: the first chunk is small, so a log that sees

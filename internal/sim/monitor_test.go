@@ -31,7 +31,8 @@ func TestMonitorReadsDoNotInsert(t *testing.T) {
 		t.Fatalf("after one read: flow 1 served %v, monitor holds %d flows; want 100 and 1", b, len(mon.flows))
 	}
 	for id := 1000; id < 2000; id++ {
-		if n := mon.QueueDelay(id).N() + mon.EndToEndDelay(id).N() + mon.ServiceCurve(id).N(); n != 0 {
+		curve, _ := mon.ServiceCurve(id).Points()
+		if n := mon.QueueDelay(id).N() + mon.EndToEndDelay(id).N() + len(curve); n != 0 {
 			t.Fatalf("unseen flow %d has %d samples", id, n)
 		}
 		if b, iv := mon.ServedBytes(id), mon.BackloggedIntervals(id); b != 0 || iv != nil {

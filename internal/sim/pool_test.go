@@ -72,8 +72,7 @@ func poolEquivRun(seed int64, hidePool bool) string {
 	sink := sim.ConsumerFunc(func(f *sim.Frame) {
 		out += fmt.Sprintf("rx %d/%d @%.9f\n", f.Flow, f.Seq, q.Now())
 	})
-	lossy := faults.NewLossyStage(rand.New(rand.NewSource(seed+1)), 0.05, 0.05)
-	sim.Chain(sink, lossy)
+	lossy := faults.NewLossy(rand.New(rand.NewSource(seed+1)), sink, 0.05, 0.05)
 	var s sched.Interface = sched.NewSCFQ()
 	s.AddFlow(1, 1)
 	s.AddFlow(2, 2)
@@ -110,7 +109,7 @@ func poolEquivRun(seed int64, hidePool bool) string {
 	out += fmt.Sprintf("drops %v delivered %d\n", link.Drops(), link.Delivered())
 	for _, c := range []sim.DropCause{sim.DropBufferFull, sim.DropLinkDown, sim.DropStalled,
 		faults.DropRandomLoss, faults.DropCorrupt} {
-		out += fmt.Sprintf("%s=%d ", c, link.DropsFor(c)+lossy.DropsFor(c))
+		out += fmt.Sprintf("%s=%d ", c, link.DropsFor(c)+lossy.DropsByCause()[c])
 	}
 	return out
 }

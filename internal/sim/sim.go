@@ -248,9 +248,6 @@ func (l *Link) Scheduler() sched.Interface { return l.sched }
 // a timestamp) can timestamp what they see.
 func (l *Link) Now() float64 { return l.clock.Now() }
 
-// Clock returns the link's time source.
-func (l *Link) Clock() sched.Clock { return l.clock }
-
 // SetProbe installs (or, with nil, removes) the scheduler probe. The probe
 // observes every accepted enqueue, every dequeue, and — for schedulers that
 // implement sched.VirtualTimer — the system virtual time after each
@@ -261,9 +258,6 @@ func (l *Link) SetProbe(p sched.Probe) {
 	l.probe = p
 	l.vtChecked = false // re-sample: the probe may be installed before wiring finished
 }
-
-// Probe returns the installed scheduler probe (nil if none).
-func (l *Link) Probe() sched.Probe { return l.probe }
 
 // probeVT reports the scheduler's virtual time to the probe, sampling
 // VirtualTimer support on first use. Called only with l.probe != nil.
@@ -326,11 +320,6 @@ func (l *Link) Down() bool { return l.down }
 // is false until the first arrival (when the scheduler's pool safety is
 // sampled) and stays false for schedulers that retain packet references.
 func (l *Link) PoolActive() bool { return l.poolChecked && l.poolOK }
-
-// PooledPackets returns the current free-list depth (for tests and
-// observability): bounded by the peak number of simultaneously live
-// packets, not by the number of packets ever sent.
-func (l *Link) PooledPackets() int { return l.pool.Len() }
 
 // drop accounts one dropped frame of the flow lf under cause.
 func (l *Link) drop(f *Frame, lf *linkFlow, cause DropCause) {

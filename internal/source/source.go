@@ -215,9 +215,6 @@ func (s *Bulk) fill() {
 	}
 }
 
-// Done reports whether the budget has been fully sent.
-func (s *Bulk) Done() bool { return s.sent >= s.Budget }
-
 // LeakyBucket shapes a frame stream to conform to (σ, ρ): a frame passes
 // when the bucket holds enough tokens, otherwise it is delayed. Used to
 // shape high-priority traffic so the residual capacity is fluctuation

@@ -2,31 +2,6 @@ package stats
 
 import "math"
 
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]: higher alpha weights recent samples more.
-type EWMA struct {
-	Alpha float64
-	value float64
-	init  bool
-}
-
-// Add incorporates x and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if e.Alpha <= 0 || e.Alpha > 1 {
-		panic("stats: EWMA alpha must be in (0, 1]")
-	}
-	if !e.init {
-		e.value = x
-		e.init = true
-	} else {
-		e.value = e.Alpha*x + (1-e.Alpha)*e.value
-	}
-	return e.value
-}
-
-// Value returns the current average (0 before any sample).
-func (e *EWMA) Value() float64 { return e.value }
-
 // Autocorrelation returns the sample autocorrelation of xs at the given
 // lags. It returns NaN at a lag when the series is too short or has zero
 // variance.

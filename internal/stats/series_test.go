@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if e.Value() != 0 {
-		t.Error("initial value")
-	}
-	if got := e.Add(10); got != 10 {
-		t.Errorf("first sample = %v", got)
-	}
-	if got := e.Add(20); got != 15 {
-		t.Errorf("second = %v, want 15", got)
-	}
-	if got := e.Add(15); got != 15 {
-		t.Errorf("third = %v, want 15", got)
-	}
-}
-
-func TestEWMABadAlpha(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("alpha 0 accepted")
-		}
-	}()
-	(&EWMA{}).Add(1)
-}
-
 func TestAutocorrelationPeriodicSignal(t *testing.T) {
 	// Period-4 square wave: strong positive correlation at lag 4,
 	// negative at lag 2.

@@ -1,11 +1,10 @@
 // Package stats provides the small statistics toolkit used by the
-// experiments: streaming mean/variance (Welford), min/max tracking,
-// fixed-bin histograms, percentiles over retained samples, and
-// time-series accumulation of cumulative counters.
+// experiments: streaming mean/variance (Welford) with a running minimum,
+// percentiles over retained samples, time-series accumulation of cumulative
+// counters, autocorrelation and the coefficient of variation.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -16,21 +15,13 @@ type Welford struct {
 	mean float64
 	m2   float64
 	min  float64
-	max  float64
 }
 
 // Add incorporates x.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 1 || x < w.min {
+		w.min = x
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
@@ -56,15 +47,6 @@ func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Min returns the minimum sample (0 if empty).
 func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the maximum sample (0 if empty).
-func (w *Welford) Max() float64 { return w.max }
-
-// String summarizes the accumulator.
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g std=%.6g min=%.6g max=%.6g",
-		w.n, w.Mean(), w.Std(), w.min, w.max)
-}
 
 // Sample retains all values to answer percentile queries exactly.
 type Sample struct {
@@ -112,8 +94,8 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank interpolation. It returns 0 for an empty sample.
+// Percentile returns the p-th percentile (0 <= p <= 100), interpolating
+// linearly between the two closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.xs) == 0 {
 		return 0
@@ -138,56 +120,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Histogram is a fixed-bin-width histogram over [Lo, Hi); samples outside
-// the range are counted in the under/overflow bins.
-type Histogram struct {
-	Lo, Hi float64
-	bins   []int64
-	under  int64
-	over   int64
-	n      int64
-}
-
-// NewHistogram creates a histogram with nbins equal bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, bins: make([]int64, nbins)}
-}
-
-// Add incorporates x.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.bins)))
-		if i >= len(h.bins) { // guard against FP edge at Hi
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// N returns total samples.
-func (h *Histogram) N() int64 { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Underflow and Overflow return the out-of-range counts.
-func (h *Histogram) Underflow() int64 { return h.under }
-
-// Overflow returns the count of samples >= Hi.
-func (h *Histogram) Overflow() int64 { return h.over }
-
 // TimeSeries records (time, value) points of a cumulative quantity and can
 // answer interval deltas and windowed rates. Times must be non-decreasing.
 type TimeSeries struct {
@@ -203,9 +135,6 @@ func (s *TimeSeries) Add(t, v float64) {
 	s.ts = append(s.ts, t)
 	s.vs = append(s.vs, v)
 }
-
-// N returns the number of points.
-func (s *TimeSeries) N() int { return len(s.ts) }
 
 // Last returns the last point, or zeros if empty.
 func (s *TimeSeries) Last() (t, v float64) {

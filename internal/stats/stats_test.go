@@ -18,11 +18,8 @@ func TestWelfordBasics(t *testing.T) {
 	if math.Abs(w.Std()-2.138089935299395) > 1e-12 {
 		t.Errorf("std = %v", w.Std())
 	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %v/%v", w.Min(), w.Max())
-	}
-	if w.String() == "" {
-		t.Error("empty String")
+	if w.Min() != 2 {
+		t.Errorf("min = %v", w.Min())
 	}
 }
 
@@ -32,7 +29,7 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 		t.Error("empty accumulator should report zeros")
 	}
 	w.Add(42)
-	if w.Mean() != 42 || w.Var() != 0 || w.Min() != 42 || w.Max() != 42 {
+	if w.Mean() != 42 || w.Var() != 0 || w.Min() != 42 {
 		t.Error("single-sample stats wrong")
 	}
 }
@@ -93,38 +90,12 @@ func TestSamplePercentiles(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(100)
-	if h.N() != 12 || h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("n=%d under=%d over=%d", h.N(), h.Underflow(), h.Overflow())
-	}
-	for i := 0; i < h.NumBins(); i++ {
-		if h.Bin(i) != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram should panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestTimeSeries(t *testing.T) {
 	var ts TimeSeries
 	ts.Add(1, 10)
 	ts.Add(2, 30)
 	ts.Add(2, 35) // same-time update
 	ts.Add(4, 70)
-	if ts.N() != 4 {
-		t.Errorf("N = %d", ts.N())
-	}
 	if got := ts.At(0.5); got != 0 {
 		t.Errorf("At(0.5) = %v, want 0", got)
 	}
@@ -136,6 +107,9 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if got := ts.Delta(1, 4); got != 60 {
 		t.Errorf("Delta = %v, want 60", got)
+	}
+	if got := ts.At(9); got != 70 {
+		t.Errorf("At(9) = %v, want 70 (last point)", got)
 	}
 	lt, lv := ts.Last()
 	if lt != 4 || lv != 70 {
@@ -157,6 +131,9 @@ func TestTimeSeriesEmpty(t *testing.T) {
 	var ts TimeSeries
 	if ts.At(5) != 0 {
 		t.Error("empty At should be 0")
+	}
+	if ts.Delta(0, 5) != 0 {
+		t.Error("empty Delta should be 0")
 	}
 	lt, lv := ts.Last()
 	if lt != 0 || lv != 0 {

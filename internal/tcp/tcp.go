@@ -94,13 +94,6 @@ func (s *Sender) Run() {
 // Done reports whether every segment up to Limit has been acknowledged.
 func (s *Sender) Done() bool { return s.Limit > 0 && s.sndUna > s.Limit }
 
-// FinishedAt returns the time the final segment was acknowledged (0 if the
-// transfer has not completed).
-func (s *Sender) FinishedAt() float64 { return s.finishedAt }
-
-// Cwnd returns the congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
 // Sent returns total segment transmissions (including retransmissions).
 func (s *Sender) Sent() int64 { return s.sent }
 
@@ -310,14 +303,6 @@ type Receiver struct {
 func NewReceiver(q *eventq.Queue, out sim.Consumer, flow int) *Receiver {
 	return &Receiver{Q: q, Out: out, Flow: flow, expected: 1, ooo: make(map[int64]bool)}
 }
-
-// Received returns the count of data segments that arrived (with
-// duplicates).
-func (r *Receiver) Received() int64 { return r.received }
-
-// Expected returns the next in-order sequence number (so Expected-1
-// segments have been delivered in order).
-func (r *Receiver) Expected() int64 { return r.expected }
 
 // Deliver processes a data segment and emits a cumulative ACK (possibly
 // delayed; see DelayedAck).

@@ -2,8 +2,8 @@
 // raw data behind the paper's figures. It understands the two figure
 // shapes the experiments produce: event series (Figure 1(b): packet
 // sequence numbers vs arrival time per source) and sampled series
-// (Figure 3(b): throughput per connection over time), plus a generic
-// per-packet record dump from a link monitor.
+// (Figure 3(b): throughput per connection over time), plus the event
+// window of an obs trace ring.
 package tracelog
 
 import (
@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // WriteEventSeries writes one row per event: series label, index within
@@ -80,21 +79,6 @@ func WriteSampledSeries(w io.Writer, columns []string, samples []Sample) error {
 	return bw.Flush()
 }
 
-// WriteServiceRecords dumps a monitor's per-packet service records
-// (flow, service start, service end, bytes) as CSV.
-func WriteServiceRecords(w io.Writer, recs []sim.ServiceRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "flow,start,end,bytes"); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if _, err := fmt.Fprintf(bw, "%d,%.9f,%.9f,%.3f\n", r.Flow, r.Start, r.End, r.Bytes); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteTraceEvents dumps an obs trace ring as CSV, oldest first — the
 // file behind sfqsim --trace. The ring keeps only the newest events; when
 // overwritten > 0 a comment row records how many earlier events the
@@ -119,32 +103,6 @@ func WriteTraceEvents(w io.Writer, r *obs.TraceRing) error {
 	})
 	if werr != nil {
 		return werr
-	}
-	return bw.Flush()
-}
-
-// WriteFlowMetrics dumps the per-flow rows of metric snapshots as CSV —
-// one row per (link, flow), links and flows already sorted by
-// Registry.Snapshot. Delay columns are the histogram's exact aggregates
-// plus its octave-resolution p50/p99 upper bounds.
-func WriteFlowMetrics(w io.Writer, snaps []obs.Snapshot) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw,
-		"link,flow,arrived_pkts,arrived_bytes,served_pkts,served_bytes,dropped_pkts,rate_Bps,hwm_bytes,delay_mean,delay_min,delay_max"); err != nil {
-		return err
-	}
-	for _, s := range snaps {
-		for _, f := range s.Flows {
-			mean := 0.0
-			if f.Delay.Count > 0 {
-				mean = f.Delay.Sum / float64(f.Delay.Count)
-			}
-			if _, err := fmt.Fprintf(bw, "%s,%d,%d,%.3f,%d,%.3f,%d,%.3f,%.3f,%.9f,%.9f,%.9f\n",
-				s.Link, f.Flow, f.ArrivedPkts, f.ArrivedBytes, f.ServedPkts, f.ServedBytes,
-				f.DroppedPkts, f.RateBps, f.HWMBytes, mean, f.Delay.Min, f.Delay.Max); err != nil {
-				return err
-			}
-		}
 	}
 	return bw.Flush()
 }

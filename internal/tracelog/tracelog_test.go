@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/tracelog"
 )
 
@@ -64,24 +64,6 @@ func TestWriteSampledSeriesShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestWriteServiceRecords(t *testing.T) {
-	var buf bytes.Buffer
-	err := tracelog.WriteServiceRecords(&buf, []sim.ServiceRecord{
-		{Flow: 1, Start: 0, End: 0.5, Bytes: 100},
-		{Flow: 2, Start: 0.5, End: 1, Bytes: 200},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 || lines[0] != "flow,start,end,bytes" {
-		t.Fatalf("output = %q", buf.String())
-	}
-	if lines[2] != "2,0.500000000,1.000000000,200.000" {
-		t.Errorf("row = %q", lines[2])
-	}
-}
-
 // failWriter errors after n bytes, exercising the error paths.
 type failWriter struct{ left int }
 
@@ -104,8 +86,9 @@ func TestWriteErrorsPropagate(t *testing.T) {
 	if err := tracelog.WriteSampledSeries(&failWriter{left: 4}, []string{"c"}, samples); err == nil {
 		t.Error("sampled series write error swallowed")
 	}
-	recs := []sim.ServiceRecord{{Flow: 1, Start: 0, End: 1, Bytes: 2}}
-	if err := tracelog.WriteServiceRecords(&failWriter{left: 4}, recs); err == nil {
-		t.Error("service record write error swallowed")
+	ring := obs.NewTraceRing(1)
+	ring.Push(obs.Event{Time: 1, Kind: obs.EvDepart, Flow: 1, Bytes: 2})
+	if err := tracelog.WriteTraceEvents(&failWriter{left: 4}, ring); err == nil {
+		t.Error("trace event write error swallowed")
 	}
 }

@@ -1,27 +1,11 @@
 // Package units provides conversion helpers between the bit-oriented units
-// the SFQ paper quotes (Kb/s, Mb/s, packet lengths in bytes) and the internal
+// the SFQ paper quotes (Kb/s, Mb/s, milliseconds) and the internal
 // representation used throughout this repository: lengths in bytes and rates
 // in bytes per second, both as float64, with time in float64 seconds.
 package units
 
-// Byte-size constants (bytes).
-const (
-	Byte = 1.0
-	KB   = 1024 * Byte
-	MB   = 1024 * KB
-)
-
-// Bits converts a number of bits to bytes.
-func Bits(b float64) float64 { return b / 8 }
-
-// Kilobits converts kilobits (10^3 bits, as used in the paper's "Kb") to bytes.
-func Kilobits(kb float64) float64 { return kb * 1e3 / 8 }
-
-// Megabits converts megabits (10^6 bits) to bytes.
-func Megabits(mb float64) float64 { return mb * 1e6 / 8 }
-
-// Bps converts a rate in bits per second to bytes per second.
-func Bps(bitsPerSec float64) float64 { return bitsPerSec / 8 }
+// Byte is one byte, the unit of every length.
+const Byte = 1.0
 
 // Kbps converts a rate in kilobits per second to bytes per second.
 func Kbps(r float64) float64 { return r * 1e3 / 8 }
@@ -34,12 +18,6 @@ func ToKbps(bytesPerSec float64) float64 { return bytesPerSec * 8 / 1e3 }
 
 // ToMbps converts a rate in bytes per second to megabits per second.
 func ToMbps(bytesPerSec float64) float64 { return bytesPerSec * 8 / 1e6 }
-
-// Millis converts milliseconds to seconds.
-func Millis(ms float64) float64 { return ms / 1e3 }
-
-// Micros converts microseconds to seconds.
-func Micros(us float64) float64 { return us / 1e6 }
 
 // ToMillis converts seconds to milliseconds.
 func ToMillis(s float64) float64 { return s * 1e3 }

@@ -12,9 +12,6 @@ func TestRateConversions(t *testing.T) {
 	if Mbps(100) != 12.5e6 {
 		t.Errorf("Mbps(100) = %v", Mbps(100))
 	}
-	if Bps(800) != 100 {
-		t.Errorf("Bps(800) = %v", Bps(800))
-	}
 	if got := ToMbps(Mbps(2.5)); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("round trip Mbps = %v", got)
 	}
@@ -23,28 +20,7 @@ func TestRateConversions(t *testing.T) {
 	}
 }
 
-func TestSizeConversions(t *testing.T) {
-	if Bits(16) != 2 {
-		t.Errorf("Bits(16) = %v", Bits(16))
-	}
-	if Kilobits(8) != 1000 {
-		t.Errorf("Kilobits(8) = %v", Kilobits(8))
-	}
-	if Megabits(8) != 1e6 {
-		t.Errorf("Megabits(8) = %v", Megabits(8))
-	}
-	if KB != 1024 || MB != 1024*1024 {
-		t.Error("byte constants")
-	}
-}
-
 func TestTimeConversions(t *testing.T) {
-	if Millis(500) != 0.5 {
-		t.Errorf("Millis(500) = %v", Millis(500))
-	}
-	if Micros(1500) != 0.0015 {
-		t.Errorf("Micros = %v", Micros(1500))
-	}
 	if ToMillis(0.25) != 250 {
 		t.Errorf("ToMillis = %v", ToMillis(0.25))
 	}
