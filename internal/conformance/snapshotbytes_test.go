@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/sched"
 )
 
-// snapshotBytesGoldenPath holds the MarshalState bytes of a scripted state.
+// snapshotBytesGoldenPath holds the AppendState bytes of a scripted state.
 // The snapshot format is part of the failover contract: a layout change
 // inside the scheduler must not move a byte of it. Regenerate with
 // UPDATE_SNAPSHOT_BYTES=1 only when the format itself is meant to change.
@@ -104,7 +105,7 @@ func scriptedState(t *testing.T, s sched.Interface, reconf bool) []byte {
 			t.Fatal(err)
 		}
 	}
-	data, err := s.(sched.Snapshotter).MarshalState()
+	data, err := s.(sched.Snapshotter).AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,18 +174,13 @@ func TestParentSnapshotsRefused(t *testing.T) {
 			t.Fatalf("fixture %q missing from %s", key, snapshotBytesGoldenPath)
 		}
 		sum := sha256.Sum256([]byte(state))
-		env, err := json.Marshal(liveops.Envelope{
-			Version: liveops.Version, Kind: strings.TrimPrefix(key, "parent:"),
-			SHA256: hex.EncodeToString(sum[:]), State: json.RawMessage(state),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		env := []byte(fmt.Sprintf(`{"version":%d,"kind":%q,"sha256":%q,"state":%s}`,
+			liveops.Version, strings.TrimPrefix(key, "parent:"), hex.EncodeToString(sum[:]), state))
 		if _, err := liveops.Peek(env); err != nil {
 			t.Fatalf("%s: fixture envelope is not well-formed: %v", key, err)
 		}
 		s := sched.MustNew(name)
-		err = liveops.Restore(env, s.(sched.Snapshotter))
+		err := liveops.Restore(env, s.(sched.Snapshotter))
 		if !errors.Is(err, sched.ErrBadState) || !strings.Contains(err.Error(), "kind") {
 			t.Errorf("%s into %s: %v, want ErrBadState from the kind check", key, name, err)
 		}

@@ -141,7 +141,7 @@ func TestSingleSinkTree(t *testing.T) {
 	if h.Len() != 6 || h.QueuedBytes(1) != 200 {
 		t.Fatalf("Len=%d bytes(1)=%v", h.Len(), h.QueuedBytes(1))
 	}
-	blob, err := h.MarshalState()
+	blob, err := h.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSnapshotRoundTripStructured(t *testing.T) {
 					h.Dequeue(now)
 				}
 			}
-			blob, err := h.MarshalState()
+			blob, err := h.AppendState(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestSnapshotRefusesForeignShape(t *testing.T) {
 	if err := h.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := h.MarshalState()
+	blob, err := h.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

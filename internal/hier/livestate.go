@@ -1,12 +1,12 @@
 package hier
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
 	"repro/internal/liveops"
 	"repro/internal/sched"
+	"repro/internal/statecodec"
 )
 
 // This file implements sched.Reconfigurable (live mutation) and
@@ -114,6 +114,8 @@ func (h *Tree) ListFlows() []sched.FlowInfo {
 // fields is the pre-hier "core/hsfq" record, byte-for-byte; the trailing
 // Disc/Env/Flows fields serialize discipline-backed nodes and stay
 // omitted on pure SFQ trees, keeping legacy snapshots byte-identical.
+// The tree writes its nodes straight from the classes (appendNode); this
+// struct is what a restore reads them into.
 type nodeState struct {
 	Name   string  `json:"name"`
 	Weight float64 `json:"weight"`
@@ -134,12 +136,58 @@ type nodeState struct {
 
 	// Disc is the registry name of a discipline-backed node (interior or
 	// sink); Env is that discipline's own liveops snapshot envelope —
-	// versioned and digest-pinned, so tree snapshots recurse. Flows lists
-	// the real flows routed into a sink node (ascending); the routing is
-	// tree state, not discipline state.
-	Disc  string          `json:"disc,omitempty"`
-	Env   json.RawMessage `json:"env,omitempty"`
-	Flows []int           `json:"flows,omitempty"`
+	// versioned and digest-pinned, so tree snapshots recurse — read as a
+	// raw span of the tree's bytes. Flows lists the real flows routed into
+	// a sink node (ascending); the routing is tree state, not discipline
+	// state.
+	Disc  string `json:"disc,omitempty"`
+	Env   []byte `json:"env,omitempty"`
+	Flows []int  `json:"flows,omitempty"`
+}
+
+var nodeKeys = []string{
+	"name", "weight", "leaf", "flow", "active", "curStart", "lastFinish", "serial",
+	"v", "maxFinish", "serialSrc", "fifo", "children", "disc", "env", "flows",
+}
+
+func (st *nodeState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(nodeKeys); o.Next(); {
+		switch o.Key() {
+		case "name":
+			st.Name = r.String()
+		case "weight":
+			st.Weight = r.Float()
+		case "leaf":
+			st.Leaf = r.Bool()
+		case "flow":
+			st.Flow = r.Int()
+		case "active":
+			st.Active = r.Bool()
+		case "curStart":
+			st.CurStart = r.Float()
+		case "lastFinish":
+			st.LastFinish = r.Float()
+		case "serial":
+			st.Serial = r.Uint()
+		case "v":
+			st.V = r.Float()
+		case "maxFinish":
+			st.MaxFinish = r.Float()
+		case "serialSrc":
+			st.SerialSrc = r.Uint()
+		case "fifo":
+			st.Fifo = new(sched.FlowQState)
+			st.Fifo.DecodeJSON(r)
+		case "children":
+			statecodec.Slice(r, &st.Children, (*nodeState).decodeJSON)
+		case "disc":
+			st.Disc = r.String()
+		case "env":
+			st.Env = r.Raw()
+		case "flows":
+			statecodec.Ints(r, &st.Flows)
+		}
+	}
 }
 
 type treeState struct {
@@ -151,72 +199,162 @@ type treeState struct {
 	Draining []int     `json:"draining,omitempty"`
 }
 
+// treeKeys includes "bytes", the per-flow byte table trees once kept
+// beside their leaves' counts: still read, and skipped.
+var treeKeys = []string{"last", "busy", "total", "seq", "bytes", "root", "draining"}
+
+func (st *treeState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(treeKeys); o.Next(); {
+		switch o.Key() {
+		case "last":
+			st.Last = r.Float()
+		case "busy":
+			st.Busy = r.Bool()
+		case "total":
+			st.Total = r.Int()
+		case "seq":
+			st.Seq = r.Uint()
+		case "bytes":
+			r.Raw()
+		case "root":
+			st.Root.decodeJSON(r)
+		case "draining":
+			statecodec.Ints(r, &st.Draining)
+		}
+	}
+}
+
+// decode reads data as one whole tree state. Every failure wraps
+// sched.ErrBadState.
+func (st *treeState) decode(data []byte) error {
+	r := statecodec.NewReader(data)
+	st.decodeJSON(&r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %v", sched.ErrBadState, err)
+	}
+	return nil
+}
+
 // StateKind identifies the tree's snapshot state: "core/hsfq" for HSFQ
 // instances, "hier:<spec>" for grammar-built compositions (the canonical
 // spec string, so restore refuses a mismatched topology before the
 // structural walk even runs).
 func (h *Tree) StateKind() string { return h.kind }
 
-// MarshalState serializes the whole link-sharing tree: per-class tags and
+// AppendState serializes the whole link-sharing tree: per-class tags and
 // virtual times, leaf FIFOs in arrival order, embedded discipline
-// envelopes for discipline-backed nodes. Byte accounting lives in the
-// leaves (each FIFO and each sink discipline serializes its own).
-func (h *Tree) MarshalState() ([]byte, error) {
-	root, err := h.captureNode(h.root)
-	if err != nil {
-		return nil, err
+// envelopes for discipline-backed nodes, written in place. Byte
+// accounting lives in the leaves (each FIFO and each sink discipline
+// serializes its own).
+func (h *Tree) AppendState(b []byte) ([]byte, error) {
+	w := statecodec.NewWriter(b)
+	w.BeginObject()
+	w.Key("last").Float(h.last)
+	w.Key("busy").Bool(h.busy)
+	w.Key("total").Int(h.total)
+	w.Key("seq").Uint(h.seq)
+	w.Key("root")
+	h.appendNode(&w, h.root)
+	if draining := h.draining.Flows(); len(draining) != 0 {
+		w.Key("draining")
+		statecodec.AppendInts(&w, draining)
 	}
-	return json.Marshal(treeState{
-		Last: h.last, Busy: h.busy, Total: h.total, Seq: h.seq,
-		Root: *root, Draining: h.draining.Flows(),
-	})
+	w.EndObject()
+	return w.Bytes()
 }
 
-// captureNode serializes c's subtree, children in creation order.
-func (h *Tree) captureNode(c *Node) (*nodeState, error) {
-	st := &nodeState{
-		Name: c.name, Weight: c.weight, Leaf: c.kind == kindLeafFlow, Flow: c.flow,
-		Active: c.active, CurStart: c.curStart, LastFinish: c.lastFinish,
-		Serial: c.serial,
-		V:      c.v, MaxFinish: c.maxFinish, SerialSrc: c.serialSrc,
+// appendNode writes c's subtree as a nodeState, children in creation
+// order.
+func (h *Tree) appendNode(w *statecodec.Writer, c *Node) {
+	w.BeginObject()
+	w.Key("name").String(c.name)
+	w.Key("weight").Float(c.weight)
+	if c.kind == kindLeafFlow {
+		w.Key("leaf").Bool(true)
+	}
+	if c.flow != 0 {
+		w.Key("flow").Int(c.flow)
+	}
+	if c.active {
+		w.Key("active").Bool(true)
+	}
+	if c.curStart != 0 {
+		w.Key("curStart").Float(c.curStart)
+	}
+	if c.lastFinish != 0 {
+		w.Key("lastFinish").Float(c.lastFinish)
+	}
+	if c.serial != 0 {
+		w.Key("serial").Uint(c.serial)
+	}
+	if c.v != 0 {
+		w.Key("v").Float(c.v)
+	}
+	if c.maxFinish != 0 {
+		w.Key("maxFinish").Float(c.maxFinish)
+	}
+	if c.serialSrc != 0 {
+		w.Key("serialSrc").Uint(c.serialSrc)
 	}
 	switch c.kind {
 	case kindLeafFlow:
 		if c.queued() > 0 {
 			fifo := c.fifo.CaptureState()
 			fifo.Flow = c.flow
-			st.Fifo = &fifo
+			w.Key("fifo")
+			fifo.AppendJSON(w)
 		}
-		return st, nil
+		w.EndObject()
+		return
 	case kindDisc, kindLeafDisc:
 		snap, ok := c.disc.(sched.Snapshotter)
 		if !ok {
-			return nil, fmt.Errorf("hier: class %q discipline %q does not support snapshots", c.name, c.discName)
+			w.Fail(fmt.Errorf("hier: class %q discipline %q does not support snapshots", c.name, c.discName))
+			w.EndObject()
+			return
 		}
-		env, err := liveops.Snapshot(snap)
-		if err != nil {
-			return nil, fmt.Errorf("hier: class %q: %w", c.name, err)
+		if c.kind == kindDisc {
+			h.appendChildren(w, c)
 		}
-		st.Disc = c.discName
-		st.Env = env
+		if c.discName != "" {
+			w.Key("disc").String(c.discName)
+		}
+		w.Key("env").Append(func(b []byte) ([]byte, error) {
+			out, err := liveops.AppendSnapshotAt(b, 0, snap)
+			if err != nil {
+				err = fmt.Errorf("hier: class %q: %w", c.name, err)
+			}
+			return out, err
+		})
 		if c.kind == kindLeafDisc {
+			var flows []int
 			for f, leaf := range h.leaves {
 				if leaf == c {
-					st.Flows = append(st.Flows, f)
+					flows = append(flows, f)
 				}
 			}
-			sort.Ints(st.Flows)
-			return st, nil
+			if len(flows) != 0 {
+				sort.Ints(flows)
+				w.Key("flows")
+				statecodec.AppendInts(w, flows)
+			}
 		}
+	default:
+		h.appendChildren(w, c)
 	}
+	w.EndObject()
+}
+
+// appendChildren writes c's children, omitted when there are none.
+func (h *Tree) appendChildren(w *statecodec.Writer, c *Node) {
+	if len(c.children) == 0 {
+		return
+	}
+	w.Key("children").BeginArray()
 	for _, ch := range c.children {
-		cs, err := h.captureNode(ch)
-		if err != nil {
-			return nil, err
-		}
-		st.Children = append(st.Children, *cs)
+		h.appendNode(w, ch)
 	}
-	return st, nil
+	w.EndArray()
 }
 
 // RestoreState loads state into a freshly constructed, empty tree. Two
@@ -242,8 +380,8 @@ func (h *Tree) RestoreState(data []byte) error {
 	}
 	structured := len(h.root.children) != 0 || h.root.kind != kindSFQ
 	var st treeState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", sched.ErrBadState, err)
+	if err := st.decode(data); err != nil {
+		return err
 	}
 	rs := &treeRestore{h: h}
 	var root *Node

@@ -1,18 +1,27 @@
-package liveops
+package liveops_test
 
 import (
 	"testing"
 
+	"repro/internal/liveops"
 	"repro/internal/sched"
+
+	_ "repro/internal/hier" // register hier:<spec>
 )
 
 // fuzzTargets are the schedulers FuzzSnapshotRestore restores into: the rank
-// family's format (scfq), and DRR's and Fair Airport's, whose restores refill
-// the flow records' FIFOs from the snapshot. The first input byte picks one.
+// family's format (scfq), DRR's and Fair Airport's, whose restores refill
+// the flow records' FIFOs from the snapshot, the rank family's with a fluid
+// GPS reference (wfq), a scheduler tree whose nodes embed envelopes of
+// their own, and a priority composition whose levels are states of their
+// own. The first input byte picks one.
 var fuzzTargets = []func() sched.Interface{
 	func() sched.Interface { return sched.NewSCFQ() },
 	func() sched.Interface { return sched.NewDRR(1) },
 	func() sched.Interface { return sched.NewFairAirport() },
+	func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(1e5)) },
+	func() sched.Interface { return sched.MustNew("hier:sfq(drr,edd)") },
+	func() sched.Interface { return sched.MustNew("priority-scfq") },
 }
 
 // FuzzSnapshotRestore throws arbitrary bytes at Restore. Valid envelopes
@@ -41,7 +50,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 				f.Fatal(err)
 			}
 			if i == 10 || i == 25 || i == 38 {
-				data, err := Snapshot(seed.(sched.Snapshotter))
+				data, err := liveops.Snapshot(seed.(sched.Snapshotter))
 				if err != nil {
 					f.Fatal(err)
 				}
@@ -59,7 +68,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 		mk := fuzzTargets[int(data[0])%len(fuzzTargets)]
 		s := mk()
-		if Restore(data[1:], s.(sched.Snapshotter)) != nil {
+		if liveops.Restore(data[1:], s.(sched.Snapshotter)) != nil {
 			return
 		}
 		// A restore that succeeded must leave a coherent scheduler: drive
@@ -80,11 +89,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 				break
 			}
 		}
-		again, err := Snapshot(s.(sched.Snapshotter))
+		again, err := liveops.Snapshot(s.(sched.Snapshotter))
 		if err != nil {
 			t.Fatalf("re-Snapshot after restore+drive: %v", err)
 		}
-		if err := Restore(again, mk().(sched.Snapshotter)); err != nil {
+		if err := liveops.Restore(again, mk().(sched.Snapshotter)); err != nil {
 			t.Fatalf("second-generation restore: %v", err)
 		}
 	})

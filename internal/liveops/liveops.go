@@ -15,10 +15,10 @@ package liveops
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/sched"
+	"repro/internal/statecodec"
 )
 
 // Version is the envelope format version this package writes.
@@ -27,7 +27,8 @@ const Version = 1
 // Envelope is the on-disk snapshot format: a version, the scheduler's
 // state kind (restore refuses a mismatched discipline), the SHA-256 of
 // the state bytes (restore refuses tampering or truncation before the
-// per-discipline validators even run), and the state itself.
+// per-discipline validators even run), and the state itself. The json
+// tags document the format; internal/statecodec reads and writes it.
 type Envelope struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
@@ -37,38 +38,78 @@ type Envelope struct {
 	// guards, Virtual Clock EAT chains, EDD deadlines — so a process
 	// restoring into a fresh clock must resume its time base at or after
 	// Time (cmd/sfqsim offsets its whole event script by it).
-	Time  float64         `json:"time,omitempty"`
-	State json.RawMessage `json:"state"`
+	Time float64 `json:"time,omitempty"`
+	// State is the scheduler's state document, verbatim: the bytes the
+	// digest covers. Written in place, not encoded as a JSON string.
+	State []byte `json:"state"`
 }
+
+// digestHole holds the digest's place while the state after it is written.
+const digestHole = "0000000000000000000000000000000000000000000000000000000000000000"
 
 // Snapshot captures s into a self-validating envelope with no recorded
 // capture time — for restores that keep the original time base (failover
 // inside one simulation). Payloads of queued packets are NOT captured —
 // carry them with CapturePayloads.
-func Snapshot(s sched.Snapshotter) ([]byte, error) { return SnapshotAt(0, s) }
+func Snapshot(s sched.Snapshotter) ([]byte, error) { return AppendSnapshotAt(nil, 0, s) }
 
 // SnapshotAt is Snapshot with the capture instant recorded in the
 // envelope, for restores into a process whose clock restarts.
 func SnapshotAt(now float64, s sched.Snapshotter) ([]byte, error) {
-	state, err := s.MarshalState()
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(state)
-	return json.Marshal(Envelope{
-		Version: Version,
-		Kind:    s.StateKind(),
-		SHA256:  hex.EncodeToString(sum[:]),
-		Time:    now,
-		State:   state,
-	})
+	return AppendSnapshotAt(nil, now, s)
 }
+
+// AppendSnapshotAt appends SnapshotAt's envelope to b in one pass: the
+// header with a placeholder digest, the state written in place, then the
+// digest of the state's bytes filled in.
+func AppendSnapshotAt(b []byte, now float64, s sched.Snapshotter) ([]byte, error) {
+	w := statecodec.NewWriter(b)
+	w.BeginObject()
+	w.Key("version").Int(Version)
+	w.Key("kind").String(s.StateKind())
+	w.Key("sha256")
+	at := w.Len() + 1 // past the opening quote
+	w.String(digestHole)
+	if now != 0 {
+		w.Key("time").Float(now)
+	}
+	w.Key("state")
+	start := w.Len()
+	w.Append(s.AppendState)
+	end := w.Len()
+	w.EndObject()
+	out, err := w.Bytes()
+	if err != nil {
+		return b, err
+	}
+	sum := sha256.Sum256(out[start:end])
+	hex.Encode(out[at:], sum[:])
+	return out, nil
+}
+
+var envelopeKeys = []string{"version", "kind", "sha256", "time", "state"}
 
 // Peek decodes and digest-checks an envelope without restoring it, for
 // callers that need its metadata (Kind, Time) before building a scheduler.
+// The returned State is a slice of data, checked for JSON syntax only.
 func Peek(data []byte) (*Envelope, error) {
 	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	r := statecodec.NewReader(data)
+	for o := r.Object(envelopeKeys); o.Next(); {
+		switch o.Key() {
+		case "version":
+			env.Version = r.Int()
+		case "kind":
+			env.Kind = r.String()
+		case "sha256":
+			env.SHA256 = r.String()
+		case "time":
+			env.Time = r.Float()
+		case "state":
+			env.State = r.Raw()
+		}
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: envelope: %v", sched.ErrBadState, err)
 	}
 	if env.Version != Version {
@@ -87,19 +128,12 @@ func Peek(data []byte) (*Envelope, error) {
 // every failure wraps sched.ErrBadState and leaves s unusable (discard
 // it), never holding a half-loaded schedule it would serve from.
 func Restore(data []byte, s sched.Snapshotter) error {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("%w: envelope: %v", sched.ErrBadState, err)
-	}
-	if env.Version != Version {
-		return fmt.Errorf("%w: envelope version %d, want %d", sched.ErrBadState, env.Version, Version)
+	env, err := Peek(data)
+	if err != nil {
+		return err
 	}
 	if env.Kind != s.StateKind() {
 		return fmt.Errorf("%w: envelope kind %q does not match scheduler kind %q", sched.ErrBadState, env.Kind, s.StateKind())
-	}
-	sum := sha256.Sum256(env.State)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return fmt.Errorf("%w: envelope digest mismatch", sched.ErrBadState)
 	}
 	return s.RestoreState(env.State)
 }

@@ -72,15 +72,15 @@ func (r *faDiffRig) dequeue() bool {
 // one; the restored state must marshal to the same bytes.
 func (r *faDiffRig) restore() {
 	r.t.Helper()
-	data, err := r.s.MarshalState()
+	data, err := r.s.AppendState(nil)
 	if err != nil {
-		r.fail("MarshalState: %v", err)
+		r.fail("AppendState: %v", err)
 	}
 	s := NewFairAirport()
 	if err := s.RestoreState(data); err != nil {
 		r.fail("RestoreState: %v\n%s", err, data)
 	}
-	again, err := s.MarshalState()
+	again, err := s.AppendState(nil)
 	if err != nil || !bytes.Equal(again, data) {
 		r.fail("restored state marshals differently (%v)\n got %s\nwant %s", err, again, data)
 	}

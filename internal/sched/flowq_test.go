@@ -590,7 +590,7 @@ func TestRestoreAccountingRejectsBadRows(t *testing.T) {
 	if err := s.Enqueue(0, &Packet{Flow: 4, Length: 100}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := s.MarshalState()
+	data, err := s.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package sched
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
+
+	"repro/internal/statecodec"
 )
 
 // This file implements Reconfigurable (live mutation) and Snapshotter
@@ -36,6 +37,35 @@ type drrFlowState struct {
 	Pkts    []PacketState `json:"pkts"`
 }
 
+var drrFlowKeys = []string{"flow", "deficit", "fresh", "pkts"}
+
+func (fs *drrFlowState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("flow").Int(fs.Flow)
+	w.Key("deficit").Float(fs.Deficit)
+	if fs.Fresh {
+		w.Key("fresh").Bool(true)
+	}
+	w.Key("pkts")
+	statecodec.AppendSlice(w, fs.Pkts, (*PacketState).appendJSON)
+	w.EndObject()
+}
+
+func (fs *drrFlowState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(drrFlowKeys); o.Next(); {
+		switch o.Key() {
+		case "flow":
+			fs.Flow = r.Int()
+		case "deficit":
+			fs.Deficit = r.Float()
+		case "fresh":
+			fs.Fresh = r.Bool()
+		case "pkts":
+			statecodec.Slice(r, &fs.Pkts, (*PacketState).decodeJSON)
+		}
+	}
+}
+
 type drrState struct {
 	Last    float64          `json:"last"`
 	Quantum float64          `json:"quantum"`
@@ -45,12 +75,46 @@ type drrState struct {
 	Active []drrFlowState `json:"active"`
 }
 
+var drrKeys = []string{"last", "quantum", "flows", "active"}
+
+func (st *drrState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("last").Float(st.Last)
+	w.Key("quantum").Float(st.Quantum)
+	w.Key("flows")
+	statecodec.AppendSlice(w, st.Flows, (*FlowAccounting).appendJSON)
+	w.Key("active")
+	statecodec.AppendSlice(w, st.Active, (*drrFlowState).appendJSON)
+	w.EndObject()
+}
+
+func (st *drrState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(drrKeys); o.Next(); {
+		switch o.Key() {
+		case "last":
+			st.Last = r.Float()
+		case "quantum":
+			st.Quantum = r.Float()
+		case "flows":
+			statecodec.Slice(r, &st.Flows, (*FlowAccounting).decodeJSON)
+		case "active":
+			statecodec.Slice(r, &st.Active, (*drrFlowState).decodeJSON)
+		}
+	}
+}
+
 // StateKind identifies DRR snapshot state.
 func (s *DRR) StateKind() string { return "sched/drr" }
 
-// MarshalState serializes the full DRR scheduling state. The round-robin
+// AppendState serializes the full DRR scheduling state. The round-robin
 // list order IS the schedule, so Active keeps service order.
-func (s *DRR) MarshalState() ([]byte, error) {
+func (s *DRR) AppendState(b []byte) ([]byte, error) {
+	st := s.captureState()
+	return appendState(b, st.appendJSON)
+}
+
+// captureState copies the scheduler's state into its serializable form.
+func (s *DRR) captureState() drrState {
 	st := drrState{Last: s.last, Quantum: s.quantum, Flows: s.flows.CaptureAccounting()}
 	st.Active = make([]drrFlowState, s.active.n)
 	s.active.each(func(i int, a *drrSlot) {
@@ -59,7 +123,7 @@ func (s *DRR) MarshalState() ([]byte, error) {
 		a.f.VisitQueued(func(p *Packet) { fs.Pkts = append(fs.Pkts, CapturePacket(p)) })
 		st.Active[i] = fs
 	})
-	return json.Marshal(st)
+	return st
 }
 
 // RestoreState loads state into a freshly constructed DRR with the same
@@ -69,8 +133,8 @@ func (s *DRR) RestoreState(data []byte) error {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st drrState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
+	if err := decodeState(data, st.decodeJSON); err != nil {
+		return err
 	}
 	if st.Quantum != s.quantum {
 		return fmt.Errorf("%w: quantum %v does not match scheduler's %v", ErrBadState, st.Quantum, s.quantum)
@@ -140,10 +204,58 @@ type priorityClassState struct {
 	Level int `json:"level"`
 }
 
+var priorityClassKeys = []string{"flow", "level"}
+
+func (c *priorityClassState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("flow").Int(c.Flow)
+	w.Key("level").Int(c.Level)
+	w.EndObject()
+}
+
+func (c *priorityClassState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(priorityClassKeys); o.Next(); {
+		switch o.Key() {
+		case "flow":
+			c.Flow = r.Int()
+		case "level":
+			c.Level = r.Int()
+		}
+	}
+}
+
+// priorityState is the composition's state. Levels holds each child's own
+// state document: read as raw spans of the parent's bytes, written in
+// place by the children themselves (Priority.AppendState).
 type priorityState struct {
 	Last   float64              `json:"last"`
 	Class  []priorityClassState `json:"class"`
-	Levels []json.RawMessage    `json:"levels"`
+	Levels [][]byte             `json:"levels"`
+}
+
+var priorityKeys = []string{"last", "class", "levels"}
+
+func (st *priorityState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(priorityKeys); o.Next(); {
+		switch o.Key() {
+		case "last":
+			st.Last = r.Float()
+		case "class":
+			statecodec.Slice(r, &st.Class, (*priorityClassState).decodeJSON)
+		case "levels":
+			statecodec.Slice(r, &st.Levels, func(raw *[]byte, r *statecodec.Reader) { *raw = r.Raw() })
+		}
+	}
+}
+
+// captureClass lists the flow→level map sorted by flow.
+func (s *Priority) captureClass() []priorityClassState {
+	class := make([]priorityClassState, 0, len(s.class))
+	for f, lvl := range s.class {
+		class = append(class, priorityClassState{Flow: f, Level: lvl})
+	}
+	sort.Slice(class, func(i, j int) bool { return class[i].Flow < class[j].Flow })
+	return class
 }
 
 // StateKind identifies a priority composition by its children's kinds.
@@ -166,28 +278,28 @@ func (s *Priority) StateKind() string {
 	return out + ")"
 }
 
-// MarshalState serializes the composition: the flow→level map plus each
-// child's own state. Every child must itself be a Snapshotter.
-func (s *Priority) MarshalState() ([]byte, error) {
-	st := priorityState{Last: s.last}
-	st.Class = make([]priorityClassState, 0, len(s.class))
-	for f, lvl := range s.class {
-		st.Class = append(st.Class, priorityClassState{Flow: f, Level: lvl})
-	}
-	sort.Slice(st.Class, func(i, j int) bool { return st.Class[i].Flow < st.Class[j].Flow })
-	st.Levels = make([]json.RawMessage, len(s.levels))
-	for i, lvl := range s.levels {
-		snap, ok := lvl.(Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("sched: priority level %d (%T) does not support snapshots", i, lvl)
+// AppendState serializes the composition: the flow→level map plus each
+// child's own state, written in place. Every child must itself be a
+// Snapshotter.
+func (s *Priority) AppendState(b []byte) ([]byte, error) {
+	class := s.captureClass()
+	return appendState(b, func(w *statecodec.Writer) {
+		w.BeginObject()
+		w.Key("last").Float(s.last)
+		w.Key("class")
+		statecodec.AppendSlice(w, class, (*priorityClassState).appendJSON)
+		w.Key("levels").BeginArray()
+		for i, lvl := range s.levels {
+			snap, ok := lvl.(Snapshotter)
+			if !ok {
+				w.Fail(fmt.Errorf("sched: priority level %d (%T) does not support snapshots", i, lvl))
+				break
+			}
+			w.Append(snap.AppendState)
 		}
-		data, err := snap.MarshalState()
-		if err != nil {
-			return nil, err
-		}
-		st.Levels[i] = data
-	}
-	return json.Marshal(st)
+		w.EndArray()
+		w.EndObject()
+	})
 }
 
 // RestoreState loads state into a freshly constructed composition with
@@ -197,8 +309,8 @@ func (s *Priority) RestoreState(data []byte) error {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st priorityState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
+	if err := decodeState(data, st.decodeJSON); err != nil {
+		return err
 	}
 	if len(st.Levels) != len(s.levels) {
 		return fmt.Errorf("%w: %d levels in state, scheduler has %d", ErrBadState, len(st.Levels), len(s.levels))
@@ -267,10 +379,97 @@ type faFlowState struct {
 	Served     bool           `json:"served,omitempty"`
 }
 
+var faFlowKeys = []string{"id", "weight", "eat", "lastFinish", "bytes", "asqSeq", "pkts", "gsq", "releaseAt", "releaseSeq", "served"}
+
+func (fs *faFlowState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("id").Int(fs.ID)
+	w.Key("weight").Float(fs.Weight)
+	if fs.EAT != 0 {
+		w.Key("eat").Float(fs.EAT)
+	}
+	if fs.LastFinish != 0 {
+		w.Key("lastFinish").Float(fs.LastFinish)
+	}
+	if fs.Bytes != 0 {
+		w.Key("bytes").Float(fs.Bytes)
+	}
+	if fs.AsqSeq != 0 {
+		w.Key("asqSeq").Uint(fs.AsqSeq)
+	}
+	if len(fs.Pkts) != 0 {
+		w.Key("pkts")
+		statecodec.AppendSlice(w, fs.Pkts, (*PacketState).appendJSON)
+	}
+	if len(fs.GSQ) != 0 {
+		w.Key("gsq")
+		statecodec.AppendSlice(w, fs.GSQ, (*faStampState).appendJSON)
+	}
+	if fs.ReleaseAt != 0 {
+		w.Key("releaseAt").Float(fs.ReleaseAt)
+	}
+	if fs.ReleaseSeq != 0 {
+		w.Key("releaseSeq").Uint(fs.ReleaseSeq)
+	}
+	if fs.Served {
+		w.Key("served").Bool(true)
+	}
+	w.EndObject()
+}
+
+func (fs *faFlowState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(faFlowKeys); o.Next(); {
+		switch o.Key() {
+		case "id":
+			fs.ID = r.Int()
+		case "weight":
+			fs.Weight = r.Float()
+		case "eat":
+			fs.EAT = r.Float()
+		case "lastFinish":
+			fs.LastFinish = r.Float()
+		case "bytes":
+			fs.Bytes = r.Float()
+		case "asqSeq":
+			fs.AsqSeq = r.Uint()
+		case "pkts":
+			statecodec.Slice(r, &fs.Pkts, (*PacketState).decodeJSON)
+		case "gsq":
+			statecodec.Slice(r, &fs.GSQ, (*faStampState).decodeJSON)
+		case "releaseAt":
+			fs.ReleaseAt = r.Float()
+		case "releaseSeq":
+			fs.ReleaseSeq = r.Uint()
+		case "served":
+			fs.Served = r.Bool()
+		}
+	}
+}
+
 // faStampState is a promoted packet's GSQ entry.
 type faStampState struct {
 	Key    float64 `json:"key"`
 	Serial uint64  `json:"serial"`
+}
+
+var faStampKeys = []string{"key", "serial"}
+
+func (g *faStampState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("key").Float(g.Key)
+	w.Key("serial").Uint(g.Serial)
+	w.EndObject()
+}
+
+func (g *faStampState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(faStampKeys); o.Next(); {
+		switch o.Key() {
+		case "key":
+			g.Key = r.Float()
+		case "serial":
+			g.Serial = r.Uint()
+		}
+	}
 }
 
 func (a faStampState) before(b faStampState) bool {
@@ -288,15 +487,63 @@ type faState struct {
 	Flows        []faFlowState `json:"flows"`
 }
 
+var faKeys = []string{"last", "asqSeq", "asqV", "asqMaxFinish", "busy", "gsqSerial", "regSeq", "flows"}
+
+func (st *faState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("last").Float(st.Last)
+	w.Key("asqSeq").Uint(st.AsqSeq)
+	w.Key("asqV").Float(st.AsqV)
+	w.Key("asqMaxFinish").Float(st.AsqMaxFinish)
+	w.Key("busy").Bool(st.Busy)
+	w.Key("gsqSerial").Uint(st.GSQSerial)
+	w.Key("regSeq").Uint(st.RegSeq)
+	w.Key("flows")
+	statecodec.AppendSlice(w, st.Flows, (*faFlowState).appendJSON)
+	w.EndObject()
+}
+
+func (st *faState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(faKeys); o.Next(); {
+		switch o.Key() {
+		case "last":
+			st.Last = r.Float()
+		case "asqSeq":
+			st.AsqSeq = r.Uint()
+		case "asqV":
+			st.AsqV = r.Float()
+		case "asqMaxFinish":
+			st.AsqMaxFinish = r.Float()
+		case "busy":
+			st.Busy = r.Bool()
+		case "gsqSerial":
+			st.GSQSerial = r.Uint()
+		case "regSeq":
+			st.RegSeq = r.Uint()
+		case "flows":
+			// A scheduler with no flows writes null (a nil slice).
+			if !r.Null() {
+				statecodec.Slice(r, &st.Flows, (*faFlowState).decodeJSON)
+			}
+		}
+	}
+}
+
 // StateKind identifies Fair Airport snapshot state. The format moved once,
 // when the packets moved into the flow records; "sched/fairairport" is the
 // entry-slice format before it, refused at the kind check.
 func (s *FairAirport) StateKind() string { return "sched/fairairport.v2" }
 
-// MarshalState serializes the full Fair Airport state flow by flow: a
+// AppendState serializes the full Fair Airport state flow by flow: a
 // flow's promoted packets are its FIFO's front and it has at most one
 // pending release, so neither the GSQ nor the regulator is written as such.
-func (s *FairAirport) MarshalState() ([]byte, error) {
+func (s *FairAirport) AppendState(b []byte) ([]byte, error) {
+	st := s.captureState()
+	return appendState(b, st.appendJSON)
+}
+
+// captureState copies the scheduler's state into its serializable form.
+func (s *FairAirport) captureState() faState {
 	st := faState{
 		Last: s.last, AsqSeq: s.asqSeq, AsqV: s.asqV, AsqMaxFinish: s.asqMaxFinish,
 		Busy: s.busy, GSQSerial: s.gsq.serial, RegSeq: s.reg.seq,
@@ -322,7 +569,7 @@ func (s *FairAirport) MarshalState() ([]byte, error) {
 		}
 		st.Flows = append(st.Flows, fs)
 	})
-	return json.Marshal(st)
+	return st
 }
 
 // validate checks one flow's state against the invariants the scheduler
@@ -366,8 +613,8 @@ func (s *FairAirport) RestoreState(data []byte) error {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st faState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
+	if err := decodeState(data, st.decodeJSON); err != nil {
+		return err
 	}
 	for i := range st.Flows {
 		if i > 0 && st.Flows[i].ID <= st.Flows[i-1].ID {

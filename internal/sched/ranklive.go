@@ -1,8 +1,9 @@
 package sched
 
 import (
-	"encoding/json"
 	"fmt"
+
+	"repro/internal/statecodec"
 )
 
 // This file implements Reconfigurable (live mutation) and Snapshotter
@@ -18,6 +19,31 @@ type FlowRankState struct {
 	Sub  float64 `json:"sub,omitempty"`
 }
 
+var flowRankKeys = []string{"flow", "key", "sub"}
+
+func (fr *FlowRankState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("flow").Int(fr.Flow)
+	w.Key("key").Float(fr.Key)
+	if fr.Sub != 0 {
+		w.Key("sub").Float(fr.Sub)
+	}
+	w.EndObject()
+}
+
+func (fr *FlowRankState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(flowRankKeys); o.Next(); {
+		switch o.Key() {
+		case "flow":
+			fr.Flow = r.Int()
+		case "key":
+			fr.Key = r.Float()
+		case "sub":
+			fr.Sub = r.Float()
+		}
+	}
+}
+
 // PIFOState is the serializable form of a PIFO: the flow-indexed backlog,
 // the per-flow clamp chains of the backlogged flows (a drained flow's chain
 // is dead — the next push starts fresh — so only backlogged chains are
@@ -26,6 +52,35 @@ type PIFOState struct {
 	Queue   FlowSetState    `json:"queue"`
 	Last    []FlowRankState `json:"last,omitempty"`
 	Clamped uint64          `json:"clamped,omitempty"`
+}
+
+var pifoKeys = []string{"queue", "last", "clamped"}
+
+func (st *PIFOState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("queue")
+	st.Queue.appendJSON(w)
+	if len(st.Last) != 0 {
+		w.Key("last")
+		statecodec.AppendSlice(w, st.Last, (*FlowRankState).appendJSON)
+	}
+	if st.Clamped != 0 {
+		w.Key("clamped").Uint(st.Clamped)
+	}
+	w.EndObject()
+}
+
+func (st *PIFOState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(pifoKeys); o.Next(); {
+		switch o.Key() {
+		case "queue":
+			st.Queue.decodeJSON(r)
+		case "last":
+			statecodec.Slice(r, &st.Last, (*FlowRankState).decodeJSON)
+		case "clamped":
+			st.Clamped = r.Uint()
+		}
+	}
 }
 
 // CaptureState serializes the queue in canonical form.
@@ -129,6 +184,46 @@ type rankFlowState struct {
 	Cum        float64 `json:"cum,omitempty"`
 }
 
+var rankFlowKeys = []string{"id", "weight", "lastFinish", "eat", "deadline", "cum"}
+
+func (f *rankFlowState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("id").Int(f.ID)
+	w.Key("weight").Float(f.Weight)
+	if f.LastFinish != 0 {
+		w.Key("lastFinish").Float(f.LastFinish)
+	}
+	if f.EAT != 0 {
+		w.Key("eat").Float(f.EAT)
+	}
+	if f.Deadline != 0 {
+		w.Key("deadline").Float(f.Deadline)
+	}
+	if f.Cum != 0 {
+		w.Key("cum").Float(f.Cum)
+	}
+	w.EndObject()
+}
+
+func (f *rankFlowState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(rankFlowKeys); o.Next(); {
+		switch o.Key() {
+		case "id":
+			f.ID = r.Int()
+		case "weight":
+			f.Weight = r.Float()
+		case "lastFinish":
+			f.LastFinish = r.Float()
+		case "eat":
+			f.EAT = r.Float()
+		case "deadline":
+			f.Deadline = r.Float()
+		case "cum":
+			f.Cum = r.Float()
+		}
+	}
+}
+
 type rankedState struct {
 	Last      float64         `json:"last"`
 	V         float64         `json:"v"`
@@ -140,16 +235,69 @@ type rankedState struct {
 	Draining  []int           `json:"draining,omitempty"`
 }
 
+var rankedKeys = []string{"last", "v", "maxFinish", "busy", "flows", "gps", "queue", "draining"}
+
+func (st *rankedState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("last").Float(st.Last)
+	w.Key("v").Float(st.V)
+	w.Key("maxFinish").Float(st.MaxFinish)
+	w.Key("busy").Bool(st.Busy)
+	w.Key("flows")
+	statecodec.AppendSlice(w, st.Flows, (*rankFlowState).appendJSON)
+	if st.GPS != nil {
+		w.Key("gps")
+		st.GPS.appendJSON(w)
+	}
+	w.Key("queue")
+	st.Queue.appendJSON(w)
+	if len(st.Draining) != 0 {
+		w.Key("draining")
+		statecodec.AppendInts(w, st.Draining)
+	}
+	w.EndObject()
+}
+
+func (st *rankedState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(rankedKeys); o.Next(); {
+		switch o.Key() {
+		case "last":
+			st.Last = r.Float()
+		case "v":
+			st.V = r.Float()
+		case "maxFinish":
+			st.MaxFinish = r.Float()
+		case "busy":
+			st.Busy = r.Bool()
+		case "flows":
+			statecodec.Slice(r, &st.Flows, (*rankFlowState).decodeJSON)
+		case "gps":
+			st.GPS = new(GPSState)
+			st.GPS.decodeJSON(r)
+		case "queue":
+			st.Queue.decodeJSON(r)
+		case "draining":
+			statecodec.Ints(r, &st.Draining)
+		}
+	}
+}
+
 // StateKind identifies the state by discipline — ranks from one rank
 // function mean nothing to another, and SFQ's tie rule shapes the queued
 // sub keys, so each rule is a kind of its own. A registry name and its
 // aliases share the kind.
 func (s *Ranked) StateKind() string { return "rank/" + s.d.Name }
 
-// MarshalState serializes the scheduler: flow registrations with their
+// AppendState serializes the scheduler: flow registrations with their
 // tag chains, the PIFO backlog, the discipline virtual time, and the
 // fluid GPS reference when one is attached.
-func (s *Ranked) MarshalState() ([]byte, error) {
+func (s *Ranked) AppendState(b []byte) ([]byte, error) {
+	st := s.captureState()
+	return appendState(b, st.appendJSON)
+}
+
+// captureState copies the scheduler's state into its serializable form.
+func (s *Ranked) captureState() rankedState {
 	st := rankedState{
 		Last: s.last, V: s.st.V, MaxFinish: s.st.maxFinish, Busy: s.st.busy,
 		Queue:    s.q.CaptureState(),
@@ -166,7 +314,7 @@ func (s *Ranked) MarshalState() ([]byte, error) {
 		gps := s.st.gps.captureState()
 		st.GPS = &gps
 	}
-	return json.Marshal(st)
+	return st
 }
 
 // RestoreState loads state into a freshly constructed scheduler running
@@ -178,8 +326,8 @@ func (s *Ranked) RestoreState(data []byte) error {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st rankedState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadState, err)
+	if err := decodeState(data, st.decodeJSON); err != nil {
+		return err
 	}
 	if (st.GPS != nil) != (s.st.gps != nil) {
 		return fmt.Errorf("%w: GPS state presence does not match discipline", ErrBadState)

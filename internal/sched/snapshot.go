@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/statecodec"
 )
 
 // This file implements deterministic serialization of the flow-indexed
@@ -17,7 +19,7 @@ import (
 // Determinism contract: captured state is *canonical* — no Go maps are
 // serialized (flows appear as slices sorted by id, heaps as slices sorted
 // by their strict total order), and float64 values round-trip exactly
-// through encoding/json's shortest-form encoding. Canonical form gives
+// through the shortest-form encoding internal/statecodec writes. Canonical form gives
 // two properties the tests pin: (1) capturing the same schedule twice
 // yields byte-identical JSON, and (2) Marshal → Restore → Marshal is a
 // fixed point. Restoring a heap from its sorted order is safe because a
@@ -36,8 +38,8 @@ import (
 // not produced a usable scheduler; callers must discard the instance.
 var ErrBadState = errors.New("sched: invalid snapshot state")
 
-// Snapshotter is the optional serialization interface. MarshalState
-// returns the scheduler's complete scheduling state (flows, queued
+// Snapshotter is the optional serialization interface. AppendState
+// appends the scheduler's complete scheduling state (flows, queued
 // packets, virtual-time variables) in canonical deterministic form;
 // RestoreState loads it into a freshly constructed scheduler of the same
 // kind, validating internal invariants and failing with ErrBadState
@@ -47,12 +49,12 @@ type Snapshotter interface {
 	// refuses state captured from a different kind.
 	StateKind() string
 
-	// MarshalState serializes the full scheduling state as canonical
+	// AppendState appends the full scheduling state to b as canonical
 	// JSON: capturing an unchanged scheduler twice yields identical
 	// bytes.
-	MarshalState() ([]byte, error)
+	AppendState(b []byte) ([]byte, error)
 
-	// RestoreState loads state captured by MarshalState into this
+	// RestoreState loads state captured by AppendState into this
 	// scheduler, which must be freshly constructed (no flows, no queued
 	// packets). On error (wrapped ErrBadState) the scheduler must be
 	// discarded.
@@ -63,6 +65,29 @@ type Snapshotter interface {
 	// are written and reattached in.
 	VisitQueued(fn func(*Packet))
 }
+
+// appendState writes a whole document with enc.
+func appendState(b []byte, enc func(*statecodec.Writer)) ([]byte, error) {
+	w := statecodec.NewWriter(b)
+	enc(&w)
+	return w.Bytes()
+}
+
+// decodeState reads data as one whole document with dec. Every failure
+// wraps ErrBadState.
+func decodeState(data []byte, dec func(*statecodec.Reader)) error {
+	r := statecodec.NewReader(data)
+	dec(&r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadState, err)
+	}
+	return nil
+}
+
+// The state types below each carry an appendJSON/decodeJSON pair next to a
+// key list. The json tags document the format: appendJSON writes what
+// encoding/json would write for the tagged struct, byte for byte, and
+// decodeJSON reads it back strictly (see internal/statecodec).
 
 // PacketState is the serializable form of a Packet. Payload is
 // deliberately absent (see the file comment).
@@ -76,6 +101,53 @@ type PacketState struct {
 	VirtualStart  float64 `json:"vs"`
 	VirtualFinish float64 `json:"vf"`
 	Deadline      float64 `json:"dl,omitempty"`
+}
+
+var packetKeys = []string{"flow", "seq", "len", "arr", "rate", "slack", "vs", "vf", "dl"}
+
+func (ps *PacketState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("flow").Int(ps.Flow)
+	w.Key("seq").Int64(ps.Seq)
+	w.Key("len").Float(ps.Length)
+	w.Key("arr").Float(ps.Arrival)
+	if ps.Rate != 0 {
+		w.Key("rate").Float(ps.Rate)
+	}
+	if ps.Slack != 0 {
+		w.Key("slack").Float(ps.Slack)
+	}
+	w.Key("vs").Float(ps.VirtualStart)
+	w.Key("vf").Float(ps.VirtualFinish)
+	if ps.Deadline != 0 {
+		w.Key("dl").Float(ps.Deadline)
+	}
+	w.EndObject()
+}
+
+func (ps *PacketState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(packetKeys); o.Next(); {
+		switch o.Key() {
+		case "flow":
+			ps.Flow = r.Int()
+		case "seq":
+			ps.Seq = r.Int64()
+		case "len":
+			ps.Length = r.Float()
+		case "arr":
+			ps.Arrival = r.Float()
+		case "rate":
+			ps.Rate = r.Float()
+		case "slack":
+			ps.Slack = r.Float()
+		case "vs":
+			ps.VirtualStart = r.Float()
+		case "vf":
+			ps.VirtualFinish = r.Float()
+		case "dl":
+			ps.Deadline = r.Float()
+		}
+	}
 }
 
 // CapturePacket converts p to its serializable form.
@@ -107,11 +179,66 @@ type QueuedItemState struct {
 	Pkt    PacketState `json:"pkt"`
 }
 
+var queuedItemKeys = []string{"key", "sub", "serial", "pkt"}
+
+func (it *QueuedItemState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("key").Float(it.Key)
+	if it.Sub != 0 {
+		w.Key("sub").Float(it.Sub)
+	}
+	w.Key("serial").Uint(it.Serial)
+	w.Key("pkt")
+	it.Pkt.appendJSON(w)
+	w.EndObject()
+}
+
+func (it *QueuedItemState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(queuedItemKeys); o.Next(); {
+		switch o.Key() {
+		case "key":
+			it.Key = r.Float()
+		case "sub":
+			it.Sub = r.Float()
+		case "serial":
+			it.Serial = r.Uint()
+		case "pkt":
+			it.Pkt.decodeJSON(r)
+		}
+	}
+}
+
 // FlowQState is one flow's FIFO in arrival order.
 type FlowQState struct {
 	Flow  int               `json:"flow"`
 	Bytes float64           `json:"bytes"`
 	Items []QueuedItemState `json:"items"`
+}
+
+var flowQKeys = []string{"flow", "bytes", "items"}
+
+// AppendJSON writes the FIFO; hierarchical SFQ leaves embed it.
+func (st *FlowQState) AppendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("flow").Int(st.Flow)
+	w.Key("bytes").Float(st.Bytes)
+	w.Key("items")
+	statecodec.AppendSlice(w, st.Items, (*QueuedItemState).appendJSON)
+	w.EndObject()
+}
+
+// DecodeJSON reads what AppendJSON writes.
+func (st *FlowQState) DecodeJSON(r *statecodec.Reader) {
+	for o := r.Object(flowQKeys); o.Next(); {
+		switch o.Key() {
+		case "flow":
+			st.Flow = r.Int()
+		case "bytes":
+			st.Bytes = r.Float()
+		case "items":
+			statecodec.Slice(r, &st.Items, (*QueuedItemState).decodeJSON)
+		}
+	}
 }
 
 // FlowSetState is the full flow-indexed backlog: backlogged flows sorted
@@ -121,12 +248,59 @@ type FlowSetState struct {
 	Flows  []FlowQState `json:"flows"`
 }
 
+var flowSetKeys = []string{"serial", "flows"}
+
+func (st *FlowSetState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("serial").Uint(st.Serial)
+	w.Key("flows")
+	statecodec.AppendSlice(w, st.Flows, (*FlowQState).AppendJSON)
+	w.EndObject()
+}
+
+func (st *FlowSetState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(flowSetKeys); o.Next(); {
+		switch o.Key() {
+		case "serial":
+			st.Serial = r.Uint()
+		case "flows":
+			statecodec.Slice(r, &st.Flows, (*FlowQState).DecodeJSON)
+		}
+	}
+}
+
 // FlowAccounting is one FlowTable row.
 type FlowAccounting struct {
 	Flow   int     `json:"flow"`
 	Weight float64 `json:"weight"`
 	Bytes  float64 `json:"bytes"`
 	Count  int     `json:"count"`
+}
+
+var flowAccountingKeys = []string{"flow", "weight", "bytes", "count"}
+
+func (a *FlowAccounting) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("flow").Int(a.Flow)
+	w.Key("weight").Float(a.Weight)
+	w.Key("bytes").Float(a.Bytes)
+	w.Key("count").Int(a.Count)
+	w.EndObject()
+}
+
+func (a *FlowAccounting) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(flowAccountingKeys); o.Next(); {
+		switch o.Key() {
+		case "flow":
+			a.Flow = r.Int()
+		case "weight":
+			a.Weight = r.Float()
+		case "bytes":
+			a.Bytes = r.Float()
+		case "count":
+			a.Count = r.Int()
+		}
+	}
 }
 
 // closeTo reports a ≈ b under the accumulated-float-residue tolerance
@@ -369,11 +543,54 @@ type GPSFlowCount struct {
 	Count int `json:"count"`
 }
 
+var gpsFlowCountKeys = []string{"flow", "count"}
+
+func (c *GPSFlowCount) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("flow").Int(c.Flow)
+	w.Key("count").Int(c.Count)
+	w.EndObject()
+}
+
+func (c *GPSFlowCount) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(gpsFlowCountKeys); o.Next(); {
+		switch o.Key() {
+		case "flow":
+			c.Flow = r.Int()
+		case "count":
+			c.Count = r.Int()
+		}
+	}
+}
+
 // GPSEntryState is one pending fluid departure.
 type GPSEntryState struct {
 	Finish float64 `json:"finish"`
 	Seq    uint64  `json:"seq"`
 	Flow   int     `json:"flow"`
+}
+
+var gpsEntryKeys = []string{"finish", "seq", "flow"}
+
+func (e *GPSEntryState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("finish").Float(e.Finish)
+	w.Key("seq").Uint(e.Seq)
+	w.Key("flow").Int(e.Flow)
+	w.EndObject()
+}
+
+func (e *GPSEntryState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(gpsEntryKeys); o.Next(); {
+		switch o.Key() {
+		case "finish":
+			e.Finish = r.Float()
+		case "seq":
+			e.Seq = r.Uint()
+		case "flow":
+			e.Flow = r.Int()
+		}
+	}
 }
 
 // GPSState is the fluid GPS reference system: virtual-time variables plus
@@ -388,6 +605,43 @@ type GPSState struct {
 	Seq   uint64          `json:"seq"`
 	Busy  []GPSFlowCount  `json:"busy"`
 	Queue []GPSEntryState `json:"queue"`
+}
+
+var gpsKeys = []string{"c", "v", "lastT", "sumW", "seq", "busy", "queue"}
+
+func (st *GPSState) appendJSON(w *statecodec.Writer) {
+	w.BeginObject()
+	w.Key("c").Float(st.C)
+	w.Key("v").Float(st.V)
+	w.Key("lastT").Float(st.LastT)
+	w.Key("sumW").Float(st.SumW)
+	w.Key("seq").Uint(st.Seq)
+	w.Key("busy")
+	statecodec.AppendSlice(w, st.Busy, (*GPSFlowCount).appendJSON)
+	w.Key("queue")
+	statecodec.AppendSlice(w, st.Queue, (*GPSEntryState).appendJSON)
+	w.EndObject()
+}
+
+func (st *GPSState) decodeJSON(r *statecodec.Reader) {
+	for o := r.Object(gpsKeys); o.Next(); {
+		switch o.Key() {
+		case "c":
+			st.C = r.Float()
+		case "v":
+			st.V = r.Float()
+		case "lastT":
+			st.LastT = r.Float()
+		case "sumW":
+			st.SumW = r.Float()
+		case "seq":
+			st.Seq = r.Uint()
+		case "busy":
+			statecodec.Slice(r, &st.Busy, (*GPSFlowCount).decodeJSON)
+		case "queue":
+			statecodec.Slice(r, &st.Queue, (*GPSEntryState).decodeJSON)
+		}
+	}
 }
 
 // captureState serializes the fluid system in canonical form.

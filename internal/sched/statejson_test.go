@@ -1,0 +1,219 @@
+package sched
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// encoding/json is the reference the state codec is held to: the state
+// structs keep their json tags so that json.Marshal of a captured state
+// writes the bytes AppendState must write, and json.Unmarshal decodes what
+// the codec must decode. Only tests import it.
+
+// priorityJSON is priorityState as encoding/json sees it: levels as raw
+// documents, not base64 strings.
+type priorityJSON struct {
+	Last   float64              `json:"last"`
+	Class  []priorityClassState `json:"class"`
+	Levels []json.RawMessage    `json:"levels"`
+}
+
+// stateJSON is encoding/json's rendering of the state s captures.
+func stateJSON(s Snapshotter) ([]byte, error) {
+	if e, ok := s.(EDD); ok {
+		s = e.Ranked
+	}
+	switch x := s.(type) {
+	case *Ranked:
+		return json.Marshal(x.captureState())
+	case *DRR:
+		return json.Marshal(x.captureState())
+	case *FairAirport:
+		return json.Marshal(x.captureState())
+	case *Priority:
+		st := priorityJSON{Last: x.last, Class: x.captureClass()}
+		for _, lvl := range x.levels {
+			b, err := stateJSON(lvl.(Snapshotter))
+			if err != nil {
+				return nil, err
+			}
+			st.Levels = append(st.Levels, b)
+		}
+		return json.Marshal(st)
+	}
+	return nil, fmt.Errorf("no encoding/json reference for %T", s)
+}
+
+// decodeBoth decodes data as the state of s's type with the codec and
+// with encoding/json. A priority composition's levels come back as raw
+// documents from both.
+func decodeBoth(s Snapshotter, data []byte) (codec, std any, codecErr, stdErr error) {
+	switch s.(type) {
+	case *Ranked, EDD:
+		var a, b rankedState
+		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		return a, b, codecErr, stdErr
+	case *DRR:
+		var a, b drrState
+		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		return a, b, codecErr, stdErr
+	case *FairAirport:
+		var a, b faState
+		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		return a, b, codecErr, stdErr
+	case *Priority:
+		var a priorityState
+		var b priorityJSON
+		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		conv := priorityJSON{Last: a.Last, Class: a.Class}
+		if a.Levels != nil {
+			conv.Levels = []json.RawMessage{}
+		}
+		for _, l := range a.Levels {
+			conv.Levels = append(conv.Levels, l)
+		}
+		return conv, b, codecErr, stdErr
+	}
+	err := fmt.Errorf("no state codec for %T", s)
+	return nil, nil, err, err
+}
+
+// CheckStateCodec holds data, the AppendState bytes of s, to encoding/json
+// both ways: json.Marshal of the state s captures writes exactly data, and
+// CheckStateDecode holds.
+func CheckStateCodec(s Snapshotter, data []byte) error {
+	want, err := stateJSON(s)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(data, want) {
+		return fmt.Errorf("%s: codec wrote\n%s\nencoding/json writes\n%s", s.StateKind(), data, want)
+	}
+	return CheckStateDecode(s, data)
+}
+
+// CheckStateDecode holds the decoding of data, a state of s's type, to
+// encoding/json: both accept it and decode the same state, and json.Marshal
+// of that state gives data back. The levels of a priority composition are
+// checked the same way, each as the state of its own scheduler.
+func CheckStateDecode(s Snapshotter, data []byte) error {
+	codec, std, codecErr, stdErr := decodeBoth(s, data)
+	if codecErr != nil || stdErr != nil {
+		return fmt.Errorf("%s: decode: codec %v, encoding/json %v", s.StateKind(), codecErr, stdErr)
+	}
+	if !reflect.DeepEqual(codec, std) {
+		return fmt.Errorf("%s: codec decoded\n%+v\nencoding/json decoded\n%+v", s.StateKind(), codec, std)
+	}
+	if again, err := json.Marshal(std); err != nil || !bytes.Equal(again, data) {
+		return fmt.Errorf("%s: encoding/json writes the decoded state back as\n%s (%v)", s.StateKind(), again, err)
+	}
+	if p, ok := s.(*Priority); ok {
+		for i, raw := range std.(priorityJSON).Levels {
+			if err := CheckStateDecode(p.levels[i].(Snapshotter), raw); err != nil {
+				return fmt.Errorf("level %d: %w", i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// stateDecodeTargets are the state types FuzzStateDecode decodes into, one
+// scheduler of each; the first input byte picks one.
+func stateDecodeTargets() []Snapshotter {
+	return []Snapshotter{
+		NewSCFQ(),
+		MustNew("wfq", WithAssumedCapacity(1e4)).(Snapshotter),
+		NewDRR(1),
+		NewFairAirport(),
+		MustNew("priority-scfq").(Snapshotter),
+	}
+}
+
+// FuzzStateDecode decodes arbitrary bytes as each state type with the
+// codec and with encoding/json. The codec must never panic, and on any
+// input both accept the two must decode the same state.
+func FuzzStateDecode(f *testing.F) {
+	for i, s := range stateDecodeTargets() {
+		sch := s.(Interface)
+		for fl := 1; fl <= 3; fl++ {
+			if err := sch.AddFlow(fl, float64(100*fl)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		now := 0.0
+		for k := 0; k < 24; k++ {
+			now += 0.001
+			if k%4 == 3 {
+				sch.Dequeue(now)
+				continue
+			}
+			p := &Packet{Flow: k%3 + 1, Seq: int64(k), Length: float64(40 + k*7), Arrival: now, Rate: float64(k % 2 * 250)}
+			if err := sch.Enqueue(now, p); err != nil {
+				f.Fatal(err)
+			}
+		}
+		data, err := s.AppendState(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{byte(i)}, data...))
+	}
+	f.Add([]byte("\x00{\"last\":1e400}"))
+	f.Add([]byte("\x01{\"last\":0,\"LAST\":1}"))
+	f.Add([]byte("\x02 {\"flows\":[{\"flow\":1.5}]} "))
+	f.Add([]byte("\x03{\"flows\":null,\"flows\":[]}"))
+	f.Add([]byte("\x04{\"levels\":[{\"a\":\"\\ud800\\udc00\"},[1,-0,2E-7]]}"))
+
+	targets := stateDecodeTargets()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		s := targets[int(data[0])%len(targets)]
+		codec, std, codecErr, stdErr := decodeBoth(s, data[1:])
+		if codecErr == nil && stdErr == nil && !reflect.DeepEqual(codec, std) {
+			t.Fatalf("%s: both accept %q but decode differently:\ncodec %+v\njson  %+v", s.StateKind(), data[1:], codec, std)
+		}
+	})
+}
+
+// TestStateCodecScripted holds a state with every optional field in use
+// to encoding/json, for each scheduler type of this package.
+func TestStateCodecScripted(t *testing.T) {
+	for _, s := range stateDecodeTargets() {
+		sch := s.(Interface)
+		if err := sch.AddFlow(1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := sch.AddFlow(2, 1e-7); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 6; k++ {
+			p := &Packet{Flow: k%2 + 1, Seq: int64(k), Length: 1e-3 + float64(k), Arrival: 1e21, Rate: 3e-9, Slack: -0.25, Deadline: 7}
+			if err := sch.Enqueue(1e21, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sch.Dequeue(1e21)
+		data, err := s.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckStateCodec(s, data); err != nil {
+			t.Error(err)
+		}
+	}
+	// An empty scheduler: Fair Airport writes its nil flow list as null.
+	for _, s := range stateDecodeTargets() {
+		data, err := s.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckStateCodec(s, data); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -167,7 +167,7 @@ func TestEDDDeadlineSurvivesLiveOps(t *testing.T) {
 		t.Errorf("after re-registering AddFlow: deadline %v, want EAT 0.75 + d 0.25", p.Deadline)
 	}
 
-	data, err := s.MarshalState()
+	data, err := s.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestEDDDeadlineSurvivesLiveOps(t *testing.T) {
 			t.Errorf("after snapshot/restore: flow 2 deadline %v, want 0.8", p.Deadline)
 		}
 	}
-	again, err := replica.MarshalState()
+	again, err := replica.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orig, _ := s.MarshalState(); string(orig) != string(again) {
+	if orig, _ := s.AppendState(nil); string(orig) != string(again) {
 		t.Errorf("replica diverged from the original:\n %s\n %s", orig, again)
 	}
 

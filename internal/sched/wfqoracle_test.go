@@ -118,7 +118,7 @@ func TestWFQOracleSnapshot(t *testing.T) {
 	if kind := s.StateKind(); kind != "rank/wfq-oracle" {
 		t.Errorf("StateKind = %q", kind)
 	}
-	data, err := s.MarshalState()
+	data, err := s.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWFQOracleSnapshot(t *testing.T) {
 	if err := r.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := r.MarshalState(); !bytes.Equal(again, data) {
+	if again, _ := r.AppendState(nil); !bytes.Equal(again, data) {
 		t.Errorf("restore is not a fixed point:\n%s\n%s", again, data)
 	}
 	if err := sched.NewWFQ(100).RestoreState(data); !errors.Is(err, sched.ErrBadState) {
