@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"repro/internal/liveops"
@@ -122,20 +123,89 @@ func CheckStateCodec(h *Tree, data []byte) error {
 	if !bytes.Equal(data, want) {
 		return fmt.Errorf("%s: codec wrote\n%s\nencoding/json writes\n%s", h.kind, data, want)
 	}
-	var codec treeState
-	var std treeJSON
-	if err := codec.decode(data); err != nil {
-		return fmt.Errorf("codec decode: %w", err)
-	}
-	if err := json.Unmarshal(data, &std); err != nil {
-		return fmt.Errorf("encoding/json decode: %w", err)
-	}
-	conv := treeJSON{Last: codec.Last, Busy: codec.Busy, Total: codec.Total, Seq: codec.Seq, Root: codec.Root.mirror(), Draining: codec.Draining}
-	if !reflect.DeepEqual(conv, std) {
-		return fmt.Errorf("%s: codec decoded\n%+v\nencoding/json decoded\n%+v", h.kind, conv, std)
+	std, err := checkTreeDecode(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", h.kind, err)
 	}
 	if again, err := json.Marshal(std); err != nil || !bytes.Equal(again, data) {
 		return fmt.Errorf("%s: encoding/json writes the decoded state back as\n%s (%v)", h.kind, again, err)
 	}
+	// With the members of every object reversed, the codec reads the state
+	// through its fallback to what encoding/json reads.
+	rev, err := reverseMembers(data)
+	if err != nil {
+		return err
+	}
+	if _, err := checkTreeDecode(rev); err != nil {
+		return fmt.Errorf("%s: members reversed: %w", h.kind, err)
+	}
 	return nil
+}
+
+// checkTreeDecode decodes data as a tree state with the codec and with
+// encoding/json, and requires both to accept it and agree.
+func checkTreeDecode(data []byte) (treeJSON, error) {
+	var codec treeState
+	var std treeJSON
+	if err := codec.decode(data); err != nil {
+		return std, fmt.Errorf("codec decode: %w", err)
+	}
+	if err := json.Unmarshal(data, &std); err != nil {
+		return std, fmt.Errorf("encoding/json decode: %w", err)
+	}
+	if conv := codec.mirror(); !reflect.DeepEqual(conv, std) {
+		return std, fmt.Errorf("codec decoded\n%+v\nencoding/json decoded\n%+v", conv, std)
+	}
+	return std, nil
+}
+
+func (st *treeState) mirror() treeJSON {
+	return treeJSON{Last: st.Last, Busy: st.Busy, Total: st.Total, Seq: st.Seq, Root: st.Root.mirror(), Draining: st.Draining}
+}
+
+// reverseMembers returns the JSON document data with the members of every
+// object in reverse order.
+func reverseMembers(data []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var rev func() ([]byte, error)
+	rev = func() ([]byte, error) {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		d, ok := tok.(json.Delim)
+		if !ok {
+			if n, ok := tok.(json.Number); ok {
+				return []byte(n), nil
+			}
+			return json.Marshal(tok)
+		}
+		var parts [][]byte
+		for dec.More() {
+			var key []byte
+			if d == '{' {
+				k, err := dec.Token()
+				if err != nil {
+					return nil, err
+				}
+				key, _ = json.Marshal(k)
+				key = append(key, ':')
+			}
+			v, err := rev()
+			if err != nil {
+				return nil, err
+			}
+			parts = append(parts, append(key, v...))
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, err
+		}
+		if d == '{' {
+			slices.Reverse(parts)
+			return []byte("{" + string(bytes.Join(parts, []byte(","))) + "}"), nil
+		}
+		return []byte("[" + string(bytes.Join(parts, []byte(","))) + "]"), nil
+	}
+	return rev()
 }

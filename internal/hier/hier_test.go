@@ -397,3 +397,42 @@ func init() {
 // unsafeSched hides FIFO's PacketPoolSafe method behind the plain
 // Interface method set.
 type unsafeSched struct{ sched.Interface }
+
+// TestRestoreChecksSinkRouting: a sink's routed flows must be exactly the
+// flows its discipline holds. Otherwise the tree would count a flow's
+// packets in Len but skip them in VisitQueued, and refuse the flow to
+// SetWeight, DrainFlow and RemoveFlow while the sink serves its backlog.
+func TestRestoreChecksSinkRouting(t *testing.T) {
+	h := mustTree("sfq(drr,edd)")
+	for f := 1; f <= 4; f++ {
+		if err := h.AddFlow(f, float64(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 20; k++ {
+		if err := h.Enqueue(0, &sched.Packet{Flow: k%4 + 1, Seq: int64(k), Length: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := h.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mustTree("sfq(drr,edd)").RestoreState(blob); err != nil {
+		t.Fatalf("genuine state refused: %v", err)
+	}
+	const drrFlows = `"flows":[2,4]`
+	if !bytes.Contains(blob, []byte(drrFlows)) {
+		t.Fatalf("state has no %s: %s", drrFlows, blob)
+	}
+	for name, routed := range map[string]string{
+		"id dropped from the sink's list":    `"flows":[4]`,
+		"id the sink never registered":       `"flows":[2,4,6]`,
+		"id the sink never registered, swap": `"flows":[2,6]`,
+	} {
+		bad := bytes.Replace(blob, []byte(drrFlows), []byte(routed), 1)
+		if err := mustTree("sfq(drr,edd)").RestoreState(bad); !errors.Is(err, sched.ErrBadState) {
+			t.Errorf("%s: restore returned %v, want ErrBadState", name, err)
+		}
+	}
+}

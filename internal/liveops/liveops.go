@@ -13,6 +13,7 @@
 package liveops
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -40,8 +41,18 @@ type Envelope struct {
 	// Time (cmd/sfqsim offsets its whole event script by it).
 	Time float64 `json:"time,omitempty"`
 	// State is the scheduler's state document, verbatim: the bytes the
-	// digest covers. Written in place, not encoded as a JSON string.
-	State []byte `json:"state"`
+	// digest covers. Written in place (appendState), not encoded as a JSON
+	// string.
+	State       []byte `json:"state"`
+	appendState func([]byte) ([]byte, error)
+}
+
+func (env *Envelope) codec(c *statecodec.Codec) {
+	c.Int("version", &env.Version)
+	c.String("kind", &env.Kind)
+	c.String("sha256", &env.SHA256)
+	c.FloatOmit("time", &env.Time)
+	c.Raw("state", &env.State, env.appendState)
 }
 
 // digestHole holds the digest's place while the state after it is written.
@@ -61,55 +72,32 @@ func SnapshotAt(now float64, s sched.Snapshotter) ([]byte, error) {
 
 // AppendSnapshotAt appends SnapshotAt's envelope to b in one pass: the
 // header with a placeholder digest, the state written in place, then the
-// digest of the state's bytes filled in.
+// digest of the state's bytes filled in over the placeholder, the last one
+// before the state (only the capture time and the "state" key follow it).
 func AppendSnapshotAt(b []byte, now float64, s sched.Snapshotter) ([]byte, error) {
-	w := statecodec.NewWriter(b)
-	w.BeginObject()
-	w.Key("version").Int(Version)
-	w.Key("kind").String(s.StateKind())
-	w.Key("sha256")
-	at := w.Len() + 1 // past the opening quote
-	w.String(digestHole)
-	if now != 0 {
-		w.Key("time").Float(now)
+	var start, end int
+	env := Envelope{Version: Version, Kind: s.StateKind(), SHA256: digestHole, Time: now}
+	env.appendState = func(b []byte) ([]byte, error) {
+		start = len(b)
+		b, err := s.AppendState(b)
+		end = len(b)
+		return b, err
 	}
-	w.Key("state")
-	start := w.Len()
-	w.Append(s.AppendState)
-	end := w.Len()
-	w.EndObject()
-	out, err := w.Bytes()
+	out, err := statecodec.Encode(b, &env, (*Envelope).codec)
 	if err != nil {
 		return b, err
 	}
 	sum := sha256.Sum256(out[start:end])
-	hex.Encode(out[at:], sum[:])
+	hex.Encode(out[bytes.LastIndex(out[:start], []byte(digestHole)):], sum[:])
 	return out, nil
 }
-
-var envelopeKeys = []string{"version", "kind", "sha256", "time", "state"}
 
 // Peek decodes and digest-checks an envelope without restoring it, for
 // callers that need its metadata (Kind, Time) before building a scheduler.
 // The returned State is a slice of data, checked for JSON syntax only.
 func Peek(data []byte) (*Envelope, error) {
 	var env Envelope
-	r := statecodec.NewReader(data)
-	for o := r.Object(envelopeKeys); o.Next(); {
-		switch o.Key() {
-		case "version":
-			env.Version = r.Int()
-		case "kind":
-			env.Kind = r.String()
-		case "sha256":
-			env.SHA256 = r.String()
-		case "time":
-			env.Time = r.Float()
-		case "state":
-			env.State = r.Raw()
-		}
-	}
-	if err := r.Done(); err != nil {
+	if err := statecodec.Decode(data, &env, (*Envelope).codec); err != nil {
 		return nil, fmt.Errorf("%w: envelope: %v", sched.ErrBadState, err)
 	}
 	if env.Version != Version {

@@ -564,13 +564,13 @@ func TestRestoreAccountingRejectsBadRows(t *testing.T) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("RestoreAccounting panicked: %v", r)
+						t.Fatalf("restoreAccounting panicked: %v", r)
 					}
 				}()
-				err = fs.RestoreAccounting([]FlowAccounting{{Flow: 1, Weight: 2}, tc.row})
+				err = fs.restoreAccounting([]FlowAccounting{{Flow: 1, Weight: 2}, tc.row})
 			}()
 			if !errors.Is(err, ErrBadState) {
-				t.Fatalf("RestoreAccounting = %v, want ErrBadState", err)
+				t.Fatalf("restoreAccounting = %v, want ErrBadState", err)
 			}
 			if after := fs.CaptureAccounting(); !reflect.DeepEqual(after, before) {
 				t.Fatalf("registry changed by a refused restore: %+v, was %+v", after, before)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 )
 
@@ -127,10 +128,20 @@ func (d *DrainSet) Flows() []int {
 	return out
 }
 
-// SetFlows replaces the set's contents (snapshot restore).
-func (d *DrainSet) SetFlows(flows []int) {
+// Restore replaces the set's contents with a snapshot's draining list,
+// which must be ascending and name known flows only.
+func (d *DrainSet) Restore(flows []int, known func(flow int) bool) error {
+	for i, f := range flows {
+		if i > 0 && f <= flows[i-1] {
+			return fmt.Errorf("%w: draining flows not ascending at %d", ErrBadState, f)
+		}
+		if !known(f) {
+			return fmt.Errorf("%w: draining flow %d not registered", ErrBadState, f)
+		}
+	}
 	d.m = nil
 	for _, f := range flows {
 		d.Mark(f)
 	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -54,20 +55,20 @@ func decodeBoth(s Snapshotter, data []byte) (codec, std any, codecErr, stdErr er
 	switch s.(type) {
 	case *Ranked, EDD:
 		var a, b rankedState
-		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		codecErr, stdErr = decodeState(data, &a, (*rankedState).codec), json.Unmarshal(data, &b)
 		return a, b, codecErr, stdErr
 	case *DRR:
 		var a, b drrState
-		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		codecErr, stdErr = decodeState(data, &a, (*drrState).codec), json.Unmarshal(data, &b)
 		return a, b, codecErr, stdErr
 	case *FairAirport:
 		var a, b faState
-		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		codecErr, stdErr = decodeState(data, &a, (*faState).codec), json.Unmarshal(data, &b)
 		return a, b, codecErr, stdErr
 	case *Priority:
 		var a priorityState
 		var b priorityJSON
-		codecErr, stdErr = decodeState(data, a.decodeJSON), json.Unmarshal(data, &b)
+		codecErr, stdErr = decodeState(data, &a, (*priorityState).codec), json.Unmarshal(data, &b)
 		conv := priorityJSON{Last: a.Last, Class: a.Class}
 		if a.Levels != nil {
 			conv.Levels = []json.RawMessage{}
@@ -83,7 +84,8 @@ func decodeBoth(s Snapshotter, data []byte) (codec, std any, codecErr, stdErr er
 
 // CheckStateCodec holds data, the AppendState bytes of s, to encoding/json
 // both ways: json.Marshal of the state s captures writes exactly data, and
-// CheckStateDecode holds.
+// CheckStateDecode holds. With the members of every object reversed, the
+// codec reads data through its fallback to what encoding/json reads.
 func CheckStateCodec(s Snapshotter, data []byte) error {
 	want, err := stateJSON(s)
 	if err != nil {
@@ -92,7 +94,65 @@ func CheckStateCodec(s Snapshotter, data []byte) error {
 	if !bytes.Equal(data, want) {
 		return fmt.Errorf("%s: codec wrote\n%s\nencoding/json writes\n%s", s.StateKind(), data, want)
 	}
-	return CheckStateDecode(s, data)
+	if err := CheckStateDecode(s, data); err != nil {
+		return err
+	}
+	rev, err := reverseMembers(data)
+	if err != nil {
+		return err
+	}
+	codec, std, codecErr, stdErr := decodeBoth(s, rev)
+	if codecErr != nil || stdErr != nil || !reflect.DeepEqual(codec, std) {
+		return fmt.Errorf("%s: members reversed, codec decoded\n%+v (%v)\nencoding/json decoded\n%+v (%v)", s.StateKind(), codec, codecErr, std, stdErr)
+	}
+	return nil
+}
+
+// reverseMembers returns the JSON document data with the members of every
+// object in reverse order.
+func reverseMembers(data []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var rev func() ([]byte, error)
+	rev = func() ([]byte, error) {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		d, ok := tok.(json.Delim)
+		if !ok {
+			if n, ok := tok.(json.Number); ok {
+				return []byte(n), nil
+			}
+			return json.Marshal(tok)
+		}
+		var parts [][]byte
+		for dec.More() {
+			var key []byte
+			if d == '{' {
+				k, err := dec.Token()
+				if err != nil {
+					return nil, err
+				}
+				key, _ = json.Marshal(k)
+				key = append(key, ':')
+			}
+			v, err := rev()
+			if err != nil {
+				return nil, err
+			}
+			parts = append(parts, append(key, v...))
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, err
+		}
+		if d == '{' {
+			slices.Reverse(parts)
+			return []byte("{" + string(bytes.Join(parts, []byte(","))) + "}"), nil
+		}
+		return []byte("[" + string(bytes.Join(parts, []byte(","))) + "]"), nil
+	}
+	return rev()
 }
 
 // CheckStateDecode holds the decoding of data, a state of s's type, to
@@ -136,6 +196,7 @@ func stateDecodeTargets() []Snapshotter {
 // codec and with encoding/json. The codec must never panic, and on any
 // input both accept the two must decode the same state.
 func FuzzStateDecode(f *testing.F) {
+	var reversed [][]byte // the same states, every object's members reversed
 	for i, s := range stateDecodeTargets() {
 		sch := s.(Interface)
 		for fl := 1; fl <= 3; fl++ {
@@ -160,12 +221,20 @@ func FuzzStateDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte{byte(i)}, data...))
+		rev, err := reverseMembers(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		reversed = append(reversed, append([]byte{byte(i)}, rev...))
 	}
 	f.Add([]byte("\x00{\"last\":1e400}"))
 	f.Add([]byte("\x01{\"last\":0,\"LAST\":1}"))
 	f.Add([]byte("\x02 {\"flows\":[{\"flow\":1.5}]} "))
 	f.Add([]byte("\x03{\"flows\":null,\"flows\":[]}"))
 	f.Add([]byte("\x04{\"levels\":[{\"a\":\"\\ud800\\udc00\"},[1,-0,2E-7]]}"))
+	for _, seed := range reversed {
+		f.Add(seed)
+	}
 
 	targets := stateDecodeTargets()
 	f.Fuzz(func(t *testing.T, data []byte) {
