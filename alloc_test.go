@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/source"
+	"repro/internal/topo"
 )
 
 // The zero-allocation contract of the packet path, one row per cycle. A row
@@ -169,6 +172,56 @@ func TestZeroAllocMonitoredLink(t *testing.T) {
 			})
 		})
 	}
+}
+
+// A source's whole path: a Poisson source on the event queue feeds a
+// MonitorAll link that transmits into a Sink, which hands each frame back to
+// the source. An op is one frame through, from the events that emit and
+// send it to its count at the sink; after the warm-up fills the source's
+// free list, nothing is allocated per frame. The same holds for a
+// one-domain topo.Build path of two hops with propagation delay, whose
+// auto-sink ends the frames.
+func TestZeroAllocPath(t *testing.T) {
+	through := func(t *testing.T, out func(q *eventq.Queue) (sim.Consumer, *sim.Sink)) {
+		q := &eventq.Queue{}
+		entry, sink := out(q)
+		(&source.Poisson{Q: q, Out: entry, Flow: 1, Rate: 8e5, PktBytes: 500, // 80 % of 1 MB/s
+			Stop: math.Inf(1), Rng: rand.New(rand.NewSource(1))}).Run()
+		op := func() {
+			for n := sink.Count(1); sink.Count(1) == n; {
+				if !q.Step() {
+					t.Fatal("path ran dry")
+				}
+			}
+		}
+		for i := 0; i < 10000; i++ { // warm-up
+			op()
+		}
+		zeroAllocs(t, op)
+	}
+	t.Run("link", func(t *testing.T) {
+		through(t, func(q *eventq.Queue) (sim.Consumer, *sim.Sink) {
+			sink := sim.NewSink(q)
+			link := sim.NewLink(q, "l", core.New(), server.NewConstantRate(1e6), sink)
+			if err := link.Scheduler().AddFlow(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			sim.MonitorAll(link)
+			return link, sink
+		})
+	})
+	t.Run("topo-2hop", func(t *testing.T) {
+		through(t, func(q *eventq.Queue) (sim.Consumer, *sim.Sink) {
+			net, err := topo.Build(q, []topo.LinkSpec{
+				{Name: "a", From: "n0", To: "n1", Sched: core.New(), Proc: server.NewConstantRate(1e6), PropDelay: 0.001},
+				{Name: "b", From: "n1", To: "n2", Sched: core.New(), Proc: server.NewConstantRate(1e6), PropDelay: 0.001},
+			}, []topo.FlowSpec{{Flow: 1, Weight: 1, Route: []string{"a", "b"}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return net.Entry(1), net.Sink(1)
+		})
+	})
 }
 
 func TestZeroAllocServerProcesses(t *testing.T) {

@@ -79,6 +79,7 @@ func EBFTail(cfg EBFTailConfig) *Result {
 	var eats []float64
 	sink := sim.ConsumerFunc(func(f *sim.Frame) {
 		delays.Add(q.Now() - f.Created)
+		sim.Release(f)
 	})
 	flows := []topo.FlowSpec{{Flow: 1, Weight: rFlow, Route: route, Sink: sink}}
 	for h := 1; h <= cfg.Hops; h++ {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -278,5 +279,50 @@ func TestBoundsTableShape(t *testing.T) {
 	}
 	if r.Got["H_SFQ"] >= r.Got["H_FA"] || r.Got["H_SFQ"] >= r.Got["H_DRR"] {
 		t.Error("SFQ should have the smallest fairness measure")
+	}
+}
+
+// TestSweepSameAtAnyProcs: every experiment whose runs share the CPUs
+// renders the same text on one core as on two — byte for byte, since the
+// runs write their own slots and rendering is in index order.
+func TestSweepSameAtAnyProcs(t *testing.T) {
+	render := func() []string {
+		return []string{
+			Fig2b(Fig2bConfig{Scale: 0.005, Seed: 3}).String(),
+			Table1(3).String(),
+			Fig1b(Fig1Config{Scale: 0.3, Seed: 3}).String(),
+			UPSReplay(3).String(),
+		}
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	one := render()
+	runtime.GOMAXPROCS(2)
+	two := render()
+	for i := range one {
+		if one[i] != two[i] {
+			t.Errorf("GOMAXPROCS 1 and 2 differ:\n%s\nvs\n%s", one[i], two[i])
+		}
+	}
+}
+
+// TestSweepRepanics: a run's panic reaches the caller of sweep at any
+// GOMAXPROCS, as it did when the runs were a plain loop.
+func TestSweepRepanics(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			sweep(4, func(i int) {
+				if i == 1 {
+					panic("run 1")
+				}
+			})
+			return nil
+		}()
+		runtime.GOMAXPROCS(prev)
+		if got != "run 1" {
+			t.Errorf("procs %d: recovered %v, want run 1's panic", procs, got)
+		}
 	}
 }

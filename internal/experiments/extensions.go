@@ -164,6 +164,7 @@ func EndToEndBound(cfg E2EConfig) *Result {
 		if f.Flow == 1 {
 			e2e.Add(q.Now() - f.Created)
 		}
+		sim.Release(f)
 	})
 
 	next := sim.Consumer(final)
@@ -180,9 +181,13 @@ func EndToEndBound(cfg E2EConfig) *Result {
 			panic(err)
 		}
 		downstream := next
+		// Cross traffic leaves the chain after its one hop: its frame
+		// goes back to its source.
 		onward := sim.ConsumerFunc(func(f *sim.Frame) {
 			if f.Flow == 1 {
 				downstream.Deliver(f)
+			} else {
+				sim.Release(f)
 			}
 		})
 		link := sim.NewLink(q, "hop", s, server.NewConstantRate(c), onward)

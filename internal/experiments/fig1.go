@@ -51,8 +51,11 @@ func Fig1b(cfg Fig1Config) *Result {
 	activate := duration / 2 // source 3 starts halfway, as in the paper
 	window := duration / 2
 
-	for _, name := range []string{"WFQ", "SFQ"} {
-		series := runFig1(cfg, name, duration, activate)
+	names := []string{"WFQ", "SFQ"}
+	runs := make([]*Fig1Series, len(names))
+	sweep(len(runs), func(i int) { runs[i] = runFig1(cfg, names[i], duration, activate) })
+	for i, name := range names {
+		series := runs[i]
 		n2 := countIn(series.Arrivals[2], activate, activate+window)
 		n3 := countIn(series.Arrivals[3], activate, activate+window)
 		early3 := countIn(series.Arrivals[3], activate, activate+0.435*cfg.Scale)

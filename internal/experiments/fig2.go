@@ -74,11 +74,18 @@ func Fig2b(cfg Fig2bConfig) *Result {
 	r := newResult("fig2b", "Figure 2(b) — average delay of low-throughput flows, WFQ vs SFQ")
 
 	duration := 1000.0 * cfg.Scale
+	// Ten independent runs, WFQ then SFQ for n = 10, 8, …, 2: the largest
+	// (WFQ at n = 10) starts first.
+	delay := make([]float64, 10)
+	sweep(len(delay), func(i int) {
+		name := [2]string{"WFQ", "SFQ"}[i%2]
+		delay[i] = runFig2b(cfg, name, 10-2*(i/2), duration)
+	})
 	r.addf("%4s %8s %14s %14s %10s", "n", "util", "WFQ avg (ms)", "SFQ avg (ms)", "WFQ/SFQ")
 	for n := 2; n <= 10; n += 2 {
 		util := (700.0 + 32*float64(n)) / 1000
-		wfqDelay := runFig2b(cfg, "WFQ", n, duration)
-		sfqDelay := runFig2b(cfg, "SFQ", n, duration)
+		i := 10 - n // WFQ's slot; SFQ's is the next
+		wfqDelay, sfqDelay := delay[i], delay[i+1]
 		ratio := wfqDelay / sfqDelay
 		r.addf("%4d %7.1f%% %14.3f %14.3f %10.2f",
 			n, util*100, units.ToMillis(wfqDelay), units.ToMillis(sfqDelay), ratio)

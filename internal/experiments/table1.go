@@ -54,37 +54,47 @@ func Table1(seed int64) *Result {
 		{Flow: 2, Weight: rm, MaxBytes: lmax},
 	}
 
-	r.addf("%-5s %12s %14s %14s", "algo", "H bound", "H@const", "H@variable")
-	for _, a := range algos {
-		measure := func(proc server.Process, sporadic bool) float64 {
-			s := a.mk()
-			if err := s.AddFlow(1, rf); err != nil {
-				panic(err)
-			}
-			if err := s.AddFlow(2, rm); err != nil {
-				panic(err)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			var arr []schedtest.Arrival
-			if sporadic {
-				// Sporadic arrivals interleave with service, so the
-				// server's rate fluctuations feed back into the tags.
-				// Arrival intensity is 3x the reserved rates so the
-				// flows are genuinely (jointly) backlogged much of the
-				// time on the 1000 B/s server.
-				hot := []schedtest.FlowSpec{
-					{Flow: 1, Weight: 3 * rf, MaxBytes: lmax},
-					{Flow: 2, Weight: 3 * rm, MaxBytes: lmax},
-				}
-				arr = schedtest.RandomSporadic(rng, hot, nPkts, 30)
-			} else {
-				arr = schedtest.RandomBacklogged(rng, flows, nPkts)
-			}
-			res := schedtest.Drive(s, proc, arr)
-			return fairness.MonitorUnfairness(res.Mon, 1, 2, rf, rm)
+	measure := func(a algo, proc server.Process, sporadic bool) float64 {
+		s := a.mk()
+		if err := s.AddFlow(1, rf); err != nil {
+			panic(err)
 		}
-		hConst := measure(server.NewConstantRate(c), false)
-		hVar := measure(server.NewPeriodicOnOff(c, 0.08), true)
+		if err := s.AddFlow(2, rm); err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var arr []schedtest.Arrival
+		if sporadic {
+			// Sporadic arrivals interleave with service, so the
+			// server's rate fluctuations feed back into the tags.
+			// Arrival intensity is 3x the reserved rates so the
+			// flows are genuinely (jointly) backlogged much of the
+			// time on the 1000 B/s server.
+			hot := []schedtest.FlowSpec{
+				{Flow: 1, Weight: 3 * rf, MaxBytes: lmax},
+				{Flow: 2, Weight: 3 * rm, MaxBytes: lmax},
+			}
+			arr = schedtest.RandomSporadic(rng, hot, nPkts, 30)
+		} else {
+			arr = schedtest.RandomBacklogged(rng, flows, nPkts)
+		}
+		res := schedtest.Drive(s, proc, arr)
+		return fairness.MonitorUnfairness(res.Mon, 1, 2, rf, rm)
+	}
+	// Twelve independent measures: algorithm i at slot 2i on the constant
+	// server and 2i+1 on the fluctuating one.
+	h := make([]float64, 2*len(algos))
+	sweep(len(h), func(i int) {
+		if a := algos[i/2]; i%2 == 0 {
+			h[i] = measure(a, server.NewConstantRate(c), false)
+		} else {
+			h[i] = measure(a, server.NewPeriodicOnOff(c, 0.08), true)
+		}
+	})
+
+	r.addf("%-5s %12s %14s %14s", "algo", "H bound", "H@const", "H@variable")
+	for i, a := range algos {
+		hConst, hVar := h[2*i], h[2*i+1]
 		r.addf("%-5s %12.4f %14.4f %14.4f", a.name, a.analytH, hConst, hVar)
 		r.set("H_const_"+a.name, hConst)
 		r.set("H_var_"+a.name, hVar)

@@ -78,6 +78,11 @@ type Frame struct {
 	// through it when the frame leaves the queue, and a monitor reads the
 	// flow's backlog through it in the OnDepart and OnDrop hooks.
 	at *linkFlow
+
+	// pool is the FramePool of the source that emitted the frame, nil for
+	// a frame made any other way; Release and Sink.Deliver return the frame
+	// to it.
+	pool *FramePool
 }
 
 // Consumer receives frames. Links, sinks, and transport endpoints all
@@ -349,6 +354,7 @@ func (l *Link) account(f *Frame, lf *linkFlow, now float64) {
 // if a buffer is full or the scheduler rejects it. Arrivals during a link
 // failure queue normally and wait for recovery.
 func (l *Link) Deliver(f *Frame) {
+	checkLive(f, "delivered after its release")
 	now := l.clock.Now()
 	lf := l.flow(f.Flow)
 	if l.BufferBytes > 0 && l.queuedBytes+f.Bytes > l.BufferBytes {
@@ -531,11 +537,14 @@ func linkPropagate(arg any) {
 	l.out.Deliver(f)
 }
 
-// Sink counts and timestamps received frames per flow.
+// Sink counts and timestamps received frames per flow. A sink is where a
+// frame ends: one from a FramePool on the sink's own queue goes back to its
+// pool once counted (see Release).
 type Sink struct {
 	q *eventq.Queue
 
-	// OnReceive, if set, observes every received frame.
+	// OnReceive, if set, observes every received frame. It must not keep
+	// the frame: the sink may hand it back to its source's pool on return.
 	OnReceive func(f *Frame, now float64)
 
 	flows map[int]*sinkFlow
@@ -552,7 +561,8 @@ func NewSink(q *eventq.Queue) *Sink {
 	return &Sink{q: q, flows: make(map[int]*sinkFlow)}
 }
 
-// Deliver records the frame.
+// Deliver records the frame, then ends it if its pool is on the sink's
+// queue.
 func (s *Sink) Deliver(f *Frame) {
 	sf := s.flows[f.Flow]
 	if sf == nil {
@@ -563,6 +573,9 @@ func (s *Sink) Deliver(f *Frame) {
 	sf.bytes += f.Bytes
 	if s.OnReceive != nil {
 		s.OnReceive(f, s.q.Now())
+	}
+	if p := f.pool; p != nil && p.q == s.q {
+		p.put(f)
 	}
 }
 

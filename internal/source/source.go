@@ -5,10 +5,14 @@
 //
 // Every source pushes Frames into a sim.Consumer (normally a link) via the
 // shared event queue and takes explicit start/stop times and, where
-// stochastic, an explicit *rand.Rand, keeping runs reproducible.
+// stochastic, an explicit *rand.Rand, keeping runs reproducible. CBR,
+// Poisson and OnOff take their frames from a sim.FramePool of their own,
+// so a frame that ends at a sim.Sink on the source's queue (or at
+// sim.Release) is reused by the source's next emission.
 package source
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -26,14 +30,18 @@ type CBR struct {
 	Start    float64
 	Stop     float64 // no packets are emitted at or after Stop
 
-	seq int64
+	seq    int64
+	frames *sim.FramePool
 }
 
-// Run schedules the source's packet emissions.
+// Run schedules the source's packet emissions. It panics, naming the field,
+// on a Rate or PktBytes that is not finite and positive, a Start that is
+// not finite, or a NaN Stop.
 func (s *CBR) Run() {
-	if s.Rate <= 0 || s.PktBytes <= 0 {
-		panic("source: CBR needs positive rate and packet size")
-	}
+	positive("CBR", "Rate", s.Rate)
+	positive("CBR", "PktBytes", s.PktBytes)
+	window("CBR", s.Start, s.Stop)
+	s.frames = sim.NewFramePool(s.Q)
 	if s.Start < s.Stop {
 		s.Q.AtCall(s.Start, cbrEmit, s)
 	}
@@ -46,7 +54,7 @@ func cbrEmit(arg any) {
 	s := arg.(*CBR)
 	now := s.Q.Now()
 	s.seq++
-	s.Out.Deliver(&sim.Frame{Flow: s.Flow, Seq: s.seq, Bytes: s.PktBytes, Created: now})
+	s.Out.Deliver(frame(s.frames, s.Flow, s.seq, s.PktBytes, now))
 	// Emission times are computed from the index, not accumulated,
 	// so floating-point drift cannot add or drop packets.
 	next := s.Start + float64(s.seq)*(s.PktBytes/s.Rate)
@@ -68,17 +76,20 @@ type Poisson struct {
 	Stop     float64
 	Rng      *rand.Rand
 
-	seq int64
+	seq    int64
+	frames *sim.FramePool
 }
 
-// Run schedules the source's packet emissions.
+// Run schedules the source's packet emissions. It panics as CBR.Run does,
+// and on a nil Rng.
 func (s *Poisson) Run() {
-	if s.Rate <= 0 || s.PktBytes <= 0 {
-		panic("source: Poisson needs positive rate and packet size")
-	}
+	positive("Poisson", "Rate", s.Rate)
+	positive("Poisson", "PktBytes", s.PktBytes)
+	window("Poisson", s.Start, s.Stop)
 	if s.Rng == nil {
 		panic("source: Poisson requires an explicit rng")
 	}
+	s.frames = sim.NewFramePool(s.Q)
 	s.scheduleNext(s.Start)
 }
 
@@ -90,7 +101,7 @@ func poissonEmit(arg any) {
 	s := arg.(*Poisson)
 	now := s.Q.Now()
 	s.seq++
-	s.Out.Deliver(&sim.Frame{Flow: s.Flow, Seq: s.seq, Bytes: s.PktBytes, Created: now})
+	s.Out.Deliver(frame(s.frames, s.Flow, s.seq, s.PktBytes, now))
 	s.scheduleNext(now)
 }
 
@@ -115,18 +126,27 @@ type OnOff struct {
 	Stop     float64
 	Rng      *rand.Rand
 
-	seq   int64
-	endOn float64 // end of the current on period (state for onOffBurst)
+	seq    int64
+	endOn  float64 // end of the current on period (state for onOffBurst)
+	frames *sim.FramePool
 }
 
-// Run schedules the source's packet emissions.
+// Run schedules the source's packet emissions. It panics, naming the field,
+// on a PeakRate, PktBytes or MeanOn that is not finite and positive, a
+// negative or NaN MeanOff, a Start that is not finite, a NaN Stop, or a nil
+// Rng.
 func (s *OnOff) Run() {
-	if s.PeakRate <= 0 || s.PktBytes <= 0 || s.MeanOn <= 0 || s.MeanOff < 0 {
-		panic("source: invalid OnOff parameters")
+	positive("OnOff", "PeakRate", s.PeakRate)
+	positive("OnOff", "PktBytes", s.PktBytes)
+	positive("OnOff", "MeanOn", s.MeanOn)
+	if !(s.MeanOff >= 0) {
+		panic(fmt.Sprintf("source: OnOff needs MeanOff >= 0, got %v", s.MeanOff))
 	}
+	window("OnOff", s.Start, s.Stop)
 	if s.Rng == nil {
 		panic("source: OnOff requires an explicit rng")
 	}
+	s.frames = sim.NewFramePool(s.Q)
 	if s.Start < s.Stop {
 		s.Q.AtCall(s.Start, onOffStart, s)
 	}
@@ -158,8 +178,34 @@ func onOffBurst(arg any) {
 		return
 	}
 	s.seq++
-	s.Out.Deliver(&sim.Frame{Flow: s.Flow, Seq: s.seq, Bytes: s.PktBytes, Created: now})
+	s.Out.Deliver(frame(s.frames, s.Flow, s.seq, s.PktBytes, now))
 	s.Q.AtCall(now+s.PktBytes/s.PeakRate, onOffBurst, s)
+}
+
+// frame takes a frame from a source's pool and fills in one emission.
+func frame(p *sim.FramePool, flow int, seq int64, bytes, now float64) *sim.Frame {
+	f := p.Get()
+	f.Flow, f.Seq, f.Bytes, f.Created = flow, seq, bytes, now
+	return f
+}
+
+// positive panics unless a source's field v is finite and > 0: a zero or
+// NaN rate schedules nothing, and an infinite one emits forever at Start.
+func positive(src, field string, v float64) {
+	if !(v > 0) || math.IsInf(v, 1) {
+		panic(fmt.Sprintf("source: %s needs a finite %s > 0, got %v", src, field, v))
+	}
+}
+
+// window panics on a Start that is not finite or a NaN Stop. An infinite
+// Stop is a source that never stops.
+func window(src string, start, stop float64) {
+	if math.IsNaN(start) || math.IsInf(start, 0) {
+		panic(fmt.Sprintf("source: %s needs a finite Start, got %v", src, start))
+	}
+	if math.IsNaN(stop) {
+		panic(fmt.Sprintf("source: %s needs a Stop that is a number, got %v", src, stop))
+	}
 }
 
 // Bulk models a greedy transfer with a byte budget: it keeps Window bytes

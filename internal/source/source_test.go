@@ -1,8 +1,10 @@
 package source_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/eventq"
@@ -142,5 +144,125 @@ func TestSourceValidation(t *testing.T) {
 			}()
 			bad()
 		}()
+	}
+}
+
+// TestSourceRefusesNonFinite: a rate, size or on-time that is not finite
+// and positive, a negative or NaN off-time, a Start that is not finite and
+// a NaN Stop are refused by Run with a panic naming the field. An +Inf rate
+// used to emit at Start forever and a NaN one to schedule nothing, so a
+// source that accepts a row is run for at most a bounded number of events:
+// a regression fails instead of hanging.
+func TestSourceRefusesNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
+	type mk func(q *eventq.Queue, out sim.Consumer) interface{ Run() }
+	cbr := func(rate, pkt, start, stop float64) mk {
+		return func(q *eventq.Queue, out sim.Consumer) interface{ Run() } {
+			return &source.CBR{Q: q, Out: out, Rate: rate, PktBytes: pkt, Start: start, Stop: stop}
+		}
+	}
+	poisson := func(rate, pkt, start, stop float64) mk {
+		return func(q *eventq.Queue, out sim.Consumer) interface{ Run() } {
+			return &source.Poisson{Q: q, Out: out, Rate: rate, PktBytes: pkt, Start: start, Stop: stop, Rng: rng()}
+		}
+	}
+	onoff := func(peak, pkt, on, off, start, stop float64) mk {
+		return func(q *eventq.Queue, out sim.Consumer) interface{ Run() } {
+			return &source.OnOff{Q: q, Out: out, PeakRate: peak, PktBytes: pkt, MeanOn: on, MeanOff: off,
+				Start: start, Stop: stop, Rng: rng()}
+		}
+	}
+	for _, tc := range []struct {
+		name, field string
+		src         mk
+	}{
+		{"cbr/rate+inf", "Rate", cbr(inf, 100, 0, 1)},
+		{"cbr/rate-nan", "Rate", cbr(nan, 100, 0, 1)},
+		{"cbr/rate-neg", "Rate", cbr(-1, 100, 0, 1)},
+		{"cbr/pkt+inf", "PktBytes", cbr(1000, inf, 0, 1)},
+		{"cbr/pkt-nan", "PktBytes", cbr(1000, nan, 0, 1)},
+		{"cbr/start-nan", "Start", cbr(1000, 100, nan, 1)},
+		{"cbr/start-inf", "Start", cbr(1000, 100, math.Inf(-1), 1)},
+		{"cbr/stop-nan", "Stop", cbr(1000, 100, 0, nan)},
+		{"poisson/rate+inf", "Rate", poisson(inf, 100, 0, 1)},
+		{"poisson/rate-nan", "Rate", poisson(nan, 100, 0, 1)},
+		{"poisson/rate-zero", "Rate", poisson(0, 100, 0, 1)},
+		{"poisson/pkt+inf", "PktBytes", poisson(1000, inf, 0, 1)},
+		{"poisson/pkt-nan", "PktBytes", poisson(1000, nan, 0, 1)},
+		{"poisson/start-nan", "Start", poisson(1000, 100, nan, 1)},
+		{"poisson/stop-nan", "Stop", poisson(1000, 100, 0, nan)},
+		{"onoff/peak+inf", "PeakRate", onoff(inf, 100, 0.1, 0.1, 0, 1)},
+		{"onoff/peak-nan", "PeakRate", onoff(nan, 100, 0.1, 0.1, 0, 1)},
+		{"onoff/pkt+inf", "PktBytes", onoff(1000, inf, 0.1, 0.1, 0, 1)},
+		{"onoff/on+inf", "MeanOn", onoff(1000, 100, inf, 0.1, 0, 1)},
+		{"onoff/on-nan", "MeanOn", onoff(1000, 100, nan, 0.1, 0, 1)},
+		{"onoff/off-neg", "MeanOff", onoff(1000, 100, 0.1, -1, 0, 1)},
+		{"onoff/off-nan", "MeanOff", onoff(1000, 100, 0.1, nan, 0, 1)},
+		{"onoff/start-nan", "Start", onoff(1000, 100, 0.1, 0.1, nan, 1)},
+		{"onoff/stop-nan", "Stop", onoff(1000, 100, 0.1, 0.1, 0, nan)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := &eventq.Queue{}
+			c := &collect{q: q}
+			msg := func() (msg string) {
+				defer func() {
+					if p := recover(); p != nil {
+						msg = fmt.Sprint(p)
+					}
+				}()
+				tc.src(q, c).Run()
+				return ""
+			}()
+			if msg == "" {
+				steps := 0
+				for steps < 10000 && q.Step() {
+					steps++
+				}
+				t.Fatalf("accepted: %d events, %d frames, clock at %v", steps, len(c.times), q.Now())
+			}
+			if !strings.Contains(msg, tc.field) {
+				t.Errorf("panic %q does not name %s", msg, tc.field)
+			}
+		})
+	}
+}
+
+// TestFramesReusedAtOwnSink: a sink on the source's queue hands each frame
+// back to the source, so a long run goes through a handful of frames; a
+// sink on another queue keeps none, and a frame made by hand is never
+// pooled.
+func TestFramesReusedAtOwnSink(t *testing.T) {
+	run := func(sinkQ func(q *eventq.Queue) *eventq.Queue) (frames int64, distinct int) {
+		q := &eventq.Queue{}
+		sink := sim.NewSink(sinkQ(q))
+		seen := map[*sim.Frame]bool{}
+		sink.OnReceive = func(f *sim.Frame, _ float64) { seen[f] = true }
+		sch := sched.NewFIFO()
+		if err := sch.AddFlow(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		link := sim.NewLink(q, "l", sch, server.NewConstantRate(1e4), sink)
+		(&source.Poisson{Q: q, Out: link, Flow: 1, Rate: 5e3, PktBytes: 100, Stop: 20,
+			Rng: rand.New(rand.NewSource(3))}).Run()
+		q.Run()
+		return sink.Count(1), len(seen)
+	}
+	n, distinct := run(func(q *eventq.Queue) *eventq.Queue { return q })
+	if n < 500 || distinct > 20 {
+		t.Errorf("own-queue sink: %d frames through %d distinct, want reuse", n, distinct)
+	}
+	n, distinct = run(func(*eventq.Queue) *eventq.Queue { return &eventq.Queue{} })
+	if int64(distinct) != n {
+		t.Errorf("other-queue sink: %d frames through %d distinct, want none reused", n, distinct)
+	}
+
+	q := &eventq.Queue{}
+	sink := sim.NewSink(q)
+	f := &sim.Frame{Flow: 7, Bytes: 10}
+	sink.Deliver(f)
+	sim.Release(f)
+	if f.Flow != 7 || f.Bytes != 10 {
+		t.Errorf("a frame from no pool was touched on release: %+v", *f)
 	}
 }

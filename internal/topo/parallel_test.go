@@ -3,6 +3,7 @@ package topo_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/topo"
 )
 
@@ -337,5 +339,74 @@ func TestShardedLiveFlowsBetweenRuns(t *testing.T) {
 	}
 	if serial, parallel := run(1), run(4); serial != parallel {
 		t.Errorf("Run(1) and Run(4) differ:\n--- 1 ---\n%s--- 4 ---\n%s", serial, parallel)
+	}
+}
+
+// TestShardedFrameReuse runs a three-domain chain fed by Poisson sources on
+// one worker and on two. Flow 1 crosses every domain, so its frames end at
+// a sink of another queue than its source's and are left to the garbage
+// collector; flows 2–4 stay on one link, so their sink hands each frame
+// back to its source. Under -race this is the check that no frame pool is
+// touched by two workers; the digests must match, and the pointers the
+// entry links see (a test hook on Link.OnEnqueue) show which flows reuse.
+func TestShardedFrameReuse(t *testing.T) {
+	run := func(workers int) (digest string, sent, distinct map[int]int) {
+		links := []topo.LinkSpec{
+			{Name: "a", From: "n0", To: "n1", Sched: core.New(), Proc: server.NewConstantRate(1e6), PropDelay: 0.0011},
+			{Name: "b", From: "n1", To: "n2", Sched: core.New(), Proc: server.NewConstantRate(1e6), PropDelay: 0.0013},
+			{Name: "c", From: "n2", To: "n3", Sched: core.New(), Proc: server.NewConstantRate(1e6), PropDelay: 0.0017},
+		}
+		flows := []topo.FlowSpec{
+			{Flow: 1, Weight: 1, Route: []string{"a", "b", "c"}},
+			{Flow: 2, Weight: 1, Route: []string{"a"}},
+			{Flow: 3, Weight: 1, Route: []string{"b"}},
+			{Flow: 4, Weight: 1, Route: []string{"c"}},
+		}
+		s, err := topo.BuildSharded(links, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One map per link: each is written only by its link's domain.
+		seen := map[string]map[*sim.Frame]int{}
+		for _, ls := range links {
+			m := map[*sim.Frame]int{}
+			seen[ls.Name] = m
+			l := s.Link(ls.Name)
+			prev := l.OnEnqueue
+			l.OnEnqueue = func(f *sim.Frame, now float64) {
+				if prev != nil {
+					prev(f, now)
+				}
+				m[f] = f.Flow
+			}
+		}
+		for _, fs := range flows {
+			(&source.Poisson{Q: s.EntryQueue(fs.Flow), Out: s.Entry(fs.Flow), Flow: fs.Flow,
+				Rate: 3e5, PktBytes: 500, Stop: 2, Rng: rand.New(rand.NewSource(int64(fs.Flow)))}).Run()
+		}
+		s.Run(workers)
+		sent, distinct = map[int]int{}, map[int]int{}
+		for _, fs := range flows {
+			sent[fs.Flow] = int(s.Sink(fs.Flow).Count(fs.Flow))
+			for _, flow := range seen[fs.Route[0]] {
+				if flow == fs.Flow {
+					distinct[fs.Flow]++
+				}
+			}
+		}
+		return s.Digest(), sent, distinct
+	}
+	d1, _, _ := run(1)
+	d2, sent, distinct := run(2)
+	if d1 != d2 {
+		t.Fatalf("Run(2) digest differs from Run(1):\n%s\nvs\n%s", d2, d1)
+	}
+	if sent[1] < 500 || distinct[1] != sent[1] {
+		t.Errorf("flow 1 (crosses domains): %d frames through %d distinct, want no reuse", sent[1], distinct[1])
+	}
+	for flow := 2; flow <= 4; flow++ {
+		if sent[flow] < 500 || distinct[flow] > 50 {
+			t.Errorf("flow %d (one domain): %d frames through %d distinct, want reuse", flow, sent[flow], distinct[flow])
+		}
 	}
 }
