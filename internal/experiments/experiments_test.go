@@ -292,6 +292,8 @@ func TestSweepSameAtAnyProcs(t *testing.T) {
 			Table1(3).String(),
 			Fig1b(Fig1Config{Scale: 0.3, Seed: 3}).String(),
 			UPSReplay(3).String(),
+			SCFQDelay(3).String(),
+			LiveOps(3).String(),
 		}
 	}
 	prev := runtime.GOMAXPROCS(1)

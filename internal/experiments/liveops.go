@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 
@@ -39,8 +40,20 @@ import (
 func LiveOps(seed int64) *Result {
 	r := newResult("liveops", "live operations — kill-and-restore failover and SLO-driven weight control")
 
-	liveOpsFailover(r, seed)
-	liveOpsSLOControl(r)
+	// The two scenarios are independent runs: each renders into its own
+	// part, and the parts join in order.
+	parts := [2]*Result{newResult("", ""), newResult("", "")}
+	sweep(len(parts), func(i int) {
+		if i == 0 {
+			liveOpsFailover(parts[i], seed)
+		} else {
+			liveOpsSLOControl(parts[i])
+		}
+	})
+	for _, p := range parts {
+		r.Lines = append(r.Lines, p.Lines...)
+		maps.Copy(r.Got, p.Got)
+	}
 	r.addf("theorem 1 holds for any server: a restored process and a re-weighted flow are both just servers")
 	return r
 }
