@@ -37,10 +37,9 @@
 //	-hops N     run an N-link tandem chain instead of a single link; every
 //	            hop gets its own scheduler + capacity process and all flows
 //	            traverse the whole chain (stats report the last hop)
-//	-workers N  run independent links on N parallel workers (0 = one per
-//	            CPU); results are bit-identical for any worker count
-//	-prop SEC   per-hop propagation delay — the conservative lookahead that
-//	            bounds each parallel window, so it must be positive
+//	-workers N  pipeline the hops on N parallel workers (0 = one per CPU);
+//	            results are bit-identical for any worker count
+//	-prop SEC   per-hop propagation delay, finite and >= 0
 //
 // The observability and live-operations flags operate on a single link's
 // state and require -hops=1 (the default, whose output is unchanged).
@@ -49,6 +48,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -405,16 +405,14 @@ type tandemConfig struct {
 // tandemSpecs builds the N-hop chain n0 --hop1--> n1 ... --hopN--> nN.
 // Every hop gets its own scheduler instance and capacity process (distinct
 // switches draw independent capacity randomness), and every flow's route is
-// the whole chain. The per-hop propagation delay must be positive: it is
-// the conservative lookahead that lets the sharded executor run hops in
-// parallel windows.
+// the whole chain. The per-hop propagation delay must be finite and >= 0.
 func tandemSpecs(schedName string, hops, nFlows int, weights []float64,
 	linkRate, buffer, prop float64, serverKind string, rng *rand.Rand) ([]topo.LinkSpec, []topo.FlowSpec, error) {
 	if hops < 2 {
 		return nil, nil, fmt.Errorf("tandem needs -hops >= 2, got %d", hops)
 	}
-	if prop <= 0 {
-		return nil, nil, fmt.Errorf("tandem needs -prop > 0 (the parallel lookahead), got %v", prop)
+	if !(prop >= 0) || math.IsInf(prop, 1) {
+		return nil, nil, fmt.Errorf("tandem needs a finite -prop >= 0, got %v", prop)
 	}
 	links := make([]topo.LinkSpec, hops)
 	route := make([]string, hops)
@@ -442,8 +440,8 @@ func tandemSpecs(schedName string, hops, nFlows int, weights []float64,
 }
 
 // runTandem executes the multi-hop mode: build the chain, attach the same
-// per-flow sources as the single-link mode at the head, run the windows on
-// the requested worker count, and report the last hop's per-flow stats.
+// per-flow sources as the single-link mode at the head, run it on the
+// requested worker count, and report the last hop's per-flow stats.
 func runTandem(cfg tandemConfig) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
 	links, flows, err := tandemSpecs(cfg.sched, cfg.hops, cfg.flows, cfg.weights,
@@ -474,8 +472,7 @@ func runTandem(cfg tandemConfig) error {
 	}
 	fmt.Printf("scheduler=%s server=%s link=%.2f Mb/s load=%.2f duration=%.1fs drops=%d\n",
 		cfg.sched, cfg.server, cfg.rateMbps, cfg.load, cfg.duration, drops)
-	fmt.Printf("hops=%d workers=%d lookahead=%gs windows=%d\n",
-		cfg.hops, cfg.workers, sh.Lookahead(), sh.Windows())
+	fmt.Printf("hops=%d workers=%d windows=%d\n", cfg.hops, cfg.workers, sh.Windows())
 
 	last := links[cfg.hops-1].Name
 	mon := sh.Monitor(last)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -145,17 +146,25 @@ func TestTandemSpecs(t *testing.T) {
 			t.Errorf("flow spec %d = %+v", i, fs)
 		}
 	}
-	// The specs must be accepted by the sharded builder (positive prop on
-	// every cross-domain link is the lookahead precondition).
+	// The specs must be accepted by the sharded builder, with no
+	// propagation delay too.
 	if _, err := topo.BuildSharded(links, flows); err != nil {
 		t.Errorf("BuildSharded rejected tandem specs: %v", err)
+	}
+	links, flows, err = tandemSpecs("sfq", 3, 2, []float64{1, 2}, 1e6, 4000, 0, "const", rng)
+	if err != nil {
+		t.Errorf("zero prop refused: %v", err)
+	} else if _, err := topo.BuildSharded(links, flows); err != nil {
+		t.Errorf("BuildSharded rejected zero-prop tandem specs: %v", err)
 	}
 
 	if _, _, err := tandemSpecs("sfq", 1, 1, []float64{1}, 1e6, 0, 0.001, "const", rng); err == nil {
 		t.Error("hops=1 accepted")
 	}
-	if _, _, err := tandemSpecs("sfq", 2, 1, []float64{1}, 1e6, 0, 0, "const", rng); err == nil {
-		t.Error("zero prop accepted")
+	for _, prop := range []float64{math.NaN(), -0.001, math.Inf(1), math.Inf(-1)} {
+		if _, _, err := tandemSpecs("sfq", 2, 1, []float64{1}, 1e6, 0, prop, "const", rng); err == nil {
+			t.Errorf("prop %v accepted", prop)
+		}
 	}
 	if _, _, err := tandemSpecs("nope", 2, 1, []float64{1}, 1e6, 0, 0.001, "const", rng); err == nil {
 		t.Error("unknown scheduler accepted")
@@ -167,11 +176,12 @@ func TestTandemSpecs(t *testing.T) {
 
 // TestTandemRunWorkersInvariant drives a short Poisson run through a
 // 3-hop chain serially and on 4 workers and requires bit-identical
-// digests — the CLI-level pin for the parallel executor.
+// digests — the CLI-level pin for the parallel executor — with and
+// without propagation delay.
 func TestTandemRunWorkersInvariant(t *testing.T) {
-	run := func(workers int) string {
+	run := func(workers int, prop float64) string {
 		rng := rand.New(rand.NewSource(7))
-		links, flows, err := tandemSpecs("sfq", 3, 2, []float64{1, 3}, 1e6, 4000, 0.0007, "const", rng)
+		links, flows, err := tandemSpecs("sfq", 3, 2, []float64{1, 3}, 1e6, 4000, prop, "const", rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +201,28 @@ func TestTandemRunWorkersInvariant(t *testing.T) {
 		}
 		return sh.Digest()
 	}
-	if serial, parallel := run(1), run(4); serial != parallel {
-		t.Errorf("digest differs between 1 and 4 workers:\n%s\nvs\n%s", serial, parallel)
+	for _, prop := range []float64{0.0007, 0} {
+		if serial, parallel := run(1, prop), run(4, prop); serial != parallel {
+			t.Errorf("prop %v: digest differs between 1 and 4 workers:\n%s\nvs\n%s", prop, serial, parallel)
+		}
+	}
+}
+
+// TestTandemPropCLI pins -prop in tandem mode: 0 runs, and the run line
+// names the windows but no lookahead; NaN, negative and infinite delays
+// exit 2 before anything runs.
+func TestTandemPropCLI(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "-hops", "3", "-prop", "0", "-workers", "2", "-dur", "0.05")
+	if code != 0 {
+		t.Fatalf("-prop 0: exit code %d (stderr: %s)", code, stderr)
+	}
+	if !strings.Contains(stdout, "hops=3 workers=2 windows=") || strings.Contains(stdout, "lookahead") {
+		t.Errorf("-prop 0: unexpected run line in\n%s", stdout)
+	}
+	for _, prop := range []string{"NaN", "-0.001", "+Inf"} {
+		if stdout, stderr, code := runCLI(t, "-hops", "3", "-prop", prop, "-dur", "0.05"); code != 2 || stdout != "" {
+			t.Errorf("-prop %s: exit code %d, stdout %q (stderr: %s)", prop, code, stdout, stderr)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/qos"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -48,11 +47,10 @@ func EBFTail(cfg EBFTailConfig) *Result {
 	cRaw := units.Mbps(1) // true mean rate of each hop
 	duration := 120.0 * cfg.Scale
 
-	q := &eventq.Queue{}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Build the chain with topo: hops h1..hK, flow 1 rides the whole
-	// chain, one cross flow per hop rides just that hop.
+	// Build the chain with topo, one queue per hop: hops h1..hK, flow 1
+	// rides the whole chain, one cross flow per hop rides just that hop.
 	var links []topo.LinkSpec
 	var route []string
 	var ebf = make([]float64, 0, cfg.Hops) // per-hop declared rate
@@ -74,41 +72,30 @@ func EBFTail(cfg EBFTailConfig) *Result {
 	declared := ebf[0]
 	rFlow := 0.25 * declared
 
-	var delays stats.Sample
-	var eatChain qos.EAT
-	var eats []float64
-	sink := sim.ConsumerFunc(func(f *sim.Frame) {
-		delays.Add(q.Now() - f.Created)
-		sim.Release(f)
-	})
-	flows := []topo.FlowSpec{{Flow: 1, Weight: rFlow, Route: route, Sink: sink}}
+	flows := []topo.FlowSpec{{Flow: 1, Weight: rFlow, Route: route}}
 	for h := 1; h <= cfg.Hops; h++ {
 		flows = append(flows, topo.FlowSpec{
 			Flow: 1 + h, Weight: 0.6 * declared, Route: []string{fmt.Sprintf("h%d", h)},
 		})
 	}
-	net, err := topo.Build(q, links, flows)
+	net, err := topo.BuildSharded(links, flows)
 	if err != nil {
 		panic(err)
 	}
+	var delays stats.Sample
+	net.Sink(1).OnReceive = func(f *sim.Frame, now float64) { delays.Add(now - f.Created) }
 
 	// Cross traffic per hop (Σ r = 0.85·declared per hop with the flow).
 	for h := 1; h <= cfg.Hops; h++ {
-		(&source.Poisson{Q: q, Out: net.Entry(1 + h), Flow: 1 + h,
+		(&source.Poisson{Q: net.EntryQueue(1 + h), Out: net.Entry(1 + h), Flow: 1 + h,
 			Rate: 0.55 * declared, PktBytes: pkt,
 			Start: 0, Stop: duration, Rng: rand.New(rand.NewSource(rng.Int63()))}).Run()
 	}
-	// The observed flow: shaped CBR at its reserved rate; frames are
-	// stamped with their EAT at entry (EAT = arrival for CBR at rate).
-	entry := net.Entry(1)
-	restamp := sim.ConsumerFunc(func(f *sim.Frame) {
-		eats = append(eats, eatChain.Next(q.Now(), f.Bytes, rFlow))
-		f.Created = q.Now()
-		entry.Deliver(f)
-	})
-	(&source.CBR{Q: q, Out: restamp, Flow: 1, Rate: rFlow, PktBytes: pkt,
+	// The observed flow: CBR at its reserved rate, so a frame's EAT is its
+	// creation time.
+	(&source.CBR{Q: net.EntryQueue(1), Out: net.Entry(1), Flow: 1, Rate: rFlow, PktBytes: pkt,
 		Start: 0.01, Stop: duration}).Run()
-	q.Run()
+	net.Run(0)
 
 	d, btot, lambdaInv := qos.EndToEnd(specs)
 	r.addf("%d random-slotted hops (declared EBF rate %.0f B/s of true mean %.0f)",

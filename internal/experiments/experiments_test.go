@@ -284,7 +284,8 @@ func TestBoundsTableShape(t *testing.T) {
 
 // TestSweepSameAtAnyProcs: every experiment whose runs share the CPUs
 // renders the same text on one core as on two — byte for byte, since the
-// runs write their own slots and rendering is in index order.
+// runs write their own slots and rendering is in index order. e2ebound and
+// ebftail run one topo queue per hop, on Run(GOMAXPROCS) workers.
 func TestSweepSameAtAnyProcs(t *testing.T) {
 	render := func() []string {
 		return []string{
@@ -294,6 +295,8 @@ func TestSweepSameAtAnyProcs(t *testing.T) {
 			UPSReplay(3).String(),
 			SCFQDelay(3).String(),
 			LiveOps(3).String(),
+			EndToEndBound(E2EConfig{Scale: 0.05, Seed: 3}).String(),
+			EBFTail(EBFTailConfig{Scale: 0.05, Seed: 3}).String(),
 		}
 	}
 	prev := runtime.GOMAXPROCS(1)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/stats"
+	"repro/internal/topo"
 	"repro/internal/units"
 )
 
@@ -156,50 +158,36 @@ func EndToEndBound(cfg E2EConfig) *Result {
 	sigma := 4 * pkt
 	duration := 60.0 * cfg.Scale
 
-	q := &eventq.Queue{}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	// One link per hop, h1…hK, each on its own queue: flow 1 crosses them
+	// all, and each hop's two cross flows cross only that hop.
+	links := make([]topo.LinkSpec, cfg.Hops)
+	route := make([]string, cfg.Hops)
+	flows := []topo.FlowSpec{{Flow: 1, Weight: rFlow, Route: route}}
+	for h := 1; h <= cfg.Hops; h++ {
+		route[h-1] = fmt.Sprintf("h%d", h)
+		links[h-1] = topo.LinkSpec{Name: route[h-1], From: fmt.Sprintf("n%d", h-1), To: fmt.Sprintf("n%d", h),
+			Sched: core.New(), Proc: server.NewConstantRate(c), PropDelay: prop}
+		for _, cf := range []int{100*h + 2, 100*h + 3} {
+			flows = append(flows, topo.FlowSpec{Flow: cf, Weight: 0.4 * c, Route: []string{route[h-1]}})
+		}
+	}
+	net, err := topo.BuildSharded(links, flows)
+	if err != nil {
+		panic(err)
+	}
 	var e2e stats.Sample
-	final := sim.ConsumerFunc(func(f *sim.Frame) {
-		if f.Flow == 1 {
-			e2e.Add(q.Now() - f.Created)
-		}
-		sim.Release(f)
-	})
+	net.Sink(1).OnReceive = func(f *sim.Frame, now float64) { e2e.Add(now - f.Created) }
 
-	next := sim.Consumer(final)
+	// Sources are started, and draw their seeds, from the last hop back.
 	for h := cfg.Hops; h >= 1; h-- {
-		s := core.New()
-		if err := s.AddFlow(1, rFlow); err != nil {
-			panic(err)
-		}
-		crossA, crossB := 100*h+2, 100*h+3
-		if err := s.AddFlow(crossA, 0.4*c); err != nil {
-			panic(err)
-		}
-		if err := s.AddFlow(crossB, 0.4*c); err != nil {
-			panic(err)
-		}
-		downstream := next
-		// Cross traffic leaves the chain after its one hop: its frame
-		// goes back to its source.
-		onward := sim.ConsumerFunc(func(f *sim.Frame) {
-			if f.Flow == 1 {
-				downstream.Deliver(f)
-			} else {
-				sim.Release(f)
-			}
-		})
-		link := sim.NewLink(q, "hop", s, server.NewConstantRate(c), onward)
-		link.PropDelay = prop
-		for _, cf := range []int{crossA, crossB} {
-			(&source.Poisson{Q: q, Out: link, Flow: cf, Rate: 0.39 * c, PktBytes: pkt,
+		for _, cf := range []int{100*h + 2, 100*h + 3} {
+			(&source.Poisson{Q: net.EntryQueue(cf), Out: net.Entry(cf), Flow: cf, Rate: 0.39 * c, PktBytes: pkt,
 				Start: 0, Stop: duration, Rng: rand.New(rand.NewSource(rng.Int63()))}).Run()
 		}
-		next = link
 	}
-
-	firstHop := next
+	q, firstHop := net.EntryQueue(1), net.Entry(1)
 	restamp := sim.ConsumerFunc(func(f *sim.Frame) {
 		f.Created = q.Now()
 		firstHop.Deliver(f)
@@ -208,7 +196,7 @@ func EndToEndBound(cfg E2EConfig) *Result {
 	(&source.OnOff{Q: q, Out: shaper, Flow: 1, PeakRate: c, PktBytes: pkt,
 		MeanOn: 0.1, MeanOff: 0.5, Start: 0, Stop: duration,
 		Rng: rand.New(rand.NewSource(rng.Int63()))}).Run()
-	q.Run()
+	net.Run(0)
 
 	var specs []qos.ServerSpec
 	for h := 0; h < cfg.Hops; h++ {

@@ -2,7 +2,7 @@ package topo_test
 
 import (
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,14 +23,7 @@ import (
 //	s2 --in2--> sw1          sw2 --out2--> d2
 //
 // f1: in1→mid→out1, f2: in2→mid→out2, f3 enters at sw1: mid→out1.
-// Injection periods are incommensurate so no two cross-link arrivals ever
-// tie (classic Build and BuildSharded may break exact cross-link ties
-// differently; nothing else differs).
 func shardLinks() []topo.LinkSpec {
-	// Rates and delays are prime-flavored so no two frames' arrival
-	// instants at a shared link ever coincide exactly (an exact float tie
-	// would be broken by event seq, which legitimately differs between the
-	// shared-queue and sharded executors).
 	return []topo.LinkSpec{
 		{Name: "in1", From: "s1", To: "sw1", Sched: core.New(), Proc: server.NewConstantRate(999983), PropDelay: 0.0020003},
 		{Name: "in2", From: "s2", To: "sw1", Sched: core.New(), Proc: server.NewConstantRate(987503), PropDelay: 0.0029917},
@@ -89,20 +82,21 @@ func inject(entry func(flow int) (*eventq.Queue, sim.Consumer)) {
 // mode: the same scenario run on 1 worker and on many workers must produce
 // bit-identical digests (per-link service-record traces, drop counters,
 // sink totals). This is the in-scenario analogue of RunMatrix's
-// shard-count invariance.
+// shard-count invariance. Run(1) makes ⌈E/512⌉ passes, E being the most
+// events that a queue no other feeds (in1, in2) runs.
 func TestShardedParallelMatchesSerial(t *testing.T) {
-	run := func(workers int) (string, int64) {
+	run := func(workers int) (string, *topo.Sharded) {
 		s, err := topo.BuildSharded(shardLinks(), shardFlows())
 		if err != nil {
 			t.Fatal(err)
 		}
 		injectShard(s)
 		s.Run(workers)
-		return s.Digest(), s.Windows()
+		return s.Digest(), s
 	}
-	serial, windows := run(1)
-	if windows < 2 {
-		t.Fatalf("scenario executed %d windows; want ≥ 2 so the barrier actually exchanges frames", windows)
+	serial, s := run(1)
+	if e := max(s.Queue("in1").Steps(), s.Queue("in2").Steps()); s.Windows() != int64(e+511)/512 {
+		t.Errorf("Run(1) made %d passes; the source queues ran at most %d events", s.Windows(), e)
 	}
 	if serial == "" {
 		t.Fatal("empty digest")
@@ -134,9 +128,8 @@ func TestShardedParallelMatchesSerial(t *testing.T) {
 
 // TestShardedMatchesClassicNetwork: the sharded executor reproduces the
 // shared-queue (Build + q.Run) run exactly — the full Digest, so every
-// per-link service record, counter and per-flow sink total — on a scenario
-// with no exact cross-link arrival ties. Run on a one-domain build is one
-// window and gives the same digest.
+// per-link service record, counter and per-flow sink total. Run on a
+// one-domain build gives the same digest, in ⌈events/512⌉ passes.
 func TestShardedMatchesClassicNetwork(t *testing.T) {
 	q := &eventq.Queue{}
 	n, err := topo.Build(q, shardLinks(), shardFlows())
@@ -188,11 +181,71 @@ func TestShardedMatchesClassicNetwork(t *testing.T) {
 	}
 	injectClassic(one)
 	one.Run(3)
-	if one.Windows() != 1 {
-		t.Errorf("one-domain Run(3): %d windows, want 1", one.Windows())
+	if e := one.Queue("mid").Steps(); one.Windows() != int64(e+511)/512 {
+		t.Errorf("one-domain Run(3): %d passes over %d events", one.Windows(), e)
 	}
 	if od := one.Digest(); od != n.Digest() {
 		t.Errorf("one-domain Run(3) digest differs from q.Run:\n%s", od)
+	}
+}
+
+// tieLinks is a tandem a → b → c of equal-rate links, and tieFlows load it
+// so that b and c queue. Rates, sizes and delays are powers of two, so every
+// event time is exact and a frame handed from one link to the next often
+// arrives at the very instant its new link completes a transmission or a
+// source there emits.
+func tieLinks() []topo.LinkSpec {
+	var links []topo.LinkSpec
+	for i, name := range []string{"a", "b", "c"} {
+		links = append(links, topo.LinkSpec{Name: name, From: fmt.Sprint("n", i), To: fmt.Sprint("n", i+1),
+			Sched: core.New(), Proc: server.NewConstantRate(1 << 20), PropDelay: 9.0 / (1 << 12)})
+	}
+	return links
+}
+
+var tieFlows = []struct {
+	topo.FlowSpec
+	rate, pkt float64
+}{
+	{topo.FlowSpec{Flow: 1, Weight: 2, Route: []string{"a", "b", "c"}}, 1 << 19, 1 << 10},
+	{topo.FlowSpec{Flow: 2, Weight: 1, Route: []string{"a", "b"}}, 1 << 18, 1 << 9},
+	{topo.FlowSpec{Flow: 3, Weight: 1, Route: []string{"b", "c"}}, 1 << 18, 1 << 10},
+	{topo.FlowSpec{Flow: 4, Weight: 1, Route: []string{"b"}}, 1 << 17, 1 << 8},
+	{topo.FlowSpec{Flow: 5, Weight: 3, Route: []string{"c"}}, 1 << 18, 1 << 9},
+}
+
+// tieRun builds the tandem with build, starts one CBR source per flow on
+// its entry queue, runs it and returns the digest.
+func tieRun(t *testing.T, build func([]topo.LinkSpec, []topo.FlowSpec) (*topo.Sharded, error), run func(*topo.Sharded)) string {
+	var flows []topo.FlowSpec
+	for _, f := range tieFlows {
+		flows = append(flows, f.FlowSpec)
+	}
+	s, err := build(tieLinks(), flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tieFlows {
+		(&source.CBR{Q: s.EntryQueue(f.Flow), Out: s.Entry(f.Flow), Flow: f.Flow,
+			Rate: f.rate, PktBytes: f.pkt, Start: float64(f.Flow) / (1 << 12), Stop: 0.25}).Run()
+	}
+	run(s)
+	return s.Digest()
+}
+
+// TestShardedReplaysBuildAtTies: on the tie-heavy tandem, BuildSharded at
+// Run(1), Run(2) and Run(4) gives the Digest of Build on one queue. Frames
+// cross queues at their departure instants, so each tie is broken as one
+// shared queue breaks it; lockstep windows of one propagation delay broke
+// some of them the other way.
+func TestShardedReplaysBuildAtTies(t *testing.T) {
+	q := &eventq.Queue{}
+	one := tieRun(t, func(l []topo.LinkSpec, f []topo.FlowSpec) (*topo.Sharded, error) { return topo.Build(q, l, f) },
+		func(*topo.Sharded) { q.Run() })
+	for _, workers := range []int{1, 2, 4} {
+		if got := tieRun(t, topo.BuildSharded, func(s *topo.Sharded) { s.Run(workers) }); got != one {
+			t.Errorf("BuildSharded Run(%d) differs from Build on one queue:\n%s\nvs\n%s", workers, got, one)
+		}
 	}
 }
 
@@ -207,17 +260,24 @@ func TestShardedValidation(t *testing.T) {
 	}
 	flows := []topo.FlowSpec{{Flow: 1, Weight: 1, Route: []string{"a", "b"}}}
 
-	// Zero propagation on a cross-domain link: no safe horizon.
-	links := mk()
-	links[0].PropDelay = 0
-	if _, err := topo.BuildSharded(links, flows); err == nil {
-		t.Error("zero-PropDelay cross link accepted")
+	// Any link may have zero propagation delay, one that feeds another
+	// queue too.
+	for i := range 2 {
+		links := mk()
+		links[i].PropDelay = 0
+		if _, err := topo.BuildSharded(links, flows); err != nil {
+			t.Errorf("zero-PropDelay link %s rejected: %v", links[i].Name, err)
+		}
 	}
-	// A purely-egress link may have zero propagation delay.
-	links = mk()
-	links[1].PropDelay = 0
-	if _, err := topo.BuildSharded(links, flows); err != nil {
-		t.Errorf("zero-PropDelay egress link rejected: %v", err)
+	// Routes that close a cycle between queues, alone or together.
+	back := append(mk(), topo.LinkSpec{Name: "c", From: "z", To: "x", Sched: core.New(), Proc: server.NewConstantRate(1e6)})
+	for _, fs := range [][]topo.FlowSpec{
+		{{Flow: 1, Weight: 1, Route: []string{"a", "b", "c", "a"}}},
+		{{Flow: 1, Weight: 1, Route: []string{"a", "b"}}, {Flow: 2, Weight: 1, Route: []string{"b", "c", "a"}}},
+	} {
+		if _, err := topo.BuildSharded(back, fs); !errors.Is(err, topo.ErrCycle) {
+			t.Errorf("cycle %v: %v, want ErrCycle", fs, err)
+		}
 	}
 	// Custom sinks cannot cross the worker boundary.
 	if _, err := topo.BuildSharded(mk(), []topo.FlowSpec{
@@ -238,18 +298,15 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedSingleLinkInfiniteLookahead: with no cross-domain edges the
-// lookahead is infinite and the whole scenario executes as one window.
-func TestShardedSingleLinkInfiniteLookahead(t *testing.T) {
+// TestShardedSingleLinkOnePass: a single link with fewer than 512 events
+// runs in one pass, on any number of workers.
+func TestShardedSingleLinkOnePass(t *testing.T) {
 	s, err := topo.BuildSharded(
 		[]topo.LinkSpec{{Name: "only", From: "a", To: "b", Sched: core.New(), Proc: server.NewConstantRate(1e5)}},
 		[]topo.FlowSpec{{Flow: 1, Weight: 1, Route: []string{"only"}}},
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !math.IsInf(s.Lookahead(), 1) {
-		t.Fatalf("lookahead = %v, want +Inf", s.Lookahead())
 	}
 	q, c := s.EntryQueue(1), s.Entry(1)
 	for i := 0; i < 10; i++ {
@@ -266,9 +323,9 @@ func TestShardedSingleLinkInfiniteLookahead(t *testing.T) {
 }
 
 // TestShardedLiveFlowsBetweenRuns: on a multi-queue engine flows are added
-// and removed between Runs. The lookahead follows the current cross-queue
-// hops, the result stays independent of workers, and a refused AddFlow
-// registers nothing.
+// and removed between Runs. The result stays independent of workers, and a
+// refused AddFlow — one closing a cycle between queues, or with a custom
+// sink — registers nothing: the next Run still runs every queue.
 func TestShardedLiveFlowsBetweenRuns(t *testing.T) {
 	links := func() []topo.LinkSpec {
 		return []topo.LinkSpec{
@@ -276,6 +333,7 @@ func TestShardedLiveFlowsBetweenRuns(t *testing.T) {
 			{Name: "in2", From: "s2", To: "m", Sched: core.New(), Proc: server.NewConstantRate(1e5), PropDelay: 0.001},
 			{Name: "in3", From: "s3", To: "m", Sched: core.New(), Proc: server.NewConstantRate(1e5)},
 			{Name: "out", From: "m", To: "d", Sched: core.New(), Proc: server.NewConstantRate(5e4), PropDelay: 0.002},
+			{Name: "back", From: "d", To: "s2", Sched: core.New(), Proc: server.NewConstantRate(1e5)},
 		}
 	}
 	burst := func(s *topo.Sharded, flow int) {
@@ -291,23 +349,21 @@ func TestShardedLiveFlowsBetweenRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if la := s.Lookahead(); la != 0.004 {
-			t.Errorf("lookahead = %v, want 0.004", la)
-		}
 		burst(s, 1)
 		s.Run(workers)
 		first := s.Sink(1).Count(1)
 		if err := s.RemoveFlow(1); err != nil {
 			t.Fatalf("RemoveFlow between Runs: %v", err)
 		}
-		if la := s.Lookahead(); !math.IsInf(la, 1) {
-			t.Errorf("lookahead after removal = %v, want +Inf", la)
+		if err := s.AddFlow(topo.FlowSpec{Flow: 2, Weight: 1, Route: []string{"in2", "out"}}); err != nil {
+			t.Fatalf("AddFlow between Runs: %v", err)
 		}
 		for _, tc := range []struct {
 			fs   topo.FlowSpec
 			want error
 		}{
-			{topo.FlowSpec{Flow: 3, Weight: 1, Route: []string{"in3", "out"}}, topo.ErrNoLookahead},
+			{topo.FlowSpec{Flow: 3, Weight: 1, Route: []string{"out", "back", "in2"}}, topo.ErrCycle},
+			{topo.FlowSpec{Flow: 3, Weight: 1, Route: []string{"in3", "out", "back", "in2", "out"}}, topo.ErrCycle},
 			{topo.FlowSpec{Flow: 3, Weight: 1, Route: []string{"in2", "out"},
 				Sink: sim.ConsumerFunc(func(*sim.Frame) {})}, topo.ErrCustomSink},
 		} {
@@ -320,20 +376,14 @@ func TestShardedLiveFlowsBetweenRuns(t *testing.T) {
 					t.Errorf("refused flow left registered on %s (RemoveFlow = %v)", name, err)
 				}
 			}
-			if s.Sink(3) != nil || !math.IsInf(s.Lookahead(), 1) {
-				t.Errorf("refused AddFlow(%v) changed the network", fs.Route)
+			if s.Sink(3) != nil {
+				t.Errorf("refused AddFlow(%v) created a sink", fs.Route)
 			}
-		}
-		if err := s.AddFlow(topo.FlowSpec{Flow: 2, Weight: 1, Route: []string{"in2", "out"}}); err != nil {
-			t.Fatalf("AddFlow between Runs: %v", err)
-		}
-		if la := s.Lookahead(); la != 0.001 {
-			t.Errorf("lookahead after AddFlow = %v, want 0.001", la)
 		}
 		burst(s, 2)
 		s.Run(workers)
-		if first != 30 || s.Sink(2).Count(2) != 30 || s.Windows() < 2 {
-			t.Errorf("delivered %d then %d in %d windows; want 30, 30, ≥ 2", first, s.Sink(2).Count(2), s.Windows())
+		if first != 30 || s.Sink(2).Count(2) != 30 {
+			t.Errorf("delivered %d then %d; want 30, 30", first, s.Sink(2).Count(2))
 		}
 		return s.Digest()
 	}

@@ -5,13 +5,13 @@
 // One engine runs every topology. Build puts all links on the caller's
 // event queue as one domain; BuildSharded gives each link its own queue. A
 // hop to a link on the same queue is scheduled at endTx + PropDelay, or
-// delivered synchronously when the delay is 0. A hop to another queue is
-// parked in an outbox, and domains advance in lockstep windows of Δ = the
-// minimum PropDelay over hops that cross queues: a frame leaving at
-// endTx ∈ [W, W+Δ) cannot reach another queue before W + Δ, so a window
-// runs on several workers with no other synchronization. The barrier
-// routes the outboxes single-threaded (domains sorted by link name,
-// emission order within a domain), so Run(n) is bit-for-bit Run(1).
+// delivered synchronously when the delay is 0. A frame leaving queue u at
+// time d for another queue v is handed over at that instant: v schedules it
+// at d + PropDelay after running its events before d, and frames that
+// several queues hand to v at one instant enter in queue order (links by
+// name), then in emission order. Queues run in the dependency order of the
+// cross-queue hops, so a route that would close a cycle between queues is
+// refused (ErrCycle).
 //
 // AddFlow and RemoveFlow may be called from any event of a one-domain
 // engine, and between Runs of any engine. A frame that reaches a switch
@@ -19,16 +19,16 @@
 package topo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/eventq"
 	"repro/internal/sched"
@@ -40,6 +40,10 @@ import (
 // their flow (the flow was removed while frames were still in flight, or
 // was never routed).
 const DropNoRoute sim.DropCause = "no-route"
+
+// turnEvents is how many events a queue that no other feeds runs per turn
+// of a Run: the grain at which the queues it feeds follow it.
+const turnEvents = 512
 
 // LinkSpec declares one unidirectional link.
 type LinkSpec struct {
@@ -69,11 +73,7 @@ var (
 	ErrDuplicateFlow = errors.New("topo: duplicate flow id")
 	ErrUnknownFlow   = errors.New("topo: unknown flow")
 	ErrFlowBusy      = errors.New("topo: flow has queued frames")
-
-	// ErrNoLookahead rejects a hop that crosses queues with no propagation
-	// delay: the safe horizon would be zero. Give inter-switch links a
-	// physical PropDelay (even 1µs of wire suffices).
-	ErrNoLookahead = errors.New("topo: parallel execution needs PropDelay > 0 on every link that feeds another queue")
+	ErrCycle         = errors.New("topo: route closes a cycle between queues")
 
 	// ErrCustomSink rejects FlowSpec.Sink on an engine with more than one
 	// queue: the consumer would run on whichever worker owns the egress
@@ -81,28 +81,36 @@ var (
 	ErrCustomSink = errors.New("topo: sharded topologies use auto-sinks; FlowSpec.Sink must be nil")
 )
 
-// domain is one event queue and what its links emit within a window.
+// domain is one event queue and its place in a Run.
 type domain struct {
-	q       *eventq.Queue
-	outbox  []outMsg      // cross-queue frames produced this window
-	noRoute map[int]int64 // per flow
+	q   *eventq.Queue
+	idx int       // queue order
+	up  []*domain // the queues that feed it, set by wire
+	// out holds what d's links hand over during a turn, sent what other
+	// queues handed to d, and in what d took in and has not yet scheduled.
+	out, sent, in []handover
+	// done is d's progress, written under Sharded.mu: every event before it
+	// has run, so every frame leaving before it has been handed over.
+	done float64
 }
 
-// outMsg is one frame in transit between domains, parked by value until
-// the barrier makes the frame the argument of its arrival event.
-type outMsg struct {
-	f  *sim.Frame
-	at float64
-	h  hop
+// handover is frame f, which left queue from at time d by hop and arrives
+// at time at.
+type handover struct {
+	f     *sim.Frame
+	d, at float64
+	hop
+	from int
 }
 
 // port is one link compiled onto a domain.
 type port struct {
-	spec LinkSpec
-	dom  *domain
-	link *sim.Link
-	mon  *sim.Monitor
-	hops map[int]hop // flow → how its frames go on from here
+	spec    LinkSpec
+	dom     *domain
+	link    *sim.Link
+	mon     *sim.Monitor
+	hops    map[int]hop   // flow → how its frames go on from here
+	noRoute map[int]int64 // per flow, counted on the port's queue
 }
 
 // hop is how a link forwards one flow's frames, looked up once at departure.
@@ -120,42 +128,48 @@ type flow struct {
 
 // Sharded is a compiled topology on one or more event queues.
 type Sharded struct {
-	domains []*domain // the barrier order
+	domains []*domain // queue order
 	ports   []*port   // sorted by link name
 	byName  map[string]*port
 	flows   map[int]*flow
+	feeds   map[[2]*domain]int // routes crossing from one queue to another
 	windows int64
+
+	mu     sync.Mutex // hands frames and progress between workers
+	moved  sync.Cond  // signalled when a queue takes a turn
+	change int64      // counts the turns taken
 }
 
 // Build compiles the topology onto q, every link in one domain. Routes
 // must be contiguous (each link's To equals the next link's From). Drive
-// it with q.Run, or with Run, which then executes a single window.
+// it with q.Run, or with Run.
 func Build(q *eventq.Queue, links []LinkSpec, flows []FlowSpec) (*Sharded, error) {
 	return build(links, flows, func() *eventq.Queue { return q })
 }
 
 // BuildSharded compiles the topology for parallel execution, every link on
-// its own queue. On top of Build's validation, a link that feeds another
-// needs PropDelay > 0 (the lookahead), and flows must use auto-sinks.
+// its own queue. On top of Build's validation, routes must not close a
+// cycle between queues, and flows must use auto-sinks.
 func BuildSharded(links []LinkSpec, flows []FlowSpec) (*Sharded, error) {
 	return build(links, flows, func() *eventq.Queue { return &eventq.Queue{} })
 }
 
 // build puts each link, in name order, on the queue that queue returns.
 func build(links []LinkSpec, flows []FlowSpec, queue func() *eventq.Queue) (*Sharded, error) {
-	s := &Sharded{byName: make(map[string]*port), flows: make(map[int]*flow)}
+	s := &Sharded{byName: make(map[string]*port), flows: make(map[int]*flow), feeds: make(map[[2]*domain]int)}
+	s.moved.L = &s.mu
 	links = append([]LinkSpec(nil), links...)
-	sort.SliceStable(links, func(i, j int) bool { return links[i].Name < links[j].Name })
+	slices.SortStableFunc(links, func(a, b LinkSpec) int { return strings.Compare(a.Name, b.Name) })
 	var d *domain
 	for _, ls := range links {
 		if _, dup := s.byName[ls.Name]; dup {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateLink, ls.Name)
 		}
 		if q := queue(); d == nil || d.q != q {
-			d = &domain{q: q, noRoute: make(map[int]int64)}
+			d = &domain{q: q, idx: len(s.domains)}
 			s.domains = append(s.domains, d)
 		}
-		p := &port{spec: ls, dom: d, hops: make(map[int]hop)}
+		p := &port{spec: ls, dom: d, hops: make(map[int]hop), noRoute: make(map[int]int64)}
 		// The link transmits with PropDelay 0: depart applies propagation,
 		// pushing the arrival where Link.PropDelay would push it.
 		p.link = sim.NewLink(d.q, ls.Name, ls.Sched, ls.Proc, sim.ConsumerFunc(p.depart))
@@ -176,27 +190,27 @@ func build(links []LinkSpec, flows []FlowSpec, queue func() *eventq.Queue) (*Sha
 // ends: it resolves the frame's next hop once.
 func (p *port) depart(f *sim.Frame) {
 	h, ok := p.hops[f.Flow]
-	switch {
+	switch now := p.dom.q.Now(); {
 	case !ok:
 		// Never routed, or torn down while in service: count, not crash.
-		p.dom.noRoute[f.Flow]++
+		p.noRoute[f.Flow]++
 	case h.cross != nil:
-		p.dom.outbox = append(p.dom.outbox, outMsg{f: f, at: p.dom.q.Now() + p.spec.PropDelay, h: h})
+		p.dom.out = append(p.dom.out, handover{f, now, now + p.spec.PropDelay, h, p.dom.idx})
 	case p.spec.PropDelay > 0:
-		p.dom.q.AfterCall(p.spec.PropDelay, h.arrive, f)
+		p.dom.q.AtCall(now+p.spec.PropDelay, h.arrive, f)
 	default:
 		h.arrive(f)
 	}
 }
 
 // arrival is the event callback that hands a frame of fl to next, running
-// on domain d; a frame whose flow was removed in flight drops there.
-func arrival(fl *flow, d *domain, next sim.Consumer) func(arg any) {
+// on p's queue; a frame whose flow was removed in flight drops at p.
+func arrival(fl *flow, p *port, next sim.Consumer) func(arg any) {
 	return func(arg any) {
 		if f := arg.(*sim.Frame); !fl.removed {
 			next.Deliver(f)
 		} else {
-			d.noRoute[f.Flow]++
+			p.noRoute[f.Flow]++
 		}
 	}
 }
@@ -225,17 +239,19 @@ func (s *Sharded) AddFlow(fs FlowSpec) error {
 				return fmt.Errorf("%w: flow %d: %q ends at %q but %q starts at %q",
 					ErrBadRoute, fs.Flow, prev.Name, prev.To, p.spec.Name, p.spec.From)
 			}
-			if route[i-1].dom != p.dom && !(prev.PropDelay > 0) {
-				return fmt.Errorf("%w: %q", ErrNoLookahead, prev.Name)
-			}
 		}
 		route[i] = p
+	}
+	if s.feed(route, 1) && s.wire() == nil {
+		s.feed(route, -1)
+		return fmt.Errorf("%w: flow %d", ErrCycle, fs.Flow)
 	}
 	for i, p := range route {
 		if err := p.link.Scheduler().AddFlow(fs.Flow, fs.Weight); err != nil {
 			for _, r := range route[:i] {
 				_ = r.link.Scheduler().RemoveFlow(fs.Flow) // undoes the AddFlow above; nothing is queued yet
 			}
+			s.feed(route, -1)
 			return fmt.Errorf("topo: flow %d on %q: %w", fs.Flow, p.spec.Name, err)
 		}
 	}
@@ -246,13 +262,13 @@ func (s *Sharded) AddFlow(fs FlowSpec) error {
 		next = fl.sink
 	}
 	for i, p := range route {
-		to, d := next, p.dom // the last hop arrives at the sink
+		at, to := p, next // the last hop arrives at the sink
 		if i+1 < len(route) {
-			to, d = route[i+1].link, route[i+1].dom
+			at, to = route[i+1], route[i+1].link
 		}
-		h := hop{arrive: arrival(fl, d, to)}
-		if d != p.dom {
-			h.cross = d
+		h := hop{arrive: arrival(fl, at, to)}
+		if at.dom != p.dom {
+			h.cross = at.dom
 		}
 		p.hops[fs.Flow] = h
 	}
@@ -282,9 +298,26 @@ func (s *Sharded) RemoveFlow(id int) error {
 		p.link.ForgetFlow(id)
 		delete(p.hops, id)
 	}
+	s.feed(fl.route, -1)
 	fl.removed = true
 	delete(s.flows, id)
 	return nil
+}
+
+// feed adds n to the count of routes on each of route's hops between
+// queues and reports whether that links two queues for the first time.
+func (s *Sharded) feed(route []*port, n int) (linked bool) {
+	for i, p := range route[1:] {
+		if k := [2]*domain{route[i].dom, p.dom}; k[0] != k[1] {
+			switch s.feeds[k] += n; s.feeds[k] {
+			case 0:
+				delete(s.feeds, k)
+			case n:
+				linked = true
+			}
+		}
+	}
+	return linked
 }
 
 func (s *Sharded) flow(id int) *flow {
@@ -325,28 +358,17 @@ func (s *Sharded) Sink(flow int) *sim.Sink {
 	return nil
 }
 
-// Lookahead returns Δ, the minimum PropDelay over hops that cross queues
-// (+Inf when none does: a Run is then one window).
-func (s *Sharded) Lookahead() float64 {
-	la := math.Inf(1)
-	for _, fl := range s.flows {
-		for i, p := range fl.route[1:] {
-			if prev := fl.route[i]; prev.dom != p.dom {
-				la = math.Min(la, prev.spec.PropDelay)
-			}
-		}
-	}
-	return la
-}
-
-// Windows returns the number of lockstep windows the last Run executed.
+// Windows returns the number of passes over the queues the last Run made
+// (on several workers, the most that one worker made). For Run(1) it is
+// ⌈E / 512⌉, at least 1, where E is the most events that a queue no other
+// queue feeds ran.
 func (s *Sharded) Windows() int64 { return s.windows }
 
 // NoRouteDrops returns the frames of flow dropped for lack of a next hop.
 func (s *Sharded) NoRouteDrops(flow int) int64 {
 	var total int64
-	for _, d := range s.domains {
-		total += d.noRoute[flow]
+	for _, p := range s.ports {
+		total += p.noRoute[flow]
 	}
 	return total
 }
@@ -358,9 +380,7 @@ func (s *Sharded) Drops() map[sim.DropCause]int64 {
 		for c, v := range p.link.DropsByCause() {
 			out[c] += v
 		}
-	}
-	for _, d := range s.domains {
-		for _, v := range d.noRoute {
+		for _, v := range p.noRoute {
 			out[DropNoRoute] += v
 		}
 	}
@@ -377,63 +397,129 @@ func (s *Sharded) DropsByFlow(flow int) int64 {
 }
 
 // Run executes the scenario to completion on the given number of workers
-// (≤ 0 means GOMAXPROCS). Within each window the workers steal whole
-// domains off an atomic counter, as conformance.RunMatrix steals seeds.
-// The result, Digest included, is bit-for-bit independent of workers.
+// (≤ 0 means GOMAXPROCS). Worker w of n takes turns on queues w, w+n, … of
+// the dependency order, pass after pass, and waits for the others when a
+// pass moves nothing. The result, Digest included, is bit-for-bit
+// independent of workers. Run leaves every queue's clock at the last event.
 func (s *Sharded) Run(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	lookahead := s.Lookahead()
+	order := s.wire()
+	for _, d := range order {
+		d.done = math.Inf(-1)
+	}
+	workers = min(workers, len(order))
 	s.windows = 0
-	for {
-		// Barrier: route last window's cross-domain frames in a fixed order,
-		// so (time, seq) ties never depend on worker interleaving.
-		for _, d := range s.domains {
-			for i, m := range d.outbox {
-				m.h.cross.q.AtCall(m.at, m.h.arrive, m.f)
-				d.outbox[i] = outMsg{}
-			}
-			d.outbox = d.outbox[:0]
-		}
-		// Next window: [earliest pending event, +Δ).
-		tmin := math.Inf(1)
-		for _, d := range s.domains {
-			if t, ok := d.q.PeekTime(); ok && t < tmin {
-				tmin = t
-			}
-		}
-		if math.IsInf(tmin, 1) {
-			return // no pending events anywhere and nothing routed
-		}
-		s.windows++
-		s.runWindow(tmin+lookahead, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() { defer wg.Done(); s.work(order[w:], workers) }()
+	}
+	wg.Wait()
+	end := 0.0
+	for _, d := range order {
+		end = max(end, d.q.Now())
+	}
+	for _, d := range order {
+		d.q.RunBefore(end) // the queue is empty: this sets its clock
 	}
 }
 
-// runWindow runs every domain up to end on min(workers, domains)
-// goroutines, or on the caller's when that is one.
-func (s *Sharded) runWindow(end float64, workers int) {
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < len(s.domains); i = int(next.Add(1)) - 1 {
-			if q := s.domains[i].q; math.IsInf(end, 1) {
-				q.Run() // no hop crosses queues: drain, not drag clocks to +Inf
-			} else {
-				q.RunBefore(end)
+// wire sets each domain's feeders, in queue order, and returns the domains
+// each after those that feed it, or nil if the feeds close a cycle.
+func (s *Sharded) wire() []*domain {
+	for _, d := range s.domains {
+		d.up = d.up[:0]
+	}
+	for k := range s.feeds {
+		k[1].up = append(k[1].up, k[0])
+	}
+	state := make([]int8, len(s.domains)) // 1 while placing its feeders, 2 once placed
+	var order []*domain
+	var place func(d *domain) bool // reports whether d is placed
+	place = func(d *domain) bool {
+		if state[d.idx] == 0 {
+			state[d.idx] = 1
+			slices.SortFunc(d.up, func(a, b *domain) int { return a.idx - b.idx })
+			if slices.ContainsFunc(d.up, func(u *domain) bool { return !place(u) }) {
+				return false
 			}
+			state[d.idx] = 2
+			order = append(order, d)
+		}
+		return state[d.idx] == 2
+	}
+	if slices.ContainsFunc(s.domains, func(d *domain) bool { return !place(d) }) {
+		return nil
+	}
+	return order
+}
+
+// work takes turns on order[0], order[n], … until all of them are done.
+func (s *Sharded) work(order []*domain, n int) {
+	for left, passes := true, int64(1); left; passes++ {
+		s.mu.Lock()
+		seen := s.change
+		s.mu.Unlock()
+		left = false
+		for i := 0; i < len(order); i += n {
+			left = !math.IsInf(order[i].done, 1) && s.turn(order[i]) || left
+		}
+		s.mu.Lock()
+		for left && s.change == seen {
+			s.moved.Wait()
+		}
+		s.windows = max(s.windows, passes)
+		s.mu.Unlock()
+	}
+}
+
+// turn gives d one turn and reports whether d is left to run. A queue that
+// no other feeds runs turnEvents events. Any other takes in, each once its
+// events before the frame's departure have run, the frames handed over
+// before the least progress of its feeders, then runs its events before it.
+func (s *Sharded) turn(d *domain) bool {
+	end := math.Inf(1)
+	s.mu.Lock()
+	for _, u := range d.up {
+		end = min(end, u.done)
+	}
+	d.in, d.sent = append(d.in, d.sent...), d.sent[:0]
+	s.mu.Unlock()
+	switch {
+	case len(d.up) == 0:
+		for i := 0; i < turnEvents && d.q.Step(); i++ {
+		}
+		if t, ok := d.q.PeekTime(); ok {
+			end = t
+		}
+	case end <= d.done:
+		return true // no feeder has moved
+	default:
+		// By departure, then queue order; stable, so then by emission.
+		slices.SortStableFunc(d.in, func(a, b handover) int { return cmp.Or(cmp.Compare(a.d, b.d), a.from-b.from) })
+		n := 0
+		for ; n < len(d.in) && d.in[n].d < end; n++ {
+			d.q.RunBefore(d.in[n].d)
+			d.q.AtCall(d.in[n].at, d.in[n].arrive, d.in[n].f)
+		}
+		d.in = d.in[:copy(d.in, d.in[n:])]
+		if math.IsInf(end, 1) {
+			d.q.Run()
+		} else {
+			d.q.RunBefore(end)
 		}
 	}
-	if workers = min(workers, len(s.domains)); workers <= 1 {
-		work()
-		return
+	s.mu.Lock()
+	for _, h := range d.out {
+		h.cross.sent = append(h.cross.sent, h)
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() { defer wg.Done(); work() }()
-	}
-	wg.Wait()
+	d.out, d.done = d.out[:0], end
+	s.change++
+	s.moved.Broadcast()
+	s.mu.Unlock()
+	return !math.IsInf(end, 1)
 }
 
 // Digest summarizes the run deterministically: per link (sorted) the
@@ -451,13 +537,13 @@ func (s *Sharded) Digest() string {
 		fmt.Fprintf(&b, "l %s delivered %d queued %d trace %016x", p.spec.Name,
 			p.link.Delivered(), p.link.QueuedFrames(), h.Sum64())
 		causes := p.link.DropsByCause()
-		keys := make([]string, 0, len(causes))
+		keys := make([]sim.DropCause, 0, len(causes))
 		for c := range causes {
-			keys = append(keys, string(c))
+			keys = append(keys, c)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, c := range keys {
-			fmt.Fprintf(&b, " x %s %d", c, causes[sim.DropCause(c)])
+			fmt.Fprintf(&b, " x %s %d", c, causes[c])
 		}
 		b.WriteByte('\n')
 	}
@@ -465,7 +551,7 @@ func (s *Sharded) Digest() string {
 	for f := range s.flows {
 		flowIDs = append(flowIDs, f)
 	}
-	sort.Ints(flowIDs)
+	slices.Sort(flowIDs)
 	for _, f := range flowIDs {
 		if sk := s.flows[f].sink; sk != nil {
 			fmt.Fprintf(&b, "f %d count %d bytes %s", f, sk.Count(f), fexact(sk.Bytes(f)))
