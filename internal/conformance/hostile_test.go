@@ -24,11 +24,26 @@ func (s submitter) Enqueue(_ float64, p *sched.Packet) error {
 }
 func (s submitter) Len() int { return s.a.Queued() }
 
+// batcher presents a runtime's batched path as a scheduler: Enqueue is an
+// EnqueueBatch of one packet, whose refusal must come back from that call.
+type batcher struct {
+	sched.Interface
+	r *rt.Runtime
+}
+
+func (b batcher) Enqueue(_ float64, p *sched.Packet) error {
+	n, err := b.r.EnqueueBatch([]*sched.Packet{p})
+	if (n == 1) != (err == nil) {
+		return fmt.Errorf("EnqueueBatch accepted %d with error %v", n, err)
+	}
+	return err
+}
+
 // TestHostileNumbers: every registered discipline (off the registry, so a
 // new name is covered when it registers), the reference SFQ they are
-// compared with, and the runtime and admitter in front of them refuse NaN,
-// ±Inf, zero and negative weights with ErrBadWeight and such lengths or
-// costs with ErrBadPacket. NaN and +Inf are the two a bare `x <= 0` lets
+// compared with, and the runtime (its batched path too) and admitter in
+// front of them refuse NaN, ±Inf, zero and negative weights with
+// ErrBadWeight and such lengths or costs with ErrBadPacket. NaN and +Inf are the two a bare `x <= 0` lets
 // through, and one such tag in a flow heap breaks the order for every flow
 // behind it. A refused registration registers nothing, a refused packet
 // queues nothing, and the next valid packet is accepted and served.
@@ -43,6 +58,10 @@ func TestHostileNumbers(t *testing.T) {
 	targets := map[string]func(*testing.T) sched.Interface{
 		"refsfq":     func(*testing.T) sched.Interface { return NewRefSFQ() },
 		"rt.Runtime": func(t *testing.T) sched.Interface { return runtime(t).AsScheduler() },
+		"rt.Runtime/EnqueueBatch": func(t *testing.T) sched.Interface {
+			r := runtime(t)
+			return batcher{r.AsScheduler(), r}
+		},
 		"rt.Admitter": func(t *testing.T) sched.Interface {
 			r := runtime(t)
 			a, err := rt.NewAdmitter(rt.AdmitterConfig{Runtime: r, Limit: 1})

@@ -12,7 +12,7 @@ import (
 // ErrUnknownFlow error.
 func (r *Runtime) FlowShard(flow int) (int, error) {
 	r.mu.RLock()
-	e := r.flows[flow]
+	e := r.flows.get(flow)
 	r.mu.RUnlock()
 	if e == nil {
 		return 0, fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)

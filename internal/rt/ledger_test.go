@@ -41,8 +41,8 @@ func TestRemoveFlowDropsLedger(t *testing.T) {
 		}
 	}
 	for s, sh := range r.shards {
-		if len(sh.acct) > live {
-			t.Fatalf("shard %d keeps %d ledgers with %d flows registered", s, len(sh.acct), live)
+		if sh.ledgers.n > live {
+			t.Fatalf("shard %d keeps %d ledgers with %d flows registered", s, sh.ledgers.n, live)
 		}
 	}
 

@@ -11,9 +11,14 @@
 //     internal/sim);
 //   - per-core shards, each owning one discipline instance behind a
 //     mutex, with flows hashed across shards and migratable between them;
-//   - batched Enqueue/Dequeue that take one lock and one clock read per
-//     shard per batch: packets a batch puts on one shard share one arrival
-//     stamp, packets a batch takes off one shard share one dequeue time;
+//   - a push/drain split: Enqueue and EnqueueBatch validate and stamp a
+//     packet and append it, with its flow's entry, to a bounded ingress on
+//     its shard without taking the shard lock; whoever next holds the
+//     shard lock drains the ingress into the discipline in push order, at
+//     each packet's stamp, so tags are still assigned under the lock;
+//   - batched Enqueue/Dequeue that read the clock once per shard per
+//     batch: packets a batch puts on one shard share one arrival stamp,
+//     packets a batch takes off one shard share one dequeue time;
 //   - bounded queues with counted shedding (backpressure as ErrShedding,
 //     never silent loss), per-flow byte conservation accounting, and the
 //     same Probe observability contract the simulator links honor.
@@ -27,6 +32,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -67,38 +73,21 @@ func (a *FlowAccount) add(b *FlowAccount) {
 	a.ShedBytes += b.ShedBytes
 }
 
-// flowEntry is the runtime's registration record for one flow. The shard
-// assignment is atomic so the lock-free fast path can read it, re-check it
-// under the shard lock, and retry if a migration won the race. migrated
-// (guarded by Runtime.mu) records that the flow has ever left its first
-// shard, so it may have ledgers on other shards.
+// flowEntry is the runtime's record of one registered flow, shared by the
+// flow table, the ingress slots of its packets and the ledger tables of
+// the shards that count it. shard is atomic so producers read it without
+// the table lock; it changes only under Runtime.mu and the ingress locks of
+// the shards it leaves and joins, and reads -1 once the flow is removed.
+// acct[s] is the flow's ledger on shard s: its Enqueued and Dequeued
+// counts are written under shard s's lock, its Shed counts under its
+// ingress lock. weight and migrated (the flow has left its first shard, so
+// it may have ledgers on others) are guarded by Runtime.mu.
 type flowEntry struct {
+	flow     int
 	shard    atomic.Int32
 	weight   float64
 	migrated bool
-}
-
-// shard owns one discipline instance. All scheduler calls happen under mu;
-// last clamps the clock so a scheduler never sees time go backwards even
-// though concurrent goroutines read the clock outside the lock.
-type shard struct {
-	mu     sync.Mutex
-	sch    sched.Interface
-	last   float64
-	acct   map[int]*FlowAccount
-	probe  sched.Probe
-	vtimer sched.VirtualTimer
-}
-
-// now reads the clock and clamps it monotone for this shard. Callers hold
-// sh.mu.
-func (sh *shard) now(c sched.Clock) float64 {
-	t := c.Now()
-	if t < sh.last {
-		return sh.last
-	}
-	sh.last = t
-	return t
+	acct     []FlowAccount
 }
 
 // Runtime is a sharded, goroutine-safe scheduler driven by a Clock. All
@@ -108,12 +97,13 @@ type Runtime struct {
 	clock  sched.Clock
 	shards []*shard
 
-	mu     sync.RWMutex // guards flows (the map itself) and closed
-	flows  map[int]*flowEntry
+	mu     sync.RWMutex // guards flows and closed
+	flows  entryIndex
 	closed bool
 
 	limit int64 // per-shard queued-packet cap; 0 = unbounded (atomic)
 	rr    atomic.Int64
+	y     yielder
 }
 
 // New constructs a runtime running cfg.Shards instances of the named
@@ -143,14 +133,13 @@ func NewFromConfig(name string, cfg sched.Config) (*Runtime, error) {
 		name:   name,
 		clock:  clock,
 		shards: make([]*shard, n),
-		flows:  make(map[int]*flowEntry),
 	}
 	for i := range r.shards {
 		s, err := sched.NewDiscipline(name, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r.shards[i] = &shard{sch: s, acct: make(map[int]*FlowAccount)}
+		r.shards[i] = newShard(i, s, &r.y)
 	}
 	return r, nil
 }
@@ -166,10 +155,12 @@ func (r *Runtime) SetQueueLimit(n int) { atomic.StoreInt64(&r.limit, int64(n)) }
 // SetProbe installs p (nil removes) on every shard: the same observe-only
 // contract as sim.Link.SetProbe, so an obs.Observer attaches to the
 // runtime unchanged. Concurrent shards invoke the probe concurrently;
-// obs guards itself.
+// obs guards itself. A packet is shown to OnEnqueue when its shard drains
+// it, at its push stamp. The probe runs under the shard lock and must not
+// call back into the runtime.
 func (r *Runtime) SetProbe(p sched.Probe) {
 	for _, sh := range r.shards {
-		sh.mu.Lock()
+		sh.lock()
 		sh.probe = p
 		sh.vtimer, _ = sh.sch.(sched.VirtualTimer)
 		sh.mu.Unlock()
@@ -182,17 +173,19 @@ func (r *Runtime) ShardOf(flow int) int {
 	return int(shardHash(flow) % uint64(len(r.shards)))
 }
 
+func errClosed() error { return fmt.Errorf("%w: runtime", sched.ErrClosed) }
+
 // AddFlow registers flow with the given weight on its hashed shard, or
 // re-weights an existing registration in place.
 func (r *Runtime) AddFlow(flow int, weight float64) error {
-	r.mu.Lock()
+	r.y.wlock(&r.mu)
 	defer r.mu.Unlock()
 	if r.closed {
-		return fmt.Errorf("%w: runtime", sched.ErrClosed)
+		return errClosed()
 	}
-	if e := r.flows[flow]; e != nil {
+	if e := r.flows.get(flow); e != nil {
 		sh := r.shards[e.shard.Load()]
-		sh.mu.Lock()
+		sh.lock()
 		err := sh.sch.AddFlow(flow, weight)
 		sh.mu.Unlock()
 		if err != nil {
@@ -203,42 +196,46 @@ func (r *Runtime) AddFlow(flow int, weight float64) error {
 	}
 	s := r.ShardOf(flow)
 	sh := r.shards[s]
-	sh.mu.Lock()
+	e := &flowEntry{flow: flow, weight: weight, acct: make([]FlowAccount, len(r.shards))}
+	e.shard.Store(int32(s))
+	sh.lock()
 	err := sh.sch.AddFlow(flow, weight)
-	if err == nil && sh.acct[flow] == nil {
-		sh.acct[flow] = &FlowAccount{}
+	if err == nil {
+		sh.keep(e)
 	}
 	sh.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	e := &flowEntry{weight: weight}
-	e.shard.Store(int32(s))
-	r.flows[flow] = e
+	r.flows.put(e)
 	return nil
 }
 
 // RemoveFlow unregisters an idle flow (ErrFlowBusy while packets are
 // queued, exactly the Interface contract) and drops its FlowAccount ledger
-// on every shard that holds none of its bytes.
+// on every shard that holds none of its bytes. A push that resolved the
+// flow before the removal finds it gone under the ingress lock and fails
+// with ErrUnknownFlow.
 func (r *Runtime) RemoveFlow(flow int) error {
-	r.mu.Lock()
+	r.y.wlock(&r.mu)
 	defer r.mu.Unlock()
-	e := r.flows[flow]
+	e := r.flows.get(flow)
 	if e == nil {
 		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
 	}
 	sh := r.shards[e.shard.Load()]
-	sh.mu.Lock()
+	sh.lockAll()
+	r.y.yield(siteRemove)
 	err := sh.sch.RemoveFlow(flow)
 	if err == nil {
-		delete(sh.acct, flow)
+		sh.ledgers.del(flow)
+		e.shard.Store(-1)
 	}
-	sh.mu.Unlock()
+	sh.unlockAll()
 	if err != nil {
 		return err
 	}
-	delete(r.flows, flow)
+	r.flows.del(flow)
 	if e.migrated {
 		// Drop the ledgers the flow left on the shards it migrated from,
 		// except on one still draining it: its dequeues must still be
@@ -247,9 +244,10 @@ func (r *Runtime) RemoveFlow(flow int) error {
 			if o == sh {
 				continue
 			}
-			o.mu.Lock()
+			r.y.yield(siteRemove)
+			o.lock()
 			if o.sch.QueuedBytes(flow) == 0 {
-				delete(o.acct, flow)
+				o.ledgers.del(flow)
 			}
 			o.mu.Unlock()
 		}
@@ -263,17 +261,20 @@ func (r *Runtime) RemoveFlow(flow int) error {
 // shard serves out the remaining backlog and auto-unregisters — the
 // runtime analogue of DrainFlow's graceful removal. Disciplines without
 // DrainFlow refuse with ErrFlowBusy; migrating onto a shard that is still
-// draining this flow refuses with ErrFlowDraining.
+// draining this flow refuses with ErrFlowDraining. The source's ingress is
+// drained first and held until the flow's shard has changed, so every
+// packet pushed to the source reaches its discipline before the choice
+// between idle and drain, and none is pushed there after.
 func (r *Runtime) MigrateFlow(flow, dst int) error {
-	r.mu.Lock()
+	r.y.wlock(&r.mu)
 	defer r.mu.Unlock()
 	if r.closed {
-		return fmt.Errorf("%w: runtime", sched.ErrClosed)
+		return errClosed()
 	}
 	if dst < 0 || dst >= len(r.shards) {
 		return fmt.Errorf("%w: migrate flow %d: shard %d out of range [0,%d)", sched.ErrBadConfig, flow, dst, len(r.shards))
 	}
-	e := r.flows[flow]
+	e := r.flows.get(flow)
 	if e == nil {
 		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
 	}
@@ -281,21 +282,27 @@ func (r *Runtime) MigrateFlow(flow, dst int) error {
 	if src == dst {
 		return nil
 	}
-	a, b := src, dst
-	if b < a {
-		a, b = b, a
-	}
+	// Hold both shards and both ingresses, in shard order: a push pass on
+	// either shard then sees the flow's shard before the move or after it,
+	// never both, so it cannot push a later packet of the flow ahead of an
+	// earlier one it skipped.
 	shSrc, shDst := r.shards[src], r.shards[dst]
-	r.shards[a].mu.Lock()
-	r.shards[b].mu.Lock()
-	defer r.shards[a].mu.Unlock()
-	defer r.shards[b].mu.Unlock()
+	lo, hi := shSrc, shDst
+	if dst < src {
+		lo, hi = hi, lo
+	}
+	lo.lockAll()
+	hi.lockAll()
+	defer lo.unlockAll()
+	defer hi.unlockAll()
 
 	// Register on dst first: if that fails (e.g. dst is still draining
 	// this flow from an earlier migration away from it), nothing changed.
+	r.y.yield(siteMigrate)
 	if err := shDst.sch.AddFlow(flow, e.weight); err != nil {
 		return err
 	}
+	r.y.yield(siteMigrate)
 	if shSrc.sch.QueuedBytes(flow) == 0 {
 		if err := shSrc.sch.RemoveFlow(flow); err != nil {
 			_ = shDst.sch.RemoveFlow(flow) // roll back: dst registration is idle
@@ -312,86 +319,32 @@ func (r *Runtime) MigrateFlow(flow, dst int) error {
 			return err
 		}
 	}
-	if shDst.acct[flow] == nil {
-		shDst.acct[flow] = &FlowAccount{}
-	}
-	e.shard.Store(int32(dst))
+	r.y.yield(siteMigrate)
+	shDst.keep(e)
 	e.migrated = true
+	e.shard.Store(int32(dst))
 	return nil
 }
 
-// resolve returns the flow's entry, or an error. The fast path takes only
-// the read lock.
-func (r *Runtime) resolve(flow int) (*flowEntry, error) {
-	r.mu.RLock()
-	closed := r.closed
-	e := r.flows[flow]
-	r.mu.RUnlock()
-	if closed {
-		return nil, fmt.Errorf("%w: runtime", sched.ErrClosed)
-	}
-	if e == nil {
-		return nil, fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	return e, nil
-}
-
-// lockShardOf locks the shard the entry is assigned to, retrying if a
-// concurrent migration moves the flow between the read and the lock (the
-// assignment can only change while both shard locks are held, so once we
-// hold the lock and re-read the same value, it is stable for the critical
-// section).
-func (r *Runtime) lockShardOf(e *flowEntry) (*shard, int) {
-	for {
-		s := int(e.shard.Load())
-		sh := r.shards[s]
-		sh.mu.Lock()
-		if int(e.shard.Load()) == s {
-			return sh, s
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// enqueueLocked runs the shard-local enqueue under sh.mu at time now, a
-// reading of sh.now taken under the same lock hold.
-func (r *Runtime) enqueueLocked(sh *shard, s int, now float64, p *sched.Packet) error {
-	if limit := atomic.LoadInt64(&r.limit); limit > 0 && int64(sh.sch.Len()) >= limit {
-		if a := sh.acct[p.Flow]; a != nil {
-			a.Shed++
-			a.ShedBytes += p.Length
-		}
-		return fmt.Errorf("%w: shard %d over %d queued packets", sched.ErrShedding, s, limit)
-	}
-	p.Arrival = now
-	if err := sh.sch.Enqueue(now, p); err != nil {
-		return err
-	}
-	if a := sh.acct[p.Flow]; a != nil {
-		a.Enqueued++
-		a.EnqueuedBytes += p.Length
-	}
-	if sh.probe != nil {
-		sh.probe.OnEnqueue(now, p)
-		if sh.vtimer != nil {
-			sh.probe.OnVirtualTime(now, sh.vtimer.V())
-		}
-	}
-	return nil
-}
+// positive reports whether x can be a packet length: finite and > 0, the
+// check every discipline's Enqueue makes (NaN and +Inf pass a bare x <= 0).
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // Enqueue stamps p with the clock's current time and queues it on its
 // flow's shard. The packet's Flow and Length must be set; Arrival is
 // overwritten with the clock reading. Errors wrap the shared vocabulary:
-// ErrClosed, ErrUnknownFlow, ErrShedding, ErrFlowDraining, ErrBadPacket.
+// ErrClosed, ErrUnknownFlow, ErrShedding, ErrBadPacket.
 func (r *Runtime) Enqueue(p *sched.Packet) error {
-	e, err := r.resolve(p.Flow)
-	if err != nil {
-		return err
+	ps := [1]*sched.Packet{p}
+	var es [1]*flowEntry
+	r.y.rlock(&r.mu)
+	closed := r.closed
+	es[0] = r.flows.get(p.Flow)
+	r.mu.RUnlock()
+	if closed {
+		return errClosed()
 	}
-	sh, s := r.lockShardOf(e)
-	err = r.enqueueLocked(sh, s, sh.now(r.clock), p)
-	sh.mu.Unlock()
+	_, err := r.push(ps[:], es[:])
 	return err
 }
 
@@ -400,94 +353,127 @@ func (r *Runtime) Enqueue(p *sched.Packet) error {
 // benchmark batch size so the zero-alloc steady state holds.
 const batchResolveStack = 64
 
-// EnqueueBatch queues every packet it can, taking one lock per shard per
-// batch; packets on one shard share one arrival stamp. Each shard's
-// packets are queued in batch order, so a flow's packets keep their batch
-// order. It returns the number of packets accepted and the error of the
-// lowest-indexed packet that failed; later packets are still attempted, so
-// a single shed mid-batch does not discard the rest.
+// EnqueueBatch queues every packet it can, reading the clock once per
+// shard it touches; packets on one shard share one arrival stamp. Each
+// shard's packets are queued in batch order, so a flow's packets keep
+// their batch order. It returns the number of packets accepted and the
+// error of the lowest-indexed packet that failed; later packets are still
+// attempted, so a single shed mid-batch does not discard the rest. After
+// Close it accepts nothing and returns ErrClosed.
 func (r *Runtime) EnqueueBatch(ps []*sched.Packet) (int, error) {
-	// Resolve every packet's flow entry up front, under one read-lock
-	// acquisition for the whole batch. Resolving inside the shard-locked
-	// loop below would hold a shard mutex while waiting on r.mu — the
-	// reverse of the AddFlow/RemoveFlow/MigrateFlow order (r.mu, then
-	// shard mutexes) — and deadlock against a concurrent flow-table
-	// writer. No shard lock is held anywhere in this pass.
 	var stack [batchResolveStack]*flowEntry
-	entries := stack[:]
-	if len(ps) > len(entries) {
-		entries = make([]*flowEntry, len(ps))
+	es := stack[:]
+	if len(ps) > len(es) {
+		es = make([]*flowEntry, len(ps))
 	} else {
-		entries = entries[:len(ps)]
+		es = es[:len(ps)]
 	}
-	r.mu.RLock()
+	r.y.rlock(&r.mu)
 	if r.closed {
 		r.mu.RUnlock()
-		return 0, fmt.Errorf("%w: runtime", sched.ErrClosed)
+		return 0, errClosed()
 	}
 	for i, p := range ps {
-		entries[i] = r.flows[p.Flow]
+		es[i] = r.flows.get(p.Flow)
 	}
 	r.mu.RUnlock()
+	return r.push(ps, es)
+}
 
-	n := 0
-	var firstErr error
+// push validates ps and appends each packet, with its flow's entry es[i],
+// to the ingress of the entry's shard. It takes no shard lock and no table
+// lock: the packets are admitted to the discipline by the next holder of
+// the shard lock (shard.admit), at their stamps and in push order. Every
+// check a discipline's Enqueue makes is made here, so a packet push
+// accepts is one the drain does not refuse.
+func (r *Runtime) push(ps []*sched.Packet, es []*flowEntry) (n int, err error) {
 	errAt := len(ps)
-	for i, e := range entries {
-		if e == nil {
-			errAt, firstErr = i, fmt.Errorf("%w: %d", sched.ErrUnknownFlow, ps[i].Flow)
-			break
-		}
-	}
-
-	// Serve the batch shard by shard: lock the shard of the first pending
-	// packet, read its clock once, queue every pending packet assigned to
-	// it and mark each done by clearing its entry. Under the shard lock an
-	// assignment that reads s cannot change, and one that reads another
-	// shard cannot become s, so each pass sees a stable set.
-	for first := range ps {
-		e := entries[first]
-		if e == nil {
+	for i, e := range es {
+		if e != nil && positive(ps[i].Length) {
 			continue
 		}
-		sh, s := r.lockShardOf(e)
-		now := sh.now(r.clock)
+		es[i] = nil
+		if err == nil {
+			errAt = i
+			if e == nil {
+				err = fmt.Errorf("%w: %d", sched.ErrUnknownFlow, ps[i].Flow)
+			} else {
+				err = fmt.Errorf("%w: flow %d length %v", sched.ErrBadPacket, ps[i].Flow, ps[i].Length)
+			}
+		}
+	}
+	limit := atomic.LoadInt64(&r.limit)
+
+	// Serve the batch shard by shard: take the shard of the first pending
+	// packet, read the clock once, and under that shard's ingress lock push
+	// every pending packet whose entry still names the shard, clearing its
+	// entry. A packet whose flow moved between the read and the lock is
+	// left pending and pushed on a later pass; one whose flow was removed
+	// fails.
+	for first := 0; first < len(ps); {
+		e := es[first]
+		if e == nil {
+			first++
+			continue
+		}
+		s := int(e.shard.Load())
+		if s < 0 {
+			es[first] = nil
+			if first < errAt {
+				errAt, err = first, fmt.Errorf("%w: %d", sched.ErrUnknownFlow, ps[first].Flow)
+			}
+			continue
+		}
+		sh := r.shards[s]
+		in := &sh.in
+		t := r.clock.Now()
+		r.y.yield(sitePush)
+		r.y.lock(&in.mu)
+		stamp := in.clamp(t)
+		var added int64
 		for i := first; i < len(ps); i++ {
-			if e := entries[i]; e == nil || int(e.shard.Load()) != s {
+			e := es[i]
+			if e == nil {
 				continue
 			}
-			entries[i] = nil
-			if err := r.enqueueLocked(sh, s, now, ps[i]); err != nil {
+			if in.n == ingressCap {
+				// Full: drain it ourselves, then go over the batch again
+				// from first, since a flow may have moved here meanwhile.
+				in.queued.Add(added)
+				added = 0
+				in.mu.Unlock()
+				sh.lock()
+				sh.mu.Unlock()
+				r.y.lock(&in.mu)
+				stamp = in.clamp(stamp)
+				i = first - 1
+				continue
+			}
+			r.y.yield(siteRecheck)
+			if int(e.shard.Load()) != s {
+				continue
+			}
+			es[i] = nil
+			p := ps[i]
+			if limit > 0 && in.queued.Load()+added >= limit {
+				a := &e.acct[s]
+				a.Shed++
+				a.ShedBytes += p.Length
 				if i < errAt {
-					errAt, firstErr = i, err
+					errAt, err = i, fmt.Errorf("%w: shard %d over %d queued packets", sched.ErrShedding, s, limit)
 				}
 				continue
 			}
+			p.Arrival = stamp
+			in.slots[in.n] = slot{p, e}
+			in.n++
+			added++
 			n++
 		}
-		sh.mu.Unlock()
+		in.queued.Add(added)
+		in.mu.Unlock()
 	}
-	return n, firstErr
-}
-
-// dequeueLocked runs the shard-local dequeue under sh.mu at time now, a
-// reading of sh.now taken under the same lock hold.
-func (sh *shard) dequeueLocked(now float64) (*sched.Packet, bool) {
-	p, ok := sh.sch.Dequeue(now)
-	if !ok {
-		return nil, false
-	}
-	if a := sh.acct[p.Flow]; a != nil {
-		a.Dequeued++
-		a.DequeuedBytes += p.Length
-	}
-	if sh.probe != nil {
-		sh.probe.OnDequeue(now, p)
-		if sh.vtimer != nil {
-			sh.probe.OnVirtualTime(now, sh.vtimer.V())
-		}
-	}
-	return p, true
+	return n, err
 }
 
 // DequeueShard pops the next packet from one shard's schedule at the
@@ -495,23 +481,24 @@ func (sh *shard) dequeueLocked(now float64) (*sched.Packet, bool) {
 // remains legal on a closed runtime — closing stops arrivals, the backlog
 // drains.
 func (r *Runtime) DequeueShard(s int) (*sched.Packet, bool) {
-	sh := r.shards[s]
-	sh.mu.Lock()
-	p, ok := sh.dequeueLocked(sh.now(r.clock))
-	sh.mu.Unlock()
-	return p, ok
+	var buf [1]*sched.Packet
+	if r.DequeueBatch(s, buf[:]) == 0 {
+		return nil, false
+	}
+	return buf[0], true
 }
 
 // DequeueBatch pops up to len(buf) packets from shard s under one lock
 // acquisition and one clock read (every packet of the batch leaves at the
-// same time), returning how many it wrote into buf.
+// same time), returning how many it wrote into buf. It first drains the
+// shard's ingress into the discipline.
 // This is the per-core worker's fast path: with a PoolSafe discipline the
 // returned packets may be reused for the worker's next EnqueueBatch,
 // making the steady state allocation-free.
 func (r *Runtime) DequeueBatch(s int, buf []*sched.Packet) int {
 	sh := r.shards[s]
-	sh.mu.Lock()
-	now := sh.now(r.clock)
+	sh.y.lock(&sh.mu)
+	now := sh.drainAt(r.clock.Now())
 	n := 0
 	for n < len(buf) {
 		p, ok := sh.dequeueLocked(now)
@@ -522,6 +509,9 @@ func (r *Runtime) DequeueBatch(s int, buf []*sched.Packet) int {
 		n++
 	}
 	sh.mu.Unlock()
+	if n > 0 {
+		sh.in.queued.Add(-int64(n))
+	}
 	return n
 }
 
@@ -548,7 +538,7 @@ func (r *Runtime) Dequeue() (*sched.Packet, bool) {
 func (r *Runtime) Len() int {
 	total := 0
 	for _, sh := range r.shards {
-		sh.mu.Lock()
+		sh.lock()
 		total += sh.sch.Len()
 		sh.mu.Unlock()
 	}
@@ -560,7 +550,7 @@ func (r *Runtime) Len() int {
 func (r *Runtime) QueuedBytes(flow int) float64 {
 	total := 0.0
 	for _, sh := range r.shards {
-		sh.mu.Lock()
+		sh.lock()
 		total += sh.sch.QueuedBytes(flow)
 		sh.mu.Unlock()
 	}
@@ -571,31 +561,39 @@ func (r *Runtime) QueuedBytes(flow int) float64 {
 func (r *Runtime) FlowAccount(flow int) FlowAccount {
 	var out FlowAccount
 	for _, sh := range r.shards {
-		sh.mu.Lock()
-		if a := sh.acct[flow]; a != nil {
-			out.add(a)
+		sh.lockAll()
+		if e := sh.ledgers.get(flow); e != nil {
+			out.add(&e.acct[sh.idx])
 		}
-		sh.mu.Unlock()
+		sh.unlockAll()
 	}
 	return out
 }
 
 // Close stops the intake: subsequent AddFlow/Enqueue/Migrate calls fail
-// with ErrClosed. The backlog stays dequeueable so workers drain it.
-// Closing twice is an error (ErrClosed), making shutdown bugs loud.
+// with ErrClosed, and EnqueueBatch accepts nothing. Every packet accepted
+// before stays dequeueable so workers drain it; Close drains each shard's
+// ingress into its discipline. Closing twice is an error (ErrClosed),
+// making shutdown bugs loud.
 func (r *Runtime) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.y.wlock(&r.mu)
 	if r.closed {
+		r.mu.Unlock()
 		return fmt.Errorf("%w: already closed", sched.ErrClosed)
 	}
 	r.closed = true
+	r.mu.Unlock()
+	for _, sh := range r.shards {
+		r.y.yield(siteClose)
+		sh.lock()
+		sh.mu.Unlock()
+	}
 	return nil
 }
 
 // Closed reports whether Close was called.
 func (r *Runtime) Closed() bool {
-	r.mu.RLock()
+	r.y.rlock(&r.mu)
 	defer r.mu.RUnlock()
 	return r.closed
 }

@@ -29,18 +29,20 @@ func mustPanic(t *testing.T, fn func()) string {
 	return msg
 }
 
-// TestReleasedFramePoisoned: a frame back in its pool reads Flow −1 and
-// Bytes NaN until the pool hands it out again, zeroed; releasing it twice
-// panics.
+// TestReleasedFramePoisoned: a frame that ended at a sink on its pool's own
+// queue reads Flow −1 and Bytes NaN until the pool hands it out again,
+// zeroed; ending it twice panics.
 func TestReleasedFramePoisoned(t *testing.T) {
-	pool := sim.NewFramePool(&eventq.Queue{})
+	q := &eventq.Queue{}
+	pool := sim.NewFramePool(q)
+	sink := sim.NewSink(q)
 	f := pool.Get()
 	f.Flow, f.Bytes = 3, 100
-	sim.Release(f)
+	sink.Deliver(f)
 	if f.Flow != -1 || !math.IsNaN(f.Bytes) {
 		t.Errorf("released frame reads flow %d bytes %v, want -1 and NaN", f.Flow, f.Bytes)
 	}
-	if msg := mustPanic(t, func() { sim.Release(f) }); !strings.Contains(msg, "released twice") {
+	if msg := mustPanic(t, func() { sink.Deliver(f) }); !strings.Contains(msg, "released twice") {
 		t.Errorf("double release panicked with %q", msg)
 	}
 	if g := pool.Get(); g != f || g.Flow != 0 || g.Bytes != 0 {

@@ -6,7 +6,7 @@ import "repro/internal/eventq"
 // records the pool, and the pool records the event queue its source emits
 // on: a Sink on that same queue returns the frame once it has counted it,
 // and the source's next emission takes it back. A frame that ends anywhere
-// else — a link drop, a consumer that discards it without Release, a sink
+// else — a link drop, a consumer that discards it, a sink
 // of another topo.Sharded domain — is left to the garbage collector, so a
 // pool is only ever touched by the goroutine that runs its queue.
 //
@@ -31,17 +31,6 @@ func (p *FramePool) Get() *Frame {
 	p.free = p.free[:n-1]
 	revive(f)
 	return f
-}
-
-// Release ends a frame's life: a frame from a FramePool goes back to it, any
-// other frame is left to the garbage collector. Only the frame's last holder
-// may call it, and only on the event queue of the source that emitted the
-// frame; nothing may read the frame afterwards. Sinks call it themselves;
-// it is for consumers that end frames without one.
-func Release(f *Frame) {
-	if p := f.pool; p != nil {
-		p.put(f)
-	}
 }
 
 // put zeroes f, which must be the pool's, and files it for reuse.

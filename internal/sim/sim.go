@@ -80,8 +80,7 @@ type Frame struct {
 	at *linkFlow
 
 	// pool is the FramePool of the source that emitted the frame, nil for
-	// a frame made any other way; Release and Sink.Deliver return the frame
-	// to it.
+	// a frame made any other way; Sink.Deliver returns the frame to it.
 	pool *FramePool
 }
 
@@ -539,7 +538,7 @@ func linkPropagate(arg any) {
 
 // Sink counts and timestamps received frames per flow. A sink is where a
 // frame ends: one from a FramePool on the sink's own queue goes back to its
-// pool once counted (see Release).
+// pool once counted (see FramePool).
 type Sink struct {
 	q *eventq.Queue
 

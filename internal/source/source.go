@@ -7,8 +7,8 @@
 // shared event queue and takes explicit start/stop times and, where
 // stochastic, an explicit *rand.Rand, keeping runs reproducible. CBR,
 // Poisson and OnOff take their frames from a sim.FramePool of their own,
-// so a frame that ends at a sim.Sink on the source's queue (or at
-// sim.Release) is reused by the source's next emission.
+// so a frame that ends at a sim.Sink on the source's queue is reused by the
+// source's next emission.
 package source
 
 import (

@@ -44,7 +44,6 @@ var keptUnlinked = map[string]string{
 
 	// The frame pool's end-of-life call for a consumer that ends frames
 	// without a sink; no experiment does since they all end at topo sinks.
-	"repro/internal/sim.Release": "FramePool's public end-of-life call; the pool tests use it",
 
 	// Interface methods: the type must keep satisfying the interface even
 	// though no binary calls this method through it.
