@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/liveops"
 	"repro/internal/sched"
 )
@@ -37,6 +38,12 @@ import (
 // Airport's packets moved into the flow records: its entry-slice format
 // moved once, on purpose, to kind "sched/fairairport.v2", pinned under
 // "fairairport".
+//
+// "tree:example3" and "tree:composed" are the script on two link-sharing
+// trees of kind "core/hsfq", as recorded before every tree came to be
+// built from one description: Example 3's (class A over flows 3 and 4,
+// flow 2 at the root) and composed-tree's (flows routed into edd, scfq,
+// drr and fifo sinks).
 const snapshotBytesGoldenPath = "testdata/snapshot_bytes.json"
 
 // drrQuantumScript is the DRR quantum of the "drr" pin: small enough that
@@ -127,13 +134,19 @@ func readSnapshotBytesGolden(t *testing.T) map[string]string {
 
 func TestSnapshotBytesMatchParent(t *testing.T) {
 	want := readSnapshotBytesGolden(t)
-	names := []string{"scfq", "pifo-sfq", "drr", "fairairport"}
+	names := []string{"scfq", "pifo-sfq", "drr", "fairairport", "tree:example3", "tree:composed"}
 	got := make(map[string]string, len(names))
 	for _, name := range names[:2] {
 		got[name] = string(scriptedState(t, sched.MustNew(name), true))
 	}
 	got["drr"] = string(scriptedState(t, sched.MustNew("drr", sched.WithQuantum(drrQuantumScript)), false))
 	got["fairairport"] = string(scriptedState(t, sched.MustNew("fairairport"), false))
+	for name, tree := range map[string]sched.Interface{"tree:example3": example3Tree(t), "tree:composed": composedSinkTree(t)} {
+		if kind := tree.(sched.Snapshotter).StateKind(); kind != "core/hsfq" {
+			t.Errorf("%s: StateKind %q, want core/hsfq", name, kind)
+		}
+		got[name] = string(scriptedState(t, tree, true))
+	}
 	if os.Getenv("UPDATE_SNAPSHOT_BYTES") != "" {
 		for _, name := range names {
 			want[name] = got[name]
@@ -188,4 +201,49 @@ func TestParentSnapshotsRefused(t *testing.T) {
 			t.Errorf("%s into %s: refused restore left %d flows, %d packets", key, name, n, s.Len())
 		}
 	}
+}
+
+// example3Tree is Example 3's link-sharing tree: class A over flows 3 and
+// 4, flow 2 at the root. The script adds the other flows at the root.
+func example3Tree(t *testing.T) sched.Interface {
+	t.Helper()
+	h := core.NewHSFQ()
+	a, err := h.NewClass(nil, "A", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fc := range []struct {
+		flow int
+		cls  *core.Class
+	}{{2, nil}, {3, a}, {4, a}} {
+		if err := h.AddFlowTo(fc.cls, fc.flow, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
+}
+
+// composedSinkTree is composed-tree's link share: an SFQ root over edd,
+// scfq, drr and fifo sinks weighted 4:3:2:1, with flow 1 in edd, 2 in
+// scfq, 3 and 4 in drr and 5 in fifo. AddFlow routes the script's flows 6
+// and 7 to the drr and fifo sinks.
+func composedSinkTree(t *testing.T) sched.Interface {
+	t.Helper()
+	h := core.NewHSFQ()
+	for _, c := range []struct {
+		name, disc string
+		weight     float64
+		flows      []int
+	}{{"ugs", "edd", 4, []int{1}}, {"rtps", "scfq", 3, []int{2}}, {"nrtps", "drr", 2, []int{3, 4}}, {"be", "fifo", 1, []int{5}}} {
+		cls, err := h.NewSinkClass(nil, c.name, c.weight, c.disc, sched.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.flows {
+			if err := h.AddFlowTo(cls, f, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return h
 }
