@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core" // registers sfq, hsfq and, through internal/hier, the hier: names
 	"repro/internal/eventq"
+	"repro/internal/hier"
 	_ "repro/internal/pifo"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -96,16 +97,23 @@ func TestZeroAllocSchedulers(t *testing.T) {
 	}
 	for _, depth := range []int{1, 3, 6} {
 		t.Run(fmt.Sprintf("hsfq/depth=%d", depth), func(t *testing.T) {
-			h := core.NewHSFQ()
-			var parent *core.Class
+			// A chain of depth-1 classes, with the flows schedCycle
+			// registers (re-weighted by its AddFlow) at the bottom.
+			root := &hier.Spec{Name: "sfq", Class: "root"}
+			bottom := root
 			for d := 1; d < depth; d++ {
-				var err error
-				if parent, err = h.NewClass(parent, fmt.Sprintf("c%d", d), 1); err != nil {
-					t.Fatal(err)
-				}
+				c := &hier.Spec{Name: "sfq", Class: fmt.Sprintf("c%d", d), Weight: 1}
+				bottom.Children = []*hier.Spec{c}
+				bottom = c
 			}
-			add := func(flow int, weight float64) error { return h.AddFlowTo(parent, flow, weight) }
-			zeroAllocs(t, schedCycle(t, h, add, 8))
+			for f := 0; f < 8; f++ {
+				bottom.Children = append(bottom.Children, &hier.Spec{IsFlow: true, Flow: f, Weight: 1})
+			}
+			h, err := hier.Build(root, sched.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeroAllocs(t, schedCycle(t, h, h.AddFlow, 8))
 		})
 	}
 }

@@ -1,6 +1,6 @@
-// Linksharing: the Section 3 hierarchical link-sharing structure built
-// with the declarative linkshare API — Example 3's tree plus the eq (65)
-// FC-parameter recursion for every class.
+// Linksharing: the Section 3 hierarchical link-sharing structure described
+// as one hier.Spec — Example 3's tree plus the eq (65) FC-parameter
+// recursion for every class.
 //
 // Run with: go run ./examples/linksharing
 package main
@@ -10,7 +10,8 @@ import (
 	"log"
 
 	"repro/internal/eventq"
-	"repro/internal/linkshare"
+	"repro/internal/hier"
+	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/source"
@@ -24,30 +25,26 @@ func main() {
 	//	    └── best-effort (40%) ── bulk flow 2
 	//	                         └── interactive flow 3
 	c := units.Mbps(10)
-	spec := linkshare.Spec{
-		Name: "root",
-		Children: []linkshare.Spec{
-			{Name: "real-time", Weight: 0.6 * c, Children: []linkshare.Spec{
-				{Name: "video", Weight: 0.6 * c, IsFlow: true, Flow: 1},
-			}},
-			{Name: "best-effort", Weight: 0.4 * c, Children: []linkshare.Spec{
-				{Name: "bulk", Weight: 0.3 * c, IsFlow: true, Flow: 2},
-				{Name: "interactive", Weight: 0.1 * c, IsFlow: true, Flow: 3},
-			}},
-		},
-	}
-	tree, err := linkshare.Build(spec)
+	video := &hier.Spec{IsFlow: true, Flow: 1, Weight: 0.6 * c}
+	bulk := &hier.Spec{IsFlow: true, Flow: 2, Weight: 0.3 * c}
+	interactive := &hier.Spec{IsFlow: true, Flow: 3, Weight: 0.1 * c}
+	realTime := &hier.Spec{Name: "sfq", Class: "real-time", Weight: 0.6 * c, Children: []*hier.Spec{video}}
+	bestEffort := &hier.Spec{Name: "sfq", Class: "best-effort", Weight: 0.4 * c, Children: []*hier.Spec{bulk, interactive}}
+	spec := &hier.Spec{Name: "sfq", Children: []*hier.Spec{realTime, bestEffort}}
+	tree, err := hier.Build(spec, sched.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Analytic bounds: propagate the link's FC parameters down the tree.
-	tree.Bounds(server.FCParams{C: c, Delta: 0}, 1000)
+	fc := spec.FC(server.FCParams{C: c, Delta: 0}, 1000)
 	fmt.Println("eq (65) FC characterization of each class's virtual server:")
-	for _, name := range []string{"real-time", "best-effort", "bulk", "interactive"} {
-		cl := tree.Lookup(name)
+	for _, cl := range []struct {
+		name string
+		spec *hier.Spec
+	}{{"real-time", realTime}, {"best-effort", bestEffort}, {"bulk", bulk}, {"interactive", interactive}} {
 		fmt.Printf("  %-12s guaranteed rate %6.2f Mb/s, burst allowance %6.0f bytes\n",
-			name, units.ToMbps(cl.FC.C), cl.FC.Delta)
+			cl.name, units.ToMbps(fc[cl.spec].C), fc[cl.spec].Delta)
 	}
 
 	// Simulate: all three flows greedy; then the video goes idle halfway
@@ -55,7 +52,7 @@ func main() {
 	const duration = 10.0
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
-	link := sim.NewLink(q, "shared", tree.Sched, server.NewConstantRate(c), sink)
+	link := sim.NewLink(q, "shared", tree, server.NewConstantRate(c), sink)
 	mon := sim.Attach(link)
 
 	(&source.CBR{Q: q, Out: link, Flow: 1, Rate: 0.62 * c, PktBytes: 1000,

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fairness"
+	"repro/internal/hier"
 	"repro/internal/liveops"
 	"repro/internal/obs"
 	"repro/internal/qos"
@@ -460,35 +460,21 @@ func TestFailoverWithObserverAndPooling(t *testing.T) {
 // TestHSFQDeepTreeLiveOps exercises the hierarchical paths: a three-level
 // class tree is snapshotted mid-backlog and must continue bit-identically.
 func TestHSFQDeepTreeLiveOps(t *testing.T) {
-	build := func() *core.HSFQ {
-		h := core.NewHSFQ()
-		a, err := h.NewClass(nil, "tenant-a", 1)
+	build := func() *hier.Tree {
+		flow := func(f int, w float64) *hier.Spec { return &hier.Spec{IsFlow: true, Flow: f, Weight: w} }
+		h, err := hier.Build(&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+			{Name: "sfq", Class: "tenant-a", Weight: 1, Children: []*hier.Spec{
+				{Name: "sfq", Class: "a-interactive", Weight: 2, Children: []*hier.Spec{flow(1, 1)}},
+				flow(2, 1),
+			}},
+			{Name: "sfq", Class: "tenant-b", Weight: 3, Children: []*hier.Spec{flow(3, 1), flow(4, 2)}},
+		}}, sched.Config{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := h.NewClass(nil, "tenant-b", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a1, err := h.NewClass(a, "a-interactive", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.AddFlowTo(a1, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.AddFlowTo(a, 2, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.AddFlowTo(b, 3, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.AddFlowTo(b, 4, 2); err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
-	backlog := func(h *core.HSFQ, n int) {
+	backlog := func(h *hier.Tree, n int) {
 		for i := 0; i < n; i++ {
 			for f := 1; f <= 4; f++ {
 				p := &sched.Packet{Flow: f, Seq: int64(i), Length: 100}
@@ -505,7 +491,7 @@ func TestHSFQDeepTreeLiveOps(t *testing.T) {
 		for i := 0; i < 37; i++ { // leave the tree mid-busy-period
 			h.Dequeue(float64(i))
 		}
-		restored, err := liveops.Clone(h, func() sched.Interface { return core.NewHSFQ() })
+		restored, err := liveops.Clone(h, func() sched.Interface { return sched.MustNew("hsfq") })
 		if err != nil {
 			t.Fatal(err)
 		}

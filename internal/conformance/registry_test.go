@@ -46,9 +46,15 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 		"sfq":           func(Workload) sched.Interface { return core.New() },
 		"sfq-lowweight": func(Workload) sched.Interface { return core.NewTie(core.TieLowWeightFirst) },
 		"flowsfq":       func(Workload) sched.Interface { return core.New() },
-		"hsfq":          func(Workload) sched.Interface { return core.NewHSFQ() },
-		"scfq":          func(Workload) sched.Interface { return sched.NewSCFQ() },
-		"wfq":           func(w Workload) sched.Interface { return sched.NewWFQ(w.C) },
+		"hsfq": func(Workload) sched.Interface {
+			t, err := hier.Build(&hier.Spec{Name: "sfq", Class: "root"}, sched.Config{})
+			if err != nil {
+				panic(err)
+			}
+			return t
+		},
+		"scfq": func(Workload) sched.Interface { return sched.NewSCFQ() },
+		"wfq":  func(w Workload) sched.Interface { return sched.NewWFQ(w.C) },
 		"fqs": func(w Workload) sched.Interface {
 			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: w.C})
 		},
@@ -79,9 +85,13 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 	}
 }
 
-// mustTree builds a tree from a spec the test knows to be valid.
+// mustTree builds a tree from a grammar spec the test knows to be valid.
 func mustTree(spec string) *hier.Tree {
-	t, err := hier.NewTree(spec, sched.Config{})
+	sp, err := hier.ParseSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	t, err := hier.Build(sp, sched.Config{})
 	if err != nil {
 		panic(err)
 	}

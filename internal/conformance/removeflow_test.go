@@ -18,7 +18,7 @@ func TestRemoveFlowBacklogged(t *testing.T) {
 	factories := map[string]func() sched.Interface{
 		"sfq":     func() sched.Interface { return core.New() },
 		"flowsfq": func() sched.Interface { return sched.MustNew("flowsfq") },
-		"hsfq":    func() sched.Interface { return core.NewHSFQ() },
+		"hsfq":    func() sched.Interface { return sched.MustNew("hsfq") },
 		"refsfq":  func() sched.Interface { return NewRefSFQ() },
 		"scfq":    func() sched.Interface { return sched.NewSCFQ() },
 		"wfq":     func() sched.Interface { return sched.NewWFQ(1000) },

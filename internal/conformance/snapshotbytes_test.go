@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/hier"
 	"repro/internal/liveops"
 	"repro/internal/sched"
 )
@@ -207,20 +207,10 @@ func TestParentSnapshotsRefused(t *testing.T) {
 // 4, flow 2 at the root. The script adds the other flows at the root.
 func example3Tree(t *testing.T) sched.Interface {
 	t.Helper()
-	h := core.NewHSFQ()
-	a, err := h.NewClass(nil, "A", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fc := range []struct {
-		flow int
-		cls  *core.Class
-	}{{2, nil}, {3, a}, {4, a}} {
-		if err := h.AddFlowTo(fc.cls, fc.flow, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return h
+	return buildTree(t, &hier.Spec{Name: "sfq", Children: []*hier.Spec{
+		{Name: "sfq", Class: "A", Weight: 1, Children: []*hier.Spec{flowLeaf(3), flowLeaf(4)}},
+		flowLeaf(2),
+	}})
 }
 
 // composedSinkTree is composed-tree's link share: an SFQ root over edd,
@@ -229,21 +219,21 @@ func example3Tree(t *testing.T) sched.Interface {
 // and 7 to the drr and fifo sinks.
 func composedSinkTree(t *testing.T) sched.Interface {
 	t.Helper()
-	h := core.NewHSFQ()
-	for _, c := range []struct {
-		name, disc string
-		weight     float64
-		flows      []int
-	}{{"ugs", "edd", 4, []int{1}}, {"rtps", "scfq", 3, []int{2}}, {"nrtps", "drr", 2, []int{3, 4}}, {"be", "fifo", 1, []int{5}}} {
-		cls, err := h.NewSinkClass(nil, c.name, c.weight, c.disc, sched.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range c.flows {
-			if err := h.AddFlowTo(cls, f, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
+	return buildTree(t, &hier.Spec{Name: "sfq", Children: []*hier.Spec{
+		{Name: "edd", Class: "ugs", Weight: 4, Children: []*hier.Spec{flowLeaf(1)}},
+		{Name: "scfq", Class: "rtps", Weight: 3, Children: []*hier.Spec{flowLeaf(2)}},
+		{Name: "drr", Class: "nrtps", Weight: 2, Children: []*hier.Spec{flowLeaf(3), flowLeaf(4)}},
+		{Name: "fifo", Class: "be", Weight: 1, Children: []*hier.Spec{flowLeaf(5)}},
+	}})
+}
+
+func flowLeaf(f int) *hier.Spec { return &hier.Spec{IsFlow: true, Flow: f, Weight: 1} }
+
+func buildTree(t *testing.T, sp *hier.Spec) sched.Interface {
+	t.Helper()
+	h, err := hier.Build(sp, sched.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return h
 }

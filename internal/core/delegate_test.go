@@ -3,38 +3,37 @@ package core_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fairness"
+	"repro/internal/hier"
 	"repro/internal/qos"
 	"repro/internal/sched"
 	"repro/internal/schedtest"
 	"repro/internal/server"
 )
 
-// eddSink attaches a Delay EDD sink class under h's root, routes flows into
-// it and then gives each its delay bound on the class's discipline — the
-// parameter the tree's weight-only AddFlowTo cannot carry.
-func eddSink(t *testing.T, h *core.HSFQ, name string, weight float64, flows map[int][2]float64) {
+// eddSink builds an SFQ root over a Delay EDD sink class of the given
+// weight, its flows routed in, and then gives each flow its delay bound on
+// the class's discipline — the parameter a weight cannot carry. Further
+// flows go next to the sink, at the root.
+func eddSink(t *testing.T, name string, weight float64, flows map[int][2]float64, others ...*hier.Spec) *hier.Tree {
 	t.Helper()
-	cls, err := h.NewSinkClass(nil, name, weight, "edd", sched.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cls := &hier.Spec{Name: "edd", Class: name, Weight: weight}
 	for f, rd := range flows {
-		if err := h.AddFlowTo(cls, f, rd[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := cls.Disc().(sched.EDD).AddFlowDeadline(f, rd[0], rd[1]); err != nil {
+		cls.Children = append(cls.Children, flowLeaf(f, rd[0]))
+	}
+	h := mustBuild(t, sfqClass("", 0, append([]*hier.Spec{cls}, others...)...))
+	for f, rd := range flows {
+		if err := h.Sink(f).(sched.EDD).AddFlowDeadline(f, rd[0], rd[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return h
 }
 
 // TestDelegateEDDOrdering: inside a class handed to another discipline
 // packets follow that discipline's (Delay EDD) order, not SFQ tags.
 func TestDelegateEDDOrdering(t *testing.T) {
-	h := core.NewHSFQ()
-	eddSink(t, h, "rt", 1, map[int][2]float64{1: {100, 0.5}, 2: {100, 0.05}})
+	h := eddSink(t, "rt", 1, map[int][2]float64{1: {100, 0.5}, 2: {100, 0.05}})
 	// Flow 1 arrives first, but flow 2 has the tighter deadline.
 	p1 := &sched.Packet{Flow: 1, Length: 100}
 	p2 := &sched.Packet{Flow: 2, Length: 100}
@@ -63,11 +62,7 @@ func TestDelegateEDDOrdering(t *testing.T) {
 // TestDelegateClassGetsWeightedShare: the class competes with sibling
 // classes under SFQ with its weight, regardless of its internal order.
 func TestDelegateClassGetsWeightedShare(t *testing.T) {
-	h := core.NewHSFQ()
-	eddSink(t, h, "rt", 250, map[int][2]float64{1: {250, 0.1}})
-	if err := h.AddFlowTo(nil, 2, 750); err != nil {
-		t.Fatal(err)
-	}
+	h := eddSink(t, "rt", 250, map[int][2]float64{1: {250, 0.1}}, flowLeaf(2, 750))
 	var arr []schedtest.Arrival
 	for i := 0; i < 200; i++ {
 		arr = append(arr, schedtest.Arrival{At: 0, Flow: 1, Bytes: 100})
@@ -92,13 +87,9 @@ func TestDelegateTheorem7Separation(t *testing.T) {
 		c       = 10000.0
 		clsRate = 6000.0
 	)
-	h := core.NewHSFQ()
 	// Same rate, very different deadlines: delay decoupled from
 	// throughput.
-	eddSink(t, h, "sep", clsRate, map[int][2]float64{1: {3000, 0.05}, 2: {3000, 0.4}})
-	if err := h.AddFlowTo(nil, 3, c-clsRate); err != nil {
-		t.Fatal(err)
-	}
+	h := eddSink(t, "sep", clsRate, map[int][2]float64{1: {3000, 0.05}, 2: {3000, 0.4}}, flowLeaf(3, c-clsRate))
 
 	var arr []schedtest.Arrival
 	// The class's flows at their reserved rates; flow 3 saturates its share.
@@ -134,29 +125,21 @@ func TestDelegateTheorem7Separation(t *testing.T) {
 // TestDelegateValidation covers the error paths of handing a class to
 // another discipline.
 func TestDelegateValidation(t *testing.T) {
-	h := core.NewHSFQ()
-	if _, err := h.NewSinkClass(nil, "x", 1, "no-such-discipline", sched.Config{}); err == nil {
-		t.Error("unknown discipline accepted")
+	sink := func(disc string, weight float64, children ...*hier.Spec) *hier.Spec {
+		return sfqClass("", 0, &hier.Spec{Name: disc, Class: "x", Weight: weight, Children: children})
 	}
-	if _, err := h.NewSinkClass(nil, "x", 0, "fifo", sched.Config{}); err == nil {
-		t.Error("zero weight accepted")
+	for name, sp := range map[string]*hier.Spec{
+		"unknown discipline":  sink("no-such-discipline", 1),
+		"zero weight":         sink("fifo", 0),
+		"flow beside a class": sink("fifo", 1, flowLeaf(4, 1), &hier.Spec{Name: "fifo", Class: "y", Weight: 1}),
+		"zero flow weight":    sink("fifo", 1, flowLeaf(5, 0)),
+		"duplicate flow":      sink("fifo", 1, flowLeaf(5, 1), flowLeaf(5, 1)),
+	} {
+		if _, err := hier.Build(sp, sched.Config{}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	cls, err := h.NewSinkClass(nil, "x", 1, "fifo", sched.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.NewSinkClass(cls, "y", 1, "fifo", sched.Config{}); err == nil {
-		t.Error("class under a sink accepted")
-	}
-	if err := h.AddFlowTo(cls, 5, 0); err == nil {
-		t.Error("zero flow weight accepted")
-	}
-	if err := h.AddFlowTo(cls, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(cls, 5, 1); err == nil {
-		t.Error("duplicate flow accepted")
-	}
+	h := mustBuild(t, sink("fifo", 1, flowLeaf(5, 1)))
 	// Removal of a sink's flow goes through its discipline.
 	if err := h.RemoveFlow(5); err != nil {
 		t.Errorf("removal: %v", err)

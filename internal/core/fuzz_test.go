@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/hier"
 	"repro/internal/sched"
 )
 
@@ -171,17 +172,13 @@ func FuzzHSFQ(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 50, 2, 0, 5, 0, 0, 7, 2, 0})
 	f.Add([]byte{0, 0, 1, 1, 1, 2, 3, 100, 2, 0, 5, 0, 0, 5, 2, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := NewHSFQ()
-		cls, err := h.NewClass(nil, "interior", 350)
+		h, err := hier.Build(&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+			{Name: "sfq", Class: "interior", Weight: 350, Children: []*hier.Spec{
+				{IsFlow: true, Flow: 1, Weight: 100},
+				{IsFlow: true, Flow: 2, Weight: 250},
+			}},
+		}}, sched.Config{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		// fuzzScheduler re-registers flows via AddFlow (root); pre-placing
-		// 1 and 2 under the interior class routes them there instead.
-		if err := h.AddFlowTo(cls, 1, 100); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.AddFlowTo(cls, 2, 250); err != nil {
 			t.Fatal(err)
 		}
 		st := newFuzzState(t, h)

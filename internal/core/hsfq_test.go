@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fairness"
+	"repro/internal/hier"
 	"repro/internal/qos"
 	"repro/internal/sched"
 	"repro/internal/schedtest"
@@ -16,7 +16,7 @@ import (
 // behaves like flat SFQ — weighted shares and the Theorem 1 bound hold.
 func TestHSFQFlatMatchesWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	h := core.NewHSFQ()
+	h := sched.MustNew("hsfq")
 	mustAdd(t, h, 1, 100)
 	mustAdd(t, h, 2, 300)
 	flows := []schedtest.FlowSpec{
@@ -45,20 +45,10 @@ func TestHSFQFlatMatchesWeights(t *testing.T) {
 // bandwidth evenly — the property that requires fairness over variable
 // rate servers.
 func TestExample3Hierarchy(t *testing.T) {
-	h := core.NewHSFQ()
-	classA, err := h.NewClass(nil, "A", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(nil, 2, 1); err != nil { // class B as a leaf flow
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(classA, 3, 1); err != nil { // C
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(classA, 4, 1); err != nil { // D
-		t.Fatal(err)
-	}
+	h := mustBuild(t, sfqClass("", 0,
+		sfqClass("A", 1, flowLeaf(3, 1), flowLeaf(4, 1)), // C, D
+		flowLeaf(2, 1), // class B as a leaf flow
+	))
 
 	const c = 1000.0
 	var arr []schedtest.Arrival
@@ -100,28 +90,13 @@ func TestExample3Hierarchy(t *testing.T) {
 // TestHSFQDeepTree: three-level tree with uneven weights delivers the
 // composed shares.
 func TestHSFQDeepTree(t *testing.T) {
-	h := core.NewHSFQ()
-	best, err := h.NewClass(nil, "best-effort", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := h.NewClass(nil, "real-time", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interactive, err := h.NewClass(best, "interactive", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(rt, 1, 1); err != nil { // 3/4 of link
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(best, 2, 3); err != nil { // 3/4 of 1/4
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(interactive, 3, 1); err != nil { // 1/4 of 1/4
-		t.Fatal(err)
-	}
+	h := mustBuild(t, sfqClass("", 0,
+		sfqClass("best-effort", 1,
+			sfqClass("interactive", 1, flowLeaf(3, 1)), // 1/4 of 1/4
+			flowLeaf(2, 3), // 3/4 of 1/4
+		),
+		sfqClass("real-time", 3, flowLeaf(1, 1)), // 3/4 of link
+	))
 
 	var arr []schedtest.Arrival
 	for i := 0; i < 400; i++ {
@@ -150,14 +125,7 @@ func TestHSFQDeepTree(t *testing.T) {
 
 // TestHSFQBusyIdleCycles: activation bookkeeping across idle periods.
 func TestHSFQBusyIdleCycles(t *testing.T) {
-	h := core.NewHSFQ()
-	a, _ := h.NewClass(nil, "a", 1)
-	if err := h.AddFlowTo(a, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(nil, 2, 1); err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, sfqClass("", 0, sfqClass("a", 1, flowLeaf(1, 1)), flowLeaf(2, 1)))
 	for cycle := 0; cycle < 5; cycle++ {
 		base := float64(cycle) * 10
 		p1 := &sched.Packet{Flow: 1, Length: 100}
@@ -185,19 +153,20 @@ func TestHSFQBusyIdleCycles(t *testing.T) {
 
 // TestHSFQErrors covers the validation paths.
 func TestHSFQErrors(t *testing.T) {
-	h := core.NewHSFQ()
-	if _, err := h.NewClass(nil, "x", 0); err == nil {
-		t.Error("zero-weight class accepted")
+	for name, sp := range map[string]*hier.Spec{
+		"zero-weight class":    sfqClass("", 0, sfqClass("x", 0, flowLeaf(1, 1))),
+		"negative-weight flow": sfqClass("", 0, flowLeaf(1, -1)),
+		"duplicate flow":       sfqClass("", 0, flowLeaf(1, 1), sfqClass("x", 1, flowLeaf(1, 1))),
+	} {
+		if _, err := hier.Build(sp, sched.Config{}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if err := h.AddFlowTo(nil, 1, -1); err == nil {
+	h := sched.MustNew("hsfq")
+	if err := h.AddFlow(1, -1); err == nil {
 		t.Error("negative-weight flow accepted")
 	}
-	if err := h.AddFlowTo(nil, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(nil, 1, 1); err == nil {
-		t.Error("duplicate flow accepted")
-	}
+	mustAdd(t, h, 1, 1)
 	if err := h.Enqueue(0, &sched.Packet{Flow: 99, Length: 1}); err == nil {
 		t.Error("unknown flow accepted")
 	}
@@ -223,15 +192,7 @@ func TestHSFQErrors(t *testing.T) {
 // (the property Example 3 needs, checked directly at the root level).
 func TestHSFQVariableRateFairness(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	h := core.NewHSFQ()
-	a, _ := h.NewClass(nil, "a", 1)
-	b, _ := h.NewClass(nil, "b", 1)
-	if err := h.AddFlowTo(a, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(b, 2, 1); err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, sfqClass("", 0, sfqClass("a", 1, flowLeaf(1, 1)), sfqClass("b", 1, flowLeaf(2, 1))))
 	flows := []schedtest.FlowSpec{
 		{Flow: 1, Weight: 1, MaxBytes: 300},
 		{Flow: 2, Weight: 1, MaxBytes: 300},
@@ -244,4 +205,22 @@ func TestHSFQVariableRateFairness(t *testing.T) {
 	if r := w1 / w2; r < 0.85 || r > 1.18 {
 		t.Errorf("sibling classes on variable-rate link: ratio %v, want ≈ 1", r)
 	}
+}
+
+// sfqClass is a native SFQ class over children; flowLeaf is a flow's leaf.
+func sfqClass(name string, weight float64, children ...*hier.Spec) *hier.Spec {
+	return &hier.Spec{Name: "sfq", Class: name, Weight: weight, Children: children}
+}
+
+func flowLeaf(flow int, weight float64) *hier.Spec {
+	return &hier.Spec{IsFlow: true, Flow: flow, Weight: weight}
+}
+
+func mustBuild(t *testing.T, sp *hier.Spec) *hier.Tree {
+	t.Helper()
+	h, err := hier.Build(sp, sched.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/fairness"
+	"repro/internal/hier"
 	"repro/internal/qos"
 	"repro/internal/sched"
 	"repro/internal/schedtest"
@@ -18,30 +20,30 @@ import (
 func TestQuickHSFQConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := core.NewHSFQ()
 		// Random tree: up to 3 interior classes, 2-5 flows attached
 		// randomly to root or a class.
-		var classes []*core.Class
+		root := sfqClass("", 0)
+		classes := []*hier.Spec{root}
 		for i := 0; i < rng.Intn(3); i++ {
-			var parent *core.Class
-			if len(classes) > 0 && rng.Intn(2) == 0 {
-				parent = classes[rng.Intn(len(classes))]
+			parent := root
+			if len(classes) > 1 && rng.Intn(2) == 0 {
+				parent = classes[1+rng.Intn(len(classes)-1)]
 			}
-			c, err := h.NewClass(parent, "", 1+rng.Float64()*9)
-			if err != nil {
-				return false
-			}
+			c := sfqClass(fmt.Sprintf("c%d", i), 1+rng.Float64()*9)
+			parent.Children = append(parent.Children, c)
 			classes = append(classes, c)
 		}
 		nf := 2 + rng.Intn(4)
 		for fl := 1; fl <= nf; fl++ {
-			var parent *core.Class
-			if len(classes) > 0 && rng.Intn(2) == 0 {
-				parent = classes[rng.Intn(len(classes))]
+			parent := root
+			if len(classes) > 1 && rng.Intn(2) == 0 {
+				parent = classes[1+rng.Intn(len(classes)-1)]
 			}
-			if err := h.AddFlowTo(parent, fl, 1+rng.Float64()*100); err != nil {
-				return false
-			}
+			parent.Children = append(parent.Children, flowLeaf(fl, 1+rng.Float64()*100))
+		}
+		h, err := hier.Build(root, sched.Config{})
+		if err != nil {
+			return false
 		}
 		sent := map[int][]int64{}
 		got := map[int][]int64{}
@@ -97,21 +99,10 @@ func TestQuickHSFQConservation(t *testing.T) {
 func TestQuickHSFQSiblingFairness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := core.NewHSFQ()
 		w1 := 1 + rng.Float64()*9
 		w2 := 1 + rng.Float64()*9
-		a, err := h.NewClass(nil, "a", w1)
+		h, err := hier.Build(sfqClass("", 0, sfqClass("a", w1, flowLeaf(1, w1)), sfqClass("b", w2, flowLeaf(2, w2))), sched.Config{})
 		if err != nil {
-			return false
-		}
-		b, err := h.NewClass(nil, "b", w2)
-		if err != nil {
-			return false
-		}
-		if err := h.AddFlowTo(a, 1, w1); err != nil {
-			return false
-		}
-		if err := h.AddFlowTo(b, 2, w2); err != nil {
 			return false
 		}
 		lmax := 100 + rng.Float64()*300

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/sched"
+import (
+	"repro/internal/hier"
+	"repro/internal/sched"
+)
 
 // This file registers the paper's own disciplines with the shared scheduler
 // registry, so consumers construct them by name next to the baselines:
@@ -21,7 +24,13 @@ func init() {
 	sched.Register("sfq-lowweight", func(sched.Config) (sched.Interface, error) {
 		return NewTie(TieLowWeightFirst), nil
 	})
-	sched.Register("hsfq", func(sched.Config) (sched.Interface, error) {
-		return NewHSFQ(), nil
+	// "hsfq" is the hierarchical SFQ of Section 3: an SFQ root class, the
+	// whole link, to which AddFlow attaches flows. Every interior class of
+	// a deeper tree runs SFQ over its children as flows (hier.Spec
+	// describes one; hier.Build builds it); because SFQ is fair whatever
+	// the service a class receives, its bandwidth is split fairly among
+	// its subclasses even as that allocation fluctuates (Example 3).
+	sched.Register("hsfq", func(cfg sched.Config) (sched.Interface, error) {
+		return hier.Build(&hier.Spec{Name: "sfq", Class: "root"}, cfg)
 	})
 }

@@ -20,8 +20,9 @@
 // Those three lines are the whole discipline, and they are written down
 // once, as the rank function sched.RankSFQ; the scheduler that runs it
 // (sched.Ranked) is the one shared by every tag-based discipline in the
-// repository. This package names the paper's schedulers — New/NewTie, the
-// hierarchical HSFQ — and registers them.
+// repository. This package names the paper's schedulers — New/NewTie —
+// and registers them, with "hsfq", the hierarchical SFQ, built by
+// internal/hier.
 package core
 
 import "repro/internal/sched"

@@ -9,8 +9,9 @@
 //   - heap phase. A new Queue is a typed 4-ary min-heap ordered by
 //     (time, seq), called ready. Every push goes there and every pop takes
 //     its minimum: O(log pending), no per-queue arrays, nothing to advance.
-//     The paper's experiments — under 20 pending events per queue — never
-//     leave this phase.
+//     Most of the paper's experiments keep under 20 pending events per
+//     queue and stay here; a queue that once holds a burst of timers
+//     (cmd/experiments -seed 1 promotes 27 queues) moves on.
 //   - wheel phase. When the pending count first passes promoteAt the queue
 //     allocates a hierarchical timing wheel (Varghese & Lauck) behind one
 //     pointer, sets its cursor to the heap minimum's tick and re-places
@@ -541,9 +542,10 @@ func (q *Queue) RunUntil(t float64) {
 }
 
 // RunBefore executes events with time strictly < t, then advances the
-// clock to t. It is the window primitive for conservative parallel
-// execution (topo.Sharded): a domain may safely run every event before its
-// lookahead horizon, and the horizon itself belongs to the next window.
+// clock to t. topo.Sharded runs a queue with it up to the departure
+// instant of the next frame handed over from another queue, and up to the
+// instant its feeders have all reached; events at t itself wait for what
+// arrives at t.
 func (q *Queue) RunBefore(t float64) {
 	for {
 		et, ok := q.PeekTime()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fairness"
+	"repro/internal/hier"
 	"repro/internal/sched"
 	"repro/internal/schedtest"
 	"repro/internal/server"
@@ -135,15 +136,14 @@ func AblationHierarchyOverhead(seed int64) *Result {
 	run := func(useTree bool) (ratios [2]float64, h float64) {
 		var s sched.Interface
 		if useTree {
-			t := core.NewHSFQ()
+			root := &hier.Spec{Name: "sfq"}
 			for i, w := range weights {
-				cls, err := t.NewClass(nil, fmt.Sprintf("wrap%d", i), w)
-				if err != nil {
-					panic(err)
-				}
-				if err := t.AddFlowTo(cls, i+1, w); err != nil {
-					panic(err)
-				}
+				root.Children = append(root.Children, &hier.Spec{Name: "sfq", Class: fmt.Sprintf("wrap%d", i), Weight: w,
+					Children: []*hier.Spec{{IsFlow: true, Flow: i + 1, Weight: w}}})
+			}
+			t, err := hier.Build(root, sched.Config{})
+			if err != nil {
+				panic(err)
 			}
 			s = t
 		} else {

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/fairness"
-	"repro/internal/linkshare"
+	"repro/internal/hier"
 	"repro/internal/sched"
 	"repro/internal/schedtest"
 	"repro/internal/server"
@@ -18,8 +18,8 @@ import (
 // local behaviour (DRR halves the nrtPS share between its two flows).
 // The same tree is then built a second way, through the composed registry
 // name "hier:sfq(edd*4,scfq*3,drr*2,fifo)", and must allocate identically:
-// the declarative link-share spec and the name grammar are two front ends
-// for one composition layer.
+// a hier.Spec written out with named classes and flow leaves and one
+// parsed from the name grammar describe the same composition.
 func ComposedTree(seed int64) *Result {
 	r := newResult("composed-tree", "extension §3 — heterogeneous scheduler tree (WiMAX-style link share)")
 
@@ -53,27 +53,19 @@ func ComposedTree(seed int64) *Result {
 		return shares, split
 	}
 
-	// Front end 1: the declarative link-sharing spec.
-	ls, err := linkshare.Build(linkshare.Spec{
-		Name: "link",
-		Children: []linkshare.Spec{
-			{Name: "ugs", Weight: 4, Disc: "edd",
-				Children: []linkshare.Spec{{Name: "f1", IsFlow: true, Flow: 1, Weight: 1}}},
-			{Name: "rtps", Weight: 3, Disc: "scfq",
-				Children: []linkshare.Spec{{Name: "f2", IsFlow: true, Flow: 2, Weight: 1}}},
-			{Name: "nrtps", Weight: 2, Disc: "drr",
-				Children: []linkshare.Spec{
-					{Name: "f3", IsFlow: true, Flow: 3, Weight: 1},
-					{Name: "f4", IsFlow: true, Flow: 4, Weight: 1},
-				}},
-			{Name: "be", Weight: 1, Disc: "fifo",
-				Children: []linkshare.Spec{{Name: "f5", IsFlow: true, Flow: 5, Weight: 1}}},
-		},
-	})
+	// Front end 1: the link-sharing spec written out, each class named and
+	// its flows listed.
+	flow := func(f int) *hier.Spec { return &hier.Spec{IsFlow: true, Flow: f, Weight: 1} }
+	ls, err := hier.Build(&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+		{Name: "edd", Class: "ugs", Weight: 4, Children: []*hier.Spec{flow(1)}},
+		{Name: "scfq", Class: "rtps", Weight: 3, Children: []*hier.Spec{flow(2)}},
+		{Name: "drr", Class: "nrtps", Weight: 2, Children: []*hier.Spec{flow(3), flow(4)}},
+		{Name: "fifo", Class: "be", Weight: 1, Children: []*hier.Spec{flow(5)}},
+	}}, sched.Config{})
 	if err != nil {
 		panic(err)
 	}
-	specShares, split := measure(ls.Sched, [5]int{1, 2, 3, 4, 5})
+	specShares, split := measure(ls, [5]int{1, 2, 3, 4, 5})
 
 	// Front end 2: the composed registry name. Sinks are in spec order
 	// (edd, scfq, drr, fifo) and AddFlow routes flow f to sink f mod 4,

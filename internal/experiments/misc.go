@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fairness"
+	"repro/internal/hier"
 	"repro/internal/qos"
 	"repro/internal/sched"
 	"repro/internal/schedtest"
@@ -86,18 +87,12 @@ func SCFQDelay(seed int64) *Result {
 func Example3() *Result {
 	r := newResult("example3", "Example 3 — hierarchical link sharing (classes A{C,D}, B)")
 
-	h := core.NewHSFQ()
-	classA, err := h.NewClass(nil, "A", 1)
+	flow := func(f int) *hier.Spec { return &hier.Spec{IsFlow: true, Flow: f, Weight: 1} }
+	h, err := hier.Build(&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+		{Name: "sfq", Class: "A", Weight: 1, Children: []*hier.Spec{flow(3), flow(4)}}, // C, D
+		flow(2), // B
+	}}, sched.Config{})
 	if err != nil {
-		panic(err)
-	}
-	if err := h.AddFlowTo(nil, 2, 1); err != nil { // B
-		panic(err)
-	}
-	if err := h.AddFlowTo(classA, 3, 1); err != nil { // C
-		panic(err)
-	}
-	if err := h.AddFlowTo(classA, 4, 1); err != nil { // D
 		panic(err)
 	}
 
@@ -208,26 +203,20 @@ func DelayShift(cfg DelayShiftConfig) *Result {
 	}
 	resFlat := schedtest.Drive(flat, server.NewConstantRate(c), mkArrivals(rng))
 
-	hier := core.NewHSFQ()
-	fav, err := hier.NewClass(nil, "favored", 0.6*c)
+	fav := &hier.Spec{Name: "sfq", Class: "favored", Weight: 0.6 * c}
+	oth := &hier.Spec{Name: "sfq", Class: "other", Weight: 0.4 * c}
+	for f := 1; f <= nQ; f++ {
+		if f <= 2 {
+			fav.Children = append(fav.Children, &hier.Spec{IsFlow: true, Flow: f, Weight: 0.3 * c})
+		} else {
+			oth.Children = append(oth.Children, &hier.Spec{IsFlow: true, Flow: f, Weight: 0.05 * c})
+		}
+	}
+	tree, err := hier.Build(&hier.Spec{Name: "sfq", Children: []*hier.Spec{fav, oth}}, sched.Config{})
 	if err != nil {
 		panic(err)
 	}
-	oth, err := hier.NewClass(nil, "other", 0.4*c)
-	if err != nil {
-		panic(err)
-	}
-	for f := 1; f <= 2; f++ {
-		if err := hier.AddFlowTo(fav, f, 0.3*c); err != nil {
-			panic(err)
-		}
-	}
-	for f := 3; f <= nQ; f++ {
-		if err := hier.AddFlowTo(oth, f, 0.05*c); err != nil {
-			panic(err)
-		}
-	}
-	resHier := schedtest.Drive(hier, server.NewConstantRate(c), mkArrivals(rng))
+	resHier := schedtest.Drive(tree, server.NewConstantRate(c), mkArrivals(rng))
 
 	dFlat := resFlat.Mon.QueueDelay(1).Max()
 	dHier := resHier.Mon.QueueDelay(1).Max()

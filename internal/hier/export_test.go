@@ -63,7 +63,7 @@ func (st *nodeState) mirror() nodeJSON {
 // captureJSON is the tree's state as it was captured before the codec:
 // node records built from the classes, discipline envelopes from
 // liveops.Snapshot, all of it written by encoding/json.
-func (h *Tree) captureJSON(c *Node) (nodeJSON, error) {
+func (h *Tree) captureJSON(c *node) (nodeJSON, error) {
 	st := nodeJSON{
 		Name: c.name, Weight: c.weight, Leaf: c.kind == kindLeafFlow, Flow: c.flow,
 		Active: c.active, CurStart: c.curStart, LastFinish: c.lastFinish, Serial: c.serial,

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzHierTree differentially tests the generic tree layer against a
-// naive replay model built from the same parsed spec: linear min-scan SFQ
+// naive replay model built from the same spec: linear min-scan SFQ
 // interiors carrying the same eq (4)-(5) arithmetic, and fresh
 // registry-constructed discipline instances at discipline nodes (sinks and
 // interiors). The production tree's indexed child heaps, pseudo-packet
@@ -25,15 +25,48 @@ import (
 
 // fuzzSpecs are the compositions under test: heterogeneous sinks, a
 // WiMAX-style class split, a tree of PIFOs, a nested SFQ level, a
-// degenerate single sink, and a discipline interior over mixed children.
-var fuzzSpecs = []string{
-	"sfq(drr,edd)",
-	"sfq(edd,scfq,drr,fifo)",
-	"pifo-sfq(pifo-sfq,pifo-sfq)",
-	"sfq(sfq(fifo,drr),edd)",
-	"drr",
-	"scfq(fifo,sfq(drr,edd),scfq)",
-}
+// degenerate single sink, and a discipline interior over mixed children,
+// all parsed from the grammar; then three written as Spec values with
+// class names and flow leaves: Example 3's tree, composed-tree's sinks
+// with their flows listed, and a named SFQ class of flow leaves under a
+// discipline interior beside a sink.
+var fuzzSpecs = func() []*hier.Spec {
+	var specs []*hier.Spec
+	for _, s := range []string{
+		"sfq(drr,edd)",
+		"sfq(edd,scfq,drr,fifo)",
+		"pifo-sfq(pifo-sfq,pifo-sfq)",
+		"sfq(sfq(fifo,drr),edd)",
+		"drr",
+		"scfq(fifo,sfq(drr,edd),scfq)",
+	} {
+		sp, err := hier.ParseSpec(s)
+		if err != nil {
+			panic(err)
+		}
+		specs = append(specs, sp)
+	}
+	flow := func(f int) *hier.Spec { return flowLeaf(f, fuzzWeight(f)) }
+	return append(specs,
+		&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+			{Name: "sfq", Class: "A", Weight: 2, Children: []*hier.Spec{flow(3), flow(4)}},
+			flow(2),
+		}},
+		&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+			{Name: "edd", Class: "ugs", Weight: 4, Children: []*hier.Spec{flow(1)}},
+			{Name: "scfq", Class: "rtps", Weight: 3, Children: []*hier.Spec{flow(2)}},
+			{Name: "drr", Class: "nrtps", Weight: 2, Children: []*hier.Spec{flow(3), flow(4)}},
+			{Name: "fifo", Class: "be", Weight: 1},
+		}},
+		&hier.Spec{Name: "drr", Children: []*hier.Spec{
+			{Name: "sfq", Class: "x", Weight: 2, Children: []*hier.Spec{flow(1), flow(2)}},
+			{Name: "fifo", Weight: 1},
+		}},
+	)
+}()
+
+// fuzzWeight is flow f's weight, in the spec or through AddFlow.
+func fuzzWeight(f int) float64 { return float64(f * 100) }
 
 // modelNode is one node of the replay model.
 type modelNode struct {
@@ -65,29 +98,49 @@ type modelTree struct {
 func buildModel(t *testing.T, sp *hier.Spec) *modelTree {
 	m := &modelTree{path: make(map[int][]*modelNode)}
 	m.root = m.buildNode(t, sp)
+	// Flows the spec lists get their chains once the tree is whole.
+	for flow, n := range m.path {
+		m.record(t, flow, n[0])
+	}
 	return m
 }
 
+// buildNode makes sp's model node. A flow leaf is a one-flow FIFO: with
+// one flow, FIFO order is the leaf's arrival order. Flow ids the spec
+// lists are noted in m.path with the node holding them.
 func (m *modelTree) buildNode(t *testing.T, sp *hier.Spec) *modelNode {
 	n := &modelNode{weight: sp.Weight}
-	if len(sp.Children) == 0 {
-		var err error
-		n.disc, err = sched.NewDiscipline(sp.Name, sched.Config{})
-		if err != nil {
-			t.Fatal(err)
+	name := sp.Name
+	classes := 0
+	for _, cs := range sp.Children {
+		if !cs.IsFlow {
+			classes++
 		}
-		m.sinks = append(m.sinks, n)
-		return n
 	}
-	if sp.Name == "sfq" {
+	switch {
+	case sp.IsFlow:
+		name = "fifo"
+	case sp.Name == "sfq" && (len(sp.Children) > 0 || sp.Class != ""):
 		n.sfq = true
-	} else {
+	case classes > 0:
+		n.interior = true
+	}
+	if !n.sfq {
 		var err error
-		n.disc, err = sched.NewDiscipline(sp.Name, sched.Config{})
+		n.disc, err = sched.NewDiscipline(name, sched.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.interior = true
+	}
+	switch {
+	case sp.IsFlow:
+		n.hold(t, m, sp.Flow, sp.Weight)
+	case !n.sfq && !n.interior:
+		m.sinks = append(m.sinks, n)
+		for _, cs := range sp.Children {
+			n.hold(t, m, cs.Flow, cs.Weight)
+		}
+		return n
 	}
 	for i, cs := range sp.Children {
 		c := m.buildNode(t, cs)
@@ -101,13 +154,35 @@ func (m *modelTree) buildNode(t *testing.T, sp *hier.Spec) *modelNode {
 	return n
 }
 
-// addFlow mirrors Tree.AddFlow's routing: flow -> sinks[flow%len(sinks)],
-// recording the leaf-to-root chain for the enqueue walk.
-func (m *modelTree) addFlow(t *testing.T, flow int, weight float64) {
-	sink := m.sinks[((flow%len(m.sinks))+len(m.sinks))%len(m.sinks)]
-	if err := sink.disc.AddFlow(flow, weight); err != nil {
+// hold registers flow on n's discipline and notes n as its holder.
+func (n *modelNode) hold(t *testing.T, m *modelTree, flow int, weight float64) {
+	if err := n.disc.AddFlow(flow, weight); err != nil {
 		t.Fatal(err)
 	}
+	m.path[flow] = []*modelNode{n}
+}
+
+// addFlow mirrors Tree.AddFlow's routing: flow -> sinks[flow%len(sinks)],
+// or a leaf of its own at the root when there is no sink.
+func (m *modelTree) addFlow(t *testing.T, flow int, weight float64) {
+	if len(m.sinks) == 0 {
+		leaf := &modelNode{weight: weight}
+		var err error
+		if leaf.disc, err = sched.NewDiscipline("fifo", sched.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		leaf.hold(t, m, flow, weight)
+		m.root.children = append(m.root.children, leaf)
+		m.record(t, flow, leaf)
+		return
+	}
+	sink := m.sinks[((flow%len(m.sinks))+len(m.sinks))%len(m.sinks)]
+	sink.hold(t, m, flow, weight)
+	m.record(t, flow, sink)
+}
+
+// record notes the holder-to-root chain of flow for the enqueue walk.
+func (m *modelTree) record(t *testing.T, flow int, sink *modelNode) {
 	var chain []*modelNode
 	var walk func(n *modelNode) bool
 	walk = func(n *modelNode) bool {
@@ -124,7 +199,7 @@ func (m *modelTree) addFlow(t *testing.T, flow int, weight float64) {
 		return false
 	}
 	if !walk(m.root) {
-		t.Fatal("model sink not reachable from root")
+		t.Fatal("model holder not reachable from root")
 	}
 	m.path[flow] = chain
 }
@@ -255,25 +330,28 @@ func FuzzHierTree(f *testing.F) {
 	f.Add([]byte{3, 0, 3, 0, 6, 0, 9, 2, 0, 2, 0, 3, 40, 0, 2, 2, 0})
 	f.Add([]byte{4, 0, 8, 2, 0, 4, 0})
 	f.Add([]byte{5, 0, 0, 0, 1, 0, 2, 0, 3, 2, 0, 2, 0, 2, 0, 2, 0})
+	f.Add([]byte{6, 0, 2, 0, 3, 0, 1, 2, 0, 4, 0, 0, 0, 2, 0, 3, 9, 1, 2, 2, 0})
+	f.Add([]byte{7, 0, 0, 0, 1, 0, 2, 0, 3, 2, 0, 4, 0, 1, 2, 2, 0, 2, 0})
+	f.Add([]byte{8, 0, 0, 0, 1, 0, 2, 0, 3, 2, 0, 2, 0, 4, 0, 0, 5, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		spec := fuzzSpecs[int(data[0])%len(fuzzSpecs)]
-		sp, err := hier.ParseSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree := mustTree(spec)
+		sp := fuzzSpecs[int(data[0])%len(fuzzSpecs)]
+		tree := mustBuild(sp)
 		model := buildModel(t, sp)
 
+		// Flows 1..nf: those the spec lists are in both already; AddFlow
+		// attaches the rest.
 		const nf = 4
 		for flow := 1; flow <= nf; flow++ {
-			w := float64(flow * 100)
-			if err := tree.AddFlow(flow, w); err != nil {
+			if model.path[flow] != nil {
+				continue
+			}
+			if err := tree.AddFlow(flow, fuzzWeight(flow)); err != nil {
 				t.Fatal(err)
 			}
-			model.addFlow(t, flow, w)
+			model.addFlow(t, flow, fuzzWeight(flow))
 		}
 
 		now := 0.0

@@ -5,7 +5,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/qos"
 	"repro/internal/sched"
+	"repro/internal/server"
 )
 
 // This file is the composed-name grammar of the tree layer:
@@ -38,17 +40,35 @@ const (
 	maxSpecDepth = 8
 )
 
-// Spec is one parsed node of a composition: a discipline name, a share
-// weight, and the child specs (nil for a sink).
+// Spec describes one node of a scheduler tree, and through Children the
+// whole tree: it is the one tree description, and Build the one builder.
+// The grammar writes Name, Weight and Children; Class and flow leaves are
+// API fields it cannot write.
+//
+// A node with class children is an interior: "sfq" natively, any other
+// name as a discipline interior. A node whose children are all flow
+// leaves is a native SFQ interior when its name is "sfq", and a sink
+// otherwise, its flows routed into the sink's discipline. A childless
+// node is a sink too, except a named "sfq" class, which is an SFQ
+// interior waiting for flows (the Section 3 scheduler's root).
 type Spec struct {
 	Name     string
 	Weight   float64
 	Children []*Spec
+
+	// Class names the node; empty means its position path from the root
+	// ("root.0.1"), deterministic, so two trees built from one spec
+	// snapshot alike. A flow leaf is named "flow-<id>" whatever Class says.
+	Class string
+	// IsFlow makes the spec a leaf for flow Flow with share Weight. It
+	// carries no Name and no Children.
+	IsFlow bool
+	Flow   int
 }
 
 // String renders the canonical form of the spec: minimal weights (omitted
-// when 1), no whitespace. NewTree uses it for the tree's StateKind, so
-// equivalent spellings restore interchangeably.
+// when 1), no whitespace. Build uses it for the StateKind of a tree the
+// grammar can write, so equivalent spellings restore interchangeably.
 func (sp *Spec) String() string {
 	var b strings.Builder
 	sp.write(&b)
@@ -149,83 +169,87 @@ func (p *specParser) spec(depth int) (*Spec, error) {
 	return sp, nil
 }
 
-// NewTree builds a tree from a grammar spec. cfg is handed to every node
+// Build builds the tree sp describes. cfg is handed to every node
 // discipline (so e.g. WithQuantum reaches a DRR sink); its Tree field is
-// cleared first, so a nested bare "hier" cannot recurse into itself.
-func NewTree(spec string, cfg sched.Config) (*Tree, error) {
+// cleared first, so a nested bare "hier" cannot recurse into itself. The
+// root's weight is ignored: the root is the whole link. A tree the grammar
+// can write reports StateKind "hier:<canonical spec>"; one with class
+// names or flow leaves reports "core/hsfq", the Section 3 scheduler's
+// kind, so its snapshots restore into a bare "hsfq".
+func Build(sp *Spec, cfg sched.Config) (*Tree, error) {
+	cfg.Tree = ""
+	t := &Tree{leaves: make(map[int]*node), kind: "core/hsfq", cfg: cfg, pure: true}
+	if sp.grammar() {
+		t.kind = "hier:" + sp.String()
+	}
+	root, err := t.add(nil, sp)
+	if err != nil {
+		return nil, err
+	}
+	t.root = root
+	return t, nil
+}
+
+// grammar reports whether the grammar can write sp: no node of it has a
+// class name or is a flow leaf.
+func (sp *Spec) grammar() bool {
+	if sp.Class != "" || sp.IsFlow {
+		return false
+	}
+	for _, c := range sp.Children {
+		if !c.grammar() {
+			return false
+		}
+	}
+	return true
+}
+
+// kind is the node kind sp describes; see Spec.
+func (sp *Spec) kind() nodeKind {
+	switch {
+	case sp.IsFlow:
+		return kindLeafFlow
+	case sp.Name == "sfq" && (len(sp.Children) > 0 || sp.Class != ""):
+		return kindSFQ
+	}
+	for _, c := range sp.Children {
+		if !c.IsFlow {
+			return kindDisc
+		}
+	}
+	return kindLeafDisc
+}
+
+// FC is eq (65) over the tree: given the link's FC parameters and the
+// maximum packet length lmax of every node, it returns the FC parameters
+// of each node's virtual server, the root's being the link's. A child's
+// weight is read as its reserved rate, so a level's weights should not sum
+// past its parent's rate for the bounds to mean anything.
+func (sp *Spec) FC(link server.FCParams, lmax float64) map[*Spec]server.FCParams {
+	fc := map[*Spec]server.FCParams{sp: link}
+	var walk func(*Spec)
+	walk = func(n *Spec) {
+		sumLmax := float64(len(n.Children)) * lmax
+		for _, c := range n.Children {
+			fc[c] = qos.SFQThroughputFC(fc[n], c.Weight, lmax, sumLmax)
+			walk(c)
+		}
+	}
+	walk(sp)
+	return fc
+}
+
+// buildSpec is ParseSpec then Build: the registry's route from a name.
+func buildSpec(spec string, cfg sched.Config) (sched.Interface, error) {
 	sp, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Tree = ""
-	t := &Tree{
-		leaves: make(map[int]*Node),
-		kind:   "hier:" + sp.String(),
-		pure:   true,
-	}
-	switch {
-	case len(sp.Children) == 0:
-		// A single sink: the whole link is one leaf discipline. Degenerate
-		// but legal — "hier:drr" is DRR with the tree layer's snapshot and
-		// reconfiguration surfaces.
-		disc, mk, err := discFactory(sp.Name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.root = &Node{
-			name: "root", weight: 1, heapIdx: -1,
-			kind: kindLeafDisc, disc: disc, discName: sp.Name, mkDisc: mk,
-		}
-		t.sinks = append(t.sinks, t.root)
-		return t, nil
-	case sp.Name == "sfq":
-		t.root = &Node{name: "root", weight: 1, heapIdx: -1}
-	default:
-		disc, mk, err := discFactory(sp.Name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.root = &Node{
-			name: "root", weight: 1, heapIdx: -1,
-			kind: kindDisc, disc: disc, discName: sp.Name, mkDisc: mk,
-			poolOK: sched.PoolSafeScheduler(disc),
-		}
-		t.pure = false
-	}
-	if err := t.buildChildren(t.root, sp, cfg); err != nil {
+	t, err := Build(sp, cfg)
+	if err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// buildChildren realizes sp's children under par. Node names are the
-// position path from the root ("root.0.1"), which is deterministic, so
-// snapshots of two trees built from the same spec match structurally.
-func (t *Tree) buildChildren(par *Node, sp *Spec, cfg sched.Config) error {
-	for i, cs := range sp.Children {
-		name := fmt.Sprintf("%s.%d", par.name, i)
-		var (
-			c   *Node
-			err error
-		)
-		switch {
-		case len(cs.Children) == 0:
-			c, err = t.NewSinkClass(par, name, cs.Weight, cs.Name, cfg)
-		case cs.Name == "sfq":
-			c, err = t.NewClass(par, name, cs.Weight)
-		default:
-			c, err = t.NewDiscClass(par, name, cs.Weight, cs.Name, cfg)
-		}
-		if err != nil {
-			return err
-		}
-		if len(cs.Children) > 0 {
-			if err := t.buildChildren(c, cs, cfg); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func init() {
@@ -237,13 +261,13 @@ func init() {
 				if cfg.Tree == "" {
 					return nil, fmt.Errorf("%w: hier requires a tree spec (sched.WithTree)", sched.ErrBadConfig)
 				}
-				return NewTree(cfg.Tree, cfg)
+				return buildSpec(cfg.Tree, cfg)
 			}, true
 		}
 		if strings.HasPrefix(name, "hier:") {
 			spec := strings.TrimPrefix(name, "hier:")
 			return func(cfg sched.Config) (sched.Interface, error) {
-				return NewTree(spec, cfg)
+				return buildSpec(spec, cfg)
 			}, true
 		}
 		return nil, false
@@ -261,7 +285,7 @@ func init() {
 	} {
 		spec := spec
 		sched.Register("hier:"+spec, func(cfg sched.Config) (sched.Interface, error) {
-			return NewTree(spec, cfg)
+			return buildSpec(spec, cfg)
 		})
 	}
 }

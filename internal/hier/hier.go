@@ -5,14 +5,15 @@
 // share) or as a leaf (scheduling real flows), with the inter-node
 // contract expressed entirely through sched.Interface.
 //
-// The layer generalizes the Section 3 hierarchical SFQ of the paper:
-// core.HSFQ is now the SFQ-of-SFQs instance of this tree (its node kind
-// below is kindSFQ, the native interior that reproduces eqs (4)–(5)
+// The layer generalizes the Section 3 hierarchical SFQ of the paper: the
+// registry's "hsfq" is the SFQ-of-SFQs instance of this tree (its node
+// kind below is kindSFQ, the native interior that reproduces eqs (4)–(5)
 // bit-identically to the pre-refactor implementation), while arbitrary
 // compositions — SFQ over DRR and EDD subtrees, WiMAX-style UGS/rtPS/
 // nrtPS/BE service classes, or a tree of PIFOs in the Sivaraman et al.
-// model — are built from the same Node/Tree machinery via the grammar in
-// grammar.go or the linkshare façade.
+// model — are built from the same Tree machinery. Every tree is
+// described by one Spec, written by hand or parsed from the grammar in
+// grammar.go, and built by Build.
 //
 // Node kinds and their scheduling contract:
 //
@@ -60,22 +61,22 @@ const (
 // Tree is a hierarchical scheduler: a link-sharing tree whose interior
 // nodes split their service among their children and whose leaves hold
 // real traffic. It implements sched.Interface (plus Reconfigurable and
-// Snapshotter); core.HSFQ is a type alias of Tree.
+// Snapshotter).
 type Tree struct {
-	root    *Node
-	leaves  map[int]*Node // flow id -> leaf node (flow leaf or disc sink)
-	total   int
-	last    float64
-	busy    bool // a packet is in service at the link
-	classes int  // id generator for interior nodes
-	chunks  sched.ChunkPool
-	seq     uint64 // leaf FIFO push serial (assert bookkeeping only)
+	root   *node
+	leaves map[int]*node // flow id -> leaf node (flow leaf or disc sink)
+	total  int
+	last   float64
+	busy   bool // a packet is in service at the link
+	chunks sched.ChunkPool
+	seq    uint64 // leaf FIFO push serial (assert bookkeeping only)
 
 	draining sched.DrainSet
 
-	// kind is the StateKind this tree reports ("core/hsfq" for HSFQ
-	// instances, "hier:<spec>" for grammar-built compositions).
+	// kind is the StateKind this tree reports (see Build); cfg is what
+	// its node disciplines are built with, again at snapshot restore.
 	kind string
+	cfg  sched.Config
 
 	// pure is true while the tree contains no kindDisc interior, so the
 	// legacy early-stop activation walk is exact (an active node implies
@@ -85,19 +86,19 @@ type Tree struct {
 	// sinks are the kindLeafDisc nodes in build order; when present,
 	// AddFlow routes flows across them round-robin by flow id instead of
 	// attaching leaves under the root.
-	sinks []*Node
+	sinks []*node
 
 	// freePseudo recycles pseudo-packets popped from pool-safe interior
 	// disciplines, keeping the steady-state hot path allocation-free.
 	freePseudo []*Packet
 }
 
-// Node is one class in the link-sharing tree. Interior nodes aggregate
-// subclasses; leaf nodes hold real traffic. core.Class is a type alias.
-type Node struct {
+// node is one class in the link-sharing tree. Interior nodes aggregate
+// subclasses; leaf nodes hold real traffic.
+type node struct {
 	name   string
 	weight float64
-	parent *Node
+	parent *node
 	idx    int // position among siblings = pseudo-flow id at a disc parent
 	kind   nodeKind
 	flow   int // valid when kindLeafFlow
@@ -110,7 +111,7 @@ type Node struct {
 	serial     uint64
 
 	// State as a kindSFQ interior (SFQ over children).
-	children  []*Node
+	children  []*node
 	childHeap childHeap
 	v         float64
 	maxFinish float64
@@ -123,37 +124,12 @@ type Node struct {
 	fifo sched.FlowQ
 
 	// State as a discipline-backed node (kindDisc, kindLeafDisc): the
-	// discipline instance, its registry name, a factory that rebuilds a
-	// fresh instance for snapshot restore, and whether pseudo-packets
+	// discipline instance, its registry name, and whether pseudo-packets
 	// popped from it may be recycled (kindDisc only).
 	disc     sched.Interface
 	discName string
-	mkDisc   func() (sched.Interface, error)
 	poolOK   bool
 }
-
-// Name returns the node's class name.
-func (c *Node) Name() string { return c.name }
-
-// Disc returns the node's discipline instance (nil for kindSFQ interiors
-// and flow leaves). Exposed so callers can reach discipline-specific
-// registration APIs (e.g. EDD's AddFlowDeadline for a flow routed into a
-// sink with AddFlowTo).
-func (c *Node) Disc() sched.Interface { return c.disc }
-
-// NewHSFQ returns a tree whose root is a native SFQ interior representing
-// the whole link — the paper's Section 3 scheduler. core.NewHSFQ wraps it.
-func NewHSFQ() *Tree {
-	return &Tree{
-		root:   &Node{name: "root", weight: 1, heapIdx: -1},
-		leaves: make(map[int]*Node),
-		kind:   "core/hsfq",
-		pure:   true,
-	}
-}
-
-// Root returns the root node.
-func (h *Tree) Root() *Node { return h.root }
 
 // V returns the root's system virtual time — the v(t) of the scheduler
 // instance that serves the link itself (sched.VirtualTimer). For a
@@ -169,176 +145,108 @@ func (h *Tree) V() float64 {
 	return 0
 }
 
-// NewClass creates a native SFQ interior class under parent (nil means
-// root) with the given share weight.
-func (h *Tree) NewClass(parent *Node, name string, weight float64) (*Node, error) {
-	parent, err := h.checkNewChild(parent, name, weight)
-	if err != nil {
-		return nil, err
-	}
-	h.classes++
-	c := &Node{name: name, weight: weight, parent: parent, idx: len(parent.children), heapIdx: -1}
-	if err := h.attach(parent, c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // positive is sched's test for a weight or a packet length: finite and
 // > 0 (NaN and +Inf pass `x <= 0`).
 func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
-// checkNewChild validates a class creation under parent (nil = root):
-// positive weight, and a parent that can hold scheduler children (a
-// native SFQ interior, or a discipline interior that schedules its
-// children as pseudo-flows).
-func (h *Tree) checkNewChild(parent *Node, name string, weight float64) (*Node, error) {
-	if !positive(weight) {
-		return nil, fmt.Errorf("%w: class %q weight %v", sched.ErrBadWeight, name, weight)
+// add makes sp's node under parent (nil: sp is the root), then its
+// children in order. It is the one node constructor: Build calls it for a
+// whole spec and AddFlow for one flow leaf. A flow leaf under a sink is
+// routed into the sink's discipline and returns the sink. A discipline
+// interior parent is told about its new pseudo-flow at once, so the child
+// is schedulable the moment it exists.
+func (h *Tree) add(parent *node, sp *Spec) (*node, error) {
+	if parent == nil && sp.IsFlow {
+		return nil, fmt.Errorf("hier: the root cannot be flow %d", sp.Flow)
 	}
-	if parent == nil {
-		parent = h.root
+	c := &node{name: sp.Class, weight: sp.Weight, parent: parent, kind: sp.kind(), heapIdx: -1}
+	switch {
+	case sp.IsFlow:
+		c.name, c.flow = fmt.Sprintf("flow-%d", sp.Flow), sp.Flow
+	case parent == nil:
+		c.weight = 1
+		if c.name == "" {
+			c.name = "root"
+		}
+	case c.name == "":
+		c.name = fmt.Sprintf("%s.%d", parent.name, len(parent.children))
 	}
-	switch parent.kind {
-	case kindSFQ, kindDisc:
-		return parent, nil
-	case kindLeafFlow:
-		return nil, fmt.Errorf("core: class %q is a leaf", parent.name)
-	default:
-		return nil, fmt.Errorf("core: class %q cannot hold subclasses", parent.name)
+	what := fmt.Sprintf("class %q", c.name)
+	if sp.IsFlow {
+		what = fmt.Sprintf("flow %d", sp.Flow)
 	}
-}
-
-// attach appends c to parent's children; a discipline-interior parent is
-// told about its new pseudo-flow at the same instant, so the child is
-// schedulable the moment it exists.
-func (h *Tree) attach(parent, c *Node) error {
-	if parent.kind == kindDisc {
-		if err := parent.disc.AddFlow(c.idx, c.weight); err != nil {
-			return err
+	if !positive(c.weight) {
+		return nil, fmt.Errorf("%w: %s weight %v", sched.ErrBadWeight, what, c.weight)
+	}
+	if parent != nil {
+		c.idx = len(parent.children)
+		if parent.kind == kindDisc && sp.IsFlow {
+			// A discipline interior schedules its child classes, not
+			// flows: real traffic belongs in a sink or an SFQ class.
+			return nil, fmt.Errorf("hier: interior %q cannot hold %s", parent.name, what)
 		}
 	}
-	parent.children = append(parent.children, c)
+	if sp.IsFlow {
+		switch {
+		case sp.Name != "" || len(sp.Children) > 0:
+			return nil, fmt.Errorf("hier: %s cannot carry a discipline or children", what)
+		case h.leaves[sp.Flow] != nil:
+			return nil, fmt.Errorf("hier: flow %d already attached", sp.Flow)
+		case h.draining.Draining(sp.Flow):
+			return nil, fmt.Errorf("%w: %d", sched.ErrFlowDraining, sp.Flow)
+		}
+		if parent.kind == kindLeafDisc {
+			if err := parent.disc.AddFlow(sp.Flow, c.weight); err != nil {
+				return nil, err
+			}
+			h.leaves[sp.Flow] = parent
+			return parent, nil
+		}
+		h.leaves[sp.Flow] = c
+	} else if c.kind != kindSFQ {
+		var err error
+		if c.disc, err = sched.NewDiscipline(sp.Name, h.cfg); err != nil {
+			return nil, err
+		}
+		c.discName = sp.Name
+		if c.kind == kindDisc {
+			c.poolOK = sched.PoolSafeScheduler(c.disc)
+			h.pure = false
+		} else {
+			h.sinks = append(h.sinks, c)
+		}
+	}
+	if parent != nil {
+		if parent.kind == kindDisc {
+			if err := parent.disc.AddFlow(c.idx, c.weight); err != nil {
+				return nil, err
+			}
+		}
+		parent.children = append(parent.children, c)
+	}
+	for _, cs := range sp.Children {
+		if _, err := h.add(c, cs); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// Sink returns the discipline of the sink class flow is routed into, or
+// nil for a flow with a leaf of its own or none. It reaches what a weight
+// cannot carry, e.g. EDD's AddFlowDeadline.
+func (h *Tree) Sink(flow int) sched.Interface {
+	if c := h.leaves[flow]; c != nil && c.kind == kindLeafDisc {
+		return c.disc
+	}
 	return nil
 }
 
-// NewDiscClass creates an interior class under parent scheduled by the
-// named registry discipline: the class's children become the discipline's
-// flows (one pseudo-flow per child, registered as children are created).
-// Interior "sfq" requests are served by the native kindSFQ implementation
-// — same algebra, no pseudo-packet layer.
-func (h *Tree) NewDiscClass(parent *Node, name string, weight float64, discName string, cfg sched.Config) (*Node, error) {
-	if discName == "sfq" {
-		return h.NewClass(parent, name, weight)
-	}
-	parent, err := h.checkNewChild(parent, name, weight)
-	if err != nil {
-		return nil, err
-	}
-	disc, mk, err := discFactory(discName, cfg)
-	if err != nil {
-		return nil, err
-	}
-	h.classes++
-	c := &Node{
-		name: name, weight: weight, parent: parent, idx: len(parent.children),
-		kind: kindDisc, heapIdx: -1,
-		disc: disc, discName: discName, mkDisc: mk,
-		poolOK: sched.PoolSafeScheduler(disc),
-	}
-	if err := h.attach(parent, c); err != nil {
-		return nil, err
-	}
-	h.pure = false
-	return c, nil
-}
-
-// NewSinkClass creates a leaf class under parent whose real flows are
-// scheduled by the named registry discipline. Flows are attached with
-// AddFlowTo (or routed automatically by AddFlow on grammar-built trees).
-func (h *Tree) NewSinkClass(parent *Node, name string, weight float64, discName string, cfg sched.Config) (*Node, error) {
-	parent, err := h.checkNewChild(parent, name, weight)
-	if err != nil {
-		return nil, err
-	}
-	disc, mk, err := discFactory(discName, cfg)
-	if err != nil {
-		return nil, err
-	}
-	h.classes++
-	c := &Node{
-		name: name, weight: weight, parent: parent, idx: len(parent.children),
-		kind: kindLeafDisc, heapIdx: -1,
-		disc: disc, discName: discName, mkDisc: mk,
-	}
-	if err := h.attach(parent, c); err != nil {
-		return nil, err
-	}
-	h.sinks = append(h.sinks, c)
-	return c, nil
-}
-
-// discFactory constructs the named discipline and returns it with a
-// factory that rebuilds a fresh instance (for snapshot restore).
-func discFactory(discName string, cfg sched.Config) (sched.Interface, func() (sched.Interface, error), error) {
-	mk := func() (sched.Interface, error) { return sched.NewDiscipline(discName, cfg) }
-	disc, err := mk()
-	if err != nil {
-		return nil, nil, err
-	}
-	return disc, mk, nil
-}
-
-// AddFlowTo attaches flow under parent (nil means root): as a FIFO leaf
-// class under a native SFQ interior, or as a real flow of a sink class's
-// discipline.
-func (h *Tree) AddFlowTo(parent *Node, flow int, weight float64) error {
-	if !positive(weight) {
-		return fmt.Errorf("%w: flow %d weight %v", sched.ErrBadWeight, flow, weight)
-	}
-	if _, dup := h.leaves[flow]; dup {
-		return fmt.Errorf("core: flow %d already attached", flow)
-	}
-	if h.draining.Draining(flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
-	}
-	if parent == nil {
-		parent = h.root
-	}
-	switch parent.kind {
-	case kindSFQ:
-		c := &Node{
-			name:    fmt.Sprintf("flow-%d", flow),
-			weight:  weight,
-			parent:  parent,
-			idx:     len(parent.children),
-			kind:    kindLeafFlow,
-			flow:    flow,
-			heapIdx: -1,
-		}
-		parent.children = append(parent.children, c)
-		h.leaves[flow] = c
-		return nil
-	case kindLeafDisc:
-		if err := parent.disc.AddFlow(flow, weight); err != nil {
-			return err
-		}
-		h.leaves[flow] = parent
-		return nil
-	case kindLeafFlow:
-		return fmt.Errorf("core: class %q is a leaf", parent.name)
-	default:
-		// A discipline interior schedules its child classes, not flows:
-		// real traffic belongs in a sink (or flow leaf) below it.
-		return fmt.Errorf("core: class %q cannot hold subclasses", parent.name)
-	}
-}
-
-// AddFlow attaches flow (sched.Interface). On grammar-built trees with
-// sink classes, flows are routed across the sinks by flow id; otherwise the
-// flow becomes a leaf directly under the root. A re-add updates the
-// weight in place — through the owning sink's discipline, or as SetWeight
-// on a flow leaf — keeping the runtime's re-registration semantics.
+// AddFlow attaches flow (sched.Interface). On trees with sink classes,
+// flows are routed across the sinks by flow id; otherwise the flow becomes
+// a leaf directly under the root. A re-add updates the weight in place —
+// through the owning sink's discipline, or as SetWeight on a flow leaf —
+// keeping the runtime's re-registration semantics.
 func (h *Tree) AddFlow(flow int, weight float64) error {
 	if c, ok := h.leaves[flow]; ok {
 		if c.kind == kindLeafDisc {
@@ -346,11 +254,12 @@ func (h *Tree) AddFlow(flow int, weight float64) error {
 		}
 		return h.SetWeight(flow, weight)
 	}
-	if len(h.sinks) > 0 {
-		n := len(h.sinks)
-		return h.AddFlowTo(h.sinks[((flow%n)+n)%n], flow, weight)
+	parent := h.root
+	if n := len(h.sinks); n > 0 {
+		parent = h.sinks[((flow%n)+n)%n]
 	}
-	return h.AddFlowTo(nil, flow, weight)
+	_, err := h.add(parent, &Spec{IsFlow: true, Flow: flow, Weight: weight})
+	return err
 }
 
 // RemoveFlow detaches an idle flow.
@@ -382,7 +291,7 @@ func (h *Tree) RemoveFlow(flow int) error {
 	return nil
 }
 
-func (c *Node) queued() int { return c.fifo.Len() }
+func (c *node) queued() int { return c.fifo.Len() }
 
 // Enqueue adds p to its flow's leaf and walks the path to the root: at
 // each native SFQ edge the child is activated if needed (assigning start
@@ -483,7 +392,7 @@ func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 // sink the discipline's own length answers; a discipline
 // interior's pseudo backlog equals its subtree's packet count by
 // construction.
-func (c *Node) hasContent() bool {
+func (c *node) hasContent() bool {
 	switch c.kind {
 	case kindLeafFlow:
 		return c.queued() > 0
@@ -495,7 +404,7 @@ func (c *Node) hasContent() bool {
 }
 
 // serve pops the next packet from n's subtree. n must have content.
-func (h *Tree) serve(n *Node, now float64) *Packet {
+func (h *Tree) serve(n *node, now float64) *Packet {
 	switch n.kind {
 	case kindLeafFlow:
 		return n.fifo.Pop(&h.chunks)
@@ -549,7 +458,7 @@ func (h *Tree) serve(n *Node, now float64) *Packet {
 // the max finish tag served (step 2); discipline-backed nodes get an
 // empty Dequeue so self-clocked disciplines perform their own
 // busy-period-end bookkeeping. Flow leaves need nothing.
-func (h *Tree) idleNode(c *Node, now float64) {
+func (h *Tree) idleNode(c *node, now float64) {
 	switch c.kind {
 	case kindSFQ:
 		c.v = c.maxFinish
@@ -571,7 +480,7 @@ func (h *Tree) getPseudo() *Packet {
 
 // putPseudo recycles a pseudo-packet popped from n's discipline, when the
 // discipline declares dequeued packets unreferenced (sched.PoolSafe).
-func (h *Tree) putPseudo(n *Node, p *Packet) {
+func (h *Tree) putPseudo(n *node, p *Packet) {
 	if n.poolOK {
 		*p = Packet{}
 		h.freePseudo = append(h.freePseudo, p)
@@ -614,25 +523,25 @@ func (h *Tree) PacketPoolSafe() bool {
 // activation serial, which is unique per parent, so the minimum is a
 // strict total order and the heap layout cannot affect the schedule. Its
 // sifts move a hole rather than swapping.
-type childHeap struct{ cs []*Node }
+type childHeap struct{ cs []*node }
 
 func (ch *childHeap) Len() int { return len(ch.cs) }
 
-func childLess(a, b *Node) bool {
+func childLess(a, b *node) bool {
 	if a.curStart != b.curStart {
 		return a.curStart < b.curStart
 	}
 	return a.serial < b.serial
 }
 
-func (ch *childHeap) push(c *Node) {
+func (ch *childHeap) push(c *node) {
 	ch.cs = append(ch.cs, c)
 	ch.siftUp(len(ch.cs)-1, c)
 }
 
-func (ch *childHeap) min() *Node { return ch.cs[0] }
+func (ch *childHeap) min() *node { return ch.cs[0] }
 
-func (ch *childHeap) fix(c *Node) {
+func (ch *childHeap) fix(c *node) {
 	i := c.heapIdx
 	if i > 0 && childLess(c, ch.cs[(i-1)/2]) {
 		ch.siftUp(i, c)
@@ -641,7 +550,7 @@ func (ch *childHeap) fix(c *Node) {
 	ch.siftDown(i, c)
 }
 
-func (ch *childHeap) remove(c *Node) {
+func (ch *childHeap) remove(c *node) {
 	i := c.heapIdx
 	c.heapIdx = -1
 	n := len(ch.cs)
@@ -658,7 +567,7 @@ func (ch *childHeap) remove(c *Node) {
 	ch.siftDown(i, last)
 }
 
-func (ch *childHeap) siftUp(i int, c *Node) {
+func (ch *childHeap) siftUp(i int, c *node) {
 	cs := ch.cs
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -673,7 +582,7 @@ func (ch *childHeap) siftUp(i int, c *Node) {
 	c.heapIdx = i
 }
 
-func (ch *childHeap) siftDown(i int, c *Node) {
+func (ch *childHeap) siftDown(i int, c *node) {
 	cs := ch.cs
 	n := len(cs)
 	for {

@@ -88,30 +88,43 @@ func TestRegistryFamily(t *testing.T) {
 	}
 	// Non-canonical spellings canonicalize in the state kind, so their
 	// snapshots restore into canonically-named trees.
-	nc, err := hier.NewTree("sfq(drr*1,edd)", sched.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind := nc.StateKind(); kind != "hier:sfq(drr,edd)" {
+	if kind := mustTree("sfq(drr*1,edd)").StateKind(); kind != "hier:sfq(drr,edd)" {
 		t.Errorf("canonical StateKind = %q", kind)
 	}
 	// Unknown discipline inside a spec surfaces the registry error.
-	if _, err := hier.NewTree("sfq(bogus,fifo)", sched.Config{}); !errors.Is(err, sched.ErrBadConfig) {
+	if _, err := sched.New("hier:sfq(bogus,fifo)"); !errors.Is(err, sched.ErrBadConfig) {
 		t.Errorf("bogus child disc error = %v", err)
 	}
 }
 
-// drain pulls every queued packet at fixed virtual ticks and returns the
-// (flow, length) service order.
-// mustTree builds a tree from a spec the test knows to be valid.
+// mustTree builds a tree from a grammar spec the test knows to be valid.
 func mustTree(spec string) *hier.Tree {
-	t, err := hier.NewTree(spec, sched.Config{})
+	sp, err := hier.ParseSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return mustBuild(sp)
+}
+
+// mustBuild builds a tree from a spec the test knows to be valid.
+func mustBuild(sp *hier.Spec) *hier.Tree {
+	t, err := hier.Build(sp, sched.Config{})
 	if err != nil {
 		panic(err)
 	}
 	return t
 }
 
+// hsfq is the registry's "hsfq": an SFQ root class with no children yet.
+func hsfq() *hier.Tree { return mustBuild(&hier.Spec{Name: "sfq", Class: "root"}) }
+
+// flowLeaf is flow's leaf with the given weight.
+func flowLeaf(flow int, weight float64) *hier.Spec {
+	return &hier.Spec{IsFlow: true, Flow: flow, Weight: weight}
+}
+
+// drain pulls every queued packet at fixed virtual ticks and returns the
+// (flow, length) service order.
 func drain(s sched.Interface, now float64) []string {
 	var out []string
 	for {
@@ -274,32 +287,28 @@ func TestSnapshotRefusesForeignShape(t *testing.T) {
 		t.Error("restore into a different composition accepted")
 	}
 	// A bare flat HSFQ must refuse a structured snapshot too.
-	if err := hier.NewHSFQ().RestoreState(blob); err == nil {
+	if err := hsfq().RestoreState(blob); err == nil {
 		t.Error("restore of a composed snapshot into a flat HSFQ accepted")
 	}
 }
 
 func TestHandBuiltMixedTree(t *testing.T) {
-	// Build sfq-over-(drr interior over two fifo sinks) by hand, without
-	// the grammar: the constructor surface linkshare compiles onto.
-	h := hier.NewHSFQ()
-	agg, err := h.NewDiscClass(nil, "agg", 2, "drr", sched.Config{})
-	if err != nil {
-		t.Fatal(err)
+	// sfq over a drr interior over two fifo sinks, written as a Spec
+	// rather than parsed: flow 0 pre-routed into the first sink.
+	mixed := func(aggChildren ...*hier.Spec) (*hier.Tree, error) {
+		return hier.Build(&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+			{Name: "drr", Class: "agg", Weight: 2, Children: aggChildren},
+		}}, sched.Config{})
 	}
-	s1, err := h.NewSinkClass(agg, "s1", 1, "fifo", sched.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.NewSinkClass(agg, "s2", 1, "fifo", sched.Config{}); err != nil {
-		t.Fatal(err)
-	}
+	s1 := &hier.Spec{Name: "fifo", Class: "s1", Weight: 1, Children: []*hier.Spec{flowLeaf(0, 1)}}
+	s2 := &hier.Spec{Name: "fifo", Class: "s2", Weight: 1}
 	// Flow leaves may not hang off a discipline interior...
-	if err := h.AddFlowTo(agg, 9, 1); err == nil {
+	if _, err := mixed(s1, s2, flowLeaf(9, 1)); err == nil {
 		t.Error("flow leaf under a discipline interior accepted")
 	}
 	// ...but sinks take them, and AddFlow routes across the sinks.
-	if err := h.AddFlowTo(s1, 0, 1); err != nil {
+	h, err := mixed(s1, s2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := h.AddFlow(1, 1); err != nil {
@@ -315,12 +324,11 @@ func TestHandBuiltMixedTree(t *testing.T) {
 	if got := drain(h, now); len(got) != 8 {
 		t.Errorf("served %d packets, want 8", len(got))
 	}
-	// "sfq" as a disc name aliases the native interior.
-	native, err := h.NewDiscClass(nil, "native", 1, "sfq", sched.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.NewClass(native, "sub", 1); err != nil {
+	// A named "sfq" class is a native interior even with no child yet,
+	// and takes subclasses.
+	if _, err := mixed(s1, &hier.Spec{Name: "sfq", Class: "native", Weight: 1, Children: []*hier.Spec{
+		{Name: "sfq", Class: "sub", Weight: 1, Children: []*hier.Spec{flowLeaf(2, 1)}},
+	}}); err != nil {
 		t.Errorf("native sfq interior rejects subclasses: %v", err)
 	}
 }
@@ -375,14 +383,9 @@ func TestTreePoolSafety(t *testing.T) {
 	if !sched.PoolSafeScheduler(mustTree("sfq(drr,edd)")) {
 		t.Error("sfq(drr,edd) should be pool-safe")
 	}
-	h := hier.NewHSFQ()
-	d, err := h.NewSinkClass(nil, "d", 1, "test-unsafe-fifo", sched.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddFlowTo(d, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+		{Name: "test-unsafe-fifo", Class: "d", Weight: 1, Children: []*hier.Spec{flowLeaf(1, 1)}},
+	}})
 	if sched.PoolSafeScheduler(h) {
 		t.Error("tree with a pool-unsafe sink claims pool safety")
 	}

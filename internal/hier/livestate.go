@@ -11,7 +11,7 @@ import (
 
 // This file implements sched.Reconfigurable (live mutation) and
 // sched.Snapshotter (deterministic serialization) for the generic tree.
-// Pure SFQ-of-SFQs trees — the core.HSFQ instance — serialize to exactly
+// Pure SFQ-of-SFQs trees — the "hsfq" instance — serialize to exactly
 // the pre-refactor "core/hsfq" byte format; discipline-backed nodes
 // append their own versioned liveops envelopes to the node record, so
 // snapshots recurse: the tree's state embeds each node discipline's
@@ -215,7 +215,7 @@ func (h *Tree) AppendState(b []byte) ([]byte, error) {
 
 // captureNode copies c's subtree into its serializable form, children in
 // creation order.
-func (h *Tree) captureNode(c *Node) (nodeState, error) {
+func (h *Tree) captureNode(c *node) (nodeState, error) {
 	st := nodeState{
 		Name: c.name, Weight: c.weight, Leaf: c.kind == kindLeafFlow, Flow: c.flow,
 		Active: c.active, CurStart: c.curStart, LastFinish: c.lastFinish, Serial: c.serial,
@@ -258,7 +258,7 @@ func (h *Tree) captureNode(c *Node) (nodeState, error) {
 }
 
 // sinkFlows lists the flows routed into the sink c, ascending.
-func (h *Tree) sinkFlows(c *Node) []int {
+func (h *Tree) sinkFlows(c *node) []int {
 	var flows []int
 	for f, leaf := range h.leaves {
 		if leaf == c {
@@ -270,10 +270,10 @@ func (h *Tree) sinkFlows(c *Node) []int {
 }
 
 // RestoreState loads state into a freshly constructed, empty tree: a bare
-// NewHSFQ tree rebuilds its classes from the state (and refuses discipline
-// nodes, which it could not construct), while a grammar- or
-// linkshare-built tree walks the state against the classes it has (see
-// treeRestore.node). Child heaps are rebuilt by pushing the active
+// "hsfq" tree (an SFQ root with no children) rebuilds its classes from the
+// state (and refuses discipline nodes, which it could not construct),
+// while any other tree walks the state against the classes Build made
+// (see treeRestore.load). Child heaps are rebuilt by pushing the active
 // children in their strict (curStart, serial) order.
 func (h *Tree) RestoreState(data []byte) error {
 	if len(h.leaves) != 0 || h.total != 0 {
@@ -285,11 +285,11 @@ func (h *Tree) RestoreState(data []byte) error {
 		return err
 	}
 	rs := &treeRestore{h: h, structured: structured}
-	var root *Node
+	var root *node
 	if structured {
 		root = h.root
 	}
-	root, _, err := rs.node(&st.Root, root, nil)
+	root, _, err := rs.load(&st.Root, root, nil)
 	if err != nil {
 		return err
 	}
@@ -315,17 +315,17 @@ type treeRestore struct {
 	maxSerial  uint64
 }
 
-// node loads one class subtree from st into c, or into a class it makes
+// load loads one class subtree from st into c, or into a class it makes
 // when c is nil: a flow leaf (flow leaves are dynamic — attached by
 // AddFlow — so a fresh constructor does not have them), or any class of a
-// bare HSFQ tree. An existing class must match st by name and kind, and
+// bare "hsfq" tree. An existing class must match st by name and kind, and
 // its structural children st's one-to-one. A discipline-backed class's
-// discipline is rebuilt fresh from its factory and restored from its
+// discipline is rebuilt fresh from the registry and restored from its
 // embedded envelope. node returns the class and whether its subtree holds
 // any packet, to cross-check the active flags, which drive the child heaps
 // and hence the schedule.
-func (rs *treeRestore) node(st *nodeState, c, parent *Node) (*Node, bool, error) {
-	bad := func(format string, a ...any) (*Node, bool, error) {
+func (rs *treeRestore) load(st *nodeState, c, parent *node) (*node, bool, error) {
+	bad := func(format string, a ...any) (*node, bool, error) {
 		return nil, false, fmt.Errorf("%w: "+format, append([]any{sched.ErrBadState}, a...)...)
 	}
 	if st.Weight <= 0 {
@@ -335,7 +335,7 @@ func (rs *treeRestore) node(st *nodeState, c, parent *Node) (*Node, bool, error)
 	case c == nil && parent == nil && (st.Leaf || st.Active):
 		return bad("root class cannot be a leaf or active")
 	case c == nil:
-		c = &Node{name: st.Name, parent: parent, flow: st.Flow}
+		c = &node{name: st.Name, parent: parent, flow: st.Flow}
 		if st.Leaf {
 			c.kind = kindLeafFlow
 		}
@@ -354,7 +354,7 @@ func (rs *treeRestore) node(st *nodeState, c, parent *Node) (*Node, bool, error)
 		if st.Disc != c.discName {
 			return bad("state class %q discipline %q does not match tree's %q", st.Name, st.Disc, c.discName)
 		}
-		fresh, err := c.mkDisc()
+		fresh, err := sched.NewDiscipline(c.discName, rs.h.cfg)
 		if err != nil {
 			return nil, false, err
 		}
@@ -414,7 +414,7 @@ func (rs *treeRestore) node(st *nodeState, c, parent *Node) (*Node, bool, error)
 			rs.h.leaves[f] = c
 		}
 		// The routing must name exactly the flows the discipline holds:
-		// AddFlowTo and RemoveFlow keep the two in step.
+		// AddFlow and RemoveFlow keep the two in step.
 		if fl, ok := c.disc.(sched.FlowLister); ok {
 			listed := fl.ListFlows()
 			same := len(listed) == len(st.Flows)
@@ -429,16 +429,16 @@ func (rs *treeRestore) node(st *nodeState, c, parent *Node) (*Node, bool, error)
 		if len(st.Children) < len(c.children) {
 			return bad("class %q has %d children in state, tree has %d", st.Name, len(st.Children), len(c.children))
 		}
-		var active []*Node
+		var active []*node
 		for i := range st.Children {
 			cs := &st.Children[i]
-			var ch *Node
+			var ch *node
 			if i < len(c.children) {
 				ch = c.children[i]
 			} else if rs.structured && !cs.Leaf {
 				return bad("class %q has structural child %q beyond the tree's structure", st.Name, cs.Name)
 			}
-			ch, has, err := rs.node(cs, ch, c)
+			ch, has, err := rs.load(cs, ch, c)
 			if err != nil {
 				return nil, false, err
 			}
@@ -474,7 +474,7 @@ func (rs *treeRestore) node(st *nodeState, c, parent *Node) (*Node, bool, error)
 
 // subtreeCount counts the real packets queued below c (flow-leaf FIFOs
 // and sink disciplines).
-func subtreeCount(c *Node) int {
+func subtreeCount(c *node) int {
 	switch c.kind {
 	case kindLeafFlow:
 		return c.queued()

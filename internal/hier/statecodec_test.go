@@ -15,19 +15,17 @@ import (
 // grammar-built compositions with discipline nodes and sinks.
 func TestStateCodecMatchesEncodingJSON(t *testing.T) {
 	deep := func() sched.Interface {
-		h := hier.NewHSFQ()
-		a, _ := h.NewClass(nil, "tenant-a", 1)
-		b, _ := h.NewClass(nil, "tenant-<b>", 3)
-		a1, _ := h.NewClass(a, "a-\u2028interactive&", 2)
-		for f, c := range map[int]*hier.Node{1: a1, 2: a, 3: b, 4: b} {
-			if err := h.AddFlowTo(c, f, float64(f)); err != nil {
-				panic(err)
-			}
-		}
-		return h
+		flow := func(f int) *hier.Spec { return &hier.Spec{IsFlow: true, Flow: f, Weight: float64(f)} }
+		return mustBuild(&hier.Spec{Name: "sfq", Children: []*hier.Spec{
+			{Name: "sfq", Class: "tenant-a", Weight: 1, Children: []*hier.Spec{
+				{Name: "sfq", Class: "a-\u2028interactive&", Weight: 2, Children: []*hier.Spec{flow(1)}},
+				flow(2),
+			}},
+			{Name: "sfq", Class: "tenant-<b>", Weight: 3, Children: []*hier.Spec{flow(3), flow(4)}},
+		}})
 	}
 	suts := map[string]func() sched.Interface{
-		"hsfq": func() sched.Interface { return hier.NewHSFQ() },
+		"hsfq": func() sched.Interface { return hsfq() },
 		"deep": deep,
 	}
 	for _, spec := range []string{"sfq(drr,edd)", "sfq(edd,scfq,drr,fifo)", "pifo-sfq(pifo-sfq,pifo-sfq)", "sfq(sfq(fifo,drr),edd)"} {

@@ -111,12 +111,16 @@ func TestStateCodecEveryField(t *testing.T) {
 func FuzzTreeStateDecode(f *testing.F) {
 	var reversed [][]byte // the same states, every object's members reversed
 	for _, spec := range []string{"", "sfq(drr,edd)", "sfq(sfq(fifo,drr),edd)"} {
-		h := NewHSFQ()
+		sp := &Spec{Name: "sfq", Class: "root"}
 		if spec != "" {
 			var err error
-			if h, err = NewTree(spec, sched.Config{Quantum: 500}); err != nil {
+			if sp, err = ParseSpec(spec); err != nil {
 				f.Fatal(err)
 			}
+		}
+		h, err := Build(sp, sched.Config{Quantum: 500})
+		if err != nil {
+			f.Fatal(err)
 		}
 		for fl := 1; fl <= 4; fl++ {
 			if err := h.AddFlow(fl, float64(100*fl)); err != nil {

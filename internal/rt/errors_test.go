@@ -2,6 +2,7 @@ package rt_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	_ "repro/internal/core"
@@ -72,6 +73,14 @@ func TestErrorVocabulary(t *testing.T) {
 		}},
 		{"sched/shards-without-clock/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
 			_, err := sched.New("sfq", sched.WithShards(4))
+			return err
+		}},
+		{"rt/levels-across-shards/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
+			// One set of level instances cannot serve two shards.
+			_, err := sched.New("priority", sched.WithClock(&sched.ManualClock{}), sched.WithShards(2), sched.WithLevels(sched.NewSCFQ()))
+			if err == nil || !strings.Contains(err.Error(), "WithLevels") {
+				t.Errorf("refusal does not name WithLevels: %v", err)
+			}
 			return err
 		}},
 		{"pifo/wfq-without-capacity/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
@@ -157,5 +166,26 @@ func TestErrorVocabulary(t *testing.T) {
 				t.Fatalf("got %v, not errors.Is-able against %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPriorityLevelsOneShard: on the one shard WithLevels is allowed, the
+// runtime's Len counts what it accepted, each packet once.
+func TestPriorityLevelsOneShard(t *testing.T) {
+	r := mustRuntime(t, "priority", sched.WithClock(&sched.ManualClock{}), sched.WithLevels(sched.NewSCFQ()))
+	accepted := 0
+	for f := 0; f < 8; f++ {
+		if err := r.AddFlow(f, float64(1+f)); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 5; k++ {
+			if err := r.Enqueue(&sched.Packet{Flow: f, Seq: int64(k), Length: 100}); err != nil {
+				t.Fatal(err)
+			}
+			accepted++
+		}
+	}
+	if n := r.Len(); n != accepted {
+		t.Errorf("Len = %d after %d accepted", n, accepted)
 	}
 }

@@ -88,7 +88,8 @@ func TestDrainAcceptsWhatPushAccepts(t *testing.T) {
 			case "wfq", "fqs", "pifo-wfq":
 				opts = append(opts, sched.WithAssumedCapacity(1000))
 			case "priority":
-				// Its levels are instances every shard would share.
+				// rt refuses WithLevels with more than one shard: its
+				// levels are instances every shard would share.
 				shards = 1
 				opts = append(opts, sched.WithLevels(sched.NewSCFQ()))
 			}

@@ -116,7 +116,9 @@ func New(name string, opts ...sched.Option) (*Runtime, error) {
 }
 
 // NewFromConfig is New over an explicit Config (the sched.RuntimeBuilder
-// entry point).
+// entry point). Every shard's discipline is built from the one cfg, so an
+// option that carries instances (WithLevels) is refused with more than one
+// shard: the shards would share them.
 func NewFromConfig(name string, cfg sched.Config) (*Runtime, error) {
 	n := cfg.Shards
 	if n < 0 {
@@ -124,6 +126,9 @@ func NewFromConfig(name string, cfg sched.Config) (*Runtime, error) {
 	}
 	if n == 0 {
 		n = 1
+	}
+	if n > 1 && len(cfg.Levels) > 0 {
+		return nil, fmt.Errorf("%w: rt: WithLevels instances would be shared by %d shards; use one shard", sched.ErrBadConfig, n)
 	}
 	clock := cfg.Clock
 	if clock == nil {

@@ -132,7 +132,7 @@ func TestQuickSFQVirtualTimeMonotone(t *testing.T) {
 func TestQuickConservation(t *testing.T) {
 	mks := map[string]func() sched.Interface{
 		"SFQ":  func() sched.Interface { return core.New() },
-		"HSFQ": func() sched.Interface { return core.NewHSFQ() },
+		"HSFQ": func() sched.Interface { return sched.MustNew("hsfq") },
 		"SCFQ": func() sched.Interface { return sched.NewSCFQ() },
 		"WFQ":  func() sched.Interface { return sched.NewWFQ(1000) },
 		"FQS": func() sched.Interface {

@@ -65,7 +65,7 @@ var keptUnlinked = map[string]string{
 	"repro/internal/rt.Runtime.Closed":               "runtime lifecycle; Close racing Wait/Finish is a planned hostile-input test",
 	"repro/internal/sim.Link.PoolActive":             "failover and observer tests check packet recycling is on",
 	"repro/internal/liveops.Swapper.Ops":             "tests check that a failover action fired",
-	"repro/internal/hier.Node.Disc":                  "reaches a sink class's discipline, e.g. EDD's AddFlowDeadline",
+	"repro/internal/hier.Tree.Sink":                  "reaches a sink class's discipline, e.g. EDD's AddFlowDeadline",
 	"repro/internal/sched.EDD.AddFlowDeadline":       "Theorem 7's per-flow delay bound d_f; the Theorem 7 tests set it",
 	"repro/internal/stats.TimeSeries.Last":           "the monitor's reference tests compare service curves through it",
 	"repro/internal/stats.TimeSeries.Points":         "the monitor's reference tests compare service curves through it",
