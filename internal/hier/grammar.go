@@ -179,7 +179,7 @@ func (p *specParser) spec(depth int) (*Spec, error) {
 func Build(sp *Spec, cfg sched.Config) (*Tree, error) {
 	cfg.Tree = ""
 	t := &Tree{leaves: make(map[int]*node), kind: "core/hsfq", cfg: cfg, pure: true}
-	if sp.grammar() {
+	if sp.inGrammar() {
 		t.kind = "hier:" + sp.String()
 	}
 	root, err := t.add(nil, sp)
@@ -190,14 +190,14 @@ func Build(sp *Spec, cfg sched.Config) (*Tree, error) {
 	return t, nil
 }
 
-// grammar reports whether the grammar can write sp: no node of it has a
+// inGrammar reports whether the grammar can write sp: no node of it has a
 // class name or is a flow leaf.
-func (sp *Spec) grammar() bool {
+func (sp *Spec) inGrammar() bool {
 	if sp.Class != "" || sp.IsFlow {
 		return false
 	}
 	for _, c := range sp.Children {
-		if !c.grammar() {
+		if !c.inGrammar() {
 			return false
 		}
 	}

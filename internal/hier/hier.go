@@ -171,25 +171,27 @@ func (h *Tree) add(parent *node, sp *Spec) (*node, error) {
 	case c.name == "":
 		c.name = fmt.Sprintf("%s.%d", parent.name, len(parent.children))
 	}
-	what := fmt.Sprintf("class %q", c.name)
-	if sp.IsFlow {
-		what = fmt.Sprintf("flow %d", sp.Flow)
+	what := func() string { // for error messages only
+		if sp.IsFlow {
+			return fmt.Sprintf("flow %d", sp.Flow)
+		}
+		return fmt.Sprintf("class %q", c.name)
 	}
 	if !positive(c.weight) {
-		return nil, fmt.Errorf("%w: %s weight %v", sched.ErrBadWeight, what, c.weight)
+		return nil, fmt.Errorf("%w: %s weight %v", sched.ErrBadWeight, what(), c.weight)
 	}
 	if parent != nil {
 		c.idx = len(parent.children)
 		if parent.kind == kindDisc && sp.IsFlow {
 			// A discipline interior schedules its child classes, not
 			// flows: real traffic belongs in a sink or an SFQ class.
-			return nil, fmt.Errorf("hier: interior %q cannot hold %s", parent.name, what)
+			return nil, fmt.Errorf("hier: interior %q cannot hold %s", parent.name, what())
 		}
 	}
 	if sp.IsFlow {
 		switch {
 		case sp.Name != "" || len(sp.Children) > 0:
-			return nil, fmt.Errorf("hier: %s cannot carry a discipline or children", what)
+			return nil, fmt.Errorf("hier: %s cannot carry a discipline or children", what())
 		case h.leaves[sp.Flow] != nil:
 			return nil, fmt.Errorf("hier: flow %d already attached", sp.Flow)
 		case h.draining.Draining(sp.Flow):
