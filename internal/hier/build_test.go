@@ -137,10 +137,10 @@ func TestComposedTreeSchedules(t *testing.T) {
 	}
 }
 
-// TestTreeSchedules builds Example 3's tree from its Spec: a tree with
-// named classes and flow leaves reports the Section 3 scheduler's kind,
-// holds exactly the listed flows, and splits the link B 1/2, C and D 1/4.
-func TestTreeSchedules(t *testing.T) {
+// TestBuildAndLookup builds Example 3's tree from its Spec: a tree with
+// named classes and flow leaves reports the Section 3 scheduler's kind and
+// holds exactly the listed flows, none of them routed into a sink.
+func TestBuildAndLookup(t *testing.T) {
 	tree := mustBuild(spec3())
 	if kind := tree.StateKind(); kind != "core/hsfq" {
 		t.Errorf("StateKind = %q, want core/hsfq", kind)
@@ -152,6 +152,20 @@ func TestTreeSchedules(t *testing.T) {
 	if len(flows) != 3 || flows[0] != 2 || flows[1] != 3 || flows[2] != 4 {
 		t.Errorf("flows %v, want [2 3 4]", flows)
 	}
+	for _, f := range []int{2, 3, 4, 99} {
+		if tree.Sink(f) != nil {
+			t.Errorf("Sink(%d) = %v, want nil on a tree without sinks", f, tree.Sink(f))
+		}
+	}
+	if tree.Len() != 0 {
+		t.Errorf("new tree holds %d packets", tree.Len())
+	}
+}
+
+// TestTreeSchedules drives Example 3's tree and checks that it splits the
+// link B 1/2, C and D 1/4.
+func TestTreeSchedules(t *testing.T) {
+	tree := mustBuild(spec3())
 	var arr []schedtest.Arrival
 	for i := 0; i < 90; i++ {
 		for _, f := range []int{2, 3, 4} {
