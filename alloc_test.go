@@ -121,7 +121,7 @@ func TestZeroAllocSchedulers(t *testing.T) {
 // newSched builds name with the options every registry name needs to build.
 func newSched(t *testing.T, name string) sched.Interface {
 	t.Helper()
-	s, err := sched.New(name, sched.WithAssumedCapacity(1e6), sched.WithQuantum(2000), sched.WithLevels(sched.NewFIFO(), sched.NewFIFO()))
+	s, err := sched.New(name, sched.WithAssumedCapacity(1e6), sched.WithQuantum(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,21 @@ func newSched(t *testing.T, name string) sched.Interface {
 }
 
 // TestZeroAllocExact holds the disciplines that keep their packets in the
-// flow records' pooled FIFOs (FIFO, DRR, Fair Airport, a priority over FIFO
-// levels, a tree of DRR and EDD sinks) to exactly zero: not one allocation in
-// a whole batch after one batch of warm-up, where a rounded mean would let
-// slice growth by.
+// flow records' pooled FIFOs (FIFO, DRR, Fair Airport, strict priority over
+// one FIFO sink, a tree of DRR and EDD sinks) to exactly zero: not one
+// allocation in a whole batch after one batch of warm-up, where a rounded
+// mean would let slice growth by.
+//
+// The priority row has one sink, as the composition it replaced had every
+// flow on its lowest level. With two sinks (hier:priority(fifo,fifo)) the
+// 16-flow row allocates once, at op 7 956 of 10 000: strict priority keeps
+// nearly all 16 packets in the low sink, spread over its 8 flows' FIFOs,
+// and one layout of them first needs more chunks than that sink's own pool
+// has ever held. That is growth to a bound, which the rounded mean of
+// TestZeroAllocSchedulers passes, not a per-batch cost.
 func TestZeroAllocExact(t *testing.T) {
 	const batch = 5000
-	for _, name := range []string{"fifo", "drr", "fairairport", "priority", "hier:sfq(drr,edd)"} {
+	for _, name := range []string{"fifo", "drr", "fairairport", "hier:priority(fifo)", "hier:sfq(drr,edd)"} {
 		for _, nflows := range []int{16, 4096} {
 			t.Run(fmt.Sprintf("%s/%d", name, nflows), func(t *testing.T) {
 				s := newSched(t, name)

@@ -128,6 +128,31 @@ func CheckSRPTService(tr *Trace) error {
 	return nil
 }
 
+// CheckStrictPriority asserts strict, non-preemptive priority: every
+// dequeue serves a packet whose level is the lowest among the packets
+// queued at that instant, level(flow) giving each flow's level (lower
+// goes first). The queue is replayed from the enqueue and dequeue streams
+// merged on the recorder's operation counter, as CheckSRPTService does.
+func CheckStrictPriority(tr *Trace, level func(flow int) int) error {
+	queued := make(map[int]int) // level -> packets queued
+	ei := 0
+	for di, st := range tr.Deq {
+		for ei < len(tr.Enq) && tr.Enq[ei].Op < st.Op {
+			queued[level(tr.Enq[ei].P.Flow)]++
+			ei++
+		}
+		served := level(st.P.Flow)
+		for l, n := range queued {
+			if n > 0 && l < served {
+				return fmt.Errorf("strict priority: dequeue %d served flow %d at level %d while %d packets waited at level %d",
+					di, st.P.Flow, served, n, l)
+			}
+		}
+		queued[served]--
+	}
+	return nil
+}
+
 // CheckAggregateFIFO asserts FIFO across the whole aggregate, not just
 // within flows: the i-th packet served is the i-th packet enqueued. This
 // is what FIFO+ must degenerate to at a single hop when every packet

@@ -57,6 +57,10 @@ type sut struct {
 	tagName   string
 	tagKey    func(*sched.Packet) float64
 	ref       refMode
+
+	// level checks strict priority: level(flow) orders the flows, lowest
+	// first.
+	level func(flow int) int
 }
 
 var (
@@ -189,8 +193,8 @@ func suts() []sut {
 			kinds: noRateKinds, thm1: faThm1, delayName: "Fair Airport delay", delay: faDelay,
 		},
 		{
-			name: "priority-scfq", make: mk("priority-scfq"),
-			kinds: allKinds,
+			name: "priority", make: mk("priority"),
+			kinds: allKinds, level: func(flow int) int { return flow },
 		},
 		// The pifo-* aliases of the tag-based family (internal/pifo). Each
 		// carries the same checker set as its plain name; TestPIFOEquivalence
@@ -251,6 +255,12 @@ func suts() []sut {
 		{
 			name: "hier:pifo-sfq(pifo-sfq,pifo-sfq)", make: mk("hier:pifo-sfq(pifo-sfq,pifo-sfq)"),
 			kinds: allKinds,
+		},
+		// AddFlow routes a flow to sink id mod 2, so even flows are the
+		// FIFO class that goes first.
+		{
+			name: "hier:priority(fifo,scfq)", make: mk("hier:priority(fifo,scfq)"),
+			kinds: allKinds, level: func(flow int) int { return ((flow % 2) + 2) % 2 },
 		},
 	}
 }
@@ -318,6 +328,11 @@ func runOne(s sut, seed int64) error {
 	}
 	if s.aggFIFO {
 		if err := CheckAggregateFIFO(tr); err != nil {
+			return err
+		}
+	}
+	if s.level != nil {
+		if err := CheckStrictPriority(tr, s.level); err != nil {
 			return err
 		}
 	}

@@ -58,12 +58,12 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 		"fqs": func(w Workload) sched.Interface {
 			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: w.C})
 		},
-		"vclock":        func(Workload) sched.Interface { return sched.NewVirtualClock() },
-		"drr":           func(w Workload) sched.Interface { return sched.NewDRR(drrQuantum(w)) },
-		"fifo":          func(Workload) sched.Interface { return sched.NewFIFO() },
-		"edd":           func(Workload) sched.Interface { return sched.NewEDD() },
-		"fairairport":   func(Workload) sched.Interface { return sched.NewFairAirport() },
-		"priority-scfq": func(Workload) sched.Interface { return sched.NewPriority(sched.NewSCFQ()) },
+		"vclock":      func(Workload) sched.Interface { return sched.NewVirtualClock() },
+		"drr":         func(w Workload) sched.Interface { return sched.NewDRR(drrQuantum(w)) },
+		"fifo":        func(Workload) sched.Interface { return sched.NewFIFO() },
+		"edd":         func(Workload) sched.Interface { return sched.NewEDD() },
+		"fairairport": func(Workload) sched.Interface { return sched.NewFairAirport() },
+		"priority":    func(Workload) sched.Interface { return sched.MustNewRanked(sched.RankPriority(), sched.Config{}) },
 		// The aliases are held to the plain names' constructors.
 		"pifo-sfq":    func(Workload) sched.Interface { return core.New() },
 		"pifo-scfq":   func(Workload) sched.Interface { return sched.NewSCFQ() },
@@ -81,6 +81,9 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 		},
 		"hier:pifo-sfq(pifo-sfq,pifo-sfq)": func(Workload) sched.Interface {
 			return mustTree("pifo-sfq(pifo-sfq,pifo-sfq)")
+		},
+		"hier:priority(fifo,scfq)": func(Workload) sched.Interface {
+			return mustTree("priority(fifo,scfq)")
 		},
 	}
 }
@@ -113,7 +116,7 @@ func registryConstructors() map[string]func(w Workload) sched.Interface {
 		"fifo":          mk("fifo"),
 		"edd":           mk("edd"),
 		"fairairport":   mk("fairairport"),
-		"priority-scfq": mk("priority-scfq"),
+		"priority":      mk("priority"),
 		"pifo-sfq":      mk("pifo-sfq"),
 		"pifo-scfq":     mk("pifo-scfq"),
 		"pifo-vclock":   mk("pifo-vclock"),
@@ -127,6 +130,7 @@ func registryConstructors() map[string]func(w Workload) sched.Interface {
 		"hier:sfq(drr,edd)":                mk("hier:sfq(drr,edd)"),
 		"hier:sfq(edd,scfq,drr,fifo)":      mk("hier:sfq(edd,scfq,drr,fifo)"),
 		"hier:pifo-sfq(pifo-sfq,pifo-sfq)": mk("hier:pifo-sfq(pifo-sfq,pifo-sfq)"),
+		"hier:priority(fifo,scfq)":         mk("hier:priority(fifo,scfq)"),
 	}
 }
 
@@ -223,13 +227,11 @@ func TestRegistryCoversAllSuts(t *testing.T) {
 		}
 	}
 	// Exemptions, per kind of coverage. aliases resolve to the same factory
-	// as their primary name; "priority" is the bare combinator (covered
-	// through priority-scfq). The tag exemptions are disciplines with no
+	// as their primary name. The tag exemptions are disciplines with no
 	// packet-visible tag to assert: their per-flow key monotonicity is
 	// structural (FIFO/DRR round-robin keys, HSFQ's internal tree).
 	aliases := map[string]bool{"vc": true, "fa": true, "fifoplus": true}
-	noSut := map[string]bool{"priority": true}
-	noTag := map[string]bool{"priority": true, "hsfq": true, "drr": true, "fifo": true}
+	noTag := map[string]bool{"hsfq": true, "drr": true, "fifo": true}
 
 	sutFor := make(map[string]bool)
 	for _, s := range suts() {
@@ -245,10 +247,10 @@ func TestRegistryCoversAllSuts(t *testing.T) {
 		if aliases[n] {
 			continue
 		}
-		if !sutFor[n] && !noSut[n] {
+		if !sutFor[n] {
 			missingSut = append(missingSut, n)
 		}
-		if covered[n] == nil && !noSut[n] {
+		if covered[n] == nil {
 			missingRoundTrip = append(missingRoundTrip, n)
 		}
 		if !specFor[n] && !noTag[n] {

@@ -25,12 +25,12 @@ func TestRemoveFlowBacklogged(t *testing.T) {
 		"fqs": func() sched.Interface {
 			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: 1000})
 		},
-		"vclock":        func() sched.Interface { return sched.NewVirtualClock() },
-		"edd":           func() sched.Interface { return sched.NewEDD() },
-		"drr":           func() sched.Interface { return sched.NewDRR(10) },
-		"fifo":          func() sched.Interface { return sched.NewFIFO() },
-		"fairairport":   func() sched.Interface { return sched.NewFairAirport() },
-		"priority-fifo": func() sched.Interface { return sched.NewPriority(sched.NewFIFO()) },
+		"vclock":      func() sched.Interface { return sched.NewVirtualClock() },
+		"edd":         func() sched.Interface { return sched.NewEDD() },
+		"drr":         func() sched.Interface { return sched.NewDRR(10) },
+		"fifo":        func() sched.Interface { return sched.NewFIFO() },
+		"fairairport": func() sched.Interface { return sched.NewFairAirport() },
+		"priority":    func() sched.Interface { return sched.MustNewRanked(sched.RankPriority(), sched.Config{}) },
 	}
 	for name, mk := range factories {
 		mk := mk
@@ -131,11 +131,12 @@ func TestRemoveBackloggedUniform(t *testing.T) {
 }
 
 // TestAddFlowUpsert pins the Interface's "registering an existing flow
-// updates its weight" for every registered discipline, plus a priority sink
-// inside a tree, where hier.Tree.SetWeight falls back to that upsert: the
-// second AddFlow succeeds, and the flow then queues and is served.
+// updates its weight" for every registered discipline, a DRR sink inside a
+// tree included (flow 0 of hier:sfq(drr,edd)), where hier.Tree.SetWeight
+// falls back to that upsert: the second AddFlow succeeds, and the flow then
+// queues and is served.
 func TestAddFlowUpsert(t *testing.T) {
-	for _, name := range append(sched.Names(), "hier:sfq(priority-scfq,drr)") {
+	for _, name := range sched.Names() {
 		t.Run(name, func(t *testing.T) {
 			s := newRegistered(t, name)
 			for _, w := range []float64{100, 300} {
@@ -167,11 +168,8 @@ var fluidBacked = map[string]bool{"wfq": true, "fqs": true, "pifo-wfq": true}
 func newRegistered(t *testing.T, name string) sched.Interface {
 	t.Helper()
 	var opts []sched.Option
-	switch {
-	case fluidBacked[name]:
+	if fluidBacked[name] {
 		opts = []sched.Option{sched.WithAssumedCapacity(1000)}
-	case name == "priority":
-		opts = []sched.Option{sched.WithLevels(sched.NewSCFQ())}
 	}
 	s, err := sched.New(name, opts...)
 	if err != nil {

@@ -42,7 +42,7 @@ func tagMonoSpecs() map[string]tagMonoSpec {
 		"vclock":        {"finish tag", finishTag}, // VC stamp advances by l/r per packet
 		"edd":           {"deadline", deadlineTag}, // eat strictly increases while d_f is fixed
 		"fairairport":   {"start tag", startTag},   // nondecreasing; rule 5 permits equality
-		"priority-scfq": {"finish tag", finishTag}, // each flow lives in one SCFQ level
+		"priority":      {"deadline", deadlineTag}, // the stamped rank: the flow id, constant per flow
 		// PIFO re-expressions: same recurrences, same monotone tags.
 		"pifo-sfq":    {"start tag", startTag},
 		"pifo-scfq":   {"finish tag", finishTag},
@@ -64,6 +64,9 @@ func tagMonoSpecs() map[string]tagMonoSpec {
 		"hier:sfq(drr,edd)":                {"deadline", deadlineTag},
 		"hier:sfq(edd,scfq,drr,fifo)":      {"deadline", deadlineTag},
 		"hier:pifo-sfq(pifo-sfq,pifo-sfq)": {"start tag", startTag},
+		// The FIFO sink stamps no finish tag (a constant zero); the SCFQ
+		// sink's increase per flow.
+		"hier:priority(fifo,scfq)": {"finish tag", finishTag},
 	}
 }
 

@@ -34,23 +34,13 @@ func Residual(seed int64) *Result {
 	q := &eventq.Queue{}
 	rng := rand.New(rand.NewSource(seed))
 
-	hi := sched.NewFIFO()
-	low := core.New()
-	prio := sched.NewPriority(hi, low)
-	if err := prio.AddFlowAt(0, 1, rho); err != nil {
-		panic(err)
-	}
 	// Two low-priority flows; Σ r = C − ρ (full admission of the residual).
 	// Iterate flows in a fixed order everywhere below: the loops consume rng
 	// and schedule events, so map-range order would make the output
 	// nondeterministic across runs.
 	flows := []int{2, 3}
 	weights := map[int]float64{2: 2000, 3: 4000}
-	for _, f := range flows {
-		if err := prio.AddFlowAt(1, f, weights[f]); err != nil {
-			panic(err)
-		}
-	}
+	prio := priorityTree("pifo-sfq", sched.Config{}, flowLeaf(1, rho), flowLeaf(2, weights[2]), flowLeaf(3, weights[3]))
 
 	sink := sim.NewSink(q)
 	link := sim.NewLink(q, "prio", prio, server.NewConstantRate(c), sink)

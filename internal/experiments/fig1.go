@@ -3,8 +3,8 @@ package experiments
 import (
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/eventq"
+	"repro/internal/hier"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -88,6 +88,24 @@ func countIn(ts []float64, lo, hi float64) int {
 	return n
 }
 
+// priorityTree is strict priority of a FIFO class holding flow leaf hi over
+// a class of discipline low holding the leaves lo: the priority rank
+// function at the root of a two-sink tree. The SFQ discipline as a sink is
+// "pifo-sfq"; a class named "sfq" over flow leaves is the tree's native SFQ
+// interior instead.
+func priorityTree(low string, cfg sched.Config, hi *hier.Spec, lo ...*hier.Spec) *hier.Tree {
+	t, err := hier.Build(&hier.Spec{Name: "priority", Children: []*hier.Spec{
+		{Name: "fifo", Weight: 1, Children: []*hier.Spec{hi}},
+		{Name: low, Weight: 1, Children: lo},
+	}}, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+func flowLeaf(f int, w float64) *hier.Spec { return &hier.Spec{IsFlow: true, Flow: f, Weight: w} }
+
 // runFig1 wires the Fig 1 topology and runs it.
 //
 //	video src (flow 1, VBR, priority) ─┐
@@ -107,29 +125,15 @@ func runFig1(cfg Fig1Config, schedName string, duration, activate float64) *Fig1
 	q := &eventq.Queue{}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Low-priority scheduler for the TCP flows.
-	var low sched.Interface
-	switch schedName {
-	case "WFQ":
-		// "The WFQ implementation used the link capacity to compute the
-		// finish tags" — i.e. the fluid clock runs at the full 2.5 Mb/s
-		// even though the video leaves less than that.
-		low = sched.NewWFQ(linkRate)
-	case "SFQ":
-		low = core.New()
-	default:
+	// Low-priority discipline for the TCP flows.
+	low := map[string]string{"WFQ": "wfq", "SFQ": "pifo-sfq"}[schedName]
+	if low == "" {
 		panic("fig1: unknown scheduler " + schedName)
 	}
-	hi := sched.NewFIFO()
-	prio := sched.NewPriority(hi, low)
-	if err := prio.AddFlowAt(0, 1, 1); err != nil {
-		panic(err)
-	}
-	for _, f := range []int{2, 3} {
-		if err := prio.AddFlowAt(1, f, 1); err != nil {
-			panic(err)
-		}
-	}
+	// "The WFQ implementation used the link capacity to compute the finish
+	// tags" — i.e. the fluid clock runs at the full 2.5 Mb/s even though
+	// the video leaves less than that.
+	prio := priorityTree(low, sched.Config{AssumedCapacity: linkRate}, flowLeaf(1, 1), flowLeaf(2, 1), flowLeaf(3, 1))
 
 	// Destination: demultiplexes TCP data to per-flow receivers, records
 	// arrival times of every TCP packet, swallows video cells.

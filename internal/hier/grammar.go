@@ -26,6 +26,8 @@ import (
 //	sfq(edd*4,scfq*3,drr*2,fifo)   WiMAX-style UGS/rtPS/nrtPS/BE classes
 //	pifo-sfq(pifo-sfq,pifo-sfq)    a tree of PIFOs, rank functions at
 //	                               every node (arrival-computed ranks)
+//	priority(fifo,scfq)            strict priority: the FIFO sink's
+//	                               flows first, then the SCFQ sink's
 //
 // The registry resolves the whole family through sched.RegisterFallback:
 // "hier:<spec>" carries the spec in the name, and the bare name "hier"
@@ -276,12 +278,14 @@ func init() {
 	// Canonical compositions, registered by name so they enumerate in
 	// sched.Names() and ride the conformance matrix: a heterogeneous
 	// SFQ-over-(DRR,EDD) split, a WiMAX-style four-class tree
-	// (UGS≈EDD, rtPS≈SCFQ, nrtPS≈DRR, BE≈FIFO), and a tree of PIFOs
-	// with a rank function at every node.
+	// (UGS≈EDD, rtPS≈SCFQ, nrtPS≈DRR, BE≈FIFO), a tree of PIFOs
+	// with a rank function at every node, and strict priority of a FIFO
+	// class over an SCFQ class.
 	for _, spec := range []string{
 		"sfq(drr,edd)",
 		"sfq(edd,scfq,drr,fifo)",
 		"pifo-sfq(pifo-sfq,pifo-sfq)",
+		"priority(fifo,scfq)",
 	} {
 		spec := spec
 		sched.Register("hier:"+spec, func(cfg sched.Config) (sched.Interface, error) {

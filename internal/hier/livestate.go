@@ -40,8 +40,8 @@ func (h *Tree) SetWeight(flow int, weight float64) error {
 		if rc, ok := c.disc.(sched.Reconfigurable); ok {
 			return rc.SetWeight(flow, weight)
 		}
-		// Disciplines without the live-mutation surface (DRR, Priority,
-		// Fair Airport) re-register: AddFlow is an upsert (Interface), and
+		// Disciplines without the live-mutation surface (DRR, Fair
+		// Airport) re-register: AddFlow is an upsert (Interface), and
 		// the new weight applies from the flow's next quantum or packet.
 		return c.disc.AddFlow(flow, weight)
 	}

@@ -12,16 +12,16 @@ import (
 // fuzzTargets are the schedulers FuzzSnapshotRestore restores into: the rank
 // family's format (scfq), DRR's and Fair Airport's, whose restores refill
 // the flow records' FIFOs from the snapshot, the rank family's with a fluid
-// GPS reference (wfq), a scheduler tree whose nodes embed envelopes of
-// their own, and a priority composition whose levels are states of their
-// own. The first input byte picks one.
+// GPS reference (wfq), and two scheduler trees whose nodes embed envelopes
+// of their own: an SFQ root over DRR and EDD sinks, and strict priority of
+// a FIFO sink over an SCFQ sink. The first input byte picks one.
 var fuzzTargets = []func() sched.Interface{
 	func() sched.Interface { return sched.NewSCFQ() },
 	func() sched.Interface { return sched.NewDRR(1) },
 	func() sched.Interface { return sched.NewFairAirport() },
 	func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(1e5)) },
 	func() sched.Interface { return sched.MustNew("hier:sfq(drr,edd)") },
-	func() sched.Interface { return sched.MustNew("priority-scfq") },
+	func() sched.Interface { return sched.MustNew("hier:priority(fifo,scfq)") },
 }
 
 // FuzzSnapshotRestore throws arbitrary bytes at Restore. Valid envelopes

@@ -2,7 +2,6 @@ package rt_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	_ "repro/internal/core"
@@ -73,14 +72,6 @@ func TestErrorVocabulary(t *testing.T) {
 		}},
 		{"sched/shards-without-clock/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
 			_, err := sched.New("sfq", sched.WithShards(4))
-			return err
-		}},
-		{"rt/levels-across-shards/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
-			// One set of level instances cannot serve two shards.
-			_, err := sched.New("priority", sched.WithClock(&sched.ManualClock{}), sched.WithShards(2), sched.WithLevels(sched.NewSCFQ()))
-			if err == nil || !strings.Contains(err.Error(), "WithLevels") {
-				t.Errorf("refusal does not name WithLevels: %v", err)
-			}
 			return err
 		}},
 		{"pifo/wfq-without-capacity/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
@@ -169,10 +160,12 @@ func TestErrorVocabulary(t *testing.T) {
 	}
 }
 
-// TestPriorityLevelsOneShard: on the one shard WithLevels is allowed, the
-// runtime's Len counts what it accepted, each packet once.
-func TestPriorityLevelsOneShard(t *testing.T) {
-	r := mustRuntime(t, "priority", sched.WithClock(&sched.ManualClock{}), sched.WithLevels(sched.NewSCFQ()))
+// TestPriorityTreeAcrossShards: each shard builds its own strict-priority
+// tree from the name, so the runtime's Len counts what it accepted, each
+// packet once. (A composition whose levels were instances passed in an
+// option once shared them between shards and read Len 50 here.)
+func TestPriorityTreeAcrossShards(t *testing.T) {
+	r := mustRuntime(t, "hier:priority(fifo,scfq)", sched.WithClock(&sched.ManualClock{}), sched.WithShards(2))
 	accepted := 0
 	for f := 0; f < 8; f++ {
 		if err := r.AddFlow(f, float64(1+f)); err != nil {
@@ -187,5 +180,12 @@ func TestPriorityLevelsOneShard(t *testing.T) {
 	}
 	if n := r.Len(); n != accepted {
 		t.Errorf("Len = %d after %d accepted", n, accepted)
+	}
+	perShard := [2]int{}
+	for f := 0; f < 8; f++ {
+		perShard[r.ShardOf(f)]++
+	}
+	if perShard[0] == 0 || perShard[1] == 0 {
+		t.Errorf("flows per shard %v: the check needs both shards in use", perShard)
 	}
 }

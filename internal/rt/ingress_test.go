@@ -82,18 +82,12 @@ func TestDrainAcceptsWhatPushAccepts(t *testing.T) {
 	extras := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e-300, 1e300}
 	for _, name := range sched.Names() {
 		t.Run(name, func(t *testing.T) {
-			shards := 2
-			opts := []sched.Option{sched.WithClock(&scriptedClock{script: []float64{5, 2, 9, 1, 9, 14, 3, 0}})}
+			const shards = 2
+			opts := []sched.Option{sched.WithClock(&scriptedClock{script: []float64{5, 2, 9, 1, 9, 14, 3, 0}}), sched.WithShards(shards)}
 			switch name {
 			case "wfq", "fqs", "pifo-wfq":
 				opts = append(opts, sched.WithAssumedCapacity(1000))
-			case "priority":
-				// rt refuses WithLevels with more than one shard: its
-				// levels are instances every shard would share.
-				shards = 1
-				opts = append(opts, sched.WithLevels(sched.NewSCFQ()))
 			}
-			opts = append(opts, sched.WithShards(shards))
 			r := mustRuntime(t, name, opts...)
 			const flows = 4
 			for f := 0; f < flows; f++ {

@@ -116,9 +116,8 @@ func New(name string, opts ...sched.Option) (*Runtime, error) {
 }
 
 // NewFromConfig is New over an explicit Config (the sched.RuntimeBuilder
-// entry point). Every shard's discipline is built from the one cfg, so an
-// option that carries instances (WithLevels) is refused with more than one
-// shard: the shards would share them.
+// entry point). Every shard's discipline is built afresh from the one cfg,
+// which carries values only, so no two shards share an instance.
 func NewFromConfig(name string, cfg sched.Config) (*Runtime, error) {
 	n := cfg.Shards
 	if n < 0 {
@@ -126,9 +125,6 @@ func NewFromConfig(name string, cfg sched.Config) (*Runtime, error) {
 	}
 	if n == 0 {
 		n = 1
-	}
-	if n > 1 && len(cfg.Levels) > 0 {
-		return nil, fmt.Errorf("%w: rt: WithLevels instances would be shared by %d shards; use one shard", sched.ErrBadConfig, n)
 	}
 	clock := cfg.Clock
 	if clock == nil {

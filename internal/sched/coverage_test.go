@@ -23,10 +23,10 @@ func TestRegistryNamePin(t *testing.T) {
 	want := []string{
 		"drr", "edd", "fa", "fairairport", "fifo", "fifo+", "fifoplus",
 		"flowsfq", "fqs",
-		"hier:pifo-sfq(pifo-sfq,pifo-sfq)", "hier:sfq(drr,edd)",
+		"hier:pifo-sfq(pifo-sfq,pifo-sfq)", "hier:priority(fifo,scfq)", "hier:sfq(drr,edd)",
 		"hier:sfq(edd,scfq,drr,fifo)",
 		"hsfq", "lstf", "pifo-edd", "pifo-scfq",
-		"pifo-sfq", "pifo-vclock", "pifo-wfq", "priority", "priority-scfq",
+		"pifo-sfq", "pifo-vclock", "pifo-wfq", "priority",
 		"scfq", "sfq", "sfq-lowweight", "srpt", "vc", "vclock", "wfq",
 	}
 	got := sched.Names()
@@ -123,7 +123,6 @@ func TestConstructorValidation(t *testing.T) {
 	cases := map[string]func(){
 		"DRR":       func() { sched.NewDRR(0) },
 		"WFQ":       func() { sched.NewWFQ(0) },
-		"Priority":  func() { sched.NewPriority() },
 		"WFQOracle": func() { sched.NewWFQOracle(func(float64) float64 { return 1 }, 0) },
 	}
 	for name, bad := range cases {
@@ -148,11 +147,10 @@ func TestEDDAddFlowDeadlineValidation(t *testing.T) {
 	}
 }
 
+// TestPriorityDefaultAndQueuedBytes: a flow's id is its level, so plain
+// AddFlow is all the registration strict priority needs.
 func TestPriorityDefaultAndQueuedBytes(t *testing.T) {
-	hi := sched.NewFIFO()
-	lo := sched.NewFIFO()
-	s := sched.NewPriority(hi, lo)
-	// Plain AddFlow lands on the lowest level.
+	s := sched.MustNew("priority")
 	if err := s.AddFlow(7, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +162,6 @@ func TestPriorityDefaultAndQueuedBytes(t *testing.T) {
 	}
 	if s.QueuedBytes(99) != 0 {
 		t.Error("unknown flow should report 0 bytes")
-	}
-	if lo.Len() != 1 || hi.Len() != 0 {
-		t.Error("AddFlow should route to the lowest level")
 	}
 	if err := s.Enqueue(0, &sched.Packet{Flow: 99, Length: 1}); err == nil {
 		t.Error("unknown flow accepted")

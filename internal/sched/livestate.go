@@ -2,15 +2,13 @@ package sched
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/statecodec"
 )
 
 // This file implements Reconfigurable (live mutation) and Snapshotter
 // (deterministic serialization) for the disciplines that are not rank
-// functions — DRR, Priority, Fair Airport. The rank family's one
+// functions — DRR and Fair Airport. The rank family's one
 // implementation is ranklive.go; both build on the state types in
 // snapshot.go.
 
@@ -139,133 +137,6 @@ func (s *DRR) VisitQueued(fn func(*Packet)) {
 
 // ListFlows returns the registered flows sorted by id.
 func (s *DRR) ListFlows() []FlowInfo { return s.flows.ListFlows() }
-
-// ------------------------------------------------------------- Priority --
-
-type priorityClassState struct {
-	Flow  int `json:"flow"`
-	Level int `json:"level"`
-}
-
-func (pc *priorityClassState) codec(c *statecodec.Codec) {
-	c.Int("flow", &pc.Flow)
-	c.Int("level", &pc.Level)
-}
-
-// priorityState is the composition's state. Levels holds each child's own
-// state document: read as raw spans of the parent's bytes, written in
-// place by the children themselves.
-type priorityState struct {
-	Last   float64              `json:"last"`
-	Class  []priorityClassState `json:"class"`
-	Levels [][]byte             `json:"levels"`
-	levels []Interface          // the children, when writing a live composition
-}
-
-func (st *priorityState) codec(c *statecodec.Codec) {
-	c.Float("last", &st.Last)
-	statecodec.Slice(c, "class", &st.Class, (*priorityClassState).codec)
-	c.Raws("levels", &st.Levels, st.appendLevel)
-}
-
-// appendLevel writes level i's state in place; every level must itself be
-// a Snapshotter. A decoded state writes its documents back as they are.
-func (st *priorityState) appendLevel(i int, b []byte) ([]byte, error) {
-	if st.levels == nil {
-		return append(b, st.Levels[i]...), nil
-	}
-	snap, ok := st.levels[i].(Snapshotter)
-	if !ok {
-		return b, fmt.Errorf("sched: priority level %d (%T) does not support snapshots", i, st.levels[i])
-	}
-	return snap.AppendState(b)
-}
-
-// captureClass lists the flow→level map sorted by flow.
-func (s *Priority) captureClass() []priorityClassState {
-	class := make([]priorityClassState, 0, len(s.class))
-	for f, lvl := range s.class {
-		class = append(class, priorityClassState{Flow: f, Level: lvl})
-	}
-	sort.Slice(class, func(i, j int) bool { return class[i].Flow < class[j].Flow })
-	return class
-}
-
-// StateKind identifies a priority composition by its children's kinds.
-func (s *Priority) StateKind() string {
-	kinds := make([]string, len(s.levels))
-	for i, lvl := range s.levels {
-		kinds[i] = "?"
-		if snap, ok := lvl.(Snapshotter); ok {
-			kinds[i] = snap.StateKind()
-		}
-	}
-	return "sched/priority(" + strings.Join(kinds, ",") + ")"
-}
-
-// AppendState serializes the composition: the flow→level map plus each
-// child's own state, written in place.
-func (s *Priority) AppendState(b []byte) ([]byte, error) {
-	st := priorityState{Last: s.last, Class: s.captureClass(), Levels: make([][]byte, len(s.levels)), levels: s.levels}
-	return statecodec.Encode(b, &st, (*priorityState).codec)
-}
-
-// RestoreState loads state into a freshly constructed composition with
-// the same level structure.
-func (s *Priority) RestoreState(data []byte) error {
-	if len(s.class) != 0 || s.Len() != 0 {
-		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
-	}
-	var st priorityState
-	if err := decodeState(data, &st, (*priorityState).codec); err != nil {
-		return err
-	}
-	if len(st.Levels) != len(s.levels) {
-		return fmt.Errorf("%w: %d levels in state, scheduler has %d", ErrBadState, len(st.Levels), len(s.levels))
-	}
-	for i, lvl := range s.levels {
-		snap, ok := lvl.(Snapshotter)
-		if !ok {
-			return fmt.Errorf("%w: priority level %d (%T) does not support snapshots", ErrBadState, i, lvl)
-		}
-		if err := snap.RestoreState(st.Levels[i]); err != nil {
-			return err
-		}
-	}
-	for i, c := range st.Class {
-		if i > 0 && c.Flow <= st.Class[i-1].Flow {
-			return fmt.Errorf("%w: class flow ids not ascending at %d", ErrBadState, c.Flow)
-		}
-		if c.Level < 0 || c.Level >= len(s.levels) {
-			return fmt.Errorf("%w: flow %d level %d out of range", ErrBadState, c.Flow, c.Level)
-		}
-		s.class[c.Flow] = c.Level
-	}
-	// Cross-check the flow→level map against each child's own registry
-	// when the child can enumerate it.
-	for i, lvl := range s.levels {
-		fl, ok := lvl.(FlowLister)
-		if !ok {
-			continue
-		}
-		for _, info := range fl.ListFlows() {
-			if got, ok := s.class[info.Flow]; !ok || got != i {
-				return fmt.Errorf("%w: level %d flow %d missing from class map", ErrBadState, i, info.Flow)
-			}
-		}
-	}
-	s.last = st.Last
-	return nil
-}
-
-// VisitQueued visits each level's queued packets in priority order.
-func (s *Priority) VisitQueued(fn func(*Packet)) {
-	for _, lvl := range s.levels {
-		if snap, ok := lvl.(Snapshotter); ok {
-			snap.VisitQueued(fn)
-		}
-	}
-}
 
 // ---------------------------------------------------------- FairAirport --
 

@@ -58,20 +58,8 @@ func PoolSafeScheduler(s Interface) bool {
 	return ok && ps.PacketPoolSafe()
 }
 
-// Pool-safety declarations for this package's schedulers. Each returns
-// true because the scheduler nils out (or pops) its reference to a packet
-// when Dequeue hands it out and mutates nothing on a failed Enqueue.
-// (Ranked's is in rank.go, FairAirport's in fairairport.go.)
-
-// PacketPoolSafe reports that DRR retains no dequeued packets.
+// PacketPoolSafe reports that DRR retains no dequeued packets: it pops its
+// reference to a packet when Dequeue hands it out and mutates nothing on a
+// failed Enqueue. (Ranked's declaration is in rank.go, FairAirport's in
+// fairairport.go.)
 func (s *DRR) PacketPoolSafe() bool { return true }
-
-// PacketPoolSafe reports whether every priority level is pool-safe.
-func (s *Priority) PacketPoolSafe() bool {
-	for _, lvl := range s.levels {
-		if !PoolSafeScheduler(lvl) {
-			return false
-		}
-	}
-	return true
-}

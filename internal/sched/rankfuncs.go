@@ -160,6 +160,21 @@ func RankFIFO() Discipline {
 	}
 }
 
+// RankPriority is strict, non-preemptive priority by flow id: rank is the
+// id, so the lowest backlogged id goes first, and the push serial keeps
+// each flow FIFO. Weights are registered and unused. At a hier discipline
+// interior the flows are the children, so "priority(fifo,sfq)" serves its
+// first child's traffic before its second's: Fig. 1 gives the video source
+// priority over the TCP flows this way, and §2.3's residual experiment
+// (σ, ρ) traffic over SFQ.
+func RankPriority() Discipline {
+	return Discipline{
+		Name:      "priority",
+		Rank:      func(_ *RankState, _ *Flow, _ float64, p *Packet) (float64, float64) { return float64(p.Flow), 0 },
+		StampRank: true, // p.Deadline = the flow id, the rank p is queued under
+	}
+}
+
 // The constructors below predate the registry; they remain because tests,
 // experiments and examples call them, and return the one scheduler type.
 

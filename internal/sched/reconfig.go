@@ -67,8 +67,7 @@ type FlowInfo struct {
 }
 
 // FlowLister is the optional flow-enumeration interface: sfqsim reads a
-// restored scheduler's flows through it, and Priority's state check
-// enumerates each level's.
+// restored scheduler's flows through it.
 type FlowLister interface {
 	// ListFlows returns every registered flow, sorted by id.
 	ListFlows() []FlowInfo

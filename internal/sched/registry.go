@@ -41,11 +41,6 @@ type Config struct {
 	// Tie is the SFQ-family tie-breaking rule.
 	Tie TieBreak
 
-	// Levels are the child schedulers of a strict-priority composition,
-	// highest priority first. Disciplines that are not compositions ignore
-	// it.
-	Levels []Interface
-
 	// Clock selects runtime-driven construction: when non-nil, New hands
 	// the build to the registered runtime builder (internal/rt), which
 	// wraps the discipline in a goroutine-safe driver that reads "now"
@@ -83,9 +78,6 @@ func WithQuantum(q float64) Option { return func(cfg *Config) { cfg.Quantum = q 
 
 // WithTieBreak sets the SFQ-family tie-breaking rule.
 func WithTieBreak(t TieBreak) Option { return func(cfg *Config) { cfg.Tie = t } }
-
-// WithLevels sets the children of a priority composition, highest first.
-func WithLevels(levels ...Interface) Option { return func(cfg *Config) { cfg.Levels = levels } }
 
 // WithClock selects runtime-driven construction reading time from c (see
 // Config.Clock). Requires internal/rt to be imported so the runtime
@@ -301,13 +293,5 @@ func init() {
 	})
 	Register("fifo", func(cfg Config) (Interface, error) { return NewRanked(RankFIFO(), cfg) })
 	Register("fairairport", func(Config) (Interface, error) { return NewFairAirport(), nil }, "fa")
-	Register("priority", func(cfg Config) (Interface, error) {
-		if len(cfg.Levels) == 0 {
-			return nil, fmt.Errorf("%w: priority requires WithLevels", ErrBadConfig)
-		}
-		return NewPriority(cfg.Levels...), nil
-	})
-	Register("priority-scfq", func(Config) (Interface, error) {
-		return NewPriority(NewSCFQ()), nil
-	})
+	Register("priority", func(cfg Config) (Interface, error) { return NewRanked(RankPriority(), cfg) })
 }

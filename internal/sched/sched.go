@@ -1,10 +1,10 @@
 // Package sched defines the packet-scheduler contract shared by every
 // scheduling algorithm in this repository and implements them: the
 // tag-based family — SFQ itself, and the baselines the paper compares it
-// against, WFQ (PGPS), FQS, SCFQ, Virtual Clock, Delay EDD, FIFO — as rank
-// functions over one scheduler (Ranked: rank.go, rankfuncs.go), and DRR,
-// strict priority and the Fair Airport scheduler of Appendix B on their
-// own. internal/core names and registers the paper's contribution
+// against, WFQ (PGPS), FQS, SCFQ, Virtual Clock, Delay EDD, FIFO, and
+// strict priority — as rank functions over one scheduler (Ranked: rank.go,
+// rankfuncs.go), and DRR and the Fair Airport scheduler of Appendix B on
+// their own. internal/core names and registers the paper's contribution
 // (SFQ, hierarchical SFQ); internal/hier is the scheduler tree.
 //
 // Time convention: the component that owns the output link drives the

@@ -17,8 +17,7 @@ import (
 // TestStateCodecMatchesEncodingJSON holds the state codec to encoding/json
 // on the mid-run states of the conformance workloads, healthy and under
 // chaos plans, for every registered discipline that snapshots and is not a
-// scheduler tree (internal/hier holds its trees to the same oracle). The
-// bare "priority" name is built as a composition of an SFQ and a DRR level.
+// scheduler tree (internal/hier holds its trees to the same oracle).
 func TestStateCodecMatchesEncodingJSON(t *testing.T) {
 	kinds := []conformance.Kind{conformance.Bursty, conformance.Sporadic, conformance.OnOff, conformance.Greedy, conformance.VariableRate}
 	for _, name := range sched.Names() {
@@ -30,11 +29,7 @@ func TestStateCodecMatchesEncodingJSON(t *testing.T) {
 				w := conformance.Random(rng, kinds[int(seed)%len(kinds)], 30)
 				plan := conformance.RandomFaultPlan(rng, conformance.ChaosHorizon(w))
 				mk := func() sched.Interface {
-					opts := []sched.Option{sched.WithAssumedCapacity(w.C), sched.WithQuantum(w.LmaxAll())}
-					if name == "priority" {
-						opts = append(opts, sched.WithLevels(sched.MustNew("sfq"), sched.MustNew("drr", sched.WithQuantum(w.LmaxAll()))))
-					}
-					return sched.MustNew(name, opts...)
+					return sched.MustNew(name, sched.WithAssumedCapacity(w.C), sched.WithQuantum(w.LmaxAll()))
 				}
 				snap, ok := mk().(sched.Snapshotter)
 				if _, tree := snap.(*hier.Tree); !ok || tree {

@@ -14,14 +14,6 @@ import (
 // writes the bytes AppendState must write, and json.Unmarshal decodes what
 // the codec must decode. Only tests import it.
 
-// priorityJSON is priorityState as encoding/json sees it: levels as raw
-// documents, not base64 strings.
-type priorityJSON struct {
-	Last   float64              `json:"last"`
-	Class  []priorityClassState `json:"class"`
-	Levels []json.RawMessage    `json:"levels"`
-}
-
 // stateJSON is encoding/json's rendering of the state s captures.
 func stateJSON(s Snapshotter) ([]byte, error) {
 	if e, ok := s.(EDD); ok {
@@ -34,23 +26,12 @@ func stateJSON(s Snapshotter) ([]byte, error) {
 		return json.Marshal(x.captureState())
 	case *FairAirport:
 		return json.Marshal(x.captureState())
-	case *Priority:
-		st := priorityJSON{Last: x.last, Class: x.captureClass()}
-		for _, lvl := range x.levels {
-			b, err := stateJSON(lvl.(Snapshotter))
-			if err != nil {
-				return nil, err
-			}
-			st.Levels = append(st.Levels, b)
-		}
-		return json.Marshal(st)
 	}
 	return nil, fmt.Errorf("no encoding/json reference for %T", s)
 }
 
 // decodeBoth decodes data as the state of s's type with the codec and
-// with encoding/json. A priority composition's levels come back as raw
-// documents from both.
+// with encoding/json.
 func decodeBoth(s Snapshotter, data []byte) (codec, std any, codecErr, stdErr error) {
 	switch s.(type) {
 	case *Ranked, EDD:
@@ -65,18 +46,6 @@ func decodeBoth(s Snapshotter, data []byte) (codec, std any, codecErr, stdErr er
 		var a, b faState
 		codecErr, stdErr = decodeState(data, &a, (*faState).codec), json.Unmarshal(data, &b)
 		return a, b, codecErr, stdErr
-	case *Priority:
-		var a priorityState
-		var b priorityJSON
-		codecErr, stdErr = decodeState(data, &a, (*priorityState).codec), json.Unmarshal(data, &b)
-		conv := priorityJSON{Last: a.Last, Class: a.Class}
-		if a.Levels != nil {
-			conv.Levels = []json.RawMessage{}
-		}
-		for _, l := range a.Levels {
-			conv.Levels = append(conv.Levels, l)
-		}
-		return conv, b, codecErr, stdErr
 	}
 	err := fmt.Errorf("no state codec for %T", s)
 	return nil, nil, err, err
@@ -157,8 +126,7 @@ func reverseMembers(data []byte) ([]byte, error) {
 
 // CheckStateDecode holds the decoding of data, a state of s's type, to
 // encoding/json: both accept it and decode the same state, and json.Marshal
-// of that state gives data back. The levels of a priority composition are
-// checked the same way, each as the state of its own scheduler.
+// of that state gives data back.
 func CheckStateDecode(s Snapshotter, data []byte) error {
 	codec, std, codecErr, stdErr := decodeBoth(s, data)
 	if codecErr != nil || stdErr != nil {
@@ -169,13 +137,6 @@ func CheckStateDecode(s Snapshotter, data []byte) error {
 	}
 	if again, err := json.Marshal(std); err != nil || !bytes.Equal(again, data) {
 		return fmt.Errorf("%s: encoding/json writes the decoded state back as\n%s (%v)", s.StateKind(), again, err)
-	}
-	if p, ok := s.(*Priority); ok {
-		for i, raw := range std.(priorityJSON).Levels {
-			if err := CheckStateDecode(p.levels[i].(Snapshotter), raw); err != nil {
-				return fmt.Errorf("level %d: %w", i, err)
-			}
-		}
 	}
 	return nil
 }
@@ -188,7 +149,6 @@ func stateDecodeTargets() []Snapshotter {
 		MustNew("wfq", WithAssumedCapacity(1e4)).(Snapshotter),
 		NewDRR(1),
 		NewFairAirport(),
-		MustNew("priority-scfq").(Snapshotter),
 	}
 }
 

@@ -1091,7 +1091,7 @@ func (c *Codec) StringOmit(key string, p *string) {
 
 // IntsOmit codes an array of integers, left out when empty.
 func (c *Codec) IntsOmit(key string, s *[]int) {
-	array(c, key, s, true, func(c *Codec, _ int, n *int) {
+	array(c, key, s, true, func(c *Codec, n *int) {
 		if c.reading {
 			*n = c.r.Int()
 		} else {
@@ -1121,19 +1121,6 @@ func (c *Codec) RawOmit(key string, raw *[]byte, write func([]byte) ([]byte, err
 	if c.reading || write != nil || len(*raw) != 0 {
 		c.Raw(key, raw, write)
 	}
-}
-
-// Raws codes an array of nested documents, one for each element of
-// *raws. Reading, each is a span of the input as Raw reads it; writing,
-// write(i, b) appends the i-th in place.
-func (c *Codec) Raws(key string, raws *[][]byte, write func(i int, b []byte) ([]byte, error)) {
-	array(c, key, raws, false, func(c *Codec, i int, raw *[]byte) {
-		if c.reading {
-			*raw = c.r.Raw()
-		} else {
-			c.w.raw(nil, func(b []byte) ([]byte, error) { return write(i, b) })
-		}
-	})
 }
 
 // Null reports whether key holds null, consuming it; writing, it reports
@@ -1190,13 +1177,13 @@ func Ptr[T any](c *Codec, key string, p **T, fn func(*T, *Codec)) {
 
 // Slice codes an array of structs, each visited by fn.
 func Slice[T any](c *Codec, key string, s *[]T, fn func(*T, *Codec)) {
-	array(c, key, s, false, func(c *Codec, _ int, v *T) { visit(c, v, fn) })
+	array(c, key, s, false, func(c *Codec, v *T) { visit(c, v, fn) })
 }
 
 // array codes *s under key, each element by elem; omit leaves an empty
 // slice out. A nil slice is written as null, as encoding/json writes it; an
 // empty array reads as an empty, non-nil slice, as encoding/json reads it.
-func array[T any](c *Codec, key string, s *[]T, omit bool, elem func(c *Codec, i int, v *T)) {
+func array[T any](c *Codec, key string, s *[]T, omit bool, elem func(c *Codec, v *T)) {
 	switch {
 	case !c.reading:
 		if omit && len(*s) == 0 {
@@ -1209,7 +1196,7 @@ func array[T any](c *Codec, key string, s *[]T, omit bool, elem func(c *Codec, i
 		}
 		c.w.BeginArray()
 		for i := range *s {
-			elem(c, i, &(*s)[i])
+			elem(c, &(*s)[i])
 		}
 		c.w.EndArray()
 	case c.at(key):
@@ -1217,7 +1204,7 @@ func array[T any](c *Codec, key string, s *[]T, omit bool, elem func(c *Codec, i
 		for c.r.element(len(out)) {
 			var zero T
 			out = append(out, zero)
-			elem(c, len(out)-1, &out[len(out)-1])
+			elem(c, &out[len(out)-1])
 		}
 		*s = out
 		c.next()
@@ -1228,5 +1215,5 @@ func array[T any](c *Codec, key string, s *[]T, omit bool, elem func(c *Codec, i
 
 // SliceOmit is Slice, left out when empty.
 func SliceOmit[T any](c *Codec, key string, s *[]T, fn func(*T, *Codec)) {
-	array(c, key, s, true, func(c *Codec, _ int, v *T) { visit(c, v, fn) })
+	array(c, key, s, true, func(c *Codec, v *T) { visit(c, v, fn) })
 }
