@@ -12,7 +12,8 @@ import (
 // TestStateCodecMatchesEncodingJSON holds the tree's state codec to
 // encoding/json on the mid-run states of the conformance workloads,
 // healthy and under chaos plans: a flat HSFQ, a structured HSFQ, and
-// grammar-built compositions with discipline nodes and sinks.
+// grammar-built compositions with discipline nodes and sinks, strict
+// priority among them.
 func TestStateCodecMatchesEncodingJSON(t *testing.T) {
 	deep := func() sched.Interface {
 		flow := func(f int) *hier.Spec { return &hier.Spec{IsFlow: true, Flow: f, Weight: float64(f)} }
@@ -28,7 +29,7 @@ func TestStateCodecMatchesEncodingJSON(t *testing.T) {
 		"hsfq": func() sched.Interface { return hsfq() },
 		"deep": deep,
 	}
-	for _, spec := range []string{"sfq(drr,edd)", "sfq(edd,scfq,drr,fifo)", "pifo-sfq(pifo-sfq,pifo-sfq)", "sfq(sfq(fifo,drr),edd)"} {
+	for _, spec := range []string{"sfq(drr,edd)", "sfq(edd,scfq,drr,fifo)", "pifo-sfq(pifo-sfq,pifo-sfq)", "sfq(sfq(fifo,drr),edd)", "priority(fifo,scfq)"} {
 		spec := spec
 		suts[spec] = func() sched.Interface { return mustTree(spec) }
 	}
