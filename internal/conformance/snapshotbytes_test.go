@@ -45,6 +45,13 @@ import (
 // flow 2 at the root) and composed-tree's (flows routed into edd, scfq,
 // drr and fifo sinks).
 //
+// "tree:hsfq" (the registry's bare "hsfq", every flow attached by AddFlow,
+// the shape a "core/hsfq" restore rebuilds), "hier:sfq(drr,edd)",
+// "hier:sfq(edd,scfq,drr,fifo)" and "hier:priority(fifo,scfq)" are the
+// script on the registry's trees, as recorded before the trees' SFQ
+// interiors and flow leaves moved onto the shared flow core: neither the
+// "core/hsfq" nor the "hier:<spec>" format may move.
+//
 // "parent:sched/priority(rank/scfq)" is the script (without re-weighting
 // and draining, which the composition did not offer) on "priority-scfq",
 // recorded on the commit before strict priority became a rank function at
@@ -139,7 +146,8 @@ func readSnapshotBytesGolden(t *testing.T) map[string]string {
 
 func TestSnapshotBytesMatchParent(t *testing.T) {
 	want := readSnapshotBytesGolden(t)
-	names := []string{"scfq", "pifo-sfq", "drr", "fairairport", "tree:example3", "tree:composed"}
+	names := []string{"scfq", "pifo-sfq", "drr", "fairairport", "tree:example3", "tree:composed",
+		"tree:hsfq", "hier:sfq(drr,edd)", "hier:sfq(edd,scfq,drr,fifo)", "hier:priority(fifo,scfq)"}
 	got := make(map[string]string, len(names))
 	for _, name := range names[:2] {
 		got[name] = string(scriptedState(t, sched.MustNew(name), true))
@@ -151,6 +159,10 @@ func TestSnapshotBytesMatchParent(t *testing.T) {
 			t.Errorf("%s: StateKind %q, want core/hsfq", name, kind)
 		}
 		got[name] = string(scriptedState(t, tree, true))
+	}
+	got["tree:hsfq"] = string(scriptedState(t, sched.MustNew("hsfq"), true))
+	for _, name := range names[7:] {
+		got[name] = string(scriptedState(t, sched.MustNew(name), true))
 	}
 	if os.Getenv("UPDATE_SNAPSHOT_BYTES") != "" {
 		for _, name := range names {
