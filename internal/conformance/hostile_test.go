@@ -46,7 +46,11 @@ func (b batcher) Enqueue(_ float64, p *sched.Packet) error {
 // ErrBadWeight and such lengths or costs with ErrBadPacket. NaN and +Inf are the two a bare `x <= 0` lets
 // through, and one such tag in a flow heap breaks the order for every flow
 // behind it. A refused registration registers nothing, a refused packet
-// queues nothing, and the next valid packet is accepted and served.
+// queues nothing, and the next valid packet is accepted and served. A
+// registered name that drains flows refuses such a packet of a draining
+// flow with ErrBadPacket too: the packet is checked before the flow's
+// state, as FlowTable.Lookup checks registration, then length, then
+// draining.
 func TestHostileNumbers(t *testing.T) {
 	runtime := func(t *testing.T) *rt.Runtime {
 		r, err := rt.New("sfq", sched.WithClock(&sched.ManualClock{}))
@@ -74,8 +78,10 @@ func TestHostileNumbers(t *testing.T) {
 			return submitter{r.AsScheduler(), a}
 		},
 	}
+	registered := make(map[string]bool)
 	for _, name := range sched.Names() {
 		targets[name] = func(t *testing.T) sched.Interface { return newRegistered(t, name) }
+		registered[name] = true
 	}
 	for name, mk := range targets {
 		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
@@ -106,6 +112,14 @@ func TestHostileNumbers(t *testing.T) {
 				}
 				if n := s.Len(); n != 1 {
 					t.Fatalf("Len = %d after one valid packet, want 1", n)
+				}
+				if rc, ok := s.(sched.Reconfigurable); ok && registered[name] {
+					if err := rc.DrainFlow(1); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Enqueue(3, &sched.Packet{Flow: 1, Length: x}); !errors.Is(err, sched.ErrBadPacket) {
+						t.Errorf("Enqueue(length %v) of a draining flow = %v, want ErrBadPacket", x, err)
+					}
 				}
 				p, ok := s.Dequeue(4)
 				if !ok || p.Flow != 1 || p.Length != 50 || !(p.VirtualFinish >= p.VirtualStart) {

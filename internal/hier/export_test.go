@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 
 	"repro/internal/liveops"
 	"repro/internal/sched"
@@ -65,31 +64,31 @@ func (st *nodeState) mirror() nodeJSON {
 // liveops.Snapshot, all of it written by encoding/json.
 func (h *Tree) captureJSON(c *node) (nodeJSON, error) {
 	st := nodeJSON{
-		Name: c.name, Weight: c.weight, Leaf: c.kind == kindLeafFlow, Flow: c.flow,
-		Active: c.active, CurStart: c.curStart, LastFinish: c.lastFinish, Serial: c.serial,
-		V: c.v, MaxFinish: c.maxFinish, SerialSrc: c.serialSrc,
+		Name: c.name, Weight: c.pf.Weight,
+		Active: c.pf.Len() > 0, CurStart: c.lp.VirtualStart, LastFinish: c.pf.LastFinish, Serial: uint64(c.lp.Seq),
 	}
 	switch c.kind {
 	case kindLeafFlow:
-		if c.queued() > 0 {
-			fifo := c.fifo.CaptureState()
-			fifo.Flow = c.flow
+		st.Leaf, st.Flow = true, c.rec.ID()
+		if c.rec.Len() > 0 {
+			fifo := c.rec.CaptureState()
 			st.Fifo = &fifo
 		}
 		return st, nil
-	case kindDisc, kindLeafDisc:
+	case kindSFQ:
+		st.V, st.MaxFinish, st.SerialSrc = c.q.V, c.q.MaxFinish, c.q.Serial
+	default:
 		env, err := liveops.Snapshot(c.disc.(sched.Snapshotter))
 		if err != nil {
 			return st, err
 		}
 		st.Disc, st.Env = c.discName, env
 		if c.kind == kindLeafDisc {
-			for f, leaf := range h.leaves {
-				if leaf == c {
-					st.Flows = append(st.Flows, f)
+			for _, fi := range h.ListFlows() {
+				if h.owner(fi.Flow) == c {
+					st.Flows = append(st.Flows, fi.Flow)
 				}
 			}
-			sort.Ints(st.Flows)
 			return st, nil
 		}
 	}
@@ -101,6 +100,26 @@ func (h *Tree) captureJSON(c *node) (nodeJSON, error) {
 		st.Children = append(st.Children, cs)
 	}
 	return st, nil
+}
+
+// CheckInteriors runs the flow heap's slot-key check (sched.FlowHeap's
+// CheckSlots) on every SFQ interior's pseudo-flow set in h.
+func CheckInteriors(h *Tree) error {
+	var check func(c *node) error
+	check = func(c *node) error {
+		if c.kind == kindSFQ {
+			if err := c.q.CheckSlots(); err != nil {
+				return fmt.Errorf("class %q: %w", c.name, err)
+			}
+		}
+		for _, ch := range c.children {
+			if err := check(ch); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return check(h.root)
 }
 
 // CheckStateCodec holds data, the AppendState bytes of h, to encoding/json
@@ -115,7 +134,7 @@ func CheckStateCodec(h *Tree, data []byte) error {
 	}
 	want, err := json.Marshal(treeJSON{
 		Last: h.last, Busy: h.busy, Total: h.total, Seq: h.seq,
-		Root: root, Draining: h.draining.Flows(),
+		Root: root, Draining: h.flows.Drains().Flows(),
 	})
 	if err != nil {
 		return err

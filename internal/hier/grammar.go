@@ -180,11 +180,11 @@ func (p *specParser) spec(depth int) (*Spec, error) {
 // kind, so its snapshots restore into a bare "hsfq".
 func Build(sp *Spec, cfg sched.Config) (*Tree, error) {
 	cfg.Tree = ""
-	t := &Tree{leaves: make(map[int]*node), kind: "core/hsfq", cfg: cfg, pure: true}
+	t := &Tree{spec: sp, kind: "core/hsfq", cfg: cfg, pure: true}
 	if sp.inGrammar() {
 		t.kind = "hier:" + sp.String()
 	}
-	root, err := t.add(nil, sp)
+	root, err := t.add(nil, sp, nil)
 	if err != nil {
 		return nil, err
 	}

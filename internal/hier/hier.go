@@ -1,44 +1,36 @@
-// Package hier is the generic hierarchical-composition layer: a tree of
-// scheduler nodes in which any registered discipline — a rank function or
-// not — can serve as an interior node (scheduling its children as
-// pseudo-flows, one pseudo-flow per child, weight = the child's configured
-// share) or as a leaf (scheduling real flows), with the inter-node
-// contract expressed entirely through sched.Interface.
+// Package hier is the scheduler-tree layer: a tree of nodes in which any
+// registered discipline can be an interior, scheduling its children as
+// pseudo-flows (one per child, weight = the child's share), or a leaf
+// scheduling real flows, the nodes talking through sched.Interface. It
+// generalizes the Section 3 hierarchical SFQ (the registry's "hsfq") to
+// compositions such as SFQ over DRR and EDD sinks, WiMAX-style service
+// classes or a tree of PIFOs (Sivaraman et al.). Every tree is one Spec,
+// written by hand or parsed from the grammar in grammar.go, and built by
+// Build. The node kinds:
 //
-// The layer generalizes the Section 3 hierarchical SFQ of the paper: the
-// registry's "hsfq" is the SFQ-of-SFQs instance of this tree (its node
-// kind below is kindSFQ, the native interior that reproduces eqs (4)–(5)
-// bit-identically to the pre-refactor implementation), while arbitrary
-// compositions — SFQ over DRR and EDD subtrees, WiMAX-style UGS/rtPS/
-// nrtPS/BE service classes, or a tree of PIFOs in the Sivaraman et al.
-// model — are built from the same Tree machinery. Every tree is
-// described by one Spec, written by hand or parsed from the grammar in
-// grammar.go, and built by Build.
+//   - kindSFQ, the native Section 3 interior: a sched.HeadSFQ over its
+//     children as pseudo-flows, each child's record and logical packet
+//     kept in the child. The logical packet is ranked by its start tag
+//     when it becomes the child's head (eq 4), its finish tag comes from
+//     the length transmitted (eq 5), and v jumps to the max finish tag
+//     when the node's busy period ends.
+//   - kindDisc: an interior run by any discipline. Every real packet
+//     arriving in the subtree pushes one pseudo-packet (Flow = child
+//     index, Length = real length) at arrival, and a dequeue pops one to
+//     pick the child, so the pseudo backlog per child equals its subtree's
+//     packet count and the discipline's properties hold for the children
+//     as flows. (Rank functions here are the tree-of-PIFOs model: ranks
+//     computed at arrival, per level.)
+//   - kindLeafFlow: one real flow, whose record in the tree's
+//     sched.FlowTable holds its FIFO (the classic HSFQ leaf).
+//   - kindLeafDisc: a sink, a discipline scheduling real flows.
 //
-// Node kinds and their scheduling contract:
-//
-//   - kindSFQ: the native SFQ interior of Section 3. Start/finish tags
-//     for child logical packets follow eqs (4)–(5), the finish tag is
-//     computed at dequeue time with the actually transmitted length, and
-//     the node's virtual time jumps to its max finish tag when its busy
-//     period ends. No per-packet state is kept: a child's position in the
-//     parent's heap is derived from its subtree head.
-//   - kindDisc: an interior scheduled by an arbitrary discipline. Every
-//     real packet arriving in the subtree pushes one pseudo-packet
-//     (Flow = child index, Length = real length) on the node's
-//     discipline at arrival time; a dequeue pops the discipline to pick
-//     the child and recurses. The pseudo backlog per child always equals
-//     the child subtree's real packet count, so the discipline's own
-//     work-conservation and fairness properties apply to the children as
-//     if they were flows. (Rank-function disciplines at such nodes are
-//     exactly the tree-of-PIFOs model: ranks are computed at arrival,
-//     per level.)
-//   - kindLeafFlow: one real flow's packet FIFO (the classic HSFQ leaf).
-//   - kindLeafDisc: a leaf discipline scheduling real flows directly —
-//     the sink nodes real traffic is routed into in composed trees.
+// Every attached flow is a record in that one table, whose Class names the
+// flow's leaf or sink: an Enqueue costs one lookup, a Dequeue none.
 package hier
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -64,23 +56,22 @@ const (
 // Snapshotter).
 type Tree struct {
 	root   *node
-	leaves map[int]*node // flow id -> leaf node (flow leaf or disc sink)
+	flows  sched.FlowTable // every attached flow; a flow leaf's record holds its FIFO
+	owners []*node         // by Flow.Class: the flow leaves and sinks
+	free   []int32         // owner slots of removed flow leaves
+	chunks sched.ChunkPool // the flow leaves' FIFOs
+	seq    uint64          // leaf FIFO push serial (assert bookkeeping only)
 	total  int
 	last   float64
 	busy   bool // a packet is in service at the link
-	chunks sched.ChunkPool
-	seq    uint64 // leaf FIFO push serial (assert bookkeeping only)
 
-	draining sched.DrainSet
+	spec *Spec        // what Build built; a restore builds it again
+	kind string       // the StateKind (see Build)
+	cfg  sched.Config // what node disciplines are built with
 
-	// kind is the StateKind this tree reports (see Build); cfg is what
-	// its node disciplines are built with, again at snapshot restore.
-	kind string
-	cfg  sched.Config
-
-	// pure is true while the tree contains no kindDisc interior, so the
-	// legacy early-stop activation walk is exact (an active node implies
-	// every ancestor already knows about pending work).
+	// pure is true while the tree has no kindDisc interior, so an
+	// Enqueue's walk may stop at the first active node: every ancestor
+	// already knows about pending work.
 	pure bool
 
 	// sinks are the kindLeafDisc nodes in build order; when present,
@@ -88,44 +79,32 @@ type Tree struct {
 	// attaching leaves under the root.
 	sinks []*node
 
-	// freePseudo recycles pseudo-packets popped from pool-safe interior
+	// pseudo recycles pseudo-packets popped from pool-safe interior
 	// disciplines, keeping the steady-state hot path allocation-free.
-	freePseudo []*Packet
+	pseudo sched.PacketPool
 }
 
-// node is one class in the link-sharing tree. Interior nodes aggregate
-// subclasses; leaf nodes hold real traffic.
+// node is one class in the link-sharing tree.
 type node struct {
-	name   string
-	weight float64
-	parent *node
-	idx    int // position among siblings = pseudo-flow id at a disc parent
-	kind   nodeKind
-	flow   int // valid when kindLeafFlow
+	name     string
+	parent   *node
+	children []*node
+	idx      int // position among siblings = pseudo-flow id at a disc parent
+	kind     nodeKind
+	slot     int32 // a flow leaf's or sink's index in Tree.owners
 
-	// State as a child of a kindSFQ parent.
-	active     bool
-	curStart   float64 // start tag of the head logical packet, valid when active
-	lastFinish float64 // finish tag of the last logical packet scheduled at the parent
-	heapIdx    int
-	serial     uint64
+	// pf is the node's pseudo-flow record at an SFQ parent and lp its
+	// logical packet there (lp.Payload is the node; its VirtualStart and
+	// Seq are its start tag and serial). pf.Weight is the node's weight
+	// whatever its parent.
+	pf sched.Flow
+	lp Packet
 
-	// State as a kindSFQ interior (SFQ over children).
-	children  []*node
-	childHeap childHeap
-	v         float64
-	maxFinish float64
-	serialSrc uint64
+	q   *sched.HeadSFQ // kindSFQ: SFQ over the children
+	rec *sched.Flow    // kindLeafFlow: the flow's record
 
-	// State as a kindLeafFlow: the flow's packet FIFO, chunked over the
-	// tree's shared pool. Leaf order is pure FIFO, so the FlowQ keys are
-	// just the tree-wide push serial (which also keeps the schedassert
-	// monotonicity check meaningful).
-	fifo sched.FlowQ
-
-	// State as a discipline-backed node (kindDisc, kindLeafDisc): the
-	// discipline instance, its registry name, and whether pseudo-packets
-	// popped from it may be recycled (kindDisc only).
+	// kindDisc and kindLeafDisc: the discipline, its registry name, and
+	// whether pseudo-packets it pops may be recycled (kindDisc only).
 	disc     sched.Interface
 	discName string
 	poolOK   bool
@@ -137,7 +116,7 @@ type node struct {
 // when it has one.
 func (h *Tree) V() float64 {
 	if h.root.kind == kindSFQ {
-		return h.root.v
+		return h.root.q.V
 	}
 	if vt, ok := h.root.disc.(sched.VirtualTimer); ok {
 		return vt.V()
@@ -149,96 +128,148 @@ func (h *Tree) V() float64 {
 // > 0 (NaN and +Inf pass `x <= 0`).
 func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
-// add makes sp's node under parent (nil: sp is the root), then its
-// children in order. It is the one node constructor: Build calls it for a
-// whole spec and AddFlow for one flow leaf. A flow leaf under a sink is
+// add makes sp's node under parent (nil: the root), then its children. It
+// is the one node constructor: Build calls it for a whole spec, AddFlow
+// for one flow leaf, and RestoreState with st, the node's snapshot state,
+// which it loads into the node (see load). A flow leaf under a sink is
 // routed into the sink's discipline and returns the sink. A discipline
-// interior parent is told about its new pseudo-flow at once, so the child
-// is schedulable the moment it exists.
-func (h *Tree) add(parent *node, sp *Spec) (*node, error) {
-	if parent == nil && sp.IsFlow {
-		return nil, fmt.Errorf("hier: the root cannot be flow %d", sp.Flow)
-	}
-	c := &node{name: sp.Class, weight: sp.Weight, parent: parent, kind: sp.kind(), heapIdx: -1}
+// interior parent learns of its new pseudo-flow at once, so the child is
+// schedulable the moment it exists.
+func (h *Tree) add(parent *node, sp *Spec, st *nodeState) (*node, error) {
+	c := &node{name: sp.Class, parent: parent, kind: sp.kind()}
+	c.pf.Weight, c.lp.Payload = sp.Weight, c
 	switch {
+	case sp.IsFlow && parent == nil:
+		return nil, fmt.Errorf("hier: the root cannot be flow %d", sp.Flow)
 	case sp.IsFlow:
-		c.name, c.flow = fmt.Sprintf("flow-%d", sp.Flow), sp.Flow
+		c.name = fmt.Sprintf("flow-%d", sp.Flow)
 	case parent == nil:
-		c.weight = 1
-		if c.name == "" {
-			c.name = "root"
-		}
+		c.name, c.pf.Weight = cmp.Or(c.name, "root"), 1
 	case c.name == "":
 		c.name = fmt.Sprintf("%s.%d", parent.name, len(parent.children))
 	}
-	what := func() string { // for error messages only
-		if sp.IsFlow {
-			return fmt.Sprintf("flow %d", sp.Flow)
-		}
-		return fmt.Sprintf("class %q", c.name)
-	}
-	if !positive(c.weight) {
-		return nil, fmt.Errorf("%w: %s weight %v", sched.ErrBadWeight, what(), c.weight)
-	}
-	if parent != nil {
-		c.idx = len(parent.children)
-		if parent.kind == kindDisc && sp.IsFlow {
-			// A discipline interior schedules its child classes, not
-			// flows: real traffic belongs in a sink or an SFQ class.
-			return nil, fmt.Errorf("hier: interior %q cannot hold %s", parent.name, what())
-		}
-	}
+	what := fmt.Sprintf("class %q", c.name) // for error messages only
 	if sp.IsFlow {
-		switch {
-		case sp.Name != "" || len(sp.Children) > 0:
-			return nil, fmt.Errorf("hier: %s cannot carry a discipline or children", what())
-		case h.leaves[sp.Flow] != nil:
-			return nil, fmt.Errorf("hier: flow %d already attached", sp.Flow)
-		case h.draining.Draining(sp.Flow):
-			return nil, fmt.Errorf("%w: %d", sched.ErrFlowDraining, sp.Flow)
+		what = fmt.Sprintf("flow %d", sp.Flow)
+	}
+	if st != nil {
+		if err := c.load(st); err != nil {
+			return nil, err
 		}
-		if parent.kind == kindLeafDisc {
-			if err := parent.disc.AddFlow(sp.Flow, c.weight); err != nil {
+	}
+	switch {
+	case !positive(c.pf.Weight):
+		return nil, fmt.Errorf("%w: %s weight %v", sched.ErrBadWeight, what, c.pf.Weight)
+	case sp.IsFlow && parent.kind == kindDisc:
+		// A discipline interior schedules classes: flows go in a sink or
+		// an SFQ class.
+		return nil, fmt.Errorf("hier: interior %q cannot hold %s", parent.name, what)
+	case sp.IsFlow && (sp.Name != "" || len(sp.Children) > 0):
+		return nil, fmt.Errorf("hier: %s cannot carry a discipline or children", what)
+	case sp.IsFlow && parent.kind == kindLeafDisc:
+		if err := parent.disc.AddFlow(sp.Flow, c.pf.Weight); err != nil {
+			return nil, err
+		}
+		_, err := h.attach(sp.Flow, c.pf.Weight, parent)
+		return parent, err
+	case sp.IsFlow:
+		var err error
+		if c.rec, err = h.attach(sp.Flow, c.pf.Weight, h.own(c)); err != nil {
+			return nil, err
+		}
+		if st != nil {
+			if err := h.loadQueue(c, st); err != nil {
 				return nil, err
 			}
-			h.leaves[sp.Flow] = parent
-			return parent, nil
 		}
-		h.leaves[sp.Flow] = c
-	} else if c.kind != kindSFQ {
+	case c.kind == kindSFQ:
+		c.q = new(sched.HeadSFQ)
+		if st != nil {
+			c.q.V, c.q.MaxFinish, c.q.Serial = st.V, st.MaxFinish, st.SerialSrc
+		}
+	default:
 		var err error
 		if c.disc, err = sched.NewDiscipline(sp.Name, h.cfg); err != nil {
 			return nil, err
 		}
 		c.discName = sp.Name
+		if st != nil {
+			if err := h.loadQueue(c, st); err != nil {
+				return nil, err
+			}
+		}
 		if c.kind == kindDisc {
-			c.poolOK = sched.PoolSafeScheduler(c.disc)
-			h.pure = false
+			c.poolOK, h.pure = sched.PoolSafeScheduler(c.disc), false
 		} else {
-			h.sinks = append(h.sinks, c)
+			h.sinks = append(h.sinks, h.own(c))
 		}
 	}
 	if parent != nil {
-		if parent.kind == kindDisc {
-			if err := parent.disc.AddFlow(c.idx, c.weight); err != nil {
+		c.idx = len(parent.children)
+		if parent.kind == kindDisc && st == nil {
+			if err := parent.disc.AddFlow(c.idx, c.pf.Weight); err != nil {
 				return nil, err
 			}
 		}
 		parent.children = append(parent.children, c)
 	}
-	for _, cs := range sp.Children {
-		if _, err := h.add(c, cs); err != nil {
+	if st != nil && len(st.Children) < len(sp.Children) {
+		return nil, badState("class %q has %d children in state, tree has %d", st.Name, len(st.Children), len(sp.Children))
+	}
+	for i, cs := range sp.Children {
+		var cst *nodeState
+		if st != nil {
+			cst = &st.Children[i]
+		}
+		if _, err := h.add(c, cs, cst); err != nil {
 			return nil, err
 		}
 	}
+	if st != nil {
+		return c, h.loadChildren(c, len(sp.Children), st)
+	}
 	return c, nil
+}
+
+// own gives a flow leaf or a sink its slot in h.owners, and returns it.
+func (h *Tree) own(c *node) *node {
+	if n := len(h.free); n > 0 {
+		c.slot, h.free = h.free[n-1], h.free[:n-1]
+		h.owners[c.slot] = c
+		return c
+	}
+	c.slot = int32(len(h.owners))
+	h.owners = append(h.owners, c)
+	return c
+}
+
+// attach registers flow in the tree's table, held by owner: its flow leaf,
+// or the sink it is routed into.
+func (h *Tree) attach(flow int, weight float64, owner *node) (*sched.Flow, error) {
+	if h.owner(flow) != nil {
+		return nil, fmt.Errorf("hier: flow %d already attached", flow)
+	}
+	if err := h.flows.Add(flow, weight); err != nil {
+		return nil, err
+	}
+	rec := h.flows.Registered(flow)
+	rec.Class = owner.slot
+	return rec, nil
+}
+
+// owner returns the flow leaf or sink holding flow, or nil.
+func (h *Tree) owner(flow int) *node {
+	if rec := h.flows.Get(flow); rec != nil {
+		return h.owners[rec.Class]
+	}
+	return nil
 }
 
 // Sink returns the discipline of the sink class flow is routed into, or
 // nil for a flow with a leaf of its own or none. It reaches what a weight
 // cannot carry, e.g. EDD's AddFlowDeadline.
 func (h *Tree) Sink(flow int) sched.Interface {
-	if c := h.leaves[flow]; c != nil && c.kind == kindLeafDisc {
+	if c := h.owner(flow); c != nil && c.kind == kindLeafDisc {
 		return c.disc
 	}
 	return nil
@@ -250,7 +281,7 @@ func (h *Tree) Sink(flow int) sched.Interface {
 // through the owning sink's discipline, or as SetWeight on a flow leaf —
 // keeping the runtime's re-registration semantics.
 func (h *Tree) AddFlow(flow int, weight float64) error {
-	if c, ok := h.leaves[flow]; ok {
+	if c := h.owner(flow); c != nil {
 		if c.kind == kindLeafDisc {
 			return c.disc.AddFlow(flow, weight)
 		}
@@ -260,28 +291,27 @@ func (h *Tree) AddFlow(flow int, weight float64) error {
 	if n := len(h.sinks); n > 0 {
 		parent = h.sinks[((flow%n)+n)%n]
 	}
-	_, err := h.add(parent, &Spec{IsFlow: true, Flow: flow, Weight: weight})
+	_, err := h.add(parent, &Spec{IsFlow: true, Flow: flow, Weight: weight}, nil)
 	return err
 }
 
-// RemoveFlow detaches an idle flow.
+// RemoveFlow detaches an idle flow: its record, and its leaf or the
+// routing into its sink (the sink class stays).
 func (h *Tree) RemoveFlow(flow int) error {
-	c, ok := h.leaves[flow]
-	if !ok {
+	c := h.owner(flow)
+	switch {
+	case c == nil:
 		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, flow)
-	}
-	if c.kind == kindLeafDisc {
-		// Discipline-backed class: detach the routing; the class stays.
+	case c.kind == kindLeafDisc:
 		if err := c.disc.RemoveFlow(flow); err != nil {
 			return err
 		}
-		delete(h.leaves, flow)
-		return nil
-	}
-	if c.active || c.queued() > 0 {
-		return fmt.Errorf("%w: %d", sched.ErrFlowBusy, flow)
+		return h.flows.Remove(flow)
 	}
 	// An idle leaf's FIFO holds no chunk: nothing goes back to the pool.
+	if err := h.flows.Remove(flow); err != nil {
+		return err
+	}
 	p := c.parent
 	for i, ch := range p.children {
 		if ch == c {
@@ -289,84 +319,61 @@ func (h *Tree) RemoveFlow(flow int) error {
 			break
 		}
 	}
-	delete(h.leaves, flow)
+	h.owners[c.slot] = nil
+	h.free = append(h.free, c.slot)
 	return nil
 }
 
-func (c *node) queued() int { return c.fifo.Len() }
-
-// Enqueue adds p to its flow's leaf and walks the path to the root: at
-// each native SFQ edge the child is activated if needed (assigning start
-// tags per eq 4), and at each discipline-interior edge a pseudo-packet
-// for the child is pushed so the interior discipline sees the arrival.
+// Enqueue adds p to its flow's leaf or sink and walks the path to the
+// root: at each native SFQ edge the child is activated if needed (its
+// logical packet ranked per eq 4), and at each discipline-interior edge a
+// pseudo-packet for the child is pushed so the interior sees the arrival.
 func (h *Tree) Enqueue(now float64, p *Packet) error {
 	if now < h.last {
 		return sched.ErrTimeWentBack
 	}
 	h.last = now
-	leaf, ok := h.leaves[p.Flow]
-	if !ok {
-		return fmt.Errorf("%w: %d", sched.ErrUnknownFlow, p.Flow)
+	rec, err := h.flows.Lookup(p)
+	if err != nil {
+		return err
 	}
-	if !h.draining.Empty() && h.draining.Draining(p.Flow) {
-		return fmt.Errorf("%w: %d", sched.ErrFlowDraining, p.Flow)
-	}
-	if !positive(p.Length) {
-		return fmt.Errorf("%w: flow %d length %v", sched.ErrBadPacket, p.Flow, p.Length)
-	}
-	switch leaf.kind {
-	case kindLeafDisc:
+	leaf := h.owners[rec.Class]
+	if leaf.kind == kindLeafDisc {
 		if err := leaf.disc.Enqueue(now, p); err != nil {
 			return err
 		}
-	default:
+	} else {
 		h.seq++
-		leaf.fifo.Push(&h.chunks, 0, 0, h.seq, p)
+		rec.FlowQ.Push(&h.chunks, 0, 0, h.seq, p)
 	}
 	h.total++
-
-	// Walk to the root. At SFQ edges, activate inactive children — once a
-	// node is active its SFQ ancestors are necessarily aware of pending
-	// work, so a pure tree stops at the first active node (the legacy
-	// fast path). Discipline interiors have no activation state: they see
-	// every arrival as a pseudo-packet, so the walk must keep climbing
-	// past active nodes when such interiors may sit above.
 	for c := leaf; c.parent != nil; c = c.parent {
 		par := c.parent
-		if par.kind == kindDisc {
-			lp := h.getPseudo()
-			lp.Flow = c.idx
-			lp.Length = p.Length
-			lp.Arrival = now
+		switch {
+		case par.kind == kindDisc:
+			lp := h.pseudo.Get()
+			lp.Flow, lp.Length, lp.Arrival = c.idx, p.Length, now
 			if err := par.disc.Enqueue(now, lp); err != nil {
 				panic(fmt.Sprintf("hier: interior %q rejected pseudo-packet: %v", par.name, err))
 			}
-			continue
+		case c.pf.Len() == 0:
+			par.q.Activate(&c.pf, &c.lp)
+		case h.pure:
+			return nil
 		}
-		if c.active {
-			if h.pure {
-				break
-			}
-			continue
-		}
-		c.curStart = math.Max(par.v, c.lastFinish)
-		c.active = true
-		par.serialSrc++
-		c.serial = par.serialSrc
-		par.childHeap.push(c)
 	}
 	return nil
 }
 
 // Dequeue recursively selects the next packet from the root: native SFQ
-// interiors pick the minimum-start-tag child and update tags level by
-// level (eq 5 with the transmitted packet's length), discipline interiors
-// pop their own queue to pick the child. A Dequeue that finds the tree
-// empty marks the end of the root's busy period: only then does the
-// root's virtual time jump (step 2 of the algorithm) — the packet most
-// recently handed out is still in service until the caller asks for the
-// next one, exactly as in SFQ, so a flat tree is packet-for-packet
-// identical to the SFQ scheduler.
+// interiors serve their least-start-tag child and re-key it level by level
+// (eq 5 with the transmitted packet's length), discipline interiors pop
+// their own queue to pick the child. A Dequeue that finds the tree empty
+// marks the end of the root's busy period: only then does the root's
+// virtual time jump (step 2 of the algorithm) — the packet most recently
+// handed out is still in service until the caller asks for the next one,
+// exactly as in SFQ, so a flat tree is packet-for-packet identical to the
+// SFQ scheduler.
 func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 	if now > h.last {
 		h.last = now
@@ -376,40 +383,33 @@ func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 			h.busy = false
 			h.idleNode(h.root, now)
 		}
-		if !h.draining.Empty() {
-			h.finalizeDrains()
-		}
+		h.finalizeDrains()
 		return nil, false
 	}
 	h.busy = true
 	p := h.serve(h.root, now)
 	h.total--
-	if !h.draining.Empty() {
-		h.finalizeDrains()
-	}
+	h.finalizeDrains()
 	return p, true
 }
 
-// hasContent reports whether the node's subtree holds any packet. For a
-// sink the discipline's own length answers; a discipline
-// interior's pseudo backlog equals its subtree's packet count by
-// construction.
+// hasContent reports whether the node's subtree holds any packet. A
+// discipline interior's pseudo backlog equals its subtree's packet count.
 func (c *node) hasContent() bool {
 	switch c.kind {
 	case kindLeafFlow:
-		return c.queued() > 0
+		return c.rec.Len() > 0
 	case kindSFQ:
-		return c.childHeap.Len() > 0
-	default:
-		return c.disc.Len() > 0
+		return c.q.Len() > 0
 	}
+	return c.disc.Len() > 0
 }
 
 // serve pops the next packet from n's subtree. n must have content.
 func (h *Tree) serve(n *node, now float64) *Packet {
 	switch n.kind {
 	case kindLeafFlow:
-		return n.fifo.Pop(&h.chunks)
+		return n.rec.Pop(&h.chunks)
 	case kindLeafDisc:
 		p, ok := n.disc.Dequeue(now)
 		if !ok {
@@ -422,33 +422,23 @@ func (h *Tree) serve(n *node, now float64) *Packet {
 			panic(fmt.Sprintf("hier: interior %q has content but no pseudo-packet", n.name))
 		}
 		c := n.children[lp.Flow]
-		h.putPseudo(n, lp)
+		if n.poolOK {
+			h.pseudo.Put(lp)
+		}
 		p := h.serve(c, now)
 		if !c.hasContent() {
 			h.idleNode(c, now)
 		}
 		return p
 	}
-
-	// kindSFQ: the Section 3 interior, verbatim from the hand-written
-	// HSFQ. v(t) at this node is the start tag of the child logical
-	// packet in service (step 2 applied to the virtual server).
-	c := n.childHeap.min()
-	n.v = c.curStart
+	// kindSFQ: v is the start tag of the child logical packet in service
+	// (step 2 applied to the virtual server); its finish tag needs the
+	// length sent.
+	c := n.q.Head().Payload.(*node)
 	p := h.serve(c, now)
-	finish := c.curStart + p.Length/c.weight
-	c.lastFinish = finish
-	if finish > n.maxFinish {
-		n.maxFinish = finish
-	}
-	if c.hasContent() {
-		// The child stays backlogged: chain the next logical packet.
-		// max(v, lastFinish) == lastFinish since v == curStart < finish.
-		c.curStart = finish
-		n.childHeap.fix(c)
-	} else {
-		n.childHeap.remove(c)
-		c.active = false
+	more := c.hasContent()
+	n.q.Served(&c.pf, &c.lp, p.Length, more)
+	if !more {
 		h.idleNode(c, now)
 	}
 	return p
@@ -463,54 +453,28 @@ func (h *Tree) serve(n *node, now float64) *Packet {
 func (h *Tree) idleNode(c *node, now float64) {
 	switch c.kind {
 	case kindSFQ:
-		c.v = c.maxFinish
+		c.q.Idle()
 	case kindDisc, kindLeafDisc:
 		c.disc.Dequeue(now)
-	}
-}
-
-// getPseudo takes a pseudo-packet from the free list or allocates one.
-func (h *Tree) getPseudo() *Packet {
-	if n := len(h.freePseudo); n > 0 {
-		p := h.freePseudo[n-1]
-		h.freePseudo[n-1] = nil
-		h.freePseudo = h.freePseudo[:n-1]
-		return p
-	}
-	return &Packet{}
-}
-
-// putPseudo recycles a pseudo-packet popped from n's discipline, when the
-// discipline declares dequeued packets unreferenced (sched.PoolSafe).
-func (h *Tree) putPseudo(n *node, p *Packet) {
-	if n.poolOK {
-		*p = Packet{}
-		h.freePseudo = append(h.freePseudo, p)
 	}
 }
 
 // Len returns the number of queued packets across the whole tree.
 func (h *Tree) Len() int { return h.total }
 
-// QueuedBytes returns the bytes queued for flow: its leaf's own count —
-// the FIFO's, exactly zero when drained, or the sink discipline's.
+// QueuedBytes returns the bytes queued for flow: its leaf FIFO's count,
+// exactly zero when drained, or its sink discipline's.
 func (h *Tree) QueuedBytes(flow int) float64 {
-	switch leaf := h.leaves[flow]; {
-	case leaf == nil:
-		return 0
-	case leaf.kind == kindLeafDisc:
-		return leaf.disc.QueuedBytes(flow)
-	default:
-		return leaf.fifo.QueuedBytes()
+	if c := h.owner(flow); c != nil && c.kind == kindLeafDisc {
+		return c.disc.QueuedBytes(flow)
 	}
+	return h.flows.QueuedBytes(flow)
 }
 
 // PacketPoolSafe reports whether the tree retains no dequeued packets:
-// true unless some sink class wraps a scheduler that is
-// itself unsafe. Composite safety reflects the classes registered so far,
-// so sample it after the tree is fully built. (Discipline interiors hold
-// only pseudo-packets, which never leave the tree, so they cannot affect
-// safety.)
+// true unless some sink wraps a scheduler that is itself unsafe. It
+// reflects the sinks built so far. (Discipline interiors hold only
+// pseudo-packets, which never leave the tree.)
 func (h *Tree) PacketPoolSafe() bool {
 	for _, c := range h.sinks {
 		if !sched.PoolSafeScheduler(c.disc) {
@@ -518,90 +482,4 @@ func (h *Tree) PacketPoolSafe() bool {
 		}
 	}
 	return true
-}
-
-// childHeap is a hand-rolled indexed min-heap of active children ordered
-// by (curStart, serial) — start tag with FIFO tie-breaking on the parent's
-// activation serial, which is unique per parent, so the minimum is a
-// strict total order and the heap layout cannot affect the schedule. Its
-// sifts move a hole rather than swapping.
-type childHeap struct{ cs []*node }
-
-func (ch *childHeap) Len() int { return len(ch.cs) }
-
-func childLess(a, b *node) bool {
-	if a.curStart != b.curStart {
-		return a.curStart < b.curStart
-	}
-	return a.serial < b.serial
-}
-
-func (ch *childHeap) push(c *node) {
-	ch.cs = append(ch.cs, c)
-	ch.siftUp(len(ch.cs)-1, c)
-}
-
-func (ch *childHeap) min() *node { return ch.cs[0] }
-
-func (ch *childHeap) fix(c *node) {
-	i := c.heapIdx
-	if i > 0 && childLess(c, ch.cs[(i-1)/2]) {
-		ch.siftUp(i, c)
-		return
-	}
-	ch.siftDown(i, c)
-}
-
-func (ch *childHeap) remove(c *node) {
-	i := c.heapIdx
-	c.heapIdx = -1
-	n := len(ch.cs)
-	last := ch.cs[n-1]
-	ch.cs[n-1] = nil
-	ch.cs = ch.cs[:n-1]
-	if i == n-1 {
-		return
-	}
-	if i > 0 && childLess(last, ch.cs[(i-1)/2]) {
-		ch.siftUp(i, last)
-		return
-	}
-	ch.siftDown(i, last)
-}
-
-func (ch *childHeap) siftUp(i int, c *node) {
-	cs := ch.cs
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !childLess(c, cs[parent]) {
-			break
-		}
-		cs[i] = cs[parent]
-		cs[i].heapIdx = i
-		i = parent
-	}
-	cs[i] = c
-	c.heapIdx = i
-}
-
-func (ch *childHeap) siftDown(i int, c *node) {
-	cs := ch.cs
-	n := len(cs)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && childLess(cs[r], cs[child]) {
-			child = r
-		}
-		if !childLess(cs[child], c) {
-			break
-		}
-		cs[i] = cs[child]
-		cs[i].heapIdx = i
-		i = child
-	}
-	cs[i] = c
-	c.heapIdx = i
 }

@@ -122,6 +122,11 @@ type Flow struct {
 	FlowQ
 	heapOrd int32 // member ordinal in the owning FlowHeap; 0 when not backlogged
 
+	// Class is the table owner's to use: a scheduler tree (internal/hier)
+	// keeps there the slot of the class holding the flow. It fills the
+	// word after heapOrd.
+	Class int32
+
 	// Weight is the registered weight (bytes/second); 0 while the flow is
 	// not registered (a FlowSet makes records for flows pushed by id).
 	Weight float64
@@ -229,6 +234,11 @@ func (t *FlowTable) Remove(flow int) error {
 	t.flows.del(flow)
 	return nil
 }
+
+// Drains returns the flows DrainFlow marked, for an owner that decides
+// itself when a flow is idle: a scheduler tree, whose flows may queue in
+// another discipline.
+func (t *FlowTable) Drains() *DrainSet { return &t.draining }
 
 // Lookup validates p against the registry — registered flow, finite
 // positive length, not draining — and returns its flow's record: the one

@@ -70,6 +70,7 @@ var keptUnlinked = map[string]string{
 	"repro/internal/stats.TimeSeries.Points":         "the monitor's reference tests compare service curves through it",
 	"repro/internal/sched.FlowHeap.CheckSlots":       "invariant checker for the fuzzers",
 	"repro/internal/sched.FlowSet.CheckSlots":        "invariant checker for the fuzzers",
+	"repro/internal/sched.HeadSFQ.CheckSlots":        "invariant checker for the fuzzers",
 	"repro/internal/sched.PIFO.CheckSlots":           "invariant checker for the fuzzers",
 
 	// The paper's definitions and bounds that tests of other packages use
