@@ -2,6 +2,7 @@ package hier
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,83 +17,57 @@ import (
 //	name   := [a-z0-9_+-]+        (a registered discipline name)
 //	weight := positive decimal     (default 1)
 //
-// A node with children is an interior — "sfq" natively (the Section 3
-// algebra, no pseudo-packet layer), any other name as a discipline
-// interior scheduling its children as pseudo-flows. A childless node is a
-// sink: a leaf discipline scheduling real flows, which AddFlow routes
-// across sinks by flow id. Examples:
+// A node with children is an interior, "sfq" natively and any other
+// name as a discipline interior; a childless node is a sink, across which
+// AddFlow routes flows by id. Examples:
 //
 //	sfq(drr,edd)                   SFQ root over a DRR sink and an EDD sink
 //	sfq(edd*4,scfq*3,drr*2,fifo)   WiMAX-style UGS/rtPS/nrtPS/BE classes
-//	pifo-sfq(pifo-sfq,pifo-sfq)    a tree of PIFOs, rank functions at
-//	                               every node (arrival-computed ranks)
-//	priority(fifo,scfq)            strict priority: the FIFO sink's
-//	                               flows first, then the SCFQ sink's
-//
-// The registry resolves the whole family through sched.RegisterFallback:
-// "hier:<spec>" carries the spec in the name, and the bare name "hier"
-// reads it from Config.Tree (sched.WithTree). A few canonical
-// compositions are additionally registered by name so they enumerate in
-// sched.Names() and the conformance matrix.
+//	pifo-sfq(pifo-sfq,pifo-sfq)    a tree of PIFOs, ranks computed at arrival
+//	priority(fifo,scfq)            the FIFO sink's flows before the SCFQ sink's
 
-// Grammar guard rails: composed names are user input (CLI flags, configs),
-// so cap the tree size well past any sane composition.
+// Composed names are user input (CLI flags, configs): cap the tree size
+// well past any sane composition.
 const (
 	maxSpecNodes = 64
 	maxSpecDepth = 8
 )
 
-// Spec describes one node of a scheduler tree, and through Children the
-// whole tree: it is the one tree description, and Build the one builder.
-// The grammar writes Name, Weight and Children; Class and flow leaves are
-// API fields it cannot write.
-//
-// A node with class children is an interior: "sfq" natively, any other
-// name as a discipline interior. A node whose children are all flow
-// leaves is a native SFQ interior when its name is "sfq", and a sink
-// otherwise, its flows routed into the sink's discipline. A childless
-// node is a sink too, except a named "sfq" class, which is an SFQ
-// interior waiting for flows (the Section 3 scheduler's root).
+// Spec describes a tree node, and through Children the whole tree: the
+// one tree description, and Build the one builder. The grammar writes
+// Name, Weight and Children. A node with class children is an interior:
+// "sfq" natively, any other name a discipline interior. A node whose
+// children are all flow leaves is an SFQ interior when named "sfq", else
+// a sink holding those flows. A childless node is a sink too, except an
+// "sfq" with a Class, an SFQ interior waiting for flows (hsfq's root).
 type Spec struct {
 	Name     string
 	Weight   float64
 	Children []*Spec
 
-	// Class names the node; empty means its position path from the root
-	// ("root.0.1"), deterministic, so two trees built from one spec
-	// snapshot alike. A flow leaf is named "flow-<id>" whatever Class says.
-	Class string
-	// IsFlow makes the spec a leaf for flow Flow with share Weight. It
-	// carries no Name and no Children.
+	// Class names the node, "root.0.1" (its path) when empty; a flow leaf
+	// is "flow-<id>". IsFlow makes the node a leaf for flow Flow with share
+	// Weight, and no Name or Children.
+	Class  string
 	IsFlow bool
 	Flow   int
 }
 
-// String renders the canonical form of the spec: minimal weights (omitted
-// when 1), no whitespace. Build uses it for the StateKind of a tree the
-// grammar can write, so equivalent spellings restore interchangeably.
+// String renders the spec canonically (weight 1 omitted, no spaces), the
+// StateKind of a tree the grammar can write, so spellings restore alike.
 func (sp *Spec) String() string {
-	var b strings.Builder
-	sp.write(&b)
-	return b.String()
-}
-
-func (sp *Spec) write(b *strings.Builder) {
-	b.WriteString(sp.Name)
+	s := sp.Name
 	if len(sp.Children) > 0 {
-		b.WriteByte('(')
+		parts := make([]string, len(sp.Children))
 		for i, c := range sp.Children {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			c.write(b)
+			parts[i] = c.String()
 		}
-		b.WriteByte(')')
+		s += "(" + strings.Join(parts, ",") + ")"
 	}
 	if sp.Weight != 1 {
-		b.WriteByte('*')
-		b.WriteString(strconv.FormatFloat(sp.Weight, 'g', -1, 64))
+		s += "*" + strconv.FormatFloat(sp.Weight, 'g', -1, 64)
 	}
+	return s
 }
 
 // ParseSpec parses the grammar above.
@@ -118,6 +93,15 @@ func (p *specParser) errf(format string, args ...any) error {
 	return fmt.Errorf("%w: tree spec %q: %s", sched.ErrBadConfig, p.in, fmt.Sprintf(format, args...))
 }
 
+// eat consumes b if it is next.
+func (p *specParser) eat(b byte) bool {
+	ok := p.pos < len(p.in) && p.in[p.pos] == b
+	if ok {
+		p.pos++
+	}
+	return ok
+}
+
 func isNameChar(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_' || c == '+' || c == '-'
 }
@@ -137,27 +121,17 @@ func (p *specParser) spec(depth int) (*Spec, error) {
 		return nil, p.errf("expected a discipline name at offset %d", start)
 	}
 	sp := &Spec{Name: p.in[start:p.pos], Weight: 1}
-	if p.pos < len(p.in) && p.in[p.pos] == '(' {
-		p.pos++
-		for {
-			c, err := p.spec(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			sp.Children = append(sp.Children, c)
-			if p.pos < len(p.in) && p.in[p.pos] == ',' {
-				p.pos++
-				continue
-			}
-			break
+	for open := p.eat('('); open; open = p.eat(',') {
+		c, err := p.spec(depth + 1)
+		if err != nil {
+			return nil, err
 		}
-		if p.pos >= len(p.in) || p.in[p.pos] != ')' {
-			return nil, p.errf("expected ')' at offset %d", p.pos)
-		}
-		p.pos++
+		sp.Children = append(sp.Children, c)
 	}
-	if p.pos < len(p.in) && p.in[p.pos] == '*' {
-		p.pos++
+	if len(sp.Children) > 0 && !p.eat(')') {
+		return nil, p.errf("expected ')' at offset %d", p.pos)
+	}
+	if p.eat('*') {
 		start := p.pos
 		for p.pos < len(p.in) && (p.in[p.pos] >= '0' && p.in[p.pos] <= '9' || p.in[p.pos] == '.') {
 			p.pos++
@@ -171,39 +145,26 @@ func (p *specParser) spec(depth int) (*Spec, error) {
 	return sp, nil
 }
 
-// Build builds the tree sp describes. cfg is handed to every node
-// discipline (so e.g. WithQuantum reaches a DRR sink); its Tree field is
-// cleared first, so a nested bare "hier" cannot recurse into itself. The
-// root's weight is ignored: the root is the whole link. A tree the grammar
-// can write reports StateKind "hier:<canonical spec>"; one with class
-// names or flow leaves reports "core/hsfq", the Section 3 scheduler's
-// kind, so its snapshots restore into a bare "hsfq".
+// Build builds the tree sp describes, every node discipline with cfg (its
+// Tree cleared, so a nested "hier" cannot recurse). The root's weight is
+// ignored. A tree with class names or flow leaves, which the grammar
+// cannot write, reports StateKind "core/hsfq", restoring into "hsfq".
 func Build(sp *Spec, cfg sched.Config) (*Tree, error) {
 	cfg.Tree = ""
 	t := &Tree{spec: sp, kind: "core/hsfq", cfg: cfg, pure: true}
 	if sp.inGrammar() {
 		t.kind = "hier:" + sp.String()
 	}
-	root, err := t.add(nil, sp, nil)
-	if err != nil {
+	var err error
+	if t.root, err = t.add(nil, sp, nil); err != nil {
 		return nil, err
 	}
-	t.root = root
 	return t, nil
 }
 
-// inGrammar reports whether the grammar can write sp: no node of it has a
-// class name or is a flow leaf.
+// inGrammar reports whether no node of sp has a class name or is a flow.
 func (sp *Spec) inGrammar() bool {
-	if sp.Class != "" || sp.IsFlow {
-		return false
-	}
-	for _, c := range sp.Children {
-		if !c.inGrammar() {
-			return false
-		}
-	}
-	return true
+	return sp.Class == "" && !sp.IsFlow && !slices.ContainsFunc(sp.Children, func(c *Spec) bool { return !c.inGrammar() })
 }
 
 // kind is the node kind sp describes; see Spec.
@@ -213,20 +174,16 @@ func (sp *Spec) kind() nodeKind {
 		return kindLeafFlow
 	case sp.Name == "sfq" && (len(sp.Children) > 0 || sp.Class != ""):
 		return kindSFQ
-	}
-	for _, c := range sp.Children {
-		if !c.IsFlow {
-			return kindDisc
-		}
+	case slices.ContainsFunc(sp.Children, func(c *Spec) bool { return !c.IsFlow }):
+		return kindDisc
 	}
 	return kindLeafDisc
 }
 
-// FC is eq (65) over the tree: given the link's FC parameters and the
-// maximum packet length lmax of every node, it returns the FC parameters
-// of each node's virtual server, the root's being the link's. A child's
-// weight is read as its reserved rate, so a level's weights should not sum
-// past its parent's rate for the bounds to mean anything.
+// FC is eq (65) over the tree: from the link's FC parameters and every
+// node's maximum packet length lmax, each node's virtual server's, with a
+// child's weight read as its reserved rate (a level's should not sum past
+// its parent's rate).
 func (sp *Spec) FC(link server.FCParams, lmax float64) map[*Spec]server.FCParams {
 	fc := map[*Spec]server.FCParams{sp: link}
 	var walk func(*Spec)
@@ -244,50 +201,41 @@ func (sp *Spec) FC(link server.FCParams, lmax float64) map[*Spec]server.FCParams
 // buildSpec is ParseSpec then Build: the registry's route from a name.
 func buildSpec(spec string, cfg sched.Config) (sched.Interface, error) {
 	sp, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		var t *Tree
+		if t, err = Build(sp, cfg); err == nil {
+			return t, nil
+		}
 	}
-	t, err := Build(sp, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	return nil, err
 }
 
 func init() {
 	// The open-ended family: any "hier:<spec>" name, and the bare "hier"
 	// carrying its spec in Config.Tree.
 	sched.RegisterFallback(func(name string, _ sched.Config) (sched.Factory, bool) {
-		if name == "hier" {
-			return func(cfg sched.Config) (sched.Interface, error) {
-				if cfg.Tree == "" {
-					return nil, fmt.Errorf("%w: hier requires a tree spec (sched.WithTree)", sched.ErrBadConfig)
-				}
+		spec, ok := strings.CutPrefix(name, "hier:")
+		if !ok && name != "hier" {
+			return nil, false
+		}
+		return func(cfg sched.Config) (sched.Interface, error) {
+			if !ok && cfg.Tree == "" {
+				return nil, fmt.Errorf("%w: hier requires a tree spec (sched.WithTree)", sched.ErrBadConfig)
+			} else if !ok {
 				return buildSpec(cfg.Tree, cfg)
-			}, true
-		}
-		if strings.HasPrefix(name, "hier:") {
-			spec := strings.TrimPrefix(name, "hier:")
-			return func(cfg sched.Config) (sched.Interface, error) {
-				return buildSpec(spec, cfg)
-			}, true
-		}
-		return nil, false
+			}
+			return buildSpec(spec, cfg)
+		}, true
 	})
 
 	// Canonical compositions, registered by name so they enumerate in
-	// sched.Names() and ride the conformance matrix: a heterogeneous
-	// SFQ-over-(DRR,EDD) split, a WiMAX-style four-class tree
-	// (UGS≈EDD, rtPS≈SCFQ, nrtPS≈DRR, BE≈FIFO), a tree of PIFOs
-	// with a rank function at every node, and strict priority of a FIFO
-	// class over an SCFQ class.
+	// sched.Names() and ride the conformance matrix.
 	for _, spec := range []string{
 		"sfq(drr,edd)",
 		"sfq(edd,scfq,drr,fifo)",
 		"pifo-sfq(pifo-sfq,pifo-sfq)",
 		"priority(fifo,scfq)",
 	} {
-		spec := spec
 		sched.Register("hier:"+spec, func(cfg sched.Config) (sched.Interface, error) {
 			return buildSpec(spec, cfg)
 		})

@@ -1,38 +1,22 @@
-// Package hier is the scheduler-tree layer: a tree of nodes in which any
-// registered discipline can be an interior, scheduling its children as
-// pseudo-flows (one per child, weight = the child's share), or a leaf
-// scheduling real flows, the nodes talking through sched.Interface. It
-// generalizes the Section 3 hierarchical SFQ (the registry's "hsfq") to
-// compositions such as SFQ over DRR and EDD sinks, WiMAX-style service
-// classes or a tree of PIFOs (Sivaraman et al.). Every tree is one Spec,
-// written by hand or parsed from the grammar in grammar.go, and built by
-// Build. The node kinds:
-//
-//   - kindSFQ, the native Section 3 interior: a sched.HeadSFQ over its
-//     children as pseudo-flows, each child's record and logical packet
-//     kept in the child. The logical packet is ranked by its start tag
-//     when it becomes the child's head (eq 4), its finish tag comes from
-//     the length transmitted (eq 5), and v jumps to the max finish tag
-//     when the node's busy period ends.
-//   - kindDisc: an interior run by any discipline. Every real packet
-//     arriving in the subtree pushes one pseudo-packet (Flow = child
-//     index, Length = real length) at arrival, and a dequeue pops one to
-//     pick the child, so the pseudo backlog per child equals its subtree's
-//     packet count and the discipline's properties hold for the children
-//     as flows. (Rank functions here are the tree-of-PIFOs model: ranks
-//     computed at arrival, per level.)
-//   - kindLeafFlow: one real flow, whose record in the tree's
-//     sched.FlowTable holds its FIFO (the classic HSFQ leaf).
-//   - kindLeafDisc: a sink, a discipline scheduling real flows.
-//
-// Every attached flow is a record in that one table, whose Class names the
-// flow's leaf or sink: an Enqueue costs one lookup, a Dequeue none.
+// Package hier is the scheduler-tree layer: any registered discipline can
+// be an interior, scheduling its children as pseudo-flows (weight = the
+// child's share), or a sink scheduling real flows, the nodes talking
+// through sched.Interface. It generalizes the Section 3 hierarchical SFQ
+// (the registry's "hsfq") to compositions such as SFQ over DRR and EDD
+// sinks or a tree of PIFOs. A tree is one Spec, built by Build. An SFQ
+// interior is a sched.HeadSFQ over its children as pseudo-flows (eqs 4–5);
+// any other interior sees one pseudo-packet per real packet arriving in a
+// child's subtree; a flow leaf is the flow's record in the tree's one
+// sched.FlowTable, holding its FIFO. Every attached flow is such a record,
+// whose Class names its leaf or sink: an Enqueue costs one lookup, a
+// Dequeue none. DESIGN.md §17 has the details.
 package hier
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -40,7 +24,7 @@ import (
 // Packet aliases the shared packet type.
 type Packet = sched.Packet
 
-// nodeKind discriminates the four node roles. See the package comment.
+// nodeKind is a node's role: SFQ or other interior, flow leaf, or sink.
 type nodeKind uint8
 
 const (
@@ -50,10 +34,7 @@ const (
 	kindLeafDisc
 )
 
-// Tree is a hierarchical scheduler: a link-sharing tree whose interior
-// nodes split their service among their children and whose leaves hold
-// real traffic. It implements sched.Interface (plus Reconfigurable and
-// Snapshotter).
+// Tree is a link-sharing tree; a sched.Reconfigurable and Snapshotter.
 type Tree struct {
 	root   *node
 	flows  sched.FlowTable // every attached flow; a flow leaf's record holds its FIFO
@@ -69,19 +50,9 @@ type Tree struct {
 	kind string       // the StateKind (see Build)
 	cfg  sched.Config // what node disciplines are built with
 
-	// pure is true while the tree has no kindDisc interior, so an
-	// Enqueue's walk may stop at the first active node: every ancestor
-	// already knows about pending work.
-	pure bool
-
-	// sinks are the kindLeafDisc nodes in build order; when present,
-	// AddFlow routes flows across them round-robin by flow id instead of
-	// attaching leaves under the root.
-	sinks []*node
-
-	// pseudo recycles pseudo-packets popped from pool-safe interior
-	// disciplines, keeping the steady-state hot path allocation-free.
-	pseudo sched.PacketPool
+	pure   bool             // no kindDisc: an Enqueue stops at an active node
+	sinks  []*node          // in build order, across which AddFlow routes flows
+	pseudo sched.PacketPool // pseudo-packets that pool-safe interiors popped
 }
 
 // node is one class in the link-sharing tree.
@@ -93,27 +64,21 @@ type node struct {
 	kind     nodeKind
 	slot     int32 // a flow leaf's or sink's index in Tree.owners
 
-	// pf is the node's pseudo-flow record at an SFQ parent and lp its
-	// logical packet there (lp.Payload is the node; its VirtualStart and
-	// Seq are its start tag and serial). pf.Weight is the node's weight
-	// whatever its parent.
+	// pf is the node's pseudo-flow record at an SFQ parent, lp its logical
+	// packet there (Payload: the node; VirtualStart, Seq: its start tag and
+	// serial). pf.Weight is the node's weight whatever its parent.
 	pf sched.Flow
 	lp Packet
 
-	q   *sched.HeadSFQ // kindSFQ: SFQ over the children
-	rec *sched.Flow    // kindLeafFlow: the flow's record
-
-	// kindDisc and kindLeafDisc: the discipline, its registry name, and
-	// whether pseudo-packets it pops may be recycled (kindDisc only).
-	disc     sched.Interface
+	q        *sched.HeadSFQ  // kindSFQ
+	rec      *sched.Flow     // kindLeafFlow: the flow's record
+	disc     sched.Interface // kindDisc, kindLeafDisc, by registry name discName
 	discName string
-	poolOK   bool
+	poolOK   bool // disc's popped pseudo-packets may be recycled
 }
 
-// V returns the root's system virtual time — the v(t) of the scheduler
-// instance that serves the link itself (sched.VirtualTimer). For a
-// discipline-backed root the inner discipline's virtual time is reported
-// when it has one.
+// V returns the root's virtual time (sched.VirtualTimer): its HeadSFQ's,
+// or its discipline's when that has one.
 func (h *Tree) V() float64 {
 	if h.root.kind == kindSFQ {
 		return h.root.q.V
@@ -124,17 +89,13 @@ func (h *Tree) V() float64 {
 	return 0
 }
 
-// positive is sched's test for a weight or a packet length: finite and
-// > 0 (NaN and +Inf pass `x <= 0`).
+// positive is sched's test for a weight: finite and > 0 (not NaN, +Inf).
 func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
-// add makes sp's node under parent (nil: the root), then its children. It
-// is the one node constructor: Build calls it for a whole spec, AddFlow
-// for one flow leaf, and RestoreState with st, the node's snapshot state,
-// which it loads into the node (see load). A flow leaf under a sink is
-// routed into the sink's discipline and returns the sink. A discipline
-// interior parent learns of its new pseudo-flow at once, so the child is
-// schedulable the moment it exists.
+// add makes sp's node under parent (nil: the root), then its children: the
+// one node constructor, for Build, AddFlow, and RestoreState, which passes
+// st, the node's snapshot state (see load and loadChildren). A flow leaf
+// under a sink is routed into it and returns the sink.
 func (h *Tree) add(parent *node, sp *Spec, st *nodeState) (*node, error) {
 	c := &node{name: sp.Class, parent: parent, kind: sp.kind()}
 	c.pf.Weight, c.lp.Payload = sp.Weight, c
@@ -148,61 +109,44 @@ func (h *Tree) add(parent *node, sp *Spec, st *nodeState) (*node, error) {
 	case c.name == "":
 		c.name = fmt.Sprintf("%s.%d", parent.name, len(parent.children))
 	}
-	what := fmt.Sprintf("class %q", c.name) // for error messages only
+	what := fmt.Sprintf("class %q", c.name) // for error messages
 	if sp.IsFlow {
 		what = fmt.Sprintf("flow %d", sp.Flow)
 	}
+	if c.kind == kindSFQ {
+		c.q = new(sched.HeadSFQ)
+	}
 	if st != nil {
-		if err := c.load(st); err != nil {
+		if err := c.load(st, len(sp.Children)); err != nil {
 			return nil, err
 		}
 	}
+	var err error
 	switch {
 	case !positive(c.pf.Weight):
 		return nil, fmt.Errorf("%w: %s weight %v", sched.ErrBadWeight, what, c.pf.Weight)
 	case sp.IsFlow && parent.kind == kindDisc:
-		// A discipline interior schedules classes: flows go in a sink or
-		// an SFQ class.
 		return nil, fmt.Errorf("hier: interior %q cannot hold %s", parent.name, what)
 	case sp.IsFlow && (sp.Name != "" || len(sp.Children) > 0):
 		return nil, fmt.Errorf("hier: %s cannot carry a discipline or children", what)
 	case sp.IsFlow && parent.kind == kindLeafDisc:
-		if err := parent.disc.AddFlow(sp.Flow, c.pf.Weight); err != nil {
-			return nil, err
+		if err = parent.disc.AddFlow(sp.Flow, c.pf.Weight); err == nil {
+			_, err = h.attach(sp.Flow, c.pf.Weight, parent)
 		}
-		_, err := h.attach(sp.Flow, c.pf.Weight, parent)
 		return parent, err
 	case sp.IsFlow:
-		var err error
-		if c.rec, err = h.attach(sp.Flow, c.pf.Weight, h.own(c)); err != nil {
-			return nil, err
-		}
-		if st != nil {
-			if err := h.loadQueue(c, st); err != nil {
-				return nil, err
-			}
-		}
-	case c.kind == kindSFQ:
-		c.q = new(sched.HeadSFQ)
-		if st != nil {
-			c.q.V, c.q.MaxFinish, c.q.Serial = st.V, st.MaxFinish, st.SerialSrc
-		}
-	default:
-		var err error
-		if c.disc, err = sched.NewDiscipline(sp.Name, h.cfg); err != nil {
-			return nil, err
-		}
+		c.rec, err = h.attach(sp.Flow, c.pf.Weight, h.own(c))
+	case c.kind != kindSFQ:
+		c.disc, err = sched.NewDiscipline(sp.Name, h.cfg)
 		c.discName = sp.Name
-		if st != nil {
-			if err := h.loadQueue(c, st); err != nil {
-				return nil, err
-			}
-		}
 		if c.kind == kindDisc {
 			c.poolOK, h.pure = sched.PoolSafeScheduler(c.disc), false
 		} else {
 			h.sinks = append(h.sinks, h.own(c))
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if parent != nil {
 		c.idx = len(parent.children)
@@ -212,9 +156,6 @@ func (h *Tree) add(parent *node, sp *Spec, st *nodeState) (*node, error) {
 			}
 		}
 		parent.children = append(parent.children, c)
-	}
-	if st != nil && len(st.Children) < len(sp.Children) {
-		return nil, badState("class %q has %d children in state, tree has %d", st.Name, len(st.Children), len(sp.Children))
 	}
 	for i, cs := range sp.Children {
 		var cst *nodeState
@@ -236,15 +177,13 @@ func (h *Tree) own(c *node) *node {
 	if n := len(h.free); n > 0 {
 		c.slot, h.free = h.free[n-1], h.free[:n-1]
 		h.owners[c.slot] = c
-		return c
+	} else {
+		c.slot, h.owners = int32(len(h.owners)), append(h.owners, c)
 	}
-	c.slot = int32(len(h.owners))
-	h.owners = append(h.owners, c)
 	return c
 }
 
-// attach registers flow in the tree's table, held by owner: its flow leaf,
-// or the sink it is routed into.
+// attach registers flow in the tree's table, held by its leaf or sink.
 func (h *Tree) attach(flow int, weight float64, owner *node) (*sched.Flow, error) {
 	if h.owner(flow) != nil {
 		return nil, fmt.Errorf("hier: flow %d already attached", flow)
@@ -265,9 +204,8 @@ func (h *Tree) owner(flow int) *node {
 	return nil
 }
 
-// Sink returns the discipline of the sink class flow is routed into, or
-// nil for a flow with a leaf of its own or none. It reaches what a weight
-// cannot carry, e.g. EDD's AddFlowDeadline.
+// Sink returns the discipline of the sink flow is routed into, or nil. It
+// reaches what a weight cannot carry, e.g. EDD's AddFlowDeadline.
 func (h *Tree) Sink(flow int) sched.Interface {
 	if c := h.owner(flow); c != nil && c.kind == kindLeafDisc {
 		return c.disc
@@ -275,11 +213,8 @@ func (h *Tree) Sink(flow int) sched.Interface {
 	return nil
 }
 
-// AddFlow attaches flow (sched.Interface). On trees with sink classes,
-// flows are routed across the sinks by flow id; otherwise the flow becomes
-// a leaf directly under the root. A re-add updates the weight in place —
-// through the owning sink's discipline, or as SetWeight on a flow leaf —
-// keeping the runtime's re-registration semantics.
+// AddFlow routes flow across the sinks by id or, without sinks, adds its
+// leaf under the root; a re-add updates its weight, as SetWeight does.
 func (h *Tree) AddFlow(flow int, weight float64) error {
 	if c := h.owner(flow); c != nil {
 		if c.kind == kindLeafDisc {
@@ -295,8 +230,8 @@ func (h *Tree) AddFlow(flow int, weight float64) error {
 	return err
 }
 
-// RemoveFlow detaches an idle flow: its record, and its leaf or the
-// routing into its sink (the sink class stays).
+// RemoveFlow detaches an idle flow: its record, and its leaf or its
+// routing into a sink (the sink stays).
 func (h *Tree) RemoveFlow(flow int) error {
 	c := h.owner(flow)
 	switch {
@@ -312,22 +247,14 @@ func (h *Tree) RemoveFlow(flow int) error {
 	if err := h.flows.Remove(flow); err != nil {
 		return err
 	}
-	p := c.parent
-	for i, ch := range p.children {
-		if ch == c {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			break
-		}
-	}
-	h.owners[c.slot] = nil
-	h.free = append(h.free, c.slot)
+	c.parent.children = slices.DeleteFunc(c.parent.children, func(x *node) bool { return x == c })
+	h.owners[c.slot], h.free = nil, append(h.free, c.slot)
 	return nil
 }
 
-// Enqueue adds p to its flow's leaf or sink and walks the path to the
-// root: at each native SFQ edge the child is activated if needed (its
-// logical packet ranked per eq 4), and at each discipline-interior edge a
-// pseudo-packet for the child is pushed so the interior sees the arrival.
+// Enqueue adds p to its flow's leaf or sink and walks to the root: at an
+// SFQ parent an idle child's logical packet is activated (eq 4), at a
+// discipline interior a pseudo-packet for the child is pushed.
 func (h *Tree) Enqueue(now float64, p *Packet) error {
 	if now < h.last {
 		return sched.ErrTimeWentBack
@@ -365,15 +292,9 @@ func (h *Tree) Enqueue(now float64, p *Packet) error {
 	return nil
 }
 
-// Dequeue recursively selects the next packet from the root: native SFQ
-// interiors serve their least-start-tag child and re-key it level by level
-// (eq 5 with the transmitted packet's length), discipline interiors pop
-// their own queue to pick the child. A Dequeue that finds the tree empty
-// marks the end of the root's busy period: only then does the root's
-// virtual time jump (step 2 of the algorithm) — the packet most recently
-// handed out is still in service until the caller asks for the next one,
-// exactly as in SFQ, so a flat tree is packet-for-packet identical to the
-// SFQ scheduler.
+// Dequeue serves the tree from the root (see serve). The packet handed out
+// last is in service until the next call, so only a Dequeue that finds
+// the tree empty ends the root's busy period, as in SFQ.
 func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 	if now > h.last {
 		h.last = now
@@ -393,8 +314,7 @@ func (h *Tree) Dequeue(now float64) (*Packet, bool) {
 	return p, true
 }
 
-// hasContent reports whether the node's subtree holds any packet. A
-// discipline interior's pseudo backlog equals its subtree's packet count.
+// hasContent reports whether the node's subtree holds any packet.
 func (c *node) hasContent() bool {
 	switch c.kind {
 	case kindLeafFlow:
@@ -405,51 +325,43 @@ func (c *node) hasContent() bool {
 	return c.disc.Len() > 0
 }
 
-// serve pops the next packet from n's subtree. n must have content.
+// serve pops the next packet from n's subtree, which must have one: an
+// SFQ interior serves its least start tag child and re-keys it with the
+// length sent (eq 5), another interior pops its discipline for the child.
 func (h *Tree) serve(n *node, now float64) *Packet {
+	var c *node
 	switch n.kind {
 	case kindLeafFlow:
 		return n.rec.Pop(&h.chunks)
-	case kindLeafDisc:
-		p, ok := n.disc.Dequeue(now)
-		if !ok {
-			panic("core: active sink class has no packet")
-		}
-		return p
-	case kindDisc:
+	case kindSFQ:
+		c = n.q.Head().Payload.(*node)
+	default:
 		lp, ok := n.disc.Dequeue(now)
 		if !ok {
-			panic(fmt.Sprintf("hier: interior %q has content but no pseudo-packet", n.name))
+			panic(fmt.Sprintf("hier: class %q has content but no packet", n.name))
 		}
-		c := n.children[lp.Flow]
+		if n.kind == kindLeafDisc {
+			return lp
+		}
+		c = n.children[lp.Flow]
 		if n.poolOK {
 			h.pseudo.Put(lp)
 		}
-		p := h.serve(c, now)
-		if !c.hasContent() {
-			h.idleNode(c, now)
-		}
-		return p
 	}
-	// kindSFQ: v is the start tag of the child logical packet in service
-	// (step 2 applied to the virtual server); its finish tag needs the
-	// length sent.
-	c := n.q.Head().Payload.(*node)
 	p := h.serve(c, now)
 	more := c.hasContent()
-	n.q.Served(&c.pf, &c.lp, p.Length, more)
+	if n.kind == kindSFQ {
+		n.q.Served(&c.pf, &c.lp, p.Length, more)
+	}
 	if !more {
 		h.idleNode(c, now)
 	}
 	return p
 }
 
-// idleNode signals the end of a node's busy period, at the instant its
-// subtree empties (or, for the root, at the empty Dequeue that ends the
-// link's busy period). Native SFQ interiors jump their virtual time to
-// the max finish tag served (step 2); discipline-backed nodes get an
-// empty Dequeue so self-clocked disciplines perform their own
-// busy-period-end bookkeeping. Flow leaves need nothing.
+// idleNode ends a node's busy period when its subtree empties (the root's
+// at the empty Dequeue): an SFQ interior's v jumps to its max finish tag,
+// a discipline gets an empty Dequeue.
 func (h *Tree) idleNode(c *node, now float64) {
 	switch c.kind {
 	case kindSFQ:
@@ -462,8 +374,7 @@ func (h *Tree) idleNode(c *node, now float64) {
 // Len returns the number of queued packets across the whole tree.
 func (h *Tree) Len() int { return h.total }
 
-// QueuedBytes returns the bytes queued for flow: its leaf FIFO's count,
-// exactly zero when drained, or its sink discipline's.
+// QueuedBytes returns the bytes queued for flow, in its leaf or sink.
 func (h *Tree) QueuedBytes(flow int) float64 {
 	if c := h.owner(flow); c != nil && c.kind == kindLeafDisc {
 		return c.disc.QueuedBytes(flow)
@@ -471,10 +382,8 @@ func (h *Tree) QueuedBytes(flow int) float64 {
 	return h.flows.QueuedBytes(flow)
 }
 
-// PacketPoolSafe reports whether the tree retains no dequeued packets:
-// true unless some sink wraps a scheduler that is itself unsafe. It
-// reflects the sinks built so far. (Discipline interiors hold only
-// pseudo-packets, which never leave the tree.)
+// PacketPoolSafe reports whether no sink retains dequeued packets
+// (interiors hold only pseudo-packets).
 func (h *Tree) PacketPoolSafe() bool {
 	for _, c := range h.sinks {
 		if !sched.PoolSafeScheduler(c.disc) {

@@ -1,7 +1,6 @@
 package hier
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -11,16 +10,8 @@ import (
 	"repro/internal/statecodec"
 )
 
-// This file implements sched.Reconfigurable and sched.Snapshotter for the
-// tree. A pure SFQ tree — the "hsfq" instance — writes the "core/hsfq"
-// format; discipline-backed nodes add their disciplines' own liveops
-// envelopes, so snapshots recurse, and a restore builds the tree again,
-// through the constructor that built it, each node loading its state.
-
-// SetWeight changes flow's weight for packets arriving after the call: a
-// flow leaf's share (finish tags are computed at dequeue time with the
-// weight then in force, so no retagging), or through its sink's
-// discipline.
+// SetWeight changes flow's weight from its next packet: its leaf's share,
+// which the next finish tag computed uses, or through its sink.
 func (h *Tree) SetWeight(flow int, weight float64) error {
 	c := h.owner(flow)
 	switch {
@@ -37,16 +28,14 @@ func (h *Tree) SetWeight(flow int, weight float64) error {
 	if rc, ok := c.disc.(sched.Reconfigurable); ok {
 		return rc.SetWeight(flow, weight)
 	}
-	// DRR and Fair Airport re-register: AddFlow is an upsert, and the new
-	// weight applies from the flow's next quantum or packet.
-	return c.disc.AddFlow(flow, weight)
+	return c.disc.AddFlow(flow, weight) // an upsert: DRR, Fair Airport
 }
 
 // SetCapacity reports that the tree is self-clocked at every level.
 func (h *Tree) SetCapacity(float64) error { return sched.ErrNoCapacityKnob }
 
-// DrainFlow removes a flow gracefully (see sched.Reconfigurable): it
-// refuses new arrivals, serves its backlog, and is detached once empty.
+// DrainFlow refuses flow's arrivals and detaches it once its backlog is
+// served (see sched.Reconfigurable).
 func (h *Tree) DrainFlow(flow int) error {
 	d := h.flows.Drains()
 	switch {
@@ -63,18 +52,16 @@ func (h *Tree) DrainFlow(flow int) error {
 
 // finalizeDrains detaches draining flows whose backlog has emptied.
 func (h *Tree) finalizeDrains() {
-	if d := h.flows.Drains(); !d.Empty() {
-		for _, f := range d.Flows() {
-			if h.QueuedBytes(f) == 0 {
-				d.Clear(f)
-				h.RemoveFlow(f)
-			}
+	d := h.flows.Drains()
+	for _, f := range d.Flows() { // nil, with nothing draining
+		if h.QueuedBytes(f) == 0 {
+			d.Clear(f)
+			h.RemoveFlow(f)
 		}
 	}
 }
 
-// ListFlows returns the attached flows sorted by id, each with the weight
-// of its leaf or, for a sink-routed flow, of its sink.
+// ListFlows returns the flows by id, with their leaf's or sink's weight.
 func (h *Tree) ListFlows() []sched.FlowInfo {
 	out := make([]sched.FlowInfo, 0, len(h.flows.Weights))
 	h.flows.Each(func(f *sched.Flow) {
@@ -83,14 +70,11 @@ func (h *Tree) ListFlows() []sched.FlowInfo {
 	return out
 }
 
-// nodeState is one class, children in creation order (which fixes sibling
-// identity). Its first fields are the "core/hsfq" record: the class's
-// tags at an SFQ parent (its logical packet's start tag and serial, kept
-// after it leaves, and its last finish tag) and an SFQ class's HeadSFQ
-// state. Disc, Env and Flows serialize a discipline-backed node: its
-// registry name; its discipline's liveops envelope, read as a raw span of
-// the tree's bytes and written in place by appendEnv; and a sink's routed
-// flows, ascending (the routing is tree state).
+// nodeState is one class, children in creation order. Its first fields
+// are the "core/hsfq" record: the tags of its logical packet at an SFQ
+// parent (kept after it leaves) and an SFQ class's HeadSFQ. A discipline's
+// registry name, its liveops envelope (a raw span, written in place by
+// appendEnv) and a sink's routed flows follow.
 type nodeState struct {
 	Name   string  `json:"name"`
 	Weight float64 `json:"weight"`
@@ -153,8 +137,7 @@ func (st *treeState) codec(c *statecodec.Codec) {
 	c.IntsOmit("draining", &st.Draining)
 }
 
-// decode reads data as one whole tree state. Every failure wraps
-// sched.ErrBadState.
+// decode reads data as one tree state; failures wrap sched.ErrBadState.
 func (st *treeState) decode(data []byte) error {
 	if err := statecodec.Decode(data, st, (*treeState).codec); err != nil {
 		return fmt.Errorf("%w: %v", sched.ErrBadState, err)
@@ -162,14 +145,10 @@ func (st *treeState) decode(data []byte) error {
 	return nil
 }
 
-// StateKind identifies the tree's snapshot state: "core/hsfq" for HSFQ
-// instances, "hier:<spec>" for grammar-built compositions (the canonical
-// spec, so restore refuses a mismatched topology at the kind check).
+// StateKind is "hier:<canonical spec>" or "core/hsfq" (see Build).
 func (h *Tree) StateKind() string { return h.kind }
 
-// AppendState serializes the tree: per-class tags and virtual times, leaf
-// FIFOs in arrival order, and the discipline-backed nodes' envelopes,
-// written in place.
+// AppendState serializes the tree, disciplines' envelopes in place.
 func (h *Tree) AppendState(b []byte) ([]byte, error) {
 	st := treeState{Last: h.last, Busy: h.busy, Total: h.total, Seq: h.seq, Draining: h.flows.Drains().Flows()}
 	var err error
@@ -200,13 +179,7 @@ func (h *Tree) capture(c *node) (nodeState, error) {
 			return st, fmt.Errorf("hier: class %q discipline %q does not support snapshots", c.name, c.discName)
 		}
 		st.Disc = c.discName
-		st.appendEnv = func(b []byte) ([]byte, error) {
-			out, err := liveops.AppendSnapshotAt(b, 0, snap)
-			if err != nil {
-				err = fmt.Errorf("hier: class %q: %w", c.name, err)
-			}
-			return out, err
-		}
+		st.appendEnv = func(b []byte) ([]byte, error) { return liveops.AppendSnapshotAt(b, 0, snap) }
 		if c.kind == kindLeafDisc {
 			h.flows.Each(func(f *sched.Flow) {
 				if f.Class == c.slot {
@@ -225,9 +198,8 @@ func (h *Tree) capture(c *node) (nodeState, error) {
 	return st, nil
 }
 
-// RestoreState loads state into a freshly built, empty tree by building
-// it again through add, each node loading its state (see load and
-// loadChildren). A refused state leaves the tree as it was.
+// RestoreState builds the empty tree again through add, each node loading
+// its state. A refused state leaves the tree as it was.
 func (h *Tree) RestoreState(data []byte) error {
 	if len(h.flows.Weights) != 0 || h.total != 0 {
 		return badState("restore into non-empty scheduler")
@@ -237,8 +209,8 @@ func (h *Tree) RestoreState(data []byte) error {
 		return err
 	}
 	t := &Tree{spec: h.spec, kind: h.kind, cfg: h.cfg, pure: true}
-	sp := h.spec
-	if t.bare() { // its root takes the state's name
+	sp, bare := h.spec, h.spec.kind() == kindSFQ && len(h.spec.Children) == 0
+	if bare { // a bare "hsfq": its root and classes are the state's
 		sp = &Spec{Name: "sfq", Class: st.Root.Name}
 	}
 	root, err := t.add(nil, sp, &st.Root)
@@ -266,54 +238,35 @@ func badState(format string, a ...any) error {
 }
 
 // load copies st's fields into c, which add has just made from the spec st
-// must match by name and kind.
-func (c *node) load(st *nodeState) error {
+// must match: same name and kind, and at least its n children.
+func (c *node) load(st *nodeState, n int) error {
 	disc := c.kind == kindDisc || c.kind == kindLeafDisc
-	if st.Name != c.name || st.Leaf != (c.kind == kindLeafFlow) || !disc && (st.Disc != "" || st.Env != nil || st.Flows != nil) {
-		return badState("state class %q (leaf %v, discipline %q) does not match tree class %q", st.Name, st.Leaf, st.Disc, c.name)
+	if st.Name != c.name || st.Leaf != (c.kind == kindLeafFlow) || len(st.Children) < n ||
+		!disc && (st.Disc != "" || st.Env != nil || st.Flows != nil) {
+		return badState("state class %q (leaf %v, discipline %q, %d children) does not match tree class %q",
+			st.Name, st.Leaf, st.Disc, len(st.Children), c.name)
 	}
 	c.pf.Weight, c.pf.LastFinish = st.Weight, st.LastFinish
 	c.lp.VirtualStart, c.lp.Seq = st.CurStart, int64(st.Serial)
-	return nil
-}
-
-// loadQueue refills a flow leaf's FIFO or restores a discipline from st.
-func (h *Tree) loadQueue(c *node, st *nodeState) error {
-	if c.kind == kindLeafFlow {
-		if st.Fifo == nil {
-			return nil
-		}
-		if st.Fifo.Flow != c.rec.ID() {
-			return badState("leaf %q FIFO carries flow %d", c.name, st.Fifo.Flow)
-		}
-		for _, it := range st.Fifo.Items {
-			h.seq = max(h.seq, it.Serial)
-		}
-		return c.rec.RestoreState(&h.chunks, *st.Fifo)
-	}
-	snap, ok := c.disc.(sched.Snapshotter)
-	if st.Disc != c.discName || !ok || len(st.Env) == 0 {
-		return badState("class %q: no %q envelope for discipline %q", c.name, st.Disc, c.discName)
-	}
-	if err := liveops.Restore(st.Env, snap); err != nil {
-		return fmt.Errorf("hier: class %q: %w", c.name, err)
+	if c.q != nil {
+		c.q.V, c.q.MaxFinish, c.q.Serial = st.V, st.MaxFinish, st.SerialSrc
 	}
 	return nil
 }
 
 // loadChildren finishes a node add loaded from st once the spec's n
-// children are made. st's children past them are flow leaves, or, in a
-// bare tree, SFQ classes too. A
-// sink's routed flows must be those its discipline holds; an SFQ class's
-// active children must hold distinct (start tag, serial) ranks with
-// serials it handed out; a discipline interior's pseudo backlog must
-// equal its subtree's packet count; and a class is active at an SFQ
-// parent exactly when its subtree holds packets.
+// children are made. st's children past them must be flow leaves (or SFQ
+// classes, in a bare tree). Then a leaf's FIFO is refilled or a
+// discipline restored from its envelope, and held to the tree: a sink's
+// routed flows must be those its discipline holds, a discipline
+// interior's pseudo backlog its subtree's packet count. An SFQ class's
+// active children must hold distinct serials it handed out, and a class
+// is active at an SFQ parent exactly when its subtree holds packets.
 func (h *Tree) loadChildren(c *node, n int, st *nodeState) error {
 	for i := n; i < len(st.Children); i++ {
 		cs := &st.Children[i]
 		sp := &Spec{IsFlow: cs.Leaf, Flow: cs.Flow, Weight: cs.Weight, Class: cs.Name}
-		if !cs.Leaf && !h.bare() {
+		if !cs.Leaf && (h.spec.kind() != kindSFQ || len(h.spec.Children) > 0) {
 			return badState("class %q has structural child %q beyond the tree's structure", st.Name, cs.Name)
 		} else if !cs.Leaf {
 			sp.Name = "sfq"
@@ -323,36 +276,48 @@ func (h *Tree) loadChildren(c *node, n int, st *nodeState) error {
 		}
 	}
 	switch c.kind {
-	case kindLeafDisc:
+	case kindLeafFlow:
+		if st.Fifo == nil {
+			break
+		}
+		if st.Fifo.Flow != c.rec.ID() {
+			return badState("leaf %q FIFO carries flow %d", c.name, st.Fifo.Flow)
+		}
+		for _, it := range st.Fifo.Items {
+			h.seq = max(h.seq, it.Serial)
+		}
+		if err := c.rec.RestoreState(&h.chunks, *st.Fifo); err != nil {
+			return err
+		}
+	case kindSFQ:
+		seen := make(map[int64]bool)
+		for _, ch := range c.children {
+			if s := ch.lp.Seq; ch.pf.Len() > 0 && (seen[s] || uint64(s) > c.q.Serial) {
+				return badState("class %q: child %q serial %d repeated or past %d", st.Name, ch.name, s, c.q.Serial)
+			} else if ch.pf.Len() > 0 {
+				seen[s] = true
+			}
+		}
+	default:
+		snap, ok := c.disc.(sched.Snapshotter)
+		if st.Disc != c.discName || !ok || len(st.Env) == 0 {
+			return badState("class %q: no %q envelope for discipline %q", c.name, st.Disc, c.discName)
+		}
+		if err := liveops.Restore(st.Env, snap); err != nil {
+			return fmt.Errorf("hier: class %q: %w", c.name, err)
+		}
+		if c.kind == kindDisc && (subtreeCount(c) != c.disc.Len() || st.Flows != nil) {
+			return badState("interior %q pseudo backlog %d != %d subtree packets, or routes flows", st.Name, c.disc.Len(), subtreeCount(c))
+		}
 		for _, f := range st.Flows {
 			if _, err := h.attach(f, c.pf.Weight, c); err != nil {
 				return err
 			}
 		}
-		if fl, ok := c.disc.(sched.FlowLister); ok {
+		if fl, ok := c.disc.(sched.FlowLister); ok && c.kind == kindLeafDisc {
 			if held := fl.ListFlows(); !slices.EqualFunc(held, st.Flows, func(fi sched.FlowInfo, f int) bool { return fi.Flow == f }) {
 				return badState("sink %q routes flows %v, its discipline holds %v", st.Name, st.Flows, held)
 			}
-		}
-	case kindSFQ:
-		rank := func(a, b *node) int {
-			return cmp.Or(cmp.Compare(a.lp.VirtualStart, b.lp.VirtualStart), cmp.Compare(uint64(a.lp.Seq), uint64(b.lp.Seq)))
-		}
-		var active []*node
-		for _, ch := range c.children {
-			if ch.pf.Len() > 0 {
-				active = append(active, ch)
-			}
-		}
-		slices.SortFunc(active, rank)
-		for i, ch := range active {
-			if uint64(ch.lp.Seq) > c.q.Serial || i > 0 && rank(active[i-1], ch) == 0 {
-				return badState("class %q: child %q rank (%v, %d) repeated or past serial %d", st.Name, ch.name, ch.lp.VirtualStart, ch.lp.Seq, c.q.Serial)
-			}
-		}
-	case kindDisc:
-		if n := subtreeCount(c); n != c.disc.Len() {
-			return badState("interior %q pseudo backlog %d != %d subtree packets", st.Name, c.disc.Len(), n)
 		}
 	}
 	underSFQ := c.parent != nil && c.parent.kind == kindSFQ
@@ -364,10 +329,6 @@ func (h *Tree) loadChildren(c *node, n int, st *nodeState) error {
 	}
 	return nil
 }
-
-// bare reports whether h was built as a bare "hsfq", an SFQ root with no
-// children, which a restore gives the state's classes.
-func (h *Tree) bare() bool { return h.spec.kind() == kindSFQ && len(h.spec.Children) == 0 }
 
 // subtreeCount counts the real packets queued below c.
 func subtreeCount(c *node) int {
@@ -384,12 +345,11 @@ func subtreeCount(c *node) int {
 	return n
 }
 
-// VisitQueued visits queued packets: flows ascending, FIFO within a flow;
-// a sink-routed flow's in its sink's own order.
+// VisitQueued visits queued packets by flow, ascending, in FIFO order or,
+// for a sink-routed flow, the sink's.
 func (h *Tree) VisitQueued(fn func(*Packet)) {
 	h.flows.Each(func(f *sched.Flow) {
-		c := h.owners[f.Class]
-		if c.kind == kindLeafFlow {
+		if c := h.owners[f.Class]; c.kind == kindLeafFlow {
 			f.VisitQueued(fn)
 		} else if snap, ok := c.disc.(sched.Snapshotter); ok && c.disc.QueuedBytes(f.ID()) > 0 {
 			snap.VisitQueued(func(p *Packet) {
