@@ -12,13 +12,13 @@ import (
 // interiors carrying the same eq (4)-(5) arithmetic, strict-priority
 // interiors that scan their children in order for the first with a
 // packet, and fresh registry-constructed discipline instances at the other
-// discipline nodes (sinks and interiors). The production tree's indexed
-// child heaps, pseudo-packet free list, pure-tree activation fast path,
-// and byte bookkeeping must never change which packet is served — the
-// model has none of those optimizations, so any divergence is a
-// tree-layer bug. The op grammar is
-// the usual byte-pair stream: data[0] picks the composition, then
-// op = data[2i+1], arg = data[2i+2]:
+// discipline nodes (sinks and interiors). The production tree's flow heaps
+// over pseudo-flows, pseudo-packet free list, pure-tree activation fast
+// path, and byte bookkeeping must never change which packet is served —
+// the model has none of those optimizations, so any divergence is a
+// tree-layer bug. After every op the SFQ interiors' flow heaps are checked
+// too (hier.CheckInteriors). The op grammar is the usual byte-pair stream:
+// data[0] picks the composition, then op = data[2i+1], arg = data[2i+2]:
 //
 //	op%5 == 0,1  enqueue on flow arg%4+1, length arg+1
 //	op%5 == 2    dequeue from both, compare (flow, seq, length)
@@ -421,6 +421,11 @@ func FuzzHierTree(f *testing.F) {
 			case 4:
 				now += 1000 // busy-period end on the next empty dequeue
 				step("idle dequeue")
+			}
+			// The SFQ interiors' pseudo-flow sets keep the winner tree's
+			// ordinal/member contract after every op, as flow sets do.
+			if err := hier.CheckInteriors(tree); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
 			}
 		}
 		// Drain both and verify conservation plus per-flow byte agreement.
