@@ -30,8 +30,8 @@ type Interval struct{ Start, End float64 }
 const DefaultRecordCap = 1 << 16
 
 // Monitor observes one link: per-flow cumulative service curves, exact
-// backlogged intervals (needed by the fairness measure), and queueing /
-// end-to-end delay samples.
+// backlogged intervals (needed by the fairness measure), and queueing
+// delay samples.
 //
 // Its hooks only append. A departure writes one row to a departure log; a
 // departure or queued drop that empties its flow's backlog — which the link
@@ -59,7 +59,6 @@ type Monitor struct {
 
 	horizon    float64
 	busyTime   float64 // cumulative transmission time
-	totalBytes float64
 	firstStart float64
 	sawService bool
 }
@@ -68,7 +67,7 @@ type Monitor struct {
 // never scanned by the garbage collector.
 type depRow struct {
 	ServiceRecord
-	arrived, created float64 // the frame's Arrived and Created
+	arrived float64 // the frame's Arrived
 }
 
 // closeRow is one closed backlog interval of a flow.
@@ -81,7 +80,6 @@ type closeRow struct {
 type flowView struct {
 	intervals []Interval       // closed backlog intervals
 	qdelay    stats.Sample     // time from link arrival to end of transmission
-	e2e       stats.Sample     // time from frame creation to end of transmission
 	served    float64          // cumulative bytes served
 	curve     stats.TimeSeries // (end of transmission, served)
 }
@@ -139,7 +137,7 @@ func (m *Monitor) onDepart(f *Frame, start, end float64) {
 	if m.recordCap > 0 && m.deps.full() {
 		m.recycle()
 	}
-	m.deps.push(depRow{ServiceRecord{Flow: f.Flow, Start: start, End: end, Bytes: f.Bytes}, f.Arrived, f.Created})
+	m.deps.push(depRow{ServiceRecord{Flow: f.Flow, Start: start, End: end, Bytes: f.Bytes}, f.Arrived})
 	m.logged++
 	if lf := f.at; lf.outstanding == 0 {
 		m.closes.push(closeRow{f.Flow, Interval{Start: lf.openedAt, End: end}})
@@ -148,7 +146,6 @@ func (m *Monitor) onDepart(f *Frame, start, end float64) {
 		m.horizon = end
 	}
 	m.busyTime += end - start
-	m.totalBytes += f.Bytes
 	if !m.sawService {
 		m.sawService = true
 		m.firstStart = start
@@ -192,7 +189,6 @@ func (m *Monitor) foldDeps(upto int) {
 			for _, r := range c[m.folded-first : min(len(c), upto-first)] {
 				fv := m.view(r.Flow)
 				fv.qdelay.Add(r.End - r.arrived)
-				fv.e2e.Add(r.End - r.created)
 				fv.served += r.Bytes
 				fv.curve.Add(r.End, fv.served)
 				if m.recordCap == 0 {

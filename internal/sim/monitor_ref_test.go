@@ -28,7 +28,6 @@ type refMonitor struct {
 
 	horizon    float64
 	busyTime   float64
-	totalBytes float64
 	firstStart float64
 	sawService bool
 }
@@ -39,7 +38,6 @@ type refFlowMon struct {
 	intervals   []Interval
 
 	qdelay stats.Sample
-	e2e    stats.Sample
 	served float64
 	curve  stats.TimeSeries
 }
@@ -113,14 +111,12 @@ func (m *refMonitor) onDepart(f *Frame, start, end float64) {
 	fm := m.flow(f.Flow)
 	fm.closeOne(end)
 	fm.qdelay.Add(end - f.Arrived)
-	fm.e2e.Add(end - f.Created)
 	fm.served += f.Bytes
 	fm.curve.Add(end, fm.served)
 	if end > m.horizon {
 		m.horizon = end
 	}
 	m.busyTime += end - start
-	m.totalBytes += f.Bytes
 	if !m.sawService {
 		m.sawService = true
 		m.firstStart = start
@@ -157,13 +153,6 @@ func (m *refMonitor) Utilization() float64 {
 		return 0
 	}
 	return m.busyTime / (m.horizon - m.firstStart)
-}
-
-func (m *refMonitor) MeanServiceRate() float64 {
-	if !m.sawService || m.horizon <= m.firstStart {
-		return 0
-	}
-	return m.totalBytes / (m.horizon - m.firstStart)
 }
 
 // sameBits reports whether two float slices hold the same bit patterns.
@@ -213,9 +202,6 @@ func sameAsRef(m *Monitor, ref *refMonitor, flows []int) error {
 		if got, want := m.QueueDelay(f).Values(), fm.qdelay.Values(); !sameBits(got, want) {
 			return fmt.Errorf("flow %d queue delay %v, reference %v", f, got, want)
 		}
-		if got, want := m.EndToEndDelay(f).Values(), fm.e2e.Values(); !sameBits(got, want) {
-			return fmt.Errorf("flow %d end-to-end delay %v, reference %v", f, got, want)
-		}
 		gt, gv := m.ServiceCurve(f).Points()
 		wt, wv := fm.curve.Points()
 		if !sameBits(gt, wt) || !sameBits(gv, wv) {
@@ -229,11 +215,8 @@ func sameAsRef(m *Monitor, ref *refMonitor, flows []int) error {
 			return fmt.Errorf("flow %d backlogged %v, reference %v", f, got, want)
 		}
 	}
-	if !sameBits(
-		[]float64{m.Utilization(), m.TotalBytes(), m.MeanServiceRate()},
-		[]float64{ref.Utilization(), ref.totalBytes, ref.MeanServiceRate()}) {
-		return fmt.Errorf("aggregates %v %v %v, reference %v %v %v", m.Utilization(), m.TotalBytes(),
-			m.MeanServiceRate(), ref.Utilization(), ref.totalBytes, ref.MeanServiceRate())
+	if got, want := m.Utilization(), ref.Utilization(); !sameBits([]float64{got}, []float64{want}) {
+		return fmt.Errorf("utilization %v, reference %v", got, want)
 	}
 	return nil
 }
@@ -249,15 +232,13 @@ func sameLatest(m *Monitor, ref *refMonitor, f int) error {
 	}
 	fm := ref.seen(f)
 	gq, wq := m.QueueDelay(f).Values(), fm.qdelay.Values()
-	ge, we := m.EndToEndDelay(f).Values(), fm.e2e.Values()
 	gt, gv := m.ServiceCurve(f).Last()
 	wt, wv := fm.curve.Last()
-	if len(gq) == 0 || len(gq) != len(wq) || len(ge) != len(we) ||
-		!sameBits([]float64{gq[len(gq)-1], ge[len(ge)-1], gt, gv, m.ServedBytes(f), m.TotalBytes()},
-			[]float64{wq[len(wq)-1], we[len(we)-1], wt, wv, fm.served, ref.totalBytes}) {
-		return fmt.Errorf("flow %d on departure: %d samples, newest %v %v, curve (%v, %v), served %v;"+
-			" reference %d, %v %v, (%v, %v), %v", f, len(gq), gq, ge, gt, gv, m.ServedBytes(f),
-			len(wq), wq, we, wt, wv, fm.served)
+	if len(gq) == 0 || len(gq) != len(wq) ||
+		!sameBits([]float64{gq[len(gq)-1], gt, gv, m.ServedBytes(f)}, []float64{wq[len(wq)-1], wt, wv, fm.served}) {
+		return fmt.Errorf("flow %d on departure: %d samples, newest %v, curve (%v, %v), served %v;"+
+			" reference %d, %v, (%v, %v), %v", f, len(gq), gq, gt, gv, m.ServedBytes(f),
+			len(wq), wq, wt, wv, fm.served)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func TestMonitorReadsDoNotInsert(t *testing.T) {
 	}
 	for id := 1000; id < 2000; id++ {
 		curve, _ := mon.ServiceCurve(id).Points()
-		if n := mon.QueueDelay(id).N() + mon.EndToEndDelay(id).N() + len(curve); n != 0 {
+		if n := mon.QueueDelay(id).N() + len(curve); n != 0 {
 			t.Fatalf("unseen flow %d has %d samples", id, n)
 		}
 		if b, iv := mon.ServedBytes(id), mon.BackloggedIntervals(id); b != 0 || iv != nil {

@@ -112,9 +112,6 @@ func TestMonitorBackloggedIntervals(t *testing.T) {
 	if n := mon.QueueDelay(1).N(); n != 3 {
 		t.Errorf("delay samples = %d", n)
 	}
-	if mon.EndToEndDelay(1).Max() < 1 {
-		t.Error("e2e delay should include transmission time")
-	}
 }
 
 func TestMonitorServiceCurve(t *testing.T) {
@@ -175,19 +172,13 @@ func TestMonitorUtilization(t *testing.T) {
 	if got := mon.Utilization(); math.Abs(got-2.0/3) > 1e-9 {
 		t.Errorf("utilization = %v, want 2/3", got)
 	}
-	if mon.TotalBytes() != 200 {
-		t.Errorf("total bytes = %v", mon.TotalBytes())
-	}
-	if got := mon.MeanServiceRate(); math.Abs(got-200.0/3) > 1e-9 {
-		t.Errorf("mean rate = %v", got)
-	}
 }
 
 func TestMonitorUtilizationEmpty(t *testing.T) {
 	q, link, _ := newTestLink(t, 100)
 	mon := sim.Attach(link)
 	q.Run()
-	if mon.Utilization() != 0 || mon.MeanServiceRate() != 0 {
-		t.Error("empty monitor should report zero rates")
+	if mon.Utilization() != 0 {
+		t.Error("empty monitor should report zero utilization")
 	}
 }
