@@ -295,23 +295,22 @@ func (h *Tree) Enqueue(now float64, p *Packet) error {
 // Dequeue serves the tree from the root (see serve). The packet handed out
 // last is in service until the next call, so only a Dequeue that finds
 // the tree empty ends the root's busy period, as in SFQ.
-func (h *Tree) Dequeue(now float64) (*Packet, bool) {
+func (h *Tree) Dequeue(now float64) (p *Packet, ok bool) {
 	if now > h.last {
 		h.last = now
 	}
-	if !h.root.hasContent() {
-		if h.busy {
-			h.busy = false
-			h.idleNode(h.root, now)
-		}
-		h.finalizeDrains()
-		return nil, false
+	if ok = h.root.hasContent(); ok {
+		h.busy = true
+		p = h.serve(h.root, now)
+		h.total--
+	} else if h.busy {
+		h.busy = false
+		h.idleNode(h.root, now)
 	}
-	h.busy = true
-	p := h.serve(h.root, now)
-	h.total--
-	h.finalizeDrains()
-	return p, true
+	if !h.flows.Drains().Empty() {
+		h.finalizeDrains()
+	}
+	return p, ok
 }
 
 // hasContent reports whether the node's subtree holds any packet.

@@ -53,7 +53,7 @@ func (h *Tree) DrainFlow(flow int) error {
 // finalizeDrains detaches draining flows whose backlog has emptied.
 func (h *Tree) finalizeDrains() {
 	d := h.flows.Drains()
-	for _, f := range d.Flows() { // nil, with nothing draining
+	for _, f := range d.Flows() {
 		if h.QueuedBytes(f) == 0 {
 			d.Clear(f)
 			h.RemoveFlow(f)

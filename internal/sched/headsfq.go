@@ -57,12 +57,18 @@ func (q *HeadSFQ) Served(f *Flow, lp *Packet, length float64, more bool) {
 	if finish > q.MaxFinish {
 		q.MaxFinish = finish
 	}
-	if more {
-		lp.VirtualStart = finish
-		q.fs.Rekey(f, finish, 0)
+	if !more {
+		q.fs.PopFlow()
 		return
 	}
-	q.fs.PopFlow()
+	lp.VirtualStart = finish
+	f.SetHeadKey(finish, 0)
+	if h := &q.fs.heap; h.n == 1 {
+		// The only member wins whatever its key: only its copy changes.
+		h.keys[f.heapOrd] = keyBits(finish)
+	} else {
+		h.Fix(f)
+	}
 }
 
 // Idle ends the busy period: v jumps to the maximum finish tag served.
