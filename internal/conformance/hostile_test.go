@@ -50,7 +50,8 @@ func (b batcher) Enqueue(_ float64, p *sched.Packet) error {
 // registered name that drains flows refuses such a packet of a draining
 // flow with ErrBadPacket too: the packet is checked before the flow's
 // state, as FlowTable.Lookup checks registration, then length, then
-// draining.
+// draining; and it refuses re-adding or re-weighting that flow with
+// ErrFlowDraining, a scheduler tree's sink-routed flows included.
 func TestHostileNumbers(t *testing.T) {
 	runtime := func(t *testing.T) *rt.Runtime {
 		r, err := rt.New("sfq", sched.WithClock(&sched.ManualClock{}))
@@ -119,6 +120,12 @@ func TestHostileNumbers(t *testing.T) {
 					}
 					if err := s.Enqueue(3, &sched.Packet{Flow: 1, Length: x}); !errors.Is(err, sched.ErrBadPacket) {
 						t.Errorf("Enqueue(length %v) of a draining flow = %v, want ErrBadPacket", x, err)
+					}
+					if err := s.AddFlow(1, 100); !errors.Is(err, sched.ErrFlowDraining) {
+						t.Errorf("AddFlow of a draining flow = %v, want ErrFlowDraining", err)
+					}
+					if err := rc.SetWeight(1, 100); !errors.Is(err, sched.ErrFlowDraining) {
+						t.Errorf("SetWeight of a draining flow = %v, want ErrFlowDraining", err)
 					}
 				}
 				p, ok := s.Dequeue(4)

@@ -52,6 +52,13 @@ import (
 // interiors and flow leaves moved onto the shared flow core: neither the
 // "core/hsfq" nor the "hier:<spec>" format may move.
 //
+// "hier:sfq(edd,scfq,drr,fifo)" moved once since, on purpose: a
+// self-clocked discipline's flow records now last one busy period, so the
+// scfq sink's idle flow 1 lost "lastFinish":0.036000000000000004, which
+// equals that sink's v, where the next start tag is v whatever the chain
+// held. The bytes before are kept under "parent:hier:sfq(edd,scfq,drr,fifo)"
+// for TestReleasedChainRestoresAlike.
+//
 // "parent:sched/priority(rank/scfq)" is the script (without re-weighting
 // and draining, which the composition did not offer) on "priority-scfq",
 // recorded on the commit before strict priority became a rank function at
@@ -218,6 +225,67 @@ func TestParentSnapshotsRefused(t *testing.T) {
 		if n := len(s.(sched.FlowLister).ListFlows()); n != 0 || s.Len() != 0 {
 			t.Errorf("%s into %s: refused restore left %d flows, %d packets", key, name, n, s.Len())
 		}
+	}
+}
+
+// TestReleasedChainRestoresAlike: the scripted "hier:sfq(edd,scfq,drr,fifo)"
+// state as written before self-clocked flow records were released at the
+// end of a busy period (the scfq sink's idle flow 1 keeps a finish tag equal
+// to the sink's v) and as written now (it keeps none) restore into
+// schedulers that serve the same packets in the same order under the same
+// tags, and end in the same state.
+func TestReleasedChainRestoresAlike(t *testing.T) {
+	const name = "hier:sfq(edd,scfq,drr,fifo)"
+	golden := readSnapshotBytesGolden(t)
+	var served [2][]sched.Packet
+	var final [2]string
+	for i, key := range []string{"parent:" + name, name} {
+		state := golden[key]
+		sum := sha256.Sum256([]byte(state))
+		env := []byte(fmt.Sprintf(`{"version":%d,"kind":%q,"sha256":%q,"state":%s}`,
+			liveops.Version, name, hex.EncodeToString(sum[:]), state))
+		s := sched.MustNew(name)
+		if err := liveops.Restore(env, s.(sched.Snapshotter)); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		now := 0.035
+		for round := 0; round < 3; round++ {
+			for k := 0; k < 4; k++ {
+				for _, f := range []int{1, 5, 2, 3, 4, 7} { // flow 6 is draining
+					now += 0.0001
+					if err := s.Enqueue(now, &sched.Packet{Flow: f, Seq: int64(k), Length: float64(40 + 10*f + k)}); err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+				}
+			}
+			for {
+				now += 0.0002
+				p, ok := s.Dequeue(now)
+				if !ok {
+					break
+				}
+				served[i] = append(served[i], *p)
+			}
+		}
+		data, err := s.(sched.Snapshotter).AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final[i] = string(data)
+	}
+	if golden["parent:"+name] == golden[name] {
+		t.Fatal("the two fixtures are the same bytes")
+	}
+	if len(served[0]) != 3*4*6+1 || len(served[0]) != len(served[1]) {
+		t.Fatalf("served %d and %d packets, want %d", len(served[0]), len(served[1]), 3*4*6+1)
+	}
+	for k := range served[0] {
+		if served[0][k] != served[1][k] {
+			t.Fatalf("packet %d: from the parent bytes %+v, from the new bytes %+v", k, served[0][k], served[1][k])
+		}
+	}
+	if final[0] != final[1] {
+		t.Errorf("states after the continuation differ\nparent bytes: %s\n   new bytes: %s", final[0], final[1])
 	}
 }
 

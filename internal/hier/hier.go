@@ -191,7 +191,7 @@ func (h *Tree) attach(flow int, weight float64, owner *node) (*sched.Flow, error
 	if err := h.flows.Add(flow, weight); err != nil {
 		return nil, err
 	}
-	rec := h.flows.Registered(flow)
+	rec := h.flows.Record(flow)
 	rec.Class = owner.slot
 	return rec, nil
 }
@@ -214,13 +214,18 @@ func (h *Tree) Sink(flow int) sched.Interface {
 }
 
 // AddFlow routes flow across the sinks by id or, without sinks, adds its
-// leaf under the root; a re-add updates its weight, as SetWeight does.
+// leaf under the root; a re-add updates its weight, as SetWeight does, and
+// is refused for a draining flow. A sink does not know the tree drains the
+// flow, so the tree checks before the sink is asked.
 func (h *Tree) AddFlow(flow int, weight float64) error {
 	if c := h.owner(flow); c != nil {
-		if c.kind == kindLeafDisc {
-			return c.disc.AddFlow(flow, weight)
+		if c.kind != kindLeafDisc {
+			return h.SetWeight(flow, weight)
 		}
-		return h.SetWeight(flow, weight)
+		if h.flows.Drains().Draining(flow) {
+			return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
+		}
+		return c.disc.AddFlow(flow, weight)
 	}
 	parent := h.root
 	if n := len(h.sinks); n > 0 {

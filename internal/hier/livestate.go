@@ -63,10 +63,10 @@ func (h *Tree) finalizeDrains() {
 
 // ListFlows returns the flows by id, with their leaf's or sink's weight.
 func (h *Tree) ListFlows() []sched.FlowInfo {
-	out := make([]sched.FlowInfo, 0, len(h.flows.Weights))
-	h.flows.Each(func(f *sched.Flow) {
-		out = append(out, sched.FlowInfo{Flow: f.ID(), Weight: h.owners[f.Class].pf.Weight})
-	})
+	out := h.flows.ListFlows()
+	for i := range out {
+		out[i].Weight = h.owner(out[i].Flow).pf.Weight
+	}
 	return out
 }
 
@@ -181,11 +181,11 @@ func (h *Tree) capture(c *node) (nodeState, error) {
 		st.Disc = c.discName
 		st.appendEnv = func(b []byte) ([]byte, error) { return liveops.AppendSnapshotAt(b, 0, snap) }
 		if c.kind == kindLeafDisc {
-			h.flows.Each(func(f *sched.Flow) {
-				if f.Class == c.slot {
-					st.Flows = append(st.Flows, f.ID())
+			for _, fi := range h.flows.ListFlows() {
+				if h.owner(fi.Flow) == c {
+					st.Flows = append(st.Flows, fi.Flow)
 				}
-			})
+			}
 		}
 	}
 	for _, ch := range c.children {
@@ -201,7 +201,7 @@ func (h *Tree) capture(c *node) (nodeState, error) {
 // RestoreState builds the empty tree again through add, each node loading
 // its state. A refused state leaves the tree as it was.
 func (h *Tree) RestoreState(data []byte) error {
-	if len(h.flows.Weights) != 0 || h.total != 0 {
+	if len(h.flows.ListFlows()) != 0 || h.total != 0 {
 		return badState("restore into non-empty scheduler")
 	}
 	var st treeState
@@ -348,15 +348,15 @@ func subtreeCount(c *node) int {
 // VisitQueued visits queued packets by flow, ascending, in FIFO order or,
 // for a sink-routed flow, the sink's.
 func (h *Tree) VisitQueued(fn func(*Packet)) {
-	h.flows.Each(func(f *sched.Flow) {
-		if c := h.owners[f.Class]; c.kind == kindLeafFlow {
-			f.VisitQueued(fn)
-		} else if snap, ok := c.disc.(sched.Snapshotter); ok && c.disc.QueuedBytes(f.ID()) > 0 {
+	for _, fi := range h.flows.ListFlows() {
+		if c := h.owner(fi.Flow); c.kind == kindLeafFlow {
+			c.rec.VisitQueued(fn)
+		} else if snap, ok := c.disc.(sched.Snapshotter); ok && c.disc.QueuedBytes(fi.Flow) > 0 {
 			snap.VisitQueued(func(p *Packet) {
-				if p.Flow == f.ID() {
+				if p.Flow == fi.Flow {
 					fn(p)
 				}
 			})
 		}
-	})
+	}
 }

@@ -96,13 +96,13 @@ func TestRemoveFlowEverywhere(t *testing.T) {
 }
 
 func TestFlowTableQueuedCount(t *testing.T) {
-	ft := sched.NewFlowTable()
+	var ft sched.FlowTable
 	if err := ft.Add(1, 10); err != nil {
 		t.Fatal(err)
 	}
 	// The counters are the record's FIFO: what it holds is what is queued.
 	var pool sched.ChunkPool
-	f := ft.Registered(1)
+	f := ft.Record(1)
 	a, b := 0.1, 0.2 // the sum carries a residue the drain must not keep
 	f.Push(&pool, 0, 0, 1, &sched.Packet{Flow: 1, Length: a})
 	f.Push(&pool, 0, 0, 2, &sched.Packet{Flow: 1, Length: b})

@@ -37,10 +37,21 @@ func (fs *FlowSet) Drop(flow int) {
 		fs.total -= int(f.n)
 		fs.heap.Remove(f)
 		f.Release(&fs.pool)
-		fs.flows.del(flow)
 	}
-	delete(fs.Weights, flow)
+	fs.forget(flow)
 }
+
+// eachRecord calls fn for every record of this epoch, in slot order.
+func eachRecord(t *FlowTable, fn func(*Flow)) {
+	for i := range t.index.slots {
+		if f := t.live(&t.index.slots[i]); f != nil {
+			fn(f)
+		}
+	}
+}
+
+// held counts the records the table has leased and not given back.
+func (t *FlowTable) held() int { return t.leased - len(t.spare) }
 
 // PooledChunks reports the chunk pool's free-list length (tests,
 // observability).

@@ -266,7 +266,7 @@ func (s *refFairAirport) promote(now float64) {
 		e := &f.q[ev.idx]
 		if !e.served && !e.inGSQ {
 			e.inGSQ = true
-			r := EffRate(e.p, s.flows.Weights[ev.flow])
+			r := EffRate(e.p, s.flows.Weight(ev.flow))
 			stamp := e.eat + e.p.Length/r
 			f.gsqBase = stamp
 			s.gsq.PushTag(stamp, e.p)
@@ -330,7 +330,7 @@ func (s *refFairAirport) finishService(p *Packet, viaGSQ bool) {
 	}
 	if f.headIdx < len(f.q) {
 		next := &f.q[f.headIdx]
-		r := EffRate(next.p, s.flows.Weights[p.Flow])
+		r := EffRate(next.p, s.flows.Weight(p.Flow))
 		next.asqStart = nextStart
 		next.asqF = nextStart + next.p.Length/r
 		next.p.VirtualStart = next.asqStart

@@ -96,8 +96,8 @@ func FuzzFlowQHeap(f *testing.F) {
 				if fs.FlowLen(flow) != len(q) {
 					t.Fatalf("flow %d len = %d, model %d", flow, fs.FlowLen(flow), len(q))
 				}
-				if fs.FlowBytes(flow) != bytes {
-					t.Fatalf("flow %d bytes = %v, model %v", flow, fs.FlowBytes(flow), bytes)
+				if fs.QueuedBytes(flow) != bytes {
+					t.Fatalf("flow %d bytes = %v, model %v", flow, fs.QueuedBytes(flow), bytes)
 				}
 			}
 			if fs.Len() != total {

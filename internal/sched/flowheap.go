@@ -119,9 +119,10 @@ func (h *FlowHeap) Push(f *Flow) {
 	h.Fix(f)
 }
 
-// grow doubles the leaves (at least 8) and replays every match.
+// grow doubles the leaves (at least 2: an SFQ interior with two children
+// plays one match per served packet) and replays every match.
 func (h *FlowHeap) grow() {
-	leaf := max(8, 2*h.leaf)
+	leaf := max(2, 2*h.leaf)
 	win := make([]int32, 2*leaf)
 	copy(win[leaf:], h.win[h.leaf:])
 	for j := leaf - 1; j > 0; j-- {

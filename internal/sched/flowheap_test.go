@@ -122,7 +122,7 @@ func TestFlowHeapWritesNoOtherRecord(t *testing.T) {
 	}
 	snapshot := func() map[int]Flow {
 		m := make(map[int]Flow, flows)
-		fs.flows.each(func(f *Flow) { m[f.flow] = *f })
+		eachRecord(&fs.FlowTable, func(f *Flow) { m[f.flow] = *f })
 		return m
 	}
 	check := func(op string, before map[int]Flow, touched ...int) {
@@ -134,7 +134,7 @@ func TestFlowHeapWritesNoOtherRecord(t *testing.T) {
 		for _, f := range touched {
 			ok[f] = true
 		}
-		fs.flows.each(func(f *Flow) {
+		eachRecord(&fs.FlowTable, func(f *Flow) {
 			if old, seen := before[f.flow]; seen && !ok[f.flow] && old != *f {
 				t.Errorf("%s wrote flow %d's record", op, f.flow)
 			}

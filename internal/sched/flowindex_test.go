@@ -25,12 +25,15 @@ func idsAtHome(x *flowIndex, slot, n int) []int {
 	return ids
 }
 
+// put adds id to x as a registered entry of weight 1.
+func (x *flowIndex) put(id int) { x.slot(id).w = 1 }
+
 // emptyIndex returns an index with mul that has allocated size slots and
 // holds nothing, so that home is defined.
 func emptyIndex(mul uint64, size int) *flowIndex {
 	x := indexWithMul(mul)
 	for id := 0; len(x.slots) < size; id++ {
-		x.put(&Flow{FlowQ: FlowQ{flow: id}})
+		x.put(id)
 	}
 	x.reset()
 	return x
@@ -69,7 +72,7 @@ var collidingIDs = func() []int {
 // slotOfID returns id's slot position in x, or -1.
 func slotOfID(x *flowIndex, id int) int {
 	for i := range x.slots {
-		if x.slots[i].f != nil && x.slots[i].id == id {
+		if !x.slots[i].empty() && x.slots[i].id == id {
 			return i
 		}
 	}
@@ -86,71 +89,131 @@ func meanProbes(x *flowIndex, ids []int) float64 {
 	return float64(sum) / float64(len(ids))
 }
 
-// FuzzFlowIndex checks flowIndex against a map[int]*Flow. data[0] picks the
-// multiplier; then op = data[2i+1], arg = data[2i+2], id =
-// collidingIDs[arg%len]:
+// FuzzFlowIndex checks FlowTable's registry — the open-addressing index,
+// the record lease and the epoch release — against a map model of weights
+// and records. data[0] picks the multiplier; then op = data[2i+1], arg =
+// data[2i+2], id = collidingIDs[arg%len]:
 //
-//	op%16 0–6   put (when id is absent)
-//	op%16 7–8   get
-//	op%16 9–13  del
-//	op%16 14    each: every record exactly once
-//	op%16 15    reset
+//	op%16 0–4   Add (register or re-weight) with weight 1 + arg%3
+//	op%16 5–6   Record: lease the flow a record (a fresh, zeroed one)
+//	op%16 7–8   Get and Weight
+//	op%16 9–11  Remove (an unregistered flow is refused)
+//	op%16 12    forget (Drop's way out: registered or not)
+//	op%16 13    each: ListFlows ascending, records exactly once
+//	op%16 14–15 release: every record goes, every weight stays
 //
-// After every op each pool id's get, the count and the load (≤ ½) must
-// agree with the map. Any byte string parses.
+// After every op each pool id's Get and Weight, the entry count, the load
+// (≤ ½) and the records held must agree with the model, and no two flows
+// may share a record. Any byte string parses.
 func FuzzFlowIndex(f *testing.F) {
-	f.Add([]byte("\x00\x00\x00\x00\x01\x00\x02\x00\x03\x09\x01\x09\x00\x0e\x00"))
+	f.Add([]byte("\x00\x00\x00\x00\x01\x05\x01\x0e\x00\x07\x01\x09\x00\x0d\x00"))
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		b := []byte{byte(seed - 1)}
 		for i := 0; i < 200; i++ {
-			b = append(b, byte(rng.Intn(15)), byte(rng.Intn(256)))
+			b = append(b, byte(rng.Intn(16)), byte(rng.Intn(256)))
 		}
 		f.Add(b)
+	}
+	type entry struct {
+		w   float64
+		rec *Flow
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		x := indexWithMul(indexMuls[int(data[0])%len(indexMuls)])
-		model := make(map[int]*Flow)
+		var ft FlowTable
+		ft.index.mul = indexMuls[int(data[0])%len(indexMuls)] | 1
+		model := make(map[int]*entry)
 		for i := 1; i+1 < len(data); i += 2 {
 			op, id := data[i]%16, collidingIDs[int(data[i+1])%len(collidingIDs)]
+			e := model[id]
 			switch {
+			case op <= 4:
+				w := float64(1 + data[i+1]%3)
+				if err := ft.Add(id, w); err != nil {
+					t.Fatalf("op %d: Add(%d, %v) = %v", i/2, id, w, err)
+				}
+				if e == nil {
+					e = &entry{}
+					model[id] = e
+				}
+				e.w = w
 			case op <= 6:
-				if model[id] == nil {
-					r := &Flow{FlowQ: FlowQ{flow: id}}
-					x.put(r)
-					model[id] = r
+				r := ft.Record(id)
+				if e == nil {
+					e = &entry{}
+					model[id] = e
+				}
+				if e.rec == nil {
+					if *r != (Flow{FlowQ: FlowQ{flow: id}, Weight: e.w, regPos: -1}) {
+						t.Fatalf("op %d: flow %d leased a used record %+v", i/2, id, *r)
+					}
+					e.rec = r
+				}
+				if r != e.rec {
+					t.Fatalf("op %d: Record(%d) = %p, want %p", i/2, id, r, e.rec)
 				}
 			case op <= 8:
-				if got := x.get(id); got != model[id] {
-					t.Fatalf("op %d: get(%d) = %p, want %p", i/2, id, got, model[id])
+				// checked below for every id
+			case op <= 11:
+				err := ft.Remove(id)
+				if (err == nil) != (e != nil && e.w != 0) {
+					t.Fatalf("op %d: Remove(%d) = %v, model %+v", i/2, id, err, e)
 				}
-			case op <= 13:
-				x.del(id)
+				if err == nil {
+					delete(model, id)
+				}
+			case op == 12:
+				ft.forget(id)
 				delete(model, id)
-			case op == 14:
+			case op == 13:
+				var ids []int
+				for _, fi := range ft.ListFlows() {
+					if e := model[fi.Flow]; e == nil || e.w != fi.Weight || len(ids) > 0 && fi.Flow <= ids[len(ids)-1] {
+						t.Fatalf("op %d: ListFlows row %+v out of order or unknown", i/2, fi)
+					}
+					ids = append(ids, fi.Flow)
+				}
 				seen := make(map[*Flow]bool)
-				x.each(func(r *Flow) {
-					if seen[r] || model[r.flow] != r {
-						t.Fatalf("op %d: each visited flow %d twice or unknown", i/2, r.flow)
+				eachRecord(&ft, func(r *Flow) {
+					if seen[r] || model[r.flow] == nil || model[r.flow].rec != r {
+						t.Fatalf("op %d: records visited flow %d twice or unknown", i/2, r.flow)
 					}
 					seen[r] = true
 				})
-				if len(seen) != len(model) {
-					t.Fatalf("op %d: each visited %d records, want %d", i/2, len(seen), len(model))
+				registered, held := 0, 0
+				for _, e := range model {
+					registered += bit(e.w != 0)
+					held += bit(e.rec != nil)
+				}
+				if len(ids) != registered || len(seen) != held {
+					t.Fatalf("op %d: %d flows listed, %d records visited; model %d and %d", i/2, len(ids), len(seen), registered, held)
 				}
 			default:
-				x.reset()
-				clear(model)
+				ft.release()
+				for _, e := range model {
+					e.rec = nil // a flow pushed by id keeps its entry, as Remove refuses it
+				}
 			}
-			if x.n != len(model) || 2*x.n > len(x.slots) {
-				t.Fatalf("op %d: n = %d over %d slots, model %d", i/2, x.n, len(x.slots), len(model))
+			held := make(map[*Flow]bool)
+			for _, e := range model {
+				if e.rec != nil {
+					held[e.rec] = true
+				}
+			}
+			x := &ft.index
+			if x.n != len(model) || 2*x.n > len(x.slots) || ft.leased-len(ft.spare) != len(held) {
+				t.Fatalf("op %d: n = %d over %d slots, %d records held; model %d flows, %d records", i/2, x.n, len(x.slots), ft.leased-len(ft.spare), len(model), len(held))
 			}
 			for _, id := range collidingIDs {
-				if got := x.get(id); got != model[id] {
-					t.Fatalf("op %d: get(%d) = %p, want %p", i/2, id, got, model[id])
+				e := model[id]
+				if e == nil {
+					e = &entry{}
+				}
+				if got, w := ft.Get(id), ft.Weight(id); got != e.rec || w != e.w {
+					t.Fatalf("op %d: flow %d: Get %p, Weight %v; want %p, %v", i/2, id, got, w, e.rec, e.w)
 				}
 			}
 		}
@@ -167,7 +230,7 @@ func TestFlowIndexDeleteWrapsCluster(t *testing.T) {
 	last := idsAtHome(x, 7, 2)
 	a, b, c, d := last[0], last[1], idsAtHome(x, 1, 1)[0], idsAtHome(x, 0, 1)[0]
 	for _, id := range []int{a, b, c, d} {
-		x.put(&Flow{FlowQ: FlowQ{flow: id}})
+		x.put(id)
 	}
 	want := func(slot, id int) {
 		t.Helper()
@@ -186,12 +249,12 @@ func TestFlowIndexDeleteWrapsCluster(t *testing.T) {
 	want(7, b)
 	want(1, c)
 	want(0, d)
-	if x.n != 3 || x.get(a) != nil || x.slots[2].f != nil {
-		t.Fatalf("after del: n %d, get(a) %v, slot 2 %+v", x.n, x.get(a), x.slots[2])
+	if x.n != 3 || x.find(a) != nil || !x.slots[2].empty() {
+		t.Fatalf("after del: n %d, find(a) %v, slot 2 %+v", x.n, x.find(a), x.slots[2])
 	}
 	for _, id := range []int{b, c, d} {
-		if r := x.get(id); r == nil || r.flow != id {
-			t.Fatalf("get(%d) = %v after del", id, r)
+		if s := x.find(id); s == nil || s.id != id {
+			t.Fatalf("find(%d) = %v after del", id, s)
 		}
 	}
 }
@@ -206,7 +269,7 @@ func TestFlowIndexFloodGuard(t *testing.T) {
 	flood := idsAtHome(emptyIndex(goldenMul, slots), 0, n)
 	fill := func(x *flowIndex) float64 {
 		for _, id := range flood {
-			x.put(&Flow{FlowQ: FlowQ{flow: id}})
+			x.put(id)
 		}
 		if len(x.slots) != slots {
 			t.Fatalf("%d slots for %d ids, want %d", len(x.slots), n, slots)

@@ -174,7 +174,7 @@ func TestFlowHeapRemove(t *testing.T) {
 		before := fs.Len()
 		dropped := fs.FlowLen(victim)
 		fs.Drop(victim)
-		if fs.Len() != before-dropped || fs.FlowLen(victim) != 0 || fs.FlowBytes(victim) != 0 {
+		if fs.Len() != before-dropped || fs.FlowLen(victim) != 0 || fs.QueuedBytes(victim) != 0 {
 			t.Fatalf("seed %d: Drop bookkeeping off", seed)
 		}
 		// Remaining packets still pop in nondecreasing key order.
@@ -331,7 +331,7 @@ func TestFlowSetZeroValueByID(t *testing.T) {
 		t.Fatal(err)
 	}
 	for f := 0; f < flows; f++ {
-		if fs.Get(f).Weight != 0 || len(fs.Weights) != 0 {
+		if fs.Get(f).Weight != 0 || len(fs.ListFlows()) != 0 {
 			t.Fatalf("pushing by id registered flow %d", f)
 		}
 	}
@@ -347,22 +347,23 @@ func TestFlowSetReadsDoNotInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 1000; id < 2000; id++ {
-		if n, b, q := fs.FlowLen(id), fs.FlowBytes(id), fs.QueuedBytes(id); n != 0 || b != 0 || q != 0 {
+		if n, b, q := fs.FlowLen(id), fs.QueuedBytes(id), fs.QueuedBytes(id); n != 0 || b != 0 || q != 0 {
 			t.Fatalf("unseen flow %d: len %d, bytes %v, queued %v", id, n, b, q)
 		}
 		fs.SetFlowKey(id, 1, 1)
 	}
-	if fs.flows.n != 1 || len(fs.Weights) != 1 {
-		t.Fatalf("reading 1000 unknown flows left %d records and %d weights, want 1 and 1", fs.flows.n, len(fs.Weights))
+	if fs.index.n != 2 || fs.held() != 1 || len(fs.ListFlows()) != 1 {
+		t.Fatalf("reading 1000 unknown flows left %d entries, %d records and %d registered flows, want 2, 1 and 1", fs.index.n, fs.held(), len(fs.ListFlows()))
 	}
-	if fs.FlowLen(1) != 1 || fs.FlowBytes(1) != 10 {
-		t.Fatalf("flow 1: len %d, bytes %v", fs.FlowLen(1), fs.FlowBytes(1))
+	if fs.FlowLen(1) != 1 || fs.QueuedBytes(1) != 10 {
+		t.Fatalf("flow 1: len %d, bytes %v", fs.FlowLen(1), fs.QueuedBytes(1))
 	}
 }
 
-// TestFlowRecordMadeOnFirstPacket: registering a flow writes its Weights
-// entry and nothing else; the record appears with the flow's first packet.
-// The control plane treats the two kinds of registered flow alike.
+// TestFlowRecordMadeOnFirstPacket: registering a flow writes its registry
+// slot and nothing else; the record appears with the flow's first packet
+// and, SCFQ being self-clocked, goes back when its busy period ends. The
+// control plane treats the two kinds of registered flow alike.
 func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 	s := NewSCFQ()
 	for f := 1; f <= 100; f++ {
@@ -370,14 +371,14 @@ func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.q.fs.flows.n != 0 || len(s.q.fs.Weights) != 100 {
-		t.Fatalf("after 100 AddFlow: %d records, %d weights; want 0 and 100", s.q.fs.flows.n, len(s.q.fs.Weights))
+	if s.q.fs.held() != 0 || len(s.ListFlows()) != 100 {
+		t.Fatalf("after 100 AddFlow: %d records, %d flows; want 0 and 100", s.q.fs.held(), len(s.ListFlows()))
 	}
 	if err := s.Enqueue(0, &Packet{Flow: 3, Length: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if s.q.fs.flows.n != 1 || s.q.fs.Get(3).Weight != 3 {
-		t.Fatalf("after one packet: %d records, flow 3 = %+v", s.q.fs.flows.n, s.q.fs.Get(3))
+	if s.q.fs.held() != 1 || s.q.fs.Get(3).Weight != 3 {
+		t.Fatalf("after one packet: %d records, flow 3 = %+v", s.q.fs.held(), s.q.fs.Get(3))
 	}
 	if err := s.SetWeight(3, 30); err != nil || s.q.fs.Get(3).Weight != 30 {
 		t.Fatalf("SetWeight on a flow with a record: %v, weight %v", err, s.q.fs.Get(3).Weight)
@@ -388,11 +389,20 @@ func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
 	if err := s.RemoveFlow(5); err != nil { // silent: no record to release
 		t.Fatal(err)
 	}
-	if err := s.DrainFlow(6); err != nil || len(s.q.fs.Weights) != 98 { // silent: removed at once
-		t.Fatalf("DrainFlow(6) = %v with %d weights left", err, len(s.q.fs.Weights))
+	if err := s.DrainFlow(6); err != nil || len(s.ListFlows()) != 98 { // silent: removed at once
+		t.Fatalf("DrainFlow(6) = %v with %d flows left", err, len(s.ListFlows()))
 	}
-	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || s.q.fs.flows.n != 1 {
-		t.Fatalf("enqueue on a removed flow: %v, %d records", err, s.q.fs.flows.n)
+	if err := s.Enqueue(0, &Packet{Flow: 5, Length: 9}); err == nil || s.q.fs.held() != 1 {
+		t.Fatalf("enqueue on a removed flow: %v, %d records", err, s.q.fs.held())
+	}
+	if _, ok := s.Dequeue(1); !ok {
+		t.Fatal("flow 3's packet was not served")
+	}
+	if s.q.fs.held() != 1 {
+		t.Fatalf("record released with the server still busy: %d records", s.q.fs.held())
+	}
+	if _, ok := s.Dequeue(2); ok || s.q.fs.held() != 0 || s.q.fs.Get(3) != nil || len(s.ListFlows()) != 98 || s.q.fs.Weight(3) != 30 {
+		t.Fatalf("after the busy period: %d records, flow 3's %v, %d flows, flow 3 weight %v", s.q.fs.held(), s.q.fs.Get(3), len(s.ListFlows()), s.q.fs.Weight(3))
 	}
 }
 

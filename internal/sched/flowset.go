@@ -89,10 +89,6 @@ func (fs *FlowSet) Rekey(f *Flow, key, sub float64) {
 // Len returns the total number of queued packets across all flows.
 func (fs *FlowSet) Len() int { return fs.total }
 
-// FlowBytes returns the bytes queued for one flow, in O(1) and exactly
-// zero when the flow is idle.
-func (fs *FlowSet) FlowBytes(flow int) float64 { return fs.QueuedBytes(flow) }
-
 // idle reports whether flow holds no packets and no fluid backlog.
 func (fs *FlowSet) idle(flow int) bool {
 	return fs.QueuedCount(flow) == 0 && (fs.fluid == nil || fs.fluid.count[flow] == 0)
@@ -116,7 +112,7 @@ func (fs *FlowSet) Remove(flow int) error {
 
 // mutable reports why flow may not be reconfigured: unknown, or draining.
 func (fs *FlowSet) mutable(flow int) error {
-	if _, ok := fs.Weights[flow]; !ok {
+	if fs.Weight(flow) == 0 {
 		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
 	}
 	if fs.draining.Draining(flow) {
@@ -177,5 +173,13 @@ func (fs *FlowSet) finalizeDrains() {
 // Draining returns the flows marked by DrainFlow, sorted (snapshots).
 func (fs *FlowSet) Draining() []int { return fs.draining.Flows() }
 
-// CheckSlots verifies the heap's slot-key invariant (FlowHeap.CheckSlots).
-func (fs *FlowSet) CheckSlots() error { return fs.heap.CheckSlots() }
+// CheckSlots verifies the heap's slot-key invariant (FlowHeap.CheckSlots)
+// and that no member is a record its flow's epoch ended (released).
+func (fs *FlowSet) CheckSlots() error {
+	for _, m := range fs.heap.ms {
+		if m.f != nil && fs.Get(m.f.flow) != m.f {
+			return fmt.Errorf("heap member flow %d is not its record of this epoch", m.f.flow)
+		}
+	}
+	return fs.heap.CheckSlots()
+}

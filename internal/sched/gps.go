@@ -19,7 +19,7 @@ type gps struct {
 	sumW  float64
 
 	count   map[int]int // fluid packets outstanding per flow
-	weights map[int]float64
+	weights *FlowTable  // the owner's registry, read for each flow's weight
 	h       gpsHeap
 	seq     uint64
 }
@@ -88,7 +88,7 @@ func (h *gpsHeap) pop() gpsEntry {
 	return top
 }
 
-func newGPS(c float64, weights map[int]float64) *gps {
+func newGPS(c float64, weights *FlowTable) *gps {
 	return &gps{c: c, count: make(map[int]int), weights: weights}
 }
 
@@ -158,7 +158,7 @@ func (g *gps) depart() {
 	e := g.h.pop()
 	g.count[e.flow]--
 	if g.count[e.flow] == 0 {
-		g.sumW -= g.weights[e.flow]
+		g.sumW -= g.weights.Weight(e.flow)
 		if g.sumW < 1e-12 {
 			g.sumW = 0
 		}
@@ -168,7 +168,7 @@ func (g *gps) depart() {
 // arrive registers a fluid packet with the given finish tag.
 func (g *gps) arrive(flow int, finish float64) {
 	if g.count[flow] == 0 {
-		g.sumW += g.weights[flow]
+		g.sumW += g.weights.Weight(flow)
 	}
 	g.count[flow]++
 	g.seq++

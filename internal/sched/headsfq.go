@@ -78,4 +78,4 @@ func (q *HeadSFQ) Idle() { q.V = q.MaxFinish }
 func (q *HeadSFQ) Len() int { return q.fs.Len() }
 
 // CheckSlots verifies the flow heap's slot-key invariant (fuzz harness).
-func (q *HeadSFQ) CheckSlots() error { return q.fs.CheckSlots() }
+func (q *HeadSFQ) CheckSlots() error { return q.fs.heap.CheckSlots() }

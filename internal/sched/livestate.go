@@ -70,7 +70,7 @@ func (s *DRR) captureState() drrState {
 // RestoreState loads state into a freshly constructed DRR with the same
 // quantum.
 func (s *DRR) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.total != 0 {
+	if s.flows.index.n != 0 || s.total != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st drrState
@@ -86,10 +86,10 @@ func (s *DRR) RestoreState(data []byte) error {
 	seen := make(map[int]bool, len(st.Active))
 	total := 0
 	for _, fs := range st.Active {
-		f := s.flows.Registered(fs.Flow)
-		if f == nil {
+		if s.flows.Weight(fs.Flow) == 0 {
 			return fmt.Errorf("%w: active flow %d not registered", ErrBadState, fs.Flow)
 		}
+		f := s.flows.Record(fs.Flow)
 		if seen[fs.Flow] {
 			return fmt.Errorf("%w: flow %d twice in round-robin list", ErrBadState, fs.Flow)
 		}
@@ -237,9 +237,13 @@ func (s *FairAirport) captureState() faState {
 	for _, it := range s.gsq.items {
 		stamps[it.p] = faStampState{Key: it.key, Serial: it.serial}
 	}
-	s.flows.Each(func(f *Flow) {
-		fs := faFlowState{ID: f.flow, Weight: f.Weight, EAT: f.EAT, LastFinish: f.LastFinish, Bytes: f.bytes}
-		if f.n > 0 {
+	for _, fi := range s.flows.ListFlows() {
+		fs := faFlowState{ID: fi.Flow, Weight: fi.Weight}
+		f := s.flows.Get(fi.Flow)
+		if f != nil {
+			fs.EAT, fs.LastFinish, fs.Bytes = f.EAT, f.LastFinish, f.bytes
+		}
+		if f != nil && f.n > 0 {
 			fs.AsqSeq = uint64(f.headItem().sub)
 			f.VisitQueued(func(p *Packet) {
 				fs.Pkts = append(fs.Pkts, CapturePacket(p))
@@ -253,7 +257,7 @@ func (s *FairAirport) captureState() faState {
 			}
 		}
 		st.Flows = append(st.Flows, fs)
-	})
+	}
 	return st
 }
 
@@ -291,7 +295,7 @@ func (fs *faFlowState) validate(st *faState) error {
 
 // RestoreState loads state into a freshly constructed Fair Airport.
 func (s *FairAirport) RestoreState(data []byte) error {
-	if len(s.flows.Weights) != 0 || s.total != 0 {
+	if s.flows.index.n != 0 || s.total != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st faState
@@ -301,7 +305,7 @@ func (s *FairAirport) RestoreState(data []byte) error {
 	// Both heaps pop in a strict total order, so the order they are
 	// refilled in does not matter.
 	err := restoreFlows(&s.flows, st.Flows, (*faFlowState).key, func(fs *faFlowState) error { return fs.validate(&st) }, func(fs *faFlowState) {
-		f := s.flows.Registered(fs.ID)
+		f := s.flows.Record(fs.ID)
 		f.EAT, f.LastFinish = fs.EAT, fs.LastFinish
 		for i, ps := range fs.Pkts {
 			p := ps.Packet()
@@ -332,7 +336,11 @@ func (s *FairAirport) RestoreState(data []byte) error {
 
 // VisitQueued visits queued packets: flows ascending, FIFO within a flow.
 func (s *FairAirport) VisitQueued(fn func(*Packet)) {
-	s.flows.Each(func(f *Flow) { f.VisitQueued(fn) })
+	for _, fi := range s.flows.ListFlows() {
+		if f := s.flows.Get(fi.Flow); f != nil {
+			f.VisitQueued(fn)
+		}
+	}
 }
 
 // ListFlows returns the registered flows sorted by id.

@@ -67,10 +67,6 @@ func (q *PIFO) Rekey(f *Flow, key, sub float64) { q.fs.Rekey(f, key, sub) }
 // Len returns the number of queued packets.
 func (q *PIFO) Len() int { return q.fs.Len() }
 
-// FlowBytes returns the bytes queued for flow, in O(1) and exactly zero
-// when the flow is idle.
-func (q *PIFO) FlowBytes(flow int) float64 { return q.fs.FlowBytes(flow) }
-
 // CheckSlots verifies the flow heap's slot-key invariant (fuzz harness).
 func (q *PIFO) CheckSlots() error { return q.fs.CheckSlots() }
 
@@ -87,7 +83,8 @@ type RankState struct {
 	Now float64 // real time of the operation in progress
 	V   float64 // discipline-maintained system virtual time
 
-	gps       *gps // the fluid reference, non-nil only when the discipline sets NeedsGPS
+	gps       *gps       // the fluid reference, non-nil only when the discipline sets NeedsGPS
+	flows     *FlowTable // the scheduler's registry, whose records selfClockedIdle releases
 	maxFinish float64
 	busy      bool
 }
@@ -151,7 +148,7 @@ type Discipline struct {
 // discipline written out by hand (DESIGN.md §13).
 type Ranked struct {
 	d    Discipline
-	q    PIFO // its flow table is the registry; Weights is shared with the GPS reference
+	q    PIFO // its flow table is the registry, which the GPS reference reads weights from
 	st   RankState
 	last float64
 }
@@ -164,7 +161,7 @@ func NewRanked(d Discipline, cfg Config) (*Ranked, error) {
 		return nil, fmt.Errorf("%w: discipline %q has no Rank function", ErrBadConfig, d.Name)
 	}
 	s := &Ranked{d: d}
-	s.q.fs.FlowTable = NewFlowTable()
+	s.st.flows = &s.q.fs.FlowTable
 	if d.NeedsGPS {
 		if !positive(cfg.AssumedCapacity) {
 			return nil, fmt.Errorf("%w: %s requires a finite WithAssumedCapacity > 0, got %v", ErrBadConfig, d.Name, cfg.AssumedCapacity)
@@ -177,7 +174,7 @@ func NewRanked(d Discipline, cfg Config) (*Ranked, error) {
 // attachFluid gives s a fluid GPS reference at capacity c (0 for the WFQ
 // oracle, whose Advance hook integrates C(t) instead).
 func (s *Ranked) attachFluid(c float64) {
-	s.st.gps = newGPS(c, s.q.fs.Weights)
+	s.st.gps = newGPS(c, &s.q.fs.FlowTable)
 	s.q.fs.fluid = s.st.gps
 }
 
@@ -215,7 +212,7 @@ func (s *Ranked) AddFlow(flow int, weight float64) error {
 		return err
 	}
 	if s.d.OnAddFlow != nil {
-		s.d.OnAddFlow(&s.st, s.q.fs.Registered(flow))
+		s.d.OnAddFlow(&s.st, s.q.fs.Record(flow))
 	}
 	return nil
 }
@@ -288,4 +285,4 @@ func (s *Ranked) Len() int { return s.q.Len() }
 
 // QueuedBytes returns the bytes queued for flow (exactly zero when idle:
 // the FlowQ byte accumulator resets on drain).
-func (s *Ranked) QueuedBytes(flow int) float64 { return s.q.FlowBytes(flow) }
+func (s *Ranked) QueuedBytes(flow int) float64 { return s.q.fs.QueuedBytes(flow) }

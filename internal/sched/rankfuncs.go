@@ -73,11 +73,14 @@ func RankSCFQ() Discipline {
 
 // selfClockedIdle is step 2 of the self-clocked algorithms: at the end of
 // a busy period v becomes the maximum finish tag assigned to any serviced
-// packet.
+// packet. Every flow's finish tag is then ≤ v, so its next start tag is v
+// (eq 4) whatever its chain held: the chains end here, and the flow records
+// go back to the registry's pool at once.
 func selfClockedIdle(st *RankState) {
 	if st.busy {
 		st.busy = false
 		st.V = st.maxFinish
+		st.flows.release()
 	}
 }
 
@@ -246,6 +249,6 @@ func (s EDD) AddFlowDeadline(flow int, rate, d float64) error {
 	if err := s.AddFlow(flow, rate); err != nil {
 		return err
 	}
-	s.q.fs.Registered(flow).Deadline = d
+	s.q.fs.Record(flow).Deadline = d
 	return nil
 }

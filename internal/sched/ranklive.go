@@ -101,7 +101,7 @@ func (s *Ranked) SetWeight(flow int, weight float64) error {
 		return err
 	}
 	if s.d.OnAddFlow != nil {
-		s.d.OnAddFlow(&s.st, s.q.fs.Registered(flow))
+		s.d.OnAddFlow(&s.st, s.q.fs.Record(flow))
 	}
 	return nil
 }
@@ -196,13 +196,14 @@ func (s *Ranked) captureState() rankedState {
 		Queue:    s.q.CaptureState(),
 		Draining: s.q.fs.Draining(),
 	}
-	st.Flows = make([]rankFlowState, 0, len(s.q.fs.Weights))
-	s.q.fs.Each(func(f *Flow) {
-		st.Flows = append(st.Flows, rankFlowState{
-			ID: f.flow, Weight: f.Weight,
-			LastFinish: f.LastFinish, EAT: f.EAT, Deadline: f.Deadline, Cum: f.Cum,
-		})
-	})
+	st.Flows = make([]rankFlowState, 0, s.q.fs.index.n)
+	for _, fi := range s.q.fs.ListFlows() {
+		r := rankFlowState{ID: fi.Flow, Weight: fi.Weight}
+		if f := s.q.fs.Get(fi.Flow); f != nil {
+			r.LastFinish, r.EAT, r.Deadline, r.Cum = f.LastFinish, f.EAT, f.Deadline, f.Cum
+		}
+		st.Flows = append(st.Flows, r)
+	}
 	if s.st.gps != nil {
 		gps := s.st.gps.captureState()
 		st.GPS = &gps
@@ -215,7 +216,7 @@ func (s *Ranked) captureState() rankedState {
 // StateKind first). Tag chains are restored verbatim — OnAddFlow is NOT
 // re-fired, the serialized defaults already reflect it.
 func (s *Ranked) RestoreState(data []byte) error {
-	if len(s.q.fs.Weights) != 0 || s.q.Len() != 0 {
+	if s.q.fs.index.n != 0 || s.q.Len() != 0 {
 		return fmt.Errorf("%w: restore into non-empty scheduler", ErrBadState)
 	}
 	var st rankedState
@@ -231,7 +232,7 @@ func (s *Ranked) RestoreState(data []byte) error {
 		}
 		return nil
 	}, func(f *rankFlowState) {
-		r := s.q.fs.Registered(f.ID)
+		r := s.q.fs.Record(f.ID)
 		r.LastFinish, r.EAT, r.Deadline, r.Cum = f.LastFinish, f.EAT, f.Deadline, f.Cum
 	})
 	if err != nil {
@@ -245,12 +246,7 @@ func (s *Ranked) RestoreState(data []byte) error {
 	if err := s.q.RestoreState(st.Queue); err != nil {
 		return err
 	}
-	for _, f := range st.Queue.Queue.Flows {
-		if _, ok := s.q.fs.Weights[f.Flow]; !ok {
-			return fmt.Errorf("%w: queued packets for unregistered flow %d", ErrBadState, f.Flow)
-		}
-	}
-	known := func(f int) bool { _, ok := s.q.fs.Weights[f]; return ok }
+	known := func(f int) bool { return s.q.fs.Weight(f) != 0 }
 	if err := s.q.fs.draining.Restore(st.Draining, known); err != nil {
 		return err
 	}

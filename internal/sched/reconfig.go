@@ -75,9 +75,11 @@ type FlowLister interface {
 
 // ListFlows returns the registry's flows sorted by id.
 func (t *FlowTable) ListFlows() []FlowInfo {
-	out := make([]FlowInfo, 0, len(t.Weights))
-	for f, w := range t.Weights {
-		out = append(out, FlowInfo{Flow: f, Weight: w})
+	out := make([]FlowInfo, 0, t.index.n)
+	for _, s := range t.index.slots {
+		if s.w != 0 {
+			out = append(out, FlowInfo{Flow: s.id, Weight: s.w})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
 	return out

@@ -111,8 +111,8 @@ var (
 	ErrClosed = errors.New("sched: closed")
 )
 
-// Flow is the one record a scheduler keeps per flow, reached by one index
-// lookup per packet: the registration (Weight), the FIFO — whose Len and
+// Flow is a flow's record while it needs one (see FlowTable), reached by
+// one index lookup per packet: its weight, the FIFO — whose Len and
 // QueuedBytes ARE the flow's queued accounting, there is no second copy —
 // and the per-flow tag chain of whichever discipline owns the table. It is
 // 112 bytes in the release build: the FIFO's fields, heapOrd, Weight and
@@ -127,8 +127,8 @@ type Flow struct {
 	// word after heapOrd.
 	Class int32
 
-	// Weight is the registered weight (bytes/second); 0 while the flow is
-	// not registered (a FlowSet makes records for flows pushed by id).
+	// Weight is the registered weight (bytes/second), copied from the
+	// flow's slot; 0 for a flow a FlowSet pushed by id.
 	Weight float64
 
 	// The tag chain. Each discipline uses the fields its recurrence needs.
@@ -147,54 +147,77 @@ type Flow struct {
 	promoted, regPos int32
 }
 
-// FlowTable is the flow registry shared by the schedulers in this
-// repository (including internal/core and internal/pifo): one record per
-// flow, found through an open-addressing index (flowindex.go).
-// Weights says which flows are registered, and is the control-plane
-// view of their weights (the fluid GPS reference shares it, ListFlows and
-// the live-state code read it); the per-packet paths go through Lookup and
-// use the record. A record is made when its flow first needs one — its
-// first packet, as a rule. So a registered, silent flow costs its Weights
-// entry; a drained one its 112-byte record too; a backlogged one with n
-// packets queued the record plus one 8-item FIFO chunk while n ≤ 8 (the
-// chunk is then a ring), and at most ⌈n/8⌉+1 beyond. The zero value is
-// ready to use.
+// FlowTable is the flow registry of every scheduler here: one open-addressed
+// slot per flow (flowindex.go) holding its weight and its record, leased
+// from the table's pool on the flow's first packet (reads never lease). The
+// self-clocked rank functions give every record back at the end of a busy
+// period by advancing the epoch (release: a slot's record counts only while
+// stamped with the epoch, so no flow is walked); other owners keep a record
+// until its flow is removed. A registered flow costs its slot (32 bytes,
+// two at most at load ≤ ½); one with a record 112 bytes more; one with n
+// packets queued one 8-item FIFO chunk while n ≤ 8 (a ring), at most
+// ⌈n/8⌉+1 beyond. The pool keeps what the most records leased at once
+// needed. The zero value is ready to use.
 type FlowTable struct {
-	Weights  map[int]float64
-	flows    flowIndex
+	index    flowIndex
+	recs     []*Flow // the pool: recs[:leased] leased this epoch, the rest free
+	spare    []*Flow // leased records that Remove gave back, leased again first
+	leased   int
+	epoch    uint64
 	draining DrainSet // flows DrainFlow marked: no arrivals, no re-weighting
 }
 
-// NewFlowTable returns an empty registry whose Weights map exists already
-// (for sharing with a GPS reference before the first Add).
-func NewFlowTable() FlowTable {
-	return FlowTable{Weights: make(map[int]float64)}
-}
-
-// Record returns flow's record, creating an unregistered one on first
-// sight. Read accessors must not come through here.
-func (t *FlowTable) Record(flow int) *Flow {
-	f := t.flows.get(flow)
-	if f == nil {
-		f = &Flow{FlowQ: FlowQ{flow: flow}, regPos: -1}
-		t.flows.put(f)
-	}
-	return f
-}
-
-// Get returns flow's record, or nil when the table has none (yet).
-func (t *FlowTable) Get(flow int) *Flow { return t.flows.get(flow) }
-
-// Registered returns the record of a registered flow, making it if the
-// flow has not needed one so far; nil for an unregistered flow.
-func (t *FlowTable) Registered(flow int) *Flow {
-	w, ok := t.Weights[flow]
-	if !ok {
+// live returns s's record if s is an entry stamped with this epoch, or nil.
+func (t *FlowTable) live(s *flowSlot) *Flow {
+	if s == nil || s.ep != t.epoch {
 		return nil
 	}
-	f := t.Record(flow)
-	f.Weight = w
+	return s.f
+}
+
+// lease gives s's flow a fresh record: a spare, a pooled or a new one.
+func (t *FlowTable) lease(s *flowSlot) *Flow {
+	var f *Flow
+	if n := len(t.spare); n > 0 {
+		f, t.spare = t.spare[n-1], t.spare[:n-1]
+	} else {
+		if t.leased == len(t.recs) {
+			t.recs = append(t.recs, new(Flow))
+		}
+		f, t.leased = t.recs[t.leased], t.leased+1
+	}
+	*f = Flow{FlowQ: FlowQ{flow: s.id}, Weight: s.w, regPos: -1}
+	s.f, s.ep = f, t.epoch
 	return f
+}
+
+// release ends the epoch: every record goes back to the pool at once and
+// every flow starts a fresh chain. Only an owner whose queues are all
+// empty may call it, at the end of a busy period.
+func (t *FlowTable) release() {
+	poisonRecords(t.recs[:t.leased]...) // schedassert only
+	t.epoch, t.leased, t.spare = t.epoch+1, 0, t.spare[:0]
+}
+
+// Record returns flow's record, leasing one on first need (an unknown flow
+// gets an unregistered entry: a FlowSet push by id). Reads must not use it.
+func (t *FlowTable) Record(flow int) *Flow {
+	s := t.index.slot(flow)
+	if f := t.live(s); f != nil {
+		return f
+	}
+	return t.lease(s)
+}
+
+// Get returns flow's record, or nil when it holds none.
+func (t *FlowTable) Get(flow int) *Flow { return t.live(t.index.find(flow)) }
+
+// Weight returns flow's registered weight, 0 when it is not registered.
+func (t *FlowTable) Weight(flow int) float64 {
+	if s := t.index.find(flow); s != nil {
+		return s.w
+	}
+	return 0
 }
 
 // positive reports whether x can be a weight or a packet length: finite
@@ -211,28 +234,34 @@ func (t *FlowTable) Add(flow int, weight float64) error {
 	if !positive(weight) {
 		return fmt.Errorf("%w: flow %d weight %v", ErrBadWeight, flow, weight)
 	}
-	if t.Weights == nil {
-		t.Weights = make(map[int]float64)
-	}
-	t.Weights[flow] = weight
-	if f := t.flows.get(flow); f != nil {
+	s := t.index.slot(flow)
+	s.w = weight
+	if f := t.live(s); f != nil {
 		f.Weight = weight
 	}
 	return nil
 }
 
-// Remove unregisters an idle flow and forgets its record. An idle flow's
-// FIFO holds no chunk, so nothing goes back to a chunk pool.
+// Remove unregisters an idle flow; its record, if any, goes back to the
+// pool. An idle flow's FIFO holds no chunk: none goes back to a chunk pool.
 func (t *FlowTable) Remove(flow int) error {
-	if _, ok := t.Weights[flow]; !ok {
+	if t.Weight(flow) == 0 {
 		return fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
 	}
-	if f := t.flows.get(flow); f != nil && f.n > 0 {
+	if f := t.Get(flow); f != nil && f.n > 0 {
 		return fmt.Errorf("%w: %d", ErrFlowBusy, flow)
 	}
-	delete(t.Weights, flow)
-	t.flows.del(flow)
+	t.forget(flow)
 	return nil
+}
+
+// forget deletes flow's entry and gives its record, if any, back.
+func (t *FlowTable) forget(flow int) {
+	if f := t.Get(flow); f != nil {
+		poisonRecords(f) // schedassert only
+		t.spare = append(t.spare, f)
+	}
+	t.index.del(flow)
 }
 
 // Drains returns the flows DrainFlow marked, for an owner that decides
@@ -244,12 +273,9 @@ func (t *FlowTable) Drains() *DrainSet { return &t.draining }
 // positive length, not draining — and returns its flow's record: the one
 // flow-keyed lookup of an Enqueue.
 func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
-	f := t.flows.get(p.Flow)
-	if f == nil || f.Weight == 0 {
-		// The flow's first packet since it registered, or no such flow.
-		if f = t.Registered(p.Flow); f == nil {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, p.Flow)
-		}
+	s := t.index.find(p.Flow)
+	if s == nil || s.w == 0 {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, p.Flow)
 	}
 	if !positive(p.Length) {
 		return nil, fmt.Errorf("%w: flow %d length %v", ErrBadPacket, p.Flow, p.Length)
@@ -257,12 +283,15 @@ func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
 	if !t.draining.Empty() && t.draining.Draining(p.Flow) {
 		return nil, fmt.Errorf("%w: %d", ErrFlowDraining, p.Flow)
 	}
-	return f, nil
+	if f := t.live(s); f != nil {
+		return f, nil
+	}
+	return t.lease(s), nil // the flow's first packet of the epoch
 }
 
 // QueuedBytes returns the bytes queued for flow, exactly zero when idle.
 func (t *FlowTable) QueuedBytes(flow int) float64 {
-	if f := t.flows.get(flow); f != nil {
+	if f := t.Get(flow); f != nil {
 		return f.bytes
 	}
 	return 0
@@ -270,7 +299,7 @@ func (t *FlowTable) QueuedBytes(flow int) float64 {
 
 // QueuedCount returns the packets queued for flow.
 func (t *FlowTable) QueuedCount(flow int) int {
-	if f := t.flows.get(flow); f != nil {
+	if f := t.Get(flow); f != nil {
 		return int(f.n)
 	}
 	return 0

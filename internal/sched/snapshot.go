@@ -279,9 +279,9 @@ func (fs *FlowSet) CaptureState() FlowSetState {
 }
 
 // RestoreState loads st into an empty FlowSet (ErrBadState on any
-// violation): flow ids strictly ascending, each FIFO valid, and the push
-// serial covering every item serial. The heap is rebuilt from scratch; pop
-// order is unaffected by heap shape (strict total order).
+// violation): flow ids strictly ascending and registered, each FIFO valid,
+// and the push serial covering every item serial. The heap is rebuilt from
+// scratch; pop order is unaffected by heap shape (strict total order).
 func (fs *FlowSet) RestoreState(st FlowSetState) error {
 	if fs.total != 0 {
 		return fmt.Errorf("%w: restore into non-empty FlowSet (%d queued)", ErrBadState, fs.total)
@@ -290,6 +290,9 @@ func (fs *FlowSet) RestoreState(st FlowSetState) error {
 	for i, q := range st.Flows {
 		if i > 0 && q.Flow <= st.Flows[i-1].Flow {
 			return fmt.Errorf("%w: flow ids not ascending at %d", ErrBadState, q.Flow)
+		}
+		if fs.Weight(q.Flow) == 0 {
+			return fmt.Errorf("%w: queued packets for unregistered flow %d", ErrBadState, q.Flow)
 		}
 		f := fs.Record(q.Flow)
 		if err := f.RestoreState(&fs.pool, q); err != nil {
@@ -316,37 +319,27 @@ func (fs *FlowSet) VisitQueued(fn func(*Packet)) {
 	}
 }
 
-// Each calls fn for every registered flow's record, ascending by id. A
-// flow that has no record yet is shown as a detached empty one (weight
-// only), so enumerating never grows the table.
-func (t *FlowTable) Each(fn func(*Flow)) {
-	ids := make([]int, 0, len(t.Weights))
-	for id := range t.Weights {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f := t.flows.get(id)
-		if f == nil {
-			f = &Flow{FlowQ: FlowQ{flow: id}, Weight: t.Weights[id]}
-		}
-		fn(f)
-	}
-}
-
 // queuedTotal sums the per-flow packet counts.
 func (t *FlowTable) queuedTotal() int {
 	n := 0
-	t.flows.each(func(f *Flow) { n += int(f.n) })
+	for i := range t.index.slots {
+		if f := t.live(&t.index.slots[i]); f != nil {
+			n += int(f.n)
+		}
+	}
 	return n
 }
 
 // CaptureAccounting serializes the flow registry sorted by flow id.
 func (t *FlowTable) CaptureAccounting() []FlowAccounting {
-	out := make([]FlowAccounting, 0, len(t.Weights))
-	t.Each(func(f *Flow) {
-		out = append(out, FlowAccounting{Flow: f.flow, Weight: f.Weight, Bytes: f.bytes, Count: int(f.n)})
-	})
+	out := make([]FlowAccounting, 0, t.index.n)
+	for _, fi := range t.ListFlows() {
+		a := FlowAccounting{Flow: fi.Flow, Weight: fi.Weight}
+		if f := t.Get(fi.Flow); f != nil {
+			a.Bytes, a.Count = f.bytes, int(f.n)
+		}
+		out = append(out, a)
+	}
 	return out
 }
 
@@ -355,7 +348,7 @@ func (t *FlowTable) CaptureAccounting() []FlowAccounting {
 // calls before restore — after checking every row first (ids strictly
 // ascending, weights finite and positive, and the discipline's own check),
 // so a refused restore changes nothing; then load fills in each row's
-// flow. The Weights map is cleared in place, never reallocated.
+// flow. The registry is emptied in place, its slots and pool kept.
 func restoreFlows[R any](t *FlowTable, rows []R, key func(*R) (int, float64), check func(*R) error, load func(*R)) error {
 	prev := 0
 	for i := range rows {
@@ -371,8 +364,8 @@ func restoreFlows[R any](t *FlowTable, rows []R, key func(*R) (int, float64), ch
 		}
 		prev = id
 	}
-	clear(t.Weights)
-	t.flows.reset()
+	t.index.reset()
+	t.leased, t.spare = 0, t.spare[:0]
 	for i := range rows {
 		id, w := key(&rows[i])
 		_ = t.Add(id, w) // cannot fail: weight checked above, nothing draining yet
@@ -399,7 +392,7 @@ func (t *FlowTable) restoreAccounting(accts []FlowAccounting) error {
 		return nil
 	}, func(a *FlowAccounting) {
 		if a.Count > 0 {
-			f := t.Registered(a.Flow)
+			f := t.Record(a.Flow)
 			f.n, f.bytes = int32(a.Count), a.Bytes
 		}
 	})
@@ -481,7 +474,7 @@ func (g *gps) captureState() GPSState {
 	return st
 }
 
-// restoreState loads st into a fresh fluid system. The weights map must
+// restoreState loads st into a fresh fluid system. The registry must
 // already hold every busy flow (restore FlowTable accounting first). SumW
 // is validated against the recomputed weight sum, then assigned exactly.
 func (g *gps) restoreState(st GPSState) error {
@@ -502,8 +495,8 @@ func (g *gps) restoreState(st GPSState) error {
 		if b.Count <= 0 {
 			return fmt.Errorf("%w: GPS flow %d count %d", ErrBadState, b.Flow, b.Count)
 		}
-		w, ok := g.weights[b.Flow]
-		if !ok {
+		w := g.weights.Weight(b.Flow)
+		if w == 0 {
 			return fmt.Errorf("%w: GPS busy flow %d not registered", ErrBadState, b.Flow)
 		}
 		perFlow[b.Flow] = b.Count
@@ -549,12 +542,12 @@ func (g *gps) restoreState(st GPSState) error {
 
 // reweigh adjusts the fluid share sum for a live weight change on flow:
 // if the flow is fluid-busy its old weight leaves B(t)'s sum and the new
-// one enters, effective from the last advance point. The weights map is
-// shared with the caller's FlowTable; the caller writes the new weight
-// AFTER this call (the old weight is read from the map here).
+// one enters, effective from the last advance point. The caller writes
+// the new weight into the registry AFTER this call (the old weight is read
+// from it here).
 func (g *gps) reweigh(flow int, w float64) {
 	if g.count[flow] > 0 {
-		g.sumW += w - g.weights[flow]
+		g.sumW += w - g.weights.Weight(flow)
 		if g.sumW < 1e-12 {
 			g.sumW = 0
 		}
