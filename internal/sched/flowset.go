@@ -174,7 +174,7 @@ func (fs *FlowSet) finalizeDrains() {
 func (fs *FlowSet) Draining() []int { return fs.draining.Flows() }
 
 // CheckSlots verifies the heap's slot-key invariant (FlowHeap.CheckSlots)
-// and that no member is a record its flow's epoch ended (released).
+// and that every member is its flow's record of the current epoch.
 func (fs *FlowSet) CheckSlots() error {
 	for _, m := range fs.heap.ms {
 		if m.f != nil && fs.Get(m.f.flow) != m.f {
