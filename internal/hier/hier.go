@@ -225,7 +225,10 @@ func (h *Tree) AddFlow(flow int, weight float64) error {
 		if h.flows.Drains().Draining(flow) {
 			return fmt.Errorf("%w: %d", sched.ErrFlowDraining, flow)
 		}
-		return c.disc.AddFlow(flow, weight)
+		if err := c.disc.AddFlow(flow, weight); err != nil {
+			return err
+		}
+		return h.flows.Add(flow, weight) // the weight ListFlows reports
 	}
 	parent := h.root
 	if n := len(h.sinks); n > 0 {

@@ -376,6 +376,60 @@ func TestReconfigPaths(t *testing.T) {
 	}
 }
 
+// TestSinkRoutedFlowWeights: every registered tree routes AddFlow into a
+// sink, and lists a routed flow with the weight it was added with, not its
+// sink's class weight; a re-add or SetWeight through the sink moves it. A
+// state names routed flows only, so a restored tree lists the weight its
+// sink holds for each.
+func TestSinkRoutedFlowWeights(t *testing.T) {
+	for _, name := range sched.Names() {
+		if !strings.HasPrefix(name, "hier:") {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			s, err := sched.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := s.(*hier.Tree)
+			check := func(step string, tr *hier.Tree, want ...sched.FlowInfo) {
+				t.Helper()
+				if got := tr.ListFlows(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: ListFlows = %v, want %v", step, got, want)
+				}
+			}
+			for _, fi := range []sched.FlowInfo{{Flow: 5, Weight: 300}, {Flow: 6, Weight: 700}} {
+				if err := h.AddFlow(fi.Flow, fi.Weight); err != nil {
+					t.Fatal(err)
+				}
+				if h.Sink(fi.Flow) == nil {
+					t.Fatalf("flow %d has no sink", fi.Flow)
+				}
+			}
+			check("added", h, sched.FlowInfo{Flow: 5, Weight: 300}, sched.FlowInfo{Flow: 6, Weight: 700})
+			if err := h.AddFlow(5, 400); err != nil {
+				t.Fatal(err)
+			}
+			check("re-added", h, sched.FlowInfo{Flow: 5, Weight: 400}, sched.FlowInfo{Flow: 6, Weight: 700})
+			if err := h.SetWeight(6, 800); err != nil {
+				t.Fatal(err)
+			}
+			check("re-weighted", h, sched.FlowInfo{Flow: 5, Weight: 400}, sched.FlowInfo{Flow: 6, Weight: 800})
+
+			blob, err := h.AppendState(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, _ := sched.New(name)
+			restored := r.(*hier.Tree)
+			if err := restored.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			check("restored", restored, h.ListFlows()...)
+		})
+	}
+}
+
 func TestTreePoolSafety(t *testing.T) {
 	// Pool safety is the AND over sinks: DRR and EDD both recycle, so the
 	// composed tree does; a sink whose discipline has no PacketPoolSafe

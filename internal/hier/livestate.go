@@ -25,10 +25,16 @@ func (h *Tree) SetWeight(flow int, weight float64) error {
 		c.pf.Weight = weight
 		return h.flows.Add(flow, weight)
 	}
+	var err error
 	if rc, ok := c.disc.(sched.Reconfigurable); ok {
-		return rc.SetWeight(flow, weight)
+		err = rc.SetWeight(flow, weight)
+	} else {
+		err = c.disc.AddFlow(flow, weight) // an upsert: DRR, Fair Airport
 	}
-	return c.disc.AddFlow(flow, weight) // an upsert: DRR, Fair Airport
+	if err != nil {
+		return err
+	}
+	return h.flows.Add(flow, weight) // the weight ListFlows reports
 }
 
 // SetCapacity reports that the tree is self-clocked at every level.
@@ -61,14 +67,9 @@ func (h *Tree) finalizeDrains() {
 	}
 }
 
-// ListFlows returns the flows by id, with their leaf's or sink's weight.
-func (h *Tree) ListFlows() []sched.FlowInfo {
-	out := h.flows.ListFlows()
-	for i := range out {
-		out[i].Weight = h.owner(out[i].Flow).pf.Weight
-	}
-	return out
-}
+// ListFlows returns the flows by id with their weights: a leaf's, or the
+// one a flow routed into a sink was added with.
+func (h *Tree) ListFlows() []sched.FlowInfo { return h.flows.ListFlows() }
 
 // nodeState is one class, children in creation order. Its first fields
 // are the "core/hsfq" record: the tags of its logical packet at an SFQ
@@ -309,14 +310,21 @@ func (h *Tree) loadChildren(c *node, n int, st *nodeState) error {
 		if c.kind == kindDisc && (subtreeCount(c) != c.disc.Len() || st.Flows != nil) {
 			return badState("interior %q pseudo backlog %d != %d subtree packets, or routes flows", st.Name, c.disc.Len(), subtreeCount(c))
 		}
-		for _, f := range st.Flows {
-			if _, err := h.attach(f, c.pf.Weight, c); err != nil {
-				return err
+		// A routed flow keeps the weight its sink holds for it; the state
+		// names the flow only, so a sink that lists no flows lends its own.
+		var held []sched.FlowInfo
+		if fl, ok := c.disc.(sched.FlowLister); ok && c.kind == kindLeafDisc {
+			if held = fl.ListFlows(); !slices.EqualFunc(held, st.Flows, func(fi sched.FlowInfo, f int) bool { return fi.Flow == f }) {
+				return badState("sink %q routes flows %v, its discipline holds %v", st.Name, st.Flows, held)
 			}
 		}
-		if fl, ok := c.disc.(sched.FlowLister); ok && c.kind == kindLeafDisc {
-			if held := fl.ListFlows(); !slices.EqualFunc(held, st.Flows, func(fi sched.FlowInfo, f int) bool { return fi.Flow == f }) {
-				return badState("sink %q routes flows %v, its discipline holds %v", st.Name, st.Flows, held)
+		for i, f := range st.Flows {
+			w := c.pf.Weight
+			if held != nil {
+				w = held[i].Weight
+			}
+			if _, err := h.attach(f, w, c); err != nil {
+				return err
 			}
 		}
 	}

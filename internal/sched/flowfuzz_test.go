@@ -18,8 +18,8 @@ const fuzzFlows = 32
 // count — fails the run, and so does a heap slot whose copied key differs
 // from its flow's head item (CheckSlots, after every operation). Chunks are
 // accounted after every operation too: an idle flow holds none, one
-// holding n packets at most ⌈n/8⌉+1, and the pooled ones plus those the
-// FIFOs hold are every chunk ever made. The byte grammar is
+// holding n packets at most ⌈n/flowChunkSize⌉+1, and the pooled ones plus
+// those the FIFOs hold are every chunk ever made. The byte grammar is
 // op = data[2i], arg = data[2i+1], flow = arg%32+1:
 //
 //	op%5 == 0,1  push on flow with the flow's key advanced by (arg>>4)/4 —

@@ -22,9 +22,10 @@ type flowIndex struct {
 	n     int
 }
 
-// flowSlot is one flow's entry: its weight (0 for a flow a FlowSet pushed
-// by id) and its record, the flow's only while ep is the table's epoch. A
-// slot with neither weight nor record is empty.
+// flowSlot is one flow's entry: its weight (unregistered for a flow a
+// FlowSet pushed by id) and its record, the flow's only while ep is the
+// table's epoch. A slot of weight 0 is empty: one field to test keeps find
+// within the inliner's budget.
 type flowSlot struct {
 	id int
 	w  float64
@@ -32,7 +33,14 @@ type flowSlot struct {
 	ep uint64
 }
 
-func (s *flowSlot) empty() bool { return s.w == 0 && s.f == nil }
+// unregistered is the weight of an entry that holds no registered flow, so
+// that it is not empty.
+const unregistered = -1
+
+func (s *flowSlot) empty() bool { return s.w == 0 }
+
+// weight returns the registered weight, 0 for an unregistered entry.
+func (s *flowSlot) weight() float64 { return max(s.w, 0) }
 
 // home is id's first probe position.
 func (x *flowIndex) home(id int) int {
@@ -50,8 +58,7 @@ func (x *flowIndex) find(id int) *flowSlot {
 	if x.n == 0 {
 		return nil
 	}
-	mask := len(x.slots) - 1
-	for i := x.home(id); ; i = (i + 1) & mask {
+	for i := x.home(id); ; i = (i + 1) & (len(x.slots) - 1) {
 		s := &x.slots[i]
 		if s.empty() {
 			return nil
@@ -62,8 +69,8 @@ func (x *flowIndex) find(id int) *flowSlot {
 	}
 }
 
-// slot returns id's slot, adding an empty entry when id has none (good
-// until the next addition or del).
+// slot returns id's slot, adding an unregistered entry when id has none
+// (good until the next addition or del).
 func (x *flowIndex) slot(id int) *flowSlot {
 	if s := x.find(id); s != nil {
 		return s
@@ -87,7 +94,7 @@ func (x *flowIndex) slot(id int) *flowSlot {
 		i = (i + 1) & mask
 	}
 	x.n++
-	x.slots[i].id = id
+	x.slots[i].id, x.slots[i].w = id, unregistered
 	return &x.slots[i]
 }
 

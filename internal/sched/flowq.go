@@ -23,16 +23,20 @@ package sched
 // min-over-flow-heads equals min-over-all-packets whenever each flow's
 // FIFO is ordered — which is exactly the asserted invariant.
 
-// flowChunkSize is the number of items per pooled FIFO chunk: 8 items ×
-// 32 bytes is 256 bytes. A FIFO that fits in one chunk uses it as a ring
-// (see FlowQ), so a flow at most 8 deep holds exactly one chunk however its
-// packets come and go. The ring is what makes 8 safe: a FIFO that only
-// fills chunks front to back slides across chunk boundaries (at 16 items a
-// flow 4 deep holds 1.24 chunks on average), and at 8 items hierarchical
-// interiors then keep reaching new chunk peaks, which breaks the
-// zero-allocation tests. It must be a power of two (ring indices are
+// flowChunkSize is the number of items per pooled FIFO chunk: 4 items ×
+// 32 bytes and the link are 136 bytes, in the allocator's 144-byte size
+// class. That is 36 bytes an item, as 8 items are in the 288-byte class, so
+// a deep flow pays per packet what it would with 8, and a flow at most 4
+// deep — nearly every flow of a backlogged link, and every pseudo-flow of
+// an SFQ tree interior — pays half. A FIFO that fits in one chunk uses it
+// as a ring (see FlowQ), so such a flow holds exactly one chunk however its
+// packets come and go. The ring is what makes small chunks safe: a FIFO
+// that only fills chunks front to back slides across chunk boundaries (at
+// 16 items a flow 4 deep holds 1.24 chunks on average), and at 8 items
+// hierarchical interiors then keep reaching new chunk peaks, which breaks
+// the zero-allocation tests. It must be a power of two (ring indices are
 // masked) and at most 255 (they are uint8).
-const flowChunkSize = 8
+const flowChunkSize = 4
 
 // chunkMask reduces a head-ring index modulo flowChunkSize.
 const chunkMask = flowChunkSize - 1
@@ -106,12 +110,12 @@ func (cp *ChunkPool) Len() int { return cp.n }
 // FlowQ is one flow's packet FIFO: a chunked queue with O(1) push, pop,
 // peek, and byte accounting. Chunks come from the scheduler's ChunkPool
 // and go back to it as they empty: an empty FIFO holds no chunk, one
-// holding n ≤ 8 packets holds exactly one, and one holding more at most
-// ⌈n/8⌉+1.
+// holding n ≤ 4 packets holds exactly one, and one holding more at most
+// ⌈n/4⌉+1.
 //
 // The head chunk is a ring of hn items from slot hi onward, wrapping
 // modulo flowChunkSize; while the FIFO fits in it (head == tail) a push
-// writes at (hi+hn) mod 8 and a pop advances hi. A 9th packet links a
+// writes at (hi+hn) mod 4 and a pop advances hi. A 5th packet links a
 // second chunk, and chunks after the head fill linearly from slot 0 up to
 // ti. When the head chunk empties, its successor becomes the head ring,
 // and once that is the tail again the FIFO wraps in it.
@@ -149,7 +153,7 @@ func (fq *FlowQ) Len() int { return int(fq.n) }
 func (fq *FlowQ) QueuedBytes() float64 { return fq.bytes }
 
 // item returns the item k places behind the front: in the head ring when
-// k < hn, otherwise walking (k-hn)/8 chunks past the head. Callers must
+// k < hn, otherwise walking (k-hn)/4 chunks past the head. Callers must
 // ensure k < Len().
 func (fq *FlowQ) item(k int) *flowItem {
 	if k < int(fq.hn) {

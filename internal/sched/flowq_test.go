@@ -20,7 +20,8 @@ func TestFlowQChunkLifecycle(t *testing.T) {
 		t.Fatalf("ID() = %d", fq.ID())
 	}
 
-	const n = 3*flowChunkSize + 5 // spans 4 chunks
+	const n = 3*flowChunkSize + 5
+	const chunks = (n + flowChunkSize - 1) / flowChunkSize // filled front to back
 	pkts := make([]*Packet, n)
 	wantBytes := 0.0
 	for i := 0; i < n; i++ {
@@ -57,20 +58,20 @@ func TestFlowQChunkLifecycle(t *testing.T) {
 	if p, _ := fq.Head(); p != nil {
 		t.Fatalf("Head of empty queue = %v", p)
 	}
-	// All four chunks were recycled during the drain, the last as it emptied.
-	if pool.Len() != 4 || fq.heldChunks() != 0 {
-		t.Fatalf("after drain: %d pooled, %d held; want 4 and 0", pool.Len(), fq.heldChunks())
+	// Every chunk was recycled during the drain, the last as it emptied.
+	if pool.Len() != chunks || fq.heldChunks() != 0 {
+		t.Fatalf("after drain: %d pooled, %d held; want %d and 0", pool.Len(), fq.heldChunks(), chunks)
 	}
 
 	// Release of a drained FIFO has nothing to hand back.
 	fq.Release(&pool)
-	if pool.Len() != 4 {
-		t.Fatalf("pooled chunks after Release = %d, want 4", pool.Len())
+	if pool.Len() != chunks {
+		t.Fatalf("pooled chunks after Release = %d, want %d", pool.Len(), chunks)
 	}
 
 	// The released queue is reusable, now drawing from the pool.
 	fq.Push(&pool, 1, 0, uint64(n+1), &Packet{Flow: 7, Length: 50})
-	if pool.Len() != 3 || fq.Len() != 1 || fq.QueuedBytes() != 50 {
+	if pool.Len() != chunks-1 || fq.Len() != 1 || fq.QueuedBytes() != 50 {
 		t.Fatalf("reuse after Release: pool=%d len=%d bytes=%v", pool.Len(), fq.Len(), fq.QueuedBytes())
 	}
 }
@@ -82,18 +83,20 @@ func TestFlowQReleaseMidBacklog(t *testing.T) {
 	var pool ChunkPool
 	fq := NewFlowQ(1)
 	push := func(i int) { fq.Push(&pool, float64(i), 0, uint64(i+1), &Packet{Flow: 1, Length: 10}) }
-	// Pop a few so the front is at slot 5, then fill the ring past the
-	// wrap point and two chunks behind it.
-	for i := 0; i < 6; i++ {
+	// Pop all but one so the front is at slot front, then fill the ring
+	// past the wrap point and two chunks behind it: flowChunkSize−1 items
+	// finish the ring, a full chunk and 3 more follow.
+	const front = flowChunkSize - 3
+	for i := 0; i <= front; i++ {
 		push(i)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < front; i++ {
 		fq.Pop(&pool)
 	}
-	for i := 6; i < 6+2*flowChunkSize+2; i++ {
+	for i := front + 1; i < front+1+2*flowChunkSize+2; i++ {
 		push(i)
 	}
-	if fq.hi != 5 || fq.hn != flowChunkSize || fq.heldChunks() != 3 {
+	if fq.hi != front || fq.hn != flowChunkSize || fq.heldChunks() != 3 {
 		t.Fatalf("setup: front at slot %d, %d in the head ring, %d chunks", fq.hi, fq.hn, fq.heldChunks())
 	}
 	fq.Release(&pool)
@@ -493,8 +496,9 @@ func TestFlowQWrapsInOneChunk(t *testing.T) {
 			if int(m.fq.hi) != hi {
 				t.Fatalf("front at slot %d, want %d", m.fq.hi, hi)
 			}
-			// Fill the ring, then spill 5 items into a second chunk.
-			for m.fq.Len() < flowChunkSize+5 {
+			// Fill the ring, then spill flowChunkSize/2+1 items into a
+			// second chunk.
+			for m.fq.Len() < flowChunkSize+flowChunkSize/2+1 {
 				push(&m)
 				checkAt(t, &m)
 			}
@@ -513,22 +517,25 @@ func TestFlowQWrapsInOneChunk(t *testing.T) {
 
 	t.Run("deep then shallow", func(t *testing.T) {
 		var m model
-		for i := 0; i < 20; i++ {
+		const deep = 2*flowChunkSize + flowChunkSize/2
+		for i := 0; i < deep; i++ {
 			push(&m)
 		}
 		if m.fq.heldChunks() != 3 {
-			t.Fatalf("20 items in %d chunks, want 3", m.fq.heldChunks())
+			t.Fatalf("%d items in %d chunks, want 3", deep, m.fq.heldChunks())
 		}
-		// 20 items fill chunks of 8, 8 and 4: the head chunk empties after
-		// 8 pops and the second after 16, leaving the last as the ring.
-		for i := 1; i <= 16; i++ {
+		// The items fill two whole chunks and half a third: the head chunk
+		// empties after flowChunkSize pops and the second after twice that,
+		// leaving the last as the ring.
+		for i := 1; i <= 2*flowChunkSize; i++ {
 			pop(t, &m)
 			if want := 3 - i/flowChunkSize; m.fq.heldChunks() != want {
 				t.Fatalf("after %d pops: %d chunks held, want %d", i, m.fq.heldChunks(), want)
 			}
 			checkAt(t, &m)
 		}
-		// Back to one chunk, the FIFO wraps in it at every depth up to 8.
+		// Back to one chunk, the FIFO wraps in it at every depth up to
+		// flowChunkSize.
 		for i := 0; i < 4*flowChunkSize; i++ {
 			if len(m.q) < flowChunkSize && i%3 != 0 {
 				push(&m)

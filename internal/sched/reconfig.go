@@ -77,7 +77,7 @@ type FlowLister interface {
 func (t *FlowTable) ListFlows() []FlowInfo {
 	out := make([]FlowInfo, 0, t.index.n)
 	for _, s := range t.index.slots {
-		if s.w != 0 {
+		if s.w > 0 {
 			out = append(out, FlowInfo{Flow: s.id, Weight: s.w})
 		}
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestSelfClockedRecordsReleased: 4 096 registered sfq flows each send one
@@ -54,6 +55,50 @@ func TestSelfClockedRecordsReleased(t *testing.T) {
 		t.Fatalf("%d flows registered", len(s.ListFlows()))
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestBackloggedFlowCost: 4 096 registered sfq flows each queue 4 packets,
+// as the sched-backlogged benchmark keeps them. Each FIFO then holds one
+// chunk, a ring, and the scheduler's live heap is at most 400 bytes per
+// flow in the release build: its registry slots, its record, its chunk and
+// its heap member. The packets are allocated before the first read, so
+// they do not count, and the first read follows two collections, so that
+// what the first leaves for the next to free (37 KB when the test runs
+// alone) does not offset the flows' cost.
+func TestBackloggedFlowCost(t *testing.T) {
+	const flows, depth, perFlow = 4096, 4, 400
+	pkts := make([]Packet, flows*depth)
+	for i := range pkts {
+		pkts[i] = Packet{Flow: i % flows, Length: float64(64 + i%1437)}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := MustNewRanked(RankSFQ(TieFIFO), Config{})
+	for f := 0; f < flows; f++ {
+		if err := s.AddFlow(f, float64(100+f%8*100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range pkts {
+		if err := s.Enqueue(float64(i)*1e-6, &pkts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if made := s.q.fs.pool.made; made != flows {
+		t.Fatalf("%d FIFO chunks made for %d flows %d deep, want %d", made, flows, depth, flows)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// The schedassert build's records carry the last push beside the FIFO.
+	got := (int64(after.HeapAlloc)-int64(before.HeapAlloc))/flows - int64(unsafe.Sizeof(pushAssert{}))
+	t.Logf("live heap %d B per backlogged flow in the release build", got)
+	if got > perFlow {
+		t.Errorf("live heap %d B per backlogged flow, want at most %d", got, perFlow)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(pkts)
 }
 
 // TestRecordsOutliveBusyPeriodUnlessSelfClocked: a busy period's end gives

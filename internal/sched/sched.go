@@ -155,9 +155,9 @@ type Flow struct {
 // stamped with the epoch, so no flow is walked); other owners keep a record
 // until its flow is removed. A registered flow costs its slot (32 bytes,
 // two at most at load ≤ ½); one with a record 112 bytes more; one with n
-// packets queued one 8-item FIFO chunk while n ≤ 8 (a ring), at most
-// ⌈n/8⌉+1 beyond. The pool keeps what the most records leased at once
-// needed. The zero value is ready to use.
+// packets queued one 4-item FIFO chunk (144 bytes) while n ≤ 4 (a ring),
+// at most ⌈n/4⌉+1 beyond. The pool keeps what the most records leased at
+// once needed. The zero value is ready to use.
 type FlowTable struct {
 	index    flowIndex
 	recs     []*Flow // the pool: recs[:leased] leased this epoch, the rest free
@@ -186,7 +186,7 @@ func (t *FlowTable) lease(s *flowSlot) *Flow {
 		}
 		f, t.leased = t.recs[t.leased], t.leased+1
 	}
-	*f = Flow{FlowQ: FlowQ{flow: s.id}, Weight: s.w, regPos: -1}
+	*f = Flow{FlowQ: FlowQ{flow: s.id}, Weight: s.weight(), regPos: -1}
 	s.f, s.ep = f, t.epoch
 	return f
 }
@@ -215,7 +215,7 @@ func (t *FlowTable) Get(flow int) *Flow { return t.live(t.index.find(flow)) }
 // Weight returns flow's registered weight, 0 when it is not registered.
 func (t *FlowTable) Weight(flow int) float64 {
 	if s := t.index.find(flow); s != nil {
-		return s.w
+		return s.weight()
 	}
 	return 0
 }
@@ -274,7 +274,7 @@ func (t *FlowTable) Drains() *DrainSet { return &t.draining }
 // flow-keyed lookup of an Enqueue.
 func (t *FlowTable) Lookup(p *Packet) (*Flow, error) {
 	s := t.index.find(p.Flow)
-	if s == nil || s.w == 0 {
+	if s == nil || s.w <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, p.Flow)
 	}
 	if !positive(p.Length) {
