@@ -7,10 +7,10 @@
 //	sfqsim -sched sfq -rate 10 -server onoff -flows 4 -weights 1,2,3,4 \
 //	       -pkt 500 -load 1.5 -dur 10
 //
-// Schedulers: any name in the sched registry (sfq, flowsfq, hsfq, wfq,
-// fqs, scfq, drr, vc, edd, fifo, fa, ...), including the PIFO layer's
-// rank-function re-expressions and UPS disciplines (pifo-sfq, pifo-wfq,
-// lstf, srpt, fifo+, ...); run with -sched help to list.
+// Schedulers: any name in the sched registry (sfq, sfq-lowweight, hsfq,
+// wfq, fqs, scfq, drr, vclock, edd, fifo, fairairport, priority), the PIFO
+// layer's UPS disciplines (lstf, srpt, fifo+) and the registered trees
+// (hier:sfq(drr,edd), ...); run with -sched help to list.
 // Servers: const, onoff, slotted, markov.
 //
 // Observability (all optional; the default output is unchanged):

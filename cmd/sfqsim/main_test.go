@@ -102,10 +102,10 @@ func TestParseWeights(t *testing.T) {
 	}
 }
 
-// TestRegistryConstruction checks every name sfqsim historically accepted
-// still constructs through the registry with the flags' option set.
+// TestRegistryConstruction checks the paper's discipline names construct
+// through the registry with the flags' option set.
 func TestRegistryConstruction(t *testing.T) {
-	for _, name := range []string{"sfq", "flowsfq", "hsfq", "wfq", "fqs", "scfq", "drr", "vc", "edd", "fifo", "fa"} {
+	for _, name := range []string{"sfq", "hsfq", "wfq", "fqs", "scfq", "drr", "vclock", "edd", "fifo", "fairairport"} {
 		s, err := sched.New(name, sched.WithAssumedCapacity(1000))
 		if err != nil || s == nil {
 			t.Errorf("%s: %v", name, err)

@@ -32,7 +32,7 @@ func main() {
 	for _, name := range []string{"WFQ", "SFQ"} {
 		var s sched.Interface
 		if name == "WFQ" {
-			s = sched.NewWFQ(c)
+			s = sched.MustNew("wfq", sched.WithAssumedCapacity(c))
 		} else {
 			s = core.New()
 		}

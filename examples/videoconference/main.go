@@ -12,8 +12,9 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
+	_ "repro/internal/core" // registers "sfq"
 	"repro/internal/eventq"
+	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/source"
@@ -33,7 +34,7 @@ func main() {
 	rng := rand.New(rand.NewSource(42))
 	q := &eventq.Queue{}
 
-	s := core.NewTie(core.TieLowWeightFirst) // §2.3: interactive flows win ties
+	s := sched.MustNew("sfq", sched.WithTieBreak(sched.TieLowWeightFirst)) // §2.3: interactive flows win ties
 	// The video weight covers its scene-level peaks (≈ 1.8 × 1.21 Mb/s),
 	// not just the mean — VBR video buffers at the frame scale but should
 	// not queue for seconds behind ftp. ftp's weight only matters while

@@ -62,10 +62,10 @@ func TestHostileNumbers(t *testing.T) {
 	}
 	targets := map[string]func(*testing.T) sched.Interface{
 		"refsfq":     func(*testing.T) sched.Interface { return NewRefSFQ() },
-		"rt.Runtime": func(t *testing.T) sched.Interface { return runtime(t).AsScheduler() },
+		"rt.Runtime": func(t *testing.T) sched.Interface { return rtIface{runtime(t)} },
 		"rt.Runtime/EnqueueBatch": func(t *testing.T) sched.Interface {
 			r := runtime(t)
-			return batcher{r.AsScheduler(), r}
+			return batcher{rtIface{r}, r}
 		},
 		"rt.Admitter": func(t *testing.T) sched.Interface {
 			r := runtime(t)
@@ -76,11 +76,11 @@ func TestHostileNumbers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return submitter{r.AsScheduler(), a}
+			return submitter{rtIface{r}, a}
 		},
 	}
 	registered := make(map[string]bool)
-	for _, name := range sched.Names() {
+	for _, name := range registryRows() {
 		targets[name] = func(t *testing.T) sched.Interface { return newRegistered(t, name) }
 		registered[name] = true
 	}
@@ -137,9 +137,8 @@ func TestHostileNumbers(t *testing.T) {
 	}
 	// The same numbers as configuration: a DRR quantum or a fluid capacity
 	// that is not finite and positive is refused with ErrBadConfig at
-	// construction (a NaN quantum would make DRR's Dequeue spin forever), by
-	// SetCapacity, and by the deprecated constructors' panic. A refused
-	// instance is never driven.
+	// construction (a NaN quantum would make DRR's Dequeue spin forever) and
+	// by SetCapacity. A refused instance is never driven.
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
 		configs := map[string]sched.Option{
 			"wfq/capacity":      sched.WithAssumedCapacity(x),
@@ -152,7 +151,7 @@ func TestHostileNumbers(t *testing.T) {
 		}
 		for row, opt := range configs {
 			t.Run(fmt.Sprintf("config/%s=%v", row, x), func(t *testing.T) {
-				name := row[:strings.LastIndex(row, "/")]
+				name := sutRegistryName(row[:strings.LastIndex(row, "/")])
 				if s, err := sched.New(name, opt); !errors.Is(err, sched.ErrBadConfig) {
 					t.Fatalf("New(%q) = %T, %v; want ErrBadConfig", name, s, err)
 				}
@@ -162,21 +161,6 @@ func TestHostileNumbers(t *testing.T) {
 			s := newRegistered(t, "wfq")
 			if err := s.(sched.Reconfigurable).SetCapacity(x); !errors.Is(err, sched.ErrBadConfig) {
 				t.Errorf("SetCapacity(%v) = %v, want ErrBadConfig", x, err)
-			}
-		})
-		t.Run(fmt.Sprintf("config/deprecated=%v", x), func(t *testing.T) {
-			for name, mk := range map[string]func(){
-				"NewDRR": func() { sched.NewDRR(x) },
-				"NewWFQ": func() { sched.NewWFQ(x) },
-			} {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Errorf("%s(%v) did not panic", name, x)
-						}
-					}()
-					mk()
-				}()
 			}
 		})
 	}

@@ -132,7 +132,7 @@ func mk(name string, opts ...sched.Option) func(Workload) sched.Interface {
 // what the tools ship; registry_test.go separately pins registry output to
 // the direct constructors.
 func suts() []sut {
-	return []sut{
+	rows := []sut{
 		{
 			name: "sfq", make: mk("sfq"),
 			kinds: allKinds, thm1: sfqThm1, thm2: true, thm4: true,
@@ -142,11 +142,6 @@ func suts() []sut {
 			name: "sfq-lowweight", make: mk("sfq-lowweight"),
 			kinds: allKinds, thm1: sfqThm1, thm2: true, thm4: true,
 			tagName: "start tag", tagKey: startTag, // tie rule differs from the reference: no lockstep
-		},
-		{
-			name: "flowsfq", make: mk("flowsfq"),
-			kinds: allKinds, thm1: sfqThm1, thm2: true, thm4: true,
-			tagName: "start tag", tagKey: startTag, ref: refExact,
 		},
 		{
 			name: "hsfq-flat", make: mk("hsfq"),
@@ -196,32 +191,13 @@ func suts() []sut {
 			name: "priority", make: mk("priority"),
 			kinds: allKinds, level: func(flow int) int { return flow },
 		},
-		// The pifo-* aliases of the tag-based family (internal/pifo). Each
-		// carries the same checker set as its plain name; TestPIFOEquivalence
-		// additionally holds the alias to the plain name's schedule.
+		// "pifo-sfq", the second name of sfq (internal/pifo), carries sfq's
+		// checker set; TestPIFOEquivalence additionally holds it to sfq's
+		// schedule.
 		{
 			name: "pifo-sfq", make: mk("pifo-sfq"),
 			kinds: allKinds, thm1: sfqThm1, thm2: true, thm4: true,
 			tagName: "start tag", tagKey: startTag, ref: refExact,
-		},
-		{
-			name: "pifo-scfq", make: mk("pifo-scfq"),
-			kinds: allKinds, thm1: sfqThm1, eq56: true,
-			tagName: "finish tag", tagKey: finishTag,
-		},
-		{
-			name: "pifo-wfq", make: func(w Workload) sched.Interface {
-				return sched.MustNew("pifo-wfq", sched.WithAssumedCapacity(w.C))
-			},
-			kinds: noRateKinds, pgps: true, delayName: "WFQ delay", delay: wfqDelay,
-		},
-		{
-			name: "pifo-vclock", make: mk("pifo-vclock"),
-			kinds: allKinds, delayName: "Virtual Clock delay", delay: wfqDelay,
-		},
-		{
-			name: "pifo-edd", make: mk("pifo-edd"),
-			kinds: allKinds,
 		},
 		// The UPS disciplines. LSTF with unset slacks falls back to a
 		// per-flow default, so only the generic invariants apply; SRPT and
@@ -263,6 +239,17 @@ func suts() []sut {
 			kinds: allKinds, level: func(flow int) int { return ((flow % 2) + 2) % 2 },
 		},
 	}
+	// A retired name's row is a copy of its discipline's, checkers and all.
+	byName := make(map[string]sut, len(rows))
+	for _, s := range rows {
+		byName[s.name] = s
+	}
+	for _, old := range retiredSutNames {
+		s := byName[retiredNames[old]]
+		s.name = old
+		rows = append(rows, s)
+	}
+	return rows
 }
 
 // runOne drives s over the seed's workload and applies every checker the

@@ -247,7 +247,7 @@ func TestSetWeightMidWorkload(t *testing.T) {
 			t.Parallel()
 			w := liveWeightWorkload()
 			tMut := math.NaN()
-			sw := liveops.NewSwapper(sched.MustNew(name), liveops.Action{
+			sw := liveops.NewSwapper(sched.MustNew(sutRegistryName(name)), liveops.Action{
 				AtOp: 100,
 				Do: func(now float64, inner sched.Interface) (sched.Interface, error) {
 					rc, ok := inner.(sched.Reconfigurable)
@@ -373,16 +373,17 @@ func hotSwap(mk func() sched.Interface) func(float64, sched.Interface) (sched.In
 func TestHotSwapMidWorkload(t *testing.T) {
 	for _, tc := range []struct{ from, to string }{
 		{"sfq", "lstf"},
-		{"sfq", "pifo-scfq"},
+		{"sfq", "pifo-scfq"}, // a retired name: the swap is to scfq
 		{"scfq", "sfq"},
 	} {
 		tc := tc
 		t.Run(tc.from+"->"+tc.to, func(t *testing.T) {
 			t.Parallel()
 			w := liveWeightWorkload()
+			to := sutRegistryName(tc.to)
 			sw := liveops.NewSwapper(sched.MustNew(tc.from), liveops.Action{
 				AtOp: 100,
-				Do:   hotSwap(func() sched.Interface { return sched.MustNew(tc.to) }),
+				Do:   hotSwap(func() sched.Interface { return sched.MustNew(to) }),
 			})
 			tr, res, err := Run(sw, w, nil)
 			if err != nil {
@@ -394,7 +395,7 @@ func TestHotSwapMidWorkload(t *testing.T) {
 			if sw.Ops() < 100 {
 				t.Fatalf("swap never fired (%d ops)", sw.Ops())
 			}
-			if got, want := sw.Inner.(sched.Snapshotter).StateKind(), sched.MustNew(tc.to).(sched.Snapshotter).StateKind(); got != want {
+			if got, want := sw.Inner.(sched.Snapshotter).StateKind(), sched.MustNew(to).(sched.Snapshotter).StateKind(); got != want {
 				t.Fatalf("inner scheduler is a %s after the swap to %s", got, tc.to)
 			}
 			if err := CheckConservation(tr, sw, w); err != nil {

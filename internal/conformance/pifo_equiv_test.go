@@ -9,11 +9,12 @@ import (
 // The pifo-* registry names date from when every tag-based discipline
 // existed twice — hand-written, and as a rank function — and this file was
 // the differential test between the two. The hand-written copies are gone
-// (the rank functions in internal/sched are the implementation), the names
-// stay as aliases until the benchmark ladder drops them, and what is left
-// to check here is that each alias resolves to its plain name's discipline
-// and configuration: same digest, seed by seed, across the three regimes
-// of the flow-core pin (healthy, wide, chaos). It goes when the aliases do.
+// (the rank functions in internal/sched are the implementation), and of
+// the names only "pifo-sfq" is left, until the benchmark ladder and the
+// trees that name it move to "sfq". What is left to check here is that it
+// resolves to sfq's discipline and configuration: same digest, seed by
+// seed, across the three regimes of the flow-core pin (healthy, wide,
+// chaos). It goes when the name does.
 
 // pifoEquivPairs lists (plain sut, alias sut) by sut-table name, plus one
 // off-table pair for the low-weight-first tie rule, which the alias
@@ -25,10 +26,6 @@ func pifoEquivPairs() [][2]sut {
 	}
 	pairs := [][2]sut{
 		{byName["sfq"], byName["pifo-sfq"]},
-		{byName["scfq"], byName["pifo-scfq"]},
-		{byName["vclock"], byName["pifo-vclock"]},
-		{byName["edd"], byName["pifo-edd"]},
-		{byName["wfq"], byName["pifo-wfq"]},
 	}
 	lowWeight := sut{
 		name: "pifo-sfq-lowweight",

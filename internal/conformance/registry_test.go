@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/pifo"
+	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -37,15 +39,19 @@ func replayDigest(tr *Trace, mon *sim.Monitor) string {
 }
 
 // directConstructors maps every registered discipline the sut table
-// exercises to its pre-registry constructor. The round-trip test holds the
-// registry to these: sched.New(name) must reproduce the direct
-// constructor's schedule exactly, so the old construction path can be
-// deprecated without a behavior flag-day.
+// exercises to an assembly from its exported parts — a rank function on
+// sched.Ranked, core.New, a hier.Spec, the EDD and Fair Airport types —
+// with no option handling in between (DRR, whose quantum is unexported,
+// goes through NewDiscipline with an explicit Config). The round-trip test
+// holds the registry to these: sched.New(name, opts...) must reproduce the
+// direct assembly's schedule exactly.
 func directConstructors() map[string]func(w Workload) sched.Interface {
+	ranked := func(d sched.Discipline) func(Workload) sched.Interface {
+		return func(Workload) sched.Interface { return sched.MustNewRanked(d, sched.Config{}) }
+	}
 	return map[string]func(w Workload) sched.Interface{
 		"sfq":           func(Workload) sched.Interface { return core.New() },
-		"sfq-lowweight": func(Workload) sched.Interface { return core.NewTie(core.TieLowWeightFirst) },
-		"flowsfq":       func(Workload) sched.Interface { return core.New() },
+		"sfq-lowweight": ranked(sched.RankSFQ(sched.TieLowWeightFirst)),
 		"hsfq": func(Workload) sched.Interface {
 			t, err := hier.Build(&hier.Spec{Name: "sfq", Class: "root"}, sched.Config{})
 			if err != nil {
@@ -53,26 +59,32 @@ func directConstructors() map[string]func(w Workload) sched.Interface {
 			}
 			return t
 		},
-		"scfq": func(Workload) sched.Interface { return sched.NewSCFQ() },
-		"wfq":  func(w Workload) sched.Interface { return sched.NewWFQ(w.C) },
+		"scfq": ranked(sched.RankSCFQ()),
+		"wfq": func(w Workload) sched.Interface {
+			return sched.MustNewRanked(sched.RankWFQ(false), sched.Config{AssumedCapacity: w.C})
+		},
 		"fqs": func(w Workload) sched.Interface {
 			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: w.C})
 		},
-		"vclock":      func(Workload) sched.Interface { return sched.NewVirtualClock() },
-		"drr":         func(w Workload) sched.Interface { return sched.NewDRR(drrQuantum(w)) },
-		"fifo":        func(Workload) sched.Interface { return sched.NewFIFO() },
-		"edd":         func(Workload) sched.Interface { return sched.NewEDD() },
-		"fairairport": func(Workload) sched.Interface { return sched.NewFairAirport() },
-		"priority":    func(Workload) sched.Interface { return sched.MustNewRanked(sched.RankPriority(), sched.Config{}) },
-		// The aliases are held to the plain names' constructors.
-		"pifo-sfq":    func(Workload) sched.Interface { return core.New() },
-		"pifo-scfq":   func(Workload) sched.Interface { return sched.NewSCFQ() },
-		"pifo-vclock": func(Workload) sched.Interface { return sched.NewVirtualClock() },
-		"pifo-edd":    func(Workload) sched.Interface { return sched.NewEDD() },
-		"pifo-wfq":    func(w Workload) sched.Interface { return sched.NewWFQ(w.C) },
-		"lstf":        func(Workload) sched.Interface { return sched.MustNewRanked(pifo.LSTF(), sched.Config{}) },
-		"srpt":        func(Workload) sched.Interface { return sched.MustNewRanked(pifo.SRPT(), sched.Config{}) },
-		"fifo+":       func(Workload) sched.Interface { return sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{}) },
+		"vclock": ranked(sched.RankVClock()),
+		"drr": func(w Workload) sched.Interface {
+			s, err := sched.NewDiscipline("drr", sched.Config{Quantum: drrQuantum(w)})
+			if err != nil {
+				panic(err)
+			}
+			return s
+		},
+		"fifo": ranked(sched.RankFIFO()),
+		"edd": func(Workload) sched.Interface {
+			return sched.EDD{Ranked: sched.MustNewRanked(sched.RankEDD(), sched.Config{})}
+		},
+		"fairairport": func(Workload) sched.Interface { return &sched.FairAirport{} },
+		"priority":    ranked(sched.RankPriority()),
+		// "pifo-sfq" is held to sfq's constructor.
+		"pifo-sfq": func(Workload) sched.Interface { return core.New() },
+		"lstf":     ranked(pifo.LSTF()),
+		"srpt":     ranked(pifo.SRPT()),
+		"fifo+":    ranked(pifo.FIFOPlus()),
 		"hier:sfq(drr,edd)": func(Workload) sched.Interface {
 			return mustTree("sfq(drr,edd)")
 		},
@@ -104,26 +116,19 @@ func mustTree(spec string) *hier.Tree {
 // registryConstructors builds the same disciplines through sched.New.
 func registryConstructors() map[string]func(w Workload) sched.Interface {
 	return map[string]func(w Workload) sched.Interface{
-		"sfq":           mk("sfq"),
-		"sfq-lowweight": mk("sfq-lowweight"),
-		"flowsfq":       mk("flowsfq"),
-		"hsfq":          mk("hsfq"),
-		"scfq":          mk("scfq"),
-		"wfq":           func(w Workload) sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(w.C)) },
-		"fqs":           func(w Workload) sched.Interface { return sched.MustNew("fqs", sched.WithAssumedCapacity(w.C)) },
-		"vclock":        mk("vclock"),
-		"drr":           func(w Workload) sched.Interface { return sched.MustNew("drr", sched.WithQuantum(drrQuantum(w))) },
-		"fifo":          mk("fifo"),
-		"edd":           mk("edd"),
-		"fairairport":   mk("fairairport"),
-		"priority":      mk("priority"),
-		"pifo-sfq":      mk("pifo-sfq"),
-		"pifo-scfq":     mk("pifo-scfq"),
-		"pifo-vclock":   mk("pifo-vclock"),
-		"pifo-edd":      mk("pifo-edd"),
-		"pifo-wfq": func(w Workload) sched.Interface {
-			return sched.MustNew("pifo-wfq", sched.WithAssumedCapacity(w.C))
-		},
+		"sfq":                              mk("sfq"),
+		"sfq-lowweight":                    mk("sfq-lowweight"),
+		"hsfq":                             mk("hsfq"),
+		"scfq":                             mk("scfq"),
+		"wfq":                              func(w Workload) sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(w.C)) },
+		"fqs":                              func(w Workload) sched.Interface { return sched.MustNew("fqs", sched.WithAssumedCapacity(w.C)) },
+		"vclock":                           mk("vclock"),
+		"drr":                              func(w Workload) sched.Interface { return sched.MustNew("drr", sched.WithQuantum(drrQuantum(w))) },
+		"fifo":                             mk("fifo"),
+		"edd":                              mk("edd"),
+		"fairairport":                      mk("fairairport"),
+		"priority":                         mk("priority"),
+		"pifo-sfq":                         mk("pifo-sfq"),
 		"lstf":                             mk("lstf"),
 		"srpt":                             mk("srpt"),
 		"fifo+":                            mk("fifo+"),
@@ -139,6 +144,9 @@ func registryConstructors() map[string]func(w Workload) sched.Interface {
 func TestRegistryRoundTrip(t *testing.T) {
 	direct := directConstructors()
 	viaReg := registryConstructors()
+	for _, old := range retiredSutNames {
+		direct[old], viaReg[old] = direct[retiredNames[old]], viaReg[retiredNames[old]]
+	}
 	if len(direct) != len(viaReg) {
 		t.Fatalf("constructor tables diverge: %d direct vs %d registry", len(direct), len(viaReg))
 	}
@@ -146,33 +154,41 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	// Runtime-driven construction rides the same names: a clock (and
-	// optional sharding) flips sched.New to the rt builder, and nonsensical
-	// combinations are one errors.Is check. This binary imports internal/rt
-	// (runtime_test.go), so the builder is registered; the builder-absent
-	// half of the matrix is pinned in internal/sched's own tests.
+	// A runtime is built by rt.New only. sched.New refuses every runtime
+	// option, naming rt.New, though this binary links internal/rt
+	// (runtime_test.go); rt.New takes the same names and options.
 	t.Run("runtime-combos", func(t *testing.T) {
-		if _, err := sched.New("sfq", sched.WithShards(-1)); !errors.Is(err, sched.ErrBadConfig) {
-			t.Errorf("WithShards(-1): %v, want ErrBadConfig", err)
+		for _, opts := range [][]sched.Option{
+			{sched.WithShards(-1)},
+			{sched.WithShards(2)},
+			{sched.WithClock(&sched.ManualClock{})},
+			{sched.WithClock(&sched.ManualClock{}), sched.WithShards(4)},
+		} {
+			if _, err := sched.New("sfq", opts...); !errors.Is(err, sched.ErrBadConfig) || !strings.Contains(err.Error(), "rt.New") {
+				t.Errorf("sched.New with %+v = %v, want ErrBadConfig naming rt.New", sched.BuildConfig(opts...), err)
+			}
 		}
-		if _, err := sched.New("sfq", sched.WithShards(2)); !errors.Is(err, sched.ErrBadConfig) {
-			t.Errorf("WithShards(2) without clock: %v, want ErrBadConfig", err)
+		if _, err := sched.New("sfq", sched.WithShards(1)); err != nil {
+			t.Errorf("sched.New(sfq, WithShards(1)) = %v, want a bare instance", err)
 		}
-		if _, err := sched.New("no-such", sched.WithClock(&sched.ManualClock{})); !errors.Is(err, sched.ErrBadConfig) {
-			t.Errorf("runtime-driven unknown name: %v, want ErrBadConfig", err)
+		if _, err := rt.New("sfq", sched.WithShards(-1)); !errors.Is(err, sched.ErrBadConfig) {
+			t.Errorf("rt.New with WithShards(-1): %v, want ErrBadConfig", err)
 		}
-		s, err := sched.New("sfq", sched.WithClock(&sched.ManualClock{}), sched.WithShards(4))
+		if _, err := rt.New("no-such", sched.WithClock(&sched.ManualClock{})); !errors.Is(err, sched.ErrBadConfig) {
+			t.Errorf("rt.New of an unknown name: %v, want ErrBadConfig", err)
+		}
+		r, err := rt.New("sfq", sched.WithClock(&sched.ManualClock{}), sched.WithShards(4))
 		if err != nil {
-			t.Fatalf("runtime-driven construction: %v", err)
+			t.Fatalf("rt.New: %v", err)
 		}
-		if err := s.AddFlow(1, 1); err != nil {
+		if err := r.AddFlow(1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Enqueue(0, &sched.Packet{Flow: 1, Length: 1}); err != nil {
+		if err := r.Enqueue(&sched.Packet{Flow: 1, Length: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Dequeue(0); !ok {
-			t.Fatal("runtime-driven instance did not serve its packet")
+		if _, ok := r.Dequeue(); !ok {
+			t.Fatal("runtime did not serve its packet")
 		}
 	})
 
@@ -201,12 +217,46 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// sutRegistryName maps a sut-table name to the registry name it covers.
-// The only divergence is hsfq: its sut row is named "hsfq-flat" because the
-// matrix exercises it as a degenerate flat tree.
+// retiredNames maps each alias the registry took before Register lost its
+// aliases parameter to the discipline the alias built. The tables that
+// range over the registry keep a row under each, built through the
+// registry as that discipline, so every row keeps the id it had while the
+// aliases were registered.
+var retiredNames = map[string]string{
+	"flowsfq":     "sfq",
+	"vc":          "vclock",
+	"fa":          "fairairport",
+	"fifoplus":    "fifo+",
+	"pifo-scfq":   "scfq",
+	"pifo-vclock": "vclock",
+	"pifo-edd":    "edd",
+	"pifo-wfq":    "wfq",
+}
+
+// retiredSutNames are the retired names that had sut rows: the flow-core
+// spelling of sfq and the PIFO spellings of the tag-based family.
+var retiredSutNames = []string{"flowsfq", "pifo-scfq", "pifo-vclock", "pifo-edd", "pifo-wfq"}
+
+// registryRows returns the registered names and the retired ones, sorted:
+// the rows of the tables that range over the registry.
+func registryRows() []string {
+	rows := sched.Names()
+	for old := range retiredNames {
+		rows = append(rows, old)
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// sutRegistryName maps a sut-table name, or a retired name, to the registry
+// name it covers. hsfq's sut row is named "hsfq-flat" because the matrix
+// exercises it as a degenerate flat tree.
 func sutRegistryName(sutName string) string {
 	if sutName == "hsfq-flat" {
 		return "hsfq"
+	}
+	if name, ok := retiredNames[sutName]; ok {
+		return name
 	}
 	return sutName
 }
@@ -226,11 +276,9 @@ func TestRegistryCoversAllSuts(t *testing.T) {
 			t.Errorf("constructor table references unregistered discipline %q", name)
 		}
 	}
-	// Exemptions, per kind of coverage. aliases resolve to the same factory
-	// as their primary name. The tag exemptions are disciplines with no
-	// packet-visible tag to assert: their per-flow key monotonicity is
-	// structural (FIFO/DRR round-robin keys, HSFQ's internal tree).
-	aliases := map[string]bool{"vc": true, "fa": true, "fifoplus": true}
+	// Exemptions: the disciplines with no packet-visible tag to assert.
+	// Their per-flow key monotonicity is structural (FIFO/DRR round-robin
+	// keys, HSFQ's internal tree).
 	noTag := map[string]bool{"hsfq": true, "drr": true, "fifo": true}
 
 	sutFor := make(map[string]bool)
@@ -244,9 +292,6 @@ func TestRegistryCoversAllSuts(t *testing.T) {
 	covered := registryConstructors()
 	var missingSut, missingRoundTrip, missingSpec []string
 	for _, n := range names {
-		if aliases[n] {
-			continue
-		}
 		if !sutFor[n] {
 			missingSut = append(missingSut, n)
 		}

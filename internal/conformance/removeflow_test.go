@@ -17,19 +17,19 @@ import (
 func TestRemoveFlowBacklogged(t *testing.T) {
 	factories := map[string]func() sched.Interface{
 		"sfq":     func() sched.Interface { return core.New() },
-		"flowsfq": func() sched.Interface { return sched.MustNew("flowsfq") },
+		"flowsfq": func() sched.Interface { return sched.MustNew("sfq") },
 		"hsfq":    func() sched.Interface { return sched.MustNew("hsfq") },
 		"refsfq":  func() sched.Interface { return NewRefSFQ() },
-		"scfq":    func() sched.Interface { return sched.NewSCFQ() },
-		"wfq":     func() sched.Interface { return sched.NewWFQ(1000) },
+		"scfq":    func() sched.Interface { return sched.MustNew("scfq") },
+		"wfq":     func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(1000)) },
 		"fqs": func() sched.Interface {
 			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: 1000})
 		},
-		"vclock":      func() sched.Interface { return sched.NewVirtualClock() },
-		"edd":         func() sched.Interface { return sched.NewEDD() },
-		"drr":         func() sched.Interface { return sched.NewDRR(10) },
-		"fifo":        func() sched.Interface { return sched.NewFIFO() },
-		"fairairport": func() sched.Interface { return sched.NewFairAirport() },
+		"vclock":      func() sched.Interface { return sched.MustNew("vclock") },
+		"edd":         func() sched.Interface { return sched.MustNew("edd") },
+		"drr":         func() sched.Interface { return sched.MustNew("drr", sched.WithQuantum(10)) },
+		"fifo":        func() sched.Interface { return sched.MustNew("fifo") },
+		"fairairport": func() sched.Interface { return sched.MustNew("fairairport") },
 		"priority":    func() sched.Interface { return sched.MustNewRanked(sched.RankPriority(), sched.Config{}) },
 	}
 	for name, mk := range factories {
@@ -99,7 +99,7 @@ func TestRemoveFlowBacklogged(t *testing.T) {
 // not string matching), removal succeeds once drained, and unknown flows
 // fail with sched.ErrUnknownFlow.
 func TestRemoveBackloggedUniform(t *testing.T) {
-	for _, name := range sched.Names() {
+	for _, name := range registryRows() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			s := newRegistered(t, name)
@@ -136,7 +136,7 @@ func TestRemoveBackloggedUniform(t *testing.T) {
 // falls back to that upsert: the second AddFlow succeeds, and the flow then
 // queues and is served.
 func TestAddFlowUpsert(t *testing.T) {
-	for _, name := range sched.Names() {
+	for _, name := range registryRows() {
 		t.Run(name, func(t *testing.T) {
 			s := newRegistered(t, name)
 			for _, w := range []float64{100, 300} {
@@ -161,12 +161,13 @@ func TestAddFlowUpsert(t *testing.T) {
 
 // fluidBacked lists the registered names whose flows can be idle in the
 // packet queue and still busy in a fluid GPS reference.
-var fluidBacked = map[string]bool{"wfq": true, "fqs": true, "pifo-wfq": true}
+var fluidBacked = map[string]bool{"wfq": true, "fqs": true}
 
-// newRegistered builds name through the registry with the options the
-// names that need some need.
+// newRegistered builds name, or the discipline a retired name built,
+// through the registry with the options the names that need some need.
 func newRegistered(t *testing.T, name string) sched.Interface {
 	t.Helper()
+	name = sutRegistryName(name)
 	var opts []sched.Option
 	if fluidBacked[name] {
 		opts = []sched.Option{sched.WithAssumedCapacity(1000)}
@@ -184,10 +185,10 @@ func newRegistered(t *testing.T, name string) sched.Interface {
 // scheduler never heard of is unknown even while the scheduler is busy and
 // before any busy check runs; a registered flow that never sent is
 // removable; a flow whose only packet is in service is removable unless a
-// fluid reference still holds it (WFQ, FQS, pifo-wfq: busy); and the
+// fluid reference still holds it (WFQ, FQS: busy); and the
 // failed attempts leave the backlog as it was.
 func TestRemoveFlowErrorPrecedence(t *testing.T) {
-	for _, name := range sched.Names() {
+	for _, name := range registryRows() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			s := newRegistered(t, name)
@@ -227,7 +228,7 @@ func TestRemoveFlowErrorPrecedence(t *testing.T) {
 				}
 			}
 			err := s.RemoveFlow(2)
-			if fluidBacked[name] {
+			if fluidBacked[sutRegistryName(name)] {
 				if !errors.Is(err, sched.ErrFlowBusy) {
 					t.Fatalf("packet-idle, fluid-busy flow: got %v, want ErrFlowBusy", err)
 				}
@@ -242,7 +243,7 @@ func TestRemoveFlowErrorPrecedence(t *testing.T) {
 // queued bytes of 1 000 flows it never heard of answers zero and allocates
 // nothing — a get-or-create read would allocate a flow record per id.
 func TestQueuedBytesReadsDoNotInsert(t *testing.T) {
-	for _, name := range sched.Names() {
+	for _, name := range registryRows() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			s := newRegistered(t, name)
@@ -275,7 +276,7 @@ func TestQueuedBytesReadsDoNotInsert(t *testing.T) {
 func TestRemoveFlowPreservesTagChain(t *testing.T) {
 	for name, mk := range map[string]func() sched.Interface{
 		"sfq":     func() sched.Interface { return core.New() },
-		"flowsfq": func() sched.Interface { return sched.MustNew("flowsfq") },
+		"flowsfq": func() sched.Interface { return sched.MustNew("sfq") },
 		"refsfq":  func() sched.Interface { return NewRefSFQ() },
 	} {
 		mk := mk
@@ -335,9 +336,9 @@ func TestRemoveFlowPreservesTagChain(t *testing.T) {
 func TestRemoveFlowReAddNewWeight(t *testing.T) {
 	for name, mk := range map[string]func() sched.Interface{
 		"sfq":     func() sched.Interface { return core.New() },
-		"flowsfq": func() sched.Interface { return sched.MustNew("flowsfq") },
-		"scfq":    func() sched.Interface { return sched.NewSCFQ() },
-		"vclock":  func() sched.Interface { return sched.NewVirtualClock() },
+		"flowsfq": func() sched.Interface { return sched.MustNew("sfq") },
+		"scfq":    func() sched.Interface { return sched.MustNew("scfq") },
+		"vclock":  func() sched.Interface { return sched.MustNew("vclock") },
 	} {
 		mk := mk
 		t.Run(name, func(t *testing.T) {

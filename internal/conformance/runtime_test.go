@@ -25,13 +25,22 @@ import (
 // sut table's construction (workload-dependent capacities/quanta).
 func rtOptions(name string, w Workload) []sched.Option {
 	switch name {
-	case "wfq", "fqs", "pifo-wfq":
+	case "wfq", "fqs":
 		return []sched.Option{sched.WithAssumedCapacity(w.C)}
 	case "drr":
 		return []sched.Option{sched.WithQuantum(drrQuantum(w))}
 	}
 	return nil
 }
+
+// rtIface presents a runtime as a sched.Interface, for the tables that
+// drive every scheduler through that shape. The now arguments are
+// ignored: the runtime reads its own clock, and stamps each packet's
+// Arrival from it.
+type rtIface struct{ *rt.Runtime }
+
+func (a rtIface) Enqueue(_ float64, p *sched.Packet) error { return a.Runtime.Enqueue(p) }
+func (a rtIface) Dequeue(float64) (*sched.Packet, bool)    { return a.Runtime.Dequeue() }
 
 // simScheduleDigest renders the dequeue stream of a simulator trace in
 // the "d flow seq len now vs vf" form of flowReplayDigest.
@@ -159,9 +168,10 @@ func TestRuntimeScheduleDigest(t *testing.T) {
 	}
 }
 
-// TestRuntimeFacadeDigest covers the sched.New construction path of the
-// same guarantee: WithClock builds a runtime-driven Interface through the
-// registered builder, and its schedule matches the simulator's.
+// TestRuntimeFacadeDigest covers the single-packet Enqueue/Dequeue path of
+// the same guarantee, through a runtime presented as a sched.Interface
+// (rtIface): its schedule matches the simulator's whatever now the caller
+// passes.
 func TestRuntimeFacadeDigest(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -171,10 +181,11 @@ func TestRuntimeFacadeDigest(t *testing.T) {
 			t.Fatalf("seed %d: sim drive: %v", seed, err)
 		}
 		clock := &sched.ManualClock{}
-		fac, err := sched.New("sfq", sched.WithClock(clock), sched.WithShards(1))
+		r, err := rt.New("sfq", sched.WithClock(clock), sched.WithShards(1))
 		if err != nil {
-			t.Fatalf("sched.New runtime-driven: %v", err)
+			t.Fatalf("rt.New: %v", err)
 		}
+		fac := rtIface{r}
 		for _, f := range w.Flows {
 			if err := fac.AddFlow(f.Flow, f.Weight); err != nil {
 				t.Fatal(err)
@@ -187,8 +198,8 @@ func TestRuntimeFacadeDigest(t *testing.T) {
 			switch op.kind {
 			case 0:
 				p := &sched.Packet{Flow: st.P.Flow, Seq: st.P.Seq, Length: st.P.Length, Rate: st.P.Rate}
-				// The now argument is deliberately wrong: runtime-driven
-				// instances must read the clock, not trust the caller.
+				// The now argument is deliberately wrong: the runtime
+				// must read the clock, not trust the caller.
 				if err := fac.Enqueue(-1, p); err != nil {
 					t.Fatal(err)
 				}

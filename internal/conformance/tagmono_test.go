@@ -27,7 +27,8 @@ type tagMonoSpec struct {
 	key     func(*sched.Packet) float64
 }
 
-// tagMonoSpecs maps sut name -> the monotone tag to check. Disciplines
+// tagMonoSpecs maps sut name -> the monotone tag to check (a retired
+// name's row checks its discipline's). Disciplines
 // with no per-packet tags (hsfq-flat, drr, fifo) still run on the flow
 // core or a round-robin ring, but their monotonicity is structural (FIFO
 // keys are a constant zero), so there is nothing packet-visible to assert.
@@ -35,7 +36,6 @@ func tagMonoSpecs() map[string]tagMonoSpec {
 	return map[string]tagMonoSpec{
 		"sfq":           {"start tag", startTag},   // S(j+1) = max{v, F(j)} >= F(j) > S(j), eq (4)
 		"sfq-lowweight": {"start tag", startTag},   // same recurrence; only the tie rule differs
-		"flowsfq":       {"start tag", startTag},   // SFQ with FIFO ties on the shared core
 		"scfq":          {"finish tag", finishTag}, // F(j+1) = max{F(j), v} + l/r > F(j)
 		"wfq":           {"finish tag", finishTag}, // GPS finish times are per-flow increasing
 		"fqs":           {"start tag", startTag},   // schedules by GPS start times
@@ -43,12 +43,7 @@ func tagMonoSpecs() map[string]tagMonoSpec {
 		"edd":           {"deadline", deadlineTag}, // eat strictly increases while d_f is fixed
 		"fairairport":   {"start tag", startTag},   // nondecreasing; rule 5 permits equality
 		"priority":      {"deadline", deadlineTag}, // the stamped rank: the flow id, constant per flow
-		// PIFO re-expressions: same recurrences, same monotone tags.
-		"pifo-sfq":    {"start tag", startTag},
-		"pifo-scfq":   {"finish tag", finishTag},
-		"pifo-wfq":    {"finish tag", finishTag},
-		"pifo-vclock": {"finish tag", finishTag},
-		"pifo-edd":    {"deadline", deadlineTag},
+		"pifo-sfq":      {"start tag", startTag},   // the second name of sfq
 		// UPS disciplines: the stamped rank (LSTF/FIFO+: post-clamp
 		// now+slack, nondecreasing per flow because the arrival clock is;
 		// SRPT: the flow's cumulative byte count, strictly increasing).
@@ -99,7 +94,7 @@ func TestPerFlowTagMonotone(t *testing.T) {
 	}
 	specs := tagMonoSpecs()
 	for _, s := range suts() {
-		spec, ok := specs[s.name]
+		spec, ok := specs[sutRegistryName(s.name)]
 		if !ok {
 			continue
 		}

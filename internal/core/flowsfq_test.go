@@ -8,11 +8,9 @@ import (
 
 // TestFlowSFQTieRoundRobin: with exact tag ties (identical flows in
 // lockstep), the flow heap round-robins rather than serving one flow's
-// whole queue — ties on (start tag, sub) fall to global arrival order. It
-// runs through the "flowsfq" registry name, a plain alias of "sfq" since
-// every SFQ here is flow-indexed.
+// whole queue — ties on (start tag, sub) fall to global arrival order.
 func TestFlowSFQTieRoundRobin(t *testing.T) {
-	s := sched.MustNew("flowsfq")
+	s := sched.MustNew("sfq")
 	if err := s.AddFlow(1, 100); err != nil {
 		t.Fatal(err)
 	}

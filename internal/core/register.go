@@ -13,16 +13,14 @@ import (
 // Importing internal/core (directly or transitively) is what makes these
 // names available; every registry consumer in this repository already does.
 func init() {
-	// "flowsfq" is a plain alias: it once named a per-flow-heap variant,
-	// which is what every SFQ here has been since the flow-indexed core.
 	sched.Register("sfq", func(cfg sched.Config) (sched.Interface, error) {
-		return NewTie(cfg.Tie), nil
-	}, "flowsfq")
+		return sched.NewRanked(sched.RankSFQ(cfg.Tie), cfg)
+	})
 	// "sfq-lowweight" pins the Section 2.3 low-weight-first tie rule
 	// regardless of cfg.Tie — it names the configured discipline the
 	// conformance matrix and experiments refer to.
-	sched.Register("sfq-lowweight", func(sched.Config) (sched.Interface, error) {
-		return NewTie(TieLowWeightFirst), nil
+	sched.Register("sfq-lowweight", func(cfg sched.Config) (sched.Interface, error) {
+		return sched.NewRanked(sched.RankSFQ(sched.TieLowWeightFirst), cfg)
 	})
 	// "hsfq" is the hierarchical SFQ of Section 3: an SFQ root class, the
 	// whole link, to which AddFlow attaches flows. Every interior class of

@@ -20,41 +20,24 @@
 // Those three lines are the whole discipline, and they are written down
 // once, as the rank function sched.RankSFQ; the scheduler that runs it
 // (sched.Ranked) is the one shared by every tag-based discipline in the
-// repository. This package names the paper's schedulers — New/NewTie —
-// and registers them, with "hsfq", the hierarchical SFQ, built by
-// internal/hier.
+// repository. This package registers the paper's schedulers — "sfq",
+// "sfq-lowweight" and "hsfq", the hierarchical SFQ built by internal/hier —
+// and keeps New for callers that want the concrete type.
 package core
 
 import "repro/internal/sched"
 
-// TieBreak selects the order of packets whose start tags are equal. The
-// definition lives in internal/sched (it is part of the shared scheduler
-// Config); the alias keeps core.TieFIFO / core.TieLowWeightFirst working.
-type TieBreak = sched.TieBreak
-
-// Tie-breaking rules (Section 2.3: "ties are broken arbitrarily; some tie
-// breaking rules may be more desirable than others").
-const (
-	// TieFIFO breaks ties in arrival order (the default).
-	TieFIFO = sched.TieFIFO
-	// TieLowWeightFirst prefers the packet whose effective rate is
-	// smaller, giving interactive low-throughput flows lower average
-	// delay as suggested in Section 2.3.
-	TieLowWeightFirst = sched.TieLowWeightFirst
-)
-
-// New returns an empty SFQ scheduler with FIFO tie-breaking.
-func New() *sched.Ranked { return NewTie(TieFIFO) }
-
-// NewTie returns an empty SFQ scheduler with the given tie-breaking rule:
-// the shared rank-function scheduler (sched.Ranked) running sched.RankSFQ.
-// Each flow has one record (sched.Flow: weight, FIFO, finish-tag chain)
-// that Enqueue reaches with one lookup and Dequeue gets back from the heap
-// of backlogged flows, so both cost O(log B) in backlogged flows — the
-// complexity Section 2 claims — while serving exactly the order a
-// packet-level heap would: start tags are nondecreasing within a flow
-// (eq 4: S(p_f^{j+1}) ≥ F(p_f^j) > S(p_f^j)), so the earliest start tag is
-// always at some flow's head.
-func NewTie(tie TieBreak) *sched.Ranked {
-	return sched.MustNewRanked(sched.RankSFQ(tie), sched.Config{})
-}
+// New returns an empty SFQ scheduler with FIFO tie-breaking: the shared
+// rank-function scheduler (sched.Ranked) running sched.RankSFQ, typed as
+// *sched.Ranked. Each flow has one record (sched.Flow: weight, FIFO,
+// finish-tag chain) that Enqueue reaches with one lookup and Dequeue gets
+// back from the heap of backlogged flows, so both cost O(log B) in
+// backlogged flows — the complexity Section 2 claims — while serving
+// exactly the order a packet-level heap would: start tags are
+// nondecreasing within a flow (eq 4: S(p_f^{j+1}) ≥ F(p_f^j) > S(p_f^j)),
+// so the earliest start tag is always at some flow's head.
+//
+// It is what sched.New("sfq") builds. It stays beside the registry name
+// because the benchmark ladder's base rung calls it, and it is the
+// one-line constructor of the paper's scheduler the package examples show.
+func New() *sched.Ranked { return sched.MustNewRanked(sched.RankSFQ(sched.TieFIFO), sched.Config{}) }

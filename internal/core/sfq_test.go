@@ -168,7 +168,7 @@ func TestErrors(t *testing.T) {
 
 // TestTieBreakLowWeightFirst checks the §2.3 tie-breaking option.
 func TestTieBreakLowWeightFirst(t *testing.T) {
-	s := core.NewTie(core.TieLowWeightFirst)
+	s := sched.MustNew("sfq-lowweight")
 	mustAdd(t, s, 1, 1000) // high-rate flow
 	mustAdd(t, s, 2, 10)   // low-rate (interactive) flow
 	pHigh := enq(t, s, 0, 1, 100)

@@ -331,3 +331,18 @@ func TestSweepRepanics(t *testing.T) {
 		}
 	}
 }
+
+// TestFig2bAllocations: Fig2b reads one number per run, the low flows' mean
+// delay, so it keeps a running sum per flow instead of a monitor's log of
+// every departure. At the benchmark's scale the whole experiment allocates
+// about 1.3 MB that way and about 22 MB with sim.MonitorAll on each link;
+// the bound catches a return to the full log.
+func TestFig2bAllocations(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Fig2b(Fig2bConfig{Scale: 0.02, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("Fig2b at scale 0.02 allocated %d bytes, want <= %d", got, 4<<20)
+	}
+}

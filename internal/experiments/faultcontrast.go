@@ -46,7 +46,7 @@ func FaultContrast(seed int64) *Result {
 	for _, algo := range []string{"WFQ", "SFQ"} {
 		var s sched.Interface
 		if algo == "WFQ" {
-			s = sched.NewWFQ(c) // assumes the nominal rate the server no longer delivers
+			s = sched.MustNew("wfq", sched.WithAssumedCapacity(c)) // assumes the nominal rate the server no longer delivers
 		} else {
 			s = core.New()
 		}

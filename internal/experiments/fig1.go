@@ -156,7 +156,7 @@ func runFig1(cfg Fig1Config, schedName string, duration, activate float64) *Fig1
 
 	// Ack path back to the senders.
 	snds := map[int]*tcp.Sender{}
-	ackSched := sched.NewFIFO()
+	ackSched := sched.MustNew("fifo")
 	ackLink := sim.NewLink(q, "acks", ackSched, server.NewConstantRate(ackRate),
 		sim.ConsumerFunc(func(f *sim.Frame) { snds[f.Flow].Deliver(f) }))
 	ackLink.PropDelay = propRev

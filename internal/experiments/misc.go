@@ -66,7 +66,7 @@ func SCFQDelay(seed int64) *Result {
 		if i == 0 {
 			d[i] = worst(core.New())
 		} else {
-			d[i] = worst(sched.NewSCFQ())
+			d[i] = worst(sched.MustNew("scfq"))
 		}
 	})
 	dSFQ, dSCFQ := d[0], d[1]

@@ -125,7 +125,7 @@ func Example1() *Result {
 	for _, algo := range []string{"WFQ", "SFQ"} {
 		var s sched.Interface
 		if algo == "WFQ" {
-			s = sched.NewWFQ(1)
+			s = sched.MustNew("wfq", sched.WithAssumedCapacity(1))
 		} else {
 			s = core.New()
 		}
@@ -167,7 +167,7 @@ func Example2() *Result {
 	for _, algo := range []string{"WFQ", "SFQ"} {
 		var s sched.Interface
 		if algo == "WFQ" {
-			s = sched.NewWFQ(c)
+			s = sched.MustNew("wfq", sched.WithAssumedCapacity(c))
 		} else {
 			s = core.New()
 		}

@@ -29,10 +29,10 @@ func UPSReplay(seed int64) *Result {
 		mk   func() sched.Interface
 	}{
 		{"SFQ", func() sched.Interface { return core.New() }},
-		{"WFQ", func() sched.Interface { return sched.NewWFQ(c) }},
-		{"SCFQ", func() sched.Interface { return sched.NewSCFQ() }},
-		{"VC", func() sched.Interface { return sched.NewVirtualClock() }},
-		{"EDD", func() sched.Interface { return sched.NewEDD() }},
+		{"WFQ", func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(c)) }},
+		{"SCFQ", func() sched.Interface { return sched.MustNew("scfq") }},
+		{"VC", func() sched.Interface { return sched.MustNew("vclock") }},
+		{"EDD", func() sched.Interface { return sched.MustNew("edd") }},
 		{"SRPT", func() sched.Interface { return sched.MustNew("srpt") }},
 	}
 
@@ -75,7 +75,7 @@ func UPSReplay(seed int64) *Result {
 			}
 			clamped += lstf.Clamped()
 
-			fifo := sched.NewFIFO()
+			fifo := sched.MustNew("fifo")
 			upsAddFlows(fifo, weights, c)
 			viaFIFO, err := replay.Drive(fifo, arr, c, nil)
 			if err != nil {

@@ -144,7 +144,7 @@ func TestScheduleOutagesOnLink(t *testing.T) {
 	// survives the outage and transmits on recovery.
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestScheduleOutagesValidation(t *testing.T) {
 		}
 	}()
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	link := sim.NewLink(q, "l", sch, server.NewConstantRate(1), sim.NewSink(q))
 	faults.ScheduleOutages(q, link, []faults.Outage{
 		{At: 0, Duration: 2}, {At: 1, Duration: 1},

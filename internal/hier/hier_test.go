@@ -447,7 +447,7 @@ func TestTreePoolSafety(t *testing.T) {
 
 func init() {
 	sched.Register("test-unsafe-fifo", func(sched.Config) (sched.Interface, error) {
-		return unsafeSched{sched.NewFIFO()}, nil
+		return unsafeSched{sched.MustNew("fifo")}, nil
 	})
 }
 

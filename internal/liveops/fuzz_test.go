@@ -16,9 +16,9 @@ import (
 // of their own: an SFQ root over DRR and EDD sinks, and strict priority of
 // a FIFO sink over an SCFQ sink. The first input byte picks one.
 var fuzzTargets = []func() sched.Interface{
-	func() sched.Interface { return sched.NewSCFQ() },
-	func() sched.Interface { return sched.NewDRR(1) },
-	func() sched.Interface { return sched.NewFairAirport() },
+	func() sched.Interface { return sched.MustNew("scfq") },
+	func() sched.Interface { return sched.MustNew("drr", sched.WithQuantum(1)) },
+	func() sched.Interface { return sched.MustNew("fairairport") },
 	func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(1e5)) },
 	func() sched.Interface { return sched.MustNew("hier:sfq(drr,edd)") },
 	func() sched.Interface { return sched.MustNew("hier:priority(fifo,scfq)") },

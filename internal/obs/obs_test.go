@@ -90,7 +90,7 @@ func TestObserverCounters(t *testing.T) {
 
 func TestObserverDrops(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	var links []*sim.Link
 	for _, name := range []string{"b", "a"} {
-		sch := sched.NewFIFO()
+		sch := sched.MustNew("fifo")
 		if err := sch.AddFlow(1, 1); err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func TestPIFOZeroAlloc(t *testing.T) {
 	mks := map[string]func() *sched.Ranked{
 		"pifo-sfq":  func() *sched.Ranked { return sched.MustNewRanked(sched.RankSFQ(sched.TieFIFO), sched.Config{}) },
 		"pifo-scfq": func() *sched.Ranked { return sched.MustNewRanked(sched.RankSCFQ(), sched.Config{}) },
-		"pifo-wfq":  func() *sched.Ranked { return sched.NewWFQ(1e4) },
+		"pifo-wfq":  func() *sched.Ranked { return sched.MustNew("wfq", sched.WithAssumedCapacity(1e4)).(*sched.Ranked) },
 		"lstf":      func() *sched.Ranked { return sched.MustNewRanked(pifo.LSTF(), sched.Config{}) },
 		"srpt":      func() *sched.Ranked { return sched.MustNewRanked(pifo.SRPT(), sched.Config{}) },
 		"fifo+":     func() *sched.Ranked { return sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{}) },

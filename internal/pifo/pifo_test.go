@@ -163,15 +163,15 @@ func TestClassicParity(t *testing.T) {
 	const capacity = 1e4
 	suts := map[string]func() sched.Interface{
 		"sfq":           func() sched.Interface { return core.New() },
-		"sfq-lowweight": func() sched.Interface { return core.NewTie(core.TieLowWeightFirst) },
-		"scfq":          func() sched.Interface { return sched.NewSCFQ() },
-		"vclock":        func() sched.Interface { return sched.NewVirtualClock() },
-		"wfq":           func() sched.Interface { return sched.NewWFQ(capacity) },
+		"sfq-lowweight": func() sched.Interface { return sched.MustNew("sfq-lowweight") },
+		"scfq":          func() sched.Interface { return sched.MustNew("scfq") },
+		"vclock":        func() sched.Interface { return sched.MustNew("vclock") },
+		"wfq":           func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(capacity)) },
 		"fqs": func() sched.Interface {
 			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: capacity})
 		},
 		"edd": func() sched.Interface {
-			s := sched.NewEDD()
+			s := sched.MustNew("edd").(sched.EDD)
 			for f := 0; f < 6; f++ {
 				if err := s.AddFlowDeadline(f, 1, 0.004*float64(f%3)); err != nil {
 					t.Fatal(err)
@@ -187,7 +187,7 @@ func TestClassicParity(t *testing.T) {
 			for seed := int64(0); seed < 40; seed++ {
 				r := &ref{name: name, weight: map[int]float64{}, dl: map[int]float64{}, chain: map[int]float64{}}
 				if name == "wfq" || name == "fqs" {
-					r.fluid = sched.NewWFQ(capacity)
+					r.fluid = sched.MustNew("wfq", sched.WithAssumedCapacity(capacity)).(*sched.Ranked)
 				}
 				for f := 0; f < 6; f++ {
 					r.dl[f] = 0.004 * float64(f%3)
@@ -220,10 +220,10 @@ func TestClassicParity(t *testing.T) {
 func TestClampNeverFiresForClassics(t *testing.T) {
 	mks := map[string]func() *sched.Ranked{
 		"sfq":    func() *sched.Ranked { return core.New() },
-		"scfq":   sched.NewSCFQ,
-		"vclock": sched.NewVirtualClock,
-		"edd":    func() *sched.Ranked { return sched.NewEDD().Ranked },
-		"wfq":    func() *sched.Ranked { return sched.NewWFQ(1e4) },
+		"scfq":   func() *sched.Ranked { return sched.MustNew("scfq").(*sched.Ranked) },
+		"vclock": func() *sched.Ranked { return sched.MustNew("vclock").(*sched.Ranked) },
+		"edd":    func() *sched.Ranked { return sched.MustNew("edd").(sched.EDD).Ranked },
+		"wfq":    func() *sched.Ranked { return sched.MustNew("wfq", sched.WithAssumedCapacity(1e4)).(*sched.Ranked) },
 		"lstf":   func() *sched.Ranked { return sched.MustNewRanked(pifo.LSTF(), sched.Config{}) },
 		"fifo+":  func() *sched.Ranked { return sched.MustNewRanked(pifo.FIFOPlus(), sched.Config{}) },
 	}
@@ -440,15 +440,9 @@ func TestSchedErrors(t *testing.T) {
 // TestRegistryEntries constructs every pifo-registered name through the
 // registry path the tools use.
 func TestRegistryEntries(t *testing.T) {
-	for _, name := range []string{"pifo-sfq", "pifo-scfq", "pifo-vclock", "pifo-edd", "lstf", "srpt", "fifo+", "fifoplus"} {
+	for _, name := range []string{"pifo-sfq", "lstf", "srpt", "fifo+"} {
 		if _, err := sched.New(name); err != nil {
 			t.Errorf("New(%q): %v", name, err)
 		}
-	}
-	if _, err := sched.New("pifo-wfq", sched.WithAssumedCapacity(1e4)); err != nil {
-		t.Errorf("New(pifo-wfq): %v", err)
-	}
-	if _, err := sched.New("pifo-wfq"); !errors.Is(err, sched.ErrBadConfig) {
-		t.Errorf("New(pifo-wfq) without capacity = %v, want ErrBadConfig", err)
 	}
 }

@@ -5,18 +5,17 @@ import (
 	"repro/internal/sched"
 )
 
-// init registers the UPS disciplines, and keeps the pifo-* names — from
-// when the tag-based family existed twice, hand-written and as rank
-// functions — as plain aliases of the one implementation (the benchmark
-// ladder, a registered hier composition and the conformance tables resolve
-// them). Importing this package — as cmd/sfqsim, cmd/experiments, and the
-// conformance suite do — makes all of them constructible by name.
+// init registers the UPS disciplines, and "pifo-sfq" — from when the
+// tag-based family existed twice, hand-written and as rank functions — as
+// a second name of "sfq": the benchmark ladder's rung, the registered
+// hier:pifo-sfq(pifo-sfq,pifo-sfq) and the priority(fifo, pifo-sfq) trees
+// of the Fig. 1 and extension experiments still name it. Importing this
+// package — as cmd/sfqsim, cmd/experiments, and the conformance suite do —
+// makes all of them constructible by name.
 func init() {
-	for _, name := range []string{"sfq", "scfq", "vclock", "edd", "wfq"} {
-		sched.Register("pifo-"+name, func(cfg sched.Config) (sched.Interface, error) {
-			return sched.NewDiscipline(name, cfg)
-		})
-	}
+	sched.Register("pifo-sfq", func(cfg sched.Config) (sched.Interface, error) {
+		return sched.NewDiscipline("sfq", cfg)
+	})
 	sched.Register("lstf", func(cfg sched.Config) (sched.Interface, error) {
 		return sched.NewRanked(LSTF(), cfg)
 	})
@@ -25,5 +24,5 @@ func init() {
 	})
 	sched.Register("fifo+", func(cfg sched.Config) (sched.Interface, error) {
 		return sched.NewRanked(FIFOPlus(), cfg)
-	}, "fifoplus")
+	})
 }

@@ -56,11 +56,11 @@ func addFlows(t *testing.T, s sched.Interface, weights map[int]float64) {
 func TestLSTFReplaysEverything(t *testing.T) {
 	recorders := map[string]func() sched.Interface{
 		"sfq":    func() sched.Interface { return core.New() },
-		"scfq":   func() sched.Interface { return sched.NewSCFQ() },
-		"vclock": func() sched.Interface { return sched.NewVirtualClock() },
-		"edd":    func() sched.Interface { return sched.NewEDD() },
-		"wfq":    func() sched.Interface { return sched.NewWFQ(capacity) },
-		"fifo":   func() sched.Interface { return sched.NewFIFO() },
+		"scfq":   func() sched.Interface { return sched.MustNew("scfq") },
+		"vclock": func() sched.Interface { return sched.MustNew("vclock") },
+		"edd":    func() sched.Interface { return sched.MustNew("edd") },
+		"wfq":    func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(capacity)) },
+		"fifo":   func() sched.Interface { return sched.MustNew("fifo") },
 		"srpt":   func() sched.Interface { return sched.MustNew("srpt") },
 	}
 	for name, mkRec := range recorders {
@@ -108,7 +108,7 @@ func TestFIFOCannotReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fifo := sched.NewFIFO()
+		fifo := sched.MustNew("fifo")
 		addFlows(t, fifo, weights)
 		replayed, err := replay.Drive(fifo, arr, capacity, nil)
 		if err != nil {

@@ -74,8 +74,14 @@ func TestErrorVocabulary(t *testing.T) {
 			_, err := sched.New("sfq", sched.WithShards(4))
 			return err
 		}},
-		{"pifo/wfq-without-capacity/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
-			_, err := sched.New("pifo-wfq")
+		{"sched/clock/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
+			// A runtime is built by rt.New, linked into this binary: sched.New
+			// still refuses a clock.
+			_, err := sched.New("sfq", sched.WithClock(&sched.ManualClock{}))
+			return err
+		}},
+		{"sched/wfq-without-capacity/ErrBadConfig", sched.ErrBadConfig, func(t *testing.T) error {
+			_, err := sched.New("wfq")
 			return err
 		}},
 		{"core/enqueue-while-draining/ErrFlowDraining", sched.ErrFlowDraining, func(t *testing.T) error {

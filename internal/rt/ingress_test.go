@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,12 +81,16 @@ func btoi(b bool) int {
 func TestDrainAcceptsWhatPushAccepts(t *testing.T) {
 	lengths := []float64{math.SmallestNonzeroFloat64, 1e-300, 1, 1500, 1e300, math.MaxFloat64}
 	extras := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e-300, 1e300}
-	for _, name := range sched.Names() {
-		t.Run(name, func(t *testing.T) {
+	for _, row := range registryRows() {
+		t.Run(row, func(t *testing.T) {
+			name := row
+			if n, ok := retiredNames[row]; ok {
+				name = n
+			}
 			const shards = 2
 			opts := []sched.Option{sched.WithClock(&scriptedClock{script: []float64{5, 2, 9, 1, 9, 14, 3, 0}}), sched.WithShards(shards)}
 			switch name {
-			case "wfq", "fqs", "pifo-wfq":
+			case "wfq", "fqs":
 				opts = append(opts, sched.WithAssumedCapacity(1000))
 			}
 			r := mustRuntime(t, name, opts...)
@@ -348,4 +353,28 @@ func drainShard(r *rt.Runtime, s int) []*sched.Packet {
 		}
 		out = append(out, buf[:n]...)
 	}
+}
+
+// retiredNames maps each alias the registry took before Register lost its
+// aliases parameter to the discipline the alias built. Each keeps its rows
+// here, built through the registry as that discipline.
+var retiredNames = map[string]string{
+	"flowsfq":     "sfq",
+	"vc":          "vclock",
+	"fa":          "fairairport",
+	"fifoplus":    "fifo+",
+	"pifo-scfq":   "scfq",
+	"pifo-vclock": "vclock",
+	"pifo-edd":    "edd",
+	"pifo-wfq":    "wfq",
+}
+
+// registryRows returns the registered names and the retired ones, sorted.
+func registryRows() []string {
+	rows := sched.Names()
+	for old := range retiredNames {
+		rows = append(rows, old)
+	}
+	sort.Strings(rows)
+	return rows
 }

@@ -108,17 +108,14 @@ type Runtime struct {
 
 // New constructs a runtime running cfg.Shards instances of the named
 // discipline (default 1), driven by cfg.Clock (default the monotonic wall
-// clock). It accepts exactly the option vocabulary of sched.New — in fact
-// sched.New with WithClock/WithShards delegates here — so any registered
-// name works: rt.New("sfq", sched.WithShards(8)).
+// clock). It is the one way to build a runtime: it takes the option
+// vocabulary of sched.New, which builds bare disciplines only and refuses
+// WithClock/WithShards, so any registered name works:
+// rt.New("sfq", sched.WithShards(8)). Every shard's discipline is built
+// afresh from the one Config, which carries values only, so no two shards
+// share an instance.
 func New(name string, opts ...sched.Option) (*Runtime, error) {
-	return NewFromConfig(name, sched.BuildConfig(opts...))
-}
-
-// NewFromConfig is New over an explicit Config (the sched.RuntimeBuilder
-// entry point). Every shard's discipline is built afresh from the one cfg,
-// which carries values only, so no two shards share an instance.
-func NewFromConfig(name string, cfg sched.Config) (*Runtime, error) {
+	cfg := sched.BuildConfig(opts...)
 	n := cfg.Shards
 	if n < 0 {
 		return nil, fmt.Errorf("%w: rt: negative shard count %d", sched.ErrBadConfig, n)
@@ -597,35 +594,4 @@ func (r *Runtime) Closed() bool {
 	r.y.rlock(&r.mu)
 	defer r.mu.RUnlock()
 	return r.closed
-}
-
-// AsScheduler adapts the runtime to the sched.Interface shape so existing
-// Interface consumers can hold a runtime-driven instance. The now
-// arguments of Enqueue/Dequeue are ignored — the runtime's clock is the
-// authority (that is the point of runtime-driven construction); the
-// packet still gets its Arrival stamped from the clock.
-func (r *Runtime) AsScheduler() sched.Interface { return ifaceAdapter{r} }
-
-type ifaceAdapter struct{ r *Runtime }
-
-func (a ifaceAdapter) AddFlow(flow int, weight float64) error { return a.r.AddFlow(flow, weight) }
-func (a ifaceAdapter) RemoveFlow(flow int) error              { return a.r.RemoveFlow(flow) }
-func (a ifaceAdapter) Enqueue(_ float64, p *sched.Packet) error {
-	return a.r.Enqueue(p)
-}
-func (a ifaceAdapter) Dequeue(_ float64) (*sched.Packet, bool) { return a.r.Dequeue() }
-func (a ifaceAdapter) Len() int                                { return a.r.Len() }
-func (a ifaceAdapter) QueuedBytes(flow int) float64            { return a.r.QueuedBytes(flow) }
-
-// init wires runtime-driven construction into the sched registry:
-// sched.New(name, sched.WithClock(...)) or WithShards(...) builds through
-// here once internal/rt is imported.
-func init() {
-	sched.RegisterRuntimeBuilder(func(name string, cfg sched.Config) (sched.Interface, error) {
-		r, err := NewFromConfig(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.AsScheduler(), nil
-	})
 }

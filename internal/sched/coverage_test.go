@@ -15,19 +15,17 @@ import (
 // the conformance coverage test.
 
 // TestRegistryNamePin is the sched-side half of the coverage contract: the
-// full list of registered names (aliases included) is pinned, and a
+// full list of registered names, one per discipline, is pinned, and a
 // mismatch fails listing exactly which names are missing or unexpected.
 // internal/conformance's TestRegistryCoversAllSuts then holds every pinned
 // name to a sut row and a tag-monotonicity spec.
 func TestRegistryNamePin(t *testing.T) {
 	want := []string{
-		"drr", "edd", "fa", "fairairport", "fifo", "fifo+", "fifoplus",
-		"flowsfq", "fqs",
+		"drr", "edd", "fairairport", "fifo", "fifo+", "fqs",
 		"hier:pifo-sfq(pifo-sfq,pifo-sfq)", "hier:priority(fifo,scfq)", "hier:sfq(drr,edd)",
 		"hier:sfq(edd,scfq,drr,fifo)",
-		"hsfq", "lstf", "pifo-edd", "pifo-scfq",
-		"pifo-sfq", "pifo-vclock", "pifo-wfq", "priority",
-		"scfq", "sfq", "sfq-lowweight", "srpt", "vc", "vclock", "wfq",
+		"hsfq", "lstf", "pifo-sfq", "priority",
+		"scfq", "sfq", "sfq-lowweight", "srpt", "vclock", "wfq",
 	}
 	got := sched.Names()
 	gotSet := make(map[string]bool, len(got))
@@ -57,10 +55,10 @@ func TestRegistryNamePin(t *testing.T) {
 
 func TestRemoveFlowEverywhere(t *testing.T) {
 	mks := map[string]func() sched.Interface{
-		"SCFQ": func() sched.Interface { return sched.NewSCFQ() },
-		"VC":   func() sched.Interface { return sched.NewVirtualClock() },
-		"EDD":  func() sched.Interface { return sched.NewEDD() },
-		"FIFO": func() sched.Interface { return sched.NewFIFO() },
+		"SCFQ": func() sched.Interface { return sched.MustNew("scfq") },
+		"VC":   func() sched.Interface { return sched.MustNew("vclock") },
+		"EDD":  func() sched.Interface { return sched.MustNew("edd") },
+		"FIFO": func() sched.Interface { return sched.MustNew("fifo") },
 	}
 	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {
@@ -121,8 +119,8 @@ func TestFlowTableQueuedCount(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	cases := map[string]func(){
-		"DRR":       func() { sched.NewDRR(0) },
-		"WFQ":       func() { sched.NewWFQ(0) },
+		"DRR":       func() { sched.MustNew("drr", sched.WithQuantum(-1)) },
+		"WFQ":       func() { sched.MustNew("wfq", sched.WithAssumedCapacity(0)) },
 		"WFQOracle": func() { sched.NewWFQOracle(func(float64) float64 { return 1 }, 0) },
 	}
 	for name, bad := range cases {
@@ -138,7 +136,7 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 func TestEDDAddFlowDeadlineValidation(t *testing.T) {
-	s := sched.NewEDD()
+	s := sched.MustNew("edd").(sched.EDD)
 	if err := s.AddFlowDeadline(1, 100, -1); err == nil {
 		t.Error("negative deadline accepted")
 	}

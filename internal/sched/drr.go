@@ -65,21 +65,6 @@ func (r *drrRing) each(fn func(i int, s *drrSlot)) {
 	}
 }
 
-// NewDRR returns a DRR scheduler. quantumPerUnitWeight is the number of
-// bytes of credit a flow of weight 1 receives per round; a flow of weight w
-// receives w × quantumPerUnitWeight. For O(1) behaviour choose it so every
-// flow's quantum is at least its maximum packet size.
-//
-// Deprecated: prefer New("drr", WithQuantum(q)); this wrapper remains so
-// existing call sites keep compiling (and it panics on a quantum that is
-// not finite and positive, where the registry factory returns ErrBadConfig).
-func NewDRR(quantumPerUnitWeight float64) *DRR {
-	if !positive(quantumPerUnitWeight) {
-		panic("sched: DRR quantum must be finite and positive")
-	}
-	return &DRR{quantum: quantumPerUnitWeight}
-}
-
 // AddFlow registers flow with the given weight.
 func (s *DRR) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 

@@ -127,11 +127,6 @@ func (h *faRegulator) set(i int, r faRelease) {
 	r.f.regPos = int32(i)
 }
 
-// NewFairAirport returns an empty Fair Airport scheduler.
-//
-// Deprecated: prefer New("fairairport").
-func NewFairAirport() *FairAirport { return &FairAirport{} }
-
 // AddFlow registers flow with reserved rate `weight` (bytes/second).
 func (s *FairAirport) AddFlow(flow int, weight float64) error { return s.flows.Add(flow, weight) }
 

@@ -76,7 +76,7 @@ func (r *faDiffRig) restore() {
 	if err != nil {
 		r.fail("AppendState: %v", err)
 	}
-	s := NewFairAirport()
+	s := MustNew("fairairport").(*FairAirport)
 	if err := s.RestoreState(data); err != nil {
 		r.fail("RestoreState: %v\n%s", err, data)
 	}
@@ -159,7 +159,7 @@ func runFADiff(t testing.TB, ops []byte) {
 // newFADiffRig registers flows 1..faDiffFlows with faDiffWeights on both
 // schedulers.
 func newFADiffRig(t testing.TB) *faDiffRig {
-	r := &faDiffRig{t: t, s: NewFairAirport(), ref: newRefFairAirport()}
+	r := &faDiffRig{t: t, s: MustNew("fairairport").(*FairAirport), ref: newRefFairAirport()}
 	for f := 1; f <= faDiffFlows; f++ {
 		w := faDiffWeights[f-1]
 		r.both("AddFlow", r.s.AddFlow(f, w), r.ref.AddFlow(f, w))

@@ -15,7 +15,7 @@ import (
 // even when every packet is still held by its rate regulator (the ASQ
 // serves them).
 func TestFAWorkConserving(t *testing.T) {
-	s := sched.NewFairAirport()
+	s := sched.MustNew("fairairport")
 	addFlows(t, s, map[int]float64{1: 1}) // 1 B/s: regulator would hold packets for seconds
 
 	var arr []schedtest.Arrival
@@ -33,7 +33,7 @@ func TestFAWorkConserving(t *testing.T) {
 // TestFADelayGuarantee is Theorem 9: departures by EAT + l/r + lmax/C.
 func TestFADelayGuarantee(t *testing.T) {
 	const c = 1000.0
-	s := sched.NewFairAirport()
+	s := sched.MustNew("fairairport")
 	weights := map[int]float64{1: 250, 2: 750}
 	addFlows(t, s, weights)
 	var arr []schedtest.Arrival
@@ -69,7 +69,7 @@ func TestFAFairness(t *testing.T) {
 	for name, mk := range procs {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
-			s := sched.NewFairAirport()
+			s := sched.MustNew("fairairport")
 			addFlows(t, s, map[int]float64{1: 200, 2: 600})
 			flows := []schedtest.FlowSpec{
 				{Flow: 1, Weight: 200, MaxBytes: 300},
@@ -105,7 +105,7 @@ func TestFAvsVirtualClockNoPunishment(t *testing.T) {
 		}
 		return arr
 	}
-	s := sched.NewFairAirport()
+	s := sched.MustNew("fairairport")
 	addFlows(t, s, map[int]float64{1: 50, 2: 50})
 	res := schedtest.Drive(s, server.NewConstantRate(c), mkArr())
 	recs := res.Mon.ServiceRecords()
@@ -119,7 +119,7 @@ func TestFAvsVirtualClockNoPunishment(t *testing.T) {
 // TestFABookkeeping exercises queue-drain compaction, flow removal, and
 // error paths.
 func TestFABookkeeping(t *testing.T) {
-	s := sched.NewFairAirport()
+	s := sched.MustNew("fairairport")
 	addFlows(t, s, map[int]float64{1: 100})
 	if err := s.Enqueue(0, &sched.Packet{Flow: 2, Length: 1}); err == nil {
 		t.Error("unknown flow accepted")
@@ -159,7 +159,7 @@ func TestFABookkeeping(t *testing.T) {
 // from the GSQ by Virtual Clock order even when the ASQ would pick a
 // different flow.
 func TestFAGSQPriority(t *testing.T) {
-	s := sched.NewFairAirport()
+	s := sched.MustNew("fairairport")
 	addFlows(t, s, map[int]float64{1: 1000, 2: 1})
 
 	// Flow 2's first packet is immediately eligible (EAT = arrival), as
@@ -187,7 +187,7 @@ func TestFAGSQPriority(t *testing.T) {
 // holding, the release still pending must not carry over and release the
 // new flow's second packet (D, eligible at 11) at its old time (10).
 func TestFAReaddedFlowNotReleasedEarly(t *testing.T) {
-	s := sched.NewFairAirport()
+	s := sched.MustNew("fairairport")
 	addFlows(t, s, map[int]float64{1: 1, 2: 0.1})
 	enq := func(now float64, flow int, seq int64) {
 		t.Helper()

@@ -7,7 +7,7 @@ import (
 
 // fuzzFlows is the flow-id range of FuzzFlowQHeap: more than 16 flows, so
 // the flow heap's winner tree grows twice past its first 8 leaves, with
-// ordinals freed and reused on the way.
+// slots freed and reused on the way.
 const fuzzFlows = 32
 
 // FuzzFlowQHeap drives a FlowSet (FlowQ FIFOs + FlowHeap + ChunkPool)

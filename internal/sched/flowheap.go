@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // FlowHeap is the priority queue over backlogged flows, ordered by each
@@ -12,10 +11,12 @@ import (
 // structure's shape. Every member must be nonempty; callers push a flow
 // when it becomes backlogged and fix or remove it when its head changes.
 //
-// It is a winner tree (a tournament) over dense arrays. A flow entering it
-// gets a member ordinal (Flow.heapOrd, from 1; 0 means "not a member"),
-// which names its leaf; keys[o] and ms[o] hold a copy of its head item and
-// its record. Each internal node of win holds the ordinal that wins its
+// It is a winner tree (a tournament) over dense arrays. Its leaves are
+// slots, a power of two of them: a flow entering it takes a free slot o
+// (Flow.heapOrd is o+1; 0 means "not a member"), and keys[o] and ms[o] hold
+// a copy of its head item and its record. A free slot is an empty leaf,
+// its key the largest and its tie-breakers emptyLeaf's, so it loses to
+// every member. Each internal node of win holds the slot that wins its
 // subtree, so win[1] is the minimum. A change at one leaf — the flow's
 // head moved, it joined, it left — replays the matches on the path from
 // that leaf to the root, one per level against the sibling subtree's
@@ -35,11 +36,11 @@ import (
 // Fix refill them from the head item; every path that changes a backlogged
 // flow's head must call one of them (CheckSlots verifies).
 type FlowHeap struct {
-	win  []int32      // win[j] wins subtree j: 1 the root, 2j and 2j+1 the children, leaf+o-1 the leaf of o; 0 = no member
-	leaf int          // index of the first leaf, len(win)/2
-	keys []uint64     // by ordinal: keyBits of the head key; keys[0], an empty leaf's, is the largest
-	ms   []heapMember // by ordinal; ms[0] is the empty leaf's, emptyLeaf
-	free []int32      // ordinals given back, reused last-in first-out
+	win  []int32      // win[j] wins subtree j: 1 the root, 2j and 2j+1 the children, leaf+o the leaf of slot o
+	leaf int          // slots, and index of the first leaf: len(win)/2
+	keys []uint64     // by slot: keyBits of the head key; a free slot's is the largest
+	ms   []heapMember // by slot; a free slot's is emptyLeaf
+	free []int32      // free slots, taken last-in first-out; room for every slot
 	n    int          // members
 }
 
@@ -52,8 +53,8 @@ type heapMember struct {
 	serial uint64
 }
 
-// emptyLeaf is ms[0]: past every member on a tie, since no member's serial
-// reaches the largest uint64.
+// emptyLeaf is a free slot's member: past every member on a tie, since no
+// member's serial reaches the largest uint64.
 var emptyLeaf = heapMember{sub: math.MaxUint64, serial: math.MaxUint64}
 
 // keyBits maps a key to a uint64 whose unsigned order is the key's float
@@ -96,39 +97,40 @@ func (h *FlowHeap) minHead() (*Flow, *Packet) {
 
 // Push inserts a newly backlogged flow. f must be nonempty.
 func (h *FlowHeap) Push(f *Flow) {
-	var o int32
-	if k := len(h.free); k > 0 {
-		o, h.free = h.free[k-1], h.free[:k-1]
-	} else {
-		if len(h.ms) == 0 {
-			h.keys, h.ms = append(h.keys, math.MaxUint64), append(h.ms, emptyLeaf)
-		}
-		o = int32(len(h.ms))
-		h.keys, h.ms = append(h.keys, 0), append(h.ms, heapMember{})
-		if int(o) > h.leaf {
-			h.grow()
-		}
-		// Room to free every ordinal: the heap draining lower than it ever
-		// has must not allocate.
-		h.free = slices.Grow(h.free, cap(h.ms)-len(h.free))
+	if len(h.free) == 0 {
+		h.grow()
 	}
+	k := len(h.free) - 1
+	o := h.free[k]
+	h.free = h.free[:k]
 	h.ms[o].f = f
-	f.heapOrd = o
+	f.heapOrd = o + 1
 	h.n++
-	h.win[h.leaf+int(o)-1] = o
 	h.Fix(f)
 }
 
-// grow doubles the leaves (at least 2: an SFQ interior with two children
-// plays one match per served packet) and replays every match.
+// grow doubles the slots (at least 2: an SFQ interior with two children
+// plays one match per served packet) once every slot holds a member, and
+// replays every match. Each array is made at its tier's size, so the slots
+// in use fill them at every power of two, and the free list has room for
+// every slot: the heap draining lower than it ever has does not allocate.
 func (h *FlowHeap) grow() {
-	leaf := max(2, 2*h.leaf)
-	win := make([]int32, 2*leaf)
-	copy(win[leaf:], h.win[h.leaf:])
+	old, leaf := h.leaf, max(2, 2*h.leaf)
+	win, keys, ms := make([]int32, 2*leaf), make([]uint64, leaf), make([]heapMember, leaf)
+	copy(keys, h.keys)
+	copy(ms, h.ms)
+	h.free = make([]int32, 0, leaf)
+	for o := leaf - 1; o >= 0; o-- {
+		if o >= old {
+			keys[o], ms[o] = math.MaxUint64, emptyLeaf
+			h.free = append(h.free, int32(o)) // the lowest is taken first
+		}
+		win[leaf+o] = int32(o)
+	}
+	h.win, h.leaf, h.keys, h.ms = win, leaf, keys, ms
 	for j := leaf - 1; j > 0; j-- {
 		win[j] = h.match(win[2*j], win[2*j+1])
 	}
-	h.win, h.leaf = win, leaf
 }
 
 // match returns the winner of a and b.
@@ -142,7 +144,7 @@ func (h *FlowHeap) match(a, b int32) int32 {
 // Fix restores the order after f's head item changed in place (its head
 // was popped or its key rewritten while the flow stays backlogged).
 func (h *FlowHeap) Fix(f *Flow) {
-	o := f.heapOrd
+	o := f.heapOrd - 1
 	it := f.item(0)
 	h.keys[o] = keyBits(it.key)
 	h.ms[o].p, h.ms[o].sub, h.ms[o].serial = it.p, keyBits(it.sub), it.serial
@@ -152,15 +154,14 @@ func (h *FlowHeap) Fix(f *Flow) {
 // Remove deletes f from the heap regardless of position (RemoveFlow on a
 // backlogged flow, chaos churn). No-op if f is not in the heap.
 func (h *FlowHeap) Remove(f *Flow) {
-	o := f.heapOrd
-	if o == 0 {
+	if f.heapOrd == 0 {
 		return
 	}
+	o := f.heapOrd - 1
 	f.heapOrd = 0
-	h.ms[o] = heapMember{}
+	h.keys[o], h.ms[o] = math.MaxUint64, emptyLeaf
 	h.free = append(h.free, o)
 	h.n--
-	h.win[h.leaf+int(o)-1] = 0
 	h.replay(o)
 }
 
@@ -169,9 +170,11 @@ func (h *FlowHeap) Remove(f *Flow) {
 // that node was not o's before either, so nothing above it changes (a
 // joining flow that loses early, a leaving flow that was not winning).
 // When o was the minimum every node on the path held o, and none stands.
+// Two free slots tie, and replay may keep either where match keeps the
+// left one: a node over empty subtrees holds some free slot.
 func (h *FlowHeap) replay(o int32) {
 	win, keys := h.win, h.keys
-	i := h.leaf + int(o) - 1
+	i := h.leaf + int(o)
 	w := win[i]
 	kw := keys[w]
 	stop := win[1] != o
@@ -201,7 +204,7 @@ func bit(b bool) int {
 	return r
 }
 
-// each calls fn for every member, in ordinal order.
+// each calls fn for every member, in slot order.
 func (h *FlowHeap) each(fn func(*Flow)) {
 	for _, m := range h.ms {
 		if m.f != nil {
@@ -211,65 +214,58 @@ func (h *FlowHeap) each(fn func(*Flow)) {
 }
 
 // CheckSlots verifies the copy invariant and the index: every member's
-// key and tie-breakers equal its flow's head item, ordinal → record →
-// ordinal round-trips, no idle flow is a member, each leaf holds its
-// ordinal exactly while that ordinal is a member, every node holds the
-// winner of its two children, and the free list holds exactly the
-// ordinals given back. The fuzz harnesses call it after every operation.
+// key and tie-breakers equal its flow's head item, slot → record → slot
+// round-trips, no idle flow is a member, every leaf holds its slot, every
+// free slot is an empty leaf, the arrays are the tree's size and the free
+// list has room for every slot and holds exactly the slots that are not
+// members, and every node holds a winner of its two children (either,
+// when two free slots tie). The fuzz harnesses call it after every
+// operation.
 func (h *FlowHeap) CheckSlots() error {
-	if len(h.ms) == 0 {
-		if h.n != 0 || len(h.win) != 0 {
-			return fmt.Errorf("%d members with no ordinals", h.n)
-		}
-		return nil
-	}
-	if h.keys[0] != math.MaxUint64 || h.ms[0] != emptyLeaf {
-		return fmt.Errorf("ordinal 0 is not the empty leaf: key %#x, %+v", h.keys[0], h.ms[0])
-	}
 	c := h.leaf
-	members, isFree := 0, make([]bool, len(h.ms))
+	if len(h.win) != 2*c || len(h.keys) != c || len(h.ms) != c || cap(h.free) < c {
+		return fmt.Errorf("%d slots: win %d, keys %d, members %d, free list room %d", c, len(h.win), len(h.keys), len(h.ms), cap(h.free))
+	}
+	members, isFree := 0, make([]bool, c)
 	for _, o := range h.free {
-		if o <= 0 || int(o) >= len(h.ms) || isFree[o] {
-			return fmt.Errorf("free ordinal %d out of range or listed twice", o)
+		if o < 0 || int(o) >= c || isFree[o] {
+			return fmt.Errorf("free slot %d out of range or listed twice", o)
 		}
 		isFree[o] = true
 	}
-	for o := 1; o < len(h.ms); o++ {
-		m, leaf := h.ms[o], h.win[c+o-1]
+	for o := 0; o < c; o++ {
+		m := h.ms[o]
+		if leaf := h.win[c+o]; leaf != int32(o) {
+			return fmt.Errorf("slot %d: leaf holds %d", o, leaf)
+		}
 		if isFree[o] {
-			if m != (heapMember{}) || leaf != 0 {
-				return fmt.Errorf("free ordinal %d: member %+v, leaf %d", o, m, leaf)
+			if m != emptyLeaf || h.keys[o] != math.MaxUint64 {
+				return fmt.Errorf("free slot %d: key %#x, member %+v", o, h.keys[o], m)
 			}
 			continue
 		}
 		switch {
 		case m.f == nil:
-			return fmt.Errorf("ordinal %d: neither a member nor free", o)
-		case leaf != int32(o):
-			return fmt.Errorf("ordinal %d: leaf holds %d", o, leaf)
-		case m.f.heapOrd != int32(o):
-			return fmt.Errorf("ordinal %d: flow %d has ordinal %d", o, m.f.flow, m.f.heapOrd)
+			return fmt.Errorf("slot %d: neither a member nor free", o)
+		case m.f.heapOrd != int32(o)+1:
+			return fmt.Errorf("slot %d: flow %d has slot %d", o, m.f.flow, m.f.heapOrd-1)
 		case m.f.n == 0:
-			return fmt.Errorf("ordinal %d: idle flow %d is a member", o, m.f.flow)
+			return fmt.Errorf("slot %d: idle flow %d is a member", o, m.f.flow)
 		}
 		it := m.f.headItem()
 		if h.keys[o] != keyBits(it.key) || m.p != it.p || m.sub != keyBits(it.sub) || m.serial != it.serial {
-			return fmt.Errorf("ordinal %d: flow %d key (%#x,%#x,%d) != head item (%v,%v,%d)",
+			return fmt.Errorf("slot %d: flow %d key (%#x,%#x,%d) != head item (%v,%v,%d)",
 				o, m.f.flow, h.keys[o], m.sub, m.serial, it.key, it.sub, it.serial)
 		}
 		members++
 	}
-	if members != h.n {
-		return fmt.Errorf("%d members, Len %d", members, h.n)
-	}
-	for j := c + len(h.ms) - 1; j < len(h.win); j++ {
-		if h.win[j] != 0 {
-			return fmt.Errorf("leaf %d beyond the ordinals holds %d", j-c+1, h.win[j])
-		}
+	if members != h.n || members+len(h.free) != c {
+		return fmt.Errorf("%d members and %d free of %d slots, Len %d", members, len(h.free), c, h.n)
 	}
 	for j := c - 1; j > 0; j-- {
-		if w := h.match(h.win[2*j], h.win[2*j+1]); h.win[j] != w {
-			return fmt.Errorf("node %d holds %d, its match is won by %d", j, h.win[j], w)
+		a, b := h.win[2*j], h.win[2*j+1]
+		if w := h.win[j]; w != h.match(a, b) && w != h.match(b, a) {
+			return fmt.Errorf("node %d holds %d, its match is won by %d", j, w, h.match(a, b))
 		}
 	}
 	return nil

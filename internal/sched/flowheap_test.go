@@ -31,7 +31,7 @@ func TestKeyBitsOrder(t *testing.T) {
 
 // TestFlowHeapWideOrdersLikeSort is TestFlowHeapOrdersLikeSort across
 // hundreds of flows, so the tree grows through several sizes and recycles
-// ordinals: keys below and above zero, both zeros, and ±Inf, with sub keys
+// slots: keys below and above zero, both zeros, and ±Inf, with sub keys
 // that tie and differ, popped in the (key, sub, serial) order of a sort.
 func TestFlowHeapWideOrdersLikeSort(t *testing.T) {
 	keys := []float64{math.Inf(-1), -3, -0.5, math.Copysign(0, -1), 0, 0.5, 2, 2, 7, math.Inf(1)}
@@ -46,7 +46,7 @@ func TestFlowHeapWideOrdersLikeSort(t *testing.T) {
 			fs.Push(f, k, sub, &Packet{Flow: f, Seq: int64(serial), Length: 1})
 			all = append(all, heapRec{k, sub, serial})
 		}
-		// Two rounds with a partial drain between them: ordinals freed by
+		// Two rounds with a partial drain between them: slots freed by
 		// the drain are handed out again to flows of the second round.
 		for round := 0; round < 2; round++ {
 			for f := 1; f <= nf; f++ {
@@ -164,8 +164,8 @@ func TestFlowHeapWritesNoOtherRecord(t *testing.T) {
 	check("Drop", before, 200)
 }
 
-// TestFlowHeapDrainsLowerWithoutAllocating: the free-ordinal stack has
-// room for every ordinal once they are made, so a queue that drains lower
+// TestFlowHeapDrainsLowerWithoutAllocating: the free-slot stack has room
+// for every slot of the tree, so a queue that drains lower
 // than it ever has — here to empty, after a warm-up that drained to half —
 // and refills allocates nothing.
 func TestFlowHeapDrainsLowerWithoutAllocating(t *testing.T) {
@@ -201,8 +201,8 @@ func TestFlowHeapDrainsLowerWithoutAllocating(t *testing.T) {
 // it; lowered, it must climb to the root.
 func TestFlowHeapRekeyBelowTheRoot(t *testing.T) {
 	var fs FlowSet
-	// Flows 1…8 take ordinals, hence leaves, 1…8: leaves 1–4 meet under
-	// one node, 5–8 under the other, and flow 5 (key 0) is the minimum.
+	// Flows 1…8 take slots, hence leaves, 0…7: leaves 0–3 meet under
+	// one node, 4–7 under the other, and flow 5 (key 0) is the minimum.
 	for f, key := range []float64{1, 10, 6, 8, 0, 9, 11, 12} {
 		fs.Push(f+1, key, 0, &Packet{Flow: f + 1, Length: 1})
 	}

@@ -368,7 +368,7 @@ func TestFlowSetReadsDoNotInsert(t *testing.T) {
 // and, SCFQ being self-clocked, goes back when its busy period ends. The
 // control plane treats the two kinds of registered flow alike.
 func TestFlowRecordMadeOnFirstPacket(t *testing.T) {
-	s := NewSCFQ()
+	s := MustNew("scfq").(*Ranked)
 	for f := 1; f <= 100; f++ {
 		if err := s.AddFlow(f, float64(f)); err != nil {
 			t.Fatal(err)
@@ -600,7 +600,7 @@ func TestRestoreAccountingRejectsBadRows(t *testing.T) {
 
 	// Through DRR, whose refill check compares the restored count with the
 	// packets it re-queues: a count that truncated to 1 would pass it.
-	s := NewDRR(1500)
+	s := MustNew("drr", WithQuantum(1500)).(*DRR)
 	if err := s.AddFlow(4, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func TestRestoreAccountingRejectsBadRows(t *testing.T) {
 	if data, err = json.Marshal(st); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewDRR(1500).RestoreState(data); !errors.Is(err, ErrBadState) {
+	if err := MustNew("drr", WithQuantum(1500)).(*DRR).RestoreState(data); !errors.Is(err, ErrBadState) {
 		t.Fatalf("DRR restore with count 1<<32+1 = %v, want ErrBadState", err)
 	}
 }

@@ -79,7 +79,7 @@ func TestWFQVirtualTimeMatchesFluidOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const c = 1000.0
 		weights := map[int]float64{1: 100, 2: 300, 3: 600}
-		wfq := sched.NewWFQ(c)
+		wfq := sched.MustNew("wfq", sched.WithAssumedCapacity(c)).(*sched.Ranked)
 		for f, w := range weights {
 			if err := wfq.AddFlow(f, w); err != nil {
 				t.Fatal(err)

@@ -65,7 +65,7 @@ func (q *HeadSFQ) Served(f *Flow, lp *Packet, length float64, more bool) {
 	f.SetHeadKey(finish, 0)
 	if h := &q.fs.heap; h.n == 1 {
 		// The only member wins whatever its key: only its copy changes.
-		h.keys[f.heapOrd] = keyBits(finish)
+		h.keys[f.heapOrd-1] = keyBits(finish)
 	} else {
 		h.Fix(f)
 	}

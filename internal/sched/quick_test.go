@@ -133,16 +133,16 @@ func TestQuickConservation(t *testing.T) {
 	mks := map[string]func() sched.Interface{
 		"SFQ":  func() sched.Interface { return core.New() },
 		"HSFQ": func() sched.Interface { return sched.MustNew("hsfq") },
-		"SCFQ": func() sched.Interface { return sched.NewSCFQ() },
-		"WFQ":  func() sched.Interface { return sched.NewWFQ(1000) },
+		"SCFQ": func() sched.Interface { return sched.MustNew("scfq") },
+		"WFQ":  func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(1000)) },
 		"FQS": func() sched.Interface {
 			return sched.MustNewRanked(sched.RankWFQ(true), sched.Config{AssumedCapacity: 1000})
 		},
-		"DRR":  func() sched.Interface { return sched.NewDRR(500) },
-		"VC":   func() sched.Interface { return sched.NewVirtualClock() },
-		"EDD":  func() sched.Interface { return sched.NewEDD() },
-		"FIFO": func() sched.Interface { return sched.NewFIFO() },
-		"FA":   func() sched.Interface { return sched.NewFairAirport() },
+		"DRR":  func() sched.Interface { return sched.MustNew("drr", sched.WithQuantum(500)) },
+		"VC":   func() sched.Interface { return sched.MustNew("vclock") },
+		"EDD":  func() sched.Interface { return sched.MustNew("edd") },
+		"FIFO": func() sched.Interface { return sched.MustNew("fifo") },
+		"FA":   func() sched.Interface { return sched.MustNew("fairairport") },
 	}
 	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {
@@ -220,7 +220,7 @@ func TestQuickDRRRoundFairness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const quantum = 500.0
-		s := sched.NewDRR(quantum)
+		s := sched.MustNew("drr", sched.WithQuantum(quantum))
 		if err := s.AddFlow(1, 1); err != nil {
 			return false
 		}
@@ -270,7 +270,7 @@ func TestQuickDRRRoundFairness(t *testing.T) {
 func TestQuickSCFQTagsChain(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := sched.NewSCFQ()
+		s := sched.MustNew("scfq")
 		w := 100 + rng.Float64()*900
 		if err := s.AddFlow(1, w); err != nil {
 			return false
@@ -299,7 +299,7 @@ func TestQuickSCFQTagsChain(t *testing.T) {
 func TestQuickVirtualClockStampsMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := sched.NewVirtualClock()
+		s := sched.MustNew("vclock")
 		w := 100 + rng.Float64()*900
 		if err := s.AddFlow(1, w); err != nil {
 			return false

@@ -155,7 +155,10 @@ type Ranked struct {
 
 // NewRanked builds a scheduler for d. cfg supplies the discipline-
 // independent knobs; only AssumedCapacity is consumed here (when
-// d.NeedsGPS), rank functions capture anything else at construction.
+// d.NeedsGPS), rank functions capture anything else at construction. It
+// is how a registry factory turns a rank function into a scheduler — this
+// package's, core's and pifo's, whose UPS rank functions live outside
+// sched — so it stays exported beside New.
 func NewRanked(d Discipline, cfg Config) (*Ranked, error) {
 	if d.Rank == nil {
 		return nil, fmt.Errorf("%w: discipline %q has no Rank function", ErrBadConfig, d.Name)
@@ -179,7 +182,8 @@ func (s *Ranked) attachFluid(c float64) {
 }
 
 // MustNewRanked is NewRanked for statically valid configurations; it
-// panics on error.
+// panics on error. Factories and core.New use it for rank functions that
+// need no capacity.
 func MustNewRanked(d Discipline, cfg Config) *Ranked {
 	s, err := NewRanked(d, cfg)
 	if err != nil {

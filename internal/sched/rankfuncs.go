@@ -178,26 +178,6 @@ func RankPriority() Discipline {
 	}
 }
 
-// The constructors below predate the registry; they remain because tests,
-// experiments and examples call them, and return the one scheduler type.
-
-// NewFIFO returns an empty FIFO scheduler. Prefer New("fifo").
-func NewFIFO() *Ranked { return MustNewRanked(RankFIFO(), Config{}) }
-
-// NewSCFQ returns an empty SCFQ scheduler. Prefer New("scfq").
-func NewSCFQ() *Ranked { return MustNewRanked(RankSCFQ(), Config{}) }
-
-// NewVirtualClock returns an empty Virtual Clock scheduler. Prefer
-// New("vclock").
-func NewVirtualClock() *Ranked { return MustNewRanked(RankVClock(), Config{}) }
-
-// NewWFQ returns a WFQ scheduler emulating GPS at assumedCap bytes/s. It
-// panics on a non-positive capacity, where New("wfq",
-// WithAssumedCapacity(c)) returns ErrBadConfig.
-func NewWFQ(assumedCap float64) *Ranked {
-	return MustNewRanked(RankWFQ(false), Config{AssumedCapacity: assumedCap})
-}
-
 // NewWFQOracle returns the §1.2 thought experiment made concrete: WFQ whose
 // fluid reference integrates the *actual* capacity C(t) = rateAt(t) in
 // fixed steps of step seconds (eq 3 with C replaced by C(t)). Given a
@@ -206,7 +186,9 @@ func NewWFQ(assumedCap float64) *Ranked {
 // integrate C(t), and a real scheduler has no such oracle for a
 // flow-controlled or CPU-limited link. It exists for the ablation that
 // shows SFQ gets the same fairness with none of this machinery. It assumes
-// no capacity, so SetCapacity returns ErrNoCapacityKnob.
+// no capacity, so SetCapacity returns ErrNoCapacityKnob. It has a
+// constructor of its own, not a registry name, because no Config carries a
+// rate function: the ablation's oracle is its only user.
 func NewWFQOracle(rateAt func(t float64) float64, step float64) *Ranked {
 	if rateAt == nil || !positive(step) {
 		panic("sched: WFQOracle needs a rate function and a positive step")
@@ -226,9 +208,6 @@ func NewWFQOracle(rateAt func(t float64) float64, step float64) *Ranked {
 // hierarchical scheduler of Section 3 hands classes that need that
 // separation to it.
 type EDD struct{ *Ranked }
-
-// NewEDD returns an empty Delay EDD scheduler (what New("edd") builds).
-func NewEDD() EDD { return EDD{MustNewRanked(RankEDD(), Config{})} }
 
 // AddFlowDeadline registers flow with reserved rate (bytes/second) and
 // per-packet delay bound d (seconds); plain AddFlow leaves d_f as it is

@@ -26,7 +26,7 @@ const (
 // Config is the shared construction parameter set for every scheduling
 // discipline. A discipline reads the fields it cares about and ignores the
 // rest, so one options vocabulary covers the whole registry instead of the
-// former per-constructor zoo (NewWFQ(assumedCap), NewDRR(quantum), ...).
+// per-discipline constructors it replaced.
 type Config struct {
 	// AssumedCapacity is the fluid reference capacity C (bytes/s) that
 	// WFQ/FQS simulate GPS at. Required (> 0) for those disciplines; it is
@@ -41,18 +41,15 @@ type Config struct {
 	// Tie is the SFQ-family tie-breaking rule.
 	Tie TieBreak
 
-	// Clock selects runtime-driven construction: when non-nil, New hands
-	// the build to the registered runtime builder (internal/rt), which
-	// wraps the discipline in a goroutine-safe driver that reads "now"
-	// from this clock instead of trusting the caller's argument. Nil (the
-	// default) builds the bare discipline for simulator-driven use.
+	// Clock is the time source of a wall-clock runtime (rt.New), which
+	// reads "now" from it instead of trusting a caller's argument. Nil
+	// means the monotonic wall clock there. New builds bare disciplines
+	// only and refuses a Clock with ErrBadConfig.
 	Clock Clock
 
-	// Shards is the number of per-core scheduler instances the runtime
-	// builder creates, with flows hashed across them. 0 means unsharded
-	// (equivalent to 1). Sharding only makes sense runtime-driven, so
-	// Shards > 1 without a Clock is rejected with ErrBadConfig, as is a
-	// negative count.
+	// Shards is the number of per-core discipline instances rt.New
+	// creates, with flows hashed across them. 0 means unsharded
+	// (equivalent to 1). New refuses a value outside {0, 1}.
 	Shards int
 
 	// Tree is a hierarchical composition spec for the "hier" scheduler —
@@ -79,13 +76,12 @@ func WithQuantum(q float64) Option { return func(cfg *Config) { cfg.Quantum = q 
 // WithTieBreak sets the SFQ-family tie-breaking rule.
 func WithTieBreak(t TieBreak) Option { return func(cfg *Config) { cfg.Tie = t } }
 
-// WithClock selects runtime-driven construction reading time from c (see
-// Config.Clock). Requires internal/rt to be imported so the runtime
-// builder is registered.
+// WithClock sets a runtime's time source (see Config.Clock); rt.New reads
+// it, New refuses it.
 func WithClock(c Clock) Option { return func(cfg *Config) { cfg.Clock = c } }
 
-// WithShards sets the number of hashed per-core shards for runtime-driven
-// construction (see Config.Shards).
+// WithShards sets the number of hashed per-core shards of a runtime (see
+// Config.Shards); rt.New reads it.
 func WithShards(n int) Option { return func(cfg *Config) { cfg.Shards = n } }
 
 // WithTree sets the hierarchical composition spec for the "hier"
@@ -103,53 +99,27 @@ var registry = struct {
 	m map[string]Factory
 }{m: make(map[string]Factory)}
 
-// Register adds a discipline under name (and optional aliases). Adding a
-// scheduler to the repository is now a one-file change: implement
-// Interface, call Register from an init function, and every consumer — the
-// conformance matrix, sfqsim, the experiments — can construct it by name.
-// Registering a duplicate name panics: it is a programming error that
-// would otherwise silently shadow a discipline.
-func Register(name string, f Factory, aliases ...string) {
+// Register adds a discipline under name, its one name. Adding a scheduler
+// to the repository is a one-file change: implement Interface, call
+// Register from an init function, and every consumer — the conformance
+// matrix, sfqsim, the experiments — can construct it by name. Registering a
+// duplicate name panics: it is a programming error that would otherwise
+// silently shadow a discipline.
+func Register(name string, f Factory) {
 	if f == nil {
 		panic("sched: Register with nil factory")
 	}
 	registry.Lock()
 	defer registry.Unlock()
-	for _, n := range append([]string{name}, aliases...) {
-		if _, dup := registry.m[n]; dup {
-			panic(fmt.Sprintf("sched: duplicate scheduler registration %q", n))
-		}
-		registry.m[n] = f
+	if _, dup := registry.m[name]; dup {
+		panic(fmt.Sprintf("sched: duplicate scheduler registration %q", name))
 	}
+	registry.m[name] = f
 }
 
-// RuntimeBuilder constructs a runtime-driven scheduler: a goroutine-safe
-// Interface wrapping cfg.Shards instances of the named discipline, driven
-// by cfg.Clock. internal/rt registers the only implementation from its
-// init; the indirection keeps sched free of any dependency on the runtime
-// while letting one registry name construct either flavor.
-type RuntimeBuilder func(name string, cfg Config) (Interface, error)
-
-var runtimeBuilder RuntimeBuilder
-
-// RegisterRuntimeBuilder installs the runtime builder New delegates to
-// when a Config carries a Clock or Shards. Calling it twice panics, like a
-// duplicate discipline registration.
-func RegisterRuntimeBuilder(b RuntimeBuilder) {
-	if b == nil {
-		panic("sched: RegisterRuntimeBuilder with nil builder")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if runtimeBuilder != nil {
-		panic("sched: duplicate runtime builder registration")
-	}
-	runtimeBuilder = b
-}
-
-// BuildConfig applies opts to a zero Config. Runtime builders use it to
-// read the Clock/Shards the caller asked for before constructing the
-// per-shard disciplines.
+// BuildConfig applies opts to a zero Config. rt.New uses it to read the
+// Clock/Shards the caller asked for before building each shard's
+// discipline.
 func BuildConfig(opts ...Option) Config {
 	var cfg Config
 	for _, opt := range opts {
@@ -159,33 +129,20 @@ func BuildConfig(opts ...Option) Config {
 }
 
 // New constructs the named discipline with the given options applied to a
-// zero Config. The name must have been registered (internal/core registers
-// the SFQ family from its init, so callers constructing "sfq"/"hsfq"/...
-// must import internal/core, directly or transitively); unknown names are
-// an ErrBadConfig, so misconfiguration is one errors.Is check regardless
-// of which field was wrong.
+// zero Config: the one way to build a discipline by name. The name must
+// have been registered (internal/core registers the SFQ family from its
+// init, so callers constructing "sfq"/"hsfq"/... must import internal/core,
+// directly or transitively); unknown names are an ErrBadConfig, so
+// misconfiguration is one errors.Is check regardless of which field was
+// wrong.
 //
-// A Config with a Clock (or Shards > 1) selects runtime-driven
-// construction: the same name then yields a goroutine-safe wall-clock
-// instance built by internal/rt instead of a bare simulator-driven one.
-// Nonsensical combinations — negative shards, sharding without a clock, a
-// clock without the runtime package imported — fail with ErrBadConfig.
+// New builds the bare, simulator-driven discipline. A wall-clock runtime
+// is built by rt.New, which takes the same options; New refuses a Clock,
+// or a Shards value other than 0 or 1, with ErrBadConfig naming rt.New.
 func New(name string, opts ...Option) (Interface, error) {
 	cfg := BuildConfig(opts...)
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("%w: new %q: negative shard count %d", ErrBadConfig, name, cfg.Shards)
-	}
-	if cfg.Shards > 1 && cfg.Clock == nil {
-		return nil, fmt.Errorf("%w: new %q: %d shards without a clock (sharding is a runtime construct; use WithClock)", ErrBadConfig, name, cfg.Shards)
-	}
-	if cfg.Clock != nil || cfg.Shards > 1 {
-		registry.RLock()
-		b := runtimeBuilder
-		registry.RUnlock()
-		if b == nil {
-			return nil, fmt.Errorf("%w: new %q: runtime-driven construction requires importing internal/rt", ErrBadConfig, name)
-		}
-		return b(name, cfg)
+	if cfg.Clock != nil || cfg.Shards < 0 || cfg.Shards > 1 {
+		return nil, fmt.Errorf("%w: new %q: WithClock and WithShards configure a runtime; build it with rt.New", ErrBadConfig, name)
 	}
 	return NewDiscipline(name, cfg)
 }
@@ -214,8 +171,11 @@ func RegisterFallback(fb Fallback) {
 }
 
 // NewDiscipline constructs the bare named discipline from an explicit
-// Config, ignoring its Clock/Shards fields — the path runtime builders use
-// for each shard (going through New would recurse into the builder).
+// Config, ignoring its Clock/Shards fields. It stays beside New because
+// its callers hold a Config, not options: rt.New builds each shard's
+// discipline from the runtime's Config, hier builds each interior and sink
+// from the tree's, and the benchmark's rt-saturate decorator builds its
+// inner discipline from the one it is handed.
 func NewDiscipline(name string, cfg Config) (Interface, error) {
 	registry.RLock()
 	f, ok := registry.m[name]
@@ -260,7 +220,7 @@ func MustNew(name string, opts ...Option) Interface {
 	return s
 }
 
-// Names returns every registered name (aliases included), sorted.
+// Names returns every registered name, sorted.
 func Names() []string {
 	registry.RLock()
 	defer registry.RUnlock()
@@ -279,8 +239,8 @@ func init() {
 	Register("scfq", func(cfg Config) (Interface, error) { return NewRanked(RankSCFQ(), cfg) })
 	Register("wfq", func(cfg Config) (Interface, error) { return NewRanked(RankWFQ(false), cfg) }) // needs WithAssumedCapacity
 	Register("fqs", func(cfg Config) (Interface, error) { return NewRanked(RankWFQ(true), cfg) })
-	Register("vclock", func(cfg Config) (Interface, error) { return NewRanked(RankVClock(), cfg) }, "vc")
-	Register("edd", func(Config) (Interface, error) { return NewEDD(), nil })
+	Register("vclock", func(cfg Config) (Interface, error) { return NewRanked(RankVClock(), cfg) })
+	Register("edd", func(Config) (Interface, error) { return EDD{MustNewRanked(RankEDD(), Config{})}, nil })
 	Register("drr", func(cfg Config) (Interface, error) {
 		q := cfg.Quantum
 		if q == 0 {
@@ -289,9 +249,9 @@ func init() {
 		if !positive(q) {
 			return nil, fmt.Errorf("%w: drr quantum %v must be finite and positive", ErrBadConfig, q)
 		}
-		return NewDRR(q), nil
+		return &DRR{quantum: q}, nil
 	})
 	Register("fifo", func(cfg Config) (Interface, error) { return NewRanked(RankFIFO(), cfg) })
-	Register("fairairport", func(Config) (Interface, error) { return NewFairAirport(), nil }, "fa")
+	Register("fairairport", func(Config) (Interface, error) { return &FairAirport{}, nil })
 	Register("priority", func(cfg Config) (Interface, error) { return NewRanked(RankPriority(), cfg) })
 }

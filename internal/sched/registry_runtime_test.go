@@ -9,12 +9,11 @@ import (
 )
 
 // TestRuntimeOptionsWithoutBuilder pins the construction matrix from the
-// sched side, where internal/rt is deliberately NOT imported: a Config
-// asking for runtime-driven construction (a clock, or sharding) must fail
-// with ErrBadConfig instead of silently returning a bare simulator-driven
-// instance. The positive half — the same options constructing a working
-// runtime once rt is linked in — lives in internal/conformance, whose test
-// binary imports rt.
+// sched side, where internal/rt is not imported: a Config asking for a
+// runtime (a clock, or sharding) must fail with ErrBadConfig instead of
+// silently returning a bare simulator-driven instance. sched.New refuses
+// them with rt linked in too (internal/rt's TestErrorVocabulary, row
+// sched/clock); rt.New is the one way to build a runtime.
 func TestRuntimeOptionsWithoutBuilder(t *testing.T) {
 	cases := []struct {
 		name string

@@ -59,14 +59,15 @@ func TestSelfClockedRecordsReleased(t *testing.T) {
 
 // TestBackloggedFlowCost: 4 096 registered sfq flows each queue 4 packets,
 // as the sched-backlogged benchmark keeps them. Each FIFO then holds one
-// chunk, a ring, and the scheduler's live heap is at most 400 bytes per
+// chunk, a ring, and the scheduler's live heap is at most 382 bytes per
 // flow in the release build: its registry slots, its record, its chunk and
-// its heap member. The packets are allocated before the first read, so
+// its heap member. At 4 096 flows the heap's slot arrays and the record
+// pool are full, not grown past what is in use. The packets are allocated before the first read, so
 // they do not count, and the first read follows two collections, so that
 // what the first leaves for the next to free (37 KB when the test runs
 // alone) does not offset the flows' cost.
 func TestBackloggedFlowCost(t *testing.T) {
-	const flows, depth, perFlow = 4096, 4, 400
+	const flows, depth, perFlow = 4096, 4, 382
 	pkts := make([]Packet, flows*depth)
 	for i := range pkts {
 		pkts[i] = Packet{Flow: i % flows, Length: float64(64 + i%1437)}
@@ -114,11 +115,11 @@ func TestRecordsOutliveBusyPeriodUnlessSelfClocked(t *testing.T) {
 	}{
 		{"sfq", MustNewRanked(RankSFQ(TieFIFO), Config{}), true},
 		{"sfq-lowweight", MustNewRanked(RankSFQ(TieLowWeightFirst), Config{}), true},
-		{"scfq", NewSCFQ(), true},
-		{"vclock", NewVirtualClock(), false},
-		{"edd", NewEDD().Ranked, false},
-		{"wfq", NewWFQ(1000), false},
-		{"fifo", NewFIFO(), false},
+		{"scfq", MustNew("scfq").(*Ranked), true},
+		{"vclock", MustNew("vclock").(*Ranked), false},
+		{"edd", MustNew("edd").(EDD).Ranked, false},
+		{"wfq", MustNew("wfq", WithAssumedCapacity(1000)).(*Ranked), false},
+		{"fifo", MustNew("fifo").(*Ranked), false},
 	} {
 		s := tc.s
 		for f := 1; f <= 3; f++ {

@@ -15,7 +15,7 @@ import (
 // TestSCFQTagAndOrder: SCFQ self-clocks v to the finish tag in service and
 // orders by finish tags.
 func TestSCFQTagAndOrder(t *testing.T) {
-	s := sched.NewSCFQ()
+	s := sched.MustNew("scfq").(*sched.Ranked)
 	addFlows(t, s, map[int]float64{1: 1, 2: 2})
 
 	p1 := &sched.Packet{Flow: 1, Length: 2} // S=0 F=2
@@ -46,7 +46,7 @@ func TestSCFQTagAndOrder(t *testing.T) {
 // TestSCFQFairnessBound: SCFQ obeys the same H(f,m) bound as SFQ [8].
 func TestSCFQFairnessBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := sched.NewSCFQ()
+	s := sched.MustNew("scfq")
 	addFlows(t, s, map[int]float64{1: 100, 2: 250})
 	flows := []schedtest.FlowSpec{
 		{Flow: 1, Weight: 100, MaxBytes: 300},
@@ -64,7 +64,7 @@ func TestSCFQFairnessBound(t *testing.T) {
 // constant-rate server.
 func TestSCFQDelayBoundEq56(t *testing.T) {
 	const c = 1000.0
-	s := sched.NewSCFQ()
+	s := sched.MustNew("scfq")
 	weights := map[int]float64{1: 100, 2: 900}
 	addFlows(t, s, weights)
 	var arr []schedtest.Arrival
@@ -120,7 +120,7 @@ func TestSCFQvsSFQMaxDelay(t *testing.T) {
 		return res.Mon.QueueDelay(1).Max()
 	}
 	sfqWorst := run(core.New())
-	scfqWorst := run(sched.NewSCFQ())
+	scfqWorst := run(sched.MustNew("scfq"))
 	// The analytic gap is l/r − l/C ≈ 0.99 s; require a clear majority of
 	// it to show up empirically.
 	gap := qos.SCFQvsSFQDelayGap(c, 125, weights[1])
@@ -132,7 +132,7 @@ func TestSCFQvsSFQMaxDelay(t *testing.T) {
 
 // TestDRRWeightedShares: DRR splits a backlogged link by weight.
 func TestDRRWeightedShares(t *testing.T) {
-	s := sched.NewDRR(500)
+	s := sched.MustNew("drr", sched.WithQuantum(500))
 	addFlows(t, s, map[int]float64{1: 1, 2: 3})
 	var arr []schedtest.Arrival
 	for i := 0; i < 400; i++ {
@@ -151,7 +151,7 @@ func TestDRRWeightedShares(t *testing.T) {
 // TestDRRVariableLengthPackets: the deficit mechanism handles packets
 // larger than one quantum.
 func TestDRRVariableLengthPackets(t *testing.T) {
-	s := sched.NewDRR(100) // quantum 100 B per unit weight
+	s := sched.MustNew("drr", sched.WithQuantum(100)) // quantum 100 B per unit weight
 	addFlows(t, s, map[int]float64{1: 1, 2: 1})
 	var arr []schedtest.Arrival
 	for i := 0; i < 50; i++ {
@@ -179,7 +179,7 @@ func TestDRRFairnessBlowup(t *testing.T) {
 		}
 		return arr
 	}
-	drr := sched.NewDRR(1) // weight 100 → quantum 100 unit packets per round
+	drr := sched.MustNew("drr", sched.WithQuantum(1)) // weight 100 → quantum 100 unit packets per round
 	addFlows(t, drr, map[int]float64{1: 100, 2: 100})
 	resD := schedtest.Drive(drr, server.NewConstantRate(100), mkArr())
 	hD := fairness.MonitorUnfairness(resD.Mon, 1, 2, 100, 100)
@@ -204,7 +204,7 @@ func TestDRRFairnessBlowup(t *testing.T) {
 
 // TestDRREmptyAndErrors covers bookkeeping paths.
 func TestDRREmptyAndErrors(t *testing.T) {
-	s := sched.NewDRR(100)
+	s := sched.MustNew("drr", sched.WithQuantum(100))
 	if _, ok := s.Dequeue(0); ok {
 		t.Error("empty DRR should not dequeue")
 	}

@@ -120,7 +120,7 @@ var (
 // touch); the other chains sit in the second.
 type Flow struct {
 	FlowQ
-	heapOrd int32 // member ordinal in the owning FlowHeap; 0 when not backlogged
+	heapOrd int32 // 1 + its slot in the owning FlowHeap; 0 when not backlogged
 
 	// Class is the table owner's to use: a scheduler tree (internal/hier)
 	// keeps there the slot of the class holding the flow. It fills the
@@ -182,6 +182,9 @@ func (t *FlowTable) lease(s *flowSlot) *Flow {
 		f, t.spare = t.spare[n-1], t.spare[:n-1]
 	} else {
 		if t.leased == len(t.recs) {
+			if t.leased == cap(t.recs) { // double, so the records fill it at every power of two
+				t.recs = append(make([]*Flow, 0, max(1, 2*t.leased)), t.recs...)
+			}
 			t.recs = append(t.recs, new(Flow))
 		}
 		f, t.leased = t.recs[t.leased], t.leased+1

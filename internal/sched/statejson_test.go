@@ -145,10 +145,10 @@ func CheckStateDecode(s Snapshotter, data []byte) error {
 // scheduler of each; the first input byte picks one.
 func stateDecodeTargets() []Snapshotter {
 	return []Snapshotter{
-		NewSCFQ(),
+		MustNew("scfq").(*Ranked),
 		MustNew("wfq", WithAssumedCapacity(1e4)).(Snapshotter),
-		NewDRR(1),
-		NewFairAirport(),
+		MustNew("drr", WithQuantum(1)).(*DRR),
+		MustNew("fairairport").(*FairAirport),
 	}
 }
 

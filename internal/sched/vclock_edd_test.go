@@ -13,7 +13,7 @@ import (
 
 // TestVirtualClockStamps checks the EAT + l/r stamp rule.
 func TestVirtualClockStamps(t *testing.T) {
-	s := sched.NewVirtualClock()
+	s := sched.MustNew("vclock")
 	addFlows(t, s, map[int]float64{1: 10})
 
 	p1 := &sched.Packet{Flow: 1, Length: 20}
@@ -46,7 +46,7 @@ func TestVirtualClockStamps(t *testing.T) {
 // SFQ-family schedulers do not do this; Virtual Clock does.
 func TestVirtualClockPunishesIdleBandwidthUse(t *testing.T) {
 	const c = 100.0 // bytes/s
-	s := sched.NewVirtualClock()
+	s := sched.MustNew("vclock")
 	addFlows(t, s, map[int]float64{1: 50, 2: 50})
 
 	var arr []schedtest.Arrival
@@ -73,7 +73,7 @@ func TestVirtualClockPunishesIdleBandwidthUse(t *testing.T) {
 // when Σ r <= C [6].
 func TestVirtualClockDelayGuarantee(t *testing.T) {
 	const c = 1000.0
-	s := sched.NewVirtualClock()
+	s := sched.MustNew("vclock")
 	weights := map[int]float64{1: 300, 2: 700}
 	addFlows(t, s, weights)
 	var arr []schedtest.Arrival
@@ -102,7 +102,7 @@ func TestVirtualClockDelayGuarantee(t *testing.T) {
 // TestEDDDeadlinesAndOrder checks eq (66) deadline assignment and EDF
 // ordering.
 func TestEDDDeadlinesAndOrder(t *testing.T) {
-	s := sched.NewEDD()
+	s := sched.MustNew("edd").(sched.EDD)
 	if err := s.AddFlowDeadline(1, 100, 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEDDDeadlinesAndOrder(t *testing.T) {
 // flow is gone — a re-add starts a fresh chain with whatever bound it is
 // given (none, through plain AddFlow).
 func TestEDDDeadlineSurvivesLiveOps(t *testing.T) {
-	s := sched.NewEDD()
+	s := sched.MustNew("edd").(sched.EDD)
 	if err := s.AddFlowDeadline(1, 100, 0.25); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestEDDDeadlineSurvivesLiveOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := sched.NewEDD()
+	replica := sched.MustNew("edd").(sched.EDD)
 	if err := replica.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestEDDTheorem7Bound(t *testing.T) {
 	if err := qos.EDDSchedulable(specs, fc.C, 20); err != nil {
 		t.Fatalf("schedulability: %v", err)
 	}
-	s := sched.NewEDD()
+	s := sched.MustNew("edd").(sched.EDD)
 	if err := s.AddFlowDeadline(1, 400, 0.4); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestEDDTheorem7Bound(t *testing.T) {
 
 // TestFIFOOrder checks arrival-order service and bookkeeping.
 func TestFIFOOrder(t *testing.T) {
-	s := sched.NewFIFO()
+	s := sched.MustNew("fifo")
 	addFlows(t, s, map[int]float64{1: 1, 2: 1})
 	p1 := &sched.Packet{Flow: 1, Length: 5}
 	p2 := &sched.Packet{Flow: 2, Length: 7}
@@ -337,7 +337,7 @@ func TestPriorityStrictOrder(t *testing.T) {
 // TestEDDOverloadMissesDeadlinesGracefully: when condition (67) fails,
 // EDD still serves in deadline order (no starvation), just late.
 func TestEDDOverloadMissesDeadlines(t *testing.T) {
-	s := sched.NewEDD()
+	s := sched.MustNew("edd").(sched.EDD)
 	if err := s.AddFlowDeadline(1, 800, 0.2); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestEDDOverloadMissesDeadlines(t *testing.T) {
 // TestFAWithVariablePacketRates: Fair Airport accepts per-packet rates in
 // both its regulator and its ASQ chains.
 func TestFAWithVariablePacketRates(t *testing.T) {
-	s := sched.NewFairAirport()
+	s := sched.MustNew("fairairport")
 	if err := s.AddFlow(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestFAWithVariablePacketRates(t *testing.T) {
 // TestWFQBusyAcrossIdle: WFQ tags after a fully idle period restart from
 // the frozen fluid time (no virtual-time jumps backwards).
 func TestWFQBusyAcrossIdle(t *testing.T) {
-	s := sched.NewWFQ(1000)
+	s := sched.MustNew("wfq", sched.WithAssumedCapacity(1000)).(*sched.Ranked)
 	addFlows(t, s, map[int]float64{1: 500})
 	p1 := &sched.Packet{Flow: 1, Length: 500}
 	if err := s.Enqueue(0, p1); err != nil {

@@ -22,7 +22,7 @@ func addFlows(t *testing.T, s sched.Interface, weights map[int]float64) {
 
 // TestWFQTagArithmetic checks eqs (1)–(2) with the fluid virtual time.
 func TestWFQTagArithmetic(t *testing.T) {
-	s := sched.NewWFQ(10) // assumed capacity 10 B/s
+	s := sched.MustNew("wfq", sched.WithAssumedCapacity(10)) // assumed capacity 10 B/s
 	addFlows(t, s, map[int]float64{1: 1, 2: 1})
 
 	p1 := &sched.Packet{Flow: 1, Length: 10}
@@ -68,7 +68,7 @@ func TestExample1WFQUnfairness(t *testing.T) {
 			{At: 0, Flow: 1, Bytes: 1},   // p_f^2 (enqueued after p_m^3 so the F-tag tie breaks as in the paper)
 		}
 	}
-	wfq := sched.NewWFQ(1)
+	wfq := sched.MustNew("wfq", sched.WithAssumedCapacity(1))
 	addFlows(t, wfq, map[int]float64{1: 1, 2: 1})
 	res := schedtest.Drive(wfq, server.NewConstantRate(1), mk())
 
@@ -114,7 +114,7 @@ func TestExample2WFQVariableRate(t *testing.T) {
 		return a
 	}
 
-	wfq := sched.NewWFQ(c)
+	wfq := sched.MustNew("wfq", sched.WithAssumedCapacity(c))
 	addFlows(t, wfq, map[int]float64{1: 1, 2: 1})
 	resW := schedtest.Drive(wfq, proc(), arrivals())
 	recsW := resW.Mon.ServiceRecords()
@@ -158,7 +158,7 @@ func TestFQSOrdersByStartTag(t *testing.T) {
 		t.Errorf("FQS should serve the first-enqueued of the start-tag tie")
 	}
 
-	wfq := sched.NewWFQ(10)
+	wfq := sched.MustNew("wfq", sched.WithAssumedCapacity(10))
 	addFlows(t, wfq, map[int]float64{1: 1, 2: 5})
 	pa2 := &sched.Packet{Flow: 1, Length: 10}
 	pb2 := &sched.Packet{Flow: 2, Length: 10}
@@ -178,7 +178,7 @@ func TestFQSOrdersByStartTag(t *testing.T) {
 // departures respect EAT + l/r + lmax/C.
 func TestWFQDelayGuarantee(t *testing.T) {
 	const c = 1000.0
-	wfq := sched.NewWFQ(c)
+	wfq := sched.MustNew("wfq", sched.WithAssumedCapacity(c))
 	addFlows(t, wfq, map[int]float64{1: 400, 2: 600})
 	var arr []schedtest.Arrival
 	for i := 0; i < 50; i++ {
@@ -220,7 +220,7 @@ func TestWFQDelayGuarantee(t *testing.T) {
 // TestWFQRemoveFlowGuards: a flow still backlogged in the fluid system
 // cannot be removed.
 func TestWFQRemoveFlowGuards(t *testing.T) {
-	s := sched.NewWFQ(10)
+	s := sched.MustNew("wfq", sched.WithAssumedCapacity(10))
 	addFlows(t, s, map[int]float64{1: 1})
 	if err := s.Enqueue(0, &sched.Packet{Flow: 1, Length: 10}); err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func TestWFQOracleMatchesWFQOnConstantRate(t *testing.T) {
 		}
 		return order
 	}
-	a := run(sched.NewWFQ(c))
+	a := run(sched.MustNew("wfq", sched.WithAssumedCapacity(c)))
 	b := run(sched.NewWFQOracle(func(float64) float64 { return c }, 1e-3))
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %v vs %v", a, b)
@@ -129,7 +129,7 @@ func TestWFQOracleSnapshot(t *testing.T) {
 	if again, _ := r.AppendState(nil); !bytes.Equal(again, data) {
 		t.Errorf("restore is not a fixed point:\n%s\n%s", again, data)
 	}
-	if err := sched.NewWFQ(100).RestoreState(data); !errors.Is(err, sched.ErrBadState) {
+	if err := sched.MustNew("wfq", sched.WithAssumedCapacity(100)).(*sched.Ranked).RestoreState(data); !errors.Is(err, sched.ErrBadState) {
 		t.Errorf("oracle state into WFQ = %v, want ErrBadState", err)
 	}
 }

@@ -55,7 +55,7 @@ func TestPerFlowBufferIsolation(t *testing.T) {
 // applies.
 func TestSharedAndPerFlowBuffersCompose(t *testing.T) {
 	q := &eventq.Queue{}
-	s := sched.NewFIFO()
+	s := sched.MustNew("fifo")
 	if err := s.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -475,13 +475,15 @@ func TestLinkFailRecoverByteExactAccounting(t *testing.T) {
 // excess without bookkeeping drift.
 func TestDropsUnderOverloadAllSchedulers(t *testing.T) {
 	mks := map[string]func() sched.Interface{
+		// SFQ through the flow core's own constructor and through the
+		// registry (its name "flowsfq" is retired).
 		"SFQ":     func() sched.Interface { return core.New() },
-		"FlowSFQ": func() sched.Interface { return sched.MustNew("flowsfq") },
-		"SCFQ":    func() sched.Interface { return sched.NewSCFQ() },
-		"WFQ":     func() sched.Interface { return sched.NewWFQ(1000) },
-		"DRR":     func() sched.Interface { return sched.NewDRR(500) },
-		"FIFO":    func() sched.Interface { return sched.NewFIFO() },
-		"FA":      func() sched.Interface { return sched.NewFairAirport() },
+		"FlowSFQ": func() sched.Interface { return sched.MustNew("sfq") },
+		"SCFQ":    func() sched.Interface { return sched.MustNew("scfq") },
+		"WFQ":     func() sched.Interface { return sched.MustNew("wfq", sched.WithAssumedCapacity(1000)) },
+		"DRR":     func() sched.Interface { return sched.MustNew("drr", sched.WithQuantum(500)) },
+		"FIFO":    func() sched.Interface { return sched.MustNew("fifo") },
+		"FA":      func() sched.Interface { return sched.MustNew("fairairport") },
 	}
 	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {

@@ -56,7 +56,7 @@ func TestReleasedFramePoisoned(t *testing.T) {
 // the source is about to reuse.
 func TestRedeliveredFrameCaught(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}

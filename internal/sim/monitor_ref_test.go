@@ -296,11 +296,11 @@ func runMonRig(ops []byte) (*monRig, error) {
 	var sch sched.Interface
 	switch r.next() % 3 {
 	case 0:
-		sch = sched.NewFIFO()
+		sch = sched.MustNew("fifo")
 	case 1:
-		sch = sched.NewSCFQ()
+		sch = sched.MustNew("scfq")
 	default:
-		sch = sched.NewDRR(100)
+		sch = sched.MustNew("drr", sched.WithQuantum(100))
 	}
 	for f := 0; f < 4; f++ {
 		if err := sch.AddFlow(f, float64(f+1)); err != nil {

@@ -16,7 +16,7 @@ import (
 // the first read is what makes flow 1's.
 func TestMonitorReadsDoNotInsert(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func (stallOn) MeanRate() float64 { return 100 }
 // apart by the cause alone: it keeps no per-frame table.
 func TestMonitorDropCauses(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	for f := 1; f <= 3; f++ {
 		if err := sch.AddFlow(f, 1); err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestMonitorDropCauses(t *testing.T) {
 // fairness measure of such a run was vacuously 0.)
 func TestMonitorAttachedMidBacklog(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestMonitorAttachedMidBacklog(t *testing.T) {
 // usual.
 func TestForgetFlowKeepsInService(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestForgetFlowKeepsInService(t *testing.T) {
 // must be the lap's, not the first lap's, although it is the same *Frame.
 func TestMonitorRedeliveredFrame(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMonitorRedeliveredFrame(t *testing.T) {
 // were.
 func TestLinkAndSinkReadsDoNotInsert(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLinkAndSinkReadsDoNotInsert(t *testing.T) {
 // per-flow counters and be exactly zero whenever nothing is queued.
 func TestQueuedBytesRunningTotal(t *testing.T) {
 	q := &eventq.Queue{}
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	for f := 1; f <= 3; f++ {
 		if err := sch.AddFlow(f, 1); err != nil {
 			t.Fatal(err)

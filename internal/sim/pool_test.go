@@ -24,7 +24,7 @@ type noPoolWrap struct{ sched.Interface }
 func TestLinkPacketPoolLifecycle(t *testing.T) {
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestLinkPacketPoolLifecycle(t *testing.T) {
 
 	// The same scheduler behind a wrapper that hides PoolSafe: no recycling.
 	q2 := &eventq.Queue{}
-	sch2 := sched.NewFIFO()
+	sch2 := sched.MustNew("fifo")
 	if err := sch2.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func poolEquivRun(seed int64, hidePool bool) string {
 		out += fmt.Sprintf("rx %d/%d @%.9f\n", f.Flow, f.Seq, q.Now())
 	})
 	lossy := faults.NewLossy(rand.New(rand.NewSource(seed+1)), sink, 0.05, 0.05)
-	var s sched.Interface = sched.NewSCFQ()
+	var s sched.Interface = sched.MustNew("scfq")
 	s.AddFlow(1, 1)
 	s.AddFlow(2, 2)
 	if hidePool {

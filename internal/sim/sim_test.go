@@ -14,7 +14,7 @@ func newTestLink(t *testing.T, rate float64) (*eventq.Queue, *sim.Link, *sim.Sin
 	t.Helper()
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestLinkPropagationDelay(t *testing.T) {
 	_ = inner
 	q2sink := sim.ConsumerFunc(func(f *sim.Frame) { arrived = q.Now() })
 	// Rebuild with a custom consumer.
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestLinkValidation(t *testing.T) {
 			t.Error("nil consumer should panic")
 		}
 	}()
-	sim.NewLink(&eventq.Queue{}, "x", sched.NewFIFO(), server.NewConstantRate(1), nil)
+	sim.NewLink(&eventq.Queue{}, "x", sched.MustNew("fifo"), server.NewConstantRate(1), nil)
 }
 
 func TestLinkUnknownFlowDropsCounted(t *testing.T) {

@@ -71,7 +71,7 @@ func TestOnOffMeanRate(t *testing.T) {
 func TestBulkBudgetAndTermination(t *testing.T) {
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
-	sch := sched.NewFIFO()
+	sch := sched.MustNew("fifo")
 	if err := sch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestFramesReusedAtOwnSink(t *testing.T) {
 		sink := sim.NewSink(sinkQ(q))
 		seen := map[*sim.Frame]bool{}
 		sink.OnReceive = func(f *sim.Frame, _ float64) { seen[f] = true }
-		sch := sched.NewFIFO()
+		sch := sched.MustNew("fifo")
 		if err := sch.AddFlow(1, 1); err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,8 @@ type conn struct {
 func newConn(t *testing.T, rate, bufferBytes float64, limit int64) *conn {
 	t.Helper()
 	q := &eventq.Queue{}
-	fsch := sched.NewFIFO()
-	rsch := sched.NewFIFO()
+	fsch := sched.MustNew("fifo")
+	rsch := sched.MustNew("fifo")
 	if err := fsch.AddFlow(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,8 @@ func TestCongestionKeepsGoodput(t *testing.T) {
 
 func TestTwoFlowsShareFairly(t *testing.T) {
 	q := &eventq.Queue{}
-	fsch := sched.NewFIFO()
-	rsch := sched.NewFIFO()
+	fsch := sched.MustNew("fifo")
+	rsch := sched.MustNew("fifo")
 	for f := 1; f <= 2; f++ {
 		if err := fsch.AddFlow(f, 1); err != nil {
 			t.Fatal(err)

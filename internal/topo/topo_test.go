@@ -180,7 +180,7 @@ func TestUnroutedFrameDropsCounted(t *testing.T) {
 	n, err := topo.Build(q,
 		[]topo.LinkSpec{{
 			Name: "ab", From: "a", To: "b",
-			Sched: func() sched.Interface { f := sched.NewFIFO(); _ = f.AddFlow(9, 1); return f }(),
+			Sched: func() sched.Interface { f := sched.MustNew("fifo"); _ = f.AddFlow(9, 1); return f }(),
 			Proc:  server.NewConstantRate(100),
 		}},
 		nil)

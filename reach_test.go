@@ -42,9 +42,6 @@ var keptUnlinked = map[string]string{
 	"repro/internal/sim.Link.DropsByFlow":         "the chaos conservation audit reads it",
 	"repro/internal/topo.Sharded.DropsByFlow":     "the churn tests account every churned frame with it",
 
-	// The frame pool's end-of-life call for a consumer that ends frames
-	// without a sink; no experiment does since they all end at topo sinks.
-
 	// Interface methods: the type must keep satisfying the interface even
 	// though no binary calls this method through it.
 	"repro/internal/server.ConstantRate.MeanRate":    "server.Process",
@@ -55,9 +52,8 @@ var keptUnlinked = map[string]string{
 	"repro/internal/faults.Modulated.MeanRate":       "server.Process",
 	"repro/internal/sched.Ranked.SetCapacity":        "sched.Reconfigurable; rt and sfqsim assert it",
 	"repro/internal/hier.Tree.SetCapacity":           "sched.Reconfigurable; rt and sfqsim assert it",
-	"repro/internal/sched.WithTieBreak":              "one of sched.New's Options, the way to configure a registry name",
 	"repro/internal/sched.WithTree":                  "one of sched.New's Options, the way to configure a registry name",
-	"repro/internal/sched.ManualClock.Set":           "replay harnesses set the clock of a runtime-driven discipline",
+	"repro/internal/sched.ManualClock.Set":           "replay harnesses set the clock of a runtime",
 	"repro/internal/rt.Runtime.SetQueueLimit":        "the only switch for the runtime's ErrShedding bound",
 	"repro/internal/rt.Admitter.Queued":              "the admitter's queue-depth gauge beside Executing",
 	"repro/internal/rt.Runtime.Close":                "runtime lifecycle; Close racing Wait/Finish is a planned hostile-input test",
