@@ -28,8 +28,8 @@ import (
 // come from sched.Names(): a discipline is covered the moment it registers.
 // A sim.Link under MonitorAll has a row too: the monitor's hooks only append
 // to a chunked log, so a departure costs no allocation beyond a new chunk
-// every thousand rows. Capped Attach is left out: once its window is full it
-// folds the oldest chunk into the per-flow views, whose samples and curves
+// every thousand rows. Reading the monitor is left out: a read folds the
+// log into the records and the per-flow views, whose samples and curves
 // grow with every packet — that is its cost, paid in batches.
 // Not repeated here: the event queue, pinned in both phases by
 // internal/eventq's TestScheduleStepZeroAlloc and TestCancelZeroAlloc; the

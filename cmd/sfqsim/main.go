@@ -249,7 +249,7 @@ func main() {
 	sink := sim.NewSink(q)
 	link := sim.NewLink(q, "link", s, proc, sink)
 	link.BufferBytes = *buffer
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 
 	// Observability is attached only on request, so a bare run keeps the
 	// probe-free zero-allocation hot path.

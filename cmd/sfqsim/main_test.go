@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -55,6 +56,33 @@ func TestListSchedsCLI(t *testing.T) {
 	}
 	if want := sched.Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("-list-scheds = %v, want %v", got, want)
+	}
+}
+
+// TestPinnedOutput pins sfqsim's stdout for two runs to testdata: the
+// default run, and a 60 s on-off run whose H(f,m) covers every record of
+// the run (H(1,2) = 750.0).
+func TestPinnedOutput(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		args       []string
+	}{
+		{"default", "default.txt", nil},
+		{"onoff-60s", "onoff60.txt", []string{"-dur", "60", "-server", "onoff", "-weights", "1,2,3,4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit code %d: %s", code, stderr)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout != string(want) {
+				t.Errorf("output moved\n got:\n%s\nwant:\n%s", stdout, want)
+			}
+		})
 	}
 }
 

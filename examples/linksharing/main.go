@@ -53,7 +53,7 @@ func main() {
 	q := &eventq.Queue{}
 	sink := sim.NewSink(q)
 	link := sim.NewLink(q, "shared", tree, server.NewConstantRate(c), sink)
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 
 	(&source.CBR{Q: q, Out: link, Flow: 1, Rate: 0.62 * c, PktBytes: 1000,
 		Start: 0, Stop: duration / 2}).Run() // video stops at t=5

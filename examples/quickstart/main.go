@@ -53,7 +53,7 @@ func main() {
 	must(lnk.AddFlow(2, 3))
 	sink := sim.NewSink(q)
 	link := sim.NewLink(q, "bottleneck", lnk, server.NewConstantRate(units.Mbps(1)), sink)
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 
 	for flow := 1; flow <= 2; flow++ {
 		(&source.CBR{Q: q, Out: link, Flow: flow, Rate: units.Mbps(1),

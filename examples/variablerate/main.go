@@ -47,7 +47,7 @@ func main() {
 		proc := server.NewMarkovModulated(
 			[]float64{0.25 * c, 0.5 * c, 0.75 * c}, 0.1, rng)
 		link := sim.NewLink(q, "radio", s, proc, sink)
-		mon := sim.Attach(link)
+		mon := sim.MonitorAll(link)
 
 		// Flow 1 is busy from t=0; flow 2 joins at t=10. Both greedy.
 		(&source.CBR{Q: q, Out: link, Flow: 1, Rate: c, PktBytes: pkt,

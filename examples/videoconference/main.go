@@ -34,7 +34,7 @@ func main() {
 	rng := rand.New(rand.NewSource(42))
 	q := &eventq.Queue{}
 
-	s := sched.MustNew("sfq", sched.WithTieBreak(sched.TieLowWeightFirst)) // §2.3: interactive flows win ties
+	s := sched.MustNew("sfq-lowweight") // §2.3: interactive flows win ties
 	// The video weight covers its scene-level peaks (≈ 1.8 × 1.21 Mb/s),
 	// not just the mean — VBR video buffers at the frame scale but should
 	// not queue for seconds behind ftp. ftp's weight only matters while
@@ -54,7 +54,7 @@ func main() {
 
 	sink := sim.NewSink(q)
 	link := sim.NewLink(q, "uplink", s, server.NewConstantRate(units.Mbps(2.5)), sink)
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 
 	// VBR video: synthetic MPEG at 1.21 Mb/s, 200 B packets.
 	trace := vbr.Generate(vbr.Config{MeanRate: units.Mbps(1.21)}, int(24*duration)+24, rng)

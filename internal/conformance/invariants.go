@@ -202,11 +202,11 @@ func CheckWorkConserving(tr *Trace, mon *sim.Monitor) error {
 }
 
 // CheckTheorem1 asserts the fairness bound for every pair of flows: over
-// all O(n²) (t1, t2) busy-interval pairs in which both flows are
-// backlogged, |W_f/r_f − W_m/r_m| <= bound(l_f^max, r_f, l_m^max, r_m).
-// Pass qos.SFQFairnessBound for the SFQ/SCFQ/WFQ family and
-// qos.DRRFairnessBound-style closures for others. The exhaustive interval
-// scan is done by the fairness package.
+// every (t1, t2) busy-interval pair in which both flows are backlogged,
+// |W_f/r_f − W_m/r_m| <= bound(l_f^max, r_f, l_m^max, r_m). Pass
+// qos.SFQFairnessBound for the SFQ/SCFQ/WFQ family and
+// qos.DRRFairnessBound-style closures for others. The fairness package
+// finds the largest such difference exactly, in one pass.
 func CheckTheorem1(mon *sim.Monitor, w Workload, bound func(lf, rf, lm, rm float64) float64) error {
 	for i, f := range w.Flows {
 		for _, m := range w.Flows[i+1:] {

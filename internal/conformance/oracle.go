@@ -7,7 +7,7 @@
 //     tested against them packet-for-packet.
 //  2. Replay invariant checkers (invariants.go): given the trace and the
 //     service records of a run, they assert the paper's inequalities —
-//     the Theorem 1 fairness bound over all O(n²) busy-interval pairs,
+//     the Theorem 1 fairness bound over every busy-interval pair,
 //     the Theorem 2 throughput and Theorem 4 (and eq 56) delay bounds,
 //     virtual-time monotonicity, work conservation, packet conservation,
 //     and per-flow FIFO ordering.

@@ -1,10 +1,6 @@
 package conformance
 
-import (
-	"testing"
-
-	"repro/internal/sched"
-)
+import "testing"
 
 // The pifo-* registry names date from when every tag-based discipline
 // existed twice — hand-written, and as a rank function — and this file was
@@ -16,26 +12,13 @@ import (
 // seed, across the three regimes of the flow-core pin (healthy, wide,
 // chaos). It goes when the name does.
 
-// pifoEquivPairs lists (plain sut, alias sut) by sut-table name, plus one
-// off-table pair for the low-weight-first tie rule, which the alias
-// reaches through WithTieBreak rather than a separate name.
+// pifoEquivPairs lists (plain sut, alias sut) by sut-table name.
 func pifoEquivPairs() [][2]sut {
 	byName := make(map[string]sut)
 	for _, s := range suts() {
 		byName[s.name] = s
 	}
-	pairs := [][2]sut{
-		{byName["sfq"], byName["pifo-sfq"]},
-	}
-	lowWeight := sut{
-		name: "pifo-sfq-lowweight",
-		make: func(Workload) sched.Interface {
-			return sched.MustNew("pifo-sfq", sched.WithTieBreak(sched.TieLowWeightFirst))
-		},
-		kinds: byName["sfq-lowweight"].kinds,
-	}
-	pairs = append(pairs, [2]sut{byName["sfq-lowweight"], lowWeight})
-	return pairs
+	return [][2]sut{{byName["sfq"], byName["pifo-sfq"]}}
 }
 
 // TestPIFOEquivalence sweeps every pair through the healthy, wide, and

@@ -8,17 +8,16 @@ import (
 // This file registers the paper's own disciplines with the shared scheduler
 // registry, so consumers construct them by name next to the baselines:
 //
-//	s, err := sched.New("sfq", sched.WithTieBreak(sched.TieLowWeightFirst))
+//	s, err := sched.New("sfq-lowweight")
 //
 // Importing internal/core (directly or transitively) is what makes these
 // names available; every registry consumer in this repository already does.
 func init() {
 	sched.Register("sfq", func(cfg sched.Config) (sched.Interface, error) {
-		return sched.NewRanked(sched.RankSFQ(cfg.Tie), cfg)
+		return sched.NewRanked(sched.RankSFQ(sched.TieFIFO), cfg)
 	})
-	// "sfq-lowweight" pins the Section 2.3 low-weight-first tie rule
-	// regardless of cfg.Tie — it names the configured discipline the
-	// conformance matrix and experiments refer to.
+	// "sfq-lowweight" is SFQ under the Section 2.3 low-weight-first tie
+	// rule.
 	sched.Register("sfq-lowweight", func(cfg sched.Config) (sched.Interface, error) {
 		return sched.NewRanked(sched.RankSFQ(sched.TieLowWeightFirst), cfg)
 	})

@@ -25,8 +25,8 @@ func AblationTieBreak(seed int64) *Result {
 		c   = 10000.0
 		pkt = 500.0
 	)
-	run := func(tie sched.TieBreak) float64 {
-		s := sched.MustNew("sfq", sched.WithTieBreak(tie))
+	run := func(name string) float64 {
+		s := sched.MustNew(name)
 		// Interactive flow 1 (low weight) + three bulk flows.
 		if err := s.AddFlow(1, 500); err != nil {
 			panic(err)
@@ -54,8 +54,8 @@ func AblationTieBreak(seed int64) *Result {
 		return res.Mon.QueueDelay(1).Mean()
 	}
 
-	fifo := run(sched.TieFIFO)
-	loww := run(sched.TieLowWeightFirst)
+	fifo := run("sfq")
+	loww := run("sfq-lowweight")
 	r.addf("interactive avg delay: FIFO ties %.2f ms, low-weight-first ties %.2f ms (%.0f%% lower)",
 		units.ToMillis(fifo), units.ToMillis(loww), (1-loww/fifo)*100)
 	r.set("fifo_ms", units.ToMillis(fifo))

@@ -4,15 +4,18 @@
 // both flows are backlogged, where a packet counts toward W only if its
 // service starts and finishes inside the interval (§1.2).
 //
-// The computation is exact: given the per-packet service records and the
-// per-flow backlogged intervals captured by a sim.Monitor, it examines all
-// candidate interval endpoints (service starts for t1, service ends for
-// t2) within each jointly backlogged interval.
+// The computation is exact and linear. A link serves one packet at a time,
+// so its completion order is also its start order: the packets served
+// inside [t1,t2] are a run of consecutive records. With P the running
+// normalized service difference since a jointly backlogged interval opened
+// (+bytes/r_f for f, −bytes/r_m for m, starting at 0), W_f/r_f − W_m/r_m
+// over a run is P_j − P_{i−1}, so H over that interval is max P − min P.
+// One pass over the records of a sim.Monitor, merged with the sorted joint
+// intervals, finds it.
 package fairness
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -38,85 +41,40 @@ func Intersect(a, b []sim.Interval) []sim.Interval {
 
 // MaxUnfairness returns the empirical H(f,m): the maximum of
 // |W_f(t1,t2)/r_f − W_m(t1,t2)/r_m| over sub-intervals of the jointly
-// backlogged intervals. recs must be in completion order (as recorded by a
-// sim.Monitor); rf and rm are the flow weights.
+// backlogged intervals. recs must be one link's records in completion
+// order, each service starting no earlier than the previous one ended (as
+// a sim.Monitor records them); rf and rm are the flow weights.
 func MaxUnfairness(recs []sim.ServiceRecord, fIv, mIv []sim.Interval, f, m int, rf, rm float64) float64 {
 	joint := Intersect(fIv, mIv)
 	worst := 0.0
-	for _, iv := range joint {
-		if d := maxOverInterval(recs, iv, f, m, rf, rm); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// rec is a normalized service completion: +bytes/rf for flow f, −bytes/rm
-// for flow m.
-type rec struct {
-	start, end float64
-	delta      float64
-}
-
-func maxOverInterval(recs []sim.ServiceRecord, iv sim.Interval, f, m int, rf, rm float64) float64 {
-	// Packets of f or m fully served within the joint interval.
-	var rs []rec
+	k := 0
+	var p, lo, hi float64 // P since joint[k] opened, and its min and max
 	for _, r := range recs {
-		if r.Start < iv.Start || r.End > iv.End {
+		if r.Flow != f && r.Flow != m {
 			continue
 		}
-		switch r.Flow {
-		case f:
-			rs = append(rs, rec{r.Start, r.End, r.Bytes / rf})
-		case m:
-			rs = append(rs, rec{r.Start, r.End, -r.Bytes / rm})
+		for k < len(joint) && r.End > joint[k].End {
+			k++
+			p, lo, hi = 0, 0, 0
 		}
-	}
-	if len(rs) == 0 {
-		return 0
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].end < rs[j].end })
-
-	// Candidate t1 values: just before each service start (and the
-	// interval start). For each t1, sweep t2 over service completions and
-	// track the running normalized difference; its max |value| over all
-	// (t1, t2) pairs is the answer.
-	t1s := make([]float64, 0, len(rs)+1)
-	t1s = append(t1s, iv.Start)
-	for _, r := range rs {
-		t1s = append(t1s, r.start)
-	}
-	sort.Float64s(t1s)
-	t1s = dedup(t1s)
-
-	worst := 0.0
-	for _, t1 := range t1s {
-		sum := 0.0
-		for _, r := range rs {
-			if r.start >= t1 {
-				sum += r.delta
-				if a := math.Abs(sum); a > worst {
-					worst = a
-				}
-			}
+		if k == len(joint) {
+			break
 		}
+		if r.Start < joint[k].Start {
+			continue // started before the interval opened
+		}
+		if r.Flow == f {
+			p += r.Bytes / rf
+		} else {
+			p -= r.Bytes / rm
+		}
+		lo, hi = min(lo, p), max(hi, p)
+		worst = max(worst, hi-lo)
 	}
 	return worst
-}
-
-func dedup(xs []float64) []float64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // MonitorUnfairness computes H(f,m) from a monitor and the flow weights.
-// For a capped monitor that wrapped, the measure covers the retained
-// (newest) record window in chronological order.
 func MonitorUnfairness(mon *sim.Monitor, f, m int, rf, rm float64) float64 {
 	return MaxUnfairness(mon.ServiceRecords(), mon.BackloggedIntervals(f), mon.BackloggedIntervals(m), f, m, rf, rm)
 }

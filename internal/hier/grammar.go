@@ -145,12 +145,11 @@ func (p *specParser) spec(depth int) (*Spec, error) {
 	return sp, nil
 }
 
-// Build builds the tree sp describes, every node discipline with cfg (its
-// Tree cleared, so a nested "hier" cannot recurse). The root's weight is
-// ignored. A tree with class names or flow leaves, which the grammar
-// cannot write, reports StateKind "core/hsfq", restoring into "hsfq".
+// Build builds the tree sp describes, every node discipline with cfg. The
+// root's weight is ignored. A tree with class names or flow leaves, which
+// the grammar cannot write, reports StateKind "core/hsfq", restoring into
+// "hsfq".
 func Build(sp *Spec, cfg sched.Config) (*Tree, error) {
-	cfg.Tree = ""
 	t := &Tree{spec: sp, kind: "core/hsfq", cfg: cfg, pure: true}
 	if sp.inGrammar() {
 		t.kind = "hier:" + sp.String()
@@ -211,21 +210,13 @@ func buildSpec(spec string, cfg sched.Config) (sched.Interface, error) {
 }
 
 func init() {
-	// The open-ended family: any "hier:<spec>" name, and the bare "hier"
-	// carrying its spec in Config.Tree.
+	// The open-ended family: any "hier:<spec>" name.
 	sched.RegisterFallback(func(name string, _ sched.Config) (sched.Factory, bool) {
 		spec, ok := strings.CutPrefix(name, "hier:")
-		if !ok && name != "hier" {
+		if !ok {
 			return nil, false
 		}
-		return func(cfg sched.Config) (sched.Interface, error) {
-			if !ok && cfg.Tree == "" {
-				return nil, fmt.Errorf("%w: hier requires a tree spec (sched.WithTree)", sched.ErrBadConfig)
-			} else if !ok {
-				return buildSpec(cfg.Tree, cfg)
-			}
-			return buildSpec(spec, cfg)
-		}, true
+		return func(cfg sched.Config) (sched.Interface, error) { return buildSpec(spec, cfg) }, true
 	})
 
 	// Canonical compositions, registered by name so they enumerate in

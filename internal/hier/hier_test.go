@@ -77,15 +77,6 @@ func TestRegistryFamily(t *testing.T) {
 	if kind := s.(sched.Snapshotter).StateKind(); kind != "hier:sfq(fifo,fifo)" {
 		t.Errorf("StateKind = %q", kind)
 	}
-	// The bare name reads the spec from the config...
-	if _, err := sched.New("hier", sched.WithTree("sfq(drr,edd)")); err != nil {
-		t.Fatal(err)
-	}
-	// ...and refuses to run without one.
-	_, err = sched.New("hier")
-	if !errors.Is(err, sched.ErrBadConfig) || !strings.Contains(err.Error(), "hier requires a tree spec") {
-		t.Errorf("bare hier error = %v", err)
-	}
 	// Non-canonical spellings canonicalize in the state kind, so their
 	// snapshots restore into canonically-named trees.
 	if kind := mustTree("sfq(drr*1,edd)").StateKind(); kind != "hier:sfq(drr,edd)" {

@@ -54,9 +54,9 @@ func popAll(s sched.Interface) []string {
 }
 
 // mkNamed builds the named scheduler or fails the test.
-func mkNamed(t *testing.T, name string, opts ...sched.Option) sched.Interface {
+func mkNamed(t *testing.T, name string) sched.Interface {
 	t.Helper()
-	s, err := sched.New(name, opts...)
+	s, err := sched.New(name)
 	if err != nil {
 		t.Fatalf("New(%q): %v", name, err)
 	}
@@ -149,19 +149,17 @@ func TestRestoreRejects(t *testing.T) {
 		}
 	})
 	// SFQ's tie rule shapes the queued sub keys, so a state is not
-	// interchangeable across rules: the rule is part of the kind, which a
-	// registry name, its second name and the option spelling share.
+	// interchangeable across rules: the rule is part of the kind, which
+	// "sfq" shares with its second name "pifo-sfq".
 	t.Run("tie rule", func(t *testing.T) {
-		low := sched.WithTieBreak(sched.TieLowWeightFirst)
 		for _, tc := range []struct {
 			from, to string
-			toOpts   []sched.Option
 			ok       bool
 		}{
 			{from: "sfq", to: "sfq-lowweight"},
 			{from: "sfq-lowweight", to: "sfq"},
 			{from: "sfq-lowweight", to: "pifo-sfq"},
-			{from: "sfq-lowweight", to: "sfq", toOpts: []sched.Option{low}, ok: true},
+			{from: "sfq-lowweight", to: "sfq-lowweight", ok: true},
 			{from: "sfq", to: "pifo-sfq", ok: true},
 		} {
 			src := mkNamed(t, tc.from)
@@ -170,9 +168,9 @@ func TestRestoreRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = liveops.Restore(data, mkNamed(t, tc.to, tc.toOpts...).(sched.Snapshotter))
+			err = liveops.Restore(data, mkNamed(t, tc.to).(sched.Snapshotter))
 			if tc.ok && err != nil {
-				t.Errorf("%s -> %s %d opts: %v", tc.from, tc.to, len(tc.toOpts), err)
+				t.Errorf("%s -> %s: %v", tc.from, tc.to, err)
 			}
 			if !tc.ok && !errors.Is(err, sched.ErrBadState) {
 				t.Errorf("%s -> %s: want ErrBadState, got %v", tc.from, tc.to, err)

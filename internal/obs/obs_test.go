@@ -243,9 +243,9 @@ func TestObserveComposesWithMonitor(t *testing.T) {
 		var o *obs.Observer
 		if obsFirst {
 			o = obs.Observe(link)
-			mon = sim.Attach(link)
+			mon = sim.MonitorAll(link)
 		} else {
-			mon = sim.Attach(link)
+			mon = sim.MonitorAll(link)
 			o = obs.Observe(link)
 		}
 		q.Run()

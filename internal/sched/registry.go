@@ -8,9 +8,8 @@ import (
 
 // TieBreak selects the order of packets whose start tags are equal in the
 // SFQ family (Section 2.3: "ties are broken arbitrarily; some tie breaking
-// rules may be more desirable than others"). It lives here (rather than in
-// internal/core) so the shared Config can carry it; internal/core aliases
-// it for compatibility.
+// rules may be more desirable than others"). It is RankSFQ's parameter;
+// the registry names the two rules "sfq" and "sfq-lowweight".
 type TieBreak int
 
 // Tie-breaking rules.
@@ -38,9 +37,6 @@ type Config struct {
 	// DefaultQuantum.
 	Quantum float64
 
-	// Tie is the SFQ-family tie-breaking rule.
-	Tie TieBreak
-
 	// Clock is the time source of a wall-clock runtime (rt.New), which
 	// reads "now" from it instead of trusting a caller's argument. Nil
 	// means the monotonic wall clock there. New builds bare disciplines
@@ -51,12 +47,6 @@ type Config struct {
 	// creates, with flows hashed across them. 0 means unsharded
 	// (equivalent to 1). New refuses a value outside {0, 1}.
 	Shards int
-
-	// Tree is a hierarchical composition spec for the "hier" scheduler —
-	// the internal/hier grammar, e.g. "sfq(drr*2,edd)". Disciplines other
-	// than the tree layer ignore it; composed names like
-	// "hier:sfq(drr,edd)" carry the spec in the name instead.
-	Tree string
 }
 
 // DefaultQuantum is the DRR quantum per unit weight used when Config.Quantum
@@ -73,9 +63,6 @@ func WithAssumedCapacity(c float64) Option { return func(cfg *Config) { cfg.Assu
 // WithQuantum sets DRR's per-unit-weight quantum in bytes.
 func WithQuantum(q float64) Option { return func(cfg *Config) { cfg.Quantum = q } }
 
-// WithTieBreak sets the SFQ-family tie-breaking rule.
-func WithTieBreak(t TieBreak) Option { return func(cfg *Config) { cfg.Tie = t } }
-
 // WithClock sets a runtime's time source (see Config.Clock); rt.New reads
 // it, New refuses it.
 func WithClock(c Clock) Option { return func(cfg *Config) { cfg.Clock = c } }
@@ -83,10 +70,6 @@ func WithClock(c Clock) Option { return func(cfg *Config) { cfg.Clock = c } }
 // WithShards sets the number of hashed per-core shards of a runtime (see
 // Config.Shards); rt.New reads it.
 func WithShards(n int) Option { return func(cfg *Config) { cfg.Shards = n } }
-
-// WithTree sets the hierarchical composition spec for the "hier"
-// scheduler (see Config.Tree).
-func WithTree(spec string) Option { return func(cfg *Config) { cfg.Tree = spec } }
 
 // Factory constructs a scheduler from a Config. Factories validate the
 // fields they consume and return an error (never panic) on a bad Config.
@@ -149,8 +132,8 @@ func New(name string, opts ...Option) (Interface, error) {
 
 // Fallback resolves a name no registered factory matched, or returns
 // (nil, false) to decline. internal/hier registers the only implementation:
-// it accepts the open-ended composed-name family ("hier", "hier:<spec>")
-// that cannot be enumerated in the registry map.
+// it accepts the open-ended composed-name family "hier:<spec>", which
+// cannot be enumerated in the registry map.
 type Fallback func(name string, cfg Config) (Factory, bool)
 
 var fallback Fallback

@@ -19,16 +19,6 @@ type ServiceRecord struct {
 // Interval is a closed time interval.
 type Interval struct{ Start, End float64 }
 
-// DefaultRecordCap bounds the departure log of a Monitor from Attach: the
-// log keeps the newest DefaultRecordCap service records (48 bytes a row, so
-// about 3 MiB, plus at most two chunks) and folds older rows into the
-// per-flow views before it reuses their chunk. The per-flow views are not
-// bounded: the delay samples and service curves gain one point per packet
-// and the backlog intervals one per busy period, however long the run.
-// Replay-exact consumers (the conformance checkers, the golden experiments)
-// use MonitorAll instead.
-const DefaultRecordCap = 1 << 16
-
 // Monitor observes one link: per-flow cumulative service curves, exact
 // backlogged intervals (needed by the fairness measure), and queueing
 // delay samples.
@@ -39,21 +29,20 @@ const DefaultRecordCap = 1 << 16
 // also logs the closed interval. The per-flow views are built on read:
 // every read folds the rows logged since the last one, so it sees every
 // departure so far.
+//
+// A monitor keeps every service record, and each flow's delay samples and
+// service curve gain one point per packet: its memory grows with the
+// packets served. obs.Observer is the bounded instrument.
 type Monitor struct {
-	link      *Link
-	recordCap int // 0 = unbounded
+	link *Link
 
-	// deps holds the departures not yet folded and, for a capped monitor,
-	// the newest recordCap rows whether folded or not; folded counts its
-	// leading rows already folded. closes holds the backlog intervals not
-	// yet folded.
+	// deps holds the departures not yet folded, closes the backlog
+	// intervals not yet folded.
 	deps   chunkLog[depRow]
 	closes chunkLog[closeRow]
-	folded int
-	logged int64 // departures ever logged
 
-	// Built by fold: every service record (unbounded monitors only) and one
-	// view per flow that departed or closed a backlog.
+	// Built by fold: every service record and one view per flow that
+	// departed or closed a backlog.
 	records []ServiceRecord
 	flows   map[int]*flowView
 
@@ -84,29 +73,15 @@ type flowView struct {
 	curve     stats.TimeSeries // (end of transmission, served)
 }
 
-// Attach installs a monitor on l whose departure log keeps the newest
-// DefaultRecordCap service records. It chains onto the link's OnDepart and
-// OnDrop hooks. Aggregate statistics (service curves, delay samples,
-// backlog intervals) are unaffected by the cap — only the window that
-// ServiceRecords returns is bounded.
-func Attach(l *Link) *Monitor { return AttachN(l, DefaultRecordCap) }
-
-// MonitorAll installs a monitor that keeps every service record — the
-// escape hatch for replay-exact consumers (conformance differential
-// checkers, golden experiments) whose audits must see each transmission.
-// Memory then grows with packets sent, which is exactly what Attach's cap
-// exists to avoid on long runs.
-func MonitorAll(l *Link) *Monitor { return AttachN(l, 0) }
-
-// AttachN installs a monitor keeping the newest recordCap service records
-// (0 = unbounded). Its hooks run before the ones already installed; a hook
-// installed later must not deliver into the link before calling on, or the
-// monitor reads a backlog the delivery already reopened.
-func AttachN(l *Link, recordCap int) *Monitor {
+// MonitorAll installs a monitor on l that keeps every service record. Its
+// hooks chain onto the link's OnDepart and OnDrop and run before the ones
+// already installed; a hook installed later must not deliver into the link
+// before calling on, or the monitor reads a backlog the delivery already
+// reopened.
+func MonitorAll(l *Link) *Monitor {
 	m := &Monitor{
-		link:      l,
-		recordCap: recordCap,
-		flows:     make(map[int]*flowView),
+		link:  l,
+		flows: make(map[int]*flowView),
 	}
 	prevDep, prevDrop := l.OnDepart, l.OnDrop
 	l.OnDepart = func(f *Frame, start, end float64) {
@@ -134,11 +109,7 @@ func (m *Monitor) onDrop(f *Frame, cause DropCause) {
 }
 
 func (m *Monitor) onDepart(f *Frame, start, end float64) {
-	if m.recordCap > 0 && m.deps.full() {
-		m.recycle()
-	}
 	m.deps.push(depRow{ServiceRecord{Flow: f.Flow, Start: start, End: end, Bytes: f.Bytes}, f.Arrived})
-	m.logged++
 	if lf := f.at; lf.outstanding == 0 {
 		m.closes.push(closeRow{f.Flow, Interval{Start: lf.openedAt, End: end}})
 	}
@@ -152,53 +123,21 @@ func (m *Monitor) onDepart(f *Frame, start, end float64) {
 	}
 }
 
-// recycle drops the leading chunks of a capped monitor's log that hold only
-// rows older than the newest recordCap, folding them first.
-func (m *Monitor) recycle() {
-	for len(m.deps.chunks) > 1 && m.deps.n-len(m.deps.chunks[0]) >= m.recordCap {
-		n := len(m.deps.chunks[0])
-		m.foldDeps(n)
-		m.foldCloses()
-		m.deps.dropFirst()
-		m.folded -= n
-	}
-}
-
-// fold brings the per-flow views (and an unbounded monitor's records) up to
-// every logged row. An unbounded monitor then needs none of its rows again.
+// fold brings the records and the per-flow views up to every logged row,
+// then empties the logs: the monitor needs none of their rows again.
 func (m *Monitor) fold() {
-	if m.recordCap == 0 {
-		m.records = slices.Grow(m.records, m.deps.n)
-		m.foldDeps(m.deps.n)
-		m.deps.reset()
-		m.folded = 0
-	} else {
-		m.foldDeps(m.deps.n)
-	}
-	m.foldCloses()
-}
-
-// foldDeps folds the departure rows from m.folded up to row upto.
-func (m *Monitor) foldDeps(upto int) {
-	first := 0 // index of the chunk's first row
+	m.records = slices.Grow(m.records, m.deps.n)
 	for _, c := range m.deps.chunks {
-		if m.folded >= upto {
-			return
+		for _, r := range c {
+			fv := m.view(r.Flow)
+			fv.qdelay.Add(r.End - r.arrived)
+			fv.served += r.Bytes
+			fv.curve.Add(r.End, fv.served)
+			m.records = append(m.records, r.ServiceRecord)
 		}
-		if m.folded < first+len(c) {
-			for _, r := range c[m.folded-first : min(len(c), upto-first)] {
-				fv := m.view(r.Flow)
-				fv.qdelay.Add(r.End - r.arrived)
-				fv.served += r.Bytes
-				fv.curve.Add(r.End, fv.served)
-				if m.recordCap == 0 {
-					m.records = append(m.records, r.ServiceRecord)
-				}
-			}
-			m.folded = min(first+len(c), upto)
-		}
-		first += len(c)
 	}
+	m.deps.reset()
+	m.foldCloses()
 }
 
 // foldCloses folds every logged backlog interval and empties that log.
@@ -238,29 +177,12 @@ func (m *Monitor) seen(flow int) *flowView {
 	return &flowView{}
 }
 
-// ServiceRecords returns the retained service records in chronological
-// order. An unbounded monitor returns its record slice itself, extended on
-// each call by the departures since the last; a capped one returns a fresh
-// copy of the newest RecordCap records.
+// ServiceRecords returns every service record in chronological order: the
+// monitor's record slice itself, extended on each call by the departures
+// since the last.
 func (m *Monitor) ServiceRecords() []ServiceRecord {
 	m.fold()
-	if m.recordCap == 0 {
-		return m.records
-	}
-	n := min(m.deps.n, m.recordCap)
-	out := make([]ServiceRecord, 0, n)
-	skip := m.deps.n - n
-	for _, c := range m.deps.chunks {
-		if skip >= len(c) {
-			skip -= len(c)
-			continue
-		}
-		for _, r := range c[skip:] {
-			out = append(out, r.ServiceRecord)
-		}
-		skip = 0
-	}
-	return out
+	return m.records
 }
 
 // BackloggedIntervals returns the closed backlog intervals of flow. A still
@@ -302,46 +224,24 @@ const (
 )
 
 // chunkLog is an append-only log kept in chunks that never move: appending
-// copies nothing already logged, and dropping the oldest chunk keeps a
-// full-size one for reuse.
+// copies nothing already logged.
 type chunkLog[T any] struct {
 	chunks [][]T // oldest first; only the last has room
 	n      int   // rows held
-	spare  []T   // an emptied maxChunk chunk
-}
-
-// full reports whether the next push starts a chunk.
-func (c *chunkLog[T]) full() bool {
-	k := len(c.chunks) - 1
-	return k < 0 || len(c.chunks[k]) == cap(c.chunks[k])
 }
 
 func (c *chunkLog[T]) push(v T) {
-	if c.full() {
-		switch k := len(c.chunks) - 1; {
-		case c.spare != nil:
-			c.chunks = append(c.chunks, c.spare)
-			c.spare = nil
-		case k < 0:
-			c.chunks = append(c.chunks, make([]T, 0, firstChunk))
-		default:
-			c.chunks = append(c.chunks, make([]T, 0, min(2*cap(c.chunks[k]), maxChunk)))
-		}
-	}
 	k := len(c.chunks) - 1
+	switch {
+	case k < 0:
+		c.chunks = append(c.chunks, make([]T, 0, firstChunk))
+		k = 0
+	case len(c.chunks[k]) == cap(c.chunks[k]):
+		c.chunks = append(c.chunks, make([]T, 0, min(2*cap(c.chunks[k]), maxChunk)))
+		k++
+	}
 	c.chunks[k] = append(c.chunks[k], v)
 	c.n++
-}
-
-// dropFirst drops the oldest chunk.
-func (c *chunkLog[T]) dropFirst() {
-	first := c.chunks[0]
-	c.n -= len(first)
-	if cap(first) == maxChunk {
-		c.spare = first[:0]
-	}
-	c.chunks[0] = nil
-	c.chunks = c.chunks[1:]
 }
 
 // reset empties the log, keeping its newest (and largest) chunk.

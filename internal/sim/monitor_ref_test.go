@@ -19,12 +19,8 @@ import (
 type refMonitor struct {
 	link *Link
 
-	records   []ServiceRecord
-	recordCap int   // 0 = unbounded
-	recStart  int   // index of the oldest record once wrapped
-	truncated int64 // records displaced by the cap
-
-	flows map[int]*refFlowMon
+	records []ServiceRecord
+	flows   map[int]*refFlowMon
 
 	horizon    float64
 	busyTime   float64
@@ -51,8 +47,8 @@ func (m *refMonitor) flow(id int) *refFlowMon {
 	return fm
 }
 
-func refAttachN(l *Link, recordCap int) *refMonitor {
-	m := &refMonitor{link: l, recordCap: recordCap, flows: make(map[int]*refFlowMon)}
+func refAttach(l *Link) *refMonitor {
+	m := &refMonitor{link: l, flows: make(map[int]*refFlowMon)}
 	prevEnq, prevDep, prevDrop := l.OnEnqueue, l.OnDepart, l.OnDrop
 	l.OnEnqueue = func(f *Frame, now float64) {
 		m.onEnqueue(f, now)
@@ -97,17 +93,7 @@ func (m *refMonitor) onEnqueue(f *Frame, now float64) {
 }
 
 func (m *refMonitor) onDepart(f *Frame, start, end float64) {
-	rec := ServiceRecord{Flow: f.Flow, Start: start, End: end, Bytes: f.Bytes}
-	if m.recordCap > 0 && len(m.records) == m.recordCap {
-		m.records[m.recStart] = rec
-		m.recStart++
-		if m.recStart == m.recordCap {
-			m.recStart = 0
-		}
-		m.truncated++
-	} else {
-		m.records = append(m.records, rec)
-	}
+	m.records = append(m.records, ServiceRecord{Flow: f.Flow, Start: start, End: end, Bytes: f.Bytes})
 	fm := m.flow(f.Flow)
 	fm.closeOne(end)
 	fm.qdelay.Add(end - f.Arrived)
@@ -121,15 +107,6 @@ func (m *refMonitor) onDepart(f *Frame, start, end float64) {
 		m.sawService = true
 		m.firstStart = start
 	}
-}
-
-func (m *refMonitor) ServiceRecords() []ServiceRecord {
-	if m.recStart == 0 {
-		return m.records
-	}
-	out := make([]ServiceRecord, 0, len(m.records))
-	out = append(out, m.records[m.recStart:]...)
-	return append(out, m.records[:m.recStart]...)
 }
 
 func (m *refMonitor) seen(flow int) *refFlowMon {
@@ -191,11 +168,8 @@ func intervalBits(iv []Interval) []float64 {
 // sameAsRef compares everything m answers with what ref answers, bit for
 // bit, over the given flow ids.
 func sameAsRef(m *Monitor, ref *refMonitor, flows []int) error {
-	if got, want := m.ServiceRecords(), ref.ServiceRecords(); !sameRecords(got, want) {
+	if got, want := m.ServiceRecords(), ref.records; !sameRecords(got, want) {
 		return fmt.Errorf("records: %d %v, reference %d %v", len(got), got, len(want), want)
-	}
-	if got, want := m.TruncatedRecords(), ref.truncated; got != want {
-		return fmt.Errorf("truncated %d, reference %d", got, want)
 	}
 	for _, f := range flows {
 		fm := ref.seen(f)
@@ -223,10 +197,10 @@ func sameAsRef(m *Monitor, ref *refMonitor, flows []int) error {
 
 // sameLatest compares what a read in the middle of a departure sees — how
 // many records are kept and the newest; how many samples the departing flow
-// has, the newest of each, its served bytes — in O(1) for an unbounded
-// monitor, so that reading on every departure stays cheap.
+// has, the newest of each, its served bytes — in O(1), so that reading on
+// every departure stays cheap.
 func sameLatest(m *Monitor, ref *refMonitor, f int) error {
-	gr, wr := m.ServiceRecords(), ref.ServiceRecords()
+	gr, wr := m.ServiceRecords(), ref.records
 	if len(gr) != len(wr) || len(gr) == 0 || !sameRecords(gr[len(gr)-1:], wr[len(wr)-1:]) {
 		return fmt.Errorf("on departure: %d records, reference %d, newest differ", len(gr), len(wr))
 	}
@@ -247,18 +221,18 @@ func sameLatest(m *Monitor, ref *refMonitor, f int) error {
 // unregistered 9 (every frame refused) and 42 (never sent).
 var rigFlows = []int{0, 1, 2, 3, 9, 42}
 
-// monRig drives one link, with the log monitor and the reference on it both
-// unbounded and capped, from an op stream. The link serves 100 B/s
+// monRig drives one link, with the log monitor and the reference on it,
+// from an op stream. The link serves 100 B/s
 // but can never finish a 77-byte frame, caps its buffer at 300 B and flow
 // 2's at 100 B, and flow 9 is not registered: every drop cause occurs.
 type monRig struct {
 	ops  []byte
 	q    *eventq.Queue
 	link *Link
-	mons [2]*Monitor
-	refs [2]*refMonitor
+	mon  *Monitor
+	ref  *refMonitor
 	// hookReads makes every departure read the departing flow, from an
-	// OnDepart hook that runs after all four monitors' (fig3 reads while
+	// OnDepart hook that runs after both monitors' (fig3 reads while
 	// running, too).
 	hookReads bool
 	err       error
@@ -274,10 +248,8 @@ func (r *monRig) next() int {
 }
 
 func (r *monRig) compare(same func(*Monitor, *refMonitor) error) {
-	for i := range r.mons {
-		if err := same(r.mons[i], r.refs[i]); err != nil && r.err == nil {
-			r.err = fmt.Errorf("t=%v, cap %d: %v", r.q.Now(), r.mons[i].RecordCap(), err)
-		}
+	if err := same(r.mon, r.ref); err != nil && r.err == nil {
+		r.err = fmt.Errorf("t=%v: %v", r.q.Now(), err)
 	}
 }
 
@@ -286,11 +258,9 @@ func (r *monRig) compareAll() {
 }
 
 // runMonRig plays ops and returns the rig with the first difference between
-// a monitor and its reference. The first three bytes choose the discipline,
-// how many packets the link adopts from a restored scheduler before any
-// arrival, and the record cap, 1 to 64: small, so that the capped monitors
-// wrap and recycle chunks early, and varied, so that the newest-cap window
-// meets every chunk boundary.
+// the monitor and its reference. The first two bytes choose the discipline
+// and how many packets the link adopts from a restored scheduler before any
+// arrival.
 func runMonRig(ops []byte) (*monRig, error) {
 	r := &monRig{ops: ops, q: &eventq.Queue{}}
 	var sch sched.Interface
@@ -323,10 +293,8 @@ func runMonRig(ops []byte) (*monRig, error) {
 			r.compare(func(m *Monitor, ref *refMonitor) error { return sameLatest(m, ref, f.Flow) })
 		}
 	}
-	for i, c := range []int{0, 1 + r.next()%64} {
-		r.refs[i] = refAttachN(r.link, c)
-		r.mons[i] = AttachN(r.link, c)
-	}
+	r.ref = refAttach(r.link)
+	r.mon = MonitorAll(r.link)
 	if n := r.link.AdoptBacklog(); n != adopt {
 		return nil, fmt.Errorf("adopted %d of %d packets", n, adopt)
 	}
@@ -359,11 +327,11 @@ func runMonRig(ops []byte) (*monRig, error) {
 }
 
 // TestMonitorMatchesReference pins the departure log against the eager
-// monitor it replaced on random op streams, with every record cap in turn,
-// some long enough for the capped monitors to recycle full-size chunks.
+// monitor it replaced on random op streams, some long enough to log into
+// full-size chunks and reuse one after a read.
 func TestMonitorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var most int64
+	most := 0
 	for i := 0; i < 128; i++ {
 		n := 50 + rng.Intn(400)
 		if i == 0 || i == 64 && !testing.Short() {
@@ -371,12 +339,11 @@ func TestMonitorMatchesReference(t *testing.T) {
 		}
 		ops := make([]byte, n)
 		rng.Read(ops)
-		ops[2] = byte(i) // the cap
 		r, err := runMonRig(ops)
 		if err != nil {
 			t.Fatalf("stream %d (%d ops): %v", i, n, err)
 		}
-		most = max(most, r.mons[1].logged)
+		most = max(most, len(r.mon.ServiceRecords()))
 	}
 	if most < 4*maxChunk {
 		t.Fatalf("longest stream logged %d departures: too few to reuse a full-size chunk", most)

@@ -21,7 +21,7 @@ func TestMonitorReadsDoNotInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := NewLink(q, "l", sch, server.NewConstantRate(100), NewSink(q))
-	mon := Attach(link)
+	mon := MonitorAll(link)
 	q.At(0, func() { link.Deliver(&Frame{Flow: 1, Bytes: 100}) })
 	q.Run()
 	if len(mon.flows) != 0 {

@@ -91,7 +91,7 @@ func TestLinkBufferDrops(t *testing.T) {
 
 func TestMonitorBackloggedIntervals(t *testing.T) {
 	q, link, _ := newTestLink(t, 100)
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 	q.At(0, func() { link.Deliver(&sim.Frame{Flow: 1, Bytes: 100}) })   // busy [0,1]
 	q.At(5, func() { link.Deliver(&sim.Frame{Flow: 1, Bytes: 200}) })   // busy [5,7]
 	q.At(5.5, func() { link.Deliver(&sim.Frame{Flow: 1, Bytes: 100}) }) // extends to [5,8]
@@ -116,7 +116,7 @@ func TestMonitorBackloggedIntervals(t *testing.T) {
 
 func TestMonitorServiceCurve(t *testing.T) {
 	q, link, _ := newTestLink(t, 100)
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 	q.At(0, func() {
 		link.Deliver(&sim.Frame{Flow: 1, Bytes: 100})
 		link.Deliver(&sim.Frame{Flow: 2, Bytes: 100})
@@ -164,7 +164,7 @@ func TestLinkUnknownFlowDropsCounted(t *testing.T) {
 
 func TestMonitorUtilization(t *testing.T) {
 	q, link, _ := newTestLink(t, 100)
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 	// Busy [0,1], idle [1,2], busy [2,3]: utilization = 2/3 of [0,3].
 	q.At(0, func() { link.Deliver(&sim.Frame{Flow: 1, Bytes: 100}) })
 	q.At(2, func() { link.Deliver(&sim.Frame{Flow: 1, Bytes: 100}) })
@@ -176,7 +176,7 @@ func TestMonitorUtilization(t *testing.T) {
 
 func TestMonitorUtilizationEmpty(t *testing.T) {
 	q, link, _ := newTestLink(t, 100)
-	mon := sim.Attach(link)
+	mon := sim.MonitorAll(link)
 	q.Run()
 	if mon.Utilization() != 0 {
 		t.Error("empty monitor should report zero utilization")

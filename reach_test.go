@@ -52,7 +52,6 @@ var keptUnlinked = map[string]string{
 	"repro/internal/faults.Modulated.MeanRate":       "server.Process",
 	"repro/internal/sched.Ranked.SetCapacity":        "sched.Reconfigurable; rt and sfqsim assert it",
 	"repro/internal/hier.Tree.SetCapacity":           "sched.Reconfigurable; rt and sfqsim assert it",
-	"repro/internal/sched.WithTree":                  "one of sched.New's Options, the way to configure a registry name",
 	"repro/internal/sched.ManualClock.Set":           "replay harnesses set the clock of a runtime",
 	"repro/internal/rt.Runtime.SetQueueLimit":        "the only switch for the runtime's ErrShedding bound",
 	"repro/internal/rt.Admitter.Queued":              "the admitter's queue-depth gauge beside Executing",
